@@ -67,12 +67,12 @@ class DataError(RuntimeError):
     pass
 
 
-def _workers() -> int:
-    raw = os.environ.get("VPS_THREADS", "1")
+def _warn_failures(curve) -> None:
+    """Name the grid points that failed to converge on stderr."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        curve.raise_failures()
+    except NoConvergenceError as exc:
+        sys.stderr.write(f"vps: warning: {exc}\n")
 
 
 def _parse_grid(spec: str | None, rho: float) -> np.ndarray:
@@ -151,7 +151,7 @@ def _cmd_solve(m: RunManifest) -> int:
     config = _load_config(m.inputs.get("config"))
     rho = spectral_radius(profile)
     grid = _parse_grid(m.options.get("grid"), rho)
-    curve = solve_curve(profile, grid, config, workers=_workers())
+    curve = solve_curve(profile, grid, config)
     V = profile.normalized
     with open(m.outputs["out"], "w") as fh:
         fh.write("s,t_final,sum_q,sum_qtilde,inner,residual,iterations\n")
@@ -160,6 +160,7 @@ def _cmd_solve(m: RunManifest) -> int:
             fh.write(",".join(repr(float(v)) for v in (
                 sol.s, sol.t, sol.q.sum(), sol.q_tilde.sum(),
                 inner, sol.residual, sol.iterations)) + "\n")
+    _warn_failures(curve)
     return 0
 
 
@@ -181,7 +182,8 @@ def _cmd_density(m: RunManifest) -> int:
     config = _load_config(m.inputs.get("config"))
     rho = spectral_radius(profile)
     grid = _parse_grid(m.options.get("grid"), rho)
-    curve = solve_curve(profile, grid, config, workers=_workers())
+    curve = solve_curve(profile, grid, config)
+    _warn_failures(curve)
     F, f_exact, f_fd, lb = _density_outputs(profile, curve, m.options.get("mode", "fd"))
     out = m.outputs["out"]
     _write_density_csv(out, grid, F, f_exact, f_fd, lb)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +205,3 @@ def default_s_grid(support_radius: float, count: int = 200) -> np.ndarray:
     """Uniform radial grid on (0, 1.05 * support_radius]."""
     top = 1.05 * support_radius
     return top * np.arange(1, count + 1) / count
-
-
-def sqrt_rho(rho: float) -> float:
-    return math.sqrt(rho)

@@ -142,11 +142,12 @@ def density_lower_bound(profile: VarianceProfile, sol) -> float:
 
 def build_measure(profile: VarianceProfile, s_grid=None,
                   config: SolverConfig | None = None,
-                  mode: str = "fd", workers: int = 1) -> RadialMeasure:
+                  mode: str = "fd") -> RadialMeasure:
     """Solve the curve and assemble the full radial measure.
 
     Density over the grid uses finite differences by default; pass
-    mode="exact" for the derivative-system density at every point.
+    mode="exact" for the derivative-system density at every point.  Raises
+    NoConvergenceError, naming the radii, when a grid point failed.
     """
     from .core import default_s_grid
     from .profiles import spectral_radius
@@ -155,7 +156,8 @@ def build_measure(profile: VarianceProfile, s_grid=None,
     rho = spectral_radius(profile)
     if s_grid is None:
         s_grid = default_s_grid(math.sqrt(rho))
-    curve = solve_curve(profile, s_grid, config, workers=workers)
+    curve = solve_curve(profile, s_grid, config)
+    curve.raise_failures()
     F = cdf(curve)
     f = grid_density(curve, mode=mode)
     atom = atom_at_zero(curve)

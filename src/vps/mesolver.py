@@ -7,8 +7,20 @@ found by the averaged iteration
     r_tilde<- (1 - w) r_tilde + w * Psi * (V  r_tilde + t)
 
 with Psi_i = 1 / (s^2 + ((V r_tilde)_i + t)((V^T r)_i + t)).  The t -> 0
-limit is approached by geometric annealing with warm starts; the trivial
-regime (s above the support radius) is detected after annealing.
+limit is approached by geometric annealing: every stage of the t schedule
+starts from a linear extrapolation in t of the two stages before it, and
+the trivial regime (s above the support radius) is detected after annealing.
+
+One kernel, `_anneal_rows`, runs the whole schedule for many radii at once.
+Up to BLOCK radii are the [q | q_tilde] rows of (rows, 2n) work arrays, so
+one iteration is two matrix products, Q @ V and Qt @ V^T, for all of them.
+Each row keeps its own stage, iteration count, Aitken extrapolation, Newton
+hand-off and stopping rule, so a radius gets the iterates it gets when
+solved alone, up to rounding in the matrix products.  A radius that
+finishes its schedule, or fails, hands its row to the next pending radius;
+once none is pending, finished rows are compacted out of the leading slice.
+`solve_curve` runs the kernel over a grid, and `solve_regularized`,
+`anneal_to_limit` and `solve_at_zero` are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -26,6 +38,14 @@ from .core import (
     VarianceProfile,
 )
 
+# Radii iterated together.  It bounds the work arrays at BLOCK x n each;
+# more rows buy little once the matrix products dominate the iteration.
+BLOCK = 64
+# Block Aitken extrapolation every AITKEN iterations of a stage, and a
+# Newton hand-off every NEWTON iterations of a stage that has not converged.
+AITKEN = 32
+NEWTON = 2048
+
 
 @dataclass(frozen=True)
 class MECurve:
@@ -36,8 +56,18 @@ class MECurve:
     solutions: tuple
     rho: float
     config: SolverConfig
-    q0: MESolution | None = None
     failed_indices: tuple = ()
+
+    def raise_failures(self) -> None:
+        """Raise NoConvergenceError naming the failed radii, if any."""
+        failed = self.failed_indices
+        if failed:
+            radii = ", ".join(f"{self.s_grid[i]:.6g}" for i in failed[:8])
+            if len(failed) > 8:
+                radii += f" and {len(failed) - 8} more"
+            raise NoConvergenceError(
+                f"{len(failed)} of {len(self.s_grid)} grid points did not "
+                f"converge, at s = {radii}")
 
 
 def psi(profile: VarianceProfile, q, q_tilde, s: float, t: float) -> np.ndarray:
@@ -51,145 +81,80 @@ def psi(profile: VarianceProfile, q, q_tilde, s: float, t: float) -> np.ndarray:
     return 1.0 / denom
 
 
-def _positivity_cap(x, dx):
-    """Largest g such that x + g * dx >= 0.1 * x componentwise."""
-    neg = dx < 0.0
-    if not neg.any():
-        return math.inf
-    return float(np.min(0.9 * x[neg] / -dx[neg]))
-
-
-def _step(V, q, qt, s2, t):
-    phi = V @ qt + t
-    phit = V.T @ q + t
-    p = 1.0 / (s2 + phi * phit)
-    return p * phit, p * phi
-
-
-def _rebalance(q, qt):
-    """Gauge rescaling (q, qt) -> (c q, qt / c) enforcing sum(q) = sum(qt).
+def _rebalance(x, c):
+    """Gauge rescaling (q, qt) -> (c q, qt / c) with c = sqrt(sum(qt) / sum(q)),
+    in place on every [q | qt] row of x; `c` is a (rows, 2, 1) buffer.
 
     The rescaling is an exact symmetry of the t = 0 equations and the trace
-    identity picks the balanced member; without it the iteration restores
-    balance only at a rate proportional to t.
+    identity sum(q) = sum(qt) picks the balanced member; without it the
+    iteration restores balance only at a rate proportional to t.  Both sums
+    must be positive.
     """
-    sq = q.sum()
-    sqt = qt.sum()
-    if sq <= 0.0 or sqt <= 0.0:
-        return q, qt
-    c = math.sqrt(sqt / sq)
-    return c * q, qt / c
+    x3 = x.reshape(len(x), 2, -1)
+    sums = x3.sum(axis=2)
+    np.divide(sums[:, 1], sums[:, 0], out=c[:, 0, 0])
+    np.sqrt(c[:, 0, 0], out=c[:, 0, 0])
+    np.divide(1.0, c[:, 0, 0], out=c[:, 1, 0])
+    x3 *= c
 
 
-def _newton_refine(V, q, qt, s2, t, tol, max_steps=40):
-    """Newton iteration on x - I(x) = 0 from a fixed-point iterate.
+def _linearization(V, d, cq, cqt, trace=False):
+    """I - J for the block matrix J = [[d V^T, -cq V], [-cqt V^T, d V]],
+    whose blocks are V or V^T with row i scaled by the coefficient vector.
+
+    Written into one array; with `trace`, a last row (1, ..., 1, -1, ..., -1)
+    imposes sum(dq) = sum(dqt).
+    """
+    n = len(d)
+    A = np.empty((2 * n + trace, 2 * n))
+    top, bottom = A[:n], A[n:2 * n]
+    np.multiply(d[:, None], V.T, out=top[:, :n])
+    np.negative(top[:, :n], out=top[:, :n])
+    np.multiply(cq[:, None], V, out=top[:, n:])
+    np.multiply(cqt[:, None], V.T, out=bottom[:, :n])
+    np.multiply(d[:, None], V, out=bottom[:, n:])
+    np.negative(bottom[:, n:], out=bottom[:, n:])
+    diag = np.arange(2 * n)
+    A[diag, diag] += 1.0
+    if trace:
+        A[2 * n, :n] = 1.0
+        A[2 * n, n:] = -1.0
+    return A
+
+
+def _newton_refine(V, x, s2, t, tol, max_steps=40):
+    """Newton iteration on x - I(x) = 0 from a fixed-point iterate x = [q | qt].
 
     Used when plain iteration slows down near the critical radius; the
-    Jacobian of I reuses the structure of the derivative linear system.
-    Returns (q, qt, residual, steps) with residual measured as the
-    fixed-point step size, or None when Newton stalls or leaves the
-    positive cone.
+    Jacobian of I has the structure of the derivative linear system.
+    Returns (x, residual) with residual measured as the fixed-point step
+    size, or None when Newton stalls or leaves the positive cone.
     """
-    n = len(q)
-    eye = np.eye(2 * n)
+    n = len(x) // 2
+    gauge = np.empty((1, 2, 1))
     best = math.inf
-    for step in range(1, max_steps + 1):
+    for _ in range(max_steps):
+        q, qt = x[:n], x[n:]
         a = V @ qt + t
         b = V.T @ q + t
         p = 1.0 / (s2 + a * b)
-        Fq = p * b - q
-        Fqt = p * a - qt
-        residual = max(np.abs(Fq).max(), np.abs(Fqt).max())
-        scale = max(1.0, q.max(), qt.max())
-        if residual <= tol * scale:
-            return q, qt, residual, step
+        F = np.concatenate([p * b - q, p * a - qt])
+        residual = np.abs(F).max()
+        if residual <= tol * max(1.0, x.max()):
+            return x, residual
         if residual > 0.9 * best:
             return None
         best = residual
         p2 = p * p
-        J = np.block([
-            [s2 * p2[:, None] * V.T, -(p2 * b * b)[:, None] * V],
-            [-(p2 * a * a)[:, None] * V.T, s2 * p2[:, None] * V],
-        ])
+        A = _linearization(V, s2 * p2, p2 * b * b, p2 * a * a)
         try:
-            dx = np.linalg.solve(eye - J, np.concatenate([Fq, Fqt]))
+            x = x + np.linalg.solve(A, F)
         except np.linalg.LinAlgError:
             return None
-        nq = q + dx[:n]
-        nqt = qt + dx[n:]
-        if nq.min() <= 0.0 or nqt.min() <= 0.0:
+        if x.min() <= 0.0:
             return None
-        q, qt = _rebalance(nq, nqt)
+        _rebalance(x[None, :], gauge)
     return None
-
-
-def solve_regularized(profile: VarianceProfile, s: float, t: float,
-                      config: SolverConfig | None = None,
-                      warm_start: MESolution | None = None) -> MESolution:
-    """Unique positive solution of the regularized system at (s, t), t > 0."""
-    if t <= 0:
-        raise ValueError("t must be positive; use anneal_to_limit for the t -> 0 limit")
-    config = config or SolverConfig()
-    V = profile.normalized
-    n = profile.n
-    if warm_start is not None:
-        q = np.array(warm_start.q, dtype=float)
-        qt = np.array(warm_start.q_tilde, dtype=float)
-    else:
-        q = np.ones(n)
-        qt = np.ones(n)
-    w = config.averaging_weight
-    s2 = s * s
-    residual = math.inf
-    # block Aitken extrapolation: near the support edge the contraction
-    # rate approaches 1 and plain iteration stalls; summing the geometric
-    # tail every `block` steps restores fast convergence
-    block = 32
-    last_q, last_qt = q.copy(), qt.copy()
-    prev_norm = None
-    for it in range(1, config.max_iters + 1):
-        nq, nqt = _step(V, q, qt, s2, t)
-        residual = max(np.abs(nq - q).max(), np.abs(nqt - qt).max())
-        q = (1.0 - w) * q + w * nq
-        qt = (1.0 - w) * qt + w * nqt
-        q, qt = _rebalance(q, qt)
-        # relative criterion: solutions grow like 1/t, pushing the floating
-        # point residual floor above any fixed absolute tolerance
-        scale = max(1.0, q.max(), qt.max())
-        if residual <= config.fixed_point_tol * scale:
-            break
-        if it % 2048 == 0:
-            # persistent slow convergence: hand the iterate to Newton
-            refined = _newton_refine(V, q, qt, s2, t, config.fixed_point_tol)
-            if refined is not None:
-                q, qt, residual, _ = refined
-                break
-        if it % block == 0:
-            dq = q - last_q
-            dqt = qt - last_qt
-            norm = max(np.abs(dq).max(), np.abs(dqt).max())
-            if prev_norm is not None and 0.0 < norm < prev_norm:
-                r = norm / prev_norm
-                if r > 0.2:
-                    # cap the gain so the extrapolated iterate keeps a
-                    # positive margin in every component
-                    gain = r / (1.0 - r)
-                    gain = min(gain, _positivity_cap(q, dq), _positivity_cap(qt, dqt))
-                    if gain > 0.0:
-                        q = q + gain * dq
-                        qt = qt + gain * dqt
-                        norm = None
-            prev_norm = norm
-            last_q, last_qt = q.copy(), qt.copy()
-    else:
-        raise NoConvergenceError(
-            f"no fixed point after {config.max_iters} iterations at s={s}, t={t} "
-            f"(residual {residual:.3e})")
-    # direct consequence of the defining equations
-    bound = 1.0 / t + 1e-9 / t
-    if q.max() > bound or qt.max() > bound:
-        raise NoConvergenceError(f"solution violates the 1/t bound at s={s}, t={t}")
-    return MESolution(s=s, t=t, q=q, q_tilde=qt, iterations=it, residual=float(residual))
 
 
 def _t_schedule(config: SolverConfig):
@@ -202,66 +167,259 @@ def _t_schedule(config: SolverConfig):
     return ts
 
 
-def _anneal(profile: VarianceProfile, s: float, config: SolverConfig,
-            warm_start: MESolution | None):
-    """Run the full t schedule at fixed s; returns (last solution, total
-    iterations, per-stage sup norms).
+@dataclass(frozen=True)
+class _Rows:
+    """Outcome of `_anneal_rows`, one row per radius: the last stage's
+    iterate, the total iteration count, the last stage's residual, the sup
+    norms of the last two stages, and an error message where the radius
+    failed (its iterate is then zero)."""
 
-    Each stage is warm-started by linear extrapolation in t from the two
-    previous stages (r(t) is smooth in t), clipped away from zero to keep
-    the iterate strictly positive.
+    q: np.ndarray
+    q_tilde: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    norms: np.ndarray
+    errors: list
+
+
+def _anneal_rows(V, s, ts, config: SolverConfig, start=None) -> _Rows:
+    """Run the t schedule `ts` at every radius of `s` in one batched loop.
+
+    Every stage iterates to the relative stopping rule, with block Aitken
+    extrapolation every AITKEN iterations and a Newton hand-off every
+    NEWTON iterations, and its solution must respect max(q, qt) <= 1/t.
+    The first stage starts from `start`, a (len(s), 2n) array of [q | qt]
+    rows, or from ones; the second from the first stage's solution; every
+    later one from a linear extrapolation in t of the two stages before it,
+    clipped at 5% of the last.  A radius that exhausts max_iters in a stage
+    or breaks the 1/t bound gets an error message and leaves the batch while
+    the others go on.  Radii enter the batch from the largest down, so the
+    slow ones near the support edge start early.
     """
-    sol = warm_start
-    prev = None  # previous-stage solution at this same s
-    iters = 0
-    norms = []
-    for t in _t_schedule(config):
-        start = sol
-        if prev is not None and sol.t > 0.0 and prev.t > sol.t:
-            frac = (t - sol.t) / (sol.t - prev.t)
-            gq = np.maximum(sol.q + frac * (sol.q - prev.q), 0.05 * sol.q)
-            gqt = np.maximum(sol.q_tilde + frac * (sol.q_tilde - prev.q_tilde),
-                             0.05 * sol.q_tilde)
-            start = MESolution(s=s, t=t, q=gq, q_tilde=gqt,
-                               iterations=0, residual=math.inf)
-        nxt = solve_regularized(profile, s, t, config, warm_start=start)
-        iters += nxt.iterations
-        norms.append(max(nxt.q.max(), nxt.q_tilde.max()))
-        # only same-s regularized stages feed the extrapolation
-        prev = sol if (sol is not None and sol.t > 0.0) else None
-        sol = nxt
-    return sol, iters, norms
+    s = np.asarray(s, dtype=float)
+    m, n = len(s), V.shape[0]
+    VT = np.ascontiguousarray(V.T)  # a faster operand than the transposed view
+    ts = np.asarray(ts, dtype=float)
+    last_stage = len(ts) - 1
+    # extrapolation factor from stages j - 1, j into stage j + 1 (0 from stage 0)
+    frac = np.zeros(len(ts))
+    frac[1:-1] = (ts[2:] - ts[1:-1]) / (ts[1:-1] - ts[:-2])
+    w = config.averaging_weight
+    tol = config.fixed_point_tol
+    max_iters = config.max_iters
+    first_due = min(AITKEN, max_iters)
+
+    out = np.zeros((m, 2 * n))
+    out_iters = np.zeros(m, dtype=np.int64)
+    out_res = np.full(m, math.inf)
+    out_norms = np.zeros((m, 2))
+    errors = [None] * m
+
+    # per row: iterate [q | qt], its value at the last Aitken block and at
+    # the end of the previous stage, and work arrays
+    G = min(BLOCK, m)
+    X, lastX, prevX, Y, P = (np.empty((G, 2 * n)) for _ in range(5))
+    Psi = np.empty((G, n))
+    gauge = np.empty((G, 2, 1))
+    radius = np.empty(G, dtype=np.int64)
+    s2 = np.empty((G, 1))
+    t = np.empty((G, 1))
+    stage = np.empty(G, dtype=np.int64)
+    it = np.empty(G, dtype=np.int64)     # iterations of the current stage
+    due = np.empty(G, dtype=np.int64)    # next Aitken or max_iters check
+    total = np.empty(G, dtype=np.int64)
+    prev_norm = np.empty(G)   # Aitken: last block's step norm, NaN if none
+    norms = np.empty((G, 2))  # sup norms of the last two finished stages
+    per_row = (X, lastX, prevX, radius, s2, t, stage, it, due, total, prev_norm, norms)
+
+    order = np.argsort(s, kind="stable")[::-1]
+
+    def load(g, r):
+        radius[g] = r
+        s2[g] = s[r] * s[r]
+        t[g] = ts[0]
+        stage[g] = it[g] = total[g] = 0
+        due[g] = first_due
+        prev_norm[g] = math.nan
+        norms[g] = 0.0
+        X[g] = 1.0 if start is None else start[r]
+        lastX[g] = prevX[g] = X[g]
+
+    def fail(g, message):
+        out_iters[radius[g]] = total[g]
+        errors[radius[g]] = message
+
+    for g in range(G):
+        load(g, order[g])
+    pending = k = G
+    while k:
+        x, y, p, psi_ = X[:k], Y[:k], P[:k], Psi[:k]
+        phit, phi = y[:, :n], y[:, n:]
+        np.matmul(x[:, :n], V, out=phit)
+        np.matmul(x[:, n:], VT, out=phi)
+        y += t[:k]                   # [V^T q + t | V qt + t]
+        np.multiply(phi, phit, out=psi_)
+        psi_ += s2[:k]
+        np.divide(1.0, psi_, out=psi_)
+        y3 = y.reshape(k, 2, n)
+        y3 *= psi_[:, None, :]       # [I(q) | I(qt)]
+        np.subtract(y, x, out=p)
+        np.abs(p, out=p)
+        res = p.max(axis=1)
+        x *= 1.0 - w
+        y *= w
+        x += y
+        # both sums stay positive: a step maps a nonnegative iterate to a
+        # positive one
+        _rebalance(x, gauge[:k])
+        # relative criterion: solutions grow like 1/t, pushing the floating
+        # point residual floor above any fixed absolute tolerance
+        scale = x.max(axis=1)
+        np.maximum(scale, 1.0, out=scale)
+        done = res <= tol * scale
+        itk = it[:k]
+        itk += 1
+        event = done | (itk == due[:k])
+        if not event.any():
+            continue
+
+        released = []
+        for g in np.flatnonzero(event):
+            if not done[g] and it[g] % NEWTON == 0:
+                # persistent slow convergence: hand the iterate to Newton
+                refined = _newton_refine(V, X[g], s2[g, 0], t[g, 0], tol)
+                if refined is not None:
+                    X[g], res[g] = refined
+                    done[g] = True
+            if not done[g]:
+                if it[g] % AITKEN == 0:
+                    prev_norm[g] = _aitken(X[g], lastX[g], prev_norm[g])
+                if it[g] < max_iters:
+                    due[g] = min(it[g] + AITKEN, max_iters)
+                    continue
+                total[g] += it[g]
+                fail(g, f"no fixed point after {max_iters} iterations at "
+                        f"s={s[radius[g]]}, t={t[g, 0]} (residual {res[g]:.3e})")
+                released.append(g)
+                continue
+            # the stage converged
+            qmax = X[g].max()
+            total[g] += it[g]
+            norms[g] = norms[g, 1], qmax
+            if qmax > 1.0 / t[g, 0] + 1e-9 / t[g, 0]:
+                # direct consequence of the defining equations
+                fail(g, f"solution violates the 1/t bound at s={s[radius[g]]}, t={t[g, 0]}")
+                released.append(g)
+            elif stage[g] == last_stage:
+                r = radius[g]
+                out[r] = X[g]
+                out_iters[r] = total[g]
+                out_res[r] = res[g]
+                out_norms[r] = norms[g]
+                released.append(g)
+            else:
+                sol = X[g]
+                guess = np.maximum(sol + frac[stage[g]] * (sol - prevX[g]), 0.05 * sol)
+                prevX[g] = sol
+                X[g] = lastX[g] = guess
+                stage[g] += 1
+                t[g] = ts[stage[g]]
+                it[g] = 0
+                due[g] = first_due
+                prev_norm[g] = math.nan
+        # hand released rows to pending radii, or compact them out
+        for g in sorted(released, reverse=True):
+            if pending < m:
+                load(g, order[pending])
+                pending += 1
+            else:
+                k -= 1
+                if g != k:
+                    for arr in per_row:
+                        arr[g] = arr[k]
+    return _Rows(out[:, :n], out[:, n:], out_iters, out_res, out_norms, errors)
+
+
+def _aitken(x, last, prev_norm):
+    """Block Aitken step, in place, on one row x = [q | qt] whose value a
+    block of iterations ago is `last`: near the support edge the contraction
+    rate approaches 1 and plain iteration stalls; summing the geometric tail
+    restores fast convergence.  Returns the block's step norm, or NaN after
+    a jump, for the next block to compare with."""
+    dx = x - last
+    norm = np.abs(dx).max()
+    if 0.0 < norm < prev_norm:
+        r = norm / prev_norm
+        if r > 0.2:
+            gain = r / (1.0 - r)
+            # cap the gain so the extrapolated iterate keeps a positive
+            # margin in every component: x + gain dx >= 0.1 x
+            neg = dx < 0.0
+            if neg.any():
+                gain = min(gain, np.min(0.9 * x[neg] / -dx[neg]))
+            if gain > 0.0:
+                x += gain * dx
+                norm = math.nan
+    last[:] = x
+    return norm
+
+
+def _start(warm_start: MESolution | None):
+    if warm_start is None:
+        return None
+    return np.concatenate([warm_start.q, warm_start.q_tilde]).astype(float)[None, :]
+
+
+def solve_regularized(profile: VarianceProfile, s: float, t: float,
+                      config: SolverConfig | None = None,
+                      warm_start: MESolution | None = None) -> MESolution:
+    """Unique positive solution of the regularized system at (s, t), t > 0."""
+    if t <= 0:
+        raise ValueError("t must be positive; use anneal_to_limit for the t -> 0 limit")
+    config = config or SolverConfig()
+    rows = _anneal_rows(profile.normalized, [s], [t], config, _start(warm_start))
+    if rows.errors[0]:
+        raise NoConvergenceError(rows.errors[0])
+    return MESolution(s=s, t=t, q=rows.q[0], q_tilde=rows.q_tilde[0],
+                      iterations=int(rows.iterations[0]),
+                      residual=float(rows.residual[0]))
+
+
+def _limit(profile: VarianceProfile, s, rows: _Rows, i: int, ts,
+           config: SolverConfig) -> MESolution:
+    """t -> 0 limit at radius s from row i of an anneal over schedule ts.
+
+    Returns exact zeros in the trivial regime.  A just-supercritical s
+    leaves a residue of order t_min / (s^2 - rho) that can exceed
+    zero_threshold, so triviality is also declared when the final norm still
+    tracks t: the ratio of the last two stage norms is closer to the ratio
+    of their t values than to 1.
+    """
+    prev_norm, norm = rows.norms[i]
+    decaying = prev_norm > 0 and norm / prev_norm < 0.5 * (1.0 + ts[-1] / ts[-2])
+    iterations, residual = int(rows.iterations[i]), float(rows.residual[i])
+    if norm < config.zero_threshold or (decaying and norm < 1e-3):
+        z = np.zeros(profile.n)
+        return MESolution(s=s, t=0.0, q=z, q_tilde=z.copy(),
+                          iterations=iterations, residual=residual)
+    return MESolution(s=s, t=0.0, q=rows.q[i], q_tilde=rows.q_tilde[i],
+                      iterations=iterations, residual=residual)
 
 
 def anneal_to_limit(profile: VarianceProfile, s: float,
                     config: SolverConfig | None = None,
                     warm_start: MESolution | None = None) -> MESolution:
-    """t -> 0 limit q(s) by annealing t geometrically with warm starts.
-
-    Returns exact zeros in the trivial regime.  A just-supercritical s leaves
-    a residue of order t_min / (s^2 - rho) that can exceed zero_threshold, so
-    triviality is also declared when the final norm is still decaying
-    proportionally to t across the last annealing stages.
-    """
+    """t -> 0 limit q(s) by annealing t geometrically, the first stage
+    starting from `warm_start` when given.  Returns exact zeros in the
+    trivial regime."""
     if s <= 0:
         raise ValueError("s must be positive")
     config = config or SolverConfig()
-    sol, iters, norms = _anneal(profile, s, config, warm_start)
-    norm = norms[-1]
-    # trivial iff the final norm still tracks t: the ratio of the last two
-    # stage norms is closer to the ratio of their t values than to 1
     ts = _t_schedule(config)
-    decaying = False
-    if len(norms) >= 2 and norms[-2] > 0:
-        ratio_n = norms[-1] / norms[-2]
-        ratio_t = ts[-1] / ts[-2]
-        decaying = ratio_n < 0.5 * (1.0 + ratio_t)
-    if norm < config.zero_threshold or (decaying and norm < 1e-3):
-        z = np.zeros(profile.n)
-        return MESolution(s=s, t=0.0, q=z, q_tilde=z.copy(),
-                          iterations=iters, residual=sol.residual)
-    return MESolution(s=s, t=0.0, q=sol.q, q_tilde=sol.q_tilde,
-                      iterations=iters, residual=sol.residual)
+    rows = _anneal_rows(profile.normalized, [s], ts, config, _start(warm_start))
+    if rows.errors[0]:
+        raise NoConvergenceError(rows.errors[0])
+    return _limit(profile, s, rows, 0, ts, config)
 
 
 def solve_at_zero(profile: VarianceProfile,
@@ -275,15 +433,18 @@ def solve_at_zero(profile: VarianceProfile,
     """
     config = config or SolverConfig()
     V = profile.normalized
-    sol, iters, _ = _anneal(profile, 0.0, config, None)
-    balance = max(np.abs(sol.q * (V @ sol.q_tilde) - 1.0).max(),
-                  np.abs(sol.q_tilde * (V.T @ sol.q) - 1.0).max())
+    rows = _anneal_rows(V, [0.0], _t_schedule(config), config)
+    if rows.errors[0]:
+        raise NoConvergenceError(rows.errors[0])
+    q, qt = rows.q[0], rows.q_tilde[0]
+    balance = max(np.abs(q * (V @ qt) - 1.0).max(),
+                  np.abs(qt * (V.T @ q) - 1.0).max())
     if balance > max(1e-6, 10 * profile.n * config.fixed_point_tol):
         raise NoConvergenceError(
             f"t -> 0 limit at s = 0 did not stabilize (balance residual {balance:.3e}); "
             "the profile may carry an atom at zero")
-    return MESolution(s=0.0, t=0.0, q=sol.q, q_tilde=sol.q_tilde,
-                      iterations=iters, residual=float(balance))
+    return MESolution(s=0.0, t=0.0, q=q, q_tilde=qt,
+                      iterations=int(rows.iterations[0]), residual=float(balance))
 
 
 def derivative_s2(profile: VarianceProfile, sol: MESolution):
@@ -302,12 +463,7 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     phit = V.T @ q
     p = 1.0 / (s * s + phi * phit)
     s2 = s * s
-    M = np.block([
-        [s2 * (p ** 2)[:, None] * V.T, -(q ** 2)[:, None] * V],
-        [-(qt ** 2)[:, None] * V.T, s2 * (p ** 2)[:, None] * V],
-    ])
-    trace_row = np.concatenate([np.ones(n), -np.ones(n)])
-    A = np.vstack([np.eye(2 * n) - M, trace_row])
+    A = _linearization(V, s2 * p ** 2, q ** 2, qt ** 2, trace=True)
     b = -np.concatenate([p * q, p * qt, [0.0]])
     x, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
     if rank < 2 * n or sv[-1] < 1e-13 * sv[0]:
@@ -316,14 +472,13 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
 
 
 def solve_curve(profile: VarianceProfile, s_grid,
-                config: SolverConfig | None = None,
-                include_zero: bool = False,
-                workers: int = 1) -> MECurve:
-    """Solve the annealed limit along an increasing radial grid.
+                config: SolverConfig | None = None) -> MECurve:
+    """Solve the annealed limit at every radius of an increasing grid.
 
-    Default mode sweeps from the largest s downward, warm-starting each
-    point from its neighbor (solutions grow as s decreases).  With
-    workers > 1 the grid is solved cold-start in parallel instead.
+    All radii are annealed together by the batched kernel, each from a cold
+    start at t = t_initial.  A radius whose anneal fails is recorded in
+    `failed_indices` and keeps its place as a zero placeholder with
+    residual = inf and the iterations it ran.
     """
     from .profiles import spectral_radius
 
@@ -334,37 +489,17 @@ def solve_curve(profile: VarianceProfile, s_grid,
     if np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be strictly increasing and positive")
     rho = spectral_radius(profile)
-
-    failed = []
-
-    def _point(i, warm):
-        # per-point failures are recorded, not fatal: the placeholder keeps
-        # the grid aligned and is flagged by residual = inf
-        try:
-            return anneal_to_limit(profile, s_grid[i], config, warm_start=warm)
-        except NoConvergenceError:
-            failed.append(i)
+    ts = _t_schedule(config)
+    rows = _anneal_rows(profile.normalized, s_grid, ts, config)
+    sols = []
+    for i, s in enumerate(s_grid):
+        if rows.errors[i]:
             z = np.zeros(profile.n)
-            return MESolution(s=float(s_grid[i]), t=0.0, q=z, q_tilde=z.copy(),
-                              iterations=config.max_iters, residual=math.inf)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(lambda i: _point(i, None), range(len(s_grid))))
-    else:
-        sols = [None] * len(s_grid)
-        prev = None
-        for i in range(len(s_grid) - 1, -1, -1):
-            warm = None if (prev is None or prev.is_trivial
-                            or not math.isfinite(prev.residual)) else prev
-            prev = _point(i, warm)
-            sols[i] = prev
-
-    q0 = None
-    if include_zero:
-        q0 = solve_at_zero(profile, config)
+            sols.append(MESolution(s=float(s), t=0.0, q=z, q_tilde=z.copy(),
+                                   iterations=int(rows.iterations[i]),
+                                   residual=math.inf))
+        else:
+            sols.append(_limit(profile, s, rows, i, ts, config))
+    failed = tuple(i for i, e in enumerate(rows.errors) if e)
     return MECurve(profile=profile, s_grid=s_grid, solutions=tuple(sols),
-                   rho=rho, config=config, q0=q0,
-                   failed_indices=tuple(sorted(failed)))
+                   rho=rho, config=config, failed_indices=failed)

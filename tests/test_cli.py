@@ -46,6 +46,35 @@ class TestUsageErrors:
                      "--grid", "oops", "--out", out]) == 3
 
 
+class TestConvergenceFailure:
+    @pytest.fixture()
+    def starved(self, tmp_path):
+        """Block atom k=3, m=20 with a 60-iteration budget: most grid
+        points fail to converge."""
+        profile = tmp_path / "block.csv"
+        write_profile_csv(build_block_atom(3, 20), profile)
+        config = tmp_path / "starved.cfg"
+        config.write_text("max_iters = 60\n")
+        return str(profile), str(config)
+
+    def test_density_names_failed_radii(self, starved, tmp_path, capsys):
+        profile, config = starved
+        main(["density", "--profile", profile, "--config", config,
+              "--out", str(tmp_path / "density.csv")])
+        assert "grid points did not converge, at s = " in capsys.readouterr().err
+
+    def test_solve_writes_failed_rows_and_names_them(self, starved, tmp_path, capsys):
+        profile, config = starved
+        out = tmp_path / "curve.csv"
+        main(["solve", "--profile", profile, "--config", config, "--out", str(out)])
+        assert "grid points did not converge, at s = " in capsys.readouterr().err
+        rows = out.read_text().strip().splitlines()[1:]
+        residuals = [float(row.split(",")[5]) for row in rows]
+        assert len(rows) == 200
+        assert math.inf in residuals
+        assert any(math.isfinite(r) for r in residuals)
+
+
 class TestSolve:
     def test_curve_csv(self, circular_profile_csv, tmp_path):
         out = tmp_path / "curve.csv"

@@ -5,8 +5,10 @@ import pytest
 
 from vps.core import (
     InsufficientGridError,
+    NoConvergenceError,
     OutsideSupportError,
     SolverConfig,
+    default_s_grid,
     validate_profile,
 )
 from vps.measures import (
@@ -19,7 +21,7 @@ from vps.measures import (
     grid_density,
 )
 from vps.mesolver import anneal_to_limit, solve_curve
-from vps.profiles import build_block_atom
+from vps.profiles import build_block_atom, spectral_radius
 from vps.reference import block_atom_F, block_atom_edge
 
 
@@ -141,6 +143,22 @@ class TestAtomAtZero:
         curve = solve_curve(p, np.array([0.8, 0.9]))
         with pytest.raises(InsufficientGridError):
             atom_at_zero(curve)
+
+
+class TestFailedPoints:
+    def test_build_measure_names_failed_radii(self):
+        # block atom k=3, m=20 with an iteration budget most radii exhaust
+        p = build_block_atom(3, 20)
+        grid = default_s_grid(math.sqrt(spectral_radius(p)))
+        config = SolverConfig(max_iters=60)
+        curve = solve_curve(p, grid, config)
+        failed = curve.failed_indices
+        assert 0 < len(failed) < len(grid)
+        for i in failed:
+            assert curve.solutions[i].residual == math.inf
+        with pytest.raises(NoConvergenceError,
+                           match=f"{len(failed)} of {len(grid)} grid points did not converge"):
+            build_measure(p, grid, config)
 
 
 class TestDensityLowerBound:

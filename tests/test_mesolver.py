@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from vps.core import NoConvergenceError, SolverConfig, validate_profile
+import vps.mesolver
+from vps.core import NoConvergenceError, SolverConfig, default_s_grid, validate_profile
+from vps.measures import cdf
 from vps.mesolver import (
+    _linearization,
     anneal_to_limit,
     derivative_s2,
     psi,
@@ -12,7 +15,7 @@ from vps.mesolver import (
     solve_curve,
     solve_regularized,
 )
-from vps.profiles import build_block_atom, build_separable
+from vps.profiles import build_block_atom, build_sampled, build_separable, spectral_radius
 
 
 def constant_profile(n, variance=1.0):
@@ -221,6 +224,18 @@ class TestDerivative:
         with pytest.raises(ValueError):
             derivative_s2(p, sol)
 
+    def test_linearization_matches_block_assembly(self):
+        rng = np.random.default_rng(3)
+        n = 7
+        V = rng.uniform(0.0, 1.0, size=(n, n))
+        d, cq, cqt = rng.uniform(0.1, 1.0, size=(3, n))
+        J = np.block([[d[:, None] * V.T, -cq[:, None] * V],
+                      [-cqt[:, None] * V.T, d[:, None] * V]])
+        A = _linearization(V, d, cq, cqt, trace=True)
+        assert np.array_equal(A[:2 * n], np.eye(2 * n) - J)
+        assert np.array_equal(A[2 * n], np.concatenate([np.ones(n), -np.ones(n)]))
+        assert np.array_equal(_linearization(V, d, cq, cqt), A[:2 * n])
+
 
 class TestSolveCurve:
     def test_scalar_curve(self):
@@ -251,10 +266,46 @@ class TestSolveCurve:
         with pytest.raises(ValueError):
             solve_curve(p, np.array([]))
 
-    def test_parallel_matches_sequential(self):
-        p = constant_profile(12)
-        grid = np.linspace(0.3, 1.2, 8)
-        seq = solve_curve(p, grid)
-        par = solve_curve(p, grid, workers=4)
-        for a, b in zip(seq.solutions, par.solutions):
-            assert np.allclose(a.q, b.q, atol=1e-9)
+    def test_batched_curve_matches_pointwise_anneal(self):
+        # a non-symmetric profile on a grid across the edge, with a budget
+        # that only the radius just above the edge exhausts
+        rng = np.random.default_rng(11)
+        p = validate_profile(rng.uniform(0.2, 2.0, size=(12, 12)))
+        grid = math.sqrt(spectral_radius(p)) * np.array([0.3, 0.6, 0.9, 0.99, 1.01, 1.2])
+        config = SolverConfig(max_iters=370)
+        curve = solve_curve(p, grid, config)
+        assert curve.failed_indices == (4,)
+        failed = curve.solutions[4]
+        assert failed.is_trivial and failed.residual == math.inf
+        # the stages before the failing one count too
+        assert failed.iterations > config.max_iters
+        with pytest.raises(NoConvergenceError):
+            anneal_to_limit(p, grid[4], config)
+        for i in (0, 1, 2, 3, 5):
+            sol = curve.solutions[i]
+            ref = anneal_to_limit(p, grid[i], config)
+            assert np.abs(sol.q - ref.q).max() <= 1e-10
+            assert np.abs(sol.q_tilde - ref.q_tilde).max() <= 1e-10
+        assert curve.solutions[5].is_trivial
+
+    def test_newton_hand_off_on_band_model(self, monkeypatch):
+        def band_b(x, y):
+            return (x + 2 * y) ** 2 if abs(x - y) <= 1 / 10 else 0.0
+
+        p = build_sampled(band_b, 40)
+        config = SolverConfig(fixed_point_tol=1e-9, t_min=1e-8)
+        grid = default_s_grid(math.sqrt(spectral_radius(p)), 30)
+        calls = []
+        refine = vps.mesolver._newton_refine
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(vps.mesolver, "_newton_refine", counted)
+        curve = solve_curve(p, grid, config)
+        assert calls
+        assert curve.failed_indices == ()
+        for sol in curve.solutions:
+            assert abs(sol.q.sum() - sol.q_tilde.sum()) / p.n <= 1e-10
+        assert np.all(np.diff(cdf(curve)) >= 0)
