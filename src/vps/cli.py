@@ -10,22 +10,23 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     NoConvergenceError,
     ProfileError,
-    SolverConfig,
+    RadialMeasure,
     default_s_grid,
     read_config,
     read_profile_csv,
 )
 from .measures import (
     atom_at_zero,
+    atom_from_cdf,
     cdf,
     density_at_zero,
+    density_from_cdf,
     density_lower_bound,
     grid_density,
 )
@@ -45,22 +46,17 @@ from .profiles import (
     is_irreducible,
     spectral_radius,
 )
-from .reference import block_atom_density, block_atom_F, circular_density, circular_F
+from .reference import (
+    block_atom_density,
+    block_atom_edge,
+    block_atom_F,
+    circular_density,
+    circular_F,
+)
 from .separable import separable_density, separable_density_zero, solve_u
 
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """A fully resolved command invocation."""
-
-    command: str
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
-    seed: int | None = None
 
 
 class DataError(RuntimeError):
@@ -75,9 +71,11 @@ def _warn_failures(curve) -> None:
         sys.stderr.write(f"vps: warning: {exc}\n")
 
 
-def _parse_grid(spec: str | None, rho: float) -> np.ndarray:
+def _parse_grid(spec: str | None, edge: float | None = None):
+    """The grid of a start:stop:count spec.  Without a spec, the default grid
+    up to `edge`, or None, which leaves the grid to `solve_curve`."""
     if spec is None:
-        return default_s_grid(math.sqrt(rho))
+        return None if edge is None else default_s_grid(edge)
     try:
         start_s, stop_s, count_s = spec.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
@@ -86,12 +84,6 @@ def _parse_grid(spec: str | None, rho: float) -> np.ndarray:
     if not (0 < start < stop and count >= 2):
         raise DataError(f"bad grid range in {spec!r}")
     return np.linspace(start, stop, count)
-
-
-def _load_config(path: str | None) -> SolverConfig:
-    if path is None:
-        return SolverConfig()
-    return read_config(path)
 
 
 def _parse_vector(spec: str, n: int | None) -> np.ndarray:
@@ -146,14 +138,17 @@ def read_density_csv(path):
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 
-def _cmd_solve(m: RunManifest) -> int:
-    profile = read_profile_csv(m.inputs["profile"])
-    config = _load_config(m.inputs.get("config"))
-    rho = spectral_radius(profile)
-    grid = _parse_grid(m.options.get("grid"), rho)
-    curve = solve_curve(profile, grid, config)
+def _solve(args):
+    """The solved curve of `vps solve` and `vps density`."""
+    config = read_config(args.config) if args.config else None
+    return solve_curve(read_profile_csv(args.profile), _parse_grid(args.grid), config)
+
+
+def _cmd_solve(args) -> int:
+    curve = _solve(args)
+    profile = curve.profile
     V = profile.normalized
-    with open(m.outputs["out"], "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write("s,t_final,sum_q,sum_qtilde,inner,residual,iterations\n")
         for sol in curve.solutions:
             inner = float(sol.q @ (V @ sol.q_tilde)) / profile.n
@@ -164,7 +159,7 @@ def _cmd_solve(m: RunManifest) -> int:
     return 0
 
 
-def _density_outputs(profile, curve, mode):
+def _density_outputs(curve, mode):
     F = cdf(curve)
     f_fd = grid_density(curve, mode="fd")
     if mode == "exact":
@@ -172,28 +167,25 @@ def _density_outputs(profile, curve, mode):
     else:
         f_exact = np.full(len(F), math.nan)
     lb = np.array([
-        density_lower_bound(profile, sol) if not sol.is_trivial else math.nan
+        density_lower_bound(curve.profile, sol) if not sol.is_trivial else math.nan
         for sol in curve.solutions])
     return F, f_exact, f_fd, lb
 
 
-def _cmd_density(m: RunManifest) -> int:
-    profile = read_profile_csv(m.inputs["profile"])
-    config = _load_config(m.inputs.get("config"))
-    rho = spectral_radius(profile)
-    grid = _parse_grid(m.options.get("grid"), rho)
-    curve = solve_curve(profile, grid, config)
+def _cmd_density(args) -> int:
+    curve = _solve(args)
+    rho = curve.rho
     _warn_failures(curve)
-    F, f_exact, f_fd, lb = _density_outputs(profile, curve, m.options.get("mode", "fd"))
-    out = m.outputs["out"]
-    _write_density_csv(out, grid, F, f_exact, f_fd, lb)
+    F, f_exact, f_fd, lb = _density_outputs(curve, args.mode)
+    out = args.out
+    _write_density_csv(out, curve.s_grid, F, f_exact, f_fd, lb)
 
     atom = atom_at_zero(curve)
     lines = [f"rho = {rho!r}",
              f"support_radius = {math.sqrt(rho)!r}",
              f"atom_at_zero = {atom!r}"]
     try:
-        f0, f0_cross = density_at_zero(profile, config)
+        f0, f0_cross = density_at_zero(curve.profile, curve.config)
         lines.append(f"density_at_zero = {f0!r}")
         lines.append(f"density_at_zero_cross_check = {f0_cross!r}")
         lines.append(f"f0_pi_rho = {f0 * math.pi * rho!r}")
@@ -209,23 +201,20 @@ def _cmd_density(m: RunManifest) -> int:
     return 0
 
 
-def _cmd_separable(m: RunManifest) -> int:
-    n = m.options.get("n")
-    d = _parse_vector(m.options["d_spec"], n)
-    dt = _parse_vector(m.options["dtilde_spec"], n)
+def _cmd_separable(args) -> int:
+    d = _parse_vector(args.d, args.n)
+    dt = _parse_vector(args.dtilde, args.n)
     _, sep = build_separable(d, dt)
-    grid = _parse_grid(m.options.get("grid"), sep.rho)
     edge = math.sqrt(sep.rho)
+    grid = _parse_grid(args.grid, edge)
     F = np.empty(len(grid))
     f = np.empty(len(grid))
     for i, s in enumerate(grid):
         F[i] = 1.0 - solve_u(sep, float(s)).u
         f[i] = separable_density(sep, float(s)) if s < edge else 0.0
-    f_fd = np.maximum(np.gradient(F, grid) / (2.0 * math.pi * grid), 0.0)
-    f_fd[grid >= edge] = 0.0
     lb = np.full(len(grid), math.nan)
-    _write_density_csv(m.outputs["out"], grid, F, f, f_fd, lb)
-    with open(m.outputs["out"] + ".info.txt", "w") as fh:
+    _write_density_csv(args.out, grid, F, f, density_from_cdf(grid, F, edge), lb)
+    with open(args.out + ".info.txt", "w") as fh:
         fh.write(f"rho = {sep.rho!r}\n")
         fh.write(f"support_radius = {edge!r}\n")
         fh.write("atom_at_zero = 0.0\n")
@@ -233,11 +222,11 @@ def _cmd_separable(m: RunManifest) -> int:
     return 0
 
 
-def _cmd_check(m: RunManifest) -> int:
-    profile = read_profile_csv(m.inputs["profile"])
-    config = _load_config(m.inputs.get("config"))
-    K = m.options.get("blocks") or profile.n
-    phi = m.options.get("phi", 1e-9)
+def _cmd_check(args) -> int:
+    profile = read_profile_csv(args.profile)
+    config = read_config(args.config) if args.config else None
+    K = args.blocks or profile.n
+    phi = args.phi
     rho = spectral_radius(profile)
     irr = is_irreducible(profile)
     bfid = is_block_fully_indecomposable(profile, K, phi)
@@ -257,64 +246,53 @@ def _cmd_check(m: RunManifest) -> int:
               f"block_fully_indecomposable = {str(bfid).lower()} "
               f"(K = {K}, phi = {phi})\n"
               f"circular = {str(circular).lower()}\n" + extra)
-    out = m.outputs.get("out")
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(report)
     sys.stdout.write(report)
     return 0
 
 
-def _cmd_oracle(m: RunManifest) -> int:
-    family = m.options["family"]
-    name, _, arg = family.partition(":")
+def _cmd_oracle(args) -> int:
+    name, _, arg = args.family.partition(":")
     if name == "circular":
         variance = float(arg) if arg else 1.0
-        rho = variance
-        grid = _parse_grid(m.options.get("grid"), rho)
+        edge = math.sqrt(variance)
+        grid = _parse_grid(args.grid, edge)
         F = np.array([circular_F(variance, s) for s in grid])
         f = np.array([circular_density(variance, s) for s in grid])
     elif name == "block-atom":
         k = int(arg) if arg else 3
-        rho = math.sqrt(k - 1) / k
-        grid = _parse_grid(m.options.get("grid"), rho)
+        edge = block_atom_edge(k)
+        grid = _parse_grid(args.grid, edge)
         F = np.array([block_atom_F(k, s) for s in grid])
         f = np.array([block_atom_density(k, s) for s in grid])
     else:
-        raise DataError(f"unknown oracle family {family!r}; "
+        raise DataError(f"unknown oracle family {args.family!r}; "
                         "use circular:V or block-atom:k")
-    f_fd = np.maximum(np.gradient(F, grid) / (2.0 * math.pi * grid), 0.0)
     lb = np.full(len(grid), math.nan)
-    _write_density_csv(m.outputs["out"], grid, F, f, f_fd, lb)
+    _write_density_csv(args.out, grid, F, f, density_from_cdf(grid, F, edge), lb)
     return 0
 
 
-def _cmd_simulate(m: RunManifest) -> int:
-    profile = read_profile_csv(m.inputs["profile"])
-    law = EntryLaw(kind=m.options.get("law", "complex-bernoulli"),
-                   seed=m.seed if m.seed is not None else 0)
-    Y = sample_matrix(profile, law)
-    sample = spectrum(Y)
-    write_eigenvalue_csv(sample, m.outputs["out"])
+def _cmd_simulate(args) -> int:
+    profile = read_profile_csv(args.profile)
+    Y = sample_matrix(profile, EntryLaw(kind=args.law, seed=args.seed))
+    write_eigenvalue_csv(spectrum(Y), args.out)
     return 0
 
 
-def _cmd_compare(m: RunManifest) -> int:
-    from .core import RadialMeasure
-
-    sample = read_eigenvalue_csv(m.inputs["eigenvalues"])
-    s, F, _, _, _ = read_density_csv(m.inputs["density"])
-    # atom read off the CSV by the same extrapolation used in measures
-    F0 = F[0] - s[0] ** 2 * (F[1] - F[0]) / (s[1] ** 2 - s[0] ** 2)
-    atom = float(min(max(F0, 0.0), 1.0))
+def _cmd_compare(args) -> int:
+    sample = read_eigenvalue_csv(args.eigenvalues)
+    s, F, _, _, _ = read_density_csv(args.density)
+    atom = atom_from_cdf(s, F)
     support = float(s[np.argmax(F >= 1.0)]) if np.any(F >= 1.0) else float(s[-1])
     measure = RadialMeasure(s_grid=s, F=F, f=np.zeros_like(F),
                             atom_at_zero=atom, support_radius=support)
     dist = kolmogorov_distance(measure, sample)
     report = f"kolmogorov_distance = {dist!r}\n"
-    out = m.outputs.get("out")
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(report)
     sys.stdout.write(report)
     return 0
@@ -329,14 +307,6 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "compare": _cmd_compare,
 }
-
-
-def run(manifest: RunManifest) -> int:
-    """Execute one resolved command; raises on data/convergence errors."""
-    for path in manifest.inputs.values():
-        if path is not None and not os.path.exists(path):
-            raise DataError(f"input path does not exist: {path}")
-    return _COMMANDS[manifest.command](manifest)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -383,35 +353,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _manifest_from_args(args) -> RunManifest:
-    inputs, outputs, options = {}, {}, {}
-    if getattr(args, "profile", None):
-        inputs["profile"] = args.profile
-    if getattr(args, "config", None):
-        inputs["config"] = args.config
-    if args.command == "separable":
-        options["n"] = args.n
-    if args.command == "compare":
-        inputs["eigenvalues"] = args.eigenvalues
-        inputs["density"] = args.density
-    if getattr(args, "out", None):
-        outputs["out"] = args.out
-    for key in ("grid", "mode", "family", "law", "blocks", "phi"):
-        if getattr(args, key, None) is not None:
-            options[key] = getattr(args, key)
-    if args.command == "separable":
-        options["d_spec"] = args.d
-        options["dtilde_spec"] = args.dtilde
-    seed = getattr(args, "seed", None)
-    return RunManifest(command=args.command, inputs=inputs, outputs=outputs,
-                       options=options, seed=seed)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    manifest = _manifest_from_args(args)
     try:
-        return run(manifest)
+        # the options that name input files
+        for key in ("profile", "config", "eigenvalues", "density"):
+            path = getattr(args, key, None)
+            if path and not os.path.exists(path):
+                raise DataError(f"input path does not exist: {path}")
+        return _COMMANDS[args.command](args)
     except (ProfileError, DataError, OSError, ValueError) as exc:
         sys.stderr.write(f"vps: data error: {exc}\n")
         return EXIT_DATA

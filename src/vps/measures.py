@@ -36,15 +36,38 @@ def cdf(curve: MECurve) -> np.ndarray:
     return np.maximum.accumulate(F)
 
 
-def _nearest_index(grid: np.ndarray, s: float) -> int:
-    return int(np.argmin(np.abs(grid - s)))
+def _on_support(f, s, edge: float) -> np.ndarray:
+    """Density values f over the grid s, clipped at 0 and set to 0 from the
+    support edge on."""
+    f = np.maximum(f, 0.0)
+    f[s >= edge] = 0.0
+    return f
+
+
+def density_from_cdf(s, F, edge: float) -> np.ndarray:
+    """Finite-difference density f = F'(s) / (2 pi s) over a grid s of at
+    least two radii, clipped at 0 and set to 0 from the support edge on."""
+    s = np.asarray(s, dtype=float)
+    return _on_support(np.gradient(F, s) / (2.0 * math.pi * s), s, edge)
+
+
+def _exact_density(profile: VarianceProfile, sol) -> float:
+    """f(s) = -(<dq, V qt> + <q, V dqt>) / (pi n) from the derivative in s^2
+    of a limit solution; 0 in the trivial regime.  Not clipped."""
+    if sol.is_trivial:
+        return 0.0
+    dq, dqt = derivative_s2(profile, sol)
+    V = profile.normalized
+    inner = float(dq @ (V @ sol.q_tilde)) + float(sol.q @ (V @ dqt))
+    return -inner / (math.pi * profile.n)
 
 
 def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     """Radial density f(|z|) at a single modulus inside the support.
 
     mode "exact" solves at |z| and differentiates the master equations;
-    mode "fd" takes a central difference of F on the curve's grid, so its
+    mode "fd" takes the central difference of F at the nearest interior
+    point of the curve's grid, which needs at least three radii, so its
     resolution is tied to the grid spacing.
     """
     s = float(z_modulus)
@@ -52,49 +75,29 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     if not 0.0 < s < edge:
         raise OutsideSupportError(f"|z| = {s} outside (0, {edge})")
     if mode == "exact":
-        i = _nearest_index(curve.s_grid, s)
-        warm = curve.solutions[i]
-        sol = anneal_to_limit(curve.profile, s, curve.config,
-                              warm_start=None if warm.is_trivial else warm)
-        if sol.is_trivial:
-            return 0.0
-        dq, dqt = derivative_s2(curve.profile, sol)
-        V = curve.profile.normalized
-        inner = float(dq @ (V @ sol.q_tilde)) + float(sol.q @ (V @ dqt))
-        return max(0.0, -inner / (math.pi * curve.profile.n))
+        sol = anneal_to_limit(curve.profile, s, curve.config)
+        return max(0.0, _exact_density(curve.profile, sol))
     if mode == "fd":
         grid = curve.s_grid
-        F = cdf(curve)
-        i = min(max(_nearest_index(grid, s), 1), len(grid) - 2)
-        dFds = (F[i + 1] - F[i - 1]) / (grid[i + 1] - grid[i - 1])
-        return max(0.0, dFds / (2.0 * math.pi * grid[i]))
+        if len(grid) < 3:
+            raise InsufficientGridError(
+                f"fd density needs at least three grid points, got {len(grid)}")
+        i = min(max(int(np.argmin(np.abs(grid - s))), 1), len(grid) - 2)
+        return float(density_from_cdf(grid, cdf(curve), edge)[i])
     raise ValueError(f"unknown density mode: {mode!r}")
 
 
 def grid_density(curve: MECurve, mode: str = "fd") -> np.ndarray:
-    """Density along the full grid; fd mode uses np.gradient of the CDF,
-    exact mode differentiates the equations point by point."""
+    """Density along the full grid; fd mode differences the CDF, exact mode
+    differentiates the equations point by point."""
     grid = curve.s_grid
     edge = math.sqrt(curve.rho)
     if mode == "fd":
-        F = cdf(curve)
-        f = np.gradient(F, grid) / (2.0 * math.pi * grid)
-    elif mode == "exact":
-        f = np.empty(len(grid))
-        V = curve.profile.normalized
-        n = curve.profile.n
-        for i, sol in enumerate(curve.solutions):
-            if sol.is_trivial:
-                f[i] = 0.0
-                continue
-            dq, dqt = derivative_s2(curve.profile, sol)
-            inner = float(dq @ (V @ sol.q_tilde)) + float(sol.q @ (V @ dqt))
-            f[i] = -inner / (math.pi * n)
-    else:
-        raise ValueError(f"unknown density mode: {mode!r}")
-    f = np.maximum(f, 0.0)
-    f[grid >= edge] = 0.0
-    return f
+        return density_from_cdf(grid, cdf(curve), edge)
+    if mode == "exact":
+        f = [_exact_density(curve.profile, sol) for sol in curve.solutions]
+        return _on_support(np.array(f), grid, edge)
+    raise ValueError(f"unknown density mode: {mode!r}")
 
 
 def density_at_zero(profile: VarianceProfile,
@@ -112,18 +115,26 @@ def density_at_zero(profile: VarianceProfile,
     return f0, cross
 
 
+def atom_from_cdf(s, F) -> float:
+    """Point mass at zero: F extrapolated linearly in s^2 to s = 0 from the
+    first two points of a CDF on an increasing grid, clamped to [0, 1]."""
+    if len(s) < 2:
+        raise InsufficientGridError(
+            f"the atom needs at least two grid points, got {len(s)}")
+    s1sq, s2sq = s[0] ** 2, s[1] ** 2
+    F0 = F[0] - s1sq * (F[1] - F[0]) / (s2sq - s1sq)
+    return float(min(max(F0, 0.0), 1.0))
+
+
 def atom_at_zero(curve: MECurve) -> float:
     """Point mass at zero: limit of F(s) as s -> 0, extrapolated linearly
     in s^2 from the two smallest grid points."""
     grid = curve.s_grid
-    if len(grid) < 2 or grid[1] > 0.25 * math.sqrt(curve.rho):
+    if len(grid) > 1 and grid[1] > 0.25 * math.sqrt(curve.rho):
         raise InsufficientGridError(
             "need at least two grid points close to zero for the atom")
-    F1 = _cdf_value(curve.profile, curve.solutions[0])
-    F2 = _cdf_value(curve.profile, curve.solutions[1])
-    s1sq, s2sq = grid[0] ** 2, grid[1] ** 2
-    F0 = F1 - s1sq * (F2 - F1) / (s2sq - s1sq)
-    return float(min(max(F0, 0.0), 1.0))
+    return atom_from_cdf(grid[:2], [_cdf_value(curve.profile, sol)
+                                    for sol in curve.solutions[:2]])
 
 
 def density_lower_bound(profile: VarianceProfile, sol) -> float:
@@ -149,17 +160,10 @@ def build_measure(profile: VarianceProfile, s_grid=None,
     mode="exact" for the derivative-system density at every point.  Raises
     NoConvergenceError, naming the radii, when a grid point failed.
     """
-    from .core import default_s_grid
-    from .profiles import spectral_radius
-
-    config = config or SolverConfig()
-    rho = spectral_radius(profile)
-    if s_grid is None:
-        s_grid = default_s_grid(math.sqrt(rho))
     curve = solve_curve(profile, s_grid, config)
     curve.raise_failures()
     F = cdf(curve)
     f = grid_density(curve, mode=mode)
     atom = atom_at_zero(curve)
     return RadialMeasure(s_grid=curve.s_grid, F=F, f=f,
-                         atom_at_zero=atom, support_radius=math.sqrt(rho))
+                         atom_at_zero=atom, support_radius=math.sqrt(curve.rho))

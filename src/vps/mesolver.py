@@ -7,9 +7,12 @@ found by the averaged iteration
     r_tilde<- (1 - w) r_tilde + w * Psi * (V  r_tilde + t)
 
 with Psi_i = 1 / (s^2 + ((V r_tilde)_i + t)((V^T r)_i + t)).  The t -> 0
-limit is approached by geometric annealing: every stage of the t schedule
-starts from a linear extrapolation in t of the two stages before it, and
-the trivial regime (s above the support radius) is detected after annealing.
+limit is approached by geometric annealing: the first stage of the t
+schedule starts from ones at t = t_initial, every later stage from a linear
+extrapolation in t of the two stages before it, and the trivial regime (s
+above the support radius) is detected after annealing.  No radius starts
+from the solution at another: at t = t_initial a t -> 0 solution is no
+better a guess than ones.
 
 One kernel, `_anneal_rows`, runs the whole schedule for many radii at once.
 Up to BLOCK radii are the [q | q_tilde] rows of (rows, 2n) work arrays, so
@@ -19,8 +22,9 @@ hand-off and stopping rule, so a radius gets the iterates it gets when
 solved alone, up to rounding in the matrix products.  A radius that
 finishes its schedule, or fails, hands its row to the next pending radius;
 once none is pending, finished rows are compacted out of the leading slice.
-`solve_curve` runs the kernel over a grid, and `solve_regularized`,
-`anneal_to_limit` and `solve_at_zero` are one-row calls of it.
+`solve_curve` runs the kernel over a grid, by default `default_s_grid` up
+to the support radius, and `solve_regularized`, `anneal_to_limit` and
+`solve_at_zero` are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .core import (
     RankDeficientError,
     SolverConfig,
     VarianceProfile,
+    default_s_grid,
 )
 
 # Radii iterated together.  It bounds the work arrays at BLOCK x n each;
@@ -182,18 +187,17 @@ class _Rows:
     errors: list
 
 
-def _anneal_rows(V, s, ts, config: SolverConfig, start=None) -> _Rows:
+def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
     """Run the t schedule `ts` at every radius of `s` in one batched loop.
 
     Every stage iterates to the relative stopping rule, with block Aitken
     extrapolation every AITKEN iterations and a Newton hand-off every
     NEWTON iterations, and its solution must respect max(q, qt) <= 1/t.
-    The first stage starts from `start`, a (len(s), 2n) array of [q | qt]
-    rows, or from ones; the second from the first stage's solution; every
-    later one from a linear extrapolation in t of the two stages before it,
-    clipped at 5% of the last.  A radius that exhausts max_iters in a stage
-    or breaks the 1/t bound gets an error message and leaves the batch while
-    the others go on.  Radii enter the batch from the largest down, so the
+    The first stage starts from ones, the second from the first stage's
+    solution, every later one from a linear extrapolation in t of the two
+    stages before it, clipped at 5% of the last.  A radius that exhausts
+    max_iters in a stage or breaks the 1/t bound gets an error message and
+    leaves the batch while the others go on.  Radii enter the batch from the largest down, so the
     slow ones near the support edge start early.
     """
     s = np.asarray(s, dtype=float)
@@ -242,8 +246,7 @@ def _anneal_rows(V, s, ts, config: SolverConfig, start=None) -> _Rows:
         due[g] = first_due
         prev_norm[g] = math.nan
         norms[g] = 0.0
-        X[g] = 1.0 if start is None else start[r]
-        lastX[g] = prevX[g] = X[g]
+        X[g] = lastX[g] = prevX[g] = 1.0
 
     def fail(g, message):
         out_iters[radius[g]] = total[g]
@@ -364,20 +367,13 @@ def _aitken(x, last, prev_norm):
     return norm
 
 
-def _start(warm_start: MESolution | None):
-    if warm_start is None:
-        return None
-    return np.concatenate([warm_start.q, warm_start.q_tilde]).astype(float)[None, :]
-
-
 def solve_regularized(profile: VarianceProfile, s: float, t: float,
-                      config: SolverConfig | None = None,
-                      warm_start: MESolution | None = None) -> MESolution:
+                      config: SolverConfig | None = None) -> MESolution:
     """Unique positive solution of the regularized system at (s, t), t > 0."""
     if t <= 0:
         raise ValueError("t must be positive; use anneal_to_limit for the t -> 0 limit")
     config = config or SolverConfig()
-    rows = _anneal_rows(profile.normalized, [s], [t], config, _start(warm_start))
+    rows = _anneal_rows(profile.normalized, [s], [t], config)
     if rows.errors[0]:
         raise NoConvergenceError(rows.errors[0])
     return MESolution(s=s, t=t, q=rows.q[0], q_tilde=rows.q_tilde[0],
@@ -407,16 +403,14 @@ def _limit(profile: VarianceProfile, s, rows: _Rows, i: int, ts,
 
 
 def anneal_to_limit(profile: VarianceProfile, s: float,
-                    config: SolverConfig | None = None,
-                    warm_start: MESolution | None = None) -> MESolution:
-    """t -> 0 limit q(s) by annealing t geometrically, the first stage
-    starting from `warm_start` when given.  Returns exact zeros in the
-    trivial regime."""
+                    config: SolverConfig | None = None) -> MESolution:
+    """t -> 0 limit q(s) by annealing t geometrically from ones at
+    t = t_initial.  Returns exact zeros in the trivial regime."""
     if s <= 0:
         raise ValueError("s must be positive")
     config = config or SolverConfig()
     ts = _t_schedule(config)
-    rows = _anneal_rows(profile.normalized, [s], ts, config, _start(warm_start))
+    rows = _anneal_rows(profile.normalized, [s], ts, config)
     if rows.errors[0]:
         raise NoConvergenceError(rows.errors[0])
     return _limit(profile, s, rows, 0, ts, config)
@@ -471,24 +465,28 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     return x[:n], x[n:]
 
 
-def solve_curve(profile: VarianceProfile, s_grid,
+def solve_curve(profile: VarianceProfile, s_grid=None,
                 config: SolverConfig | None = None) -> MECurve:
-    """Solve the annealed limit at every radius of an increasing grid.
+    """Solve the annealed limit at every radius of an increasing grid, by
+    default `default_s_grid` up to the support radius sqrt(rho).
 
     All radii are annealed together by the batched kernel, each from a cold
     start at t = t_initial.  A radius whose anneal fails is recorded in
     `failed_indices` and keeps its place as a zero placeholder with
-    residual = inf and the iterations it ran.
+    residual = inf and the iterations it ran.  The curve carries rho, so
+    callers need not compute it again.
     """
     from .profiles import spectral_radius
 
     config = config or SolverConfig()
+    rho = spectral_radius(profile)
+    if s_grid is None:
+        s_grid = default_s_grid(math.sqrt(rho))
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or len(s_grid) == 0:
         raise ValueError("s_grid must be a nonempty vector")
     if np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be strictly increasing and positive")
-    rho = spectral_radius(profile)
     ts = _t_schedule(config)
     rows = _anneal_rows(profile.normalized, s_grid, ts, config)
     sols = []

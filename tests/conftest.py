@@ -1,0 +1,20 @@
+import pytest
+
+import vps.cli
+import vps.profiles
+
+
+@pytest.fixture()
+def spectral_radius_calls(monkeypatch):
+    """Record every spectral radius call, through both names it is reached
+    by: `vps.profiles.spectral_radius` and the CLI's `vps.cli.spectral_radius`."""
+    calls = []
+    original = vps.profiles.spectral_radius
+
+    def counted(profile, *args, **kwargs):
+        calls.append(profile)
+        return original(profile, *args, **kwargs)
+
+    monkeypatch.setattr(vps.profiles, "spectral_radius", counted)
+    monkeypatch.setattr(vps.cli, "spectral_radius", counted)
+    return calls

@@ -75,6 +75,15 @@ class TestConvergenceFailure:
         assert any(math.isfinite(r) for r in residuals)
 
 
+class TestSpectralRadiusOnce:
+    @pytest.mark.parametrize("command", ["solve", "density"])
+    def test_one_call(self, command, block_profile_csv, tmp_path, spectral_radius_calls):
+        out = tmp_path / "out.csv"
+        assert main([command, "--profile", block_profile_csv, "--out", str(out)]) == 0
+        assert len(spectral_radius_calls) == 1
+        assert len(out.read_text().strip().splitlines()) == 201
+
+
 class TestSolve:
     def test_curve_csv(self, circular_profile_csv, tmp_path):
         out = tmp_path / "curve.csv"
@@ -166,6 +175,15 @@ class TestOracle:
         expected = np.array([block_atom_F(3, x) for x in s])
         assert np.allclose(F, expected)
 
+    def test_fd_column_zero_past_edge(self, tmp_path):
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle", "--family", "circular:1",
+                     "--grid", "0.1:1.5:15", "--out", str(out)]) == 0
+        s, _, f, f_fd, _ = read_density_csv(out)
+        assert np.all(f_fd[s >= 1.0] == 0.0)
+        assert np.all(f[s >= 1.0] == 0.0)
+        assert np.abs(f_fd[1:8] - 1 / math.pi).max() < 1e-12
+
     def test_unknown_family_data_error(self, tmp_path):
         assert main(["oracle", "--family", "wigner",
                      "--out", str(tmp_path / "x.csv")]) == 3
@@ -190,6 +208,16 @@ class TestSimulateCompare:
                      "--density", str(dens), "--out", str(report)]) == 0
         dist = float(report.read_text().split("=")[1])
         assert 0.0 <= dist <= 0.5   # small n, loose statistical check
+
+    def test_compare_one_row_density_is_data_error(self, tmp_path, capsys):
+        ppath = tmp_path / "p.csv"
+        write_profile_csv(validate_profile(np.ones((12, 12))), ppath)
+        ev = tmp_path / "ev.csv"
+        assert main(["simulate", "--profile", str(ppath), "--out", str(ev)]) == 0
+        dens = tmp_path / "dens.csv"
+        dens.write_text("s,F,f_exact,f_fd,lower_bound_ratio\n0.5,0.25,nan,nan,nan\n")
+        assert main(["compare", "--eigenvalues", str(ev), "--density", str(dens)]) == 3
+        assert "at least two grid points" in capsys.readouterr().err
 
     def test_simulate_deterministic(self, tmp_path):
         ppath = tmp_path / "p.csv"

@@ -91,6 +91,15 @@ class TestDensity:
         _, curve = block_curve
         assert density(curve, 0.02, "exact") < 5e-3
 
+    def test_fd_needs_three_grid_points(self):
+        # circular n=8: f = 1/pi at 0.35, but two radii give no central
+        # difference and one gives none at all
+        p = validate_profile(np.ones((8, 8)))
+        for grid in ([0.3, 0.6], [0.3]):
+            curve = solve_curve(p, np.array(grid))
+            with pytest.raises(InsufficientGridError):
+                density(curve, 0.35, "fd")
+
     def test_grid_density_modes_agree(self, circular_curve):
         _, curve = circular_curve
         fd = grid_density(curve, "fd")
@@ -140,9 +149,10 @@ class TestAtomAtZero:
 
     def test_insufficient_grid(self):
         p = validate_profile(np.ones((8, 8)))
-        curve = solve_curve(p, np.array([0.8, 0.9]))
-        with pytest.raises(InsufficientGridError):
-            atom_at_zero(curve)
+        for grid in ([0.8, 0.9], [0.05]):
+            curve = solve_curve(p, np.array(grid))
+            with pytest.raises(InsufficientGridError):
+                atom_at_zero(curve)
 
 
 class TestFailedPoints:
@@ -197,6 +207,13 @@ class TestBuildMeasure:
         mass = m.atom_at_zero + 2 * math.pi * np.trapezoid(m.f * m.s_grid,
                                                            m.s_grid)
         assert mass == pytest.approx(1.0, abs=0.01)
+
+    def test_default_grid_and_one_spectral_radius(self, spectral_radius_calls):
+        p = build_block_atom(3, 4)
+        m = build_measure(p)
+        assert len(spectral_radius_calls) == 1
+        assert np.array_equal(m.s_grid, default_s_grid(m.support_radius))
+        assert m.support_radius == pytest.approx(block_atom_edge(3), abs=1e-9)
 
     def test_edge_density_zero(self):
         p = validate_profile(np.ones((12, 12)))
