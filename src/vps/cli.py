@@ -232,7 +232,7 @@ def _cmd_check(args) -> int:
     bfid = is_block_fully_indecomposable(profile, K, phi)
     if bfid:
         try:
-            circular, diag = circular_law_test(profile, config=config)
+            circular, diag = circular_law_test(profile, config=config, rho=rho)
             extra = (f"max_deviation = {diag['max_deviation']!r}\n"
                      f"density_at_zero = {diag['density_at_zero']!r}\n"
                      f"f0_pi_rho = {diag['f0_pi_rho']!r}\n")

@@ -66,8 +66,9 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     """Radial density f(|z|) at a single modulus inside the support.
 
     mode "exact" solves at |z| and differentiates the master equations;
-    mode "fd" takes the central difference of F at the nearest interior
-    point of the curve's grid, which needs at least three radii, so its
+    mode "fd" takes the central difference of F at the interior point of
+    the curve's grid nearest |z| among those below the support edge, where
+    the density is not zeroed.  It needs at least three radii, and its
     resolution is tied to the grid spacing.
     """
     s = float(z_modulus)
@@ -79,10 +80,12 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
         return max(0.0, _exact_density(curve.profile, sol))
     if mode == "fd":
         grid = curve.s_grid
-        if len(grid) < 3:
+        interior = np.flatnonzero(grid[1:-1] < edge) + 1
+        if len(interior) == 0:
             raise InsufficientGridError(
-                f"fd density needs at least three grid points, got {len(grid)}")
-        i = min(max(int(np.argmin(np.abs(grid - s))), 1), len(grid) - 2)
+                "fd density needs an interior grid point below the support "
+                f"edge {edge}, got {len(grid)} grid points")
+        i = interior[np.argmin(np.abs(grid[interior] - s))]
         return float(density_from_cdf(grid, cdf(curve), edge)[i])
     raise ValueError(f"unknown density mode: {mode!r}")
 

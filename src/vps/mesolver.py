@@ -107,12 +107,13 @@ def _linearization(V, d, cq, cqt, trace=False):
     """I - J for the block matrix J = [[d V^T, -cq V], [-cqt V^T, d V]],
     whose blocks are V or V^T with row i scaled by the coefficient vector.
 
-    Written into one array; with `trace`, a last row (1, ..., 1, -1, ..., -1)
-    imposes sum(dq) = sum(dqt).
+    Written into one array; with `trace`, the trace vector
+    r = (1, ..., 1, -1, ..., -1) borders it as a last row and a last column,
+    giving the square matrix [[I - J, r^T], [r, 0]].
     """
     n = len(d)
-    A = np.empty((2 * n + trace, 2 * n))
-    top, bottom = A[:n], A[n:2 * n]
+    A = np.empty((2 * n + trace, 2 * n + trace))
+    top, bottom = A[:n, :2 * n], A[n:2 * n, :2 * n]
     np.multiply(d[:, None], V.T, out=top[:, :n])
     np.negative(top[:, :n], out=top[:, :n])
     np.multiply(cq[:, None], V, out=top[:, n:])
@@ -122,8 +123,9 @@ def _linearization(V, d, cq, cqt, trace=False):
     diag = np.arange(2 * n)
     A[diag, diag] += 1.0
     if trace:
-        A[2 * n, :n] = 1.0
-        A[2 * n, n:] = -1.0
+        A[2 * n, :n] = A[:n, 2 * n] = 1.0
+        A[2 * n, n:] = A[n:, 2 * n] = -1.0
+        A[2 * n, 2 * n] = 0.0
     return A
 
 
@@ -197,8 +199,8 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
     solution, every later one from a linear extrapolation in t of the two
     stages before it, clipped at 5% of the last.  A radius that exhausts
     max_iters in a stage or breaks the 1/t bound gets an error message and
-    leaves the batch while the others go on.  Radii enter the batch from the largest down, so the
-    slow ones near the support edge start early.
+    leaves the batch while the others go on.  Radii enter the batch from
+    the largest down, so the slow ones near the support edge start early.
     """
     s = np.asarray(s, dtype=float)
     m, n = len(s), V.shape[0]
@@ -444,9 +446,17 @@ def solve_at_zero(profile: VarianceProfile,
 def derivative_s2(profile: VarianceProfile, sol: MESolution):
     """Exact derivative (d q / d s^2, d qt / d s^2) at a nontrivial solution.
 
-    Solves the overdetermined (2n+1) x 2n least-squares system whose first
-    2n rows linearize the master equations and whose last row enforces the
-    trace constraint sum(dq) = sum(dqt).
+    The linearized master equations (I - J) x = b are singular along the
+    gauge direction (q, -qt) and consistent, so the trace row
+    r x = sum(dq) - sum(dqt) = 0 picks the one solution.  It comes from a
+    single LU solve of the square bordered matrix M = [[I - J, r^T], [r, 0]],
+    whose multiplier, the last unknown, is zero up to rounding.
+
+    The same solve takes a second, seeded random right-hand side z, for the
+    condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf: above 1e13, or
+    when M is exactly singular or the solution is not finite,
+    RankDeficientError is raised, since then the gauge is not the only
+    null direction and x is not determined.
     """
     if sol.is_trivial or sol.s <= 0:
         raise ValueError("derivative requires a nontrivial solution at s > 0")
@@ -457,12 +467,18 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     phit = V.T @ q
     p = 1.0 / (s * s + phi * phit)
     s2 = s * s
-    A = _linearization(V, s2 * p ** 2, q ** 2, qt ** 2, trace=True)
+    M = _linearization(V, s2 * p ** 2, q ** 2, qt ** 2, trace=True)
     b = -np.concatenate([p * q, p * qt, [0.0]])
-    x, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
-    if rank < 2 * n or sv[-1] < 1e-13 * sv[0]:
-        raise RankDeficientError(f"derivative system rank {rank} < {2 * n}")
-    return x[:n], x[n:]
+    z = np.random.default_rng(0).uniform(-1.0, 1.0, 2 * n + 1)
+    try:
+        x, y = np.linalg.solve(M, np.column_stack([b, z])).T
+    except np.linalg.LinAlgError:
+        raise RankDeficientError("derivative system is singular") from None
+    cond = np.abs(M).sum(axis=1).max() * np.abs(y).max() / np.abs(z).max()
+    if not (np.isfinite(x).all() and cond <= 1e13):
+        raise RankDeficientError(
+            f"derivative system condition estimate {cond:.3e} > 1e13")
+    return x[:n], x[n:2 * n]
 
 
 def solve_curve(profile: VarianceProfile, s_grid=None,

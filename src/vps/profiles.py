@@ -229,11 +229,13 @@ def sinkhorn_scale(profile: VarianceProfile, tol: float = 1e-10,
 
 
 def circular_law_test(profile: VarianceProfile, tol: float = 1e-6,
-                      config: SolverConfig | None = None):
+                      config: SolverConfig | None = None,
+                      rho: float | None = None):
     """Does the profile yield the circular law?
 
     True iff the boundary solution satisfies q_i(0) * qt_i(0) = 1 for all i
     within tol (equivalently V = D^-1 S D with S doubly stochastic).
+    `rho` is the profile's spectral radius, computed when not given.
     Returns (flag, diagnostics).
     """
     from .mesolver import solve_at_zero
@@ -241,7 +243,8 @@ def circular_law_test(profile: VarianceProfile, tol: float = 1e-6,
     sol = solve_at_zero(profile, config)
     prod = sol.q * sol.q_tilde
     deviation = float(np.abs(prod - 1.0).max())
-    rho = spectral_radius(profile)
+    if rho is None:
+        rho = spectral_radius(profile)
     f0 = float(np.sum(prod)) / (math.pi * profile.n)
     diagnostics = {
         "max_deviation": deviation,

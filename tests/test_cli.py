@@ -83,6 +83,15 @@ class TestSpectralRadiusOnce:
         assert len(spectral_radius_calls) == 1
         assert len(out.read_text().strip().splitlines()) == 201
 
+    def test_check_one_call(self, circular_profile_csv, tmp_path, spectral_radius_calls):
+        # the constant profile is block fully indecomposable, so the check
+        # runs the circular law test, which reuses the CLI's radius
+        out = tmp_path / "check.txt"
+        assert main(["check", "--profile", circular_profile_csv, "--blocks", "4",
+                     "--out", str(out)]) == 0
+        assert "circular = true" in out.read_text()
+        assert len(spectral_radius_calls) == 1
+
 
 class TestSolve:
     def test_curve_csv(self, circular_profile_csv, tmp_path):

@@ -100,6 +100,17 @@ class TestDensity:
             with pytest.raises(InsufficientGridError):
                 density(curve, 0.35, "fd")
 
+    def test_fd_just_inside_the_edge(self):
+        # circular n=8: the grid point nearest z lies past the edge, where
+        # the density is zeroed, so the value comes from the last interior
+        # point below the edge.  Its stencil straddles the edge, where F'
+        # drops from 2s to 0, so the central difference sees between half
+        # and all of the slope: f/2 < f_fd <= f.
+        p = validate_profile(np.ones((8, 8)))
+        curve = solve_curve(p, np.linspace(0.02, 1.06, 60))
+        f_fd = density(curve, math.sqrt(curve.rho) - 1e-4, "fd")
+        assert 0.5 / math.pi < f_fd <= 1 / math.pi + 1e-8
+
     def test_grid_density_modes_agree(self, circular_curve):
         _, curve = circular_curve
         fd = grid_density(curve, "fd")

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import vps.mesolver
-from vps.core import NoConvergenceError, SolverConfig, default_s_grid, validate_profile
+from vps.core import (
+    NoConvergenceError,
+    RankDeficientError,
+    SolverConfig,
+    default_s_grid,
+    validate_profile,
+)
 from vps.measures import cdf
 from vps.mesolver import (
     _linearization,
@@ -231,10 +237,41 @@ class TestDerivative:
         d, cq, cqt = rng.uniform(0.1, 1.0, size=(3, n))
         J = np.block([[d[:, None] * V.T, -cq[:, None] * V],
                       [-cqt[:, None] * V.T, d[:, None] * V]])
+        r = np.concatenate([np.ones(n), -np.ones(n)])
         A = _linearization(V, d, cq, cqt, trace=True)
-        assert np.array_equal(A[:2 * n], np.eye(2 * n) - J)
-        assert np.array_equal(A[2 * n], np.concatenate([np.ones(n), -np.ones(n)]))
-        assert np.array_equal(_linearization(V, d, cq, cqt), A[:2 * n])
+        assert np.array_equal(A[:2 * n, :2 * n], np.eye(2 * n) - J)
+        assert np.array_equal(A[2 * n, :2 * n], r)
+        assert np.array_equal(A[:2 * n, 2 * n], r)
+        assert A[2 * n, 2 * n] == 0.0
+        assert np.array_equal(_linearization(V, d, cq, cqt), A[:2 * n, :2 * n])
+
+    @pytest.mark.parametrize("profile, s", [
+        (validate_profile(np.random.default_rng(11).uniform(0.0, 1.0, size=(10, 10))), 0.4),
+        (build_block_atom(3, 10), 0.3),
+    ], ids=["random10", "block-atom-k3-m10"])
+    def test_matches_least_squares_reference(self, profile, s):
+        # reference: the (2n+1) x 2n least-squares form of the same system,
+        # the linearization with only the trace row, solved by SVD
+        sol = anneal_to_limit(profile, s)
+        V, n = profile.normalized, profile.n
+        q, qt = sol.q, sol.q_tilde
+        p = 1.0 / (s * s + (V @ qt) * (V.T @ q))
+        A = _linearization(V, s * s * p ** 2, q ** 2, qt ** 2, trace=True)[:, :2 * n]
+        b = -np.concatenate([p * q, p * qt, [0.0]])
+        ref = np.linalg.lstsq(A, b, rcond=None)[0]
+        dq, dqt = derivative_s2(profile, sol)
+        x = np.concatenate([dq, dqt])
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_rank_deficient_raises(self):
+        # two identical, disconnected blocks: each has its own gauge
+        # direction, and the one trace row fixes only their sum
+        V = np.zeros((12, 12))
+        V[:6, :6] = V[6:, 6:] = 1.0
+        p = validate_profile(V)
+        sol = anneal_to_limit(p, 0.5)
+        with pytest.raises(RankDeficientError):
+            derivative_s2(p, sol)
 
 
 class TestSolveCurve:
