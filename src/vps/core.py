@@ -81,11 +81,10 @@ def validate_profile(raw_grid) -> VarianceProfile:
     if not np.any(arr > 0):
         raise AllZeroError("profile is identically zero")
     n = arr.shape[0]
-    variances = arr.copy()
-    variances.setflags(write=False)
+    arr.setflags(write=False)
     normalized = arr / n
     normalized.setflags(write=False)
-    return VarianceProfile(n=n, variances=variances, normalized=normalized)
+    return VarianceProfile(n=n, variances=arr, normalized=normalized)
 
 
 @dataclass(frozen=True)
@@ -165,22 +164,25 @@ def write_profile_csv(profile: VarianceProfile, path) -> None:
 
 
 def read_profile_csv(path) -> VarianceProfile:
-    rows = []
+    """Read a profile CSV: one row of comma-separated decimals per line.
+
+    Blank lines and whitespace around tokens are ignored.  Raises
+    NonSquareError on rows of different lengths, ProfileError on an empty
+    file or a token that is not a decimal number (comments, empty fields
+    and digit separators such as 1_0 included), and validate_profile's
+    errors otherwise.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ProfileError(f"unparseable profile row: {line!r}") from exc
-    if not rows:
+        lines = [line for line in (raw.strip() for raw in fh) if line]
+    if not lines:
         raise ProfileError(f"empty profile file: {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    if len({line.count(",") for line in lines}) != 1:
         raise NonSquareError("profile rows have inconsistent lengths")
-    return validate_profile(rows)
+    try:
+        grid = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ProfileError(f"unparseable profile: {exc}") from exc
+    return validate_profile(grid)
 
 
 def read_config(path) -> SolverConfig:

@@ -45,10 +45,20 @@ def _on_support(f, s, edge: float) -> np.ndarray:
 
 
 def density_from_cdf(s, F, edge: float) -> np.ndarray:
-    """Finite-difference density f = F'(s) / (2 pi s) over a grid s of at
-    least two radii, clipped at 0 and set to 0 from the support edge on."""
+    """Finite-difference density f = F'(s) / (2 pi s) over an increasing
+    grid s of at least two radii, clipped at 0 and set to 0 from the support
+    edge on.
+
+    F' is the central difference, except at the last radius below the edge,
+    which takes the backward difference: a central one there straddles the
+    edge, where F' drops from 2 pi s f to 0, and can read half the density.
+    """
     s = np.asarray(s, dtype=float)
-    return _on_support(np.gradient(F, s) / (2.0 * math.pi * s), s, edge)
+    dF = np.gradient(F, s)
+    i = np.searchsorted(s, edge) - 1
+    if i >= 1:
+        dF[i] = (F[i] - F[i - 1]) / (s[i] - s[i - 1])
+    return _on_support(dF / (2.0 * math.pi * s), s, edge)
 
 
 def _exact_density(profile: VarianceProfile, sol) -> float:
@@ -66,10 +76,10 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     """Radial density f(|z|) at a single modulus inside the support.
 
     mode "exact" solves at |z| and differentiates the master equations;
-    mode "fd" takes the central difference of F at the interior point of
-    the curve's grid nearest |z| among those below the support edge, where
-    the density is not zeroed.  It needs at least three radii, and its
-    resolution is tied to the grid spacing.
+    mode "fd" takes density_from_cdf at the interior point of the curve's
+    grid nearest |z| among those below the support edge, where the density
+    is not zeroed.  It needs at least three radii, and its resolution is
+    tied to the grid spacing.
     """
     s = float(z_modulus)
     edge = math.sqrt(curve.rho)

@@ -69,21 +69,33 @@ def _draw_entries(law: EntryLaw, n: int) -> np.ndarray:
 def sample_matrix(profile: VarianceProfile, law: EntryLaw) -> np.ndarray:
     """One draw of Y = sigma (.) X / sqrt(n); deterministic given the seed."""
     X = _draw_entries(law, profile.n)
-    return profile.std_devs * X / np.sqrt(profile.n)
+    Y = profile.std_devs * X
+    Y /= np.sqrt(profile.n)
+    return Y
 
 
 def spectrum(matrix) -> SpectrumSample:
-    """All eigenvalues of a square complex matrix, with multiplicity."""
+    """All eigenvalues of a square matrix, with multiplicity, as complex128.
+
+    The matrix is solved in double precision: float64 and complex128 input
+    as it is, without a copy, narrower real or integer input as float64 and
+    complex64 as complex128.  A real matrix goes to the real eigensolver, so
+    its complex eigenvalues come in exact conjugate pairs; the result is
+    complex128 even when every eigenvalue is real.  The input is not
+    modified.
+    """
     A = np.asarray(matrix)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     if not hasattr(np.linalg, "eigvals"):
         raise BackendUnavailableError("no dense eigensolver available")
+    A = A.astype(np.result_type(A, np.float64), copy=False)
     try:
-        ev = np.linalg.eigvals(A.astype(complex))
+        ev = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise EigFailureError(str(exc)) from exc
-    return SpectrumSample(eigenvalues=ev, source="sampled")
+    return SpectrumSample(eigenvalues=ev.astype(complex, copy=False),
+                          source="sampled")
 
 
 def empirical_radial_cdf(sample: SpectrumSample, s_grid) -> np.ndarray:

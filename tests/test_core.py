@@ -124,6 +124,43 @@ class TestProfileCsv:
         with pytest.raises(ProfileError):
             read_profile_csv(path)
 
+    @pytest.mark.parametrize("writer", ["repr", "savetxt"])
+    def test_round_trip_bit_exact_n50(self, tmp_path, writer):
+        rng = np.random.default_rng(11)
+        grid = rng.uniform(0.0, 1.0, (50, 50)) * 10.0 ** rng.integers(-8, 9, (50, 50))
+        grid[rng.uniform(size=(50, 50)) < 0.2] = 0.0
+        p = validate_profile(grid)
+        path = tmp_path / "p.csv"
+        if writer == "repr":
+            write_profile_csv(p, path)
+        else:
+            np.savetxt(path, p.variances, fmt="%.17g", delimiter=",")
+        assert np.array_equal(read_profile_csv(path).variances, p.variances)
+
+    def test_blank_lines_and_spaces_accepted(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("\n 1.0 , 2.5\n\n\t3 ,4e-1 \n\n")
+        assert np.array_equal(read_profile_csv(path).variances,
+                              [[1.0, 2.5], [3.0, 0.4]])
+
+    @pytest.mark.parametrize("text", [
+        "1.0,2.0\n# note,x\n3.0,4.0\n",
+        "1.0,2.0,\n3.0,4.0,\n",
+        "1_0,2.0\n3.0,4.0\n",
+    ], ids=["comment-line", "trailing-comma", "digit-separator"])
+    def test_rejects_non_decimal_token(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ProfileError) as exc:
+            read_profile_csv(path)
+        assert not isinstance(exc.value, NonSquareError)
+
+    def test_rejects_nan(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("1.0,nan\n3.0,4.0\n")
+        with pytest.raises(NonFiniteError):
+            read_profile_csv(path)
+
 
 class TestReadConfig:
     def test_parses_keys_and_comments(self, tmp_path):

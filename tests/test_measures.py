@@ -103,13 +103,28 @@ class TestDensity:
     def test_fd_just_inside_the_edge(self):
         # circular n=8: the grid point nearest z lies past the edge, where
         # the density is zeroed, so the value comes from the last interior
-        # point below the edge.  Its stencil straddles the edge, where F'
-        # drops from 2s to 0, so the central difference sees between half
-        # and all of the slope: f/2 < f_fd <= f.
+        # point below the edge.  Its backward difference reads f(1 - h/(2s))
+        # for F = s^2, well inside f/2 < f_fd <= f.
         p = validate_profile(np.ones((8, 8)))
         curve = solve_curve(p, np.linspace(0.02, 1.06, 60))
         f_fd = density(curve, math.sqrt(curve.rho) - 1e-4, "fd")
         assert 0.5 / math.pi < f_fd <= 1 / math.pi + 1e-8
+
+    def test_fd_backward_difference_below_the_edge(self):
+        # circular n=8, F = s^2: at the last radius below the edge the
+        # backward difference reads (2s - h) / (2 pi s), i.e. 1/pi within
+        # h/(2s) relative, where a central stencil straddling the edge reads
+        # 20% low.  Every other radius keeps np.gradient's central difference.
+        p = validate_profile(np.ones((8, 8)))
+        s = np.linspace(0.02, 1.06, 60)
+        curve = solve_curve(p, s)
+        edge = math.sqrt(curve.rho)
+        f = grid_density(curve, "fd")
+        i = np.flatnonzero(s < edge)[-1]
+        h = s[i] - s[i - 1]
+        assert abs(math.pi * f[i] - 1.0) <= h / (2 * s[i]) + 1e-6
+        central = np.gradient(cdf(curve), s) / (2 * math.pi * s)
+        assert np.array_equal(f[1:i], central[1:i])
 
     def test_grid_density_modes_agree(self, circular_curve):
         _, curve = circular_curve

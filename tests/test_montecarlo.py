@@ -7,6 +7,7 @@ from vps.core import RadialMeasure, validate_profile
 from vps.montecarlo import (
     EntryLaw,
     SpectrumSample,
+    _draw_entries,
     empirical_radial_cdf,
     kolmogorov_distance,
     read_eigenvalue_csv,
@@ -63,11 +64,52 @@ class TestSampleMatrix:
             acc += np.abs(y) ** 2
         assert np.mean(n * acc / 50) == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("kind", ALL_LAWS)
+    def test_matches_one_expression_bit_for_bit(self, kind):
+        n = 50
+        p = validate_profile(np.random.default_rng(4).uniform(0.0, 3.0, (n, n)))
+        law = EntryLaw(kind=kind, seed=8)
+        ref = p.std_devs * _draw_entries(law, n) / np.sqrt(n)
+        assert np.array_equal(sample_matrix(p, law), ref)
+
 
 class TestSpectrum:
     def test_swap_matrix(self):
         sample = spectrum(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert sorted(np.round(sample.eigenvalues.real, 10)) == [-1.0, 1.0]
+        assert sample.eigenvalues.dtype == np.complex128
+
+    @pytest.mark.parametrize("kind", ["real-gaussian", "rademacher"])
+    def test_real_draw_matches_complex_solve(self, kind):
+        p = validate_profile(np.ones((200, 200)))
+        y = sample_matrix(p, EntryLaw(kind=kind, seed=13))
+        ev = spectrum(y).eigenvalues
+        ref = np.linalg.eigvals(y.astype(complex))
+        assert ev.dtype == np.complex128
+        assert np.abs(np.sort(np.abs(ev)) - np.sort(np.abs(ref))).max() <= 1e-12
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[0.0, -1.0], [1.0, 0.0]]),
+        np.array([[1.0 + 1.0j, 0.0], [2.0, -1.0j]]),
+        np.array([[1.0 + 1.0j, 0.0], [2.0, -1.0j]], dtype=np.complex64),
+    ], ids=["conjugate-pair", "complex128", "complex64"])
+    def test_result_is_complex128(self, matrix):
+        assert spectrum(matrix).eigenvalues.dtype == np.complex128
+
+    def test_narrow_input_solved_in_double(self):
+        a32 = np.random.default_rng(5).standard_normal((30, 30)).astype(np.float32)
+        assert np.array_equal(spectrum(a32).eigenvalues,
+                              spectrum(a32.astype(np.float64)).eigenvalues)
+        ints = np.random.default_rng(6).integers(-3, 4, size=(30, 30))
+        assert np.array_equal(spectrum(ints).eigenvalues,
+                              spectrum(ints.astype(np.float64)).eigenvalues)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_input_not_modified(self, dtype):
+        a = np.random.default_rng(9).standard_normal((40, 40)).astype(dtype)
+        before = a.copy()
+        spectrum(a)
+        assert np.array_equal(a, before)
 
     def test_diagonal(self):
         c = np.array([1.0 + 2.0j, -3.0, 0.5j])
