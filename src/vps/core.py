@@ -93,7 +93,8 @@ class SolverConfig:
 
     Defaults follow the package-wide conventions: sup-norm fixed point
     tolerance 1e-12, geometric regularization decay by halving from 1 down
-    to 1e-10, averaged iteration with weight 1/2.
+    to 1e-10, averaged iteration with weight 1/2.  No setting decides the
+    trivial regime: radii at or past the support radius are exact zeros.
     """
 
     fixed_point_tol: float = 1e-12
@@ -101,7 +102,6 @@ class SolverConfig:
     t_initial: float = 1.0
     t_decay: float = 0.5
     t_min: float = 1e-10
-    zero_threshold: float = 1e-8
     averaging_weight: float = 0.5
 
     def __post_init__(self):
@@ -117,8 +117,6 @@ class SolverConfig:
             raise ValueError("t_decay must lie in (0, 1)")
         if not 0.0 < self.averaging_weight <= 1.0:
             raise ValueError("averaging_weight must lie in (0, 1]")
-        if self.zero_threshold <= 0:
-            raise ValueError("zero_threshold must be positive")
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,12 @@ def _cdf_value(profile: VarianceProfile, sol) -> float:
 
 
 def cdf(curve: MECurve) -> np.ndarray:
-    """CDF values F(s) over the curve's grid, clamped to [0, 1] and set to
-    exactly 1 beyond the support radius sqrt(rho)."""
+    """CDF values F(s) over the curve's grid, clamped to [0, 1]; exactly 1
+    at and past the support radius sqrt(rho), where the solutions are
+    zero."""
     profile = curve.profile
     F = np.array([_cdf_value(profile, sol) for sol in curve.solutions])
     F = np.clip(F, 0.0, 1.0)
-    F[curve.s_grid >= math.sqrt(curve.rho)] = 1.0
     return np.maximum.accumulate(F)
 
 

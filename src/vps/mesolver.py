@@ -9,10 +9,17 @@ found by the averaged iteration
 with Psi_i = 1 / (s^2 + ((V r_tilde)_i + t)((V^T r)_i + t)).  The t -> 0
 limit is approached by geometric annealing: the first stage of the t
 schedule starts from ones at t = t_initial, every later stage from a linear
-extrapolation in t of the two stages before it, and the trivial regime (s
-above the support radius) is detected after annealing.  No radius starts
-from the solution at another: at t = t_initial a t -> 0 solution is no
-better a guess than ones.
+extrapolation in t of the two stages before it.  No radius starts from the
+solution at another: at t = t_initial a t -> 0 solution is no better a
+guess than ones.
+
+Radii at or past the support radius sqrt(rho) are not annealed.  At t = 0
+a nonnegative solution has q_i <= (V^T q)_i / s^2, so s^2 q <= V^T q, and
+likewise s^2 qt <= V qt; for s^2 > rho subinvariance (Collatz-Wielandt)
+leaves only q = qt = 0, for every nonnegative V.  At the edge s^2 = rho
+zero is still an exact solution, and F = 1 there ends the support.  So the
+trivial regime is decided by comparing s with sqrt(rho), and by nothing
+else.
 
 One kernel, `_anneal_rows`, runs the whole schedule for many radii at once.
 Up to BLOCK radii are the [q | q_tilde] rows of (rows, 2n) work arrays, so
@@ -22,9 +29,10 @@ hand-off and stopping rule, so a radius gets the iterates it gets when
 solved alone, up to rounding in the matrix products.  A radius that
 finishes its schedule, or fails, hands its row to the next pending radius;
 once none is pending, finished rows are compacted out of the leading slice.
-`solve_curve` runs the kernel over a grid, by default `default_s_grid` up
-to the support radius, and `solve_regularized`, `anneal_to_limit` and
-`solve_at_zero` are one-row calls of it.
+`solve_curve` runs the kernel over the radii of a grid below sqrt(rho), by
+default `default_s_grid` up to the support radius; `anneal_to_limit` is its
+one-radius call, and `solve_regularized` and `solve_at_zero` are one-row
+calls of the kernel.
 """
 
 from __future__ import annotations
@@ -177,15 +185,13 @@ def _t_schedule(config: SolverConfig):
 @dataclass(frozen=True)
 class _Rows:
     """Outcome of `_anneal_rows`, one row per radius: the last stage's
-    iterate, the total iteration count, the last stage's residual, the sup
-    norms of the last two stages, and an error message where the radius
-    failed (its iterate is then zero)."""
+    iterate, the total iteration count, the last stage's residual and an
+    error message where the radius failed (its iterate is then zero)."""
 
     q: np.ndarray
     q_tilde: np.ndarray
     iterations: np.ndarray
     residual: np.ndarray
-    norms: np.ndarray
     errors: list
 
 
@@ -218,7 +224,6 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
     out = np.zeros((m, 2 * n))
     out_iters = np.zeros(m, dtype=np.int64)
     out_res = np.full(m, math.inf)
-    out_norms = np.zeros((m, 2))
     errors = [None] * m
 
     # per row: iterate [q | qt], its value at the last Aitken block and at
@@ -235,8 +240,7 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
     due = np.empty(G, dtype=np.int64)    # next Aitken or max_iters check
     total = np.empty(G, dtype=np.int64)
     prev_norm = np.empty(G)   # Aitken: last block's step norm, NaN if none
-    norms = np.empty((G, 2))  # sup norms of the last two finished stages
-    per_row = (X, lastX, prevX, radius, s2, t, stage, it, due, total, prev_norm, norms)
+    per_row = (X, lastX, prevX, radius, s2, t, stage, it, due, total, prev_norm)
 
     order = np.argsort(s, kind="stable")[::-1]
 
@@ -247,7 +251,6 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
         stage[g] = it[g] = total[g] = 0
         due[g] = first_due
         prev_norm[g] = math.nan
-        norms[g] = 0.0
         X[g] = lastX[g] = prevX[g] = 1.0
 
     def fail(g, message):
@@ -308,10 +311,8 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
                 released.append(g)
                 continue
             # the stage converged
-            qmax = X[g].max()
             total[g] += it[g]
-            norms[g] = norms[g, 1], qmax
-            if qmax > 1.0 / t[g, 0] + 1e-9 / t[g, 0]:
+            if X[g].max() > 1.0 / t[g, 0] + 1e-9 / t[g, 0]:
                 # direct consequence of the defining equations
                 fail(g, f"solution violates the 1/t bound at s={s[radius[g]]}, t={t[g, 0]}")
                 released.append(g)
@@ -320,7 +321,6 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
                 out[r] = X[g]
                 out_iters[r] = total[g]
                 out_res[r] = res[g]
-                out_norms[r] = norms[g]
                 released.append(g)
             else:
                 sol = X[g]
@@ -342,7 +342,7 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
                 if g != k:
                     for arr in per_row:
                         arr[g] = arr[k]
-    return _Rows(out[:, :n], out[:, n:], out_iters, out_res, out_norms, errors)
+    return _Rows(out[:, :n], out[:, n:], out_iters, out_res, errors)
 
 
 def _aitken(x, last, prev_norm):
@@ -383,39 +383,16 @@ def solve_regularized(profile: VarianceProfile, s: float, t: float,
                       residual=float(rows.residual[0]))
 
 
-def _limit(profile: VarianceProfile, s, rows: _Rows, i: int, ts,
-           config: SolverConfig) -> MESolution:
-    """t -> 0 limit at radius s from row i of an anneal over schedule ts.
-
-    Returns exact zeros in the trivial regime.  A just-supercritical s
-    leaves a residue of order t_min / (s^2 - rho) that can exceed
-    zero_threshold, so triviality is also declared when the final norm still
-    tracks t: the ratio of the last two stage norms is closer to the ratio
-    of their t values than to 1.
-    """
-    prev_norm, norm = rows.norms[i]
-    decaying = prev_norm > 0 and norm / prev_norm < 0.5 * (1.0 + ts[-1] / ts[-2])
-    iterations, residual = int(rows.iterations[i]), float(rows.residual[i])
-    if norm < config.zero_threshold or (decaying and norm < 1e-3):
-        z = np.zeros(profile.n)
-        return MESolution(s=s, t=0.0, q=z, q_tilde=z.copy(),
-                          iterations=iterations, residual=residual)
-    return MESolution(s=s, t=0.0, q=rows.q[i], q_tilde=rows.q_tilde[i],
-                      iterations=iterations, residual=residual)
-
-
 def anneal_to_limit(profile: VarianceProfile, s: float,
                     config: SolverConfig | None = None) -> MESolution:
-    """t -> 0 limit q(s) by annealing t geometrically from ones at
-    t = t_initial.  Returns exact zeros in the trivial regime."""
+    """t -> 0 limit q(s): the one-radius call of `solve_curve`, so exact
+    zeros for s >= sqrt(rho) and an anneal below.  Raises the curve's
+    NoConvergenceError if the anneal fails."""
     if s <= 0:
         raise ValueError("s must be positive")
-    config = config or SolverConfig()
-    ts = _t_schedule(config)
-    rows = _anneal_rows(profile.normalized, [s], ts, config)
-    if rows.errors[0]:
-        raise NoConvergenceError(rows.errors[0])
-    return _limit(profile, s, rows, 0, ts, config)
+    curve = solve_curve(profile, [s], config)
+    curve.raise_failures()
+    return curve.solutions[0]
 
 
 def solve_at_zero(profile: VarianceProfile,
@@ -483,14 +460,15 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
 
 def solve_curve(profile: VarianceProfile, s_grid=None,
                 config: SolverConfig | None = None) -> MECurve:
-    """Solve the annealed limit at every radius of an increasing grid, by
+    """Solve the t -> 0 limit at every radius of an increasing grid, by
     default `default_s_grid` up to the support radius sqrt(rho).
 
-    All radii are annealed together by the batched kernel, each from a cold
-    start at t = t_initial.  A radius whose anneal fails is recorded in
-    `failed_indices` and keeps its place as a zero placeholder with
-    residual = inf and the iterations it ran.  The curve carries rho, so
-    callers need not compute it again.
+    Every radius s >= sqrt(rho) gets exact zeros with iterations = 0 and
+    residual = 0.0 (see the module docstring).  The radii below are annealed
+    together by the batched kernel, each from a cold start at t = t_initial.
+    A radius whose anneal fails is recorded in `failed_indices` and keeps
+    its place as a zero placeholder with residual = inf and the iterations
+    it ran.  The curve carries rho, so callers need not compute it again.
     """
     from .profiles import spectral_radius
 
@@ -503,17 +481,18 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
         raise ValueError("s_grid must be a nonempty vector")
     if np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be strictly increasing and positive")
-    ts = _t_schedule(config)
-    rows = _anneal_rows(profile.normalized, s_grid, ts, config)
+    inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
+    rows = _anneal_rows(profile.normalized, s_grid[:inside], _t_schedule(config), config)
     sols = []
     for i, s in enumerate(s_grid):
-        if rows.errors[i]:
-            z = np.zeros(profile.n)
-            sols.append(MESolution(s=float(s), t=0.0, q=z, q_tilde=z.copy(),
-                                   iterations=int(rows.iterations[i]),
-                                   residual=math.inf))
+        if i < inside:  # a failed row holds zeros and residual inf
+            q, qt = rows.q[i], rows.q_tilde[i]
+            iterations, residual = int(rows.iterations[i]), float(rows.residual[i])
         else:
-            sols.append(_limit(profile, s, rows, i, ts, config))
+            q, qt = np.zeros(profile.n), np.zeros(profile.n)
+            iterations, residual = 0, 0.0
+        sols.append(MESolution(s=float(s), t=0.0, q=q, q_tilde=qt,
+                               iterations=iterations, residual=residual))
     failed = tuple(i for i, e in enumerate(rows.errors) if e)
     return MECurve(profile=profile, s_grid=s_grid, solutions=tuple(sols),
                    rho=rho, config=config, failed_indices=failed)

@@ -55,15 +55,19 @@ def _draw_entries(law: EntryLaw, n: int) -> np.ndarray:
     shape = (n, n)
     if law.kind == "real-gaussian":
         return rng.standard_normal(shape)
-    if law.kind == "complex-gaussian":
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return z / np.sqrt(2.0)
     if law.kind == "rademacher":
         return 2.0 * rng.integers(0, 2, size=shape).astype(float) - 1.0
-    # complex-bernoulli: independent +-1/sqrt(2) real and imaginary parts
-    re = 2.0 * rng.integers(0, 2, size=shape) - 1.0
-    im = 2.0 * rng.integers(0, 2, size=shape) - 1.0
-    return (re + 1j * im) / np.sqrt(2.0)
+    # complex laws: the real part is drawn first, then the imaginary part,
+    # each written into one complex array, which is then scaled by 1/sqrt(2)
+    z = np.empty(shape, dtype=complex)
+    for part in (z.real, z.imag):
+        if law.kind == "complex-gaussian":
+            part[...] = rng.standard_normal(shape)
+        else:  # complex-bernoulli: independent +-1 parts
+            np.multiply(rng.integers(0, 2, size=shape), 2.0, out=part)
+            part -= 1.0
+    z /= np.sqrt(2.0)
+    return z
 
 
 def sample_matrix(profile: VarianceProfile, law: EntryLaw) -> np.ndarray:
@@ -120,18 +124,27 @@ def _model_F(measure: RadialMeasure, s) -> np.ndarray:
 
 
 def kolmogorov_distance(measure: RadialMeasure, sample: SpectrumSample) -> float:
-    """sup_s |Fhat(s) - F(s)| over eigenvalue moduli (both one-sided limits
-    of the empirical CDF at each jump) and the measure's own grid."""
+    """sup_{s >= 0} |Fhat(s) - F(s)| over eigenvalue moduli and the
+    measure's own grid.
+
+    At each jump v of the empirical CDF both one-sided limits count,
+    Fhat(v-) and Fhat(v), with every modulus equal to v counted in Fhat(v).
+    At a modulus of exactly 0 the left limit is skipped, since it lies at
+    s < 0, so a sample whose kernel eigenvalues are exact zeros is compared
+    with the model's atom.  Numerically zero moduli (1e-14, say) keep their
+    left limit, which reads about the atom's weight; no threshold turns them
+    into zeros.
+    """
     moduli = np.sort(np.abs(sample.eigenvalues))
     n = moduli.size
     if n == 0:
         raise ValueError("empty spectrum sample")
     Fm = _model_F(measure, moduli)
-    below = np.abs(np.arange(n) / n - Fm)
-    above = np.abs(np.arange(1, n + 1) / n - Fm)
+    below = np.abs(np.searchsorted(moduli, moduli, side="left") / n - Fm)[moduli > 0.0]
+    above = np.abs(np.searchsorted(moduli, moduli, side="right") / n - Fm)
     at_grid = np.abs(empirical_radial_cdf(sample, measure.s_grid)
                      - _model_F(measure, measure.s_grid))
-    return float(max(below.max(), above.max(), at_grid.max()))
+    return float(max(below.max(initial=0.0), above.max(), at_grid.max()))
 
 
 def write_eigenvalue_csv(sample: SpectrumSample, path) -> None:

@@ -45,6 +45,13 @@ class TestUsageErrors:
         assert main(["solve", "--profile", circular_profile_csv,
                      "--grid", "oops", "--out", out]) == 3
 
+    def test_removed_zero_threshold_key_is_data_error(self, circular_profile_csv, tmp_path):
+        # the trivial regime is decided by the support radius, not a setting
+        config = tmp_path / "old.cfg"
+        config.write_text("zero_threshold = 1e-8\n")
+        assert main(["solve", "--profile", circular_profile_csv, "--config", str(config),
+                     "--out", str(tmp_path / "o.csv")]) == 3
+
 
 class TestConvergenceFailure:
     @pytest.fixture()

@@ -80,7 +80,6 @@ class TestSolverConfig:
         {"t_min": 2.0},
         {"t_decay": 1.0},
         {"averaging_weight": 0.0},
-        {"zero_threshold": -1e-9},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -117,11 +117,12 @@ class TestAnnealToLimit:
         assert np.all(sol.q == 0.0)
 
     def test_just_supercritical_is_trivial(self):
-        # close above the edge the annealed residue scales with t and can
-        # sit above zero_threshold; the decay signature must catch it
+        # close above the edge an anneal would leave a residue of order
+        # t_min / (s^2 - rho); the radius is past sqrt(rho), so it is never
+        # annealed and its zeros are exact
         p = constant_profile(16)
         sol = anneal_to_limit(p, 1.0029)
-        assert sol.is_trivial
+        assert sol.is_trivial and sol.iterations == 0
 
     def test_just_subcritical_nontrivial(self):
         p = constant_profile(16)
@@ -305,25 +306,46 @@ class TestSolveCurve:
 
     def test_batched_curve_matches_pointwise_anneal(self):
         # a non-symmetric profile on a grid across the edge, with a budget
-        # that only the radius just above the edge exhausts
+        # that only the radius just below the edge exhausts
         rng = np.random.default_rng(11)
         p = validate_profile(rng.uniform(0.2, 2.0, size=(12, 12)))
         grid = math.sqrt(spectral_radius(p)) * np.array([0.3, 0.6, 0.9, 0.99, 1.01, 1.2])
-        config = SolverConfig(max_iters=370)
+        config = SolverConfig(max_iters=200)
         curve = solve_curve(p, grid, config)
-        assert curve.failed_indices == (4,)
-        failed = curve.solutions[4]
+        assert curve.failed_indices == (3,)
+        failed = curve.solutions[3]
         assert failed.is_trivial and failed.residual == math.inf
         # the stages before the failing one count too
         assert failed.iterations > config.max_iters
         with pytest.raises(NoConvergenceError):
-            anneal_to_limit(p, grid[4], config)
-        for i in (0, 1, 2, 3, 5):
+            anneal_to_limit(p, grid[3], config)
+        for i in (0, 1, 2, 4, 5):
             sol = curve.solutions[i]
             ref = anneal_to_limit(p, grid[i], config)
             assert np.abs(sol.q - ref.q).max() <= 1e-10
             assert np.abs(sol.q_tilde - ref.q_tilde).max() <= 1e-10
-        assert curve.solutions[5].is_trivial
+        # past the edge: exact zeros, never iterated
+        for sol in curve.solutions[4:]:
+            assert sol.is_trivial
+            assert sol.iterations == 0 and sol.residual == 0.0
+
+    def test_anneal_never_sees_a_radius_past_the_edge(self, monkeypatch):
+        p = build_block_atom(3, 4)
+        edge = math.sqrt(spectral_radius(p))
+        grid = edge * np.array([0.2, 0.7, 0.999, 1.0, 1.001, 1.5])
+        seen = []
+        anneal = vps.mesolver._anneal_rows
+
+        def recorded(V, s, ts, config):
+            seen.extend(s)
+            return anneal(V, s, ts, config)
+
+        monkeypatch.setattr(vps.mesolver, "_anneal_rows", recorded)
+        curve = solve_curve(p, grid)
+        anneal_to_limit(p, 1.2 * edge)
+        assert seen == list(grid[:3])
+        assert all(s < math.sqrt(curve.rho) for s in seen)
+        assert [sol.is_trivial for sol in curve.solutions] == [False] * 3 + [True] * 3
 
     def test_newton_hand_off_on_band_model(self, monkeypatch):
         def band_b(x, y):

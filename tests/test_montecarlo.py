@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from vps.montecarlo import (
     write_eigenvalue_csv,
 )
 from vps.profiles import build_block_atom
-from vps.reference import circular_F, rank_deficiency_bound
+from vps.reference import block_atom_edge, block_atom_F, circular_F, rank_deficiency_bound
 
 ALL_LAWS = ("real-gaussian", "complex-gaussian", "rademacher",
             "complex-bernoulli")
@@ -71,6 +72,34 @@ class TestSampleMatrix:
         law = EntryLaw(kind=kind, seed=8)
         ref = p.std_devs * _draw_entries(law, n) / np.sqrt(n)
         assert np.array_equal(sample_matrix(p, law), ref)
+
+    @pytest.mark.parametrize("kind", ["complex-gaussian", "complex-bernoulli"])
+    def test_complex_draw_matches_two_array_expression(self, kind):
+        # the draw that builds the real and imaginary parts as two arrays,
+        # real part first, summed and divided by sqrt(2)
+        n = 40
+        rng = np.random.Generator(np.random.Philox(5))
+        if kind == "complex-gaussian":
+            re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        else:
+            re = 2.0 * rng.integers(0, 2, size=(n, n)) - 1.0
+            im = 2.0 * rng.integers(0, 2, size=(n, n)) - 1.0
+        ref = (re + 1j * im) / np.sqrt(2.0)
+        z = _draw_entries(EntryLaw(kind=kind, seed=5), n)
+        assert z.dtype == np.complex128
+        assert z.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["complex-gaussian", "complex-bernoulli"])
+    def test_complex_draw_peak_memory(self, kind):
+        # the complex array plus one real part in flight; a first small draw
+        # keeps one-time allocations out of the measurement
+        law = EntryLaw(kind=kind, seed=5)
+        _draw_entries(law, 2)
+        tracemalloc.start()
+        z = _draw_entries(law, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 1.6 * z.nbytes
 
 
 class TestSpectrum:
@@ -168,6 +197,33 @@ class TestKolmogorovDistance:
         sample = SpectrumSample(eigenvalues=np.array([1.0 + 0.0j]),
                                 source="ingested")
         assert kolmogorov_distance(m, sample) == pytest.approx(1.0, abs=1e-2)
+
+    def _block_atom_sample(self, k, zero):
+        """Block atom measure, and a sample of n(1 - 2/k) moduli equal to
+        `zero` plus the quantiles of the CDF conditioned off the atom."""
+        n, edge, atom = 3000, block_atom_edge(k), 1.0 - 2.0 / k
+        s = np.linspace(0.001, 1.02 * edge, 400)
+        m = RadialMeasure(s_grid=s, F=np.array([block_atom_F(k, x) for x in s]),
+                          f=np.zeros_like(s), atom_at_zero=atom, support_radius=edge)
+        kernel = round(n * atom)
+        u = (np.arange(n - kernel) + 0.5) / (n - kernel)
+        F = atom + (1.0 - atom) * u
+        off = (((k * F) ** 2 - (k - 2) ** 2) / (4.0 * k * k)) ** 0.25
+        moduli = np.concatenate([zero(kernel), off])
+        return m, SpectrumSample(eigenvalues=moduli.astype(complex), source="ingested"), n
+
+    def test_exact_zeros_compare_with_the_atom(self):
+        m, sample, n = self._block_atom_sample(3, np.zeros)
+        assert kolmogorov_distance(m, sample) <= 2.0 / n
+
+    def test_numerical_zeros_keep_the_left_limit(self):
+        # no threshold: moduli of 1e-14 are not zeros, and the left limit at
+        # the first of them reads the atom's weight
+        def tiny(count):
+            return 1e-14 * (1.0 + np.arange(count) / count)
+
+        m, sample, _ = self._block_atom_sample(3, tiny)
+        assert kolmogorov_distance(m, sample) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_circular_draw_close(self):
         p = validate_profile(np.ones((2000, 2000)))
