@@ -191,9 +191,8 @@ def _cmd_density(args) -> int:
         lines.append(f"f0_pi_rho = {f0 * math.pi * rho!r}")
         lines.append(f"verdict_zero_density_bound = "
                      f"{'pass' if f0 * math.pi * rho >= 1.0 - 1e-9 else 'fail'}")
-    except NoConvergenceError:
-        lines.append("density_at_zero = unavailable (no boundary limit; "
-                     "profile may carry an atom)")
+    except NoConvergenceError as exc:
+        lines.append(f"density_at_zero = unavailable ({exc})")
     lines.append(f"verdict_cdf_monotone = "
                  f"{'pass' if bool(np.all(np.diff(F) >= 0)) else 'fail'}")
     with open(out + ".info.txt", "w") as fh:

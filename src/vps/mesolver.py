@@ -31,8 +31,13 @@ finishes its schedule, or fails, hands its row to the next pending radius;
 once none is pending, finished rows are compacted out of the leading slice.
 `solve_curve` runs the kernel over the radii of a grid below sqrt(rho), by
 default `default_s_grid` up to the support radius; `anneal_to_limit` is its
-one-radius call, and `solve_regularized` and `solve_at_zero` are one-row
-calls of the kernel.
+one-radius call, and `solve_regularized` is a one-row call of the kernel.
+
+`solve_at_zero` needs no anneal.  At s = t = 0 the equations are the
+Sinkhorn-Knopp equations, with a positive solution iff the pattern of V has
+total support; it checks that on the pattern, with a perfect matching and
+the Frobenius blocks, and then runs the Sinkhorn iteration that
+`profiles.sinkhorn_scale` runs.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .core import (
     VarianceProfile,
     default_s_grid,
 )
+from .profiles import _sinkhorn, _total_support
 
 # Radii iterated together.  It bounds the work arrays at BLOCK x n each;
 # more rows buy little once the matrix products dominate the iteration.
@@ -70,9 +76,11 @@ class MECurve:
     rho: float
     config: SolverConfig
     failed_indices: tuple = ()
+    failure_messages: tuple = ()  # the kernel's message per failed index
 
     def raise_failures(self) -> None:
-        """Raise NoConvergenceError naming the failed radii, if any."""
+        """Raise NoConvergenceError naming the failed radii, if any, and
+        quoting the first failed radius's message."""
         failed = self.failed_indices
         if failed:
             radii = ", ".join(f"{self.s_grid[i]:.6g}" for i in failed[:8])
@@ -80,7 +88,7 @@ class MECurve:
                 radii += f" and {len(failed) - 8} more"
             raise NoConvergenceError(
                 f"{len(failed)} of {len(self.s_grid)} grid points did not "
-                f"converge, at s = {radii}")
+                f"converge, at s = {radii}; first: {self.failure_messages[0]}")
 
 
 def psi(profile: VarianceProfile, q, q_tilde, s: float, t: float) -> np.ndarray:
@@ -399,25 +407,31 @@ def solve_at_zero(profile: VarianceProfile,
                   config: SolverConfig | None = None) -> MESolution:
     """Boundary solution q(0) = lim_{t->0} r(0, t).
 
-    The limit exists for block fully indecomposable profiles and satisfies
-    q_i(0) (V qt(0))_i = 1 and qt_i(0) (V^T q(0))_i = 1.  Profiles with an
-    atom at zero have no limit; the anneal then either exhausts its budget
-    or leaves a large balance residual, and NoConvergenceError is raised.
+    At s = t = 0 the equations read q_i (V qt)_i = 1 and qt_i (V^T q)_i = 1,
+    the Sinkhorn-Knopp equations of the doubly stochastic scaling
+    diag(q) V diag(qt).  They have a positive solution iff the pattern of V
+    has total support; without it NoConvergenceError is raised at once.
+    With it the pattern is a direct sum of fully indecomposable blocks, the
+    equations decouple into them, and each block keeps its own gauge
+    (q, qt) -> (c q, qt / c).  The t -> 0 limit balances the trace in every
+    block: q summed over the block's rows equals qt summed over their
+    matched columns.  The Sinkhorn iteration runs to config.fixed_point_tol
+    within config.max_iters iterations, and `iterations` and `residual`
+    report its count and final residual.
     """
     config = config or SolverConfig()
     V = profile.normalized
-    rows = _anneal_rows(V, [0.0], _t_schedule(config), config)
-    if rows.errors[0]:
-        raise NoConvergenceError(rows.errors[0])
-    q, qt = rows.q[0], rows.q_tilde[0]
-    balance = max(np.abs(q * (V @ qt) - 1.0).max(),
-                  np.abs(qt * (V.T @ q) - 1.0).max())
-    if balance > max(1e-6, 10 * profile.n * config.fixed_point_tol):
-        raise NoConvergenceError(
-            f"t -> 0 limit at s = 0 did not stabilize (balance residual {balance:.3e}); "
-            "the profile may carry an atom at zero")
-    return MESolution(s=0.0, t=0.0, q=q, q_tilde=qt,
-                      iterations=int(rows.iterations[0]), residual=float(balance))
+    structure = _total_support(V)
+    if structure is None:
+        raise NoConvergenceError("no positive solution at s = 0: the profile's "
+                                 "pattern has no total support")
+    match, block = structure
+    q, qt, iterations, residual = _sinkhorn(V, config.fixed_point_tol, config.max_iters)
+    col_block = np.empty_like(block)
+    col_block[match] = block
+    c = np.sqrt(np.bincount(col_block, weights=qt) / np.bincount(block, weights=q))
+    return MESolution(s=0.0, t=0.0, q=q * c[block], q_tilde=qt / c[col_block],
+                      iterations=iterations, residual=residual)
 
 
 def derivative_s2(profile: VarianceProfile, sol: MESolution):
@@ -466,7 +480,8 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     Every radius s >= sqrt(rho) gets exact zeros with iterations = 0 and
     residual = 0.0 (see the module docstring).  The radii below are annealed
     together by the batched kernel, each from a cold start at t = t_initial.
-    A radius whose anneal fails is recorded in `failed_indices` and keeps
+    A radius whose anneal fails is recorded in `failed_indices`, with the
+    kernel's message at the same position of `failure_messages`, and keeps
     its place as a zero placeholder with residual = inf and the iterations
     it ran.  The curve carries rho, so callers need not compute it again.
     """
@@ -495,4 +510,5 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
                                iterations=iterations, residual=residual))
     failed = tuple(i for i, e in enumerate(rows.errors) if e)
     return MECurve(profile=profile, s_grid=s_grid, solutions=tuple(sols),
-                   rho=rho, config=config, failed_indices=failed)
+                   rho=rho, config=config, failed_indices=failed,
+                   failure_messages=tuple(rows.errors[i] for i in failed))

@@ -1,8 +1,9 @@
 """Profile constructors and structural analysis.
 
 Covers the named profile families (sampled, separable, block atom), the
-spectral radius of the normalized profile, irreducibility and full
-indecomposability checks, Sinkhorn scaling and the circular-law test.
+spectral radius of the normalized profile, irreducibility, total support
+and full indecomposability checks (one matching-based pass on the pattern),
+Sinkhorn scaling and the circular-law test.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ class NonPositiveEntryError(ValueError):
 
 class NegativeFunctionValueError(ValueError):
     pass
-
-
-class TooLargeError(ValueError):
-    """Pattern too large for the exhaustive indecomposability search."""
 
 
 class BadPartitionError(ValueError):
@@ -137,48 +134,109 @@ def is_irreducible(profile: VarianceProfile) -> bool:
     """True iff the support digraph (edge i->j when sigma_ij^2 > 0) is
     strongly connected."""
     support = profile.variances > 0
-    return _all_reachable(support, 0) and _all_reachable(support.T, 0)
+    return bool(_reach(support, 0).all() and _reach(support.T, 0).all())
 
 
-def _all_reachable(adj: np.ndarray, start: int) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
+def _reach(adj: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the nodes reachable from `start` in the digraph of `adj`."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
     seen[start] = True
     frontier = np.array([start])
     while frontier.size:
         nxt = np.any(adj[frontier], axis=0) & ~seen
         seen |= nxt
         frontier = np.flatnonzero(nxt)
-    return bool(seen.all())
+    return seen
+
+
+def _total_support(pattern):
+    """Perfect matching and Frobenius blocks of a square 0/1 pattern with
+    total support, or None when it has none.
+
+    A pattern has total support when every nonzero lies on a perfect
+    matching.  Returns (match, block): row i is matched to column match[i]
+    (Hopcroft-Karp), and block[i] labels the strongly connected component of
+    row i in the digraph i -> k when pattern[i, match[k]] != 0.  Total
+    support holds iff no edge joins two components, so the pattern is a
+    direct sum of fully indecomposable blocks, one per label, block b on
+    rows block == b and columns match[block == b].
+    """
+    adj = np.asarray(pattern) != 0
+    n = adj.shape[0]
+    row_match = np.full(n, -1)
+    col_match = np.full(n, -1)
+    while True:
+        # one phase: layer the rows by alternating path length from the
+        # free rows, then augment along paths that climb the layers
+        free = np.flatnonzero(row_match < 0)
+        if not free.size:
+            break
+        layer = np.full(n, -1)
+        layer[free] = 0
+        seen = np.zeros(n, dtype=bool)
+        frontier, depth = free, 0
+        while frontier.size:
+            cols = np.any(adj[frontier], axis=0) & ~seen
+            seen |= cols
+            rows = col_match[cols]
+            if (rows < 0).any():
+                break
+            depth += 1
+            layer[rows] = depth
+            frontier = rows
+        else:
+            return None  # no augmenting path: no perfect matching
+        for root in free:
+            path, todo = [root], [None]
+            while path:
+                r = path[-1]
+                if todo[-1] is None:
+                    nxt = layer[col_match] == layer[r] + 1
+                    todo[-1] = np.flatnonzero(adj[r] & ((col_match < 0) | nxt)).tolist()
+                if not todo[-1]:
+                    layer[r] = -1  # dead end for the rest of the phase
+                    path.pop()
+                    todo.pop()
+                    continue
+                c = todo[-1].pop()
+                r2 = col_match[c]
+                if r2 < 0:
+                    for r in reversed(path):  # flip the path's edges
+                        row_match[r], col_match[c], c = c, r, row_match[r]
+                    break
+                if layer[r2] == layer[r] + 1:
+                    path.append(r2)
+                    todo.append(None)
+    # a matched pattern has total support iff every edge of the digraph
+    # lies inside a strongly connected component, that is iff each node
+    # reaches exactly the nodes that reach it
+    digraph = adj[:, row_match]
+    block = np.full(n, -1)
+    for b in range(n):
+        unlabelled = np.flatnonzero(block < 0)
+        if not unlabelled.size:
+            break
+        reach = _reach(digraph, unlabelled[0])
+        if not np.array_equal(reach, _reach(digraph.T, unlabelled[0])):
+            return None
+        block[reach] = b
+    return row_match, block
 
 
 def is_fully_indecomposable(pattern) -> bool:
-    """Exhaustive full-indecomposability check for a 0/1 K x K pattern.
+    """Full indecomposability of a square 0/1 K x K pattern: no nonempty
+    row subset I has a nonempty set J of columns that vanish on all of I
+    with |I| + |J| >= K.
 
-    The pattern fails iff some nonempty row subset I has a nonempty set J of
-    columns that vanish on all of I with |I| + |J| >= K.  Enumerates all 2^K
-    row subsets; capped at K = 20.
+    Equivalently the pattern has total support with one Frobenius block: a
+    perfect matching, and an irreducible pattern once the matching is put on
+    the diagonal.  Polynomial in K (see `_total_support`).
     """
     t = np.asarray(pattern) != 0
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("pattern must be square")
-    K = t.shape[0]
-    if K > 20:
-        raise TooLargeError("exhaustive search is capped at K = 20")
-    if t.all():
-        return True
-    # bitmask of rows carrying a nonzero in column j
-    col_masks = [int(sum(1 << i for i in np.flatnonzero(t[:, j]))) for j in range(K)]
-    for rows in range(1, 1 << K):
-        # columns with no support inside the row subset
-        zero_cols = sum(1 for m in col_masks if (m & rows) == 0)
-        if zero_cols >= 1 and _popcount(rows) + zero_cols >= K:
-            return False
-    return True
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+    structure = _total_support(t)
+    return structure is not None and not structure[1].any()
 
 
 def is_block_fully_indecomposable(profile: VarianceProfile, K: int, phi: float) -> bool:
@@ -191,36 +249,46 @@ def is_block_fully_indecomposable(profile: VarianceProfile, K: int, phi: float) 
     if phi <= 0:
         raise ValueError("phi must be positive")
     b = n // K
-    V = profile.normalized
-    z = np.zeros((K, K), dtype=bool)
-    for i in range(K):
-        for j in range(K):
-            z[i, j] = V[i * b:(i + 1) * b, j * b:(j + 1) * b].min() >= phi / n
-    return is_fully_indecomposable(z)
+    block_min = profile.normalized.reshape(K, b, K, b).min(axis=(1, 3))
+    return is_fully_indecomposable(block_min >= phi / n)
+
+
+def _sinkhorn(V, tol: float, max_iters: int):
+    """Sinkhorn-Knopp iteration d1 = 1 / (V d2), d2 = 1 / (V^T d1) from
+    d2 = 1, for a V whose pattern has total support.
+
+    After the d2 update the columns of D1 V D2 sum to 1 up to rounding, so
+    the row sums d1 (V d2) carry the error.  Returns (d1, d2, iterations,
+    residual) once the residual max |d1 (V d2) - 1| is at most tol; raises
+    NoConvergenceError after max_iters iterations.
+    """
+    Vd2 = V.sum(axis=1)
+    residual = math.inf
+    for it in range(1, max_iters + 1):
+        d1 = 1.0 / Vd2
+        d2 = 1.0 / (V.T @ d1)
+        Vd2 = V @ d2
+        residual = float(np.abs(d1 * Vd2 - 1.0).max())
+        if residual <= tol:
+            return d1, d2, it, residual
+    raise NoConvergenceError(f"Sinkhorn scaling did not converge after {max_iters} "
+                             f"iterations (residual {residual:.3e})")
 
 
 def sinkhorn_scale(profile: VarianceProfile, tol: float = 1e-10,
                    max_iters: int = 100_000) -> SinkhornResult:
     """Alternate row/column balancing of V toward a doubly stochastic
-    D1 V D2.  Gauge fixed by equalizing the geometric means of d1 and d2."""
+    D1 V D2.  Gauge fixed by equalizing the geometric means of d1 and d2.
+
+    The scaling exists iff the pattern of V has total support (Sinkhorn and
+    Knopp); without it NoConvergenceError is raised at once, and with it
+    after max_iters iterations that leave a row sum off 1 by more than tol.
+    """
     V = profile.normalized
-    n = profile.n
-    d1 = np.ones(n)
-    d2 = np.ones(n)
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        d1 = 1.0 / (V @ d2)
-        d2 = 1.0 / (V.T @ d1)
-        scaled = d1[:, None] * V * d2[None, :]
-        row_err = np.abs(scaled.sum(axis=1) - 1.0).max()
-        col_err = np.abs(scaled.sum(axis=0) - 1.0).max()
-        if max(row_err, col_err) <= tol:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergenceError("Sinkhorn scaling did not converge "
-                                 "(profile may not be fully indecomposable)")
+    if _total_support(V) is None:
+        raise NoConvergenceError("no Sinkhorn scaling: the profile's pattern "
+                                 "has no total support")
+    d1, d2, it, _ = _sinkhorn(V, tol, max_iters)
     gamma = math.exp(0.5 * (np.mean(np.log(d2)) - np.mean(np.log(d1))))
     d1 = d1 * gamma
     d2 = d2 / gamma
@@ -234,9 +302,11 @@ def circular_law_test(profile: VarianceProfile, tol: float = 1e-6,
     """Does the profile yield the circular law?
 
     True iff the boundary solution satisfies q_i(0) * qt_i(0) = 1 for all i
-    within tol (equivalently V = D^-1 S D with S doubly stochastic).
-    `rho` is the profile's spectral radius, computed when not given.
-    Returns (flag, diagnostics).
+    within tol (equivalently V = D^-1 S D with S doubly stochastic).  The
+    boundary solution is the Sinkhorn scaling of V (see `solve_at_zero`),
+    so NoConvergenceError is raised when the pattern of V has no total
+    support.  `rho` is the profile's spectral radius, computed when not
+    given.  Returns (flag, diagnostics).
     """
     from .mesolver import solve_at_zero
 

@@ -138,6 +138,15 @@ class TestDensity:
         assert np.all(np.isnan(f_exact))
         assert np.nanmax(f_fd) > 0
 
+    def test_atom_profile_names_why_density_at_zero_is_unavailable(
+            self, block_profile_csv, tmp_path):
+        out = tmp_path / "dens.csv"
+        assert main(["density", "--profile", block_profile_csv,
+                     "--grid", "0.02:0.5:10", "--out", str(out)]) == 0
+        text = open(str(out) + ".info.txt").read()
+        assert "density_at_zero = unavailable (" in text
+        assert "no total support" in text
+
 
 class TestSeparable:
     def test_two_level_spec(self, tmp_path):
@@ -173,6 +182,22 @@ class TestCheck:
         text = out.read_text()
         assert "irreducible = true" in text
         assert "block_fully_indecomposable = false" in text
+        assert "circular = false" in text
+
+    def test_random_profile_without_blocks(self, tmp_path, capsys):
+        path = tmp_path / "random.csv"
+        rng = np.random.default_rng(21)
+        write_profile_csv(validate_profile(rng.uniform(0.5, 2.0, size=(30, 30))), path)
+        assert main(["check", "--profile", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "block_fully_indecomposable = true (K = 30" in text
+
+    def test_large_block_atom_without_blocks(self, tmp_path, capsys):
+        path = tmp_path / "block300.csv"
+        write_profile_csv(build_block_atom(3, 100), path)
+        assert main(["check", "--profile", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "block_fully_indecomposable = false (K = 300" in text
         assert "circular = false" in text
 
     def test_circular_report(self, circular_profile_csv, capsys):

@@ -13,7 +13,9 @@ from vps.core import (
 )
 from vps.measures import cdf
 from vps.mesolver import (
+    _anneal_rows,
     _linearization,
+    _t_schedule,
     anneal_to_limit,
     derivative_s2,
     psi,
@@ -146,6 +148,13 @@ class TestAnnealToLimit:
         with pytest.raises(ValueError):
             anneal_to_limit(constant_profile(4), 0.0)
 
+    def test_failure_quotes_the_kernel_message(self):
+        with pytest.raises(NoConvergenceError) as exc:
+            anneal_to_limit(build_block_atom(3, 10), 0.3, SolverConfig(max_iters=20))
+        assert "1 of 1 grid points did not converge, at s = 0.3" in str(exc.value)
+        assert "no fixed point after 20 iterations" in str(exc.value)
+        assert "residual" in str(exc.value)
+
     def test_symmetry_q_equals_qtilde(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(0.5, 1.5, size=(8, 8))
@@ -196,6 +205,59 @@ class TestSolveAtZero:
         with pytest.raises(NoConvergenceError):
             solve_at_zero(build_block_atom(3, 3),
                           SolverConfig(max_iters=20_000))
+
+
+def _two_block_profile():
+    """Two positive diagonal blocks of different scales, rows and columns
+    permuted apart: total support with two Frobenius blocks."""
+    rng = np.random.default_rng(14)
+    a = np.zeros((20, 20))
+    a[:8, :8] = rng.uniform(0.5, 2.0, size=(8, 8))
+    a[8:, 8:] = rng.uniform(1.5, 6.0, size=(12, 12))
+    return validate_profile(a[np.ix_(rng.permutation(20), rng.permutation(20))])
+
+
+def _sparse_profile():
+    rng = np.random.default_rng(15)
+    a = (rng.uniform(size=(300, 300)) < 0.1) * rng.uniform(0.5, 2.0, size=(300, 300))
+    np.fill_diagonal(a, rng.uniform(0.5, 2.0, size=300))
+    return validate_profile(a)
+
+
+def _permuted_block_atom():
+    rng = np.random.default_rng(16)
+    a = build_block_atom(3, 100).variances
+    return validate_profile(a[np.ix_(rng.permutation(300), rng.permutation(300))])
+
+
+class TestSolveAtZeroMatchesAnneal:
+    """The old s = 0 solve, the t -> 0 anneal at s = 0, is the reference."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: validate_profile(np.random.default_rng(13).uniform(0.5, 2.0, size=(30, 30))),
+        _sparse_profile,
+        lambda: build_separable(np.linspace(0.5, 2.0, 16), np.linspace(3.0, 1.0, 16))[0],
+        _two_block_profile,
+    ], ids=["positive", "sparse", "separable", "two-block"])
+    def test_agrees_with_anneal(self, make):
+        p = make()
+        config = SolverConfig()
+        ref = _anneal_rows(p.normalized, [0.0], _t_schedule(config), config)
+        sol = solve_at_zero(p, config)
+        assert np.abs(sol.q - ref.q[0]).max() <= 1e-7
+        assert np.abs(sol.q_tilde - ref.q_tilde[0]).max() <= 1e-7
+        V = p.normalized
+        residual = max(np.abs(sol.q * (V @ sol.q_tilde) - 1.0).max(),
+                       np.abs(sol.q_tilde * (V.T @ sol.q) - 1.0).max())
+        assert residual <= config.fixed_point_tol
+
+    @pytest.mark.parametrize("make", [
+        lambda: validate_profile(np.triu(np.ones((10, 10)))),
+        _permuted_block_atom,
+    ], ids=["upper-triangular", "permuted-block-atom"])
+    def test_no_total_support_raises(self, make):
+        with pytest.raises(NoConvergenceError, match="no total support"):
+            solve_at_zero(make())
 
 
 class TestDerivative:

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from vps.core import validate_profile
+from vps.core import NoConvergenceError, validate_profile
 from vps.profiles import (
     BadPartitionError,
     LengthMismatchError,
     NegativeFunctionValueError,
     NonPositiveEntryError,
-    TooLargeError,
     build_block_atom,
     build_sampled,
     build_separable,
@@ -120,13 +119,48 @@ class TestFullyIndecomposable:
         t = np.eye(5) + np.roll(np.eye(5), 1, axis=1)
         assert is_fully_indecomposable(t)
 
-    def test_too_large_rejected(self):
-        with pytest.raises(TooLargeError):
-            is_fully_indecomposable(np.ones((21, 21)))
-
     def test_one_by_one(self):
         assert is_fully_indecomposable(np.array([[1.0]]))
         assert not is_fully_indecomposable(np.array([[0.0]]))
+
+    def test_matches_exhaustive_search(self):
+        rng = np.random.default_rng(20)
+        verdicts = set()
+        for _ in range(300):
+            K = int(rng.integers(1, 11))
+            density = rng.choice([0.15, 0.3, 0.5, 0.7, 0.9])
+            t = rng.uniform(size=(K, K)) < density
+            if rng.uniform() < 0.5:
+                t |= np.eye(K, dtype=bool)   # a perfect matching, as in most profiles
+            expected = exhaustive_fully_indecomposable(t)
+            assert is_fully_indecomposable(t) == expected, t.astype(int)
+            verdicts.add((K == 1, expected))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_large_block_atom_fails(self):
+        assert not is_fully_indecomposable(build_block_atom(3, 667).variances)
+
+    def test_large_band_passes(self):
+        p = build_sampled(lambda x, y: 1.0 if abs(x - y) <= 0.1 else 0.0, 800)
+        assert is_fully_indecomposable(p.variances)
+
+
+def exhaustive_fully_indecomposable(pattern) -> bool:
+    """Reference: the pattern fails iff some nonempty row subset I has a
+    nonempty set J of columns that vanish on all of I with |I| + |J| >= K.
+    Enumerates all 2^K row subsets."""
+    t = np.asarray(pattern) != 0
+    K = t.shape[0]
+    if t.all():
+        return True
+    # bitmask of rows carrying a nonzero in column j
+    col_masks = [int(sum(1 << i for i in np.flatnonzero(t[:, j]))) for j in range(K)]
+    for rows in range(1, 1 << K):
+        # columns with no support inside the row subset
+        zero_cols = sum(1 for m in col_masks if (m & rows) == 0)
+        if zero_cols >= 1 and bin(rows).count("1") + zero_cols >= K:
+            return False
+    return True
 
 
 class TestBlockFullyIndecomposable:
@@ -177,6 +211,13 @@ class TestSinkhorn:
         res = sinkhorn_scale(p)
         assert np.mean(np.log(res.d1)) == pytest.approx(np.mean(np.log(res.d2)),
                                                         abs=1e-9)
+
+    def test_refuses_without_total_support(self):
+        # upper-triangular ones have a perfect matching (the diagonal) but
+        # no other, so no positive scaling exists
+        p = validate_profile(np.triu(np.ones((10, 10))))
+        with pytest.raises(NoConvergenceError, match="total support"):
+            sinkhorn_scale(p)
 
     def test_already_balanced_identity_factors(self):
         p = validate_profile(np.ones((6, 6)))
