@@ -89,34 +89,26 @@ def validate_profile(raw_grid) -> VarianceProfile:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and annealing schedule for the fixed-point solver.
+    """Tolerance, iteration budget and regularization of the fixed-point
+    solver.
 
-    Defaults follow the package-wide conventions: sup-norm fixed point
-    tolerance 1e-12, geometric regularization decay by halving from 1 down
-    to 1e-10, averaged iteration with weight 1/2.  No setting decides the
+    Each radius is solved once, at t = t_min, to the sup-norm fixed point
+    tolerance fixed_point_tol (relative to the solution's largest entry
+    once it exceeds 1) within max_iters iterations.  No setting decides the
     trivial regime: radii at or past the support radius are exact zeros.
     """
 
     fixed_point_tol: float = 1e-12
     max_iters: int = 200_000
-    t_initial: float = 1.0
-    t_decay: float = 0.5
     t_min: float = 1e-10
-    averaging_weight: float = 0.5
 
     def __post_init__(self):
         if self.fixed_point_tol <= 0:
             raise ValueError("fixed_point_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        if self.t_initial <= 0 or self.t_min <= 0:
-            raise ValueError("t_initial and t_min must be positive")
-        if not self.t_min < self.t_initial:
-            raise ValueError("t_min must be smaller than t_initial")
-        if not 0.0 < self.t_decay < 1.0:
-            raise ValueError("t_decay must lie in (0, 1)")
-        if not 0.0 < self.averaging_weight <= 1.0:
-            raise ValueError("averaging_weight must lie in (0, 1]")
+        if self.t_min <= 0:
+            raise ValueError("t_min must be positive")
 
 
 @dataclass(frozen=True)

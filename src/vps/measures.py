@@ -18,7 +18,7 @@ from .core import (
     SolverConfig,
     VarianceProfile,
 )
-from .mesolver import MECurve, anneal_to_limit, derivative_s2, solve_at_zero, solve_curve
+from .mesolver import MECurve, derivative_s2, solve_at_zero, solve_curve, solve_regularized
 
 
 def _cdf_value(profile: VarianceProfile, sol) -> float:
@@ -75,7 +75,8 @@ def _exact_density(profile: VarianceProfile, sol) -> float:
 def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     """Radial density f(|z|) at a single modulus inside the support.
 
-    mode "exact" solves at |z| and differentiates the master equations;
+    mode "exact" solves at |z| and t = t_min, where the curve's rho already
+    places |z| inside the support, and differentiates the master equations;
     mode "fd" takes density_from_cdf at the interior point of the curve's
     grid nearest |z| among those below the support edge, where the density
     is not zeroed.  It needs at least three radii, and its resolution is
@@ -86,7 +87,7 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     if not 0.0 < s < edge:
         raise OutsideSupportError(f"|z| = {s} outside (0, {edge})")
     if mode == "exact":
-        sol = anneal_to_limit(curve.profile, s, curve.config)
+        sol = solve_regularized(curve.profile, s, curve.config.t_min, curve.config)
         return max(0.0, _exact_density(curve.profile, sol))
     if mode == "fd":
         grid = curve.s_grid

@@ -6,14 +6,13 @@ found by the averaged iteration
     r      <- (1 - w) r      + w * Psi * (V^T r      + t)
     r_tilde<- (1 - w) r_tilde + w * Psi * (V  r_tilde + t)
 
-with Psi_i = 1 / (s^2 + ((V r_tilde)_i + t)((V^T r)_i + t)).  The t -> 0
-limit is approached by geometric annealing: the first stage of the t
-schedule starts from ones at t = t_initial, every later stage from a linear
-extrapolation in t of the two stages before it.  No radius starts from the
-solution at another: at t = t_initial a t -> 0 solution is no better a
-guess than ones.
+with Psi_i = 1 / (s^2 + ((V r_tilde)_i + t)((V^T r)_i + t)) and w = AVERAGING.
+For t > 0 the system has exactly one positive solution (Cook, Hachem,
+Najim & Renfrew, part I), so the t -> 0 limit is approximated by solving
+once at t = t_min, from ones; no schedule in t and no other radius's
+solution is a better start.
 
-Radii at or past the support radius sqrt(rho) are not annealed.  At t = 0
+Radii at or past the support radius sqrt(rho) are not iterated.  At t = 0
 a nonnegative solution has q_i <= (V^T q)_i / s^2, so s^2 q <= V^T q, and
 likewise s^2 qt <= V qt; for s^2 > rho subinvariance (Collatz-Wielandt)
 leaves only q = qt = 0, for every nonnegative V.  At the edge s^2 = rho
@@ -21,19 +20,22 @@ zero is still an exact solution, and F = 1 there ends the support.  So the
 trivial regime is decided by comparing s with sqrt(rho), and by nothing
 else.
 
-One kernel, `_anneal_rows`, runs the whole schedule for many radii at once.
-Up to BLOCK radii are the [q | q_tilde] rows of (rows, 2n) work arrays, so
-one iteration is two matrix products, Q @ V and Qt @ V^T, for all of them.
-Each row keeps its own stage, iteration count, Aitken extrapolation, Newton
+One kernel, `_solve_rows`, solves many radii at once at one t.  Up to
+BLOCK radii are the [q | q_tilde] rows of (rows, 2n) work arrays, so one
+iteration is two matrix products, Q @ V and Qt @ V^T, for all of them.
+Each row keeps its own iteration count, Aitken extrapolation, Newton
 hand-off and stopping rule, so a radius gets the iterates it gets when
 solved alone, up to rounding in the matrix products.  A radius that
-finishes its schedule, or fails, hands its row to the next pending radius;
-once none is pending, finished rows are compacted out of the leading slice.
-`solve_curve` runs the kernel over the radii of a grid below sqrt(rho), by
-default `default_s_grid` up to the support radius; `anneal_to_limit` is its
-one-radius call, and `solve_regularized` is a one-row call of the kernel.
+converges, or fails, hands its row to the next pending radius; once none
+is pending, finished rows are compacted out of the leading slice.  Where
+the pattern of V + V^T splits into connected components the equations
+decouple, and each component keeps its own gauge (c q, q_tilde / c); the
+trace is balanced in each.  `solve_curve` runs the kernel at t_min over the
+radii of a grid below sqrt(rho), by default `default_s_grid` up to the
+support radius; `anneal_to_limit` is its one-radius call, and
+`solve_regularized` is a one-row call of the kernel at the caller's t.
 
-`solve_at_zero` needs no anneal.  At s = t = 0 the equations are the
+`solve_at_zero` needs no regularization.  At s = t = 0 the equations are the
 Sinkhorn-Knopp equations, with a positive solution iff the pattern of V has
 total support; it checks that on the pattern, with a perfect matching and
 the Frobenius blocks, and then runs the Sinkhorn iteration that
@@ -55,15 +57,18 @@ from .core import (
     VarianceProfile,
     default_s_grid,
 )
-from .profiles import _sinkhorn, _total_support
+from .profiles import _reach, _sinkhorn, _total_support
 
 # Radii iterated together.  It bounds the work arrays at BLOCK x n each;
 # more rows buy little once the matrix products dominate the iteration.
 BLOCK = 64
-# Block Aitken extrapolation every AITKEN iterations of a stage, and a
-# Newton hand-off every NEWTON iterations of a stage that has not converged.
+# Block Aitken extrapolation every AITKEN iterations, and a Newton hand-off
+# every NEWTON iterations of a radius that has not converged.
 AITKEN = 32
 NEWTON = 2048
+# Weight of the new iterate in the averaged iteration: on circ-n64 plain
+# iteration (weight 1) takes about twice as many iterations.
+AVERAGING = 0.5
 
 
 @dataclass(frozen=True)
@@ -102,21 +107,34 @@ def psi(profile: VarianceProfile, q, q_tilde, s: float, t: float) -> np.ndarray:
     return 1.0 / denom
 
 
-def _rebalance(x, c):
-    """Gauge rescaling (q, qt) -> (c q, qt / c) with c = sqrt(sum(qt) / sum(q)),
-    in place on every [q | qt] row of x; `c` is a (rows, 2, 1) buffer.
+def _gauge_blocks(V):
+    """(n, C) 0/1 membership matrix of the connected components of the
+    pattern of V + V^T, one column per component."""
+    adj = (V != 0) | (V.T != 0)
+    label = np.full(len(V), -1)
+    count = 0
+    while (label < 0).any():
+        label[_reach(adj, np.flatnonzero(label < 0)[0])] = count
+        count += 1
+    return (label[:, None] == np.arange(count)).astype(float)
 
-    The rescaling is an exact symmetry of the t = 0 equations and the trace
-    identity sum(q) = sum(qt) picks the balanced member; without it the
-    iteration restores balance only at a rate proportional to t.  Both sums
-    must be positive.
+
+def _rebalance(x, blocks):
+    """Gauge rescaling (q, qt) -> (c q, qt / c) with c = sqrt(sum(qt) / sum(q))
+    taken over each component of `_gauge_blocks`, in place on every
+    [q | qt] row of x.
+
+    The equations of a component involve only its own entries, so each
+    component's rescaling is an exact symmetry of the t = 0 equations, and
+    its trace identity sum(q) = sum(qt) picks the balanced member; without
+    it the iteration restores balance only at a rate proportional to t.
+    Both sums must be positive in every component.
     """
     x3 = x.reshape(len(x), 2, -1)
-    sums = x3.sum(axis=2)
-    np.divide(sums[:, 1], sums[:, 0], out=c[:, 0, 0])
-    np.sqrt(c[:, 0, 0], out=c[:, 0, 0])
-    np.divide(1.0, c[:, 0, 0], out=c[:, 1, 0])
-    x3 *= c
+    sums = (x.reshape(-1, blocks.shape[0]) @ blocks).reshape(len(x), 2, -1)
+    c = np.sqrt(sums[:, 1] / sums[:, 0]) @ blocks.T
+    x3[:, 0] *= c
+    x3[:, 1] /= c
 
 
 def _linearization(V, d, cq, cqt, trace=False):
@@ -145,17 +163,18 @@ def _linearization(V, d, cq, cqt, trace=False):
     return A
 
 
-def _newton_refine(V, x, s2, t, tol, max_steps=40):
+def _newton_refine(V, x, s2, t, tol, blocks, max_steps=40):
     """Newton iteration on x - I(x) = 0 from a fixed-point iterate x = [q | qt].
 
     Used when plain iteration slows down near the critical radius; the
     Jacobian of I has the structure of the derivative linear system.
     Returns (x, residual) with residual measured as the fixed-point step
-    size, or None when Newton stalls or leaves the positive cone.
+    size, or None when Newton stalls or leaves the positive cone.  A first
+    step from outside the quadratic basin may raise the residual, so Newton
+    stalls only after two steps in a row without a 10% gain on the best.
     """
     n = len(x) // 2
-    gauge = np.empty((1, 2, 1))
-    best = math.inf
+    best, misses = math.inf, 0
     for _ in range(max_steps):
         q, qt = x[:n], x[n:]
         a = V @ qt + t
@@ -165,9 +184,12 @@ def _newton_refine(V, x, s2, t, tol, max_steps=40):
         residual = np.abs(F).max()
         if residual <= tol * max(1.0, x.max()):
             return x, residual
-        if residual > 0.9 * best:
-            return None
-        best = residual
+        if residual <= 0.9 * best:
+            best, misses = residual, 0
+        else:
+            misses += 1
+            if misses == 2:
+                return None
         p2 = p * p
         A = _linearization(V, s2 * p2, p2 * b * b, p2 * a * a)
         try:
@@ -176,25 +198,15 @@ def _newton_refine(V, x, s2, t, tol, max_steps=40):
             return None
         if x.min() <= 0.0:
             return None
-        _rebalance(x[None, :], gauge)
+        _rebalance(x[None, :], blocks)
     return None
-
-
-def _t_schedule(config: SolverConfig):
-    ts = []
-    t = config.t_initial
-    while t > config.t_min:
-        ts.append(t)
-        t *= config.t_decay
-    ts.append(config.t_min)
-    return ts
 
 
 @dataclass(frozen=True)
 class _Rows:
-    """Outcome of `_anneal_rows`, one row per radius: the last stage's
-    iterate, the total iteration count, the last stage's residual and an
-    error message where the radius failed (its iterate is then zero)."""
+    """Outcome of `_solve_rows`, one row per radius: the iterate, the
+    iteration count, the residual and an error message where the radius
+    failed (its iterate is then zero)."""
 
     q: np.ndarray
     q_tilde: np.ndarray
@@ -203,28 +215,22 @@ class _Rows:
     errors: list
 
 
-def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
-    """Run the t schedule `ts` at every radius of `s` in one batched loop.
+def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
+    """Solve the equations at regularization t for every radius of `s` in
+    one batched loop, each radius from ones.
 
-    Every stage iterates to the relative stopping rule, with block Aitken
+    Every row iterates to the relative stopping rule, with block Aitken
     extrapolation every AITKEN iterations and a Newton hand-off every
     NEWTON iterations, and its solution must respect max(q, qt) <= 1/t.
-    The first stage starts from ones, the second from the first stage's
-    solution, every later one from a linear extrapolation in t of the two
-    stages before it, clipped at 5% of the last.  A radius that exhausts
-    max_iters in a stage or breaks the 1/t bound gets an error message and
-    leaves the batch while the others go on.  Radii enter the batch from
-    the largest down, so the slow ones near the support edge start early.
+    A radius that exhausts max_iters or breaks the 1/t bound gets an error
+    message and leaves the batch while the others go on.  Radii enter the
+    batch from the largest down, so the slow ones near the support edge
+    start early.
     """
     s = np.asarray(s, dtype=float)
     m, n = len(s), V.shape[0]
     VT = np.ascontiguousarray(V.T)  # a faster operand than the transposed view
-    ts = np.asarray(ts, dtype=float)
-    last_stage = len(ts) - 1
-    # extrapolation factor from stages j - 1, j into stage j + 1 (0 from stage 0)
-    frac = np.zeros(len(ts))
-    frac[1:-1] = (ts[2:] - ts[1:-1]) / (ts[1:-1] - ts[:-2])
-    w = config.averaging_weight
+    blocks = _gauge_blocks(V)
     tol = config.fixed_point_tol
     max_iters = config.max_iters
     first_due = min(AITKEN, max_iters)
@@ -234,36 +240,27 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
     out_res = np.full(m, math.inf)
     errors = [None] * m
 
-    # per row: iterate [q | qt], its value at the last Aitken block and at
-    # the end of the previous stage, and work arrays
+    # per row: iterate [q | qt], its value at the last Aitken block, and
+    # work arrays
     G = min(BLOCK, m)
-    X, lastX, prevX, Y, P = (np.empty((G, 2 * n)) for _ in range(5))
+    X, lastX, Y, P = (np.empty((G, 2 * n)) for _ in range(4))
     Psi = np.empty((G, n))
-    gauge = np.empty((G, 2, 1))
     radius = np.empty(G, dtype=np.int64)
     s2 = np.empty((G, 1))
-    t = np.empty((G, 1))
-    stage = np.empty(G, dtype=np.int64)
-    it = np.empty(G, dtype=np.int64)     # iterations of the current stage
+    it = np.empty(G, dtype=np.int64)
     due = np.empty(G, dtype=np.int64)    # next Aitken or max_iters check
-    total = np.empty(G, dtype=np.int64)
     prev_norm = np.empty(G)   # Aitken: last block's step norm, NaN if none
-    per_row = (X, lastX, prevX, radius, s2, t, stage, it, due, total, prev_norm)
+    per_row = (X, lastX, radius, s2, it, due, prev_norm)
 
     order = np.argsort(s, kind="stable")[::-1]
 
     def load(g, r):
         radius[g] = r
         s2[g] = s[r] * s[r]
-        t[g] = ts[0]
-        stage[g] = it[g] = total[g] = 0
+        it[g] = 0
         due[g] = first_due
         prev_norm[g] = math.nan
-        X[g] = lastX[g] = prevX[g] = 1.0
-
-    def fail(g, message):
-        out_iters[radius[g]] = total[g]
-        errors[radius[g]] = message
+        X[g] = lastX[g] = 1.0
 
     for g in range(G):
         load(g, order[g])
@@ -273,7 +270,7 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
         phit, phi = y[:, :n], y[:, n:]
         np.matmul(x[:, :n], V, out=phit)
         np.matmul(x[:, n:], VT, out=phi)
-        y += t[:k]                   # [V^T q + t | V qt + t]
+        y += t                       # [V^T q + t | V qt + t]
         np.multiply(phi, phit, out=psi_)
         psi_ += s2[:k]
         np.divide(1.0, psi_, out=psi_)
@@ -282,12 +279,12 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
         np.subtract(y, x, out=p)
         np.abs(p, out=p)
         res = p.max(axis=1)
-        x *= 1.0 - w
-        y *= w
+        x *= 1.0 - AVERAGING
+        y *= AVERAGING
         x += y
         # both sums stay positive: a step maps a nonnegative iterate to a
         # positive one
-        _rebalance(x, gauge[:k])
+        _rebalance(x, blocks)
         # relative criterion: solutions grow like 1/t, pushing the floating
         # point residual floor above any fixed absolute tolerance
         scale = x.max(axis=1)
@@ -301,9 +298,10 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
 
         released = []
         for g in np.flatnonzero(event):
+            r = radius[g]
             if not done[g] and it[g] % NEWTON == 0:
                 # persistent slow convergence: hand the iterate to Newton
-                refined = _newton_refine(V, X[g], s2[g, 0], t[g, 0], tol)
+                refined = _newton_refine(V, X[g], s2[g, 0], t, tol, blocks)
                 if refined is not None:
                     X[g], res[g] = refined
                     done[g] = True
@@ -313,33 +311,16 @@ def _anneal_rows(V, s, ts, config: SolverConfig) -> _Rows:
                 if it[g] < max_iters:
                     due[g] = min(it[g] + AITKEN, max_iters)
                     continue
-                total[g] += it[g]
-                fail(g, f"no fixed point after {max_iters} iterations at "
-                        f"s={s[radius[g]]}, t={t[g, 0]} (residual {res[g]:.3e})")
-                released.append(g)
-                continue
-            # the stage converged
-            total[g] += it[g]
-            if X[g].max() > 1.0 / t[g, 0] + 1e-9 / t[g, 0]:
+                errors[r] = (f"no fixed point after {max_iters} iterations at "
+                             f"s={s[r]}, t={t} (residual {res[g]:.3e})")
+            elif X[g].max() > 1.0 / t + 1e-9 / t:
                 # direct consequence of the defining equations
-                fail(g, f"solution violates the 1/t bound at s={s[radius[g]]}, t={t[g, 0]}")
-                released.append(g)
-            elif stage[g] == last_stage:
-                r = radius[g]
-                out[r] = X[g]
-                out_iters[r] = total[g]
-                out_res[r] = res[g]
-                released.append(g)
+                errors[r] = f"solution violates the 1/t bound at s={s[r]}, t={t}"
             else:
-                sol = X[g]
-                guess = np.maximum(sol + frac[stage[g]] * (sol - prevX[g]), 0.05 * sol)
-                prevX[g] = sol
-                X[g] = lastX[g] = guess
-                stage[g] += 1
-                t[g] = ts[stage[g]]
-                it[g] = 0
-                due[g] = first_due
-                prev_norm[g] = math.nan
+                out[r] = X[g]
+                out_res[r] = res[g]
+            out_iters[r] = it[g]
+            released.append(g)
         # hand released rows to pending radii, or compact them out
         for g in sorted(released, reverse=True):
             if pending < m:
@@ -383,7 +364,7 @@ def solve_regularized(profile: VarianceProfile, s: float, t: float,
     if t <= 0:
         raise ValueError("t must be positive; use anneal_to_limit for the t -> 0 limit")
     config = config or SolverConfig()
-    rows = _anneal_rows(profile.normalized, [s], [t], config)
+    rows = _solve_rows(profile.normalized, [s], t, config)
     if rows.errors[0]:
         raise NoConvergenceError(rows.errors[0])
     return MESolution(s=s, t=t, q=rows.q[0], q_tilde=rows.q_tilde[0],
@@ -394,8 +375,8 @@ def solve_regularized(profile: VarianceProfile, s: float, t: float,
 def anneal_to_limit(profile: VarianceProfile, s: float,
                     config: SolverConfig | None = None) -> MESolution:
     """t -> 0 limit q(s): the one-radius call of `solve_curve`, so exact
-    zeros for s >= sqrt(rho) and an anneal below.  Raises the curve's
-    NoConvergenceError if the anneal fails."""
+    zeros for s >= sqrt(rho) and the solution at t_min below.  Raises the
+    curve's NoConvergenceError if the solve fails."""
     if s <= 0:
         raise ValueError("s must be positive")
     curve = solve_curve(profile, [s], config)
@@ -478,12 +459,11 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     default `default_s_grid` up to the support radius sqrt(rho).
 
     Every radius s >= sqrt(rho) gets exact zeros with iterations = 0 and
-    residual = 0.0 (see the module docstring).  The radii below are annealed
-    together by the batched kernel, each from a cold start at t = t_initial.
-    A radius whose anneal fails is recorded in `failed_indices`, with the
-    kernel's message at the same position of `failure_messages`, and keeps
-    its place as a zero placeholder with residual = inf and the iterations
-    it ran.  The curve carries rho, so callers need not compute it again.
+    residual = 0.0 (see the module docstring).  The radii below are solved
+    together by the batched kernel at t = t_min, each from ones.  A radius
+    whose solve fails is recorded in `failed_indices`, with the kernel's
+    message at the same position of `failure_messages`, and keeps its place
+    as a zero placeholder with residual = inf and the iterations it ran.  The curve carries rho, so callers need not compute it again.
     """
     from .profiles import spectral_radius
 
@@ -497,7 +477,7 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     if np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be strictly increasing and positive")
     inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
-    rows = _anneal_rows(profile.normalized, s_grid[:inside], _t_schedule(config), config)
+    rows = _solve_rows(profile.normalized, s_grid[:inside], config.t_min, config)
     sols = []
     for i, s in enumerate(s_grid):
         if i < inside:  # a failed row holds zeros and residual inf

@@ -45,10 +45,15 @@ class TestUsageErrors:
         assert main(["solve", "--profile", circular_profile_csv,
                      "--grid", "oops", "--out", out]) == 3
 
-    def test_removed_zero_threshold_key_is_data_error(self, circular_profile_csv, tmp_path):
-        # the trivial regime is decided by the support radius, not a setting
+    @pytest.mark.parametrize("line", [
+        "zero_threshold = 1e-8",   # the support radius decides the trivial regime
+        "t_initial = 1.0",         # each radius is solved once, at t_min
+        "t_decay = 0.5",
+        "averaging_weight = 0.5",  # a solver constant
+    ], ids=lambda line: line.split()[0])
+    def test_removed_config_key_is_data_error(self, line, circular_profile_csv, tmp_path):
         config = tmp_path / "old.cfg"
-        config.write_text("zero_threshold = 1e-8\n")
+        config.write_text(line + "\n")
         assert main(["solve", "--profile", circular_profile_csv, "--config", str(config),
                      "--out", str(tmp_path / "o.csv")]) == 3
 

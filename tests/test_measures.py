@@ -87,6 +87,12 @@ class TestDensity:
         with pytest.raises(ValueError):
             density(curve, 0.5, "spline")
 
+    def test_exact_needs_no_spectral_radius(self, circular_curve, spectral_radius_calls):
+        # the curve's rho already places |z| inside the support
+        _, curve = circular_curve
+        density(curve, 0.5, "exact")
+        assert spectral_radius_calls == []
+
     def test_block_atom_vanishes_near_zero(self, block_curve):
         _, curve = block_curve
         assert density(curve, 0.02, "exact") < 5e-3

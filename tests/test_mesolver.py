@@ -13,9 +13,8 @@ from vps.core import (
 )
 from vps.measures import cdf
 from vps.mesolver import (
-    _anneal_rows,
     _linearization,
-    _t_schedule,
+    _solve_rows,
     anneal_to_limit,
     derivative_s2,
     psi,
@@ -119,9 +118,9 @@ class TestAnnealToLimit:
         assert np.all(sol.q == 0.0)
 
     def test_just_supercritical_is_trivial(self):
-        # close above the edge an anneal would leave a residue of order
-        # t_min / (s^2 - rho); the radius is past sqrt(rho), so it is never
-        # annealed and its zeros are exact
+        # close above the edge a solve at t_min would leave a residue of
+        # order t_min / (s^2 - rho); the radius is past sqrt(rho), so it is
+        # never iterated and its zeros are exact
         p = constant_profile(16)
         sol = anneal_to_limit(p, 1.0029)
         assert sol.is_trivial and sol.iterations == 0
@@ -154,6 +153,14 @@ class TestAnnealToLimit:
         assert "1 of 1 grid points did not converge, at s = 0.3" in str(exc.value)
         assert "no fixed point after 20 iterations" in str(exc.value)
         assert "residual" in str(exc.value)
+
+    def test_newton_first_step_may_raise_the_residual(self):
+        # at this radius the hand-off's first Newton step raises the
+        # residual, and the next ones converge quadratically
+        p = build_sampled(lambda x, y: (1.6 + x) * (1.57 - y) if abs(x - y) <= 0.066 else 0.0, 60)
+        s = default_s_grid(math.sqrt(spectral_radius(p)), 40)[10]
+        sol = anneal_to_limit(p, s)
+        assert not sol.is_trivial and sol.iterations == 2048
 
     def test_symmetry_q_equals_qtilde(self):
         rng = np.random.default_rng(5)
@@ -207,14 +214,21 @@ class TestSolveAtZero:
                           SolverConfig(max_iters=20_000))
 
 
-def _two_block_profile():
-    """Two positive diagonal blocks of different scales, rows and columns
-    permuted apart: total support with two Frobenius blocks."""
+def _two_block_parts():
+    """Two positive diagonal blocks of different scales, and the row and
+    column permutations that take them apart."""
     rng = np.random.default_rng(14)
     a = np.zeros((20, 20))
     a[:8, :8] = rng.uniform(0.5, 2.0, size=(8, 8))
     a[8:, 8:] = rng.uniform(1.5, 6.0, size=(12, 12))
-    return validate_profile(a[np.ix_(rng.permutation(20), rng.permutation(20))])
+    return a, rng.permutation(20), rng.permutation(20)
+
+
+def _two_block_profile():
+    """Total support with two Frobenius blocks, rows and columns permuted
+    apart."""
+    a, rows, cols = _two_block_parts()
+    return validate_profile(a[np.ix_(rows, cols)])
 
 
 def _sparse_profile():
@@ -230,8 +244,14 @@ def _permuted_block_atom():
     return validate_profile(a[np.ix_(rng.permutation(300), rng.permutation(300))])
 
 
+def _kernel_at_zero(V, config):
+    rows = _solve_rows(V, [0.0], config.t_min, config)
+    assert rows.errors == [None]
+    return rows.q[0], rows.q_tilde[0]
+
+
 class TestSolveAtZeroMatchesAnneal:
-    """The old s = 0 solve, the t -> 0 anneal at s = 0, is the reference."""
+    """The fixed-point kernel at s = 0 and t = t_min is the reference."""
 
     @pytest.mark.parametrize("make", [
         lambda: validate_profile(np.random.default_rng(13).uniform(0.5, 2.0, size=(30, 30))),
@@ -242,11 +262,22 @@ class TestSolveAtZeroMatchesAnneal:
     def test_agrees_with_anneal(self, make):
         p = make()
         config = SolverConfig()
-        ref = _anneal_rows(p.normalized, [0.0], _t_schedule(config), config)
-        sol = solve_at_zero(p, config)
-        assert np.abs(sol.q - ref.q[0]).max() <= 1e-7
-        assert np.abs(sol.q_tilde - ref.q_tilde[0]).max() <= 1e-7
         V = p.normalized
+        if make is _two_block_profile:
+            # row i of V is row rows[i] of diag(B1, B2) and column j its
+            # column cols[j]; each block, its variances scaled by n_b / n so
+            # that its normalized matrix is B_b / n, is solved on its own
+            a, rows, cols = _two_block_parts()
+            q_ref, qt_ref = np.empty(20), np.empty(20)
+            for b in (slice(0, 8), slice(8, 20)):
+                block = validate_profile(a[b, b] * (b.stop - b.start) / 20)
+                q_ref[b], qt_ref[b] = _kernel_at_zero(block.normalized, config)
+            q_ref, qt_ref = q_ref[rows], qt_ref[cols]
+        else:
+            q_ref, qt_ref = _kernel_at_zero(V, config)
+        sol = solve_at_zero(p, config)
+        assert np.abs(sol.q - q_ref).max() <= 1e-7
+        assert np.abs(sol.q_tilde - qt_ref).max() <= 1e-7
         residual = max(np.abs(sol.q * (V @ sol.q_tilde) - 1.0).max(),
                        np.abs(sol.q_tilde * (V.T @ sol.q) - 1.0).max())
         assert residual <= config.fixed_point_tol
@@ -377,8 +408,7 @@ class TestSolveCurve:
         assert curve.failed_indices == (3,)
         failed = curve.solutions[3]
         assert failed.is_trivial and failed.residual == math.inf
-        # the stages before the failing one count too
-        assert failed.iterations > config.max_iters
+        assert failed.iterations == config.max_iters
         with pytest.raises(NoConvergenceError):
             anneal_to_limit(p, grid[3], config)
         for i in (0, 1, 2, 4, 5):
@@ -396,18 +426,52 @@ class TestSolveCurve:
         edge = math.sqrt(spectral_radius(p))
         grid = edge * np.array([0.2, 0.7, 0.999, 1.0, 1.001, 1.5])
         seen = []
-        anneal = vps.mesolver._anneal_rows
+        kernel = vps.mesolver._solve_rows
 
-        def recorded(V, s, ts, config):
+        def recorded(V, s, t, config):
             seen.extend(s)
-            return anneal(V, s, ts, config)
+            return kernel(V, s, t, config)
 
-        monkeypatch.setattr(vps.mesolver, "_anneal_rows", recorded)
+        monkeypatch.setattr(vps.mesolver, "_solve_rows", recorded)
         curve = solve_curve(p, grid)
         anneal_to_limit(p, 1.2 * edge)
         assert seen == list(grid[:3])
         assert all(s < math.sqrt(curve.rho) for s in seen)
         assert [sol.is_trivial for sol in curve.solutions] == [False] * 3 + [True] * 3
+
+    def test_decomposable_profile(self):
+        # a symmetric permutation of diag(B1, B2): the pattern of V + V^T
+        # has two components, each with its own gauge and its own edge
+        rng = np.random.default_rng(17)
+        a = np.zeros((20, 20))
+        a[:8, :8] = rng.uniform(0.5, 2.0, size=(8, 8))
+        a[8:, 8:] = rng.uniform(1.5, 6.0, size=(12, 12))
+        perm = rng.permutation(20)
+        p = validate_profile(a[np.ix_(perm, perm)])
+        blocks = [slice(0, 8), slice(8, 20)]
+        # each block alone, variances scaled by n_b / n: normalized B_b / n
+        parts = [validate_profile(a[b, b] * (b.stop - b.start) / 20) for b in blocks]
+        lo, hi = sorted(math.sqrt(spectral_radius(part)) for part in parts)
+        grid = np.concatenate([lo * np.linspace(0.05, 0.95, 5),
+                               np.linspace(1.02 * lo, 0.98 * hi, 4), [1.1 * hi]])
+        curve = solve_curve(p, grid)
+        assert curve.failed_indices == ()
+        for b in blocks:
+            members = (perm >= b.start) & (perm < b.stop)
+            for sol in curve.solutions:
+                assert abs(sol.q[members].sum() - sol.q_tilde[members].sum()) <= 1e-12
+        F_blocks = sum((b.stop - b.start) / 20 * cdf(solve_curve(part, grid))
+                       for b, part in zip(blocks, parts))
+        assert np.abs(cdf(curve) - F_blocks).max() <= 1e-10
+
+    def test_narrow_sampled_band(self):
+        # from ones at t_min every radius converges; a schedule in t stalled
+        # at an intermediate t on this profile
+        p = build_sampled(lambda x, y: (1 + x) * (2 - y) if abs(x - y) <= 0.086 else 0.0, 45)
+        assert not anneal_to_limit(p, 0.3779516650220765).is_trivial
+        curve = solve_curve(p)
+        assert curve.failed_indices == ()
+        assert np.all(np.diff(cdf(curve)) >= 0)
 
     def test_newton_hand_off_on_band_model(self, monkeypatch):
         def band_b(x, y):
