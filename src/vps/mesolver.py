@@ -57,7 +57,7 @@ from .core import (
     VarianceProfile,
     default_s_grid,
 )
-from .profiles import _reach, _sinkhorn, _total_support
+from .profiles import _closed_components, _sinkhorn, _total_support
 
 # Radii iterated together.  It bounds the work arrays at BLOCK x n each;
 # more rows buy little once the matrix products dominate the iteration.
@@ -107,22 +107,19 @@ def psi(profile: VarianceProfile, q, q_tilde, s: float, t: float) -> np.ndarray:
     return 1.0 / denom
 
 
-def _gauge_blocks(V):
-    """(n, C) 0/1 membership matrix of the connected components of the
-    pattern of V + V^T, one column per component."""
-    adj = (V != 0) | (V.T != 0)
-    label = np.full(len(V), -1)
-    count = 0
-    while (label < 0).any():
-        label[_reach(adj, np.flatnonzero(label < 0)[0])] = count
-        count += 1
-    return (label[:, None] == np.arange(count)).astype(float)
+def _gauge(V):
+    """The connected components of the pattern of V + V^T, for `_rebalance`:
+    each node's label, the nodes sorted by label, and where each label
+    starts in that order."""
+    label = _closed_components((V != 0) | (V.T != 0))
+    order = np.argsort(label, kind="stable")
+    return label, order, np.flatnonzero(np.diff(label[order], prepend=-1))
 
 
-def _rebalance(x, blocks):
+def _rebalance(x, gauge):
     """Gauge rescaling (q, qt) -> (c q, qt / c) with c = sqrt(sum(qt) / sum(q))
-    taken over each component of `_gauge_blocks`, in place on every
-    [q | qt] row of x.
+    taken over each component of `_gauge`, in place on every [q | qt] row
+    of x.
 
     The equations of a component involve only its own entries, so each
     component's rescaling is an exact symmetry of the t = 0 equations, and
@@ -130,9 +127,10 @@ def _rebalance(x, blocks):
     it the iteration restores balance only at a rate proportional to t.
     Both sums must be positive in every component.
     """
+    label, order, starts = gauge
     x3 = x.reshape(len(x), 2, -1)
-    sums = (x.reshape(-1, blocks.shape[0]) @ blocks).reshape(len(x), 2, -1)
-    c = np.sqrt(sums[:, 1] / sums[:, 0]) @ blocks.T
+    sums = np.add.reduceat(x3[:, :, order], starts, axis=2)
+    c = np.sqrt(sums[:, 1] / sums[:, 0])[:, label]
     x3[:, 0] *= c
     x3[:, 1] /= c
 
@@ -163,15 +161,22 @@ def _linearization(V, d, cq, cqt, trace=False):
     return A
 
 
-def _newton_refine(V, x, s2, t, tol, blocks, max_steps=40):
+def _newton_refine(V, x, s2, t, tol, gauge, max_steps=40):
     """Newton iteration on x - I(x) = 0 from a fixed-point iterate x = [q | qt].
 
     Used when plain iteration slows down near the critical radius; the
     Jacobian of I has the structure of the derivative linear system.
     Returns (x, residual) with residual measured as the fixed-point step
-    size, or None when Newton stalls or leaves the positive cone.  A first
-    step from outside the quadratic basin may raise the residual, so Newton
+    size, or None when Newton stalls or a step overflows.  A first step
+    from outside the quadratic basin may raise the residual, so Newton
     stalls only after two steps in a row without a 10% gain on the best.
+
+    The Newton step dx is taken in log coordinates, x <- x exp(dx / x).
+    To first order that is x + dx, so convergence stays quadratic, and the
+    iterate stays positive however far the step reaches.  Where the
+    solution spans many orders of magnitude (q from 1e-9 to 1e3 on sparse
+    patterns without total support) the additive step x + dx often leaves
+    the positive cone, and Newton would have to give up.
     """
     n = len(x) // 2
     best, misses = math.inf, 0
@@ -193,12 +198,14 @@ def _newton_refine(V, x, s2, t, tol, blocks, max_steps=40):
         p2 = p * p
         A = _linearization(V, s2 * p2, p2 * b * b, p2 * a * a)
         try:
-            x = x + np.linalg.solve(A, F)
+            step = np.linalg.solve(A, F) / x
         except np.linalg.LinAlgError:
             return None
-        if x.min() <= 0.0:
+        with np.errstate(over="ignore"):
+            x = x * np.exp(step)
+        if not np.isfinite(x).all():
             return None
-        _rebalance(x[None, :], blocks)
+        _rebalance(x[None, :], gauge)
     return None
 
 
@@ -230,7 +237,7 @@ def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
     s = np.asarray(s, dtype=float)
     m, n = len(s), V.shape[0]
     VT = np.ascontiguousarray(V.T)  # a faster operand than the transposed view
-    blocks = _gauge_blocks(V)
+    gauge = _gauge(V)
     tol = config.fixed_point_tol
     max_iters = config.max_iters
     first_due = min(AITKEN, max_iters)
@@ -284,7 +291,7 @@ def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
         x += y
         # both sums stay positive: a step maps a nonnegative iterate to a
         # positive one
-        _rebalance(x, blocks)
+        _rebalance(x, gauge)
         # relative criterion: solutions grow like 1/t, pushing the floating
         # point residual floor above any fixed absolute tolerance
         scale = x.max(axis=1)
@@ -301,7 +308,7 @@ def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
             r = radius[g]
             if not done[g] and it[g] % NEWTON == 0:
                 # persistent slow convergence: hand the iterate to Newton
-                refined = _newton_refine(V, X[g], s2[g, 0], t, tol, blocks)
+                refined = _newton_refine(V, X[g], s2[g, 0], t, tol, gauge)
                 if refined is not None:
                     X[g], res[g] = refined
                     done[g] = True
@@ -463,7 +470,8 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     together by the batched kernel at t = t_min, each from ones.  A radius
     whose solve fails is recorded in `failed_indices`, with the kernel's
     message at the same position of `failure_messages`, and keeps its place
-    as a zero placeholder with residual = inf and the iterations it ran.  The curve carries rho, so callers need not compute it again.
+    as a zero placeholder with residual = inf and the iterations it ran.
+    The curve carries rho, so callers need not compute it again.
     """
     from .profiles import spectral_radius
 

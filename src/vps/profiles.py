@@ -210,17 +210,24 @@ def _total_support(pattern):
     # a matched pattern has total support iff every edge of the digraph
     # lies inside a strongly connected component, that is iff each node
     # reaches exactly the nodes that reach it
-    digraph = adj[:, row_match]
-    block = np.full(n, -1)
-    for b in range(n):
-        unlabelled = np.flatnonzero(block < 0)
-        if not unlabelled.size:
-            break
-        reach = _reach(digraph, unlabelled[0])
-        if not np.array_equal(reach, _reach(digraph.T, unlabelled[0])):
+    block = _closed_components(adj[:, row_match])
+    return None if block is None else (row_match, block)
+
+
+def _closed_components(adj: np.ndarray):
+    """Labels 0, 1, ... of the strongly connected components of the
+    digraph of `adj`, or None when an edge joins two of them, that is when
+    some node does not reach exactly the nodes that reach it.  A symmetric
+    `adj` always passes, and the labels are its connected components."""
+    label = np.full(adj.shape[0], -1)
+    count = 0
+    while (unlabelled := np.flatnonzero(label < 0)).size:
+        reach = _reach(adj, unlabelled[0])
+        if not np.array_equal(reach, _reach(adj.T, unlabelled[0])):
             return None
-        block[reach] = b
-    return row_match, block
+        label[reach] = count
+        count += 1
+    return label
 
 
 def is_fully_indecomposable(pattern) -> bool:

@@ -29,6 +29,14 @@ def constant_profile(n, variance=1.0):
     return validate_profile(variance * np.ones((n, n)))
 
 
+def profile_from_entries(n, entries):
+    """Profile with sigma^2 = v at each (i, j, v) of `entries`, zero elsewhere."""
+    a = np.zeros((n, n))
+    for i, j, v in entries:
+        a[i, j] = v
+    return validate_profile(a)
+
+
 def scalar_regularized_root(s, t):
     """Bisection oracle for r = (r+t) / (s^2 + (r+t)^2), the constant
     profile reduction of the regularized system."""
@@ -155,12 +163,38 @@ class TestAnnealToLimit:
         assert "residual" in str(exc.value)
 
     def test_newton_first_step_may_raise_the_residual(self):
-        # at this radius the hand-off's first Newton step raises the
-        # residual, and the next ones converge quadratically
-        p = build_sampled(lambda x, y: (1.6 + x) * (1.57 - y) if abs(x - y) <= 0.066 else 0.0, 60)
-        s = default_s_grid(math.sqrt(spectral_radius(p)), 40)[10]
-        sol = anneal_to_limit(p, s)
-        assert not sol.is_trivial and sol.iterations == 2048
+        # at these radii of a sparse pattern with six zero rows the
+        # hand-off's first Newton step raises the residual (at s = 0.08 from
+        # 3e-2 to 4.7), and the next ones converge quadratically
+        entries = [(0, 0, 0.88), (0, 5, 0.85), (0, 6, 1.851), (0, 11, 1.635),
+                   (2, 14, 1.535), (4, 4, 0.569), (4, 6, 1.811), (4, 14, 1.613),
+                   (5, 2, 0.844), (5, 5, 1.828), (5, 7, 0.944), (7, 7, 1.043),
+                   (8, 2, 1.541), (8, 14, 1.951), (10, 7, 1.412), (12, 5, 0.572),
+                   (12, 15, 0.634), (13, 3, 0.517), (13, 4, 1.066),
+                   (13, 13, 0.519), (14, 3, 1.882)]
+        p = profile_from_entries(16, entries)
+        for s in (0.08, 0.124):
+            sol = anneal_to_limit(p, s)
+            assert not sol.is_trivial and sol.iterations == 2048
+
+    def test_sparse_profile_without_total_support(self):
+        # 15%-sparse, column 9 zero, no total support: at the solution q
+        # spans 1e-9 to 1e3.  The fixed point does not settle there, and an
+        # additive Newton step from its iterate leaves the positive cone
+        entries = [(0, 4, 1.902), (1, 0, 1.839), (1, 2, 0.567), (1, 4, 1.306),
+                   (2, 4, 0.696), (2, 6, 0.909), (3, 0, 1.713), (3, 4, 1.062),
+                   (3, 8, 0.801), (4, 1, 1.368), (4, 3, 0.698), (4, 5, 0.503),
+                   (5, 2, 1.629), (5, 4, 1.31), (5, 7, 0.603), (6, 1, 0.837),
+                   (6, 5, 1.971), (7, 2, 1.217), (8, 3, 1.36), (9, 11, 1.347),
+                   (10, 10, 1.01), (10, 11, 0.823), (11, 0, 1.302),
+                   (11, 10, 0.545)]
+        p = profile_from_entries(12, entries)
+        V = p.normalized
+        F = []
+        for s in (0.25, 0.2727, 0.3):
+            sol = anneal_to_limit(p, s)  # raises if the radius fails
+            F.append(1 - sol.q @ V @ sol.q_tilde / p.n)
+        assert F[0] < F[1] < F[2]
 
     def test_symmetry_q_equals_qtilde(self):
         rng = np.random.default_rng(5)
