@@ -224,7 +224,7 @@ def _cmd_separable(args) -> int:
 def _cmd_check(args) -> int:
     profile = read_profile_csv(args.profile)
     config = read_config(args.config) if args.config else None
-    K = args.blocks or profile.n
+    K = profile.n if args.blocks is None else args.blocks
     phi = args.phi
     rho = spectral_radius(profile)
     irr = is_irreducible(profile)

@@ -20,20 +20,22 @@ zero is still an exact solution, and F = 1 there ends the support.  So the
 trivial regime is decided by comparing s with sqrt(rho), and by nothing
 else.
 
-One kernel, `_solve_rows`, solves many radii at once at one t.  Up to
-BLOCK radii are the [q | q_tilde] rows of (rows, 2n) work arrays, so one
-iteration is two matrix products, Q @ V and Qt @ V^T, for all of them.
-Each row keeps its own iteration count, Aitken extrapolation, Newton
-hand-off and stopping rule, so a radius gets the iterates it gets when
-solved alone, up to rounding in the matrix products.  A radius that
-converges, or fails, hands its row to the next pending radius; once none
-is pending, finished rows are compacted out of the leading slice.  Where
-the pattern of V + V^T splits into connected components the equations
-decouple, and each component keeps its own gauge (c q, q_tilde / c); the
-trace is balanced in each.  `solve_curve` runs the kernel at t_min over the
-radii of a grid below sqrt(rho), by default `default_s_grid` up to the
-support radius; `anneal_to_limit` is its one-radius call, and
-`solve_regularized` is a one-row call of the kernel at the caller's t.
+One kernel, `_solve_rows`, solves many radii at once at one t.  The
+radii are independent solves that share only the matrix products, so they
+run in blocks of up to BLOCK radii, the [q | q_tilde] rows of (rows, 2n)
+work arrays: one iteration is two matrix products, Q @ V and Qt @ V^T, for
+the whole block.  The rows of a block start together and iterate in lock
+step, so they share one iteration count and take their Aitken steps and
+Newton hand-offs at the same iterations, and a radius gets the iterates it
+gets when solved alone, up to rounding in the matrix products.  A row that
+converges is compacted out of the leading slice; the next block starts
+once this one is empty.  Where the pattern of V + V^T splits into
+connected components the equations decouple, and each component keeps its
+own gauge (c q, q_tilde / c); the trace is balanced in each.
+`solve_curve` runs the kernel at t_min over the radii of a grid below
+sqrt(rho), by default `default_s_grid` up to the support radius;
+`anneal_to_limit` is its one-radius call, and `solve_regularized` is a
+one-row call of the kernel at the caller's t.
 
 `solve_at_zero` needs no regularization.  At s = t = 0 the equations are the
 Sinkhorn-Knopp equations, with a positive solution iff the pattern of V has
@@ -223,16 +225,17 @@ class _Rows:
 
 
 def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
-    """Solve the equations at regularization t for every radius of `s` in
-    one batched loop, each radius from ones.
+    """Solve the equations at regularization t for every radius of `s`,
+    each from ones.
 
-    Every row iterates to the relative stopping rule, with block Aitken
-    extrapolation every AITKEN iterations and a Newton hand-off every
-    NEWTON iterations, and its solution must respect max(q, qt) <= 1/t.
-    A radius that exhausts max_iters or breaks the 1/t bound gets an error
-    message and leaves the batch while the others go on.  Radii enter the
-    batch from the largest down, so the slow ones near the support edge
-    start early.
+    The radii are solved in blocks of up to BLOCK rows, from the largest s
+    down.  The rows of a block start together and iterate in lock step, so
+    one iteration count serves them all: every AITKEN iterations the rows
+    still running take a block Aitken step, every NEWTON iterations each is
+    handed to Newton, and at max_iters those left fail.  A row that meets
+    the relative stopping rule leaves the block, after a check that its
+    solution respects max(q, qt) <= 1/t; the next block starts once this
+    one is empty.
     """
     s = np.asarray(s, dtype=float)
     m, n = len(s), V.shape[0]
@@ -240,127 +243,104 @@ def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
     gauge = _gauge(V)
     tol = config.fixed_point_tol
     max_iters = config.max_iters
-    first_due = min(AITKEN, max_iters)
 
     out = np.zeros((m, 2 * n))
     out_iters = np.zeros(m, dtype=np.int64)
     out_res = np.full(m, math.inf)
     errors = [None] * m
 
-    # per row: iterate [q | qt], its value at the last Aitken block, and
+    # per row: iterate [q | qt], its value at the last Aitken step, and
     # work arrays
     G = min(BLOCK, m)
     X, lastX, Y, P = (np.empty((G, 2 * n)) for _ in range(4))
     Psi = np.empty((G, n))
-    radius = np.empty(G, dtype=np.int64)
-    s2 = np.empty((G, 1))
-    it = np.empty(G, dtype=np.int64)
-    due = np.empty(G, dtype=np.int64)    # next Aitken or max_iters check
     prev_norm = np.empty(G)   # Aitken: last block's step norm, NaN if none
-    per_row = (X, lastX, radius, s2, it, due, prev_norm)
 
     order = np.argsort(s, kind="stable")[::-1]
-
-    def load(g, r):
-        radius[g] = r
-        s2[g] = s[r] * s[r]
-        it[g] = 0
-        due[g] = first_due
-        prev_norm[g] = math.nan
-        X[g] = lastX[g] = 1.0
-
-    for g in range(G):
-        load(g, order[g])
-    pending = k = G
-    while k:
-        x, y, p, psi_ = X[:k], Y[:k], P[:k], Psi[:k]
-        phit, phi = y[:, :n], y[:, n:]
-        np.matmul(x[:, :n], V, out=phit)
-        np.matmul(x[:, n:], VT, out=phi)
-        y += t                       # [V^T q + t | V qt + t]
-        np.multiply(phi, phit, out=psi_)
-        psi_ += s2[:k]
-        np.divide(1.0, psi_, out=psi_)
-        y3 = y.reshape(k, 2, n)
-        y3 *= psi_[:, None, :]       # [I(q) | I(qt)]
-        np.subtract(y, x, out=p)
-        np.abs(p, out=p)
-        res = p.max(axis=1)
-        x *= 1.0 - AVERAGING
-        y *= AVERAGING
-        x += y
-        # both sums stay positive: a step maps a nonnegative iterate to a
-        # positive one
-        _rebalance(x, gauge)
-        # relative criterion: solutions grow like 1/t, pushing the floating
-        # point residual floor above any fixed absolute tolerance
-        scale = x.max(axis=1)
-        np.maximum(scale, 1.0, out=scale)
-        done = res <= tol * scale
-        itk = it[:k]
-        itk += 1
-        event = done | (itk == due[:k])
-        if not event.any():
-            continue
-
-        released = []
-        for g in np.flatnonzero(event):
-            r = radius[g]
-            if not done[g] and it[g] % NEWTON == 0:
-                # persistent slow convergence: hand the iterate to Newton
-                refined = _newton_refine(V, X[g], s2[g, 0], t, tol, gauge)
-                if refined is not None:
-                    X[g], res[g] = refined
-                    done[g] = True
-            if not done[g]:
-                if it[g] % AITKEN == 0:
-                    prev_norm[g] = _aitken(X[g], lastX[g], prev_norm[g])
-                if it[g] < max_iters:
-                    due[g] = min(it[g] + AITKEN, max_iters)
-                    continue
-                errors[r] = (f"no fixed point after {max_iters} iterations at "
-                             f"s={s[r]}, t={t} (residual {res[g]:.3e})")
-            elif X[g].max() > 1.0 / t + 1e-9 / t:
-                # direct consequence of the defining equations
-                errors[r] = f"solution violates the 1/t bound at s={s[r]}, t={t}"
-            else:
-                out[r] = X[g]
-                out_res[r] = res[g]
-            out_iters[r] = it[g]
-            released.append(g)
-        # hand released rows to pending radii, or compact them out
-        for g in sorted(released, reverse=True):
-            if pending < m:
-                load(g, order[pending])
-                pending += 1
-            else:
-                k -= 1
-                if g != k:
-                    for arr in per_row:
-                        arr[g] = arr[k]
+    for start in range(0, m, BLOCK):
+        radius = order[start:start + BLOCK]
+        s2 = (s[radius] * s[radius])[:, None]
+        k = len(radius)
+        X[:k] = lastX[:k] = 1.0
+        prev_norm[:k] = math.nan
+        it = 0
+        while k:
+            x, y, p, psi_ = X[:k], Y[:k], P[:k], Psi[:k]
+            phit, phi = y[:, :n], y[:, n:]
+            np.matmul(x[:, :n], V, out=phit)
+            np.matmul(x[:, n:], VT, out=phi)
+            y += t                       # [V^T q + t | V qt + t]
+            np.multiply(phi, phit, out=psi_)
+            psi_ += s2
+            np.divide(1.0, psi_, out=psi_)
+            y3 = y.reshape(k, 2, n)
+            y3 *= psi_[:, None, :]       # [I(q) | I(qt)]
+            np.subtract(y, x, out=p)
+            np.abs(p, out=p)
+            res = p.max(axis=1)
+            x *= 1.0 - AVERAGING
+            y *= AVERAGING
+            x += y
+            # both sums stay positive: a step maps a nonnegative iterate to a
+            # positive one
+            _rebalance(x, gauge)
+            # relative criterion: solutions grow like 1/t, pushing the floating
+            # point residual floor above any fixed absolute tolerance
+            scale = x.max(axis=1)
+            np.maximum(scale, 1.0, out=scale)
+            done = res <= tol * scale
+            it += 1
+            if it % NEWTON == 0:
+                # persistent slow convergence: hand each iterate to Newton
+                for g in np.flatnonzero(~done):
+                    refined = _newton_refine(V, x[g], s2[g, 0], t, tol, gauge)
+                    if refined is not None:
+                        x[g], res[g] = refined
+                        done[g] = True
+            failed = it == max_iters
+            if failed or done.any():
+                for g in np.flatnonzero(done | failed):
+                    r = radius[g]
+                    out_iters[r] = it
+                    if not done[g]:
+                        errors[r] = (f"no fixed point after {max_iters} iterations "
+                                     f"at s={s[r]}, t={t} (residual {res[g]:.3e})")
+                    elif x[g].max() > 1.0 / t + 1e-9 / t:
+                        # direct consequence of the defining equations
+                        errors[r] = f"solution violates the 1/t bound at s={s[r]}, t={t}"
+                    else:
+                        out[r] = x[g]
+                        out_res[r] = res[g]
+                if failed:
+                    break
+                # compact the rows still running into the leading slice
+                keep = np.flatnonzero(~done)
+                k = len(keep)
+                X[:k], lastX[:k], prev_norm[:k] = X[keep], lastX[keep], prev_norm[keep]
+                radius, s2 = radius[keep], s2[keep]
+            if it % AITKEN == 0:
+                prev_norm[:k] = _aitken(X[:k], lastX[:k], prev_norm[:k])
     return _Rows(out[:, :n], out[:, n:], out_iters, out_res, errors)
 
 
 def _aitken(x, last, prev_norm):
-    """Block Aitken step, in place, on one row x = [q | qt] whose value a
-    block of iterations ago is `last`: near the support edge the contraction
-    rate approaches 1 and plain iteration stalls; summing the geometric tail
-    restores fast convergence.  Returns the block's step norm, or NaN after
-    a jump, for the next block to compare with."""
+    """Block Aitken step, in place, on the rows x = [q | qt] whose values a
+    block of iterations ago are `last`: near the support edge the
+    contraction rate approaches 1 and plain iteration stalls; summing the
+    geometric tail restores fast convergence.  Returns each row's block
+    step norm, or NaN after a jump, for the next block to compare with."""
     dx = x - last
-    norm = np.abs(dx).max()
-    if 0.0 < norm < prev_norm:
+    norm = np.abs(dx).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
         r = norm / prev_norm
-        if r > 0.2:
-            gain = r / (1.0 - r)
-            # cap the gain so the extrapolated iterate keeps a positive
-            # margin in every component: x + gain dx >= 0.1 x
-            neg = dx < 0.0
-            if neg.any():
-                gain = min(gain, np.min(0.9 * x[neg] / -dx[neg]))
-            if gain > 0.0:
-                x += gain * dx
-                norm = math.nan
+        gain = r / (1.0 - r)
+    # cap the gain so the extrapolated iterate keeps a positive margin in
+    # every component: x + gain dx >= 0.1 x
+    cap = np.divide(0.9 * x, -dx, out=np.full_like(x, math.inf), where=dx < 0.0)
+    gain = np.minimum(gain, cap.min(axis=1))
+    jump = (0.0 < norm) & (norm < prev_norm) & (r > 0.2) & (gain > 0.0)
+    x[jump] += gain[jump, None] * dx[jump]
+    norm[jump] = math.nan
     last[:] = x
     return norm
 

@@ -118,12 +118,12 @@ def spectral_radius(profile, tol: float = 1e-10, max_iters: int = 100_000) -> fl
     if shift == 0.0:
         return 0.0
     x = np.ones(n)
+    y = V @ x + shift * x
     lam_prev = None
-    for it in range(max_iters):
-        y = V @ x + shift * x
-        norm = np.linalg.norm(y)
-        x = y / norm
-        lam = float(x @ (V @ x + shift * x))
+    for _ in range(max_iters):
+        x = y / np.linalg.norm(y)
+        y = V @ x + shift * x  # the Rayleigh product and the next step's y
+        lam = float(x @ y)
         if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
             return lam - shift
         lam_prev = lam

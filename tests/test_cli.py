@@ -212,6 +212,12 @@ class TestCheck:
         assert "circular = true" in text
 
 
+    @pytest.mark.parametrize("blocks", ["0", "-2"])
+    def test_bad_block_count_is_data_error(self, circular_profile_csv, blocks):
+        assert main(["check", "--profile", circular_profile_csv,
+                     "--blocks", blocks]) == 3
+
+
 class TestOracle:
     def test_block_atom_family(self, tmp_path):
         out = tmp_path / "oracle.csv"

@@ -13,6 +13,8 @@ from vps.core import (
 )
 from vps.measures import cdf
 from vps.mesolver import (
+    BLOCK,
+    _aitken,
     _linearization,
     _solve_rows,
     anneal_to_limit,
@@ -455,6 +457,30 @@ class TestSolveCurve:
             assert sol.is_trivial
             assert sol.iterations == 0 and sol.residual == 0.0
 
+    def test_grid_of_three_blocks(self):
+        # more than 2 BLOCK radii, so three lock-step blocks; the budget
+        # starves only radii near the edge, which the first block holds
+        rng = np.random.default_rng(11)
+        p = validate_profile(rng.uniform(0.2, 2.0, size=(12, 12)))
+        count = 2 * BLOCK + 12
+        grid = math.sqrt(spectral_radius(p)) * np.linspace(0.05, 0.995, count)
+        config = SolverConfig(max_iters=200)
+        curve = solve_curve(p, grid, config)
+        failed = curve.failed_indices
+        assert failed and min(failed) >= count - BLOCK
+        for i, sol in enumerate(curve.solutions):
+            if i in failed:
+                assert sol.iterations == config.max_iters
+                assert sol.residual == math.inf
+                continue
+            ref = anneal_to_limit(p, grid[i], config)
+            assert np.abs(sol.q - ref.q).max() <= 1e-10
+            assert np.abs(sol.q_tilde - ref.q_tilde).max() <= 1e-10
+        converged = set(range(count)) - set(failed)
+        from_largest = range(count - 1, -1, -1)
+        for start in range(0, count, BLOCK):
+            assert converged & set(from_largest[start:start + BLOCK])
+
     def test_anneal_never_sees_a_radius_past_the_edge(self, monkeypatch):
         p = build_block_atom(3, 4)
         edge = math.sqrt(spectral_radius(p))
@@ -528,3 +554,70 @@ class TestSolveCurve:
         for sol in curve.solutions:
             assert abs(sol.q.sum() - sol.q_tilde.sum()) / p.n <= 1e-10
         assert np.all(np.diff(cdf(curve)) >= 0)
+
+
+def _aitken_row_reference(x, last, prev_norm):
+    """The one-row Aitken step the vectorized `_aitken` replaced."""
+    dx = x - last
+    norm = np.abs(dx).max()
+    if 0.0 < norm < prev_norm:
+        r = norm / prev_norm
+        if r > 0.2:
+            gain = r / (1.0 - r)
+            neg = dx < 0.0
+            if neg.any():
+                gain = min(gain, np.min(0.9 * x[neg] / -dx[neg]))
+            if gain > 0.0:
+                x += gain * dx
+                norm = math.nan
+    last[:] = x
+    return norm
+
+
+class TestAitken:
+    def assert_matches_rows(self, x, last, prev_norm):
+        ref_x, ref_last = x.copy(), last.copy()
+        ref_norm = [_aitken_row_reference(ref_x[g], ref_last[g], prev_norm[g])
+                    for g in range(len(x))]
+        norm = _aitken(x, last, prev_norm.copy())
+        np.testing.assert_array_equal(x, ref_x)
+        np.testing.assert_array_equal(last, ref_last)
+        np.testing.assert_array_equal(norm, ref_norm)
+        return norm
+
+    def test_crafted_rows(self):
+        x = np.array([[1.0, 2.0, 3.0, 4.0],    # first block: prev_norm NaN
+                      [1.0, 1.0, 1.0, 1.0],    # ratio 0.1 <= 0.2
+                      [0.1, 1.0, 1.0, 1.0],    # the positivity cap binds
+                      [1.5, 1.0, 1.0, 1.0],    # no negative component
+                      [0.7, 0.3, 0.2, 0.9],    # zero step
+                      [1.0, 1.0, 1.0, 1.0],    # the norm grew
+                      [0.0, 1.0, 1.0, 1.0]])   # a zero entry caps the gain at 0
+        last = x.copy()
+        last[0, 0] += 0.1
+        last[1, 0] += 0.01
+        last[2, 0] += 0.1
+        last[3, 0] -= 0.1
+        last[5, 1] += 0.2
+        last[6, 0] += 0.1
+        prev_norm = np.array([math.nan, 0.1, 0.11, 0.2, 0.3, 0.1, 0.12])
+        x0 = x.copy()
+        norm = self.assert_matches_rows(x, last, prev_norm)
+        jumped = np.isnan(norm)
+        assert list(jumped) == [False, False, True, True, False, False, False]
+        assert x[2, 0] == pytest.approx(0.1 * x0[2, 0])  # x + gain dx = 0.1 x
+        assert norm[4] == 0.0
+        np.testing.assert_array_equal(x[~jumped], x0[~jumped])
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            x = rng.uniform(0.0, 2.0, size=(7, 6))
+            dx = rng.normal(size=(7, 6)) * rng.uniform(0.0, 0.5, size=(7, 1))
+            dx[rng.random(7) < 0.15] = 0.0
+            last = x - dx
+            norm = np.abs(dx).max(axis=1)
+            with np.errstate(divide="ignore"):
+                prev_norm = norm / rng.uniform(0.0, 1.2, size=7)
+            prev_norm[rng.random(7) < 0.2] = math.nan
+            self.assert_matches_rows(x, last, prev_norm)

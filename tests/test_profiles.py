@@ -82,6 +82,37 @@ class TestSpectralRadius:
         assert spectral_radius(p) == pytest.approx(0.5, abs=1e-9)
 
 
+    @pytest.mark.parametrize("family", ["circ", "block-atom", "band"])
+    def test_matches_two_matvec_power_iteration(self, family):
+        if family == "circ":
+            d = np.random.default_rng(1).uniform(0.5, 2.0, size=64)
+            p = validate_profile(d[None, :] / d[:, None])
+        elif family == "block-atom":
+            perm = np.random.default_rng(1).permutation(300)
+            p = validate_profile(build_block_atom(3, 100).variances[np.ix_(perm, perm)])
+        else:
+            p = build_sampled(lambda x, y: (x + 2 * y) ** 2 if abs(x - y) <= 0.1 else 0.0, 200)
+        assert spectral_radius(p) == _two_matvec_spectral_radius(p.normalized)
+
+
+def _two_matvec_spectral_radius(V, tol=1e-10, max_iters=100_000):
+    """The power iteration that `spectral_radius` replaced, which took the
+    Rayleigh product and the next step as two separate matvecs."""
+    n = V.shape[0]
+    shift = float(np.max(V.sum(axis=1)))
+    x = np.ones(n)
+    lam_prev = None
+    for _ in range(max_iters):
+        y = V @ x + shift * x
+        norm = np.linalg.norm(y)
+        x = y / norm
+        lam = float(x @ (V @ x + shift * x))
+        if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
+            return lam - shift
+        lam_prev = lam
+    raise NoConvergenceError("power iteration did not converge")
+
+
 class TestIrreducibility:
     def test_positive_profile_irreducible(self):
         assert is_irreducible(validate_profile(np.ones((5, 5))))
