@@ -31,6 +31,7 @@ from .profiles import (
     build_sampled,
     build_separable,
     circular_law_test,
+    cyclic_classes,
     is_block_fully_indecomposable,
     is_fully_indecomposable,
     is_irreducible,

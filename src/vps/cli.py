@@ -42,8 +42,8 @@ from .montecarlo import (
 from .profiles import (
     build_separable,
     circular_law_test,
+    cyclic_classes,
     is_block_fully_indecomposable,
-    is_irreducible,
     spectral_radius,
 )
 from .reference import (
@@ -227,7 +227,9 @@ def _cmd_check(args) -> int:
     K = profile.n if args.blocks is None else args.blocks
     phi = args.phi
     rho = spectral_radius(profile)
-    irr = is_irreducible(profile)
+    classes = cyclic_classes(profile.variances > 0)
+    structure = ("irreducible = false\n" if classes is None else
+                 f"irreducible = true\nperiod = {classes.max() + 1}\n")
     bfid = is_block_fully_indecomposable(profile, K, phi)
     if bfid:
         try:
@@ -241,7 +243,7 @@ def _cmd_check(args) -> int:
         circular, extra = False, ""
     report = (f"n = {profile.n}\n"
               f"rho = {rho!r}\n"
-              f"irreducible = {str(irr).lower()}\n"
+              + structure +
               f"block_fully_indecomposable = {str(bfid).lower()} "
               f"(K = {K}, phi = {phi})\n"
               f"circular = {str(circular).lower()}\n" + extra)

@@ -69,9 +69,15 @@ def validate_profile(raw_grid) -> VarianceProfile:
     """Check a raw rectangular grid of variances and build a profile.
 
     Raises NonSquareError, NegativeEntryError, NonFiniteError or
-    AllZeroError on invalid input.
+    AllZeroError on invalid input.  The grid is copied, so the caller's
+    array stays writable and later changes to it do not reach the profile.
     """
-    arr = np.array(raw_grid, dtype=float)
+    return _own_profile(np.array(raw_grid, dtype=float))
+
+
+def _own_profile(arr: np.ndarray) -> VarianceProfile:
+    """validate_profile on a float array the caller owns and hands over: it
+    is checked and marked read-only in place, without a copy."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise NonSquareError(f"expected a square grid, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -172,7 +178,7 @@ def read_profile_csv(path) -> VarianceProfile:
         grid = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise ProfileError(f"unparseable profile: {exc}") from exc
-    return validate_profile(grid)
+    return _own_profile(grid)
 
 
 def read_config(path) -> SolverConfig:

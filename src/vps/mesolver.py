@@ -319,28 +319,37 @@ def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
                 X[:k], lastX[:k], prev_norm[:k] = X[keep], lastX[keep], prev_norm[keep]
                 radius, s2 = radius[keep], s2[keep]
             if it % AITKEN == 0:
-                prev_norm[:k] = _aitken(X[:k], lastX[:k], prev_norm[:k])
+                prev_norm[:k] = _aitken(X[:k], lastX[:k], prev_norm[:k], Y[:k], P[:k])
     return _Rows(out[:, :n], out[:, n:], out_iters, out_res, errors)
 
 
-def _aitken(x, last, prev_norm):
+def _aitken(x, last, prev_norm, dx=None, cap=None):
     """Block Aitken step, in place, on the rows x = [q | qt] whose values a
     block of iterations ago are `last`: near the support edge the
     contraction rate approaches 1 and plain iteration stalls; summing the
-    geometric tail restores fast convergence.  Returns each row's block
-    step norm, or NaN after a jump, for the next block to compare with."""
-    dx = x - last
-    norm = np.abs(dx).max(axis=1)
+    geometric tail restores fast convergence.  dx and cap are work arrays
+    of x's shape, overwritten (the kernel passes its free buffers; fresh
+    ones when not given).  Returns each row's block step norm, or NaN after
+    a jump, for the next block to compare with."""
+    dx = np.empty_like(x) if dx is None else dx
+    cap = np.empty_like(x) if cap is None else cap
+    np.subtract(x, last, out=dx)
+    np.abs(dx, out=cap)
+    norm = cap.max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = norm / prev_norm
         gain = r / (1.0 - r)
     # cap the gain so the extrapolated iterate keeps a positive margin in
     # every component: x + gain dx >= 0.1 x
-    cap = np.divide(0.9 * x, -dx, out=np.full_like(x, math.inf), where=dx < 0.0)
+    falling = dx < 0.0
+    np.multiply(x, -0.9, out=cap)
+    np.divide(cap, dx, out=cap, where=falling)
+    cap[~falling] = math.inf
     gain = np.minimum(gain, cap.min(axis=1))
-    jump = (0.0 < norm) & (norm < prev_norm) & (r > 0.2) & (gain > 0.0)
-    x[jump] += gain[jump, None] * dx[jump]
-    norm[jump] = math.nan
+    jump = ((0.0 < norm) & (norm < prev_norm) & (r > 0.2) & (gain > 0.0))[:, None]
+    np.multiply(dx, gain[:, None], out=dx, where=jump)
+    np.add(x, dx, out=x, where=jump)
+    norm[jump[:, 0]] = math.nan
     last[:] = x
     return norm
 

@@ -1,7 +1,8 @@
 """Monte Carlo validation: sampling, spectra and distribution distances.
 
 Samples Y = sigma (.) X / sqrt(n) with i.i.d. standardized entries, extracts
-spectra with the dense eigensolver, and measures the Kolmogorov distance
+spectra with the dense eigensolver (on the cyclic block product for a
+periodic zero pattern), and measures the Kolmogorov distance
 between empirical radial CDFs and model CDFs.  Externally produced
 eigenvalue CSV files can be ingested in place of local sampling.
 """
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RadialMeasure, VarianceProfile
+from .profiles import cyclic_classes
 
 _LAW_KINDS = ("real-gaussian", "complex-gaussian", "rademacher", "complex-bernoulli")
 
@@ -72,8 +74,8 @@ def _draw_entries(law: EntryLaw, n: int) -> np.ndarray:
 
 def sample_matrix(profile: VarianceProfile, law: EntryLaw) -> np.ndarray:
     """One draw of Y = sigma (.) X / sqrt(n); deterministic given the seed."""
-    X = _draw_entries(law, profile.n)
-    Y = profile.std_devs * X
+    Y = _draw_entries(law, profile.n)
+    Y *= profile.std_devs
     Y /= np.sqrt(profile.n)
     return Y
 
@@ -87,6 +89,18 @@ def spectrum(matrix) -> SpectrumSample:
     its complex eigenvalues come in exact conjugate pairs; the result is
     complex128 even when every eigenvalue is real.  The input is not
     modified.
+
+    The solve reads the zero pattern of the matrix.  When that pattern is
+    irreducible with period h >= 2, the matrix is block cyclic on its
+    cyclic classes C_0, ..., C_{h-1} (`profiles.cyclic_classes`), and
+    det(lambda I - Y) = lambda^(n - h c) det(lambda^h I - P), where P is the
+    c x c product Y_{k,k+1} Y_{k+1,k+2} ... Y_{k-1,k} of the blocks around
+    the cycle from the smallest class C_k, c = |C_k|.  So only P is solved:
+    the result is the h-th roots of its eigenvalues and n - h c zeros.
+    These kernel zeros are exact, where a dense solve scatters a defective
+    zero eigenvalue to about eps^(1/d) for Jordan blocks of size d, so
+    `kolmogorov_distance` compares them with a model's atom.  Every other
+    pattern (zero-free, reducible or aperiodic) is solved densely.
     """
     A = np.asarray(matrix)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -94,12 +108,45 @@ def spectrum(matrix) -> SpectrumSample:
     if not hasattr(np.linalg, "eigvals"):
         raise BackendUnavailableError("no dense eigensolver available")
     A = A.astype(np.result_type(A, np.float64), copy=False)
+    classes = None if A.all() else cyclic_classes(A)
     try:
-        ev = np.linalg.eigvals(A)
+        if classes is None or not classes.any():
+            ev = np.linalg.eigvals(A)
+        else:
+            ev = _cyclic_eigvals(A, classes)
     except np.linalg.LinAlgError as exc:
         raise EigFailureError(str(exc)) from exc
     return SpectrumSample(eigenvalues=ev.astype(complex, copy=False),
                           source="sampled")
+
+
+def _cyclic_eigvals(A: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a matrix that is block cyclic on the classes labelled
+    0, ..., h-1: the h-th roots of the eigenvalues of the cyclic block
+    product from the smallest class, and exact zeros for the rest."""
+    h = int(classes.max()) + 1
+    members = [np.flatnonzero(classes == c) for c in range(h)]
+    k = min(range(h), key=lambda c: members[c].size)
+    cycle = [members[(k + i) % h] for i in range(h + 1)]
+    P = A[np.ix_(cycle[0], cycle[1])]
+    for rows, cols in zip(cycle[1:-1], cycle[2:]):
+        P = P @ A[np.ix_(rows, cols)]
+    mu = np.linalg.eigvals(P).astype(complex, copy=False)
+    # w[j] = exp(i pi j / h), built so that w[2h - j] is exactly conj(w[j])
+    # and w[h] = -1: the roots of a real P's conjugate pairs are then exact
+    # conjugate pairs, and the roots of a real mu are closed under conjugation
+    j = np.arange(2 * h)
+    w = np.exp(1j * np.pi * np.minimum(j, 2 * h - j) / h)
+    w[h + 1:] = w[h + 1:].conj()
+    w[h] = -1.0
+    # the roots of mu are its principal h-th root times the h-th roots of 1,
+    # and for a real mu, |mu|^(1/h) times those of 1 or of -1 by its sign
+    real = mu.imag == 0.0
+    root = (np.abs(mu) ** (1.0 / h)).astype(complex)
+    root[~real] = mu[~real] ** (1.0 / h)
+    unit = np.where((real & (mu.real < 0.0))[:, None], w[1::2], w[0::2])
+    roots = root[:, None] * unit
+    return np.concatenate([roots.ravel(), np.zeros(A.shape[0] - h * mu.size, complex)])
 
 
 def empirical_radial_cdf(sample: SpectrumSample, s_grid) -> np.ndarray:

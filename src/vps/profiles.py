@@ -1,7 +1,8 @@
 """Profile constructors and structural analysis.
 
 Covers the named profile families (sampled, separable, block atom), the
-spectral radius of the normalized profile, irreducibility, total support
+spectral radius of the normalized profile, irreducibility and the period
+with its cyclic classes, total support
 and full indecomposability checks (one matching-based pass on the pattern),
 Sinkhorn scaling and the circular-law test.
 """
@@ -133,20 +134,49 @@ def spectral_radius(profile, tol: float = 1e-10, max_iters: int = 100_000) -> fl
 def is_irreducible(profile: VarianceProfile) -> bool:
     """True iff the support digraph (edge i->j when sigma_ij^2 > 0) is
     strongly connected."""
-    support = profile.variances > 0
-    return bool(_reach(support, 0).all() and _reach(support.T, 0).all())
+    return cyclic_classes(profile.variances > 0) is not None
+
+
+def cyclic_classes(pattern):
+    """Cyclic class labels 0, ..., h-1 of an irreducible square pattern, or
+    None when its digraph (edge i->j when pattern[i, j] != 0) is not
+    strongly connected or, for a single node without a loop, has no cycle.
+
+    h is the period, the gcd of the cycle lengths.  Every edge i->j runs
+    from class c to class c + 1 mod h, so the pattern is block cyclic on the
+    classes when h >= 2.  With the breadth-first levels from node 0, an edge
+    i->j closes a cycle offset of level[i] + 1 - level[j], and h is the gcd
+    of these offsets over all edges; the class of node i is level[i] mod h.
+    """
+    adj = np.asarray(pattern) != 0
+    level = _levels(adj, 0)
+    if level.min() < 0 or not _reach(adj.T, 0).all():
+        return None
+    h = 0
+    for depth in range(level.max() + 1):
+        # the edges leaving one level, as the levels of their heads
+        heads = np.any(adj[level == depth], axis=0)
+        h = np.gcd.reduce(depth + 1 - level[heads], initial=h)
+    return None if h == 0 else level % h
+
+
+def _levels(adj: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first level of each node of the digraph of `adj` from
+    `start`, -1 where it is not reached."""
+    level = np.full(adj.shape[0], -1)
+    level[start] = 0
+    frontier = np.array([start])
+    depth = 0
+    while frontier.size:
+        depth += 1
+        frontier = np.flatnonzero(np.any(adj[frontier], axis=0) & (level < 0))
+        level[frontier] = depth
+    return level
 
 
 def _reach(adj: np.ndarray, start: int) -> np.ndarray:
     """Mask of the nodes reachable from `start` in the digraph of `adj`."""
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[start] = True
-    frontier = np.array([start])
-    while frontier.size:
-        nxt = np.any(adj[frontier], axis=0) & ~seen
-        seen |= nxt
-        frontier = np.flatnonzero(nxt)
-    return seen
+    return _levels(adj, start) >= 0
 
 
 def _total_support(pattern):

@@ -185,7 +185,7 @@ class TestCheck:
         assert main(["check", "--profile", block_profile_csv,
                      "--blocks", "3", "--out", str(out)]) == 0
         text = out.read_text()
-        assert "irreducible = true" in text
+        assert "irreducible = true\nperiod = 2\n" in text
         assert "block_fully_indecomposable = false" in text
         assert "circular = false" in text
 
@@ -195,6 +195,7 @@ class TestCheck:
         write_profile_csv(validate_profile(rng.uniform(0.5, 2.0, size=(30, 30))), path)
         assert main(["check", "--profile", str(path)]) == 0
         text = capsys.readouterr().out
+        assert "irreducible = true\nperiod = 1\n" in text
         assert "block_fully_indecomposable = true (K = 30" in text
 
     def test_large_block_atom_without_blocks(self, tmp_path, capsys):

@@ -60,6 +60,13 @@ class TestValidateProfile:
         with pytest.raises(ValueError):
             p.variances[0, 0] = 2.0
 
+    def test_caller_array_stays_writable(self):
+        grid = np.ones((4, 4))
+        p = validate_profile(grid)
+        assert grid.flags.writeable
+        grid[0, 0] = 2.0
+        assert p.variances[0, 0] == 1.0
+
     def test_asymmetric_detected(self):
         grid = np.ones((4, 4))
         grid[0, 1] = 2.0

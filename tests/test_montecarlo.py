@@ -16,7 +16,7 @@ from vps.montecarlo import (
     spectrum,
     write_eigenvalue_csv,
 )
-from vps.profiles import build_block_atom
+from vps.profiles import build_block_atom, cyclic_classes
 from vps.reference import block_atom_edge, block_atom_F, circular_F, rank_deficiency_bound
 
 ALL_LAWS = ("real-gaussian", "complex-gaussian", "rademacher",
@@ -102,6 +102,24 @@ class TestSampleMatrix:
         assert peak <= 1.6 * z.nbytes
 
 
+def cyclic_matrix(sizes, seed, dtype=float):
+    """A matrix that is block cyclic on classes of the given sizes, with
+    full Gaussian blocks C_c -> C_{c+1}, its rows and columns permuted by
+    one seeded permutation."""
+    rng = np.random.default_rng(seed)
+    n, h = sum(sizes), len(sizes)
+    start = np.cumsum([0, *sizes])
+    A = np.zeros((n, n), dtype)
+    for c in range(h):
+        d = (c + 1) % h
+        block = rng.standard_normal((sizes[c], sizes[d]))
+        if dtype is complex:
+            block = block + 1j * rng.standard_normal(block.shape)
+        A[start[c]:start[c + 1], start[d]:start[d + 1]] = block / np.sqrt(n)
+    perm = rng.permutation(n)
+    return A[np.ix_(perm, perm)]
+
+
 class TestSpectrum:
     def test_swap_matrix(self):
         sample = spectrum(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -156,6 +174,57 @@ class TestSpectrum:
         ev = spectrum(y).eigenvalues
         n_zero = int(np.sum(np.abs(ev) < 1e-8))
         assert n_zero >= rank_deficiency_bound(3, 50)
+
+
+class TestCyclicSpectrum:
+    """`spectrum` on irreducible patterns of period h >= 2, solved from the
+    cyclic block product, against the dense solve."""
+
+    SIZES = {2: (40, 70), 3: (50, 30, 80), 4: (60, 45, 90, 70)}
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("h", [2, 3, 4])
+    def test_matches_dense_solve(self, h, dtype):
+        sizes = self.SIZES[h]
+        a = cyclic_matrix(sizes, 20 + h, dtype)
+        n, kept = a.shape[0], h * min(sizes)
+        assert cyclic_classes(a).max() + 1 == h
+        ev = spectrum(a).eigenvalues
+        assert ev.dtype == np.complex128 and ev.size == n
+        # the dense solve scatters the defective zero eigenvalue (to about
+        # 2e-8 at h = 3 and 4e-6 at h = 4), so only the rest is compared
+        ours = np.sort(np.abs(ev))[n - kept:]
+        dense = np.sort(np.abs(np.linalg.eigvals(a)))[n - kept:]
+        assert np.abs(ours - dense).max() <= 1e-12
+        assert np.count_nonzero(ev == 0.0) == n - kept
+
+    def test_real_draw_keeps_exact_conjugate_pairs(self):
+        pattern = (cyclic_matrix((20, 35, 25), 3) != 0).astype(float)
+        y = sample_matrix(validate_profile(pattern), EntryLaw(kind="real-gaussian", seed=4))
+        ev = spectrum(y).eigenvalues
+        assert np.count_nonzero(ev.imag) > 0
+        assert np.count_nonzero((ev.imag == 0.0) & (ev.real != 0.0)) > 0
+        np.testing.assert_array_equal(np.sort(ev), np.sort(ev.conj()))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_input_not_modified(self, dtype):
+        a = cyclic_matrix((10, 20, 15), 9, dtype)
+        before = a.copy()
+        spectrum(a)
+        np.testing.assert_array_equal(a, before)
+
+    @pytest.mark.parametrize("pattern", ["zero-free", "reducible", "aperiodic"])
+    def test_other_patterns_solved_densely(self, pattern):
+        a = np.random.default_rng(7).standard_normal((60, 60))
+        if pattern == "reducible":
+            a[:20, 20:] = 0.0
+            assert cyclic_classes(a) is None
+        elif pattern == "aperiodic":
+            a = cyclic_matrix((20, 40), 7)
+            a[3, 3] = 1.0
+            assert not cyclic_classes(a).any()
+        np.testing.assert_array_equal(spectrum(a).eigenvalues,
+                                      np.linalg.eigvals(a).astype(complex))
 
 
 class TestEmpiricalCdf:

@@ -13,6 +13,7 @@ from vps.profiles import (
     build_sampled,
     build_separable,
     circular_law_test,
+    cyclic_classes,
     is_block_fully_indecomposable,
     is_fully_indecomposable,
     is_irreducible,
@@ -128,6 +129,21 @@ class TestIrreducibility:
 
     def test_block_atom_irreducible(self):
         assert is_irreducible(build_block_atom(3, 4))
+
+
+class TestCyclicClasses:
+    def test_block_atom_has_period_two(self):
+        # the first block row and the rest alternate
+        classes = cyclic_classes(build_block_atom(3, 4).variances)
+        np.testing.assert_array_equal(classes, [0] * 4 + [1] * 8)
+
+    def test_self_loop_makes_it_aperiodic(self):
+        pattern = build_block_atom(3, 4).variances.copy()
+        pattern[5, 5] = 1.0
+        np.testing.assert_array_equal(cyclic_classes(pattern), np.zeros(12))
+
+    def test_reducible_pattern_has_none(self):
+        assert cyclic_classes(np.triu(np.ones((4, 4)))) is None
 
 
 class TestFullyIndecomposable:
