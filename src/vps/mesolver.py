@@ -323,16 +323,14 @@ def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
     return _Rows(out[:, :n], out[:, n:], out_iters, out_res, errors)
 
 
-def _aitken(x, last, prev_norm, dx=None, cap=None):
+def _aitken(x, last, prev_norm, dx, cap):
     """Block Aitken step, in place, on the rows x = [q | qt] whose values a
     block of iterations ago are `last`: near the support edge the
     contraction rate approaches 1 and plain iteration stalls; summing the
     geometric tail restores fast convergence.  dx and cap are work arrays
-    of x's shape, overwritten (the kernel passes its free buffers; fresh
-    ones when not given).  Returns each row's block step norm, or NaN after
-    a jump, for the next block to compare with."""
-    dx = np.empty_like(x) if dx is None else dx
-    cap = np.empty_like(x) if cap is None else cap
+    of x's shape, overwritten (the kernel passes its free buffers).
+    Returns each row's block step norm, or NaN after a jump, for the next
+    block to compare with."""
     np.subtract(x, last, out=dx)
     np.abs(dx, out=cap)
     norm = cap.max(axis=1)

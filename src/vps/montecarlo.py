@@ -18,6 +18,10 @@ from .profiles import cyclic_classes
 
 _LAW_KINDS = ("real-gaussian", "complex-gaussian", "rademacher", "complex-bernoulli")
 
+# largest relative error of a root from the cyclic block product that
+# `spectrum` accepts; past it the matrix is solved densely
+ROOT_RTOL = 1e-10
+
 
 class BackendUnavailableError(RuntimeError):
     """No dense eigensolver is available; only CSV ingestion works."""
@@ -99,8 +103,14 @@ def spectrum(matrix) -> SpectrumSample:
     the result is the h-th roots of its eigenvalues and n - h c zeros.
     These kernel zeros are exact, where a dense solve scatters a defective
     zero eigenvalue to about eps^(1/d) for Jordan blocks of size d, so
-    `kolmogorov_distance` compares them with a model's atom.  Every other
-    pattern (zero-free, reducible or aperiodic) is solved densely.
+    `kolmogorov_distance` compares them with a model's atom.  The partial
+    products are rescaled as they are formed, so a long period neither
+    underflows nor overflows.  A root of an eigenvalue of P near P's
+    rounding floor (eps ||P||) would be noise, so when some root could
+    carry a relative error above ROOT_RTOL the matrix is solved densely
+    instead, as it is for long periods of classes wider than one node.
+    Every other pattern (zero-free, reducible or aperiodic) is solved
+    densely.
     """
     A = np.asarray(matrix)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -110,28 +120,44 @@ def spectrum(matrix) -> SpectrumSample:
     A = A.astype(np.result_type(A, np.float64), copy=False)
     classes = None if A.all() else cyclic_classes(A)
     try:
-        if classes is None or not classes.any():
-            ev = np.linalg.eigvals(A)
-        else:
+        ev = None
+        if classes is not None and classes.any():
             ev = _cyclic_eigvals(A, classes)
+        if ev is None:
+            ev = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise EigFailureError(str(exc)) from exc
     return SpectrumSample(eigenvalues=ev.astype(complex, copy=False),
                           source="sampled")
 
 
-def _cyclic_eigvals(A: np.ndarray, classes: np.ndarray) -> np.ndarray:
+def _cyclic_eigvals(A: np.ndarray, classes: np.ndarray) -> np.ndarray | None:
     """Eigenvalues of a matrix that is block cyclic on the classes labelled
     0, ..., h-1: the h-th roots of the eigenvalues of the cyclic block
-    product from the smallest class, and exact zeros for the rest."""
+    product from the smallest class, and exact zeros for the rest.  None
+    when a root could carry a relative error above ROOT_RTOL."""
     h = int(classes.max()) + 1
     members = [np.flatnonzero(classes == c) for c in range(h)]
     k = min(range(h), key=lambda c: members[c].size)
     cycle = [members[(k + i) % h] for i in range(h + 1)]
-    P = A[np.ix_(cycle[0], cycle[1])]
-    for rows, cols in zip(cycle[1:-1], cycle[2:]):
-        P = P @ A[np.ix_(rows, cols)]
+    # h factors can leave the float range (a weighted n-cycle multiplies n
+    # entries of size about 1/sqrt(n)), so each partial product is scaled to
+    # a largest entry of 1 and the log of the scale is kept apart
+    P, log_scale = None, 0.0
+    for rows, cols in zip(cycle[:-1], cycle[1:]):
+        block = A[np.ix_(rows, cols)]
+        P = block if P is None else P @ block
+        size = np.abs(P).max()
+        if size == 0.0:
+            return None
+        P /= size
+        log_scale += np.log(size)
     mu = np.linalg.eigvals(P).astype(complex, copy=False)
+    # a backward stable solve moves each mu by about eps ||P||, and so its
+    # h-th roots by a relative eps ||P|| / (h |mu|): roots of eigenvalues
+    # near that floor are noise, where the dense solve still resolves them
+    if h * ROOT_RTOL * np.abs(mu).min() < np.finfo(float).eps * np.linalg.norm(P):
+        return None
     # w[j] = exp(i pi j / h), built so that w[2h - j] is exactly conj(w[j])
     # and w[h] = -1: the roots of a real P's conjugate pairs are then exact
     # conjugate pairs, and the roots of a real mu are closed under conjugation
@@ -140,10 +166,12 @@ def _cyclic_eigvals(A: np.ndarray, classes: np.ndarray) -> np.ndarray:
     w[h + 1:] = w[h + 1:].conj()
     w[h] = -1.0
     # the roots of mu are its principal h-th root times the h-th roots of 1,
-    # and for a real mu, |mu|^(1/h) times those of 1 or of -1 by its sign
+    # and for a real mu, |mu|^(1/h) times those of 1 or of -1 by its sign;
+    # the positive real factor of the scale keeps both properties
     real = mu.imag == 0.0
     root = (np.abs(mu) ** (1.0 / h)).astype(complex)
     root[~real] = mu[~real] ** (1.0 / h)
+    root *= np.exp(log_scale / h)
     unit = np.where((real & (mu.real < 0.0))[:, None], w[1::2], w[0::2])
     roots = root[:, None] * unit
     return np.concatenate([roots.ravel(), np.zeros(A.shape[0] - h * mu.size, complex)])

@@ -579,7 +579,7 @@ class TestAitken:
         ref_x, ref_last = x.copy(), last.copy()
         ref_norm = [_aitken_row_reference(ref_x[g], ref_last[g], prev_norm[g])
                     for g in range(len(x))]
-        norm = _aitken(x, last, prev_norm.copy())
+        norm = _aitken(x, last, prev_norm.copy(), np.empty_like(x), np.empty_like(x))
         np.testing.assert_array_equal(x, ref_x)
         np.testing.assert_array_equal(last, ref_last)
         np.testing.assert_array_equal(norm, ref_norm)

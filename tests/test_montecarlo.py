@@ -213,6 +213,36 @@ class TestCyclicSpectrum:
         spectrum(a)
         np.testing.assert_array_equal(a, before)
 
+    @pytest.mark.parametrize("law", ["real-gaussian", "rademacher"])
+    def test_weighted_n_cycle(self, law):
+        # h = n = 300 classes of one node: the product of the 300 weights,
+        # about e^-1046 or 300^-150, is out of the float range unscaled
+        n = 300
+        rng = np.random.default_rng(11)
+        pattern = np.zeros((n, n))
+        pattern[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        perm = rng.permutation(n)
+        pattern = pattern[np.ix_(perm, perm)]
+        y = sample_matrix(validate_profile(pattern), EntryLaw(kind=law, seed=5))
+        assert cyclic_classes(y).max() + 1 == n
+        ev = spectrum(y).eigenvalues
+        modulus = np.exp(np.log(np.abs(y[y != 0.0])).mean())
+        assert modulus > 0.02
+        np.testing.assert_allclose(np.abs(ev), modulus, rtol=1e-12)
+        # every eigenvalue has modulus |prod w|^(1/n); the dense solve sees
+        # the cycle through an ill-conditioned diagonal similarity and
+        # misses it by up to 2e-6 relative on the Gaussian draw
+        np.testing.assert_allclose(np.sort(np.abs(np.linalg.eigvals(y))),
+                                   np.sort(np.abs(ev)), rtol=1e-5)
+
+    def test_long_period_of_wide_classes_solved_densely(self):
+        # the product of 30 Gaussian 5 x 5 blocks spreads its eigenvalues
+        # far past 1/eps, so the roots of the smallest would be noise
+        a = cyclic_matrix((5,) * 30, 13)
+        assert cyclic_classes(a).max() + 1 == 30
+        np.testing.assert_array_equal(spectrum(a).eigenvalues,
+                                      np.linalg.eigvals(a).astype(complex))
+
     @pytest.mark.parametrize("pattern", ["zero-free", "reducible", "aperiodic"])
     def test_other_patterns_solved_densely(self, pattern):
         a = np.random.default_rng(7).standard_normal((60, 60))
