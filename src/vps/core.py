@@ -168,16 +168,25 @@ def read_profile_csv(path) -> VarianceProfile:
     and digit separators such as 1_0 included), and validate_profile's
     errors otherwise.
     """
+    def rows(fh):
+        # streamed to np.loadtxt, so no list of the file's lines is held
+        commas = None
+        for line in filter(None, (raw.strip() for raw in fh)):
+            if commas is None:
+                commas = line.count(",")
+            if line.count(",") != commas:
+                raise NonSquareError("profile rows have inconsistent lengths")
+            yield line
+        if commas is None:
+            raise ProfileError(f"empty profile file: {path}")
+
     with open(path) as fh:
-        lines = [line for line in (raw.strip() for raw in fh) if line]
-    if not lines:
-        raise ProfileError(f"empty profile file: {path}")
-    if len({line.count(",") for line in lines}) != 1:
-        raise NonSquareError("profile rows have inconsistent lengths")
-    try:
-        grid = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ProfileError(f"unparseable profile: {exc}") from exc
+        try:
+            grid = np.loadtxt(rows(fh), delimiter=",", comments=None, ndmin=2)
+        except ProfileError:
+            raise
+        except ValueError as exc:
+            raise ProfileError(f"unparseable profile: {exc}") from exc
     return _own_profile(grid)
 
 

@@ -29,11 +29,11 @@ def _cdf_value(profile: VarianceProfile, sol) -> float:
 def cdf(curve: MECurve) -> np.ndarray:
     """CDF values F(s) over the curve's grid, clamped to [0, 1]; exactly 1
     at and past the support radius sqrt(rho), where the solutions are
-    zero."""
+    zero.  No running maximum is taken, so a solution that breaks
+    monotonicity shows as a step down."""
     profile = curve.profile
     F = np.array([_cdf_value(profile, sol) for sol in curve.solutions])
-    F = np.clip(F, 0.0, 1.0)
-    return np.maximum.accumulate(F)
+    return np.clip(F, 0.0, 1.0)
 
 
 def _on_support(f, s, edge: float) -> np.ndarray:

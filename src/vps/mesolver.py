@@ -40,8 +40,8 @@ one-row call of the kernel at the caller's t.
 `solve_at_zero` needs no regularization.  At s = t = 0 the equations are the
 Sinkhorn-Knopp equations, with a positive solution iff the pattern of V has
 total support; it checks that on the pattern, with a perfect matching and
-the Frobenius blocks, and then runs the Sinkhorn iteration that
-`profiles.sinkhorn_scale` runs.
+the Frobenius blocks, and then runs the Sinkhorn iteration.
+`profiles.sinkhorn_scale` is its solution in another gauge.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .core import (
     VarianceProfile,
     default_s_grid,
 )
-from .profiles import _closed_components, _sinkhorn, _total_support
+from .profiles import _scc, _total_support
 
 # Radii iterated together.  It bounds the work arrays at BLOCK x n each;
 # more rows buy little once the matrix products dominate the iteration.
@@ -113,7 +113,7 @@ def _gauge(V):
     """The connected components of the pattern of V + V^T, for `_rebalance`:
     each node's label, the nodes sorted by label, and where each label
     starts in that order."""
-    label = _closed_components((V != 0) | (V.T != 0))
+    label = _scc((V != 0) | (V.T != 0))
     order = np.argsort(label, kind="stable")
     return label, order, np.flatnonzero(np.diff(label[order], prepend=-1))
 
@@ -390,9 +390,10 @@ def solve_at_zero(profile: VarianceProfile,
     equations decouple into them, and each block keeps its own gauge
     (q, qt) -> (c q, qt / c).  The t -> 0 limit balances the trace in every
     block: q summed over the block's rows equals qt summed over their
-    matched columns.  The Sinkhorn iteration runs to config.fixed_point_tol
-    within config.max_iters iterations, and `iterations` and `residual`
-    report its count and final residual.
+    matched columns.  The Sinkhorn iteration runs from qt = 1; each qt
+    update makes the column sums of diag(q) V diag(qt) 1 up to rounding, so
+    `residual` is the largest row sum error, and it must reach
+    config.fixed_point_tol within config.max_iters `iterations`.
     """
     config = config or SolverConfig()
     V = profile.normalized
@@ -401,7 +402,17 @@ def solve_at_zero(profile: VarianceProfile,
         raise NoConvergenceError("no positive solution at s = 0: the profile's "
                                  "pattern has no total support")
     match, block = structure
-    q, qt, iterations, residual = _sinkhorn(V, config.fixed_point_tol, config.max_iters)
+    Vqt = V.sum(axis=1)
+    for iterations in range(1, config.max_iters + 1):
+        q = 1.0 / Vqt
+        qt = 1.0 / (V.T @ q)
+        Vqt = V @ qt
+        residual = float(np.abs(q * Vqt - 1.0).max())
+        if residual <= config.fixed_point_tol:
+            break
+    else:
+        raise NoConvergenceError(f"Sinkhorn scaling did not converge after "
+                                 f"{config.max_iters} iterations (residual {residual:.3e})")
     col_block = np.empty_like(block)
     col_block[match] = block
     c = np.sqrt(np.bincount(col_block, weights=qt) / np.bincount(block, weights=q))

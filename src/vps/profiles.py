@@ -2,9 +2,9 @@
 
 Covers the named profile families (sampled, separable, block atom), the
 spectral radius of the normalized profile, irreducibility and the period
-with its cyclic classes, total support
-and full indecomposability checks (one matching-based pass on the pattern),
-Sinkhorn scaling and the circular-law test.
+with its cyclic classes, total support and full indecomposability checks (a
+matching, then `_scc`, one pass that labels every strongly connected
+component), Sinkhorn scaling and the circular-law test.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def cyclic_classes(pattern):
     """
     adj = np.asarray(pattern) != 0
     level = _levels(adj, 0)
-    if level.min() < 0 or not _reach(adj.T, 0).all():
+    if level.min() < 0 or _levels(adj.T, 0).min() < 0:
         return None
     h = 0
     for depth in range(level.max() + 1):
@@ -160,23 +160,46 @@ def cyclic_classes(pattern):
     return None if h == 0 else level % h
 
 
-def _levels(adj: np.ndarray, start: int) -> np.ndarray:
+def _levels(adj: np.ndarray, start: int, live=None) -> np.ndarray:
     """Breadth-first level of each node of the digraph of `adj` from
-    `start`, -1 where it is not reached."""
-    level = np.full(adj.shape[0], -1)
+    `start` through `live` nodes (all by default), negative where not reached."""
+    level = np.full(adj.shape[0], -1) if live is None else np.where(live, -1, -2)
     level[start] = 0
     frontier = np.array([start])
     depth = 0
     while frontier.size:
         depth += 1
-        frontier = np.flatnonzero(np.any(adj[frontier], axis=0) & (level < 0))
+        frontier = np.flatnonzero(np.any(adj[frontier], axis=0) & (level == -1))
         level[frontier] = depth
     return level
 
 
-def _reach(adj: np.ndarray, start: int) -> np.ndarray:
-    """Mask of the nodes reachable from `start` in the digraph of `adj`."""
-    return _levels(adj, start) >= 0
+def _scc(adj: np.ndarray) -> np.ndarray:
+    """Labels 0, ..., K-1 of the strongly connected components of the
+    digraph of `adj`, by forward-backward reach after a trim (Fleischer,
+    Hendrickson & Pinar, 2000).  A live node with no edge to another live
+    node, or none from one (self-loops aside), is peeled off as a component
+    of its own; when none is left, the live nodes that reach and are reached
+    from the first live node form its component.  Without the trim a
+    triangular pattern would take one reach pair per node."""
+    out_deg = adj.sum(axis=1) - adj.diagonal()
+    in_deg = adj.sum(axis=0) - adj.diagonal()
+    live = np.ones(adj.shape[0], dtype=bool)
+    label = np.full(adj.shape[0], -1)
+    while live.any():
+        count = label.max() + 1
+        comp = np.flatnonzero(live & ((out_deg == 0) | (in_deg == 0)))
+        if comp.size:
+            label[comp] = count + np.arange(comp.size)
+        else:
+            pivot = int(np.argmax(live))
+            comp = np.flatnonzero((_levels(adj, pivot, live) >= 0)
+                                  & (_levels(adj.T, pivot, live) >= 0))
+            label[comp] = count
+        live[comp] = False
+        out_deg -= adj[:, comp].sum(axis=1)
+        in_deg -= adj[comp].sum(axis=0)
+    return label
 
 
 def _total_support(pattern):
@@ -238,26 +261,10 @@ def _total_support(pattern):
                     path.append(r2)
                     todo.append(None)
     # a matched pattern has total support iff every edge of the digraph
-    # lies inside a strongly connected component, that is iff each node
-    # reaches exactly the nodes that reach it
-    block = _closed_components(adj[:, row_match])
-    return None if block is None else (row_match, block)
-
-
-def _closed_components(adj: np.ndarray):
-    """Labels 0, 1, ... of the strongly connected components of the
-    digraph of `adj`, or None when an edge joins two of them, that is when
-    some node does not reach exactly the nodes that reach it.  A symmetric
-    `adj` always passes, and the labels are its connected components."""
-    label = np.full(adj.shape[0], -1)
-    count = 0
-    while (unlabelled := np.flatnonzero(label < 0)).size:
-        reach = _reach(adj, unlabelled[0])
-        if not np.array_equal(reach, _reach(adj.T, unlabelled[0])):
-            return None
-        label[reach] = count
-        count += 1
-    return label
+    # lies inside a strongly connected component
+    adj = adj[:, row_match]
+    block = _scc(adj)
+    return None if np.any(adj & (block[:, None] != block)) else (row_match, block)
 
 
 def is_fully_indecomposable(pattern) -> bool:
@@ -290,47 +297,25 @@ def is_block_fully_indecomposable(profile: VarianceProfile, K: int, phi: float) 
     return is_fully_indecomposable(block_min >= phi / n)
 
 
-def _sinkhorn(V, tol: float, max_iters: int):
-    """Sinkhorn-Knopp iteration d1 = 1 / (V d2), d2 = 1 / (V^T d1) from
-    d2 = 1, for a V whose pattern has total support.
-
-    After the d2 update the columns of D1 V D2 sum to 1 up to rounding, so
-    the row sums d1 (V d2) carry the error.  Returns (d1, d2, iterations,
-    residual) once the residual max |d1 (V d2) - 1| is at most tol; raises
-    NoConvergenceError after max_iters iterations.
-    """
-    Vd2 = V.sum(axis=1)
-    residual = math.inf
-    for it in range(1, max_iters + 1):
-        d1 = 1.0 / Vd2
-        d2 = 1.0 / (V.T @ d1)
-        Vd2 = V @ d2
-        residual = float(np.abs(d1 * Vd2 - 1.0).max())
-        if residual <= tol:
-            return d1, d2, it, residual
-    raise NoConvergenceError(f"Sinkhorn scaling did not converge after {max_iters} "
-                             f"iterations (residual {residual:.3e})")
-
-
 def sinkhorn_scale(profile: VarianceProfile, tol: float = 1e-10,
                    max_iters: int = 100_000) -> SinkhornResult:
-    """Alternate row/column balancing of V toward a doubly stochastic
-    D1 V D2.  Gauge fixed by equalizing the geometric means of d1 and d2.
+    """Doubly stochastic D1 V D2 from `solve_at_zero`'s solution (trace
+    balanced per Frobenius block), in the gauge of equal geometric means of
+    d1 and d2.
 
     The scaling exists iff the pattern of V has total support (Sinkhorn and
     Knopp); without it NoConvergenceError is raised at once, and with it
     after max_iters iterations that leave a row sum off 1 by more than tol.
     """
+    from .mesolver import solve_at_zero
+
     V = profile.normalized
-    if _total_support(V) is None:
-        raise NoConvergenceError("no Sinkhorn scaling: the profile's pattern "
-                                 "has no total support")
-    d1, d2, it, _ = _sinkhorn(V, tol, max_iters)
-    gamma = math.exp(0.5 * (np.mean(np.log(d2)) - np.mean(np.log(d1))))
-    d1 = d1 * gamma
-    d2 = d2 / gamma
+    sol = solve_at_zero(profile, SolverConfig(fixed_point_tol=tol, max_iters=max_iters))
+    gamma = math.exp(0.5 * (np.mean(np.log(sol.q_tilde)) - np.mean(np.log(sol.q))))
+    d1 = sol.q * gamma
+    d2 = sol.q_tilde / gamma
     return SinkhornResult(d1=d1, d2=d2, scaled=d1[:, None] * V * d2[None, :],
-                          iterations=it, converged=True)
+                          iterations=sol.iterations, converged=True)
 
 
 def circular_law_test(profile: VarianceProfile, tol: float = 1e-6,

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import vps.cli
 from vps.cli import main, read_density_csv
 from vps.core import validate_profile, write_profile_csv
+from vps.mesolver import solve_curve
 from vps.montecarlo import read_eigenvalue_csv
 from vps.profiles import build_block_atom
 from vps.reference import block_atom_F
@@ -134,6 +137,23 @@ class TestDensity:
         assert "atom_at_zero" in text
         assert "density_at_zero" in text
         assert "verdict_cdf_monotone = pass" in text
+
+    def test_cdf_step_down_fails_the_monotone_verdict(self, circular_profile_csv,
+                                                       tmp_path, monkeypatch):
+        # swap two inner radii's solutions, so raw F steps down between them
+        def swapped(*args):
+            curve = solve_curve(*args)
+            sols = list(curve.solutions)
+            sols[5], sols[10] = sols[10], sols[5]
+            return dataclasses.replace(curve, solutions=tuple(sols))
+
+        monkeypatch.setattr(vps.cli, "solve_curve", swapped)
+        out = tmp_path / "dens.csv"
+        assert main(["density", "--profile", circular_profile_csv,
+                     "--grid", "0.05:1.05:20", "--out", str(out)]) == 0
+        _, F, _, _, _ = read_density_csv(out)
+        assert F[5] > F[6]
+        assert "verdict_cdf_monotone = fail" in open(str(out) + ".info.txt").read()
 
     def test_fd_mode_nan_exact_column(self, circular_profile_csv, tmp_path):
         out = tmp_path / "dens.csv"

@@ -140,7 +140,7 @@ class TestProfileCsv:
 
     def test_blank_lines_and_spaces_accepted(self, tmp_path):
         path = tmp_path / "p.csv"
-        path.write_text("\n 1.0 , 2.5\n\n\t3 ,4e-1 \n\n")
+        path.write_text("\n 1.0 , 2.5\n\n  \t\n\t3 ,4e-1 \n\n")
         assert np.array_equal(read_profile_csv(path).variances,
                               [[1.0, 2.5], [3.0, 0.4]])
 

@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from test_mesolver import _two_block_profile
 
 from vps.core import NoConvergenceError, validate_profile
 from vps.profiles import (
@@ -9,6 +11,8 @@ from vps.profiles import (
     LengthMismatchError,
     NegativeFunctionValueError,
     NonPositiveEntryError,
+    _scc,
+    _total_support,
     build_block_atom,
     build_sampled,
     build_separable,
@@ -146,6 +150,70 @@ class TestCyclicClasses:
         assert cyclic_classes(np.triu(np.ones((4, 4)))) is None
 
 
+def closure_components(adj):
+    """Reference: i and j share a strongly connected component iff each
+    reaches the other, read off the reflexive transitive closure (Warshall)."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for k in range(len(adj)):
+        reach |= reach[:, [k]] & reach[[k], :]
+    return reach & reach.T
+
+
+def block_triangular(sizes, rng, density=0.6):
+    """Random diagonal blocks of the given sizes, with sparse edges below
+    them, so each component lies inside one block."""
+    n = int(sum(sizes))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    inside = block[:, None] == block
+    return (inside & (rng.uniform(size=(n, n)) < density)) | (
+        (block[:, None] > block) & (rng.uniform(size=(n, n)) < 0.1))
+
+
+class TestScc:
+    def test_matches_transitive_closure(self):
+        rng = np.random.default_rng(21)
+        kinds = set()
+        for trial in range(400):
+            n = int(rng.integers(1, 41))
+            kind = ("sparse", "block-triangular", "permuted")[trial % 3]
+            if kind == "sparse":
+                adj = rng.uniform(size=(n, n)) < rng.choice([0.02, 0.05, 0.1, 0.2])
+            else:
+                adj = block_triangular(rng.multinomial(n, np.ones(4) / 4), rng)
+                if kind == "permuted":
+                    perm = rng.permutation(n)
+                    adj = adj[np.ix_(perm, perm)]
+            loops = rng.uniform() < 0.5
+            np.fill_diagonal(adj, loops & (rng.uniform(size=n) < 0.5))
+            kinds.add((kind, loops))
+            label = _scc(adj)
+            assert set(label) == set(range(label.max() + 1))
+            np.testing.assert_array_equal(label[:, None] == label, closure_components(adj))
+        assert len(kinds) == 6
+
+    @pytest.mark.parametrize("name, count", [
+        ("lower-triangular", 2000), ("diagonal", 2000), ("50 blocks", 50),
+        ("50 blocks, permuted", 50)])
+    def test_large_patterns(self, name, count):
+        n = 2000
+        if name == "lower-triangular":
+            adj = np.tril(np.ones((n, n), dtype=bool))
+        elif name == "diagonal":
+            adj = np.eye(n, dtype=bool)
+        else:
+            adj = block_triangular([40] * 50, np.random.default_rng(22))
+            if name.endswith("permuted"):
+                perm = np.random.default_rng(23).permutation(n)
+                adj = adj[np.ix_(perm, perm)]
+        start = time.perf_counter()
+        label = _scc(adj)
+        assert time.perf_counter() - start < 2.0
+        assert label.max() + 1 == count
+
+    def test_triangular_has_no_total_support(self):
+        assert _total_support(np.tril(np.ones((2000, 2000)))) is None
+
+
 class TestFullyIndecomposable:
     def test_all_ones(self):
         assert is_fully_indecomposable(np.ones((5, 5)))
@@ -256,6 +324,13 @@ class TestSinkhorn:
         rng = np.random.default_rng(4)
         p = validate_profile(rng.uniform(0.5, 2.0, size=(9, 9)))
         res = sinkhorn_scale(p)
+        assert np.mean(np.log(res.d1)) == pytest.approx(np.mean(np.log(res.d2)),
+                                                        abs=1e-9)
+
+    def test_two_frobenius_blocks(self):
+        res = sinkhorn_scale(_two_block_profile())
+        assert np.abs(res.scaled.sum(axis=0) - 1.0).max() <= 1e-9
+        assert np.abs(res.scaled.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.mean(np.log(res.d1)) == pytest.approx(np.mean(np.log(res.d2)),
                                                         abs=1e-9)
 
