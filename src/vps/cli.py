@@ -40,6 +40,7 @@ from .montecarlo import (
     write_eigenvalue_csv,
 )
 from .profiles import (
+    _scc,
     build_separable,
     circular_law_test,
     cyclic_classes,
@@ -195,6 +196,10 @@ def _cmd_density(args) -> int:
         lines.append(f"density_at_zero = unavailable ({exc})")
     lines.append(f"verdict_cdf_monotone = "
                  f"{'pass' if bool(np.all(np.diff(F) >= 0)) else 'fail'}")
+    if args.mode == "exact":
+        factors = curve.profile.low_rank_factors   # cached by the derivative
+        lines.append("exact_derivative = " + (
+            "dense" if factors is None else f"factored (rank {len(factors[1])})"))
     with open(out + ".info.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
@@ -227,9 +232,11 @@ def _cmd_check(args) -> int:
     K = profile.n if args.blocks is None else args.blocks
     phi = args.phi
     rho = spectral_radius(profile)
-    classes = cyclic_classes(profile.variances > 0)
+    pattern = profile.variances > 0
+    classes = cyclic_classes(pattern)
     structure = ("irreducible = false\n" if classes is None else
                  f"irreducible = true\nperiod = {classes.max() + 1}\n")
+    structure += f"frobenius_blocks = {_scc(pattern).max() + 1}\n"
     bfid = is_block_fully_indecomposable(profile, K, phi)
     if bfid:
         try:

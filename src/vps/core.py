@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,25 @@ class VarianceProfile:
 
     def is_symmetric(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.variances - self.variances.T) <= tol))
+
+    @functools.cached_property
+    def low_rank_factors(self):
+        """Factors (L, R) with V = L R, or None when V's rank r has 2r > n.
+
+        A truncated SVD of V at numpy's `matrix_rank` tolerance, keeping the
+        singular values above sigma_max n eps: L = U_r Sigma_r (n x r) and
+        R = Vh_r (r x n), read-only arrays that own their memory, so the
+        full SVD outputs are freed.  Computed on first use and cached on
+        the profile; only the exact derivative reads it.
+        """
+        U, S, Vh = np.linalg.svd(self.normalized, full_matrices=False)
+        r = int(np.count_nonzero(S > S[0] * self.n * np.finfo(float).eps))
+        if 2 * r > self.n:
+            return None
+        L, R = U[:, :r] * S[:r], Vh[:r].copy()
+        L.setflags(write=False)
+        R.setflags(write=False)
+        return L, R
 
 
 def validate_profile(raw_grid) -> VarianceProfile:

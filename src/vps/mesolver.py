@@ -420,20 +420,82 @@ def solve_at_zero(profile: VarianceProfile,
                       iterations=iterations, residual=residual)
 
 
+def _linearization_norm(V, d, cq, cqt) -> float:
+    """||M||_inf of M = `_linearization(V, d, cq, cqt, trace=True)` from the
+    row and column sums of V, without assembling M.
+
+    With coefficients and V nonnegative, top row i sums to
+    |1 - d_i V_ii| + d_i (colsum_i - V_ii) + cq_i rowsum_i + 1, bottom row i
+    to |1 - d_i V_ii| + d_i (rowsum_i - V_ii) + cqt_i colsum_i + 1, and the
+    trace row to 2n.
+    """
+    rows, cols, diag = V.sum(axis=1), V.sum(axis=0), np.diagonal(V)
+    pivot = np.abs(1.0 - d * diag) + 1.0
+    top = pivot + d * (cols - diag) + cq * rows
+    bottom = pivot + d * (rows - diag) + cqt * cols
+    return max(top.max(), bottom.max(), 2.0 * len(d))
+
+
+def _bordered_identity_solve(B):
+    """M0^-1 B for the trace-bordered identity M0 = [[I, r^T], [r, 0]] of
+    size 2n + 1, by its closed-form inverse
+    [[I - r^T r / 2n, r^T / 2n], [r / 2n, -1 / 2n]]."""
+    n = (len(B) - 1) // 2
+    m = (B[:n].sum(axis=0) - B[n:2 * n].sum(axis=0) - B[2 * n]) / (2 * n)
+    X = B.copy()
+    X[:n] -= m
+    X[n:2 * n] += m
+    X[2 * n] = m
+    return X
+
+
+def _factored_solve(L, R, d, cq, cqt, B):
+    """M^-1 B for the bordered matrix M of `_linearization(V, d, cq, cqt,
+    trace=True)` with V = L R of rank k, by the Woodbury identity.
+
+    J = C blockdiag(V^T, V) with C = [[D, -Q], [-Qt, D]], so
+    M = M0 - U Y^T with U = [C blockdiag(R^T, L); 0] and
+    Y^T = [blockdiag(L^T, R), 0], and
+    M^-1 = M0^-1 + M0^-1 U K^-1 Y^T M0^-1 with the 2k x 2k capacitance
+    matrix K = I - Y^T M0^-1 U: O(n k^2) work in all.
+    """
+    n, k = L.shape
+    RT = R.T
+    U = np.zeros((2 * n + 1, 2 * k))
+    np.multiply(d[:, None], RT, out=U[:n, :k])
+    np.multiply(-cq[:, None], L, out=U[:n, k:])
+    np.multiply(-cqt[:, None], RT, out=U[n:2 * n, :k])
+    np.multiply(d[:, None], L, out=U[n:2 * n, k:])
+
+    def project(X):  # Y^T X
+        return np.concatenate([L.T @ X[:n], R @ X[n:2 * n]])
+
+    Z = _bordered_identity_solve(U)
+    W = _bordered_identity_solve(B)
+    return W + Z @ np.linalg.solve(np.eye(2 * k) - project(Z), project(W))
+
+
 def derivative_s2(profile: VarianceProfile, sol: MESolution):
     """Exact derivative (d q / d s^2, d qt / d s^2) at a nontrivial solution.
 
     The linearized master equations (I - J) x = b are singular along the
     gauge direction (q, -qt) and consistent, so the trace row
-    r x = sum(dq) - sum(dqt) = 0 picks the one solution.  It comes from a
-    single LU solve of the square bordered matrix M = [[I - J, r^T], [r, 0]],
-    whose multiplier, the last unknown, is zero up to rounding.
+    r x = sum(dq) - sum(dqt) = 0 picks the one solution.  It solves the
+    square bordered matrix M = [[I - J, r^T], [r, 0]], whose multiplier,
+    the last unknown, is zero up to rounding.
+
+    When V has a rank r with 2r <= n (`VarianceProfile.low_rank_factors`:
+    separable profiles have r = 1, block profiles r <= k), J has rank at
+    most 2r, and `_factored_solve` solves M by the Woodbury identity
+    through one 2r x 2r system, in O(n r^2).  Otherwise one LU factors the
+    assembled M.
 
     The same solve takes a second, seeded random right-hand side z, for the
-    condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf: above 1e13, or
-    when M is exactly singular or the solution is not finite,
-    RankDeficientError is raised, since then the gauge is not the only
-    null direction and x is not determined.
+    condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf, with ||M||_inf
+    the same on both routes: above 1e13, or when the system is exactly
+    singular or the solution is not finite, RankDeficientError is raised,
+    since then the gauge is not the only null direction and x is not
+    determined.
     """
     if sol.is_trivial or sol.s <= 0:
         raise ValueError("derivative requires a nontrivial solution at s > 0")
@@ -444,14 +506,22 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     phit = V.T @ q
     p = 1.0 / (s * s + phi * phit)
     s2 = s * s
-    M = _linearization(V, s2 * p ** 2, q ** 2, qt ** 2, trace=True)
+    d, cq, cqt = s2 * p ** 2, q ** 2, qt ** 2
     b = -np.concatenate([p * q, p * qt, [0.0]])
     z = np.random.default_rng(0).uniform(-1.0, 1.0, 2 * n + 1)
+    B = np.column_stack([b, z])
+    factors = profile.low_rank_factors
     try:
-        x, y = np.linalg.solve(M, np.column_stack([b, z])).T
+        if factors is None:
+            M = _linearization(V, d, cq, cqt, trace=True)
+            x, y = np.linalg.solve(M, B).T
+            norm = np.abs(M).sum(axis=1).max()
+        else:
+            x, y = _factored_solve(*factors, d, cq, cqt, B).T
+            norm = _linearization_norm(V, d, cq, cqt)
     except np.linalg.LinAlgError:
         raise RankDeficientError("derivative system is singular") from None
-    cond = np.abs(M).sum(axis=1).max() * np.abs(y).max() / np.abs(z).max()
+    cond = norm * np.abs(y).max() / np.abs(z).max()
     if not (np.isfinite(x).all() and cond <= 1e13):
         raise RankDeficientError(
             f"derivative system condition estimate {cond:.3e} > 1e13")

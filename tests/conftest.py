@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import vps.cli
@@ -17,4 +18,19 @@ def spectral_radius_calls(monkeypatch):
 
     monkeypatch.setattr(vps.profiles, "spectral_radius", counted)
     monkeypatch.setattr(vps.cli, "spectral_radius", counted)
+    return calls
+
+
+@pytest.fixture()
+def svd_calls(monkeypatch):
+    """Record the outputs of every `np.linalg.svd` call, so a test can count
+    them and check what the program keeps of them."""
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
     return calls

@@ -108,6 +108,21 @@ class TestSpectralRadiusOnce:
         assert len(spectral_radius_calls) == 1
 
 
+class TestSvdOnlyForTheExactDerivative:
+    @pytest.mark.parametrize("argv", [["solve"], ["density", "--mode", "fd"]],
+                             ids=["solve", "density-fd"])
+    def test_none_without_the_exact_derivative(self, argv, block_profile_csv, tmp_path,
+                                               svd_calls):
+        assert main(argv + ["--profile", block_profile_csv,
+                            "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(svd_calls) == 0
+
+    def test_one_for_an_exact_curve(self, circular_profile_csv, tmp_path, svd_calls):
+        assert main(["density", "--profile", circular_profile_csv, "--mode", "exact",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(svd_calls) == 1
+
+
 class TestSolve:
     def test_curve_csv(self, circular_profile_csv, tmp_path):
         out = tmp_path / "curve.csv"
@@ -154,6 +169,26 @@ class TestDensity:
         _, F, _, _, _ = read_density_csv(out)
         assert F[5] > F[6]
         assert "verdict_cdf_monotone = fail" in open(str(out) + ".info.txt").read()
+
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    def test_sidecar_names_the_derivative_route(self, mode, circular_profile_csv, tmp_path):
+        # the constant profile has rank 1
+        out = tmp_path / "dens.csv"
+        assert main(["density", "--profile", circular_profile_csv, "--mode", mode,
+                     "--grid", "0.05:1.05:20", "--out", str(out)]) == 0
+        lines = open(str(out) + ".info.txt").read().splitlines()
+        route = [line for line in lines if line.startswith("exact_derivative")]
+        assert route == (["exact_derivative = factored (rank 1)"] if mode == "exact" else [])
+
+    def test_sidecar_names_the_dense_route(self, tmp_path):
+        # a positive random profile has full rank, past n / 2
+        path = tmp_path / "random.csv"
+        write_profile_csv(validate_profile(
+            np.random.default_rng(22).uniform(0.5, 2.0, size=(12, 12))), path)
+        out = tmp_path / "dens.csv"
+        assert main(["density", "--profile", str(path), "--mode", "exact",
+                     "--grid", "0.05:0.8:10", "--out", str(out)]) == 0
+        assert "exact_derivative = dense\n" in open(str(out) + ".info.txt").read()
 
     def test_fd_mode_nan_exact_column(self, circular_profile_csv, tmp_path):
         out = tmp_path / "dens.csv"
@@ -206,8 +241,20 @@ class TestCheck:
                      "--blocks", "3", "--out", str(out)]) == 0
         text = out.read_text()
         assert "irreducible = true\nperiod = 2\n" in text
+        assert "frobenius_blocks = 1\n" in text
         assert "block_fully_indecomposable = false" in text
         assert "circular = false" in text
+
+    def test_triangular_pattern_has_a_block_per_node(self, tmp_path, capsys):
+        # the pattern of ones on and above the diagonal, with distinct
+        # diagonal values: np.triu(ones) itself is one Jordan block, on which
+        # the power iteration of `spectral_radius` does not converge
+        path = tmp_path / "upper.csv"
+        upper = np.triu(np.random.default_rng(23).uniform(0.5, 2.0, size=(7, 7)))
+        write_profile_csv(validate_profile(upper), path)
+        assert main(["check", "--profile", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "irreducible = false\nfrobenius_blocks = 7\n" in text
 
     def test_random_profile_without_blocks(self, tmp_path, capsys):
         path = tmp_path / "random.csv"

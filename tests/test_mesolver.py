@@ -16,6 +16,7 @@ from vps.mesolver import (
     BLOCK,
     _aitken,
     _linearization,
+    _linearization_norm,
     _solve_rows,
     anneal_to_limit,
     derivative_s2,
@@ -375,13 +376,35 @@ class TestDerivative:
         assert A[2 * n, 2 * n] == 0.0
         assert np.array_equal(_linearization(V, d, cq, cqt), A[:2 * n, :2 * n])
 
-    @pytest.mark.parametrize("profile, s", [
-        (validate_profile(np.random.default_rng(11).uniform(0.0, 1.0, size=(10, 10))), 0.4),
-        (build_block_atom(3, 10), 0.3),
-    ], ids=["random10", "block-atom-k3-m10"])
-    def test_matches_least_squares_reference(self, profile, s):
+    def test_linearization_norm_without_assembly(self):
+        rng = np.random.default_rng(4)
+        n = 9
+        widest = set()   # which block of rows attains the norm
+        for _ in range(20):
+            # sparse V with diagonals past 1 / d_i, so 1 - d_i V_ii < 0 occurs
+            V = rng.uniform(0.0, 3.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+            d, cq, cqt = rng.uniform(0.1, 3.0, size=(3, n))
+            rows = np.abs(_linearization(V, d, cq, cqt, trace=True)).sum(axis=1)
+            widest.add(int(np.argmax(rows)) // n)
+            assert _linearization_norm(V, d, cq, cqt) == pytest.approx(rows.max(), rel=1e-14)
+        assert widest == {0, 1}
+        # the trace row's 2n is the norm when the coefficients are small
+        assert _linearization_norm(V, d / 100, cq / 100, cqt / 100) == 2 * n
+
+    @pytest.mark.parametrize("profile, s, factored", [
+        (validate_profile(np.random.default_rng(11).uniform(0.0, 1.0, size=(10, 10))), 0.4,
+         False),
+        (build_block_atom(3, 10), 0.3, True),
+        (build_separable(*np.random.default_rng(12).uniform(0.5, 1.5, size=(2, 10)))[0], 0.4,
+         True),
+        (validate_profile(np.random.default_rng(13).uniform(0.0, 1.0, size=(12, 3))
+                          @ np.random.default_rng(14).uniform(0.0, 1.0, size=(3, 12))), 0.4,
+         True),
+    ], ids=["random10", "block-atom-k3-m10", "separable-rank1", "random-rank3-n12"])
+    def test_matches_least_squares_reference(self, profile, s, factored):
         # reference: the (2n+1) x 2n least-squares form of the same system,
         # the linearization with only the trace row, solved by SVD
+        assert (profile.low_rank_factors is not None) == factored
         sol = anneal_to_limit(profile, s)
         V, n = profile.normalized, profile.n
         q, qt = sol.q, sol.q_tilde
@@ -393,15 +416,48 @@ class TestDerivative:
         x = np.concatenate([dq, dqt])
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    def test_rank_deficient_raises(self):
+    @pytest.mark.parametrize("route", ["factored", "dense"])
+    def test_rank_deficient_raises(self, route):
         # two identical, disconnected blocks: each has its own gauge
-        # direction, and the one trace row fixes only their sum
+        # direction, and the one trace row fixes only their sum.  V has
+        # rank 2, so the factored route solves it unless the cached factors
+        # are set to None beforehand
         V = np.zeros((12, 12))
         V[:6, :6] = V[6:, 6:] = 1.0
         p = validate_profile(V)
+        if route == "dense":
+            vars(p)["low_rank_factors"] = None
+        assert (p.low_rank_factors is not None) == (route == "factored")
         sol = anneal_to_limit(p, 0.5)
         with pytest.raises(RankDeficientError):
             derivative_s2(p, sol)
+
+
+class TestLowRankFactors:
+    def test_rank_and_product(self):
+        rng = np.random.default_rng(15)
+        p = validate_profile(rng.uniform(size=(20, 4)) @ rng.uniform(size=(4, 20)))
+        L, R = p.low_rank_factors
+        assert L.shape == (20, 4) and R.shape == (4, 20)
+        assert np.abs(L @ R - p.normalized).max() <= 1e-14 * p.normalized.max()
+        assert not (L.flags.writeable or R.flags.writeable)
+
+    def test_none_past_half_rank(self):
+        rng = np.random.default_rng(16)
+        assert validate_profile(rng.uniform(size=(10, 6)) @ rng.uniform(size=(6, 10))
+                                ).low_rank_factors is None
+        assert validate_profile(rng.uniform(size=(10, 5)) @ rng.uniform(size=(5, 10))
+                                ).low_rank_factors is not None
+
+    def test_factors_own_their_memory(self, svd_calls):
+        p = build_block_atom(3, 10)
+        L, R = p.low_rank_factors
+        assert p.low_rank_factors[0] is L   # cached: one SVD
+        assert len(svd_calls) == 1
+        assert L.base is None and R.base is None
+        for full in svd_calls[0]:
+            assert not np.shares_memory(L, full)
+            assert not np.shares_memory(R, full)
 
 
 class TestSolveCurve:
