@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: solve, density, separable, check, oracle, simulate, compare.
-Exit codes: 2 usage error, 3 data error, 4 convergence error.
+Exit codes: 2 usage error, 3 data error, 4 convergence error (a failed
+solve, or a rank-deficient exact-derivative system).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .core import (
     NoConvergenceError,
     ProfileError,
     RadialMeasure,
+    RankDeficientError,
     default_s_grid,
     read_config,
     read_profile_csv,
@@ -30,7 +32,7 @@ from .measures import (
     density_lower_bound,
     grid_density,
 )
-from .mesolver import solve_curve
+from .mesolver import envelope_fraction, solve_curve
 from .montecarlo import (
     EntryLaw,
     kolmogorov_distance,
@@ -236,7 +238,8 @@ def _cmd_check(args) -> int:
     classes = cyclic_classes(pattern)
     structure = ("irreducible = false\n" if classes is None else
                  f"irreducible = true\nperiod = {classes.max() + 1}\n")
-    structure += f"frobenius_blocks = {_scc(pattern).max() + 1}\n"
+    structure += (f"frobenius_blocks = {_scc(pattern).max() + 1}\n"
+                  f"envelope_frac = {envelope_fraction(profile.normalized):.4g}\n")
     bfid = is_block_fully_indecomposable(profile, K, phi)
     if bfid:
         try:
@@ -375,6 +378,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except NoConvergenceError as exc:
         sys.stderr.write(f"vps: convergence error: {exc}\n")
+        return EXIT_CONVERGENCE
+    except RankDeficientError as exc:
+        sys.stderr.write(f"vps: rank deficient: {exc}\n")
         return EXIT_CONVERGENCE
 
 

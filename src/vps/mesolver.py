@@ -32,6 +32,17 @@ converges is compacted out of the leading slice; the next block starts
 once this one is empty.  Where the pattern of V + V^T splits into
 connected components the equations decouple, and each component keeps its
 own gauge (c q, q_tilde / c); the trace is balanced in each.
+
+Each call of the kernel lays V out once for all its iterations.  Where the
+components are not already contiguous, V is permuted symmetrically into
+their stable label order, so each component's unknowns form one range and
+a direct sum becomes block diagonal; the trace balance then sums and
+scales ranges.  The products read only V's nonzero envelope: V's columns
+are cut into panels of PANEL columns, each with the row range that holds
+all of its nonzeros, and a product is one matrix product per panel over
+that range, for V and for its contiguous transpose alike.  On a band or a
+block-diagonal profile that reads a quarter to a third of V; a profile
+whose envelope covers most of V keeps one panel, the whole matrix.
 `solve_curve` runs the kernel at t_min over the radii of a grid below
 sqrt(rho), by default `default_s_grid` up to the support radius;
 `anneal_to_limit` is its one-radius call, and `solve_regularized` is a
@@ -71,6 +82,18 @@ NEWTON = 2048
 # Weight of the new iterate in the averaged iteration: on circ-n64 plain
 # iteration (weight 1) takes about twice as many iterations.
 AVERAGING = 0.5
+# Columns per panel of `_envelope`.  On band model B at n = 800 (30 radii,
+# 9,428 iterations; 2 cores, OpenBLAS, best of 5) panels of 32, 48, 64, 96,
+# 128 and 192 columns read 23, 24, 26, 29, 33 and 39% of V, and the kernel
+# took 0.62, 0.68, 0.56, 0.63, 0.64 and 0.73 s, against 1.08 s for the
+# whole matrix: narrower panels pay more calls per iteration, wider ones
+# read more zeros.
+PANEL = 64
+# `_envelope` keeps the single whole panel unless the panels read at most
+# this share of V: above it splitting saves little, and the whole-matrix
+# products give the same rounding as ever.  The block atom profile (k = 3,
+# n = 300) would read 55% of V.
+SPLIT = 0.5
 
 
 @dataclass(frozen=True)
@@ -111,17 +134,19 @@ def psi(profile: VarianceProfile, q, q_tilde, s: float, t: float) -> np.ndarray:
 
 def _gauge(V):
     """The connected components of the pattern of V + V^T, for `_rebalance`:
-    each node's label, the nodes sorted by label, and where each label
-    starts in that order."""
+    the nodes in the stable order of their `_scc` labels, where each
+    component starts in that order, and its size."""
     label = _scc((V != 0) | (V.T != 0))
     order = np.argsort(label, kind="stable")
-    return label, order, np.flatnonzero(np.diff(label[order], prepend=-1))
+    sizes = np.bincount(label)
+    return order, np.cumsum(sizes) - sizes, sizes
 
 
 def _rebalance(x, gauge):
     """Gauge rescaling (q, qt) -> (c q, qt / c) with c = sqrt(sum(qt) / sum(q))
     taken over each component of `_gauge`, in place on every [q | qt] row
-    of x.
+    of x, whose unknowns are in the gauge's order: each component is one
+    contiguous range.
 
     The equations of a component involve only its own entries, so each
     component's rescaling is an exact symmetry of the t = 0 equations, and
@@ -129,12 +154,58 @@ def _rebalance(x, gauge):
     it the iteration restores balance only at a rate proportional to t.
     Both sums must be positive in every component.
     """
-    label, order, starts = gauge
+    _, starts, sizes = gauge
     x3 = x.reshape(len(x), 2, -1)
-    sums = np.add.reduceat(x3[:, :, order], starts, axis=2)
-    c = np.sqrt(sums[:, 1] / sums[:, 0])[:, label]
+    sums = np.add.reduceat(x3, starts, axis=2)
+    c = np.repeat(np.sqrt(sums[:, 1] / sums[:, 0]), sizes, axis=1)
     x3[:, 0] *= c
     x3[:, 1] /= c
+
+
+def _envelope(V):
+    """Panels (lo, hi, a, b) of V: columns a:b, PANEL at a time, and the
+    rows lo:hi that hold all of their nonzeros (lo = hi = 0 where the
+    panel has none), so x @ V[:, a:b] = x[:, lo:hi] @ V[lo:hi, a:b].  The
+    single panel (0, n, 0, n) when the panels would read more than SPLIT
+    of V."""
+    n = V.shape[0]
+    a = np.arange(0, n, PANEL)
+    b = np.minimum(a + PANEL, n)
+    hit = np.logical_or.reduceat(V != 0, a, axis=1)   # row i has a nonzero in panel j
+    lo = np.argmax(hit, axis=0)
+    hi = n - np.argmax(hit[::-1], axis=0)
+    empty = ~hit.any(axis=0)
+    lo[empty] = hi[empty] = 0
+    if ((hi - lo) * (b - a)).sum() > SPLIT * n * n:
+        return ((0, n, 0, n),)
+    return tuple(zip(lo.tolist(), hi.tolist(), a.tolist(), b.tolist()))
+
+
+def _layout(V):
+    """What `_solve_rows` sets up once per call: V in the component order
+    of `_gauge` (V itself when that order is the identity), its contiguous
+    transpose, the gauge, and the `_envelope` panels of both."""
+    gauge = _gauge(V)
+    order = gauge[0]
+    if (order != np.arange(len(order))).any():
+        V = V[np.ix_(order, order)]
+    VT = np.ascontiguousarray(V.T)  # a faster operand than the transposed view
+    return V, VT, gauge, _envelope(V), _envelope(VT)
+
+
+def envelope_fraction(V) -> float:
+    """Share of V that one fixed-point iteration of `_solve_rows` reads:
+    the area of the `_envelope` panels of V and of V^T, in the kernel's
+    component order, over 2 n^2."""
+    *_, panels, panels_T = _layout(V)
+    area = sum((hi - lo) * (b - a) for lo, hi, a, b in panels + panels_T)
+    return area / (2 * V.shape[0] ** 2)
+
+
+def _product(x, M, panels, out):
+    """out = x @ M, one matrix product per `_envelope` panel of M."""
+    for lo, hi, a, b in panels:
+        np.matmul(x[:, lo:hi], M[lo:hi, a:b], out=out[:, a:b])
 
 
 def _linearization(V, d, cq, cqt, trace=False):
@@ -236,11 +307,17 @@ def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
     the relative stopping rule leaves the block, after a check that its
     solution respects max(q, qt) <= 1/t; the next block starts once this
     one is empty.
+
+    V is laid out once by `_layout`: the rows iterate on the unknowns in
+    the component order of `_gauge`, so a component's trace balance sums
+    one contiguous range, and each finished row is written back in the
+    caller's order.  Each product reads only V's `_envelope` panels.
     """
     s = np.asarray(s, dtype=float)
     m, n = len(s), V.shape[0]
-    VT = np.ascontiguousarray(V.T)  # a faster operand than the transposed view
-    gauge = _gauge(V)
+    V, VT, gauge, panels, panels_T = _layout(V)
+    order = gauge[0]
+    back = np.concatenate([order, order + n])   # row entry -> caller's entry
     tol = config.fixed_point_tol
     max_iters = config.max_iters
 
@@ -267,8 +344,8 @@ def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
         while k:
             x, y, p, psi_ = X[:k], Y[:k], P[:k], Psi[:k]
             phit, phi = y[:, :n], y[:, n:]
-            np.matmul(x[:, :n], V, out=phit)
-            np.matmul(x[:, n:], VT, out=phi)
+            _product(x[:, :n], V, panels, phit)
+            _product(x[:, n:], VT, panels_T, phi)
             y += t                       # [V^T q + t | V qt + t]
             np.multiply(phi, phit, out=psi_)
             psi_ += s2
@@ -309,7 +386,7 @@ def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
                         # direct consequence of the defining equations
                         errors[r] = f"solution violates the 1/t bound at s={s[r]}, t={t}"
                     else:
-                        out[r] = x[g]
+                        out[r, back] = x[g]
                         out_res[r] = res[g]
                 if failed:
                     break

@@ -9,7 +9,7 @@ from vps.cli import main, read_density_csv
 from vps.core import validate_profile, write_profile_csv
 from vps.mesolver import solve_curve
 from vps.montecarlo import read_eigenvalue_csv
-from vps.profiles import build_block_atom
+from vps.profiles import build_block_atom, build_sampled
 from vps.reference import block_atom_F
 
 
@@ -88,6 +88,20 @@ class TestConvergenceFailure:
         assert len(rows) == 200
         assert math.inf in residuals
         assert any(math.isfinite(r) for r in residuals)
+
+
+    def test_rank_deficient_derivative_exits_4(self, tmp_path, capsys):
+        # two disconnected ones blocks: the one trace row of the exact
+        # derivative fixes only the sum of their two gauge directions
+        V = np.zeros((12, 12))
+        V[:6, :6] = V[6:, 6:] = 1.0
+        profile = tmp_path / "two_blocks.csv"
+        write_profile_csv(validate_profile(V), profile)
+        assert main(["density", "--profile", str(profile), "--mode", "exact",
+                     "--grid", "0.5:0.6:2", "--out", str(tmp_path / "d.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("vps: rank deficient: derivative system condition")
+        assert "Traceback" not in err
 
 
 class TestSpectralRadiusOnce:
@@ -255,6 +269,21 @@ class TestCheck:
         assert main(["check", "--profile", str(path)]) == 0
         text = capsys.readouterr().out
         assert "irreducible = false\nfrobenius_blocks = 7\n" in text
+
+    def test_envelope_frac_of_a_dense_profile(self, tmp_path, capsys):
+        path = tmp_path / "ones.csv"
+        write_profile_csv(validate_profile(np.ones((8, 8))), path)
+        assert main(["check", "--profile", str(path)]) == 0
+        assert "frobenius_blocks = 1\nenvelope_frac = 1\n" in capsys.readouterr().out
+
+    def test_envelope_frac_of_band_model_a(self, tmp_path, capsys):
+        path = tmp_path / "band_a.csv"
+        write_profile_csv(build_sampled(lambda x, y: 1.0 if abs(x - y) <= 1 / 20 else 0.0,
+                                        400), path)
+        assert main(["check", "--profile", str(path)]) == 0
+        line = next(row for row in capsys.readouterr().out.splitlines()
+                    if row.startswith("envelope_frac = "))
+        assert 0.0 < float(line.split(" = ")[1]) < 0.5
 
     def test_random_profile_without_blocks(self, tmp_path, capsys):
         path = tmp_path / "random.csv"

@@ -14,12 +14,18 @@ from vps.core import (
 from vps.measures import cdf
 from vps.mesolver import (
     BLOCK,
+    PANEL,
     _aitken,
+    _envelope,
+    _gauge,
+    _layout,
     _linearization,
     _linearization_norm,
+    _product,
     _solve_rows,
     anneal_to_limit,
     derivative_s2,
+    envelope_fraction,
     psi,
     solve_at_zero,
     solve_curve,
@@ -610,6 +616,140 @@ class TestSolveCurve:
         for sol in curve.solutions:
             assert abs(sol.q.sum() - sol.q_tilde.sum()) / p.n <= 1e-10
         assert np.all(np.diff(cdf(curve)) >= 0)
+
+
+def band_model_b(x, y):
+    return (x + 2 * y) ** 2 if abs(x - y) <= 1 / 10 else 0.0
+
+
+class TestEnvelope:
+    @staticmethod
+    def sparse_pattern(rng, n):
+        """A random band of random width, with or without scattered
+        entries, with zero rows, zero columns and a run of empty columns."""
+        i, j = np.indices((n, n))
+        a = np.where(np.abs(i - j - rng.integers(-3, 4)) <= rng.integers(0, n // 8 + 1),
+                     rng.uniform(0.5, 2.0, (n, n)), 0.0)
+        a[rng.random((n, n)) < rng.choice([0.0, 2.0]) / n] = 1.0
+        a[rng.choice(n, n // 10, replace=False)] = 0.0
+        a[:, rng.choice(n, n // 10, replace=False)] = 0.0
+        start = rng.integers(0, n)
+        a[:, start:start + rng.integers(0, 2 * PANEL)] = 0.0
+        return a
+
+    @pytest.mark.parametrize("split", [0.5, 1.0], ids=["default", "always"])
+    def test_panels_cover_every_nonzero(self, split, monkeypatch):
+        monkeypatch.setattr(vps.mesolver, "SPLIT", split)
+        rng = np.random.default_rng(37)
+        split_seen = 0
+        for n in (1, 5, 63, 64, 65, 129, 200, 300):
+            for _ in range(4):
+                a = self.sparse_pattern(rng, n)
+                panels = _envelope(a)
+                split_seen += len(panels) > 1
+                # the panels tile the columns in order
+                assert [p[2] for p in panels] == [0] + [p[3] for p in panels[:-1]]
+                assert panels[-1][3] == n
+                covered = np.zeros((n, n), dtype=bool)
+                for lo, hi, a0, b0 in panels:
+                    assert 0 <= lo <= hi <= n
+                    covered[lo:hi, a0:b0] = True
+                    if lo == hi:
+                        assert lo == 0 and not a[:, a0:b0].any()
+                assert covered[a != 0].all()
+                x = rng.uniform(size=(3, n))
+                out = np.full((3, n), np.nan)
+                _product(x, a, panels, out)
+                np.testing.assert_allclose(out, x @ a, rtol=1e-13, atol=0.0)
+        assert split_seen
+
+    @pytest.mark.parametrize("n", [8, 300])
+    def test_dense_profile_keeps_one_panel(self, n):
+        assert _envelope(np.ones((n, n))) == ((0, n, 0, n),)
+        assert envelope_fraction(np.ones((n, n))) == 1.0
+
+    def test_band_model_b_matches_the_full_panel(self, monkeypatch):
+        p = build_sampled(band_model_b, 300)
+        assert p.n > PANEL and len(_envelope(p.normalized)) > 1
+        assert envelope_fraction(p.normalized) < 0.5
+        config = SolverConfig(fixed_point_tol=1e-9, t_min=1e-8)
+        grid = default_s_grid(math.sqrt(spectral_radius(p)), 12)
+        curve = solve_curve(p, grid, config)
+        monkeypatch.setattr(vps.mesolver, "_envelope", lambda V: ((0, len(V), 0, len(V)),))
+        full = solve_curve(p, grid, config)
+        assert curve.failed_indices == full.failed_indices == ()
+        for sol, ref in zip(curve.solutions, full.solutions):
+            assert sol.iterations == ref.iterations
+            for x, y in ((sol.q, ref.q), (sol.q_tilde, ref.q_tilde)):
+                assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+
+class TestComponentOrder:
+    SIZES = (64, 96, 128)
+
+    @pytest.fixture(scope="class")
+    def direct_sum(self):
+        """Three positive blocks, interleaved by a random symmetric
+        permutation, and each block alone with its variances scaled by
+        n_b / n, so that its normalized profile is the block of V."""
+        rng = np.random.default_rng(29)
+        n = sum(self.SIZES)
+        a = np.zeros((n, n))
+        blocks, start = [], 0
+        for size, (lo, hi) in zip(self.SIZES, [(0.5, 2.0), (1.0, 3.0), (0.2, 1.0)]):
+            blocks.append(slice(start, start + size))
+            a[blocks[-1], blocks[-1]] = rng.uniform(lo, hi, (size, size))
+            start += size
+        perm = rng.permutation(n)
+        parts = [validate_profile(a[b, b] * (b.stop - b.start) / n) for b in blocks]
+        return validate_profile(a[np.ix_(perm, perm)]), perm, blocks, parts
+
+    def test_layout_makes_v_block_diagonal(self, direct_sum):
+        p, perm, blocks, _ = direct_sum
+        V, VT, (order, starts, sizes), panels, _ = _layout(p.normalized)
+        assert (order != np.arange(p.n)).any()
+        assert sorted(sizes) == list(self.SIZES)
+        assert list(starts) == [0, sizes[0], sizes[0] + sizes[1]]
+        assert len(panels) > 1
+        np.testing.assert_array_equal(V, p.normalized[np.ix_(order, order)])
+        np.testing.assert_array_equal(VT, V.T)
+        block_of = np.searchsorted([b.stop for b in blocks], perm, side="right")
+        inside = np.zeros_like(V, dtype=bool)
+        for start, size in zip(starts, sizes):
+            inside[start:start + size, start:start + size] = True
+            assert len(set(block_of[order[start:start + size]])) == 1
+        assert (V[~inside] == 0).all() and (V[inside] > 0).all()
+
+    def test_matches_each_block_alone(self, direct_sum):
+        p, perm, blocks, parts = direct_sum
+        edges = [math.sqrt(spectral_radius(part)) for part in parts]
+        grid = min(edges) * np.array([0.2, 0.5, 0.8])
+        curve = solve_curve(p, grid)
+        assert curve.failed_indices == ()
+        for b, part in zip(blocks, parts):
+            members = np.flatnonzero((perm >= b.start) & (perm < b.stop))
+            local = perm[members] - b.start
+            for sol, ref in zip(curve.solutions, solve_curve(part, grid).solutions):
+                for x, y in ((sol.q, ref.q), (sol.q_tilde, ref.q_tilde)):
+                    assert np.abs(x[members] - y[local]).max() <= 1e-10 * np.abs(y).max()
+                balance = sol.q[members].sum() - sol.q_tilde[members].sum()
+                assert abs(balance) <= 1e-10 * sol.q[members].sum()
+
+    def test_cdf_is_the_weighted_sum_of_the_blocks(self, direct_sum):
+        p, perm, blocks, parts = direct_sum
+        lo, mid, hi = sorted(math.sqrt(spectral_radius(part)) for part in parts)
+        grid = np.concatenate([lo * np.linspace(0.1, 0.95, 4),
+                               np.linspace(1.02 * lo, 0.98 * hi, 4), [1.1 * hi]])
+        curve = solve_curve(p, grid)
+        assert curve.failed_indices == ()
+        for b in blocks:
+            members = (perm >= b.start) & (perm < b.stop)
+            for sol in curve.solutions:
+                balance = sol.q[members].sum() - sol.q_tilde[members].sum()
+                assert abs(balance) <= 1e-10 * max(sol.q[members].sum(), 1.0)
+        F_blocks = sum((b.stop - b.start) / p.n * cdf(solve_curve(part, grid))
+                       for b, part in zip(blocks, parts))
+        assert np.abs(cdf(curve) - F_blocks).max() <= 1e-10
 
 
 def _aitken_row_reference(x, last, prev_norm):
