@@ -32,7 +32,7 @@ from .measures import (
     density_lower_bound,
     grid_density,
 )
-from .mesolver import envelope_fraction, solve_curve
+from .mesolver import derivative_route, envelope_fraction, solve_curve
 from .montecarlo import (
     EntryLaw,
     kolmogorov_distance,
@@ -199,9 +199,7 @@ def _cmd_density(args) -> int:
     lines.append(f"verdict_cdf_monotone = "
                  f"{'pass' if bool(np.all(np.diff(F) >= 0)) else 'fail'}")
     if args.mode == "exact":
-        factors = curve.profile.low_rank_factors   # cached by the derivative
-        lines.append("exact_derivative = " + (
-            "dense" if factors is None else f"factored (rank {len(factors[1])})"))
+        lines.append("exact_derivative = " + derivative_route(curve.profile))
     with open(out + ".info.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
@@ -236,10 +234,12 @@ def _cmd_check(args) -> int:
     rho = spectral_radius(profile)
     pattern = profile.variances > 0
     classes = cyclic_classes(pattern)
+    row_classes = profile.row_classes
     structure = ("irreducible = false\n" if classes is None else
                  f"irreducible = true\nperiod = {classes.max() + 1}\n")
     structure += (f"frobenius_blocks = {_scc(pattern).max() + 1}\n"
-                  f"envelope_frac = {envelope_fraction(profile.normalized):.4g}\n")
+                  f"envelope_frac = {envelope_fraction(profile.normalized):.4g}\n"
+                  f"row_classes = {'none' if row_classes is None else len(row_classes[1])}\n")
     bfid = is_block_fully_indecomposable(profile, K, phi)
     if bfid:
         try:

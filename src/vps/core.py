@@ -66,6 +66,27 @@ class VarianceProfile:
         return bool(np.all(np.abs(self.variances - self.variances.T) <= tol))
 
     @functools.cached_property
+    def row_classes(self):
+        """The distinct rows of V, (label, C) with V[i] == C[label[i]] for
+        every row i, or None when V has k distinct rows with 2k > n (the
+        rule of `low_rank_factors`).  So V = P C exactly, with P the n x k
+        0/1 indicator of `label`.  Both are read-only; C owns its memory.
+        Computed on first use by `_row_classes` and cached on the profile;
+        the fixed-point kernel and the exact derivative read it.
+        """
+        return _row_classes(self.normalized)
+
+    @functools.cached_property
+    def margins(self):
+        """V's row sums, column sums and diagonal, read-only, cached on the
+        profile for the exact derivative's condition estimate."""
+        V = self.normalized
+        rows, cols = V.sum(axis=1), V.sum(axis=0)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        return rows, cols, np.diagonal(V)   # a read-only view
+
+    @functools.cached_property
     def low_rank_factors(self):
         """Factors (L, R) with V = L R, or None when V's rank r has 2r > n.
 
@@ -73,7 +94,8 @@ class VarianceProfile:
         singular values above sigma_max n eps: L = U_r Sigma_r (n x r) and
         R = Vh_r (r x n), read-only arrays that own their memory, so the
         full SVD outputs are freed.  Computed on first use and cached on
-        the profile; only the exact derivative reads it.
+        the profile; only the exact derivative of a profile without
+        `row_classes` reads it.
         """
         U, S, Vh = np.linalg.svd(self.normalized, full_matrices=False)
         r = int(np.count_nonzero(S > S[0] * self.n * np.finfo(float).eps))
@@ -83,6 +105,32 @@ class VarianceProfile:
         L.setflags(write=False)
         R.setflags(write=False)
         return L, R
+
+
+# Rows per exact comparison of `_row_classes`, so no n x n temporary is made.
+CHUNK = 64
+
+
+def _row_classes(V):
+    """`VarianceProfile.row_classes` of V.
+
+    Rows are grouped on their sums, a key computed from each row alone, so
+    identical rows always share it; past n / 2 groups there is nothing to
+    compare.  Then every row is compared exactly with its group's first
+    row, CHUNK rows at a time, and one mismatch (two rows with equal sums
+    but different entries) gives None.
+    """
+    n = len(V)
+    sums, first, label = np.unique(V.sum(axis=1), return_index=True, return_inverse=True)
+    if 2 * len(sums) > n:
+        return None
+    C = V[first]
+    for a in range(0, n, CHUNK):
+        if not (V[a:a + CHUNK] == C[label[a:a + CHUNK]]).all():
+            return None
+    label.setflags(write=False)
+    C.setflags(write=False)
+    return label, C
 
 
 def validate_profile(raw_grid) -> VarianceProfile:

@@ -37,12 +37,17 @@ Each call of the kernel lays V out once for all its iterations.  Where the
 components are not already contiguous, V is permuted symmetrically into
 their stable label order, so each component's unknowns form one range and
 a direct sum becomes block diagonal; the trace balance then sums and
-scales ranges.  The products read only V's nonzero envelope: V's columns
-are cut into panels of PANEL columns, each with the row range that holds
-all of its nonzeros, and a product is one matrix product per panel over
-that range, for V and for its contiguous transpose alike.  On a band or a
-block-diagonal profile that reads a quarter to a third of V; a profile
-whose envelope covers most of V keeps one panel, the whole matrix.
+scales ranges.  A block profile, whose V has k distinct rows with
+2k <= n (`VarianceProfile.row_classes`), multiplies through V = P C, with
+C the distinct rows and P the 0/1 class indicator: x @ V = (x @ P) @ C
+and x @ V^T = (x @ C^T) @ P^T cost O(n k) per row, and, as sums of
+nonnegative terms, keep V's structural zeros exact.  Other profiles read
+only V's nonzero envelope: V's columns are cut into panels of PANEL
+columns, each with the row range that holds all of its nonzeros, and a
+product is one matrix product per panel over that range, for V and for
+its contiguous transpose alike.  On a band or a block-diagonal profile
+that reads a quarter to a third of V; a profile whose envelope covers
+most of V keeps one panel, the whole matrix.
 `solve_curve` runs the kernel at t_min over the radii of a grid below
 sqrt(rho), by default `default_s_grid` up to the support radius;
 `anneal_to_limit` is its one-radius call, and `solve_regularized` is a
@@ -181,29 +186,59 @@ def _envelope(V):
     return tuple(zip(lo.tolist(), hi.tolist(), a.tolist(), b.tolist()))
 
 
-def _layout(V):
+def _layout(V, classes=None):
     """What `_solve_rows` sets up once per call: V in the component order
-    of `_gauge` (V itself when that order is the identity), its contiguous
-    transpose, the gauge, and the `_envelope` panels of both."""
+    of `_gauge` (V itself when that order is the identity), the gauge, and
+    the operands (M, panels) of `_product` for x @ V and for x @ V^T.
+
+    With the `VarianceProfile.row_classes` (label, C) of V, permuted into
+    the same order, V = P C for the 0/1 class indicator P of label, and the
+    operands are the factor pairs (P, C) and (C^T, P^T).  Otherwise they
+    are V and its contiguous transpose, each with its `_envelope` panels.
+    """
     gauge = _gauge(V)
     order = gauge[0]
-    if (order != np.arange(len(order))).any():
+    permuted = (order != np.arange(len(order))).any()
+    if permuted:
         V = V[np.ix_(order, order)]
+    if classes is not None:
+        label, C = classes
+        if permuted:
+            label, C = label[order], C[:, order]
+        P = _indicator(label, len(C))
+        CT, PT = np.ascontiguousarray(C.T), np.ascontiguousarray(P.T)
+        return V, gauge, ((P, C), None), ((CT, PT), None)
     VT = np.ascontiguousarray(V.T)  # a faster operand than the transposed view
-    return V, VT, gauge, _envelope(V), _envelope(VT)
+    return V, gauge, (V, _envelope(V)), (VT, _envelope(VT))
 
 
 def envelope_fraction(V) -> float:
-    """Share of V that one fixed-point iteration of `_solve_rows` reads:
-    the area of the `_envelope` panels of V and of V^T, in the kernel's
-    component order, over 2 n^2."""
-    *_, panels, panels_T = _layout(V)
+    """Share of V that one fixed-point iteration of `_solve_rows` reads
+    without row classes: the area of the `_envelope` panels of V and of
+    V^T, in the kernel's component order, over 2 n^2."""
+    _, _, (_, panels), (_, panels_T) = _layout(V)
     area = sum((hi - lo) * (b - a) for lo, hi, a, b in panels + panels_T)
     return area / (2 * V.shape[0] ** 2)
 
 
+def _indicator(label, k):
+    """The n x k 0/1 matrix P with P[i, label[i]] = 1."""
+    return (label[:, None] == np.arange(k)).astype(float)
+
+
 def _product(x, M, panels, out):
-    """out = x @ M, one matrix product per `_envelope` panel of M."""
+    """out = x @ M, one matrix product per `_envelope` panel of M.  With
+    panels None, M is a pair of row-class factors (A, B) from `_layout`,
+    and out = (x @ A) @ B: x @ V = (x @ P) @ C sums x over each class, and
+    x @ V^T = (x @ C^T) @ P^T spreads each class's value to its rows, a
+    gather (the other terms add exact zeros) that BLAS runs faster than
+    numpy's.  Both sum nonnegative terms, so a structural zero of V gives
+    an exact zero, as in the panel products; the mixed signs of SVD
+    factors would leave rounding noise there."""
+    if panels is None:
+        A, B = M
+        np.matmul(x @ A, B, out=out)
+        return
     for lo, hi, a, b in panels:
         np.matmul(x[:, lo:hi], M[lo:hi, a:b], out=out[:, a:b])
 
@@ -295,7 +330,7 @@ class _Rows:
     errors: list
 
 
-def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
+def _solve_rows(V, s, t, config: SolverConfig, classes=None) -> _Rows:
     """Solve the equations at regularization t for every radius of `s`,
     each from ones.
 
@@ -311,11 +346,12 @@ def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
     V is laid out once by `_layout`: the rows iterate on the unknowns in
     the component order of `_gauge`, so a component's trace balance sums
     one contiguous range, and each finished row is written back in the
-    caller's order.  Each product reads only V's `_envelope` panels.
+    caller's order.  Each product goes through V's row `classes`, when
+    given, and otherwise reads only V's `_envelope` panels.
     """
     s = np.asarray(s, dtype=float)
     m, n = len(s), V.shape[0]
-    V, VT, gauge, panels, panels_T = _layout(V)
+    V, gauge, product, product_T = _layout(V, classes)
     order = gauge[0]
     back = np.concatenate([order, order + n])   # row entry -> caller's entry
     tol = config.fixed_point_tol
@@ -344,8 +380,8 @@ def _solve_rows(V, s, t, config: SolverConfig) -> _Rows:
         while k:
             x, y, p, psi_ = X[:k], Y[:k], P[:k], Psi[:k]
             phit, phi = y[:, :n], y[:, n:]
-            _product(x[:, :n], V, panels, phit)
-            _product(x[:, n:], VT, panels_T, phi)
+            _product(x[:, :n], *product, phit)
+            _product(x[:, n:], *product_T, phi)
             y += t                       # [V^T q + t | V qt + t]
             np.multiply(phi, phit, out=psi_)
             psi_ += s2
@@ -435,7 +471,7 @@ def solve_regularized(profile: VarianceProfile, s: float, t: float,
     if t <= 0:
         raise ValueError("t must be positive; use anneal_to_limit for the t -> 0 limit")
     config = config or SolverConfig()
-    rows = _solve_rows(profile.normalized, [s], t, config)
+    rows = _solve_rows(profile.normalized, [s], t, config, profile.row_classes)
     if rows.errors[0]:
         raise NoConvergenceError(rows.errors[0])
     return MESolution(s=s, t=t, q=rows.q[0], q_tilde=rows.q_tilde[0],
@@ -497,16 +533,20 @@ def solve_at_zero(profile: VarianceProfile,
                       iterations=iterations, residual=residual)
 
 
-def _linearization_norm(V, d, cq, cqt) -> float:
+def _linearization_norm(V, d, cq, cqt, margins=None) -> float:
     """||M||_inf of M = `_linearization(V, d, cq, cqt, trace=True)` from the
-    row and column sums of V, without assembling M.
+    row and column sums of V, without assembling M.  `margins` are V's row
+    sums, column sums and diagonal (`VarianceProfile.margins`), when the
+    caller has them.
 
     With coefficients and V nonnegative, top row i sums to
     |1 - d_i V_ii| + d_i (colsum_i - V_ii) + cq_i rowsum_i + 1, bottom row i
     to |1 - d_i V_ii| + d_i (rowsum_i - V_ii) + cqt_i colsum_i + 1, and the
     trace row to 2n.
     """
-    rows, cols, diag = V.sum(axis=1), V.sum(axis=0), np.diagonal(V)
+    if margins is None:
+        margins = V.sum(axis=1), V.sum(axis=0), np.diagonal(V)
+    rows, cols, diag = margins
     pivot = np.abs(1.0 - d * diag) + 1.0
     top = pivot + d * (cols - diag) + cq * rows
     bottom = pivot + d * (rows - diag) + cqt * cols
@@ -552,6 +592,28 @@ def _factored_solve(L, R, d, cq, cqt, B):
     return W + Z @ np.linalg.solve(np.eye(2 * k) - project(Z), project(W))
 
 
+def _derivative_factors(profile: VarianceProfile):
+    """(L, R, name) with V = L R for the factored route of `derivative_s2`,
+    or None for the dense route: the row classes (P, C) when the profile
+    has them, so no SVD runs, and otherwise `low_rank_factors`."""
+    classes = profile.row_classes
+    if classes is not None:
+        label, C = classes
+        return _indicator(label, len(C)), C, f"{len(C)} row classes"
+    factors = profile.low_rank_factors
+    if factors is None:
+        return None
+    return (*factors, f"rank {len(factors[1])}")
+
+
+def derivative_route(profile: VarianceProfile) -> str:
+    """The route `derivative_s2` takes on the profile: "factored (k row
+    classes)", "factored (rank r)" or "dense".  It reads the same cached
+    factors, so it runs no SVD that the derivative did not run."""
+    factors = _derivative_factors(profile)
+    return "dense" if factors is None else f"factored ({factors[2]})"
+
+
 def derivative_s2(profile: VarianceProfile, sol: MESolution):
     """Exact derivative (d q / d s^2, d qt / d s^2) at a nontrivial solution.
 
@@ -561,11 +623,14 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     square bordered matrix M = [[I - J, r^T], [r, 0]], whose multiplier,
     the last unknown, is zero up to rounding.
 
-    When V has a rank r with 2r <= n (`VarianceProfile.low_rank_factors`:
-    separable profiles have r = 1, block profiles r <= k), J has rank at
-    most 2r, and `_factored_solve` solves M by the Woodbury identity
-    through one 2r x 2r system, in O(n r^2).  Otherwise one LU factors the
-    assembled M.
+    When V has k distinct rows with 2k <= n (`VarianceProfile.row_classes`:
+    block profiles, the constant profile with k = 1), V = P C with the 0/1
+    class indicator P, and `_factored_solve` solves M by the Woodbury
+    identity through one 2k x 2k system, in O(n k^2), with no SVD.
+    Otherwise, when V has a rank r with 2r <= n
+    (`VarianceProfile.low_rank_factors`: separable profiles have r = 1), the
+    same solve takes the SVD factors, and otherwise one LU factors the
+    assembled M.  `derivative_route` names the route.
 
     The same solve takes a second, seeded random right-hand side z, for the
     condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf, with ||M||_inf
@@ -587,15 +652,15 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     b = -np.concatenate([p * q, p * qt, [0.0]])
     z = np.random.default_rng(0).uniform(-1.0, 1.0, 2 * n + 1)
     B = np.column_stack([b, z])
-    factors = profile.low_rank_factors
+    factors = _derivative_factors(profile)
     try:
         if factors is None:
             M = _linearization(V, d, cq, cqt, trace=True)
             x, y = np.linalg.solve(M, B).T
             norm = np.abs(M).sum(axis=1).max()
         else:
-            x, y = _factored_solve(*factors, d, cq, cqt, B).T
-            norm = _linearization_norm(V, d, cq, cqt)
+            x, y = _factored_solve(*factors[:2], d, cq, cqt, B).T
+            norm = _linearization_norm(V, d, cq, cqt, profile.margins)
     except np.linalg.LinAlgError:
         raise RankDeficientError("derivative system is singular") from None
     cond = norm * np.abs(y).max() / np.abs(z).max()
@@ -630,7 +695,8 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     if np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be strictly increasing and positive")
     inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
-    rows = _solve_rows(profile.normalized, s_grid[:inside], config.t_min, config)
+    rows = _solve_rows(profile.normalized, s_grid[:inside], config.t_min, config,
+                       profile.row_classes)
     sols = []
     for i, s in enumerate(s_grid):
         if i < inside:  # a failed row holds zeros and residual inf

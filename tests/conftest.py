@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vps.cli
+import vps.core
 import vps.profiles
 
 
@@ -33,4 +34,19 @@ def svd_calls(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.fixture()
+def row_classes_calls(monkeypatch):
+    """Record the matrix of every `vps.core._row_classes` call, the scan
+    behind `VarianceProfile.row_classes`."""
+    calls = []
+    original = vps.core._row_classes
+
+    def counted(V):
+        calls.append(V)
+        return original(V)
+
+    monkeypatch.setattr(vps.core, "_row_classes", counted)
     return calls

@@ -9,7 +9,7 @@ from vps.cli import main, read_density_csv
 from vps.core import validate_profile, write_profile_csv
 from vps.mesolver import solve_curve
 from vps.montecarlo import read_eigenvalue_csv
-from vps.profiles import build_block_atom, build_sampled
+from vps.profiles import build_block_atom, build_sampled, build_separable
 from vps.reference import block_atom_F
 
 
@@ -24,6 +24,15 @@ def circular_profile_csv(tmp_path):
 def block_profile_csv(tmp_path):
     path = tmp_path / "block.csv"
     write_profile_csv(build_block_atom(3, 8), path)
+    return str(path)
+
+
+@pytest.fixture()
+def separable_profile_csv(tmp_path):
+    # rank 1 with distinct rows, so no row classes: the SVD factors it
+    path = tmp_path / "separable.csv"
+    write_profile_csv(build_separable(np.linspace(0.5, 2.0, 32), np.linspace(1.5, 0.5, 32))[0],
+                      path)
     return str(path)
 
 
@@ -131,10 +140,20 @@ class TestSvdOnlyForTheExactDerivative:
                             "--out", str(tmp_path / "out.csv")]) == 0
         assert len(svd_calls) == 0
 
-    def test_one_for_an_exact_curve(self, circular_profile_csv, tmp_path, svd_calls):
-        assert main(["density", "--profile", circular_profile_csv, "--mode", "exact",
+    def test_one_for_an_exact_curve(self, separable_profile_csv, tmp_path, svd_calls):
+        assert main(["density", "--profile", separable_profile_csv, "--mode", "exact",
                      "--out", str(tmp_path / "out.csv")]) == 0
         assert len(svd_calls) == 1
+
+    def test_none_for_an_exact_curve_of_a_block_profile(self, block_profile_csv, tmp_path,
+                                                       svd_calls, row_classes_calls):
+        # the curve and its 190 derivatives share one scan for row classes
+        out = tmp_path / "out.csv"
+        assert main(["density", "--profile", block_profile_csv, "--mode", "exact",
+                     "--out", str(out)]) == 0
+        assert (read_density_csv(out)[2] > 0.0).sum() == 190
+        assert len(row_classes_calls) == 1
+        assert len(svd_calls) == 0
 
 
 class TestSolve:
@@ -185,14 +204,18 @@ class TestDensity:
         assert "verdict_cdf_monotone = fail" in open(str(out) + ".info.txt").read()
 
     @pytest.mark.parametrize("mode", ["exact", "fd"])
-    def test_sidecar_names_the_derivative_route(self, mode, circular_profile_csv, tmp_path):
-        # the constant profile has rank 1
+    def test_sidecar_names_the_derivative_route(self, mode, separable_profile_csv,
+                                                block_profile_csv, tmp_path, svd_calls):
         out = tmp_path / "dens.csv"
-        assert main(["density", "--profile", circular_profile_csv, "--mode", mode,
-                     "--grid", "0.05:1.05:20", "--out", str(out)]) == 0
-        lines = open(str(out) + ".info.txt").read().splitlines()
-        route = [line for line in lines if line.startswith("exact_derivative")]
-        assert route == (["exact_derivative = factored (rank 1)"] if mode == "exact" else [])
+        for profile, route, svds in ((separable_profile_csv, "factored (rank 1)", 1),
+                                     (block_profile_csv, "factored (2 row classes)", 0)):
+            svd_calls.clear()
+            assert main(["density", "--profile", profile, "--mode", mode,
+                         "--grid", "0.05:0.6:12", "--out", str(out)]) == 0
+            lines = open(str(out) + ".info.txt").read().splitlines()
+            named = [line for line in lines if line.startswith("exact_derivative")]
+            assert named == ([f"exact_derivative = {route}"] if mode == "exact" else [])
+            assert len(svd_calls) == (svds if mode == "exact" else 0)
 
     def test_sidecar_names_the_dense_route(self, tmp_path):
         # a positive random profile has full rank, past n / 2
@@ -256,6 +279,7 @@ class TestCheck:
         text = out.read_text()
         assert "irreducible = true\nperiod = 2\n" in text
         assert "frobenius_blocks = 1\n" in text
+        assert "row_classes = 2\n" in text
         assert "block_fully_indecomposable = false" in text
         assert "circular = false" in text
 
@@ -274,16 +298,18 @@ class TestCheck:
         path = tmp_path / "ones.csv"
         write_profile_csv(validate_profile(np.ones((8, 8))), path)
         assert main(["check", "--profile", str(path)]) == 0
-        assert "frobenius_blocks = 1\nenvelope_frac = 1\n" in capsys.readouterr().out
+        assert ("frobenius_blocks = 1\nenvelope_frac = 1\nrow_classes = 1\n"
+                in capsys.readouterr().out)
 
     def test_envelope_frac_of_band_model_a(self, tmp_path, capsys):
         path = tmp_path / "band_a.csv"
         write_profile_csv(build_sampled(lambda x, y: 1.0 if abs(x - y) <= 1 / 20 else 0.0,
                                         400), path)
         assert main(["check", "--profile", str(path)]) == 0
-        line = next(row for row in capsys.readouterr().out.splitlines()
-                    if row.startswith("envelope_frac = "))
-        assert 0.0 < float(line.split(" = ")[1]) < 0.5
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, row in enumerate(lines) if row.startswith("envelope_frac = "))
+        assert 0.0 < float(lines[at].split(" = ")[1]) < 0.5
+        assert lines[at + 1] == "row_classes = none"
 
     def test_random_profile_without_blocks(self, tmp_path, capsys):
         path = tmp_path / "random.csv"

@@ -18,12 +18,14 @@ from vps.mesolver import (
     _aitken,
     _envelope,
     _gauge,
+    _indicator,
     _layout,
     _linearization,
     _linearization_norm,
     _product,
     _solve_rows,
     anneal_to_limit,
+    derivative_route,
     derivative_s2,
     envelope_fraction,
     psi,
@@ -422,18 +424,23 @@ class TestDerivative:
         x = np.concatenate([dq, dqt])
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("route", ["factored", "dense"])
+    @pytest.mark.parametrize("route", ["classes", "factored", "dense"])
     def test_rank_deficient_raises(self, route):
         # two identical, disconnected blocks: each has its own gauge
-        # direction, and the one trace row fixes only their sum.  V has
-        # rank 2, so the factored route solves it unless the cached factors
-        # are set to None beforehand
+        # direction, and the one trace row fixes only their sum.  V has two
+        # distinct rows and rank 2, so the class route solves it unless the
+        # cached classes, and for the dense route also the SVD factors, are
+        # set to None beforehand
         V = np.zeros((12, 12))
         V[:6, :6] = V[6:, 6:] = 1.0
         p = validate_profile(V)
+        if route != "classes":
+            vars(p)["row_classes"] = None
         if route == "dense":
             vars(p)["low_rank_factors"] = None
-        assert (p.low_rank_factors is not None) == (route == "factored")
+        assert derivative_route(p) == {"classes": "factored (2 row classes)",
+                                       "factored": "factored (rank 2)",
+                                       "dense": "dense"}[route]
         sol = anneal_to_limit(p, 0.5)
         with pytest.raises(RankDeficientError):
             derivative_s2(p, sol)
@@ -464,6 +471,69 @@ class TestLowRankFactors:
         for full in svd_calls[0]:
             assert not np.shares_memory(L, full)
             assert not np.shares_memory(R, full)
+
+
+class TestRowClasses:
+    def test_permuted_block_atom(self):
+        p = _permuted_block_atom()
+        label, C = p.row_classes
+        assert len(C) == 2   # the first block row, and the other two alike
+        assert np.array_equal(_indicator(label, len(C)) @ C, p.normalized)
+        assert p.row_classes[1] is C   # cached
+
+    @pytest.mark.parametrize("a", [
+        np.eye(10)[np.random.default_rng(41).permutation(10)],
+        np.array([np.roll([3.0, 1.0, 0.0, 2.0, 0.0, 0.5, 0.0, 0.0], i) for i in range(8)]),
+        np.tile([1.0, 2.0], (200, 100)) + np.eye(200)[[150]].T @ [[1.0, -1.0] * 100],
+    ], ids=["permutation", "circulant", "one-row-past-the-first-chunk"])
+    def test_equal_sums_are_never_merged(self, a):
+        # every row sums to the same value, and two rows differ
+        assert validate_profile(a).row_classes is None
+
+    def test_none_past_half_the_rows(self):
+        # four distinct rows: classes in eight rows, None in seven
+        rows = np.diag([1.0, 2.0, 3.0, 4.0])
+        label, C = validate_profile(np.pad(rows[[0, 1, 2, 3] * 2], ((0, 0), (0, 4)))
+                                    ).row_classes
+        assert list(label) == [0, 1, 2, 3] * 2
+        assert validate_profile(np.pad(rows[[0, 1, 2, 3, 0, 1, 2]], ((0, 0), (0, 3)))
+                                ).row_classes is None
+
+    def test_zero_row_is_its_own_class(self):
+        a = build_block_atom(3, 4).variances.copy()
+        a[[2, 7]] = 0.0
+        label, C = validate_profile(a).row_classes
+        assert len(C) == 3
+        assert label[2] == label[7] and not C[label[2]].any()
+        assert len(set(label[[0, 2, 4]])) == 3
+
+    def test_classes_are_read_only_and_own_their_memory(self):
+        p = build_block_atom(3, 10)
+        label, C = p.row_classes
+        assert not (label.flags.writeable or C.flags.writeable)
+        assert C.base is None and not np.shares_memory(C, p.normalized)
+
+    @staticmethod
+    def interleaved_blocks():
+        """diag(ones(6, 6), 2 ones(10, 10)), symmetrically permuted: two row
+        classes and two components, so the kernel permutes the classes."""
+        a = np.zeros((16, 16))
+        a[:6, :6], a[6:, 6:] = 1.0, 2.0
+        perm = np.random.default_rng(43).permutation(16)
+        return validate_profile(a[np.ix_(perm, perm)])
+
+    @pytest.mark.parametrize("make", [_permuted_block_atom, interleaved_blocks],
+                             ids=["permuted-block-atom", "interleaved-blocks"])
+    def test_curve_matches_the_panel_products(self, make):
+        p, panels = make(), make()
+        vars(panels)["row_classes"] = None
+        assert p.row_classes is not None
+        grid = math.sqrt(spectral_radius(p)) * np.array([0.1, 0.5, 0.9])
+        curve, ref = solve_curve(p, grid), solve_curve(panels, grid)
+        assert curve.failed_indices == ref.failed_indices == ()
+        for sol, want in zip(curve.solutions, ref.solutions):
+            for x, y in ((sol.q, want.q), (sol.q_tilde, want.q_tilde)):
+                assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
 
 
 class TestSolveCurve:
@@ -550,9 +620,9 @@ class TestSolveCurve:
         seen = []
         kernel = vps.mesolver._solve_rows
 
-        def recorded(V, s, t, config):
+        def recorded(V, s, t, config, classes=None):
             seen.extend(s)
-            return kernel(V, s, t, config)
+            return kernel(V, s, t, config, classes)
 
         monkeypatch.setattr(vps.mesolver, "_solve_rows", recorded)
         curve = solve_curve(p, grid)
@@ -706,7 +776,7 @@ class TestComponentOrder:
 
     def test_layout_makes_v_block_diagonal(self, direct_sum):
         p, perm, blocks, _ = direct_sum
-        V, VT, (order, starts, sizes), panels, _ = _layout(p.normalized)
+        V, (order, starts, sizes), (_, panels), (VT, _) = _layout(p.normalized)
         assert (order != np.arange(p.n)).any()
         assert sorted(sizes) == list(self.SIZES)
         assert list(starts) == [0, sizes[0], sizes[0] + sizes[1]]

@@ -4,19 +4,21 @@ Profiles are n x n with n <= 12 and entries in [0.1, 2], so every one is
 positive and its measure fills the disc of radius sqrt(rho).  Grids hold at
 most six radii, given as fractions of the support radius; fractions within
 5% of 1 are left out except 1 itself, since there the computed rho of two
-equivalent profiles can round to opposite sides of a radius.
+equivalent profiles can round to opposite sides of a radius.  The block
+profiles of the row-class property are sparser: n <= 24, at most five
+distinct rows, zero blocks, zero rows and zero columns.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vps.core import validate_profile
+from vps.core import RankDeficientError, validate_profile
 from vps.measures import cdf
-from vps.mesolver import solve_curve
+from vps.mesolver import derivative_s2, solve_curve
 from vps.profiles import spectral_radius
 
 PROPERTY = settings(max_examples=12, deadline=2000, derandomize=True)
@@ -105,3 +107,52 @@ def test_scaling_maps_F_s_to_F_s_over_root_c(case, c):
     assert ([sol.is_trivial for sol in scaled.solutions]
             == [sol.is_trivial for sol in curve.solutions])
     assert np.allclose(raw_F(scaled), raw_F(curve), rtol=0.0, atol=1e-7)
+
+
+@st.composite
+def block_profiles(draw):
+    """A profile with at most five row types and four column groups, each
+    block zero or constant, symmetrically permuted, and radii inside the
+    support as fractions of its radius."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(2 * k, 24))
+    groups = draw(st.integers(1, 4))
+    values = draw(arrays(float, (k, groups),
+                         elements=st.one_of(st.just(0.0), st.floats(0.1, 2.0))))
+    rows = draw(arrays(int, n, elements=st.integers(0, k - 1)))
+    cols = draw(arrays(int, n, elements=st.integers(0, groups - 1)))
+    perm = np.array(draw(st.permutations(range(n))))
+    fractions = draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4, unique=True))
+    return values[rows][:, cols][np.ix_(perm, perm)], np.unique(fractions)
+
+
+def _without_classes(a):
+    """The profile of a, with its row classes and SVD factors forced to
+    None, so the kernel reads its panels and the derivative runs the
+    dense LU."""
+    p = validate_profile(a)
+    vars(p)["row_classes"] = vars(p)["low_rank_factors"] = None
+    return p
+
+
+@PROPERTY
+@given(block_profiles())
+def test_row_classes_give_the_dense_curve_and_derivative(case):
+    a, fractions = case
+    assume(a.any())
+    p = validate_profile(a)
+    assume(p.row_classes is not None and spectral_radius(p) > 0.0)
+    dense = _without_classes(a)
+    grid = math.sqrt(spectral_radius(p)) * fractions
+    curve, ref = solve_curve(p, grid), solve_curve(dense, grid)
+    assert curve.failed_indices == ref.failed_indices
+    assert np.abs(cdf(curve) - cdf(ref)).max() <= 1e-12
+    for sol in curve.solutions:
+        if sol.is_trivial:
+            continue
+        try:
+            want = np.concatenate(derivative_s2(dense, sol))
+        except RankDeficientError:
+            continue
+        got = np.concatenate(derivative_s2(p, sol))
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
