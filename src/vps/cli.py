@@ -164,7 +164,7 @@ def _cmd_solve(args) -> int:
 
 def _density_outputs(curve, mode):
     F = cdf(curve)
-    f_fd = grid_density(curve, mode="fd")
+    f_fd = density_from_cdf(curve.s_grid, F, math.sqrt(curve.rho))
     if mode == "exact":
         f_exact = grid_density(curve, mode="exact")
     else:
@@ -234,12 +234,12 @@ def _cmd_check(args) -> int:
     rho = spectral_radius(profile)
     pattern = profile.variances > 0
     classes = cyclic_classes(pattern)
-    row_classes = profile.row_classes
+    pair_classes = profile.pair_classes
     structure = ("irreducible = false\n" if classes is None else
                  f"irreducible = true\nperiod = {classes.max() + 1}\n")
     structure += (f"frobenius_blocks = {_scc(pattern).max() + 1}\n"
                   f"envelope_frac = {envelope_fraction(profile.normalized):.4g}\n"
-                  f"row_classes = {'none' if row_classes is None else len(row_classes[1])}\n")
+                  f"pair_classes = {'none' if pair_classes is None else len(pair_classes[1])}\n")
     bfid = is_block_fully_indecomposable(profile, K, phi)
     if bfid:
         try:

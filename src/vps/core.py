@@ -66,15 +66,19 @@ class VarianceProfile:
         return bool(np.all(np.abs(self.variances - self.variances.T) <= tol))
 
     @functools.cached_property
-    def row_classes(self):
-        """The distinct rows of V, (label, C) with V[i] == C[label[i]] for
-        every row i, or None when V has k distinct rows with 2k > n (the
-        rule of `low_rank_factors`).  So V = P C exactly, with P the n x k
-        0/1 indicator of `label`.  Both are read-only; C owns its memory.
-        Computed on first use by `_row_classes` and cached on the profile;
-        the fixed-point kernel and the exact derivative read it.
+    def pair_classes(self):
+        """The pair classes of V, (label, sizes, Vbar), or None when V has
+        p classes with 2p > n (the rule of `low_rank_factors`).  Indices i
+        and j share a class when V[i] == V[j] and V[:, i] == V[:, j], that
+        is, when they have the same row of [V | V^T].  label[i] is the class
+        of index i, sizes[c] the number of indices in class c, and
+        Vbar[c, d] the value of every entry of V in rows of class c and
+        columns of class d, so V == Vbar[label][:, label] exactly.  All
+        three are read-only; Vbar owns its memory.  Computed on first use
+        by `_pair_classes` and cached on the profile; the fixed-point kernel
+        and the exact derivative solve on the p x p quotient.
         """
-        return _row_classes(self.normalized)
+        return _pair_classes(self.normalized)
 
     @functools.cached_property
     def margins(self):
@@ -95,7 +99,7 @@ class VarianceProfile:
         R = Vh_r (r x n), read-only arrays that own their memory, so the
         full SVD outputs are freed.  Computed on first use and cached on
         the profile; only the exact derivative of a profile without
-        `row_classes` reads it.
+        `pair_classes` reads it.
         """
         U, S, Vh = np.linalg.svd(self.normalized, full_matrices=False)
         r = int(np.count_nonzero(S > S[0] * self.n * np.finfo(float).eps))
@@ -107,30 +111,36 @@ class VarianceProfile:
         return L, R
 
 
-# Rows per exact comparison of `_row_classes`, so no n x n temporary is made.
+# Rows and columns per exact comparison of `_pair_classes`, so no n x n
+# temporary is made.
 CHUNK = 64
 
 
-def _row_classes(V):
-    """`VarianceProfile.row_classes` of V.
+def _pair_classes(V):
+    """`VarianceProfile.pair_classes` of V.
 
-    Rows are grouped on their sums, a key computed from each row alone, so
-    identical rows always share it; past n / 2 groups there is nothing to
-    compare.  Then every row is compared exactly with its group's first
-    row, CHUNK rows at a time, and one mismatch (two rows with equal sums
-    but different entries) gives None.
+    Indices are grouped on their (row sum, column sum) pair, a key computed
+    from each row and column alone, so the indices of one class always
+    share it; past n / 2 groups there is nothing to compare.  Then every
+    row and every column is compared exactly with its group's first,
+    CHUNK at a time, and one mismatch (two indices with equal sums but
+    different entries) gives None.
     """
     n = len(V)
-    sums, first, label = np.unique(V.sum(axis=1), return_index=True, return_inverse=True)
-    if 2 * len(sums) > n:
+    # a complex key, so np.unique compares both sums
+    key = V.sum(axis=1) + 1j * V.sum(axis=0)
+    _, first, label, sizes = np.unique(key, return_index=True, return_inverse=True,
+                                       return_counts=True)
+    if 2 * len(first) > n:
         return None
-    C = V[first]
     for a in range(0, n, CHUNK):
-        if not (V[a:a + CHUNK] == C[label[a:a + CHUNK]]).all():
+        rep = first[label[a:a + CHUNK]]
+        if not ((V[a:a + CHUNK] == V[rep]).all() and (V[:, a:a + CHUNK] == V[:, rep]).all()):
             return None
-    label.setflags(write=False)
-    C.setflags(write=False)
-    return label, C
+    Vbar = V[np.ix_(first, first)]
+    for x in (label, sizes, Vbar):
+        x.setflags(write=False)
+    return label, sizes, Vbar
 
 
 def validate_profile(raw_grid) -> VarianceProfile:

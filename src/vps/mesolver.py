@@ -37,17 +37,24 @@ Each call of the kernel lays V out once for all its iterations.  Where the
 components are not already contiguous, V is permuted symmetrically into
 their stable label order, so each component's unknowns form one range and
 a direct sum becomes block diagonal; the trace balance then sums and
-scales ranges.  A block profile, whose V has k distinct rows with
-2k <= n (`VarianceProfile.row_classes`), multiplies through V = P C, with
-C the distinct rows and P the 0/1 class indicator: x @ V = (x @ P) @ C
-and x @ V^T = (x @ C^T) @ P^T cost O(n k) per row, and, as sums of
-nonnegative terms, keep V's structural zeros exact.  Other profiles read
-only V's nonzero envelope: V's columns are cut into panels of PANEL
-columns, each with the row range that holds all of its nonzeros, and a
-product is one matrix product per panel over that range, for V and for
-its contiguous transpose alike.  On a band or a block-diagonal profile
-that reads a quarter to a third of V; a profile whose envelope covers
-most of V keeps one panel, the whole matrix.
+scales ranges.  The products read only V's nonzero envelope: V's columns
+are cut into panels of PANEL columns, each with the row range that holds
+all of its nonzeros, and a product is one matrix product per panel over
+that range, for V and for its contiguous transpose alike.  On a band or a
+block-diagonal profile that reads a quarter to a third of V; a profile
+whose envelope covers most of V keeps one panel, the whole matrix.
+
+A block profile is solved on its quotient.  Two indices with the same row
+of V and the same column of V (the same row of [V | V^T]) have equal q and
+equal q_tilde at every iterate, so the p pair classes of V
+(`VarianceProfile.pair_classes`, used when 2p <= n) carry the whole
+iteration: with class sizes n_c and block values Vbar (p x p), the q half
+multiplies by diag(n_c) Vbar, the q_tilde half by diag(n_c) Vbar^T, and the
+trace sums weight each class by n_c.  The stopping rule, the Aitken steps,
+the Newton hand-offs and the 1/t bound act on the 2p unknowns as they
+would on the lifted 2n, and each finished row is lifted by the class
+label.  `derivative_s2` solves the same quotient.
+
 `solve_curve` runs the kernel at t_min over the radii of a grid below
 sqrt(rho), by default `default_s_grid` up to the support radius;
 `anneal_to_limit` is its one-radius call, and `solve_regularized` is a
@@ -62,8 +69,9 @@ the Frobenius blocks, and then runs the Sinkhorn iteration.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,21 +145,25 @@ def psi(profile: VarianceProfile, q, q_tilde, s: float, t: float) -> np.ndarray:
     return 1.0 / denom
 
 
-def _gauge(V):
+def _gauge(V, weights=None):
     """The connected components of the pattern of V + V^T, for `_rebalance`:
     the nodes in the stable order of their `_scc` labels, where each
-    component starts in that order, and its size."""
+    component starts in that order, its size, and the `weights` of the
+    nodes (the class sizes of a pair-class quotient, or None) in that
+    order."""
     label = _scc((V != 0) | (V.T != 0))
     order = np.argsort(label, kind="stable")
     sizes = np.bincount(label)
-    return order, np.cumsum(sizes) - sizes, sizes
+    return (order, np.cumsum(sizes) - sizes, sizes,
+            None if weights is None else weights[order])
 
 
 def _rebalance(x, gauge):
     """Gauge rescaling (q, qt) -> (c q, qt / c) with c = sqrt(sum(qt) / sum(q))
     taken over each component of `_gauge`, in place on every [q | qt] row
     of x, whose unknowns are in the gauge's order: each component is one
-    contiguous range.
+    contiguous range.  On a pair-class quotient the sums weight each class
+    by its size, so they are the sums of the lifted n entries.
 
     The equations of a component involve only its own entries, so each
     component's rescaling is an exact symmetry of the t = 0 equations, and
@@ -159,9 +171,9 @@ def _rebalance(x, gauge):
     it the iteration restores balance only at a rate proportional to t.
     Both sums must be positive in every component.
     """
-    _, starts, sizes = gauge
+    _, starts, sizes, weights = gauge
     x3 = x.reshape(len(x), 2, -1)
-    sums = np.add.reduceat(x3, starts, axis=2)
+    sums = np.add.reduceat(x3 if weights is None else x3 * weights, starts, axis=2)
     c = np.repeat(np.sqrt(sums[:, 1] / sums[:, 0]), sizes, axis=1)
     x3[:, 0] *= c
     x3[:, 1] /= c
@@ -186,91 +198,76 @@ def _envelope(V):
     return tuple(zip(lo.tolist(), hi.tolist(), a.tolist(), b.tolist()))
 
 
-def _layout(V, classes=None):
-    """What `_solve_rows` sets up once per call: V in the component order
-    of `_gauge` (V itself when that order is the identity), the gauge, and
-    the operands (M, panels) of `_product` for x @ V and for x @ V^T.
+def _layout(V, sizes=None):
+    """What `_solve_rows` sets up once per call: the gauge of `_gauge` and
+    the operands (A, panels) and (B, panels) of `_product`, in the gauge's
+    component order, with q @ A = V^T q and qt @ B = V qt.
 
-    With the `VarianceProfile.row_classes` (label, C) of V, permuted into
-    the same order, V = P C for the 0/1 class indicator P of label, and the
-    operands are the factor pairs (P, C) and (C^T, P^T).  Otherwise they
-    are V and its contiguous transpose, each with its `_envelope` panels.
+    For V itself A is V and B its contiguous transpose, each with its
+    `_envelope` panels.  On the pair-class quotient Vbar of a profile, with
+    the class `sizes`, A = diag(sizes) Vbar and B = diag(sizes) Vbar^T: the
+    lifted (V^T q)_i sums sizes[d] Vbar[d, c] q_d over the classes d, with
+    c the class of i, and likewise (V qt)_i.
     """
-    gauge = _gauge(V)
+    gauge = _gauge(V, sizes)
     order = gauge[0]
-    permuted = (order != np.arange(len(order))).any()
-    if permuted:
+    if (order != np.arange(len(order))).any():
         V = V[np.ix_(order, order)]
-    if classes is not None:
-        label, C = classes
-        if permuted:
-            label, C = label[order], C[:, order]
-        P = _indicator(label, len(C))
-        CT, PT = np.ascontiguousarray(C.T), np.ascontiguousarray(P.T)
-        return V, gauge, ((P, C), None), ((CT, PT), None)
-    VT = np.ascontiguousarray(V.T)  # a faster operand than the transposed view
-    return V, gauge, (V, _envelope(V)), (VT, _envelope(VT))
+    if sizes is None:
+        A, B = V, np.ascontiguousarray(V.T)  # a faster operand than the transposed view
+    else:
+        weights = gauge[3][:, None]
+        A, B = weights * V, weights * V.T
+    return gauge, (A, _envelope(A)), (B, _envelope(B))
 
 
 def envelope_fraction(V) -> float:
     """Share of V that one fixed-point iteration of `_solve_rows` reads
-    without row classes: the area of the `_envelope` panels of V and of
-    V^T, in the kernel's component order, over 2 n^2."""
-    _, _, (_, panels), (_, panels_T) = _layout(V)
+    on V itself: the area of the `_envelope` panels of V and of V^T, in
+    the kernel's component order, over 2 n^2."""
+    _, (_, panels), (_, panels_T) = _layout(V)
     area = sum((hi - lo) * (b - a) for lo, hi, a, b in panels + panels_T)
     return area / (2 * V.shape[0] ** 2)
 
 
-def _indicator(label, k):
-    """The n x k 0/1 matrix P with P[i, label[i]] = 1."""
-    return (label[:, None] == np.arange(k)).astype(float)
-
-
 def _product(x, M, panels, out):
-    """out = x @ M, one matrix product per `_envelope` panel of M.  With
-    panels None, M is a pair of row-class factors (A, B) from `_layout`,
-    and out = (x @ A) @ B: x @ V = (x @ P) @ C sums x over each class, and
-    x @ V^T = (x @ C^T) @ P^T spreads each class's value to its rows, a
-    gather (the other terms add exact zeros) that BLAS runs faster than
-    numpy's.  Both sum nonnegative terms, so a structural zero of V gives
-    an exact zero, as in the panel products; the mixed signs of SVD
-    factors would leave rounding noise there."""
-    if panels is None:
-        A, B = M
-        np.matmul(x @ A, B, out=out)
-        return
+    """out = x @ M, one matrix product per `_envelope` panel of M."""
     for lo, hi, a, b in panels:
         np.matmul(x[:, lo:hi], M[lo:hi, a:b], out=out[:, a:b])
 
 
-def _linearization(V, d, cq, cqt, trace=False):
-    """I - J for the block matrix J = [[d V^T, -cq V], [-cqt V^T, d V]],
-    whose blocks are V or V^T with row i scaled by the coefficient vector.
+def _linearization(A, B, d, cq, cqt, trace=None):
+    """I - J for the block matrix J = [[d A^T, -cq B^T], [-cqt A^T, d B^T]]
+    of the operands (A, B) of `_layout`, whose blocks are A^T or B^T with
+    row i scaled by the coefficient vector: for (V, V^T) the blocks are
+    V^T or V.
 
-    Written into one array; with `trace`, the trace vector
-    r = (1, ..., 1, -1, ..., -1) borders it as a last row and a last column,
-    giving the square matrix [[I - J, r^T], [r, 0]].
+    Written into one array; with the trace weights w, the trace row
+    (w, -w) and the column (1, ..., 1, -1, ..., -1) border it as a last
+    row and a last column, giving the square matrix [[I - J, r^T], [w r, 0]].
     """
     n = len(d)
-    A = np.empty((2 * n + trace, 2 * n + trace))
-    top, bottom = A[:n, :2 * n], A[n:2 * n, :2 * n]
-    np.multiply(d[:, None], V.T, out=top[:, :n])
+    AT, BT = A.T, B.T
+    M = np.empty((2 * n + (trace is not None),) * 2)
+    top, bottom = M[:n, :2 * n], M[n:2 * n, :2 * n]
+    np.multiply(d[:, None], AT, out=top[:, :n])
     np.negative(top[:, :n], out=top[:, :n])
-    np.multiply(cq[:, None], V, out=top[:, n:])
-    np.multiply(cqt[:, None], V.T, out=bottom[:, :n])
-    np.multiply(d[:, None], V, out=bottom[:, n:])
+    np.multiply(cq[:, None], BT, out=top[:, n:])
+    np.multiply(cqt[:, None], AT, out=bottom[:, :n])
+    np.multiply(d[:, None], BT, out=bottom[:, n:])
     np.negative(bottom[:, n:], out=bottom[:, n:])
     diag = np.arange(2 * n)
-    A[diag, diag] += 1.0
-    if trace:
-        A[2 * n, :n] = A[:n, 2 * n] = 1.0
-        A[2 * n, n:] = A[n:, 2 * n] = -1.0
-        A[2 * n, 2 * n] = 0.0
-    return A
+    M[diag, diag] += 1.0
+    if trace is not None:
+        M[2 * n, :n], M[2 * n, n:2 * n] = trace, -trace
+        M[:n, 2 * n], M[n:2 * n, 2 * n] = 1.0, -1.0
+        M[2 * n, 2 * n] = 0.0
+    return M
 
 
-def _newton_refine(V, x, s2, t, tol, gauge, max_steps=40):
-    """Newton iteration on x - I(x) = 0 from a fixed-point iterate x = [q | qt].
+def _newton_refine(A, B, x, s2, t, tol, gauge, max_steps=40):
+    """Newton iteration on x - I(x) = 0 from a fixed-point iterate x = [q | qt]
+    of the equations of the operands (A, B) of `_layout`.
 
     Used when plain iteration slows down near the critical radius; the
     Jacobian of I has the structure of the derivative linear system.
@@ -290,8 +287,8 @@ def _newton_refine(V, x, s2, t, tol, gauge, max_steps=40):
     best, misses = math.inf, 0
     for _ in range(max_steps):
         q, qt = x[:n], x[n:]
-        a = V @ qt + t
-        b = V.T @ q + t
+        a = qt @ B + t
+        b = q @ A + t
         p = 1.0 / (s2 + a * b)
         F = np.concatenate([p * b - q, p * a - qt])
         residual = np.abs(F).max()
@@ -304,9 +301,9 @@ def _newton_refine(V, x, s2, t, tol, gauge, max_steps=40):
             if misses == 2:
                 return None
         p2 = p * p
-        A = _linearization(V, s2 * p2, p2 * b * b, p2 * a * a)
+        M = _linearization(A, B, s2 * p2, p2 * b * b, p2 * a * a)
         try:
-            step = np.linalg.solve(A, F) / x
+            step = np.linalg.solve(M, F) / x
         except np.linalg.LinAlgError:
             return None
         with np.errstate(over="ignore"):
@@ -330,7 +327,7 @@ class _Rows:
     errors: list
 
 
-def _solve_rows(V, s, t, config: SolverConfig, classes=None) -> _Rows:
+def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
     """Solve the equations at regularization t for every radius of `s`,
     each from ones.
 
@@ -346,12 +343,13 @@ def _solve_rows(V, s, t, config: SolverConfig, classes=None) -> _Rows:
     V is laid out once by `_layout`: the rows iterate on the unknowns in
     the component order of `_gauge`, so a component's trace balance sums
     one contiguous range, and each finished row is written back in the
-    caller's order.  Each product goes through V's row `classes`, when
-    given, and otherwise reads only V's `_envelope` panels.
+    caller's order.  Each product reads only its operand's `_envelope`
+    panels.  With class `sizes`, V is a pair-class quotient Vbar, and the
+    rows hold one entry per class (see `_solve`).
     """
     s = np.asarray(s, dtype=float)
     m, n = len(s), V.shape[0]
-    V, gauge, product, product_T = _layout(V, classes)
+    gauge, product, product_T = _layout(V, sizes)
     order = gauge[0]
     back = np.concatenate([order, order + n])   # row entry -> caller's entry
     tol = config.fixed_point_tol
@@ -406,7 +404,8 @@ def _solve_rows(V, s, t, config: SolverConfig, classes=None) -> _Rows:
             if it % NEWTON == 0:
                 # persistent slow convergence: hand each iterate to Newton
                 for g in np.flatnonzero(~done):
-                    refined = _newton_refine(V, x[g], s2[g, 0], t, tol, gauge)
+                    refined = _newton_refine(product[0], product_T[0], x[g], s2[g, 0],
+                                             t, tol, gauge)
                     if refined is not None:
                         x[g], res[g] = refined
                         done[g] = True
@@ -465,13 +464,27 @@ def _aitken(x, last, prev_norm, dx, cap):
     return norm
 
 
+def _solve(profile: VarianceProfile, s, t, config: SolverConfig) -> _Rows:
+    """`_solve_rows` on the profile: on its pair-class quotient, with each
+    row lifted to the n entries by the class label, when it has
+    `pair_classes`, and otherwise on V itself.  Two indices of one class
+    have equal q and equal q_tilde at every iterate, so the quotient runs
+    the same iteration on 2p unknowns in place of 2n."""
+    classes = profile.pair_classes
+    if classes is None:
+        return _solve_rows(profile.normalized, s, t, config)
+    label, sizes, Vbar = classes
+    rows = _solve_rows(Vbar, s, t, config, sizes)
+    return replace(rows, q=rows.q[:, label], q_tilde=rows.q_tilde[:, label])
+
+
 def solve_regularized(profile: VarianceProfile, s: float, t: float,
                       config: SolverConfig | None = None) -> MESolution:
     """Unique positive solution of the regularized system at (s, t), t > 0."""
     if t <= 0:
         raise ValueError("t must be positive; use anneal_to_limit for the t -> 0 limit")
     config = config or SolverConfig()
-    rows = _solve_rows(profile.normalized, [s], t, config, profile.row_classes)
+    rows = _solve(profile, [s], t, config)
     if rows.errors[0]:
         raise NoConvergenceError(rows.errors[0])
     return MESolution(s=s, t=t, q=rows.q[0], q_tilde=rows.q_tilde[0],
@@ -534,7 +547,7 @@ def solve_at_zero(profile: VarianceProfile,
 
 
 def _linearization_norm(V, d, cq, cqt, margins=None) -> float:
-    """||M||_inf of M = `_linearization(V, d, cq, cqt, trace=True)` from the
+    """||M||_inf of M = `_linearization(V, V.T, d, cq, cqt, trace=ones)` from the
     row and column sums of V, without assembling M.  `margins` are V's row
     sums, column sums and diagonal (`VarianceProfile.margins`), when the
     caller has them.
@@ -567,8 +580,8 @@ def _bordered_identity_solve(B):
 
 
 def _factored_solve(L, R, d, cq, cqt, B):
-    """M^-1 B for the bordered matrix M of `_linearization(V, d, cq, cqt,
-    trace=True)` with V = L R of rank k, by the Woodbury identity.
+    """M^-1 B for the bordered matrix M of `_linearization(V, V.T, d, cq,
+    cqt, trace=ones)` with V = L R of rank k, by the Woodbury identity.
 
     J = C blockdiag(V^T, V) with C = [[D, -Q], [-Qt, D]], so
     M = M0 - U Y^T with U = [C blockdiag(R^T, L); 0] and
@@ -592,26 +605,25 @@ def _factored_solve(L, R, d, cq, cqt, B):
     return W + Z @ np.linalg.solve(np.eye(2 * k) - project(Z), project(W))
 
 
-def _derivative_factors(profile: VarianceProfile):
-    """(L, R, name) with V = L R for the factored route of `derivative_s2`,
-    or None for the dense route: the row classes (P, C) when the profile
-    has them, so no SVD runs, and otherwise `low_rank_factors`."""
-    classes = profile.row_classes
-    if classes is not None:
-        label, C = classes
-        return _indicator(label, len(C)), C, f"{len(C)} row classes"
-    factors = profile.low_rank_factors
-    if factors is None:
-        return None
-    return (*factors, f"rank {len(factors[1])}")
-
-
 def derivative_route(profile: VarianceProfile) -> str:
-    """The route `derivative_s2` takes on the profile: "factored (k row
+    """The route `derivative_s2` takes on the profile: "quotient (p
     classes)", "factored (rank r)" or "dense".  It reads the same cached
-    factors, so it runs no SVD that the derivative did not run."""
-    factors = _derivative_factors(profile)
-    return "dense" if factors is None else f"factored ({factors[2]})"
+    properties, so it runs no SVD that the derivative did not run."""
+    classes = profile.pair_classes
+    if classes is not None:
+        return f"quotient ({len(classes[1])} classes)"
+    factors = profile.low_rank_factors
+    return "dense" if factors is None else f"factored (rank {len(factors[1])})"
+
+
+@functools.lru_cache(maxsize=8)
+def _probe(size):
+    """The seeded random right-hand side z of `derivative_s2`'s condition
+    estimate for a system of `size` unknowns: drawn once per size, and
+    read-only, since every call shares it."""
+    z = np.random.default_rng(0).uniform(-1.0, 1.0, size)
+    z.setflags(write=False)
+    return z
 
 
 def derivative_s2(profile: VarianceProfile, sol: MESolution):
@@ -623,43 +635,52 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     square bordered matrix M = [[I - J, r^T], [r, 0]], whose multiplier,
     the last unknown, is zero up to rounding.
 
-    When V has k distinct rows with 2k <= n (`VarianceProfile.row_classes`:
-    block profiles, the constant profile with k = 1), V = P C with the 0/1
-    class indicator P, and `_factored_solve` solves M by the Woodbury
-    identity through one 2k x 2k system, in O(n k^2), with no SVD.
-    Otherwise, when V has a rank r with 2r <= n
-    (`VarianceProfile.low_rank_factors`: separable profiles have r = 1), the
-    same solve takes the SVD factors, and otherwise one LU factors the
-    assembled M.  `derivative_route` names the route.
+    When V has p pair classes with 2p <= n (`VarianceProfile.pair_classes`:
+    block profiles, the constant profile with p = 1), the equations and
+    their derivative take one value per class: it takes each class's mean
+    of q and qt, solves the (2p + 1) bordered system of the quotient
+    operands of `_layout`, whose trace row weights each class by its size,
+    by one LU, and lifts the result by the class label.  Otherwise, when
+    V has a rank r with 2r <= n (`VarianceProfile.low_rank_factors`:
+    separable profiles have r = 1), `_factored_solve` solves M by the
+    Woodbury identity through the SVD factors, in O(n r^2), and otherwise
+    one LU factors the assembled M.  `derivative_route` names the route.
 
     The same solve takes a second, seeded random right-hand side z, for the
-    condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf, with ||M||_inf
-    the same on both routes: above 1e13, or when the system is exactly
-    singular or the solution is not finite, RankDeficientError is raised,
-    since then the gauge is not the only null direction and x is not
-    determined.
+    condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf of the system
+    it solves: above 1e13, or when the system is exactly singular or the
+    solution is not finite, RankDeficientError is raised, since then the
+    gauge is not the only null direction and x is not determined.
     """
     if sol.is_trivial or sol.s <= 0:
         raise ValueError("derivative requires a nontrivial solution at s > 0")
     V = profile.normalized
-    n = profile.n
     q, qt, s = sol.q, sol.q_tilde, sol.s
-    phi = V @ qt
-    phit = V.T @ q
+    classes = profile.pair_classes
+    factors = None
+    if classes is not None:
+        label, weights, Vbar = classes
+        q, qt = (np.bincount(label, x, len(weights)) / weights for x in (q, qt))
+        A, B = weights[:, None] * Vbar, weights[:, None] * Vbar.T
+    else:
+        A, B, weights = V, V.T, np.ones(profile.n)
+        factors = profile.low_rank_factors
+    n = len(q)
+    phi = B.T @ qt
+    phit = A.T @ q
     p = 1.0 / (s * s + phi * phit)
     s2 = s * s
     d, cq, cqt = s2 * p ** 2, q ** 2, qt ** 2
     b = -np.concatenate([p * q, p * qt, [0.0]])
-    z = np.random.default_rng(0).uniform(-1.0, 1.0, 2 * n + 1)
-    B = np.column_stack([b, z])
-    factors = _derivative_factors(profile)
+    z = _probe(2 * n + 1)
+    rhs = np.column_stack([b, z])
     try:
         if factors is None:
-            M = _linearization(V, d, cq, cqt, trace=True)
-            x, y = np.linalg.solve(M, B).T
+            M = _linearization(A, B, d, cq, cqt, trace=weights)
+            x, y = np.linalg.solve(M, rhs).T
             norm = np.abs(M).sum(axis=1).max()
         else:
-            x, y = _factored_solve(*factors[:2], d, cq, cqt, B).T
+            x, y = _factored_solve(*factors, d, cq, cqt, rhs).T
             norm = _linearization_norm(V, d, cq, cqt, profile.margins)
     except np.linalg.LinAlgError:
         raise RankDeficientError("derivative system is singular") from None
@@ -667,6 +688,8 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     if not (np.isfinite(x).all() and cond <= 1e13):
         raise RankDeficientError(
             f"derivative system condition estimate {cond:.3e} > 1e13")
+    if classes is not None:
+        return x[label], x[n + label]
     return x[:n], x[n:2 * n]
 
 
@@ -695,8 +718,7 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     if np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be strictly increasing and positive")
     inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
-    rows = _solve_rows(profile.normalized, s_grid[:inside], config.t_min, config,
-                       profile.row_classes)
+    rows = _solve(profile, s_grid[:inside], config.t_min, config)
     sols = []
     for i, s in enumerate(s_grid):
         if i < inside:  # a failed row holds zeros and residual inf

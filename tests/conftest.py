@@ -3,6 +3,7 @@ import pytest
 
 import vps.cli
 import vps.core
+import vps.mesolver
 import vps.profiles
 
 
@@ -38,15 +39,31 @@ def svd_calls(monkeypatch):
 
 
 @pytest.fixture()
-def row_classes_calls(monkeypatch):
-    """Record the matrix of every `vps.core._row_classes` call, the scan
-    behind `VarianceProfile.row_classes`."""
+def pair_classes_calls(monkeypatch):
+    """Record the matrix of every `vps.core._pair_classes` call, the scan
+    behind `VarianceProfile.pair_classes`."""
     calls = []
-    original = vps.core._row_classes
+    original = vps.core._pair_classes
 
     def counted(V):
         calls.append(V)
         return original(V)
 
-    monkeypatch.setattr(vps.core, "_row_classes", counted)
+    monkeypatch.setattr(vps.core, "_pair_classes", counted)
     return calls
+
+
+@pytest.fixture(scope="session")
+def full_n():
+    """A function that makes a profile skip its pair-class quotient, so the
+    kernel and the derivative work on all n indices, and, with
+    `factors=False`, also the rank-r derivative route, so the derivative
+    runs the dense LU.  It returns `derivative_route` of the profile, for
+    the test to assert the route it got."""
+    def force(profile, factors=True):
+        vars(profile)["pair_classes"] = None
+        if not factors:
+            vars(profile)["low_rank_factors"] = None
+        return vps.mesolver.derivative_route(profile)
+
+    return force

@@ -29,7 +29,8 @@ def block_profile_csv(tmp_path):
 
 @pytest.fixture()
 def separable_profile_csv(tmp_path):
-    # rank 1 with distinct rows, so no row classes: the SVD factors it
+    # rank 1 with distinct rows and columns, so no pair classes: the SVD
+    # factors it
     path = tmp_path / "separable.csv"
     write_profile_csv(build_separable(np.linspace(0.5, 2.0, 32), np.linspace(1.5, 0.5, 32))[0],
                       path)
@@ -101,7 +102,8 @@ class TestConvergenceFailure:
 
     def test_rank_deficient_derivative_exits_4(self, tmp_path, capsys):
         # two disconnected ones blocks: the one trace row of the exact
-        # derivative fixes only the sum of their two gauge directions
+        # derivative fixes only the sum of their two gauge directions, and
+        # the 5 x 5 system of their two pair classes is exactly singular
         V = np.zeros((12, 12))
         V[:6, :6] = V[6:, 6:] = 1.0
         profile = tmp_path / "two_blocks.csv"
@@ -109,7 +111,7 @@ class TestConvergenceFailure:
         assert main(["density", "--profile", str(profile), "--mode", "exact",
                      "--grid", "0.5:0.6:2", "--out", str(tmp_path / "d.csv")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("vps: rank deficient: derivative system condition")
+        assert err == "vps: rank deficient: derivative system is singular\n"
         assert "Traceback" not in err
 
 
@@ -146,13 +148,13 @@ class TestSvdOnlyForTheExactDerivative:
         assert len(svd_calls) == 1
 
     def test_none_for_an_exact_curve_of_a_block_profile(self, block_profile_csv, tmp_path,
-                                                       svd_calls, row_classes_calls):
-        # the curve and its 190 derivatives share one scan for row classes
+                                                       svd_calls, pair_classes_calls):
+        # the curve and its 190 derivatives share one scan for pair classes
         out = tmp_path / "out.csv"
         assert main(["density", "--profile", block_profile_csv, "--mode", "exact",
                      "--out", str(out)]) == 0
         assert (read_density_csv(out)[2] > 0.0).sum() == 190
-        assert len(row_classes_calls) == 1
+        assert len(pair_classes_calls) == 1
         assert len(svd_calls) == 0
 
 
@@ -208,7 +210,7 @@ class TestDensity:
                                                 block_profile_csv, tmp_path, svd_calls):
         out = tmp_path / "dens.csv"
         for profile, route, svds in ((separable_profile_csv, "factored (rank 1)", 1),
-                                     (block_profile_csv, "factored (2 row classes)", 0)):
+                                     (block_profile_csv, "quotient (2 classes)", 0)):
             svd_calls.clear()
             assert main(["density", "--profile", profile, "--mode", mode,
                          "--grid", "0.05:0.6:12", "--out", str(out)]) == 0
@@ -279,7 +281,7 @@ class TestCheck:
         text = out.read_text()
         assert "irreducible = true\nperiod = 2\n" in text
         assert "frobenius_blocks = 1\n" in text
-        assert "row_classes = 2\n" in text
+        assert "pair_classes = 2\n" in text
         assert "block_fully_indecomposable = false" in text
         assert "circular = false" in text
 
@@ -298,7 +300,7 @@ class TestCheck:
         path = tmp_path / "ones.csv"
         write_profile_csv(validate_profile(np.ones((8, 8))), path)
         assert main(["check", "--profile", str(path)]) == 0
-        assert ("frobenius_blocks = 1\nenvelope_frac = 1\nrow_classes = 1\n"
+        assert ("frobenius_blocks = 1\nenvelope_frac = 1\npair_classes = 1\n"
                 in capsys.readouterr().out)
 
     def test_envelope_frac_of_band_model_a(self, tmp_path, capsys):
@@ -309,7 +311,7 @@ class TestCheck:
         lines = capsys.readouterr().out.splitlines()
         at = next(i for i, row in enumerate(lines) if row.startswith("envelope_frac = "))
         assert 0.0 < float(lines[at].split(" = ")[1]) < 0.5
-        assert lines[at + 1] == "row_classes = none"
+        assert lines[at + 1] == "pair_classes = none"
 
     def test_random_profile_without_blocks(self, tmp_path, capsys):
         path = tmp_path / "random.csv"

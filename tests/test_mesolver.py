@@ -18,7 +18,6 @@ from vps.mesolver import (
     _aitken,
     _envelope,
     _gauge,
-    _indicator,
     _layout,
     _linearization,
     _linearization_norm,
@@ -377,12 +376,31 @@ class TestDerivative:
         J = np.block([[d[:, None] * V.T, -cq[:, None] * V],
                       [-cqt[:, None] * V.T, d[:, None] * V]])
         r = np.concatenate([np.ones(n), -np.ones(n)])
-        A = _linearization(V, d, cq, cqt, trace=True)
+        A = _linearization(V, V.T, d, cq, cqt, trace=np.ones(n))
         assert np.array_equal(A[:2 * n, :2 * n], np.eye(2 * n) - J)
         assert np.array_equal(A[2 * n, :2 * n], r)
         assert np.array_equal(A[:2 * n, 2 * n], r)
         assert A[2 * n, 2 * n] == 0.0
-        assert np.array_equal(_linearization(V, d, cq, cqt), A[:2 * n, :2 * n])
+        assert np.array_equal(_linearization(V, V.T, d, cq, cqt), A[:2 * n, :2 * n])
+
+    def test_quotient_linearization_lifts(self):
+        # on a pair-class quotient, (I - J) P = P (I - Jbar) for the lifting
+        # P = blockdiag(E, E) with E the 0/1 class indicator, and the trace
+        # row of the lifted vector is the weighted trace row of the quotient
+        rng = np.random.default_rng(5)
+        sizes = np.array([3, 1, 4])
+        label = rng.permutation(np.repeat(np.arange(3), sizes))
+        Vbar = rng.uniform(0.0, 1.0, size=(3, 3))
+        V = Vbar[label][:, label]
+        d, cq, cqt = rng.uniform(0.1, 1.0, size=(3, 3))
+        weights = sizes[:, None]
+        M = _linearization(weights * Vbar, weights * Vbar.T, d, cq, cqt, trace=sizes)
+        n = len(label)
+        full = _linearization(V, V.T, d[label], cq[label], cqt[label], trace=np.ones(n))
+        E = (label[:, None] == np.arange(3)).astype(float)
+        P = np.zeros((2 * n + 1, 7))
+        P[:n, :3], P[n:2 * n, 3:6], P[2 * n, 6] = E, E, 1.0
+        np.testing.assert_allclose(full @ P, P @ M, rtol=1e-14, atol=1e-15)
 
     def test_linearization_norm_without_assembly(self):
         rng = np.random.default_rng(4)
@@ -392,32 +410,33 @@ class TestDerivative:
             # sparse V with diagonals past 1 / d_i, so 1 - d_i V_ii < 0 occurs
             V = rng.uniform(0.0, 3.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
             d, cq, cqt = rng.uniform(0.1, 3.0, size=(3, n))
-            rows = np.abs(_linearization(V, d, cq, cqt, trace=True)).sum(axis=1)
+            rows = np.abs(_linearization(V, V.T, d, cq, cqt, trace=np.ones(n))).sum(axis=1)
             widest.add(int(np.argmax(rows)) // n)
             assert _linearization_norm(V, d, cq, cqt) == pytest.approx(rows.max(), rel=1e-14)
         assert widest == {0, 1}
         # the trace row's 2n is the norm when the coefficients are small
         assert _linearization_norm(V, d / 100, cq / 100, cqt / 100) == 2 * n
 
-    @pytest.mark.parametrize("profile, s, factored", [
+    @pytest.mark.parametrize("profile, s, route", [
         (validate_profile(np.random.default_rng(11).uniform(0.0, 1.0, size=(10, 10))), 0.4,
-         False),
-        (build_block_atom(3, 10), 0.3, True),
+         "dense"),
+        (build_block_atom(3, 10), 0.3, "quotient (2 classes)"),
         (build_separable(*np.random.default_rng(12).uniform(0.5, 1.5, size=(2, 10)))[0], 0.4,
-         True),
+         "factored (rank 1)"),
         (validate_profile(np.random.default_rng(13).uniform(0.0, 1.0, size=(12, 3))
                           @ np.random.default_rng(14).uniform(0.0, 1.0, size=(3, 12))), 0.4,
-         True),
+         "factored (rank 3)"),
     ], ids=["random10", "block-atom-k3-m10", "separable-rank1", "random-rank3-n12"])
-    def test_matches_least_squares_reference(self, profile, s, factored):
+    def test_matches_least_squares_reference(self, profile, s, route):
         # reference: the (2n+1) x 2n least-squares form of the same system,
         # the linearization with only the trace row, solved by SVD
-        assert (profile.low_rank_factors is not None) == factored
+        assert derivative_route(profile) == route
         sol = anneal_to_limit(profile, s)
         V, n = profile.normalized, profile.n
         q, qt = sol.q, sol.q_tilde
         p = 1.0 / (s * s + (V @ qt) * (V.T @ q))
-        A = _linearization(V, s * s * p ** 2, q ** 2, qt ** 2, trace=True)[:, :2 * n]
+        A = _linearization(V, V.T, s * s * p ** 2, q ** 2, qt ** 2,
+                           trace=np.ones(n))[:, :2 * n]
         b = -np.concatenate([p * q, p * qt, [0.0]])
         ref = np.linalg.lstsq(A, b, rcond=None)[0]
         dq, dqt = derivative_s2(profile, sol)
@@ -425,22 +444,21 @@ class TestDerivative:
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
     @pytest.mark.parametrize("route", ["classes", "factored", "dense"])
-    def test_rank_deficient_raises(self, route):
+    def test_rank_deficient_raises(self, route, full_n):
         # two identical, disconnected blocks: each has its own gauge
         # direction, and the one trace row fixes only their sum.  V has two
-        # distinct rows and rank 2, so the class route solves it unless the
-        # cached classes, and for the dense route also the SVD factors, are
-        # set to None beforehand
+        # pair classes and rank 2, so the quotient route solves it unless
+        # the cached classes, and for the dense route also the SVD factors,
+        # are set to None beforehand
         V = np.zeros((12, 12))
         V[:6, :6] = V[6:, 6:] = 1.0
         p = validate_profile(V)
-        if route != "classes":
-            vars(p)["row_classes"] = None
-        if route == "dense":
-            vars(p)["low_rank_factors"] = None
-        assert derivative_route(p) == {"classes": "factored (2 row classes)",
-                                       "factored": "factored (rank 2)",
-                                       "dense": "dense"}[route]
+        want = {"classes": "quotient (2 classes)", "factored": "factored (rank 2)",
+                "dense": "dense"}[route]
+        if route == "classes":
+            assert derivative_route(p) == want
+        else:
+            assert full_n(p, factors=route == "factored") == want
         sol = anneal_to_limit(p, 0.5)
         with pytest.raises(RankDeficientError):
             derivative_s2(p, sol)
@@ -474,49 +492,60 @@ class TestLowRankFactors:
 
 
 class TestRowClasses:
+    """`VarianceProfile.pair_classes`: the classes of equal rows of
+    [V | V^T], and the kernel's solve on their quotient."""
+
     def test_permuted_block_atom(self):
+        # rows and columns permuted apart: an index's class is its row block
+        # (the first, or one of the other two) and its column block alike
         p = _permuted_block_atom()
-        label, C = p.row_classes
-        assert len(C) == 2   # the first block row, and the other two alike
-        assert np.array_equal(_indicator(label, len(C)) @ C, p.normalized)
-        assert p.row_classes[1] is C   # cached
+        label, sizes, Vbar = p.pair_classes
+        assert len(sizes) == 4 and sizes.sum() == p.n
+        assert np.array_equal(np.bincount(label), sizes)
+        assert np.array_equal(Vbar[label][:, label], p.normalized)
+        assert p.pair_classes[2] is Vbar   # cached
 
     @pytest.mark.parametrize("a", [
         np.eye(10)[np.random.default_rng(41).permutation(10)],
         np.array([np.roll([3.0, 1.0, 0.0, 2.0, 0.0, 0.5, 0.0, 0.0], i) for i in range(8)]),
         np.tile([1.0, 2.0], (200, 100)) + np.eye(200)[[150]].T @ [[1.0, -1.0] * 100],
-    ], ids=["permutation", "circulant", "one-row-past-the-first-chunk"])
+        (np.tile([1.0, 2.0], (200, 100)) + np.eye(200)[[150]].T @ [[1.0, -1.0] * 100]).T,
+    ], ids=["permutation", "circulant", "one-row-past-the-first-chunk",
+            "one-column-past-the-first-chunk"])
     def test_equal_sums_are_never_merged(self, a):
-        # every row sums to the same value, and two rows differ
-        assert validate_profile(a).row_classes is None
+        # indices with equal row sums and equal column sums, two of which
+        # differ in a row or a column
+        assert validate_profile(a).pair_classes is None
 
     def test_none_past_half_the_rows(self):
-        # four distinct rows: classes in eight rows, None in seven
-        rows = np.diag([1.0, 2.0, 3.0, 4.0])
-        label, C = validate_profile(np.pad(rows[[0, 1, 2, 3] * 2], ((0, 0), (0, 4)))
-                                    ).row_classes
-        assert list(label) == [0, 1, 2, 3] * 2
-        assert validate_profile(np.pad(rows[[0, 1, 2, 3, 0, 1, 2]], ((0, 0), (0, 3)))
-                                ).row_classes is None
+        # four classes: a quotient in eight indices, None in seven
+        Vbar = np.diag([1.0, 2.0, 3.0, 4.0])
+        label, sizes, _ = validate_profile(Vbar[[0, 1, 2, 3] * 2][:, [0, 1, 2, 3] * 2]
+                                           ).pair_classes
+        assert list(label) == [0, 1, 2, 3] * 2 and list(sizes) == [2] * 4
+        seven = [0, 1, 2, 3, 0, 1, 2]
+        assert validate_profile(Vbar[seven][:, seven]).pair_classes is None
 
     def test_zero_row_is_its_own_class(self):
+        # a zero row and column in two different blocks
         a = build_block_atom(3, 4).variances.copy()
-        a[[2, 7]] = 0.0
-        label, C = validate_profile(a).row_classes
-        assert len(C) == 3
-        assert label[2] == label[7] and not C[label[2]].any()
+        a[[2, 7]] = a[:, [2, 7]] = 0.0
+        label, sizes, Vbar = validate_profile(a).pair_classes
+        assert len(sizes) == 3
+        assert label[2] == label[7] and sizes[label[2]] == 2
+        assert not (Vbar[label[2]].any() or Vbar[:, label[2]].any())
         assert len(set(label[[0, 2, 4]])) == 3
 
     def test_classes_are_read_only_and_own_their_memory(self):
         p = build_block_atom(3, 10)
-        label, C = p.row_classes
-        assert not (label.flags.writeable or C.flags.writeable)
-        assert C.base is None and not np.shares_memory(C, p.normalized)
+        label, sizes, Vbar = p.pair_classes
+        assert not (label.flags.writeable or sizes.flags.writeable or Vbar.flags.writeable)
+        assert Vbar.base is None and not np.shares_memory(Vbar, p.normalized)
 
     @staticmethod
     def interleaved_blocks():
-        """diag(ones(6, 6), 2 ones(10, 10)), symmetrically permuted: two row
-        classes and two components, so the kernel permutes the classes."""
+        """diag(ones(6, 6), 2 ones(10, 10)), symmetrically permuted: two pair
+        classes and two components, so the kernel permutes the quotient."""
         a = np.zeros((16, 16))
         a[:6, :6], a[6:, 6:] = 1.0, 2.0
         perm = np.random.default_rng(43).permutation(16)
@@ -524,14 +553,15 @@ class TestRowClasses:
 
     @pytest.mark.parametrize("make", [_permuted_block_atom, interleaved_blocks],
                              ids=["permuted-block-atom", "interleaved-blocks"])
-    def test_curve_matches_the_panel_products(self, make):
+    def test_curve_matches_the_panel_products(self, make, full_n):
         p, panels = make(), make()
-        vars(panels)["row_classes"] = None
-        assert p.row_classes is not None
+        assert derivative_route(p).startswith("quotient")
+        assert full_n(panels) == "factored (rank 2)"
         grid = math.sqrt(spectral_radius(p)) * np.array([0.1, 0.5, 0.9])
         curve, ref = solve_curve(p, grid), solve_curve(panels, grid)
         assert curve.failed_indices == ref.failed_indices == ()
         for sol, want in zip(curve.solutions, ref.solutions):
+            assert abs(sol.iterations - want.iterations) <= 1
             for x, y in ((sol.q, want.q), (sol.q_tilde, want.q_tilde)):
                 assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
 
@@ -620,9 +650,9 @@ class TestSolveCurve:
         seen = []
         kernel = vps.mesolver._solve_rows
 
-        def recorded(V, s, t, config, classes=None):
+        def recorded(V, s, t, config, sizes=None):
             seen.extend(s)
-            return kernel(V, s, t, config, classes)
+            return kernel(V, s, t, config, sizes)
 
         monkeypatch.setattr(vps.mesolver, "_solve_rows", recorded)
         curve = solve_curve(p, grid)
@@ -776,7 +806,7 @@ class TestComponentOrder:
 
     def test_layout_makes_v_block_diagonal(self, direct_sum):
         p, perm, blocks, _ = direct_sum
-        V, (order, starts, sizes), (_, panels), (VT, _) = _layout(p.normalized)
+        (order, starts, sizes, _), (V, panels), (VT, _) = _layout(p.normalized)
         assert (order != np.arange(p.n)).any()
         assert sorted(sizes) == list(self.SIZES)
         assert list(starts) == [0, sizes[0], sizes[0] + sizes[1]]

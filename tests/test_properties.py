@@ -5,21 +5,21 @@ positive and its measure fills the disc of radius sqrt(rho).  Grids hold at
 most six radii, given as fractions of the support radius; fractions within
 5% of 1 are left out except 1 itself, since there the computed rho of two
 equivalent profiles can round to opposite sides of a radius.  The block
-profiles of the row-class property are sparser: n <= 24, at most five
-distinct rows, zero blocks, zero rows and zero columns.
+profiles of the pair-class property are sparser: n <= 24, at most five
+pair classes of any sizes, zero blocks, zero rows and zero columns.
 """
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vps.core import RankDeficientError, validate_profile
 from vps.measures import cdf
-from vps.mesolver import derivative_s2, solve_curve
-from vps.profiles import spectral_radius
+from vps.mesolver import derivative_route, derivative_s2, solve_curve
+from vps.profiles import _scc, spectral_radius
 
 PROPERTY = settings(max_examples=12, deadline=2000, derandomize=True)
 
@@ -111,48 +111,81 @@ def test_scaling_maps_F_s_to_F_s_over_root_c(case, c):
 
 @st.composite
 def block_profiles(draw):
-    """A profile with at most five row types and four column groups, each
-    block zero or constant, symmetrically permuted, and radii inside the
-    support as fractions of its radius."""
+    """A profile of at most five pair classes of random sizes, interleaved
+    at random, each block zero or constant, and radii inside the support
+    as fractions of its radius."""
     k = draw(st.integers(1, 5))
     n = draw(st.integers(2 * k, 24))
-    groups = draw(st.integers(1, 4))
-    values = draw(arrays(float, (k, groups),
+    values = draw(arrays(float, (k, k),
                          elements=st.one_of(st.just(0.0), st.floats(0.1, 2.0))))
-    rows = draw(arrays(int, n, elements=st.integers(0, k - 1)))
-    cols = draw(arrays(int, n, elements=st.integers(0, groups - 1)))
-    perm = np.array(draw(st.permutations(range(n))))
+    label = draw(arrays(int, n, elements=st.integers(0, k - 1)))
     fractions = draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4, unique=True))
-    return values[rows][:, cols][np.ix_(perm, perm)], np.unique(fractions)
+    return values[label][:, label], np.unique(fractions)
 
 
-def _without_classes(a):
-    """The profile of a, with its row classes and SVD factors forced to
-    None, so the kernel reads its panels and the derivative runs the
-    dense LU."""
-    p = validate_profile(a)
-    vars(p)["row_classes"] = vars(p)["low_rank_factors"] = None
-    return p
+def _classes(values, sizes, seed):
+    """The block profile of `values` with classes of the given sizes,
+    interleaved by a seeded permutation, at three radii."""
+    label = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
+    return np.array(values, dtype=float)[label][:, label], np.array([0.2, 0.6, 0.9])
+
+
+UNEQUAL_SIZES = _classes([[0.5, 1.5], [1.0, 0.2]], [3, 13], 1)
+ZERO_ROW_AND_COLUMN = _classes([[1.0, 2.0, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]],
+                               [5, 4, 3], 2)
+DIRECT_SUM = _classes([[1.0, 0.5, 0.0, 0.0], [0.3, 0.0, 0.0, 0.0],
+                       [0.0, 0.0, 0.0, 1.5], [0.0, 0.0, 0.7, 0.4]], [4, 3, 5, 6], 3)
 
 
 @PROPERTY
-@given(block_profiles())
-def test_row_classes_give_the_dense_curve_and_derivative(case):
+@given(case=block_profiles())
+@example(case=UNEQUAL_SIZES)
+@example(case=ZERO_ROW_AND_COLUMN)
+@example(case=DIRECT_SUM)
+def test_row_classes_give_the_dense_curve_and_derivative(case, full_n):
+    # the pair-class quotient against all n indices, with the dense LU
     a, fractions = case
-    assume(a.any())
-    p = validate_profile(a)
-    assume(p.row_classes is not None and spectral_radius(p) > 0.0)
-    dense = _without_classes(a)
+    # rho > 0 iff the pattern has a cycle, that is, a nonzero n-th power
+    assume(np.linalg.matrix_power(a != 0, len(a)).any())
+    perm = np.random.default_rng(0).permutation(len(a))
+    p, full, twin = validate_profile(a), validate_profile(a), validate_profile(a[np.ix_(perm, perm)])
+    assert derivative_route(p).startswith("quotient")
+    assert full_n(full, factors=False) == full_n(twin, factors=False) == "dense"
     grid = math.sqrt(spectral_radius(p)) * fractions
-    curve, ref = solve_curve(p, grid), solve_curve(dense, grid)
+    curve, ref, ref_twin = (solve_curve(x, grid) for x in (p, full, twin))
     assert curve.failed_indices == ref.failed_indices
-    assert np.abs(cdf(curve) - cdf(ref)).max() <= 1e-12
+    # the equations are equivariant under a symmetric permutation, so the
+    # permuted twin shows how far rounding alone moves a radius: at stiff
+    # radii, where it moves the iteration count, the count is not compared
+    # and F is held to 1e-11
+    its = [np.array([sol.iterations for sol in c.solutions]) for c in (curve, ref, ref_twin)]
+    stiff = np.abs(its[2] - its[1]) > 1
+    assert np.all(np.abs(its[0] - its[1])[~stiff] <= 1)
+    assert np.all(np.abs(cdf(curve) - cdf(ref)) <= np.where(stiff, 1e-11, 1e-12))
     for sol in curve.solutions:
         if sol.is_trivial:
             continue
         try:
-            want = np.concatenate(derivative_s2(dense, sol))
+            want = np.concatenate(derivative_s2(full, sol))
         except RankDeficientError:
             continue
         got = np.concatenate(derivative_s2(p, sol))
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        gap = _without_gauge(a, sol, got - want)
+        assert np.abs(gap).max() <= 1e-10 * np.abs(want).max()
+
+
+def _without_gauge(a, sol, x):
+    """x = [dq | dqt] less its projection on each component's gauge
+    direction (q_K, -qt_K), for the components K of the pattern of a + a^T.
+    One trace row fixes only the sum of these directions, so where two
+    components carry a nontrivial solution the derivative is determined
+    along them only through t_min, with a condition near 1 / t_min, and
+    two routes differ there by rounding times that condition."""
+    label = _scc((a != 0) | (a.T != 0))
+    x = x.copy()
+    for k in range(label.max() + 1):
+        g = np.concatenate([np.where(label == k, sol.q, 0.0),
+                            np.where(label == k, -sol.q_tilde, 0.0)])
+        if g.any():
+            x -= (x @ g) / (g @ g) * g
+    return x
