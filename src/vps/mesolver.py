@@ -243,8 +243,9 @@ def _linearization(A, B, d, cq, cqt, trace=None):
     V^T or V.
 
     Written into one array; with the trace weights w, the trace row
-    (w, -w) and the column (1, ..., 1, -1, ..., -1) border it as a last
-    row and a last column, giving the square matrix [[I - J, r^T], [w r, 0]].
+    (w, -w) and the column r^T, r = (1, ..., 1, -1, ..., -1), border it as
+    a last row and a last column, giving the square matrix
+    [[I - J, r^T], [(w, -w), 0]].
     """
     n = len(d)
     AT, BT = A.T, B.T
@@ -657,11 +658,11 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     V = profile.normalized
     q, qt, s = sol.q, sol.q_tilde, sol.s
     classes = profile.pair_classes
-    factors = None
     if classes is not None:
         label, weights, Vbar = classes
         q, qt = (np.bincount(label, x, len(weights)) / weights for x in (q, qt))
         A, B = weights[:, None] * Vbar, weights[:, None] * Vbar.T
+        factors = None
     else:
         A, B, weights = V, V.T, np.ones(profile.n)
         factors = profile.low_rank_factors
