@@ -73,7 +73,10 @@ class VarianceProfile:
         is, when they have the same row of [V | V^T].  label[i] is the class
         of index i, sizes[c] the number of indices in class c, and
         Vbar[c, d] the value of every entry of V in rows of class c and
-        columns of class d, so V == Vbar[label][:, label] exactly.  All
+        columns of class d, so V == Vbar[label][:, label] exactly.  Classes
+        are found by grouping on row and column sums, split by weighted
+        sums where distinct classes share both (see `_pair_classes`; None
+        where those coincide too, which has probability zero).  All
         three are read-only; Vbar owns its memory.  Computed on first use
         by `_pair_classes` and cached on the profile; the fixed-point kernel
         and the exact derivative solve on the p x p quotient.
@@ -111,36 +114,62 @@ class VarianceProfile:
         return L, R
 
 
-# Rows and columns per exact comparison of `_pair_classes`, so no n x n
-# temporary is made.
+# Rows and columns per exact comparison and weighted sum of
+# `_pair_classes`, so no n x n temporary is made.
 CHUNK = 64
 
 
 def _pair_classes(V):
     """`VarianceProfile.pair_classes` of V.
 
-    Indices are grouped on their (row sum, column sum) pair, a key computed
-    from each row and column alone, so the indices of one class always
-    share it; past n / 2 groups there is nothing to compare.  Then every
-    row and every column is compared exactly with its group's first,
-    CHUNK at a time, and one mismatch (two indices with equal sums but
-    different entries) gives None.
+    Indices are grouped on a key computed from each row and column alone,
+    so the indices of one class always share it; past n / 2 groups there
+    is nothing to compare.  The first key is the (row sum, column sum)
+    pair.  Then every row and every column is compared exactly with its
+    group's first.  Distinct classes can share both sums, as the two of
+    [[a, b], [b, a]] with equal sizes do, or every class of a profile with
+    constant row and column sums; on a mismatch the indices are grouped
+    again on `_weighted_sums`, which tells distinct rows apart with
+    probability one, and compared again.  A second mismatch gives None.
     """
     n = len(V)
-    # a complex key, so np.unique compares both sums
-    key = V.sum(axis=1) + 1j * V.sum(axis=0)
-    _, first, label, sizes = np.unique(key, return_index=True, return_inverse=True,
-                                       return_counts=True)
-    if 2 * len(first) > n:
-        return None
-    for a in range(0, n, CHUNK):
-        rep = first[label[a:a + CHUNK]]
-        if not ((V[a:a + CHUNK] == V[rep]).all() and (V[:, a:a + CHUNK] == V[:, rep]).all()):
+    for key in (lambda: V.sum(axis=1) + 1j * V.sum(axis=0), lambda: _weighted_sums(V)):
+        # a complex key, so np.unique compares both sums
+        _, first, label, sizes = np.unique(key(), return_index=True, return_inverse=True,
+                                           return_counts=True)
+        if 2 * len(first) > n:
             return None
+        if _agree(V, first[label]):
+            break
+    else:
+        return None
     Vbar = V[np.ix_(first, first)]
     for x in (label, sizes, Vbar):
         x.setflags(write=False)
     return label, sizes, Vbar
+
+
+def _weighted_sums(V):
+    """Row sums + 1j column sums of V, with entry (i, j) weighted by w[j]
+    in its row and by w[i] in its column, for seeded random weights w in
+    [1, 2).  Equal rows, and equal columns, get equal sums, since numpy
+    reduces each of them in the same order.  CHUNK rows and columns at a
+    time, so no n x n temporary is made."""
+    n = len(V)
+    w = np.random.default_rng(0).uniform(1.0, 2.0, n)
+    key = np.empty(n, dtype=complex)
+    for a in range(0, n, CHUNK):
+        key.real[a:a + CHUNK] = (V[a:a + CHUNK] * w).sum(axis=1)
+        key.imag[a:a + CHUNK] = (V[:, a:a + CHUNK] * w[:, None]).sum(axis=0)
+    return key
+
+
+def _agree(V, rep):
+    """Whether row and column i of V equal row and column rep[i] for every
+    i, compared CHUNK at a time."""
+    return all((V[a:a + CHUNK] == V[rep[a:a + CHUNK]]).all()
+               and (V[:, a:a + CHUNK] == V[:, rep[a:a + CHUNK]]).all()
+               for a in range(0, len(V), CHUNK))
 
 
 def validate_profile(raw_grid) -> VarianceProfile:

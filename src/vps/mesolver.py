@@ -606,14 +606,23 @@ def _factored_solve(L, R, d, cq, cqt, B):
     return W + Z @ np.linalg.solve(np.eye(2 * k) - project(Z), project(W))
 
 
+def _derivative_structure(profile: VarianceProfile):
+    """(classes, factors), at most one not None: V's `pair_classes`, or
+    else its `low_rank_factors`.  The one choice of `derivative_s2`'s
+    route, which `derivative_route` names."""
+    classes = profile.pair_classes
+    if classes is not None:
+        return classes, None
+    return None, profile.low_rank_factors
+
+
 def derivative_route(profile: VarianceProfile) -> str:
     """The route `derivative_s2` takes on the profile: "quotient (p
     classes)", "factored (rank r)" or "dense".  It reads the same cached
     properties, so it runs no SVD that the derivative did not run."""
-    classes = profile.pair_classes
+    classes, factors = _derivative_structure(profile)
     if classes is not None:
         return f"quotient ({len(classes[1])} classes)"
-    factors = profile.low_rank_factors
     return "dense" if factors is None else f"factored (rank {len(factors[1])})"
 
 
@@ -657,15 +666,13 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
         raise ValueError("derivative requires a nontrivial solution at s > 0")
     V = profile.normalized
     q, qt, s = sol.q, sol.q_tilde, sol.s
-    classes = profile.pair_classes
+    classes, factors = _derivative_structure(profile)
     if classes is not None:
         label, weights, Vbar = classes
         q, qt = (np.bincount(label, x, len(weights)) / weights for x in (q, qt))
         A, B = weights[:, None] * Vbar, weights[:, None] * Vbar.T
-        factors = None
     else:
         A, B, weights = V, V.T, np.ones(profile.n)
-        factors = profile.low_rank_factors
     n = len(q)
     phi = B.T @ qt
     phit = A.T @ q

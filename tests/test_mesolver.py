@@ -505,17 +505,28 @@ class TestRowClasses:
         assert np.array_equal(Vbar[label][:, label], p.normalized)
         assert p.pair_classes[2] is Vbar   # cached
 
-    @pytest.mark.parametrize("a", [
-        np.eye(10)[np.random.default_rng(41).permutation(10)],
-        np.array([np.roll([3.0, 1.0, 0.0, 2.0, 0.0, 0.5, 0.0, 0.0], i) for i in range(8)]),
-        np.tile([1.0, 2.0], (200, 100)) + np.eye(200)[[150]].T @ [[1.0, -1.0] * 100],
-        (np.tile([1.0, 2.0], (200, 100)) + np.eye(200)[[150]].T @ [[1.0, -1.0] * 100]).T,
+    @pytest.mark.parametrize("a, count", [
+        (np.eye(10)[np.random.default_rng(41).permutation(10)], None),
+        (np.array([np.roll([3.0, 1.0, 0.0, 2.0, 0.0, 0.5, 0.0, 0.0], i) for i in range(8)]),
+         None),
+        (np.tile([1.0, 2.0], (200, 100)) + np.eye(200)[[150]].T @ [[1.0, -1.0] * 100], 3),
+        ((np.tile([1.0, 2.0], (200, 100)) + np.eye(200)[[150]].T @ [[1.0, -1.0] * 100]).T, 3),
+        (np.array([[2.0, 1.0], [1.0, 2.0]])[[0, 1] * 8][:, [0, 1] * 8], 2),
+        (np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0]])[[0, 1, 2] * 5]
+         [:, [0, 1, 2] * 5], 3),
     ], ids=["permutation", "circulant", "one-row-past-the-first-chunk",
-            "one-column-past-the-first-chunk"])
-    def test_equal_sums_are_never_merged(self, a):
+            "one-column-past-the-first-chunk", "two-classes", "constant-sums"])
+    def test_equal_sums_are_never_merged(self, a, count):
         # indices with equal row sums and equal column sums, two of which
-        # differ in a row or a column
-        assert validate_profile(a).pair_classes is None
+        # differ in a row or a column, fall in different classes: too many
+        # for a quotient, or the exact classes
+        p = validate_profile(a)
+        if count is None:
+            assert p.pair_classes is None
+            return
+        label, sizes, Vbar = p.pair_classes
+        assert len(sizes) == count
+        assert np.array_equal(Vbar[label][:, label], p.normalized)
 
     def test_none_past_half_the_rows(self):
         # four classes: a quotient in eight indices, None in seven
