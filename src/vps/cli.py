@@ -32,7 +32,7 @@ from .measures import (
     density_lower_bound,
     grid_density,
 )
-from .mesolver import derivative_route, envelope_fraction, solve_curve
+from .mesolver import derivative_route, envelope_fraction, solve_curve, solve_route
 from .montecarlo import (
     EntryLaw,
     kolmogorov_distance,
@@ -56,7 +56,7 @@ from .reference import (
     circular_density,
     circular_F,
 )
-from .separable import separable_density, separable_density_zero, solve_u
+from .separable import separable_curve, separable_density_zero
 
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
@@ -198,6 +198,7 @@ def _cmd_density(args) -> int:
         lines.append(f"density_at_zero = unavailable ({exc})")
     lines.append(f"verdict_cdf_monotone = "
                  f"{'pass' if bool(np.all(np.diff(F) >= 0)) else 'fail'}")
+    lines.append("solve_route = " + solve_route(curve.profile))
     if args.mode == "exact":
         lines.append("exact_derivative = " + derivative_route(curve.profile))
     with open(out + ".info.txt", "w") as fh:
@@ -211,11 +212,7 @@ def _cmd_separable(args) -> int:
     _, sep = build_separable(d, dt)
     edge = math.sqrt(sep.rho)
     grid = _parse_grid(args.grid, edge)
-    F = np.empty(len(grid))
-    f = np.empty(len(grid))
-    for i, s in enumerate(grid):
-        F[i] = 1.0 - solve_u(sep, float(s)).u
-        f[i] = separable_density(sep, float(s)) if s < edge else 0.0
+    F, f = separable_curve(sep, grid)
     lb = np.full(len(grid), math.nan)
     _write_density_csv(args.out, grid, F, f, density_from_cdf(grid, F, edge), lb)
     with open(args.out + ".info.txt", "w") as fh:
@@ -239,7 +236,8 @@ def _cmd_check(args) -> int:
                  f"irreducible = true\nperiod = {classes.max() + 1}\n")
     structure += (f"frobenius_blocks = {_scc(pattern).max() + 1}\n"
                   f"envelope_frac = {envelope_fraction(profile.normalized):.4g}\n"
-                  f"pair_classes = {'none' if pair_classes is None else len(pair_classes[1])}\n")
+                  f"pair_classes = {'none' if pair_classes is None else len(pair_classes[1])}\n"
+                  f"rank_one = {str(profile.rank_one_factors is not None).lower()}\n")
     bfid = is_block_fully_indecomposable(profile, K, phi)
     if bfid:
         try:

@@ -84,6 +84,19 @@ class VarianceProfile:
         return _pair_classes(self.normalized)
 
     @functools.cached_property
+    def rank_one_factors(self):
+        """Nonnegative factors (a, b) with V = a b^T, or None.  a is the
+        column and b the row through V's largest entry, scaled so that the
+        entry is a_i b_j; V is rank one when every entry agrees with a_i b_j
+        to RANK_ONE_ULPS ulps of a_i b_j (`_rank_one`), so a profile read
+        back from CSV, rank one only to rounding, is detected.  Both are
+        read-only and own their memory.  Computed on first use and cached
+        on the profile; `solve_curve` solves such a profile by its scalar
+        equation, and checks each solution on V itself.
+        """
+        return _rank_one(self.normalized)
+
+    @functools.cached_property
     def margins(self):
         """V's row sums, column sums and diagonal, read-only, cached on the
         profile for the exact derivative's condition estimate."""
@@ -115,8 +128,30 @@ class VarianceProfile:
 
 
 # Rows and columns per exact comparison and weighted sum of
-# `_pair_classes`, so no n x n temporary is made.
+# `_pair_classes`, and rows per comparison of `_rank_one`, so no n x n
+# temporary is made.
 CHUNK = 64
+# Entries of a rank-one V agree with a_i b_j to this many ulps of a_i b_j.
+# An entry d_i dt_j / n carries two roundings, and so does each of the
+# three entries that a_i b_j is formed from; forming it adds two more: ten
+# half-ulps, or five ulps, at most.
+RANK_ONE_ULPS = 8
+
+
+def _rank_one(V):
+    """`VarianceProfile.rank_one_factors` of V: (a, b) from the row and the
+    column of V's largest entry, compared with V CHUNK rows at a time; the
+    first row that disagrees ends the scan."""
+    i, j = np.unravel_index(np.argmax(V), V.shape)
+    a, b = V[:, j].copy(), V[i] / V[i, j]
+    tol = RANK_ONE_ULPS * np.finfo(float).eps
+    for lo in range(0, len(V), CHUNK):
+        ab = np.outer(a[lo:lo + CHUNK], b)
+        if not (np.abs(V[lo:lo + CHUNK] - ab) <= tol * ab).all():
+            return None
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
 
 def _pair_classes(V):

@@ -55,10 +55,25 @@ the Newton hand-offs and the 1/t bound act on the 2p unknowns as they
 would on the lifted 2n, and each finished row is lifted by the class
 label.  `derivative_s2` solves the same quotient.
 
-`solve_curve` runs the kernel at t_min over the radii of a grid below
-sqrt(rho), by default `default_s_grid` up to the support radius;
-`anneal_to_limit` is its one-radius call, and `solve_regularized` is a
-one-row call of the kernel at the caller's t.
+A rank-one profile V = a b^T (`VarianceProfile.rank_one_factors`, the
+source paper's separable case) is not iterated at all.  With
+pi_i = a_i b_i, D_i = s^2 + pi_i w, alpha = <a, q> and beta = <b, qt>, the
+t = 0 equations read q = b alpha / D and qt = a beta / D, so
+w = alpha beta is the root of sum_i pi_i / D_i = 1, and the trace
+sum(q) = sum(qt) fixes alpha / beta.  `vps.separable._roots` finds w at
+every radius at once, and `_solve_rank_one` lifts it in closed form: the
+t = 0 solution itself, with no t_min.  Where s^2 >= sum(pi), the only
+nonzero eigenvalue of V, there is no root and zero is the exact solution;
+that covers the slack of the computed rho and nilpotent patterns.  No rank
+tolerance decides an output: every lifted radius is checked against the
+t = 0 residual on V itself, by the kernel's stopping rule, and a radius
+that fails it is solved by the kernel (`_solve`) as any other profile's.
+
+`solve_curve` runs that route, or else the kernel at t_min, over the radii
+of a grid below sqrt(rho), by default `default_s_grid` up to the support
+radius; `solve_route` names the route.  `anneal_to_limit` is its
+one-radius call, and `solve_regularized` is a one-row call of the kernel at
+the caller's t.
 
 `solve_at_zero` needs no regularization.  At s = t = 0 the equations are the
 Sinkhorn-Knopp equations, with a positive solution iff the pattern of V has
@@ -84,6 +99,7 @@ from .core import (
     default_s_grid,
 )
 from .profiles import _scc, _total_support
+from .separable import _roots
 
 # Radii iterated together.  It bounds the work arrays at BLOCK x n each;
 # more rows buy little once the matrix products dominate the iteration.
@@ -479,6 +495,60 @@ def _solve(profile: VarianceProfile, s, t, config: SolverConfig) -> _Rows:
     return replace(rows, q=rows.q[:, label], q_tilde=rows.q_tilde[:, label])
 
 
+def _residual_at_zero(V, q, qt, s2):
+    """The sup norm of I(x) - x at t = 0 for every [q | qt] row, with s2 the
+    column of squared radii: one product with V and one with V^T for all
+    the rows."""
+    phit, phi = q @ V, qt @ V.T
+    psi = 1.0 / (s2 + phi * phit)
+    return np.maximum(np.abs(psi * phit - q).max(axis=1), np.abs(psi * phi - qt).max(axis=1))
+
+
+def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
+    """The t = 0 solution at every radius of s of a profile with
+    `rank_one_factors` (a, b), lifted from the root w of its scalar
+    equation (see the module docstring); a radius's iterations are its
+    Newton steps.
+
+    Each lift is checked by the kernel's stopping rule, the residual of
+    `_residual_at_zero` at most fixed_point_tol times max(1, the largest
+    entry), and that residual is reported.  A radius that fails the check,
+    or whose lift is not finite, is solved by `_solve` at t_min, with the
+    kernel's iterations, residual and error.
+    """
+    a, b = profile.rank_one_factors
+    s = np.asarray(s, dtype=float)
+    s2 = (s * s)[:, None]
+    pi = a * b
+    w, steps = _roots(pi, np.ones(profile.n), s * s)
+    D = s2 + pi * w[:, None]
+    ratio = (a / D).sum(axis=1) / (b / D).sum(axis=1)   # alpha / beta
+    q = b * (np.sqrt(w * ratio)[:, None] / D)
+    qt = a * (np.sqrt(w / ratio)[:, None] / D)
+    residual = _residual_at_zero(profile.normalized, q, qt, s2)
+    scale = np.maximum(q.max(axis=1, initial=1.0), qt.max(axis=1, initial=1.0))
+    errors = [None] * len(s)
+    bad = np.flatnonzero(~(residual <= config.fixed_point_tol * scale))
+    if len(bad):
+        rows = _solve(profile, s[bad], config.t_min, config)
+        q[bad], qt[bad] = rows.q, rows.q_tilde
+        steps[bad], residual[bad] = rows.iterations, rows.residual
+        for i, error in zip(bad, rows.errors):
+            errors[i] = error
+    return _Rows(q, qt, steps, residual, errors)
+
+
+def solve_route(profile: VarianceProfile) -> str:
+    """The route `solve_curve` takes on the profile: "separable (rank 1)"
+    (`_solve_rank_one`), "quotient (p classes)" or "full" (the kernel, on
+    the pair-class quotient or on V).  It reads the same cached properties
+    as `solve_curve`, in the same order."""
+    if profile.rank_one_factors is not None:
+        return "separable (rank 1)"
+    classes = profile.pair_classes
+    return "full" if classes is None else f"quotient ({len(classes[1])} classes)"
+
+
 def solve_regularized(profile: VarianceProfile, s: float, t: float,
                       config: SolverConfig | None = None) -> MESolution:
     """Unique positive solution of the regularized system at (s, t), t > 0."""
@@ -708,7 +778,9 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
 
     Every radius s >= sqrt(rho) gets exact zeros with iterations = 0 and
     residual = 0.0 (see the module docstring).  The radii below are solved
-    together by the batched kernel at t = t_min, each from ones.  A radius
+    together: on a rank-one profile at t = 0 by `_solve_rank_one`, which
+    hands any radius that fails its check to the kernel, and otherwise by
+    the batched kernel at t = t_min, each from ones.  A radius
     whose solve fails is recorded in `failed_indices`, with the kernel's
     message at the same position of `failure_messages`, and keeps its place
     as a zero placeholder with residual = inf and the iterations it ran.
@@ -726,7 +798,10 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     if np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be strictly increasing and positive")
     inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
-    rows = _solve(profile, s_grid[:inside], config.t_min, config)
+    if profile.rank_one_factors is None:
+        rows = _solve(profile, s_grid[:inside], config.t_min, config)
+    else:
+        rows = _solve_rank_one(profile, s_grid[:inside], config)
     sols = []
     for i, s in enumerate(s_grid):
         if i < inside:  # a failed row holds zeros and residual inf

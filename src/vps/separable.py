@@ -8,6 +8,13 @@ for u(s) in [0, 1]:
 with F(s) = 1 - u(s).  Sampled variants replace the sum by an integral over
 [0, 1] evaluated by composite trapezoid quadrature.  Girko's Sombrero
 distribution covers the two-level case in closed form.
+
+One vectorized root-finder, `_roots`, solves the equation at every radius
+of a grid at once.  The per-radius entry points (`solve_u`,
+`separable_density` and the sampled variants) call it on one radius;
+`separable_curve` calls it once for a whole grid, and so does
+`vps.mesolver.solve_curve` for a profile whose V is rank one (see
+`VarianceProfile.rank_one_factors`), which it then lifts to (q, q_tilde).
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ import numpy as np
 
 from .core import OutsideSupportError
 from .profiles import SeparableProfile
+
+# A radius's Newton iteration stops once its increment is no longer
+# positive beyond this many ulps of u.
+STOP_ULPS = 4
 
 
 class NoRootError(RuntimeError):
@@ -36,63 +47,94 @@ class SeparableSolution:
     converged: bool
 
 
-def _solve_u_from_products(prods: np.ndarray, weights: np.ndarray, s: float,
-                           tol: float) -> SeparableSolution:
-    """Root of sum_i w_i * p_i / (s^2 + p_i u) = 1 on u in [0, 1].
+def _roots(prods: np.ndarray, weights: np.ndarray, s2):
+    """The root u of sum_i w_i p_i / (s2 + p_i u) = 1 at every entry of the
+    array s2 > 0, and the Newton steps each radius took.
+
+    prods holds the products p_i >= 0, weights the weights w_i.  Where
+    s2 >= sum_i w_i p_i there is no positive root, and u = 0 with no step.
+    Elsewhere g(u) = sum_i w_i p_i / (s2 + p_i u) - 1 is decreasing and
+    convex, so Newton from u = 0 increases u monotonically toward the root
+    and, in exact arithmetic, never passes it.  The radii still running
+    step together; a radius stops when its increment is no longer positive
+    beyond STOP_ULPS ulps of u.  A relative-step test would not do: near
+    the edge u -> 0 and rounding in g sets the step there.
+    """
+    s2 = np.asarray(s2, dtype=float)
+    wp = weights * prods
+    wpp = wp * prods
+    u = np.zeros(s2.shape)
+    steps = np.zeros(s2.shape, dtype=np.int64)
+    live = np.flatnonzero(s2 < wp.sum())
+    while len(live):
+        inv = 1.0 / (s2[live, None] + prods * u[live, None])
+        g = inv @ wp - 1.0
+        inv *= inv
+        step = g / (inv @ wpp)   # -g / g'
+        steps[live] += 1
+        grow = step > STOP_ULPS * np.finfo(float).eps * u[live]
+        live = live[grow]
+        u[live] += step[grow]
+    return u, steps
+
+
+def _solve_u_from_products(prods: np.ndarray, weights: np.ndarray,
+                           s: float) -> SeparableSolution:
+    """Root of sum_i w_i * p_i / (s^2 + p_i u) = 1 on u in [0, 1], by
+    `_roots` at the one radius s > 0.
 
     prods holds the pointwise products d_i * dt_i, weights the averaging
     weights (1/n for the discrete case, quadrature weights otherwise).
-    The left side is strictly decreasing in u.
     """
-    s2 = s * s
-    rho = float(np.sum(weights * prods))
-
-    def lhs(u):
-        return float(np.sum(weights * prods / (s2 + prods * u)))
-
-    if s2 >= rho:
-        return SeparableSolution(s=s, u=0.0, converged=True)
-    # lhs(0) = rho / s^2 > 1 >= lhs at u = 1 iff s is inside the support
-    if lhs(1.0) > 1.0:
+    u = float(_roots(prods, weights, np.array([s * s]))[0][0])
+    if u > 1.0:
         raise NoRootError(f"no root in [0, 1] at s = {s}")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return SeparableSolution(s=s, u=0.5 * (lo + hi), converged=True)
+    return SeparableSolution(s=s, u=u, converged=True)
 
 
-def solve_u(sep: SeparableProfile, s: float, tol: float = 1e-14) -> SeparableSolution:
+def _discrete(sep: SeparableProfile):
+    """The products d_i dt_i and the weights 1/n of a discrete profile."""
+    return sep.d * sep.d_tilde, np.full(sep.n, 1.0 / sep.n)
+
+
+def solve_u(sep: SeparableProfile, s: float) -> SeparableSolution:
     """u(s) for a discrete separable profile; u(0) = 1, u = 0 for s >= sqrt(rho)."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    prods = sep.d * sep.d_tilde
-    weights = np.full(sep.n, 1.0 / sep.n)
     if s == 0.0:
         return SeparableSolution(s=0.0, u=1.0, converged=True)
-    return _solve_u_from_products(prods, weights, s, tol)
+    return _solve_u_from_products(*_discrete(sep), s)
 
 
-def _density_from_products(prods, weights, s2, u) -> float:
-    denom2 = (s2 + prods * u) ** 2
-    num = float(np.sum(weights * prods / denom2))
-    den = float(np.sum(weights * prods ** 2 / denom2))
+def _density_from_products(prods, weights, s2, u):
+    """Radial density at s^2 = s2 from the root u there; for arrays s2 and
+    u of one shape, one density per entry."""
+    s2, u = np.asarray(s2, dtype=float), np.asarray(u, dtype=float)
+    inv2 = (s2[..., None] + prods * u[..., None]) ** -2.0
+    num = inv2 @ (weights * prods)
+    den = inv2 @ (weights * prods ** 2)
     return num / (math.pi * den)
 
 
-def separable_density(sep: SeparableProfile, z_modulus: float,
-                      tol: float = 1e-14) -> float:
+def separable_density(sep: SeparableProfile, z_modulus: float) -> float:
     """Radial density at |z| inside the support (0, sqrt(rho))."""
     s = float(z_modulus)
     if not 0.0 < s < math.sqrt(sep.rho):
         raise OutsideSupportError(f"|z| = {s} outside (0, {math.sqrt(sep.rho)})")
-    u = solve_u(sep, s, tol).u
-    prods = sep.d * sep.d_tilde
-    weights = np.full(sep.n, 1.0 / sep.n)
-    return _density_from_products(prods, weights, s * s, u)
+    prods, weights = _discrete(sep)
+    u = _solve_u_from_products(prods, weights, s).u
+    return float(_density_from_products(prods, weights, s * s, u))
+
+
+def separable_curve(sep: SeparableProfile, s_grid):
+    """F = 1 - u and the radial density f at every radius of a positive
+    grid, from one `_roots` solve of u for the whole grid; f = 0 from the
+    support edge sqrt(rho) on."""
+    s = np.asarray(s_grid, dtype=float)
+    prods, weights = _discrete(sep)
+    u = _roots(prods, weights, s * s)[0]
+    inside = s < math.sqrt(sep.rho)
+    return 1.0 - u, np.where(inside, _density_from_products(prods, weights, s * s, u), 0.0)
 
 
 def separable_density_zero(sep: SeparableProfile) -> float:
@@ -129,28 +171,26 @@ def sampled_rho(d_func, dtilde_func, quad_points: int = 2000) -> float:
 
 
 def sampled_separable_u(d_func, dtilde_func, s: float,
-                        quad_points: int = 2000,
-                        tol: float = 1e-14) -> SeparableSolution:
+                        quad_points: int = 2000) -> SeparableSolution:
     """u_inf(s) solving integral d dt / (s^2 + d dt u) dx = 1."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     if s == 0.0:
         return SeparableSolution(s=0.0, u=1.0, converged=True)
     prods, weights = _quad_nodes(d_func, dtilde_func, quad_points)
-    return _solve_u_from_products(prods, weights, s, tol)
+    return _solve_u_from_products(prods, weights, s)
 
 
 def sampled_separable_density(d_func, dtilde_func, z_modulus: float,
-                              quad_points: int = 2000,
-                              tol: float = 1e-14) -> float:
+                              quad_points: int = 2000) -> float:
     """Limit radial density for a sampled separable profile."""
     s = float(z_modulus)
     prods, weights = _quad_nodes(d_func, dtilde_func, quad_points)
     rho = float(np.sum(weights * prods))
     if not 0.0 < s < math.sqrt(rho):
         raise OutsideSupportError(f"|z| = {s} outside (0, {math.sqrt(rho)})")
-    u = _solve_u_from_products(prods, weights, s, tol).u
-    return _density_from_products(prods, weights, s * s, u)
+    u = _solve_u_from_products(prods, weights, s).u
+    return float(_density_from_products(prods, weights, s * s, u))
 
 
 def sombrero_density(a: float, b: float, alpha: float, z_modulus: float) -> float:

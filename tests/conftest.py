@@ -53,14 +53,35 @@ def pair_classes_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def rank_one_off(monkeypatch):
+    """Make every profile of the test find no rank-one factors, so
+    `solve_curve` runs the fixed-point kernel on each."""
+    monkeypatch.setattr(vps.core, "_rank_one", lambda V: None)
+
+
 @pytest.fixture(scope="session")
-def full_n():
-    """A function that makes a profile skip its pair-class quotient, so the
-    kernel and the derivative work on all n indices, and, with
-    `factors=False`, also the rank-r derivative route, so the derivative
-    runs the dense LU.  It returns `derivative_route` of the profile, for
-    the test to assert the route it got."""
+def kernel_only():
+    """A function that makes a profile skip the rank-one route of
+    `solve_curve`, so its curve comes from the fixed-point kernel (on the
+    pair-class quotient, where it has one).  It returns `solve_route` of
+    the profile, for the test to assert the route it got."""
+    def force(profile):
+        vars(profile)["rank_one_factors"] = None
+        return vps.mesolver.solve_route(profile)
+
+    return force
+
+
+@pytest.fixture(scope="session")
+def full_n(kernel_only):
+    """A function that makes a profile skip the rank-one route and its
+    pair-class quotient, so the kernel and the derivative work on all n
+    indices, and, with `factors=False`, also the rank-r derivative route,
+    so the derivative runs the dense LU.  It returns `derivative_route` of
+    the profile, for the test to assert the route it got."""
     def force(profile, factors=True):
+        kernel_only(profile)
         vars(profile)["pair_classes"] = None
         if not factors:
             vars(profile)["low_rank_factors"] = None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vps.cli
+import vps.core
 from vps.cli import main, read_density_csv
 from vps.core import validate_profile, write_profile_csv
 from vps.mesolver import solve_curve
@@ -219,6 +220,24 @@ class TestDensity:
             assert named == ([f"exact_derivative = {route}"] if mode == "exact" else [])
             assert len(svd_calls) == (svds if mode == "exact" else 0)
 
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    def test_sidecar_names_the_solve_route(self, mode, circular_profile_csv,
+                                           separable_profile_csv, block_profile_csv,
+                                           tmp_path):
+        path = tmp_path / "random.csv"
+        write_profile_csv(validate_profile(
+            np.random.default_rng(22).uniform(0.5, 2.0, size=(12, 12))), path)
+        out = tmp_path / "dens.csv"
+        for profile, route in ((circular_profile_csv, "separable (rank 1)"),
+                               (separable_profile_csv, "separable (rank 1)"),
+                               (block_profile_csv, "quotient (2 classes)"),
+                               (str(path), "full")):
+            assert main(["density", "--profile", profile, "--mode", mode,
+                         "--grid", "0.05:0.6:12", "--out", str(out)]) == 0
+            lines = open(str(out) + ".info.txt").read().splitlines()
+            assert [line for line in lines if line.startswith("solve_route")] == [
+                f"solve_route = {route}"]
+
     def test_sidecar_names_the_dense_route(self, tmp_path):
         # a positive random profile has full rank, past n / 2
         path = tmp_path / "random.csv"
@@ -313,6 +332,14 @@ class TestCheck:
         assert 0.0 < float(lines[at].split(" = ")[1]) < 0.5
         assert lines[at + 1] == "pair_classes = none"
 
+    def test_rank_one_next_to_pair_classes(self, circular_profile_csv, separable_profile_csv,
+                                           block_profile_csv, capsys):
+        for profile, lines in ((circular_profile_csv, "pair_classes = 1\nrank_one = true\n"),
+                               (separable_profile_csv, "pair_classes = none\nrank_one = true\n"),
+                               (block_profile_csv, "pair_classes = 2\nrank_one = false\n")):
+            assert main(["check", "--profile", profile]) == 0
+            assert lines in capsys.readouterr().out
+
     def test_random_profile_without_blocks(self, tmp_path, capsys):
         path = tmp_path / "random.csv"
         rng = np.random.default_rng(21)
@@ -405,3 +432,12 @@ class TestSimulateCompare:
             assert main(["simulate", "--profile", str(ppath), "--seed", "7",
                          "--out", str(out)]) == 0
         assert a.read_text() == b.read_text()
+
+    def test_simulate_never_scans_for_rank_one(self, tmp_path, monkeypatch):
+        scans = []
+        monkeypatch.setattr(vps.core, "_rank_one", lambda V: scans.append(V))
+        ppath = tmp_path / "p.csv"
+        write_profile_csv(validate_profile(np.ones((12, 12))), ppath)
+        assert main(["simulate", "--profile", str(ppath), "--out",
+                     str(tmp_path / "eig.csv")]) == 0
+        assert scans == []

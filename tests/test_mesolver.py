@@ -5,11 +5,14 @@ import pytest
 
 import vps.mesolver
 from vps.core import (
+    RANK_ONE_ULPS,
     NoConvergenceError,
     RankDeficientError,
     SolverConfig,
     default_s_grid,
+    read_profile_csv,
     validate_profile,
+    write_profile_csv,
 )
 from vps.measures import cdf
 from vps.mesolver import (
@@ -22,6 +25,7 @@ from vps.mesolver import (
     _linearization,
     _linearization_norm,
     _product,
+    _solve_rank_one,
     _solve_rows,
     anneal_to_limit,
     derivative_route,
@@ -31,6 +35,7 @@ from vps.mesolver import (
     solve_at_zero,
     solve_curve,
     solve_regularized,
+    solve_route,
 )
 from vps.profiles import build_block_atom, build_sampled, build_separable, spectral_radius
 
@@ -564,8 +569,9 @@ class TestRowClasses:
 
     @pytest.mark.parametrize("make", [_permuted_block_atom, interleaved_blocks],
                              ids=["permuted-block-atom", "interleaved-blocks"])
-    def test_curve_matches_the_panel_products(self, make, full_n):
+    def test_curve_matches_the_panel_products(self, make, kernel_only, full_n):
         p, panels = make(), make()
+        assert kernel_only(p).startswith("quotient")
         assert derivative_route(p).startswith("quotient")
         assert full_n(panels) == "factored (rank 2)"
         grid = math.sqrt(spectral_radius(p)) * np.array([0.1, 0.5, 0.9])
@@ -727,6 +733,135 @@ class TestSolveCurve:
         for sol in curve.solutions:
             assert abs(sol.q.sum() - sol.q_tilde.sum()) / p.n <= 1e-10
         assert np.all(np.diff(cdf(curve)) >= 0)
+
+
+def separable_pair(seed, n, low=0.5, high=2.0):
+    """Two copies of one random separable profile, the second held to the
+    fixed-point kernel by the caller."""
+    d, dt = np.random.default_rng(seed).uniform(low, high, size=(2, n))
+    return build_separable(d, dt)[0], build_separable(d, dt)[0]
+
+
+class TestRankOneRoute:
+    @staticmethod
+    def circular_benchmark_profile(tmp_path):
+        """sigma2_ij = d_j / d_i, d ~ U(0.5, 2), n = 64, written to CSV and
+        read back: rank one only to rounding."""
+        d = np.random.default_rng(1).uniform(0.5, 2.0, size=64)
+        path = tmp_path / "circ.csv"
+        write_profile_csv(validate_profile(d[None, :] / d[:, None]), path)
+        return read_profile_csv(path)
+
+    def test_detects_the_circular_profile_read_back(self, tmp_path):
+        p = self.circular_benchmark_profile(tmp_path)
+        a, b = p.rank_one_factors
+        assert not (a.flags.writeable or b.flags.writeable)
+        assert a.base is None and b.base is None
+        ab = np.outer(a, b)
+        assert np.abs(p.normalized - ab).max() > 0.0   # rank one only to rounding
+        assert (np.abs(p.normalized - ab) <= RANK_ONE_ULPS * np.finfo(float).eps * ab).all()
+        assert solve_route(p) == "separable (rank 1)"
+        # the constant profile, with one pair class, takes the route too
+        assert solve_route(constant_profile(8)) == "separable (rank 1)"
+
+    def test_none_off_rank_one(self, tmp_path):
+        p = self.circular_benchmark_profile(tmp_path)
+        for i, j in ((5, 7), (0, 0), (63, 20)):
+            a = p.variances.copy()
+            a[i, j] *= 1.0 + 1e-12
+            assert validate_profile(a).rank_one_factors is None
+        assert build_sampled(band_model_b, 800).rank_one_factors is None
+        block = build_block_atom(3, 100)
+        assert block.rank_one_factors is None
+        assert solve_route(block) == "quotient (2 classes)"
+
+    def test_zero_rows_and_columns(self, kernel_only):
+        a = np.array([1.0, 0.0, 2.0, 0.5, 0.0, 3.0, 0.0])
+        b = np.array([0.0, 1.5, 1.0, 0.0, 2.0, 0.7, 0.0])
+        p, ref = validate_profile(np.outer(a, b)), validate_profile(np.outer(a, b))
+        assert p.rank_one_factors is not None
+        assert kernel_only(ref) != "separable (rank 1)"
+        grid = math.sqrt(spectral_radius(p)) * np.array([0.1, 0.5, 0.9, 1.1])
+        curve, kernel = solve_curve(p, grid), solve_curve(ref, grid)
+        assert curve.failed_indices == kernel.failed_indices == ()
+        for sol in curve.solutions[:3]:
+            assert 0 < sol.iterations < 100
+            assert (sol.q[b == 0] == 0.0).all() and (sol.q[b > 0] > 0.0).all()
+            assert (sol.q_tilde[a == 0] == 0.0).all() and (sol.q_tilde[a > 0] > 0.0).all()
+        assert curve.solutions[3].is_trivial
+        assert np.abs(cdf(curve) - cdf(kernel)).max() <= 1e-8
+
+    def test_a_lift_that_fails_the_check_comes_from_the_kernel(self, monkeypatch,
+                                                                kernel_only):
+        p, ref = separable_pair(31, 20)
+        assert kernel_only(ref) == "full"
+        grid = math.sqrt(spectral_radius(p)) * np.array([0.2, 0.5, 0.8])
+        roots = vps.mesolver._roots
+
+        def corrupted(prods, weights, s2):
+            w, steps = roots(prods, weights, s2)
+            w[1] *= 1.001
+            return w, steps
+
+        seen = []
+        kernel = vps.mesolver._solve
+
+        def recorded(profile, s, t, config):
+            seen.extend(s)
+            return kernel(profile, s, t, config)
+
+        monkeypatch.setattr(vps.mesolver, "_roots", corrupted)
+        monkeypatch.setattr(vps.mesolver, "_solve", recorded)
+        curve = solve_curve(p, grid)
+        assert seen == [grid[1]]
+        want = solve_curve(ref, grid[1:2]).solutions[0]
+        got = curve.solutions[1]
+        assert curve.failed_indices == ()
+        assert got.iterations == want.iterations
+        assert got.residual == want.residual
+        np.testing.assert_array_equal(got.q, want.q)
+        np.testing.assert_array_equal(got.q_tilde, want.q_tilde)
+        assert np.abs(cdf(curve) - cdf(solve_curve(ref, grid))).max() <= 1e-8
+
+    def test_no_root_gives_exact_zeros(self):
+        # nilpotent: only V[0, 1:] is nonzero, so sum(pi) = 0, and every
+        # radius that a computed rho of order 1e-5 would place inside gets
+        # the exact zeros of the t = 0 equations
+        V = np.zeros((5, 5))
+        V[0, 1:] = 1.0
+        rows = _solve_rank_one(validate_profile(V), [1e-3, 0.1], SolverConfig())
+        assert (rows.q == 0.0).all() and (rows.q_tilde == 0.0).all()
+        assert (rows.iterations == 0).all() and (rows.residual == 0.0).all()
+        assert rows.errors == [None, None]
+        # the constant profile at its edge s^2 = sum(pi) = 1
+        rows = _solve_rank_one(constant_profile(8), [0.6, 1.0], SolverConfig())
+        assert np.abs(rows.q[0] - 0.8).max() <= 1e-15 and rows.iterations[0] > 0
+        assert (rows.q[1] == 0.0).all() and (rows.q_tilde[1] == 0.0).all()
+        assert rows.iterations[1] == 0 and rows.residual[1] == 0.0
+
+    @pytest.mark.parametrize("seed, n, low, high", [(41, 7, 0.5, 2.0), (42, 33, 0.1, 3.0),
+                                                    (43, 50, 0.01, 5.0)])
+    def test_matches_the_kernel(self, seed, n, low, high, kernel_only):
+        # within the kernel's t_min bias
+        p, ref = separable_pair(seed, n, low, high)
+        assert kernel_only(ref) == "full"
+        grid = default_s_grid(math.sqrt(spectral_radius(p)), 25)
+        curve, kernel = solve_curve(p, grid), solve_curve(ref, grid)
+        assert curve.failed_indices == kernel.failed_indices == ()
+        assert all(sol.iterations < 100 for sol in curve.solutions)
+        assert np.abs(cdf(curve) - cdf(kernel)).max() <= 1e-8
+        assert all(sol.t == 0.0 for sol in curve.solutions)
+
+    def test_trace_balance_and_symmetry(self):
+        p, _ = separable_pair(44, 30)
+        grid = default_s_grid(math.sqrt(spectral_radius(p)), 20)
+        for sol in solve_curve(p, grid).solutions:
+            assert abs(sol.q.sum() - sol.q_tilde.sum()) <= 1e-14 * max(1.0, sol.q.sum())
+        d = np.random.default_rng(45).uniform(0.5, 2.0, size=30)
+        sym = build_separable(d, d)[0]
+        assert solve_route(sym) == "separable (rank 1)"
+        for sol in solve_curve(sym, grid).solutions:
+            assert np.abs(sol.q - sol.q_tilde).max() <= 1e-15 * max(1.0, sol.q.max())
 
 
 def band_model_b(x, y):
