@@ -540,9 +540,10 @@ def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
 
 def solve_route(profile: VarianceProfile) -> str:
     """The route `solve_curve` takes on the profile: "separable (rank 1)"
-    (`_solve_rank_one`), "quotient (p classes)" or "full" (the kernel, on
-    the pair-class quotient or on V).  It reads the same cached properties
-    as `solve_curve`, in the same order."""
+    (`_solve_rank_one`, whose radii that fail its check take the kernel's
+    route), "quotient (p classes)" or "full" (the kernel, on the pair-class
+    quotient or on V).  It reads the same cached properties as
+    `solve_curve`, in the same order."""
     if profile.rank_one_factors is not None:
         return "separable (rank 1)"
     classes = profile.pair_classes
