@@ -32,7 +32,7 @@ from .measures import (
     density_lower_bound,
     grid_density,
 )
-from .mesolver import derivative_route, envelope_fraction, solve_curve, solve_route
+from .mesolver import envelope_fraction, solve_curve, solve_route
 from .montecarlo import (
     EntryLaw,
     kolmogorov_distance,
@@ -199,8 +199,6 @@ def _cmd_density(args) -> int:
     lines.append(f"verdict_cdf_monotone = "
                  f"{'pass' if bool(np.all(np.diff(F) >= 0)) else 'fail'}")
     lines.append("solve_route = " + solve_route(curve.profile))
-    if args.mode == "exact":
-        lines.append("exact_derivative = " + derivative_route(curve.profile))
     with open(out + ".info.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

@@ -68,12 +68,13 @@ class VarianceProfile:
     @functools.cached_property
     def pair_classes(self):
         """The pair classes of V, (label, sizes, Vbar), or None when V has
-        p classes with 2p > n (the rule of `low_rank_factors`).  Indices i
-        and j share a class when V[i] == V[j] and V[:, i] == V[:, j], that
-        is, when they have the same row of [V | V^T].  label[i] is the class
-        of index i, sizes[c] the number of indices in class c, and
-        Vbar[c, d] the value of every entry of V in rows of class c and
-        columns of class d, so V == Vbar[label][:, label] exactly.  Classes
+        p classes with 2p > n, too many for the quotient to halve the
+        unknowns.  Indices i and j share a class when V[i] == V[j] and
+        V[:, i] == V[:, j], that is, when they have the same row of
+        [V | V^T].  label[i] is the class of index i, sizes[c] the number
+        of indices in class c, and Vbar[c, d] the value of every entry of V
+        in rows of class c and columns of class d, so
+        V == Vbar[label][:, label] exactly.  Classes
         are found by grouping on row and column sums, split by weighted
         sums where distinct classes share both (see `_pair_classes`; None
         where those coincide too, which has probability zero).  All
@@ -92,39 +93,10 @@ class VarianceProfile:
         back from CSV, rank one only to rounding, is detected.  Both are
         read-only and own their memory.  Computed on first use and cached
         on the profile; `solve_curve` solves such a profile by its scalar
-        equation, and checks each solution on V itself.
+        equation, and checks each solution on V itself, and the exact
+        density is that equation's derivative in closed form.
         """
         return _rank_one(self.normalized)
-
-    @functools.cached_property
-    def margins(self):
-        """V's row sums, column sums and diagonal, read-only, cached on the
-        profile for the exact derivative's condition estimate."""
-        V = self.normalized
-        rows, cols = V.sum(axis=1), V.sum(axis=0)
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        return rows, cols, np.diagonal(V)   # a read-only view
-
-    @functools.cached_property
-    def low_rank_factors(self):
-        """Factors (L, R) with V = L R, or None when V's rank r has 2r > n.
-
-        A truncated SVD of V at numpy's `matrix_rank` tolerance, keeping the
-        singular values above sigma_max n eps: L = U_r Sigma_r (n x r) and
-        R = Vh_r (r x n), read-only arrays that own their memory, so the
-        full SVD outputs are freed.  Computed on first use and cached on
-        the profile; only the exact derivative of a profile without
-        `pair_classes` reads it.
-        """
-        U, S, Vh = np.linalg.svd(self.normalized, full_matrices=False)
-        r = int(np.count_nonzero(S > S[0] * self.n * np.finfo(float).eps))
-        if 2 * r > self.n:
-            return None
-        L, R = U[:, :r] * S[:r], Vh[:r].copy()
-        L.setflags(write=False)
-        R.setflags(write=False)
-        return L, R
 
 
 # Rows and columns per exact comparison and weighted sum of
@@ -213,8 +185,11 @@ def validate_profile(raw_grid) -> VarianceProfile:
     Raises NonSquareError, NegativeEntryError, NonFiniteError or
     AllZeroError on invalid input.  The grid is copied, so the caller's
     array stays writable and later changes to it do not reach the profile.
+    The copy is in C order whatever the caller's layout: the kernel's
+    products round by layout, and so does what they decide, such as the
+    iteration at which a radius stops.
     """
-    return _own_profile(np.array(raw_grid, dtype=float))
+    return _own_profile(np.array(raw_grid, dtype=float, order="C"))
 
 
 def _own_profile(arr: np.ndarray) -> VarianceProfile:

@@ -2,7 +2,10 @@
 
 Builds the radially symmetric deterministic equivalent measure: its CDF
 F(s) = 1 - (1/n) <q(s), V q_tilde(s)>, its density (exact derivative or
-finite differences), the atom at zero and the density at zero.
+finite differences), the atom at zero and the density at zero.  The exact
+density of a rank-one profile is the closed-form derivative of its scalar
+equation; any other profile's solves the linearized equations
+(`derivative_s2`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from .core import (
     SolverConfig,
     VarianceProfile,
 )
-from .mesolver import MECurve, derivative_s2, solve_at_zero, solve_curve, solve_regularized
+from .mesolver import MECurve, derivative_s2, solve_at_zero, solve_curve, solve_inside
+from .separable import _density_from_products
 
 
 def _cdf_value(profile: VarianceProfile, sol) -> float:
@@ -63,9 +67,20 @@ def density_from_cdf(s, F, edge: float) -> np.ndarray:
 
 def _exact_density(profile: VarianceProfile, sol) -> float:
     """f(s) = -(<dq, V qt> + <q, V dqt>) / (pi n) from the derivative in s^2
-    of a limit solution; 0 in the trivial regime.  Not clipped."""
+    of a limit solution; 0 in the trivial regime.  Not clipped.
+
+    On a profile with `rank_one_factors` (a, b), w = <a, q> <b, qt> is the
+    root of sum_i pi_i / (s^2 + pi_i w) = 1 with pi_i = a_i b_i, and
+    F = 1 - w / n; f is that equation's derivative in closed form,
+    `vps.separable._density_from_products` on pi with unit weights, over
+    n.  Otherwise `derivative_s2` gives (dq, dqt)."""
     if sol.is_trivial:
         return 0.0
+    factors = profile.rank_one_factors
+    if factors is not None:
+        a, b = factors
+        w = float(a @ sol.q) * float(b @ sol.q_tilde)
+        return float(_density_from_products(a * b, np.ones(profile.n), sol.s ** 2, w)) / profile.n
     dq, dqt = derivative_s2(profile, sol)
     V = profile.normalized
     inner = float(dq @ (V @ sol.q_tilde)) + float(sol.q @ (V @ dqt))
@@ -75,8 +90,9 @@ def _exact_density(profile: VarianceProfile, sol) -> float:
 def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     """Radial density f(|z|) at a single modulus inside the support.
 
-    mode "exact" solves at |z| and t = t_min, where the curve's rho already
-    places |z| inside the support, and differentiates the master equations;
+    mode "exact" solves at |z| by the route of the curve (`solve_inside`:
+    the curve's rho already places |z| inside the support) and
+    differentiates the master equations there, as `grid_density` does;
     mode "fd" takes density_from_cdf at the interior point of the curve's
     grid nearest |z| among those below the support edge, where the density
     is not zeroed.  It needs at least three radii, and its resolution is
@@ -87,7 +103,7 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     if not 0.0 < s < edge:
         raise OutsideSupportError(f"|z| = {s} outside (0, {edge})")
     if mode == "exact":
-        sol = solve_regularized(curve.profile, s, curve.config.t_min, curve.config)
+        sol = solve_inside(curve.profile, s, curve.config)
         return max(0.0, _exact_density(curve.profile, sol))
     if mode == "fd":
         grid = curve.s_grid

@@ -53,7 +53,7 @@ multiplies by diag(n_c) Vbar, the q_tilde half by diag(n_c) Vbar^T, and the
 trace sums weight each class by n_c.  The stopping rule, the Aitken steps,
 the Newton hand-offs and the 1/t bound act on the 2p unknowns as they
 would on the lifted 2n, and each finished row is lifted by the class
-label.  `derivative_s2` solves the same quotient.
+label.
 
 A rank-one profile V = a b^T (`VarianceProfile.rank_one_factors`, the
 source paper's separable case) is not iterated at all.  With
@@ -71,9 +71,16 @@ that fails it is solved by the kernel (`_solve`) as any other profile's.
 
 `solve_curve` runs that route, or else the kernel at t_min, over the radii
 of a grid below sqrt(rho), by default `default_s_grid` up to the support
-radius; `solve_route` names the route.  `anneal_to_limit` is its
-one-radius call, and `solve_regularized` is a one-row call of the kernel at
-the caller's t.
+radius.  `anneal_to_limit` is its one-radius call, `solve_inside` the same
+at a radius the caller has placed inside the support, and
+`solve_regularized` is a one-row call of the kernel at the caller's t.
+
+The exact density takes the same one choice per profile.  A rank-one
+profile's density is the derivative of its scalar equation, in closed form
+(`vps.measures`).  Otherwise `derivative_s2` solves the linearized
+equations, bordered by the trace row: on the pair-class quotient, a
+(2p + 1) system, and otherwise the (2n + 1) system on V, each by one LU.
+`solve_route` names the route of the curve and the density alike.
 
 `solve_at_zero` needs no regularization.  At s = t = 0 the equations are the
 Sinkhorn-Knopp equations, with a positive solution iff the pattern of V has
@@ -108,6 +115,16 @@ BLOCK = 64
 # every NEWTON iterations of a radius that has not converged.
 AITKEN = 32
 NEWTON = 2048
+# A row whose Aitken gain r / (1 - r) passes STALL_GAIN (block ratio
+# r > 0.99) is handed to Newton at its next iteration, and again each time
+# its gain doubles.  The gain's sensitivity to r is 1 / (1 - r)^2, so past
+# it the jumps turn rounding into the iteration count: without these
+# hand-offs, on random block profiles without total support, one-ulp
+# changes moved a radius between 995 and 1,315 iterations, and the
+# pair-class quotient and all n indices disagreed on 53 of 565 draws by up
+# to 838; with them, on none, in 39% fewer iterations.  The benchmark
+# workloads' gains stay below 7.
+STALL_GAIN = 100.0
 # Weight of the new iterate in the averaged iteration: on circ-n64 plain
 # iteration (weight 1) takes about twice as many iterations.
 AVERAGING = 0.5
@@ -282,6 +299,7 @@ def _linearization(A, B, d, cq, cqt, trace=None):
     return M
 
 
+@np.errstate(all="ignore")   # a step may overflow or underflow; the checks reject it
 def _newton_refine(A, B, x, s2, t, tol, gauge, max_steps=40):
     """Newton iteration on x - I(x) = 0 from a fixed-point iterate x = [q | qt]
     of the equations of the operands (A, B) of `_layout`.
@@ -295,10 +313,11 @@ def _newton_refine(A, B, x, s2, t, tol, gauge, max_steps=40):
 
     The Newton step dx is taken in log coordinates, x <- x exp(dx / x).
     To first order that is x + dx, so convergence stays quadratic, and the
-    iterate stays positive however far the step reaches.  Where the
-    solution spans many orders of magnitude (q from 1e-9 to 1e3 on sparse
-    patterns without total support) the additive step x + dx often leaves
-    the positive cone, and Newton would have to give up.
+    iterate stays positive however far the step reaches, short of overflow
+    or underflow, where Newton gives up.  Where the solution spans many
+    orders of magnitude (q from 1e-9 to 1e3 on sparse patterns without
+    total support) the additive step x + dx often leaves the positive cone,
+    and Newton would have to give up.
     """
     n = len(x) // 2
     best, misses = math.inf, 0
@@ -323,9 +342,8 @@ def _newton_refine(A, B, x, s2, t, tol, gauge, max_steps=40):
             step = np.linalg.solve(M, F) / x
         except np.linalg.LinAlgError:
             return None
-        with np.errstate(over="ignore"):
-            x = x * np.exp(step)
-        if not np.isfinite(x).all():
+        x = x * np.exp(step)
+        if not (np.isfinite(x).all() and x.all()):
             return None
         _rebalance(x[None, :], gauge)
     return None
@@ -352,10 +370,11 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
     down.  The rows of a block start together and iterate in lock step, so
     one iteration count serves them all: every AITKEN iterations the rows
     still running take a block Aitken step, every NEWTON iterations each is
-    handed to Newton, and at max_iters those left fail.  A row that meets
-    the relative stopping rule leaves the block, after a check that its
-    solution respects max(q, qt) <= 1/t; the next block starts once this
-    one is empty.
+    handed to Newton, and so is a row whose Aitken gain passes its stall
+    limit (STALL_GAIN, then twice the gain of its last such hand-off), and
+    at max_iters those left fail.  A row that meets the relative stopping
+    rule leaves the block, after a check that its solution respects
+    max(q, qt) <= 1/t; the next block starts once this one is empty.
 
     V is laid out once by `_layout`: the rows iterate on the unknowns in
     the component order of `_gauge`, so a component's trace balance sums
@@ -383,6 +402,8 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
     X, lastX, Y, P = (np.empty((G, 2 * n)) for _ in range(4))
     Psi = np.empty((G, n))
     prev_norm = np.empty(G)   # Aitken: last block's step norm, NaN if none
+    stall = np.empty(G)       # Aitken gain past which a row goes to Newton
+    handoff = np.empty(G, dtype=bool)
 
     order = np.argsort(s, kind="stable")[::-1]
     for start in range(0, m, BLOCK):
@@ -391,6 +412,8 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
         k = len(radius)
         X[:k] = lastX[:k] = 1.0
         prev_norm[:k] = math.nan
+        stall[:k] = STALL_GAIN
+        stalled = False   # handoff names rows for Newton at the next iteration
         it = 0
         while k:
             x, y, p, psi_ = X[:k], Y[:k], P[:k], Psi[:k]
@@ -419,13 +442,18 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
             done = res <= tol * scale
             it += 1
             if it % NEWTON == 0:
-                # persistent slow convergence: hand each iterate to Newton
-                for g in np.flatnonzero(~done):
+                handoff[:k] = True
+                stalled = True
+            if stalled:
+                # persistent slow convergence, or an Aitken gain past the
+                # row's stall limit: hand the iterate to Newton
+                for g in np.flatnonzero(handoff[:k] & ~done):
                     refined = _newton_refine(product[0], product_T[0], x[g], s2[g, 0],
                                              t, tol, gauge)
                     if refined is not None:
                         x[g], res[g] = refined
                         done[g] = True
+                stalled = False
             failed = it == max_iters
             if failed or done.any():
                 for g in np.flatnonzero(done | failed):
@@ -446,9 +474,13 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
                 keep = np.flatnonzero(~done)
                 k = len(keep)
                 X[:k], lastX[:k], prev_norm[:k] = X[keep], lastX[keep], prev_norm[keep]
+                stall[:k] = stall[keep]
                 radius, s2 = radius[keep], s2[keep]
             if it % AITKEN == 0:
-                prev_norm[:k] = _aitken(X[:k], lastX[:k], prev_norm[:k], Y[:k], P[:k])
+                prev_norm[:k], gain = _aitken(X[:k], lastX[:k], prev_norm[:k], Y[:k], P[:k])
+                np.greater(gain, stall[:k], out=handoff[:k])
+                np.multiply(gain, 2.0, out=stall[:k], where=handoff[:k])
+                stalled = bool(handoff[:k].any())
     return _Rows(out[:, :n], out[:, n:], out_iters, out_res, errors)
 
 
@@ -459,7 +491,8 @@ def _aitken(x, last, prev_norm, dx, cap):
     geometric tail restores fast convergence.  dx and cap are work arrays
     of x's shape, overwritten (the kernel passes its free buffers).
     Returns each row's block step norm, or NaN after a jump, for the next
-    block to compare with."""
+    block to compare with, and the gain r / (1 - r) of each row's jump
+    before the positivity cap (0 where it did not jump)."""
     np.subtract(x, last, out=dx)
     np.abs(dx, out=cap)
     norm = cap.max(axis=1)
@@ -472,13 +505,13 @@ def _aitken(x, last, prev_norm, dx, cap):
     np.multiply(x, -0.9, out=cap)
     np.divide(cap, dx, out=cap, where=falling)
     cap[~falling] = math.inf
-    gain = np.minimum(gain, cap.min(axis=1))
-    jump = ((0.0 < norm) & (norm < prev_norm) & (r > 0.2) & (gain > 0.0))[:, None]
-    np.multiply(dx, gain[:, None], out=dx, where=jump)
+    capped = np.minimum(gain, cap.min(axis=1))
+    jump = ((0.0 < norm) & (norm < prev_norm) & (r > 0.2) & (capped > 0.0))[:, None]
+    np.multiply(dx, capped[:, None], out=dx, where=jump)
     np.add(x, dx, out=x, where=jump)
     norm[jump[:, 0]] = math.nan
     last[:] = x
-    return norm
+    return norm, np.where(jump[:, 0], gain, 0.0)
 
 
 def _solve(profile: VarianceProfile, s, t, config: SolverConfig) -> _Rows:
@@ -538,16 +571,36 @@ def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
     return _Rows(q, qt, steps, residual, errors)
 
 
+def _solve_inside(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
+    """The t -> 0 limit at every radius of s, each below sqrt(rho): by
+    `_solve_rank_one` on a profile with `rank_one_factors`, and otherwise
+    by `_solve` at t_min.  The route of `solve_curve` and of
+    `solve_inside`, which `solve_route` names."""
+    if profile.rank_one_factors is None:
+        return _solve(profile, s, config.t_min, config)
+    return _solve_rank_one(profile, s, config)
+
+
 def solve_route(profile: VarianceProfile) -> str:
-    """The route `solve_curve` takes on the profile: "separable (rank 1)"
-    (`_solve_rank_one`, whose radii that fail its check take the kernel's
-    route), "quotient (p classes)" or "full" (the kernel, on the pair-class
-    quotient or on V).  It reads the same cached properties as
-    `solve_curve`, in the same order."""
+    """The route of the profile's curve and exact density, in the order of
+    `_solve_inside`: "separable (rank 1)" (`_solve_rank_one`, whose radii
+    that fail its check take the kernel's route, and the density in closed
+    form), "quotient (p classes)" (the kernel and `derivative_s2` on the
+    pair-class quotient) or "full" (both on V, the derivative by the dense
+    LU).  It reads the same cached properties as the solves."""
     if profile.rank_one_factors is not None:
         return "separable (rank 1)"
     classes = profile.pair_classes
     return "full" if classes is None else f"quotient ({len(classes[1])} classes)"
+
+
+def _one(rows: _Rows, s: float, t: float) -> MESolution:
+    """The solution of a one-radius `_Rows`, or its NoConvergenceError."""
+    if rows.errors[0]:
+        raise NoConvergenceError(rows.errors[0])
+    return MESolution(s=s, t=t, q=rows.q[0], q_tilde=rows.q_tilde[0],
+                      iterations=int(rows.iterations[0]),
+                      residual=float(rows.residual[0]))
 
 
 def solve_regularized(profile: VarianceProfile, s: float, t: float,
@@ -556,12 +609,16 @@ def solve_regularized(profile: VarianceProfile, s: float, t: float,
     if t <= 0:
         raise ValueError("t must be positive; use anneal_to_limit for the t -> 0 limit")
     config = config or SolverConfig()
-    rows = _solve(profile, [s], t, config)
-    if rows.errors[0]:
-        raise NoConvergenceError(rows.errors[0])
-    return MESolution(s=s, t=t, q=rows.q[0], q_tilde=rows.q_tilde[0],
-                      iterations=int(rows.iterations[0]),
-                      residual=float(rows.residual[0]))
+    return _one(_solve(profile, [s], t, config), s, t)
+
+
+def solve_inside(profile: VarianceProfile, s: float,
+                 config: SolverConfig | None = None) -> MESolution:
+    """t -> 0 limit q(s) at a radius 0 < s < sqrt(rho) that the caller
+    has placed inside the support, by the route of `solve_curve`, with no
+    spectral radius computed.  Raises NoConvergenceError if the solve
+    fails."""
+    return _one(_solve_inside(profile, [s], config or SolverConfig()), s, 0.0)
 
 
 def anneal_to_limit(profile: VarianceProfile, s: float,
@@ -618,85 +675,6 @@ def solve_at_zero(profile: VarianceProfile,
                       iterations=iterations, residual=residual)
 
 
-def _linearization_norm(V, d, cq, cqt, margins=None) -> float:
-    """||M||_inf of M = `_linearization(V, V.T, d, cq, cqt, trace=ones)` from the
-    row and column sums of V, without assembling M.  `margins` are V's row
-    sums, column sums and diagonal (`VarianceProfile.margins`), when the
-    caller has them.
-
-    With coefficients and V nonnegative, top row i sums to
-    |1 - d_i V_ii| + d_i (colsum_i - V_ii) + cq_i rowsum_i + 1, bottom row i
-    to |1 - d_i V_ii| + d_i (rowsum_i - V_ii) + cqt_i colsum_i + 1, and the
-    trace row to 2n.
-    """
-    if margins is None:
-        margins = V.sum(axis=1), V.sum(axis=0), np.diagonal(V)
-    rows, cols, diag = margins
-    pivot = np.abs(1.0 - d * diag) + 1.0
-    top = pivot + d * (cols - diag) + cq * rows
-    bottom = pivot + d * (rows - diag) + cqt * cols
-    return max(top.max(), bottom.max(), 2.0 * len(d))
-
-
-def _bordered_identity_solve(B):
-    """M0^-1 B for the trace-bordered identity M0 = [[I, r^T], [r, 0]] of
-    size 2n + 1, by its closed-form inverse
-    [[I - r^T r / 2n, r^T / 2n], [r / 2n, -1 / 2n]]."""
-    n = (len(B) - 1) // 2
-    m = (B[:n].sum(axis=0) - B[n:2 * n].sum(axis=0) - B[2 * n]) / (2 * n)
-    X = B.copy()
-    X[:n] -= m
-    X[n:2 * n] += m
-    X[2 * n] = m
-    return X
-
-
-def _factored_solve(L, R, d, cq, cqt, B):
-    """M^-1 B for the bordered matrix M of `_linearization(V, V.T, d, cq,
-    cqt, trace=ones)` with V = L R of rank k, by the Woodbury identity.
-
-    J = C blockdiag(V^T, V) with C = [[D, -Q], [-Qt, D]], so
-    M = M0 - U Y^T with U = [C blockdiag(R^T, L); 0] and
-    Y^T = [blockdiag(L^T, R), 0], and
-    M^-1 = M0^-1 + M0^-1 U K^-1 Y^T M0^-1 with the 2k x 2k capacitance
-    matrix K = I - Y^T M0^-1 U: O(n k^2) work in all.
-    """
-    n, k = L.shape
-    RT = R.T
-    U = np.zeros((2 * n + 1, 2 * k))
-    np.multiply(d[:, None], RT, out=U[:n, :k])
-    np.multiply(-cq[:, None], L, out=U[:n, k:])
-    np.multiply(-cqt[:, None], RT, out=U[n:2 * n, :k])
-    np.multiply(d[:, None], L, out=U[n:2 * n, k:])
-
-    def project(X):  # Y^T X
-        return np.concatenate([L.T @ X[:n], R @ X[n:2 * n]])
-
-    Z = _bordered_identity_solve(U)
-    W = _bordered_identity_solve(B)
-    return W + Z @ np.linalg.solve(np.eye(2 * k) - project(Z), project(W))
-
-
-def _derivative_structure(profile: VarianceProfile):
-    """(classes, factors), at most one not None: V's `pair_classes`, or
-    else its `low_rank_factors`.  The one choice of `derivative_s2`'s
-    route, which `derivative_route` names."""
-    classes = profile.pair_classes
-    if classes is not None:
-        return classes, None
-    return None, profile.low_rank_factors
-
-
-def derivative_route(profile: VarianceProfile) -> str:
-    """The route `derivative_s2` takes on the profile: "quotient (p
-    classes)", "factored (rank r)" or "dense".  It reads the same cached
-    properties, so it runs no SVD that the derivative did not run."""
-    classes, factors = _derivative_structure(profile)
-    if classes is not None:
-        return f"quotient ({len(classes[1])} classes)"
-    return "dense" if factors is None else f"factored (rank {len(factors[1])})"
-
-
 @functools.lru_cache(maxsize=8)
 def _probe(size):
     """The seeded random right-hand side z of `derivative_s2`'s condition
@@ -721,11 +699,10 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     their derivative take one value per class: it takes each class's mean
     of q and qt, solves the (2p + 1) bordered system of the quotient
     operands of `_layout`, whose trace row weights each class by its size,
-    by one LU, and lifts the result by the class label.  Otherwise, when
-    V has a rank r with 2r <= n (`VarianceProfile.low_rank_factors`:
-    separable profiles have r = 1), `_factored_solve` solves M by the
-    Woodbury identity through the SVD factors, in O(n r^2), and otherwise
-    one LU factors the assembled M.  `derivative_route` names the route.
+    by one LU, and lifts the result by the class label.  Otherwise one LU
+    factors the assembled (2n + 1) system.  The exact density of a
+    rank-one profile needs neither: it has a closed form (see
+    `vps.measures`), and `solve_route` names the route.
 
     The same solve takes a second, seeded random right-hand side z, for the
     condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf of the system
@@ -735,14 +712,14 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     """
     if sol.is_trivial or sol.s <= 0:
         raise ValueError("derivative requires a nontrivial solution at s > 0")
-    V = profile.normalized
     q, qt, s = sol.q, sol.q_tilde, sol.s
-    classes, factors = _derivative_structure(profile)
+    classes = profile.pair_classes
     if classes is not None:
         label, weights, Vbar = classes
         q, qt = (np.bincount(label, x, len(weights)) / weights for x in (q, qt))
         A, B = weights[:, None] * Vbar, weights[:, None] * Vbar.T
     else:
+        V = profile.normalized
         A, B, weights = V, V.T, np.ones(profile.n)
     n = len(q)
     phi = B.T @ qt
@@ -753,17 +730,12 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     b = -np.concatenate([p * q, p * qt, [0.0]])
     z = _probe(2 * n + 1)
     rhs = np.column_stack([b, z])
+    M = _linearization(A, B, d, cq, cqt, trace=weights)
     try:
-        if factors is None:
-            M = _linearization(A, B, d, cq, cqt, trace=weights)
-            x, y = np.linalg.solve(M, rhs).T
-            norm = np.abs(M).sum(axis=1).max()
-        else:
-            x, y = _factored_solve(*factors, d, cq, cqt, rhs).T
-            norm = _linearization_norm(V, d, cq, cqt, profile.margins)
+        x, y = np.linalg.solve(M, rhs).T
     except np.linalg.LinAlgError:
         raise RankDeficientError("derivative system is singular") from None
-    cond = norm * np.abs(y).max() / np.abs(z).max()
+    cond = np.abs(M).sum(axis=1).max() * np.abs(y).max() / np.abs(z).max()
     if not (np.isfinite(x).all() and cond <= 1e13):
         raise RankDeficientError(
             f"derivative system condition estimate {cond:.3e} > 1e13")
@@ -779,9 +751,10 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
 
     Every radius s >= sqrt(rho) gets exact zeros with iterations = 0 and
     residual = 0.0 (see the module docstring).  The radii below are solved
-    together: on a rank-one profile at t = 0 by `_solve_rank_one`, which
-    hands any radius that fails its check to the kernel, and otherwise by
-    the batched kernel at t = t_min, each from ones.  A radius
+    together by `_solve_inside`: on a rank-one profile at t = 0 by
+    `_solve_rank_one`, which hands any radius that fails its check to the
+    kernel, and otherwise by the batched kernel at t = t_min, each from
+    ones.  A radius
     whose solve fails is recorded in `failed_indices`, with the kernel's
     message at the same position of `failure_messages`, and keeps its place
     as a zero placeholder with residual = inf and the iterations it ran.
@@ -799,10 +772,7 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     if np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be strictly increasing and positive")
     inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
-    if profile.rank_one_factors is None:
-        rows = _solve(profile, s_grid[:inside], config.t_min, config)
-    else:
-        rows = _solve_rank_one(profile, s_grid[:inside], config)
+    rows = _solve_inside(profile, s_grid[:inside], config)
     sols = []
     for i, s in enumerate(s_grid):
         if i < inside:  # a failed row holds zeros and residual inf

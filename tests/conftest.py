@@ -76,15 +76,12 @@ def kernel_only():
 @pytest.fixture(scope="session")
 def full_n(kernel_only):
     """A function that makes a profile skip the rank-one route and its
-    pair-class quotient, so the kernel and the derivative work on all n
-    indices, and, with `factors=False`, also the rank-r derivative route,
-    so the derivative runs the dense LU.  It returns `derivative_route` of
-    the profile, for the test to assert the route it got."""
-    def force(profile, factors=True):
+    pair-class quotient, so the kernel works on all n indices and the
+    derivative runs the dense LU.  It returns `solve_route` of the
+    profile, for the test to assert the route it got."""
+    def force(profile):
         kernel_only(profile)
         vars(profile)["pair_classes"] = None
-        if not factors:
-            vars(profile)["low_rank_factors"] = None
-        return vps.mesolver.derivative_route(profile)
+        return vps.mesolver.solve_route(profile)
 
     return force

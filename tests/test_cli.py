@@ -135,6 +135,9 @@ class TestSpectralRadiusOnce:
 
 
 class TestSvdOnlyForTheExactDerivative:
+    """No command runs an SVD: the exact density of a rank-one profile is
+    in closed form, and every other profile's derivative is an LU."""
+
     @pytest.mark.parametrize("argv", [["solve"], ["density", "--mode", "fd"]],
                              ids=["solve", "density-fd"])
     def test_none_without_the_exact_derivative(self, argv, block_profile_csv, tmp_path,
@@ -143,10 +146,12 @@ class TestSvdOnlyForTheExactDerivative:
                             "--out", str(tmp_path / "out.csv")]) == 0
         assert len(svd_calls) == 0
 
-    def test_one_for_an_exact_curve(self, separable_profile_csv, tmp_path, svd_calls):
+    def test_none_for_an_exact_curve_of_a_separable_profile(self, separable_profile_csv,
+                                                            tmp_path, svd_calls):
+        # the rank-one route's density is in closed form
         assert main(["density", "--profile", separable_profile_csv, "--mode", "exact",
                      "--out", str(tmp_path / "out.csv")]) == 0
-        assert len(svd_calls) == 1
+        assert len(svd_calls) == 0
 
     def test_none_for_an_exact_curve_of_a_block_profile(self, block_profile_csv, tmp_path,
                                                        svd_calls, pair_classes_calls):
@@ -209,16 +214,17 @@ class TestDensity:
     @pytest.mark.parametrize("mode", ["exact", "fd"])
     def test_sidecar_names_the_derivative_route(self, mode, separable_profile_csv,
                                                 block_profile_csv, tmp_path, svd_calls):
+        # one `solve_route` line names the route of the curve and of the
+        # exact density alike
         out = tmp_path / "dens.csv"
-        for profile, route, svds in ((separable_profile_csv, "factored (rank 1)", 1),
-                                     (block_profile_csv, "quotient (2 classes)", 0)):
-            svd_calls.clear()
+        for profile, route in ((separable_profile_csv, "separable (rank 1)"),
+                               (block_profile_csv, "quotient (2 classes)")):
             assert main(["density", "--profile", profile, "--mode", mode,
                          "--grid", "0.05:0.6:12", "--out", str(out)]) == 0
             lines = open(str(out) + ".info.txt").read().splitlines()
-            named = [line for line in lines if line.startswith("exact_derivative")]
-            assert named == ([f"exact_derivative = {route}"] if mode == "exact" else [])
-            assert len(svd_calls) == (svds if mode == "exact" else 0)
+            assert [line for line in lines if "route" in line] == [f"solve_route = {route}"]
+            assert not [line for line in lines if line.startswith("exact_derivative")]
+        assert len(svd_calls) == 0
 
     @pytest.mark.parametrize("mode", ["exact", "fd"])
     def test_sidecar_names_the_solve_route(self, mode, circular_profile_csv,
@@ -239,14 +245,15 @@ class TestDensity:
                 f"solve_route = {route}"]
 
     def test_sidecar_names_the_dense_route(self, tmp_path):
-        # a positive random profile has full rank, past n / 2
+        # a positive random profile has neither rank one nor pair classes:
+        # the kernel runs on V and the derivative by the dense LU
         path = tmp_path / "random.csv"
         write_profile_csv(validate_profile(
             np.random.default_rng(22).uniform(0.5, 2.0, size=(12, 12))), path)
         out = tmp_path / "dens.csv"
         assert main(["density", "--profile", str(path), "--mode", "exact",
                      "--grid", "0.05:0.8:10", "--out", str(out)]) == 0
-        assert "exact_derivative = dense\n" in open(str(out) + ".info.txt").read()
+        assert "solve_route = full\n" in open(str(out) + ".info.txt").read()
 
     def test_fd_mode_nan_exact_column(self, circular_profile_csv, tmp_path):
         out = tmp_path / "dens.csv"

@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from vps.core import RankDeficientError, validate_profile
 from vps.measures import cdf
-from vps.mesolver import derivative_route, derivative_s2, solve_curve
+from vps.mesolver import derivative_s2, solve_curve, solve_route
 from vps.profiles import _scc, spectral_radius
 
 PROPERTY = settings(max_examples=12, deadline=2000, derandomize=True)
@@ -152,17 +152,16 @@ def test_row_classes_give_the_dense_curve_and_derivative(case, full_n):
     # rank-one draw (one class, or ZERO_ROW_AND_COLUMN) is held to the
     # kernel on both sides by `rank_one_off`.  Hypothesis seeds the
     # derandomized draws from this function's source less its decorators
-    # and comments, so the fixture is applied by a decorator and the draws
-    # do not move.  Other draws meet an open defect: on a pattern without
-    # total support the iteration count depends on rounding, and
-    # [[1, 0, 0, 0], [1, 1, 1, 1] x 3] at 0.5 sqrt(rho) has taken 3382
-    # iterations on the quotient against 3383 or 3555 on all n
+    # and comments, and also from the numeric literals of every local
+    # module.  On patterns without total support the two sides agree
+    # because a row whose Aitken gain passes `mesolver.STALL_GAIN` is handed
+    # to Newton
     a, fractions = case
     # rho > 0 iff the pattern has a cycle, that is, a nonzero n-th power
     assume(np.linalg.matrix_power(a != 0, len(a)).any())
     p, full = validate_profile(a), validate_profile(a)
-    assert derivative_route(p).startswith("quotient")
-    assert full_n(full, factors=False) == "dense"
+    assert solve_route(p).startswith("quotient")
+    assert full_n(full) == "full"
     grid = math.sqrt(spectral_radius(p)) * fractions
     curve, ref = solve_curve(p, grid), solve_curve(full, grid)
     assert curve.failed_indices == ref.failed_indices

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from vps.core import OutsideSupportError, validate_profile
-from vps.measures import cdf, density
-from vps.mesolver import solve_curve
+from vps.measures import _exact_density, cdf, density, grid_density
+from vps.mesolver import solve_curve, solve_route
 from vps.profiles import build_separable
 from vps.separable import (
     QuadratureUnstableError,
     sampled_rho,
     sampled_separable_density,
     sampled_separable_u,
+    separable_curve,
     separable_density,
     separable_density_zero,
     solve_u,
@@ -86,6 +87,42 @@ class TestSeparableDensity:
         sep = sep_of(d, d)
         assert separable_density_zero(sep) == pytest.approx(2 / math.pi,
                                                             rel=0.02)
+
+
+class TestRankOneExactDensity:
+    """The exact density of a rank-one profile: the closed-form derivative
+    of its scalar equation, at the root w = <a, q> <b, qt> of each solution."""
+
+    @staticmethod
+    def curve(n, seed):
+        d, dt = np.random.default_rng(seed).uniform(0.5, 2.0, size=(2, n))
+        profile, sep = build_separable(d, dt)
+        assert solve_route(profile) == "separable (rank 1)"
+        return solve_curve(profile), sep
+
+    @pytest.mark.parametrize("n", [50, 1000])
+    def test_matches_separable_curve(self, n):
+        curve, sep = self.curve(n, 31)
+        _, want = separable_curve(sep, curve.s_grid)
+        assert np.abs(grid_density(curve, "exact") - want).max() <= 1e-12
+
+    def test_matches_the_dense_lu(self, full_n):
+        curve, _ = self.curve(12, 32)
+        full = validate_profile(curve.profile.variances)
+        assert full_n(full) == "full"
+        inside = [sol for sol in curve.solutions if not sol.is_trivial]
+        assert len(inside) == 190
+        for sol in inside:
+            want = _exact_density(full, sol)
+            assert abs(_exact_density(curve.profile, sol) - want) <= 1e-10 * want
+
+    def test_point_density_takes_the_curve_route(self):
+        # `density` solves its radius as `solve_curve` does, at t = 0, not
+        # by the kernel at t_min
+        curve, _ = self.curve(40, 33)
+        f = grid_density(curve, "exact")
+        for i in (0, 50, 120, 189):
+            assert density(curve, curve.s_grid[i], "exact") == pytest.approx(f[i], rel=1e-14)
 
 
 class TestCollapse:
