@@ -75,9 +75,9 @@ class VarianceProfile:
         of indices in class c, and Vbar[c, d] the value of every entry of V
         in rows of class c and columns of class d, so
         V == Vbar[label][:, label] exactly.  Classes
-        are found by grouping on row and column sums, split by weighted
-        sums where distinct classes share both (see `_pair_classes`; None
-        where those coincide too, which has probability zero).  All
+        are found by grouping on a hash of each row and column and checked
+        exactly (see `_pair_classes`; None where distinct rows or columns
+        share a hash).  All
         three are read-only; Vbar owns its memory.  Computed on first use
         by `_pair_classes` and cached on the profile; the fixed-point kernel
         and the exact derivative solve on the p x p quotient.
@@ -99,7 +99,7 @@ class VarianceProfile:
         return _rank_one(self.normalized)
 
 
-# Rows and columns per exact comparison and weighted sum of
+# Rows and columns per exact comparison and hash of
 # `_pair_classes`, and rows per comparison of `_rank_one`, so no n x n
 # temporary is made.
 CHUNK = 64
@@ -129,26 +129,18 @@ def _rank_one(V):
 def _pair_classes(V):
     """`VarianceProfile.pair_classes` of V.
 
-    Indices are grouped on a key computed from each row and column alone,
-    so the indices of one class always share it; past n / 2 groups there
-    is nothing to compare.  The first key is the (row sum, column sum)
-    pair.  Then every row and every column is compared exactly with its
-    group's first.  Distinct classes can share both sums, as the two of
-    [[a, b], [b, a]] with equal sizes do, or every class of a profile with
-    constant row and column sums; on a mismatch the indices are grouped
-    again on `_weighted_sums`, which tells distinct rows apart with
-    probability one, and compared again.  A second mismatch gives None.
+    Indices are grouped on `_pair_keys`, a hash of each row and column
+    alone, so the indices of one class always share it, and distinct ones
+    almost never do; past n / 2 groups there is nothing to compare.  Then
+    every row and every column is compared exactly with its group's first,
+    and a mismatch gives None.  The classes are numbered in the order of
+    their first index.
     """
-    n = len(V)
-    for key in (lambda: V.sum(axis=1) + 1j * V.sum(axis=0), lambda: _weighted_sums(V)):
-        # a complex key, so np.unique compares both sums
-        _, first, label, sizes = np.unique(key(), return_index=True, return_inverse=True,
-                                           return_counts=True)
-        if 2 * len(first) > n:
-            return None
-        if _agree(V, first[label]):
-            break
-    else:
+    _, first, label, sizes = np.unique(_pair_keys(V), return_index=True,
+                                       return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    label, first, sizes = np.argsort(order)[label], first[order], sizes[order]
+    if 2 * len(first) > len(V) or not _agree(V, first[label]):
         return None
     Vbar = V[np.ix_(first, first)]
     for x in (label, sizes, Vbar):
@@ -156,18 +148,28 @@ def _pair_classes(V):
     return label, sizes, Vbar
 
 
-def _weighted_sums(V):
-    """Row sums + 1j column sums of V, with entry (i, j) weighted by w[j]
-    in its row and by w[i] in its column, for seeded random weights w in
-    [1, 2).  Equal rows, and equal columns, get equal sums, since numpy
-    reduces each of them in the same order.  CHUNK rows and columns at a
-    time, so no n x n temporary is made."""
+def _pair_keys(V):
+    """A uint64 key per index i, hashed from row i of [V | V^T]: the sum,
+    modulo 2^64, of each entry's bit pattern x, mixed as x ^ (x >> 32) and
+    times the weight of the entry's position, with the weights splitmix64
+    (Steele, Lea & Flood 2014) of 1, ..., 2n, the same on every call.  The
+    sums are exact, so equal rows get equal keys in any order of summation,
+    and rows that differ, in one ulp of one entry or more, get distinct
+    keys unless their differences cancel modulo 2^64.  The weights are
+    hashed, not drawn by numpy.random, which numpy loads on first use, at
+    about 5 MB.  CHUNK rows and columns at a time, so no n x n temporary
+    is made."""
     n = len(V)
-    w = np.random.default_rng(0).uniform(1.0, 2.0, n)
-    key = np.empty(n, dtype=complex)
+    z = np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    w = z ^ (z >> np.uint64(31))
+    bits = V.view(np.uint64)
+    key = np.empty(n, dtype=np.uint64)
     for a in range(0, n, CHUNK):
-        key.real[a:a + CHUNK] = (V[a:a + CHUNK] * w).sum(axis=1)
-        key.imag[a:a + CHUNK] = (V[:, a:a + CHUNK] * w[:, None]).sum(axis=0)
+        rows, cols = bits[a:a + CHUNK], bits[:, a:a + CHUNK]
+        key[a:a + CHUNK] = (((rows ^ (rows >> np.uint64(32))) * w[:n]).sum(axis=1)
+                            + ((cols ^ (cols >> np.uint64(32))) * w[n:, None]).sum(axis=0))
     return key
 
 

@@ -21,17 +21,17 @@ trivial regime is decided by comparing s with sqrt(rho), and by nothing
 else.
 
 One kernel, `_solve_rows`, solves many radii at once at one t.  The
-radii are independent solves that share only the matrix products, so they
-run in blocks of up to BLOCK radii, the [q | q_tilde] rows of (rows, 2n)
-work arrays: one iteration is two matrix products, Q @ V and Qt @ V^T, for
-the whole block.  The rows of a block start together and iterate in lock
-step, so they share one iteration count and take their Aitken steps and
-Newton hand-offs at the same iterations, and a radius gets the iterates it
-gets when solved alone, up to rounding in the matrix products.  A row that
-converges is compacted out of the leading slice; the next block starts
-once this one is empty.  Where the pattern of V + V^T splits into
-connected components the equations decouple, and each component keeps its
-own gauge (c q, q_tilde / c); the trace is balanced in each.
+radii are independent solves that share only the matrix products, so all
+of them form one block, the [q | q_tilde] rows of (radii, 2n) work arrays:
+one iteration is two matrix products, Q @ V and Qt @ V^T, for the whole
+block.  The rows start together and iterate in lock step, so they share
+one iteration count and take their Aitken steps and Newton hand-offs at the
+same iterations, and a radius gets the iterates it gets when solved alone,
+up to rounding in the matrix products.  A row that converges is compacted
+out of the leading slice, and the loop ends when no row is left.  Where the
+pattern of V + V^T splits into connected components the equations
+decouple, and each component keeps its own gauge (c q, q_tilde / c); the
+trace is balanced in each.
 
 Each call of the kernel lays V out once for all its iterations.  Where the
 components are not already contiguous, V is permuted symmetrically into
@@ -108,11 +108,15 @@ from .core import (
 from .profiles import _scc, _total_support
 from .separable import _roots
 
-# Radii iterated together.  It bounds the work arrays at BLOCK x n each;
-# more rows buy little once the matrix products dominate the iteration.
-BLOCK = 64
 # Block Aitken extrapolation every AITKEN iterations, and a Newton hand-off
-# every NEWTON iterations of a radius that has not converged.
+# every NEWTON iterations of a radius that has not converged.  The periodic
+# hand-off pays on sparse patterns: on 148 random sparse profiles (n 6-16,
+# 10-35% nonzero, 20-point grids, max_iters 60,000) the curves took 3.66M
+# iterations with 29 failed radii with it, and 8.12M with 93 without; the
+# 16 x 16 profile of the Newton tests takes 2,048 iterations at s = 0.104
+# with it, 176,065 without.  On band model B at n = 40 (30 radii,
+# t_min = 1e-8, fixed_point_tol = 1e-9) it saves little since the stall
+# hand-offs: 10,311 iterations against 10,600.
 AITKEN = 32
 NEWTON = 2048
 # A row whose Aitken gain r / (1 - r) passes STALL_GAIN (block ratio
@@ -125,8 +129,12 @@ NEWTON = 2048
 # to 838; with them, on none, in 39% fewer iterations.  The benchmark
 # workloads' gains stay below 7.
 STALL_GAIN = 100.0
-# Weight of the new iterate in the averaged iteration: on circ-n64 plain
-# iteration (weight 1) takes about twice as many iterations.
+# Weight of the new iterate in the averaged iteration.  On 30-point grids,
+# weight 1/2 against plain iteration (weight 1): band model A at n = 400
+# takes 2,413 iterations against 6,580, a dense U(0.5, 2) profile at n = 64
+# 1,728 against 3,361, but band model B at n = 800 (t_min = 1e-8,
+# fixed_point_tol = 1e-9) 9,428 against 6,465, and the block atom at
+# n = 300 1,820 against 962.
 AVERAGING = 0.5
 # Columns per panel of `_envelope`.  On band model B at n = 800 (30 radii,
 # 9,428 iterations; 2 cores, OpenBLAS, best of 5) panels of 32, 48, 64, 96,
@@ -366,15 +374,16 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
     """Solve the equations at regularization t for every radius of `s`,
     each from ones.
 
-    The radii are solved in blocks of up to BLOCK rows, from the largest s
-    down.  The rows of a block start together and iterate in lock step, so
-    one iteration count serves them all: every AITKEN iterations the rows
-    still running take a block Aitken step, every NEWTON iterations each is
-    handed to Newton, and so is a row whose Aitken gain passes its stall
-    limit (STALL_GAIN, then twice the gain of its last such hand-off), and
-    at max_iters those left fail.  A row that meets the relative stopping
-    rule leaves the block, after a check that its solution respects
-    max(q, qt) <= 1/t; the next block starts once this one is empty.
+    All the radii are one block of rows, in the caller's order.  They
+    start together and iterate in lock step, so one iteration count serves
+    them all: every AITKEN iterations the rows still running take a block
+    Aitken step, every NEWTON iterations each is handed to Newton, and so
+    is a row whose Aitken gain passes its stall limit (STALL_GAIN, then
+    twice the gain of its last such hand-off), and at max_iters those left
+    fail.  A row that meets the relative stopping rule leaves the block,
+    after a check that its solution respects max(q, qt) <= 1/t, and the
+    rows still running are compacted into the leading slice; the loop ends
+    once none is left.  The work arrays hold about 9 m n doubles.
 
     V is laid out once by `_layout`: the rows iterate on the unknowns in
     the component order of `_gauge`, so a component's trace balance sums
@@ -396,91 +405,85 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
     out_res = np.full(m, math.inf)
     errors = [None] * m
 
-    # per row: iterate [q | qt], its value at the last Aitken step, and
-    # work arrays
-    G = min(BLOCK, m)
-    X, lastX, Y, P = (np.empty((G, 2 * n)) for _ in range(4))
-    Psi = np.empty((G, n))
-    prev_norm = np.empty(G)   # Aitken: last block's step norm, NaN if none
-    stall = np.empty(G)       # Aitken gain past which a row goes to Newton
-    handoff = np.empty(G, dtype=bool)
-
-    order = np.argsort(s, kind="stable")[::-1]
-    for start in range(0, m, BLOCK):
-        radius = order[start:start + BLOCK]
-        s2 = (s[radius] * s[radius])[:, None]
-        k = len(radius)
-        X[:k] = lastX[:k] = 1.0
-        prev_norm[:k] = math.nan
-        stall[:k] = STALL_GAIN
-        stalled = False   # handoff names rows for Newton at the next iteration
-        it = 0
-        while k:
-            x, y, p, psi_ = X[:k], Y[:k], P[:k], Psi[:k]
-            phit, phi = y[:, :n], y[:, n:]
-            _product(x[:, :n], *product, phit)
-            _product(x[:, n:], *product_T, phi)
-            y += t                       # [V^T q + t | V qt + t]
-            np.multiply(phi, phit, out=psi_)
-            psi_ += s2
-            np.divide(1.0, psi_, out=psi_)
-            y3 = y.reshape(k, 2, n)
-            y3 *= psi_[:, None, :]       # [I(q) | I(qt)]
-            np.subtract(y, x, out=p)
-            np.abs(p, out=p)
-            res = p.max(axis=1)
-            x *= 1.0 - AVERAGING
-            y *= AVERAGING
-            x += y
-            # both sums stay positive: a step maps a nonnegative iterate to a
-            # positive one
-            _rebalance(x, gauge)
-            # relative criterion: solutions grow like 1/t, pushing the floating
-            # point residual floor above any fixed absolute tolerance
-            scale = x.max(axis=1)
-            np.maximum(scale, 1.0, out=scale)
-            done = res <= tol * scale
-            it += 1
-            if it % NEWTON == 0:
-                handoff[:k] = True
-                stalled = True
-            if stalled:
-                # persistent slow convergence, or an Aitken gain past the
-                # row's stall limit: hand the iterate to Newton
-                for g in np.flatnonzero(handoff[:k] & ~done):
-                    refined = _newton_refine(product[0], product_T[0], x[g], s2[g, 0],
-                                             t, tol, gauge)
-                    if refined is not None:
-                        x[g], res[g] = refined
-                        done[g] = True
-                stalled = False
-            failed = it == max_iters
-            if failed or done.any():
-                for g in np.flatnonzero(done | failed):
-                    r = radius[g]
-                    out_iters[r] = it
-                    if not done[g]:
-                        errors[r] = (f"no fixed point after {max_iters} iterations "
-                                     f"at s={s[r]}, t={t} (residual {res[g]:.3e})")
-                    elif x[g].max() > 1.0 / t + 1e-9 / t:
-                        # direct consequence of the defining equations
-                        errors[r] = f"solution violates the 1/t bound at s={s[r]}, t={t}"
-                    else:
-                        out[r, back] = x[g]
-                        out_res[r] = res[g]
-                if failed:
-                    break
-                # compact the rows still running into the leading slice
-                keep = np.flatnonzero(~done)
-                k = len(keep)
-                X[:k], lastX[:k], prev_norm[:k] = X[keep], lastX[keep], prev_norm[keep]
-                stall[:k] = stall[keep]
-                radius, s2 = radius[keep], s2[keep]
-            if it % AITKEN == 0:
-                prev_norm[:k], gain = _aitken(X[:k], lastX[:k], prev_norm[:k], Y[:k], P[:k])
-                np.greater(gain, stall[:k], out=handoff[:k])
-                np.multiply(gain, 2.0, out=stall[:k], where=handoff[:k])
-                stalled = bool(handoff[:k].any())
+    # per row: iterate [q | qt] from ones, its value at the last Aitken
+    # step, and work arrays
+    X, lastX = np.ones((m, 2 * n)), np.ones((m, 2 * n))
+    Y, P = np.empty((m, 2 * n)), np.empty((m, 2 * n))
+    Psi = np.empty((m, n))
+    prev_norm = np.full(m, math.nan)   # Aitken: last block's step norm, NaN if none
+    stall = np.full(m, STALL_GAIN)     # Aitken gain past which a row goes to Newton
+    handoff = np.empty(m, dtype=bool)
+    radius = np.arange(m)              # row -> radius of s, kept by compaction
+    s2 = (s * s)[:, None]
+    k = m
+    stalled = False   # handoff names rows for Newton at the next iteration
+    it = 0
+    while k:
+        x, y, p, psi_ = X[:k], Y[:k], P[:k], Psi[:k]
+        phit, phi = y[:, :n], y[:, n:]
+        _product(x[:, :n], *product, phit)
+        _product(x[:, n:], *product_T, phi)
+        y += t                       # [V^T q + t | V qt + t]
+        np.multiply(phi, phit, out=psi_)
+        psi_ += s2
+        np.divide(1.0, psi_, out=psi_)
+        y3 = y.reshape(k, 2, n)
+        y3 *= psi_[:, None, :]       # [I(q) | I(qt)]
+        np.subtract(y, x, out=p)
+        np.abs(p, out=p)
+        res = p.max(axis=1)
+        x *= 1.0 - AVERAGING
+        y *= AVERAGING
+        x += y
+        # both sums stay positive: a step maps a nonnegative iterate to a
+        # positive one
+        _rebalance(x, gauge)
+        # relative criterion: solutions grow like 1/t, pushing the floating
+        # point residual floor above any fixed absolute tolerance
+        scale = x.max(axis=1)
+        np.maximum(scale, 1.0, out=scale)
+        done = res <= tol * scale
+        it += 1
+        if it % NEWTON == 0:
+            handoff[:k] = True
+            stalled = True
+        if stalled:
+            # persistent slow convergence, or an Aitken gain past the
+            # row's stall limit: hand the iterate to Newton
+            for g in np.flatnonzero(handoff[:k] & ~done):
+                refined = _newton_refine(product[0], product_T[0], x[g], s2[g, 0],
+                                         t, tol, gauge)
+                if refined is not None:
+                    x[g], res[g] = refined
+                    done[g] = True
+            stalled = False
+        failed = it == max_iters
+        if failed or done.any():
+            for g in np.flatnonzero(done | failed):
+                r = radius[g]
+                out_iters[r] = it
+                if not done[g]:
+                    errors[r] = (f"no fixed point after {max_iters} iterations "
+                                 f"at s={s[r]}, t={t} (residual {res[g]:.3e})")
+                elif x[g].max() > 1.0 / t + 1e-9 / t:
+                    # direct consequence of the defining equations
+                    errors[r] = f"solution violates the 1/t bound at s={s[r]}, t={t}"
+                else:
+                    out[r, back] = x[g]
+                    out_res[r] = res[g]
+            if failed:
+                break
+            # compact the rows still running into the leading slice
+            keep = np.flatnonzero(~done)
+            k = len(keep)
+            X[:k], lastX[:k], prev_norm[:k] = X[keep], lastX[keep], prev_norm[keep]
+            stall[:k] = stall[keep]
+            radius, s2 = radius[keep], s2[keep]
+        if it % AITKEN == 0:
+            prev_norm[:k], gain = _aitken(X[:k], lastX[:k], prev_norm[:k], Y[:k], P[:k])
+            np.greater(gain, stall[:k], out=handoff[:k])
+            np.multiply(gain, 2.0, out=stall[:k], where=handoff[:k])
+            stalled = bool(handoff[:k].any())
     return _Rows(out[:, :n], out[:, n:], out_iters, out_res, errors)
 
 

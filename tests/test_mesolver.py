@@ -16,7 +16,6 @@ from vps.core import (
 )
 from vps.measures import cdf
 from vps.mesolver import (
-    BLOCK,
     PANEL,
     _aitken,
     _envelope,
@@ -490,6 +489,17 @@ class TestRowClasses:
         assert len(sizes) == count
         assert np.array_equal(Vbar[label][:, label], p.normalized)
 
+    def test_equal_columns_in_a_narrow_last_chunk(self):
+        # n = 65: column 64 is hashed alone, in a last chunk one column
+        # wide, and classes 0 and 1 share their plain sums.  A floating
+        # point key that sums that column in another order split its class
+        Vbar = np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.5], [0.7, 0.7, 3.0]])
+        label = np.repeat([0, 1, 2], [20, 20, 25])[np.random.default_rng(2).permutation(65)]
+        p = validate_profile(Vbar[label][:, label])
+        got, sizes, _ = p.pair_classes
+        assert sorted(sizes) == [20, 20, 25]
+        assert len({(a, b) for a, b in zip(got, label)}) == 3
+
     def test_none_past_half_the_rows(self):
         # four classes: a quotient in eight indices, None in seven
         Vbar = np.diag([1.0, 2.0, 3.0, 4.0])
@@ -623,29 +633,27 @@ class TestSolveCurve:
             assert sol.is_trivial
             assert sol.iterations == 0 and sol.residual == 0.0
 
-    def test_grid_of_three_blocks(self):
-        # more than 2 BLOCK radii, so three lock-step blocks; the budget
-        # starves only radii near the edge, which the first block holds
+    def test_grid_of_many_radii_is_one_block(self):
+        # 140 radii iterate in lock step as one block; the budget starves
+        # only the radii next to the edge, and every other radius takes
+        # the iterations it takes alone
         rng = np.random.default_rng(11)
         p = validate_profile(rng.uniform(0.2, 2.0, size=(12, 12)))
-        count = 2 * BLOCK + 12
+        count = 140
         grid = math.sqrt(spectral_radius(p)) * np.linspace(0.05, 0.995, count)
         config = SolverConfig(max_iters=200)
         curve = solve_curve(p, grid, config)
         failed = curve.failed_indices
-        assert failed and min(failed) >= count - BLOCK
+        assert failed and failed == tuple(range(failed[0], count))
         for i, sol in enumerate(curve.solutions):
             if i in failed:
                 assert sol.iterations == config.max_iters
                 assert sol.residual == math.inf
                 continue
             ref = anneal_to_limit(p, grid[i], config)
+            assert sol.iterations == ref.iterations
             assert np.abs(sol.q - ref.q).max() <= 1e-10
             assert np.abs(sol.q_tilde - ref.q_tilde).max() <= 1e-10
-        converged = set(range(count)) - set(failed)
-        from_largest = range(count - 1, -1, -1)
-        for start in range(0, count, BLOCK):
-            assert converged & set(from_largest[start:start + BLOCK])
 
     def test_anneal_never_sees_a_radius_past_the_edge(self, monkeypatch):
         p = build_block_atom(3, 4)
