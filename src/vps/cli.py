@@ -149,12 +149,9 @@ def _solve(args):
 
 def _cmd_solve(args) -> int:
     curve = _solve(args)
-    profile = curve.profile
-    V = profile.normalized
     with open(args.out, "w") as fh:
         fh.write("s,t_final,sum_q,sum_qtilde,inner,residual,iterations\n")
-        for sol in curve.solutions:
-            inner = float(sol.q @ (V @ sol.q_tilde)) / profile.n
+        for sol, inner in zip(curve.solutions, curve.products.w / curve.profile.n):
             fh.write(",".join(repr(float(v)) for v in (
                 sol.s, sol.t, sol.q.sum(), sol.q_tilde.sum(),
                 inner, sol.residual, sol.iterations)) + "\n")
@@ -169,10 +166,7 @@ def _density_outputs(curve, mode):
         f_exact = grid_density(curve, mode="exact")
     else:
         f_exact = np.full(len(F), math.nan)
-    lb = np.array([
-        density_lower_bound(curve.profile, sol) if not sol.is_trivial else math.nan
-        for sol in curve.solutions])
-    return F, f_exact, f_fd, lb
+    return F, f_exact, f_fd, density_lower_bound(curve)
 
 
 def _cmd_density(args) -> int:

@@ -148,22 +148,27 @@ def _pair_classes(V):
     return label, sizes, Vbar
 
 
+def _splitmix64(count):
+    """splitmix64 (Steele, Lea & Flood 2014) of 1, ..., count as uint64:
+    fixed pseudo-random words, the same on every call, hashed rather than
+    drawn by numpy.random, which numpy loads on first use, at about 5 MB."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def _pair_keys(V):
     """A uint64 key per index i, hashed from row i of [V | V^T]: the sum,
     modulo 2^64, of each entry's bit pattern x, mixed as x ^ (x >> 32) and
-    times the weight of the entry's position, with the weights splitmix64
-    (Steele, Lea & Flood 2014) of 1, ..., 2n, the same on every call.  The
-    sums are exact, so equal rows get equal keys in any order of summation,
-    and rows that differ, in one ulp of one entry or more, get distinct
-    keys unless their differences cancel modulo 2^64.  The weights are
-    hashed, not drawn by numpy.random, which numpy loads on first use, at
-    about 5 MB.  CHUNK rows and columns at a time, so no n x n temporary
+    times the weight of the entry's position, with the weights
+    `_splitmix64` of 1, ..., 2n.  The sums are exact, so equal rows get
+    equal keys in any order of summation, and rows that differ, in one ulp
+    of one entry or more, get distinct keys unless their differences cancel
+    modulo 2^64.  CHUNK rows and columns at a time, so no n x n temporary
     is made."""
     n = len(V)
-    z = np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    w = z ^ (z >> np.uint64(31))
+    w = _splitmix64(2 * n)
     bits = V.view(np.uint64)
     key = np.empty(n, dtype=np.uint64)
     for a in range(0, n, CHUNK):

@@ -2,15 +2,21 @@
 
 Builds the radially symmetric deterministic equivalent measure: its CDF
 F(s) = 1 - (1/n) <q(s), V q_tilde(s)>, its density (exact derivative or
-finite differences), the atom at zero and the density at zero.  The exact
-density of a rank-one profile is the closed-form derivative of its scalar
-equation; any other profile's solves the linearized equations
-(`derivative_s2`).
+finite differences), the atom at zero, the density lower bound and the
+density at zero.  Every measure of a curve reads its one set of products
+(`MECurve.products`: the solutions' rows and V q_tilde, V^T q at every
+radius, on one entry per pair class where the profile has them), so each
+is evaluated for the whole curve at once.  The exact density of a rank-one
+profile is the closed-form derivative of its scalar equation; any other
+profile's solves the linearized equations at every nontrivial radius in
+stacked LU solves (`derivative_rows`, whose one-radius call is
+`derivative_s2`).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,13 +27,20 @@ from .core import (
     SolverConfig,
     VarianceProfile,
 )
-from .mesolver import MECurve, derivative_s2, solve_at_zero, solve_curve, solve_inside
+from .mesolver import (  # noqa: F401  perfbench's tracer wraps measures.derivative_s2
+    MECurve,
+    derivative_rows,
+    derivative_s2,
+    solve_at_zero,
+    solve_curve,
+    solve_inside,
+)
 from .separable import _density_from_products
 
 
-def _cdf_value(profile: VarianceProfile, sol) -> float:
-    V = profile.normalized
-    return 1.0 - float(sol.q @ (V @ sol.q_tilde)) / profile.n
+def _raw_cdf(curve: MECurve) -> np.ndarray:
+    """F(s) = 1 - <q, V qt> / n over the curve's grid, not clamped."""
+    return 1.0 - curve.products.w / curve.profile.n
 
 
 def cdf(curve: MECurve) -> np.ndarray:
@@ -35,9 +48,7 @@ def cdf(curve: MECurve) -> np.ndarray:
     at and past the support radius sqrt(rho), where the solutions are
     zero.  No running maximum is taken, so a solution that breaks
     monotonicity shows as a step down."""
-    profile = curve.profile
-    F = np.array([_cdf_value(profile, sol) for sol in curve.solutions])
-    return np.clip(F, 0.0, 1.0)
+    return np.clip(_raw_cdf(curve), 0.0, 1.0)
 
 
 def _on_support(f, s, edge: float) -> np.ndarray:
@@ -65,26 +76,31 @@ def density_from_cdf(s, F, edge: float) -> np.ndarray:
     return _on_support(dF / (2.0 * math.pi * s), s, edge)
 
 
-def _exact_density(profile: VarianceProfile, sol) -> float:
-    """f(s) = -(<dq, V qt> + <q, V dqt>) / (pi n) from the derivative in s^2
-    of a limit solution; 0 in the trivial regime.  Not clipped.
+def _exact_density(curve: MECurve) -> np.ndarray:
+    """f(s) = -(<dq, V qt> + <q, V dqt>) / (pi n) at every radius of the
+    curve, from the derivative in s^2 of its solutions; 0 at the trivial
+    radii.  Not clipped.
 
-    On a profile with `rank_one_factors` (a, b), w = <a, q> <b, qt> is the
-    root of sum_i pi_i / (s^2 + pi_i w) = 1 with pi_i = a_i b_i, and
+    On a profile with `rank_one_factors` (a, b), w = <q, V qt> = <a, q> <b, qt>
+    is the root of sum_i pi_i / (s^2 + pi_i w) = 1 with pi_i = a_i b_i, and
     F = 1 - w / n; f is that equation's derivative in closed form,
     `vps.separable._density_from_products` on pi with unit weights, over
-    n.  Otherwise `derivative_s2` gives (dq, dqt)."""
-    if sol.is_trivial:
-        return 0.0
-    factors = profile.rank_one_factors
+    n, at all radii at once.  Otherwise `derivative_rows` gives (dq, dqt),
+    and <q, V dqt> = <V^T q, dqt>."""
+    products = curve.products
+    n = curve.profile.n
+    live = np.flatnonzero(products.live)
+    f = np.zeros(len(products.s2))
+    factors = curve.profile.rank_one_factors
     if factors is not None:
         a, b = factors
-        w = float(a @ sol.q) * float(b @ sol.q_tilde)
-        return float(_density_from_products(a * b, np.ones(profile.n), sol.s ** 2, w)) / profile.n
-    dq, dqt = derivative_s2(profile, sol)
-    V = profile.normalized
-    inner = float(dq @ (V @ sol.q_tilde)) + float(sol.q @ (V @ dqt))
-    return -inner / (math.pi * profile.n)
+        f[live] = _density_from_products(a * b, np.ones(n), products.s2[live],
+                                         products.w[live]) / n
+        return f
+    dq, dqt = derivative_rows(products, live)
+    inner = (dq * products.v_qt[live] + products.vt_q[live] * dqt) @ products.weights
+    f[live] = -inner / (math.pi * n)
+    return f
 
 
 def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
@@ -104,7 +120,9 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
         raise OutsideSupportError(f"|z| = {s} outside (0, {edge})")
     if mode == "exact":
         sol = solve_inside(curve.profile, s, curve.config)
-        return max(0.0, _exact_density(curve.profile, sol))
+        point = replace(curve, s_grid=np.array([s]), solutions=(sol,),
+                        failed_indices=(), failure_messages=())
+        return max(0.0, float(_exact_density(point)[0]))
     if mode == "fd":
         grid = curve.s_grid
         interior = np.flatnonzero(grid[1:-1] < edge) + 1
@@ -119,14 +137,13 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
 
 def grid_density(curve: MECurve, mode: str = "fd") -> np.ndarray:
     """Density along the full grid; fd mode differences the CDF, exact mode
-    differentiates the equations point by point."""
+    differentiates the equations at every radius (`_exact_density`)."""
     grid = curve.s_grid
     edge = math.sqrt(curve.rho)
     if mode == "fd":
         return density_from_cdf(grid, cdf(curve), edge)
     if mode == "exact":
-        f = [_exact_density(curve.profile, sol) for sol in curve.solutions]
-        return _on_support(np.array(f), grid, edge)
+        return _on_support(_exact_density(curve), grid, edge)
     raise ValueError(f"unknown density mode: {mode!r}")
 
 
@@ -163,22 +180,24 @@ def atom_at_zero(curve: MECurve) -> float:
     if len(grid) > 1 and grid[1] > 0.25 * math.sqrt(curve.rho):
         raise InsufficientGridError(
             "need at least two grid points close to zero for the atom")
-    return atom_from_cdf(grid[:2], [_cdf_value(curve.profile, sol)
-                                    for sol in curve.solutions[:2]])
+    return atom_from_cdf(grid[:2], _raw_cdf(curve)[:2])
 
 
-def density_lower_bound(profile: VarianceProfile, sol) -> float:
-    """Diagnostic ratio sum(q qt / Psi) / sum(Psi q^2 qt^2) at a nontrivial
-    limit solution; positive whenever the density is positive.  Exposed raw,
-    with no normalization convention attached."""
-    if sol.is_trivial:
-        raise ValueError("lower bound requires a nontrivial solution")
-    V = profile.normalized
-    q, qt = sol.q, sol.q_tilde
-    inv_psi = sol.s ** 2 + (V @ qt) * (V.T @ q)
-    num = float(np.sum(inv_psi * q * qt))
-    den = float(np.sum((q ** 2) * (qt ** 2) / inv_psi))
-    return num / den
+def density_lower_bound(curve: MECurve) -> np.ndarray:
+    """Diagnostic ratio sum(q qt / Psi) / sum(Psi q^2 qt^2) at every radius
+    of the curve, NaN where the solution is trivial (at and past the
+    support edge, and at failed radii); positive whenever the density is
+    positive.  Exposed raw, with no normalization convention attached."""
+    p = curve.products
+    inv_psi = p.v_qt * p.vt_q
+    inv_psi += p.s2[:, None]
+    qqt = p.q * p.q_tilde
+    num = (inv_psi * qqt) @ p.weights
+    qqt *= qqt
+    qqt /= inv_psi
+    with np.errstate(invalid="ignore"):   # 0 / 0 at the trivial radii
+        ratio = num / (qqt @ p.weights)
+    return np.where(p.live, ratio, math.nan)
 
 
 def build_measure(profile: VarianceProfile, s_grid=None,

@@ -75,12 +75,18 @@ radius.  `anneal_to_limit` is its one-radius call, `solve_inside` the same
 at a radius the caller has placed inside the support, and
 `solve_regularized` is a one-row call of the kernel at the caller's t.
 
-The exact density takes the same one choice per profile.  A rank-one
-profile's density is the derivative of its scalar equation, in closed form
-(`vps.measures`).  Otherwise `derivative_s2` solves the linearized
-equations, bordered by the trace row: on the pair-class quotient, a
-(2p + 1) system, and otherwise the (2n + 1) system on V, each by one LU.
-`solve_route` names the route of the curve and the density alike.
+The measures read a curve once, through `MECurve.products`: the rows of
+its solutions and the products V q_tilde and V^T q at every radius, on one
+entry per pair class where the profile has them (with the class sizes
+weighting the sums) and on all n otherwise, as two matrix products for the
+whole curve.  The exact density takes the same one choice per profile.  A
+rank-one profile's density is the derivative of its scalar equation, in
+closed form (`vps.measures`).  Otherwise `derivative_rows` solves the
+linearized equations, bordered by the trace row, at every radius of the
+curve: on the pair-class quotient (2p + 1) systems, and otherwise the
+(2n + 1) systems on V, stacked into one LU solve per STACK bytes.
+`derivative_s2` is its one-radius call.  `solve_route` names the route of
+the curve and the density alike.
 
 `solve_at_zero` needs no regularization.  At s = t = 0 the equations are the
 Sinkhorn-Knopp equations, with a positive solution iff the pattern of V has
@@ -103,6 +109,7 @@ from .core import (
     RankDeficientError,
     SolverConfig,
     VarianceProfile,
+    _splitmix64,
     default_s_grid,
 )
 from .profiles import _scc, _total_support
@@ -148,6 +155,14 @@ PANEL = 64
 # products give the same rounding as ever.  The block atom profile (k = 3,
 # n = 300) would read 55% of V.
 SPLIT = 0.5
+# Bytes of bordered systems that `derivative_rows` stacks into one LU
+# solve.  On dense profiles at n = 12, 64 and 200 (default grids; 2 cores,
+# OpenBLAS, best of 5) budgets from 256 KiB to 16 MiB took 3.6-4.3, 48-60
+# and 498-612 ms, against 19, 66 and 526 ms one radius at a time: past the
+# per-call overhead a larger stack gains nothing.  The 5 x 5 systems of the
+# block atom's quotient all go in one; a (2n + 1) system past it, 20.5 MB
+# at n = 800, is solved alone.
+STACK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -161,6 +176,12 @@ class MECurve:
     config: SolverConfig
     failed_indices: tuple = ()
     failure_messages: tuple = ()  # the kernel's message per failed index
+
+    @functools.cached_property
+    def products(self) -> "CurveProducts":
+        """`curve_products` of the curve's solutions, computed on first use
+        and cached on the curve; the measures of `vps.measures` read them."""
+        return curve_products(self.profile, self.solutions)
 
     def raise_failures(self) -> None:
         """Raise NoConvergenceError naming the failed radii, if any, and
@@ -286,24 +307,25 @@ def _linearization(A, B, d, cq, cqt, trace=None):
     Written into one array; with the trace weights w, the trace row
     (w, -w) and the column r^T, r = (1, ..., 1, -1, ..., -1), border it as
     a last row and a last column, giving the square matrix
-    [[I - J, r^T], [(w, -w), 0]].
+    [[I - J, r^T], [(w, -w), 0]].  Coefficient vectors with leading axes
+    (one row per radius) give a stack of such matrices.
     """
-    n = len(d)
+    n = d.shape[-1]
     AT, BT = A.T, B.T
-    M = np.empty((2 * n + (trace is not None),) * 2)
-    top, bottom = M[:n, :2 * n], M[n:2 * n, :2 * n]
-    np.multiply(d[:, None], AT, out=top[:, :n])
-    np.negative(top[:, :n], out=top[:, :n])
-    np.multiply(cq[:, None], BT, out=top[:, n:])
-    np.multiply(cqt[:, None], AT, out=bottom[:, :n])
-    np.multiply(d[:, None], BT, out=bottom[:, n:])
-    np.negative(bottom[:, n:], out=bottom[:, n:])
+    M = np.empty(d.shape[:-1] + (2 * n + (trace is not None),) * 2)
+    top, bottom = M[..., :n, :2 * n], M[..., n:2 * n, :2 * n]
+    np.multiply(d[..., None], AT, out=top[..., :n])
+    np.negative(top[..., :n], out=top[..., :n])
+    np.multiply(cq[..., None], BT, out=top[..., n:])
+    np.multiply(cqt[..., None], AT, out=bottom[..., :n])
+    np.multiply(d[..., None], BT, out=bottom[..., n:])
+    np.negative(bottom[..., n:], out=bottom[..., n:])
     diag = np.arange(2 * n)
-    M[diag, diag] += 1.0
+    M[..., diag, diag] += 1.0
     if trace is not None:
-        M[2 * n, :n], M[2 * n, n:2 * n] = trace, -trace
-        M[:n, 2 * n], M[n:2 * n, 2 * n] = 1.0, -1.0
-        M[2 * n, 2 * n] = 0.0
+        M[..., 2 * n, :n], M[..., 2 * n, n:2 * n] = trace, -trace
+        M[..., :n, 2 * n], M[..., n:2 * n, 2 * n] = 1.0, -1.0
+        M[..., 2 * n, 2 * n] = 0.0
     return M
 
 
@@ -588,9 +610,9 @@ def solve_route(profile: VarianceProfile) -> str:
     """The route of the profile's curve and exact density, in the order of
     `_solve_inside`: "separable (rank 1)" (`_solve_rank_one`, whose radii
     that fail its check take the kernel's route, and the density in closed
-    form), "quotient (p classes)" (the kernel and `derivative_s2` on the
-    pair-class quotient) or "full" (both on V, the derivative by the dense
-    LU).  It reads the same cached properties as the solves."""
+    form), "quotient (p classes)" (the kernel and `derivative_rows` on the
+    pair-class quotient) or "full" (both on V, the derivative by dense
+    LUs).  It reads the same cached properties as the solves."""
     if profile.rank_one_factors is not None:
         return "separable (rank 1)"
     classes = profile.pair_classes
@@ -678,73 +700,140 @@ def solve_at_zero(profile: VarianceProfile,
                       iterations=iterations, residual=residual)
 
 
+@dataclass(frozen=True)
+class CurveProducts:
+    """A curve's solutions as the measures read them (`curve_products`).
+
+    Each array has one row per radius, on the unknowns of the profile's
+    route: one entry per pair class, where the profile has
+    `pair_classes`, and all n entries otherwise.  `q`, `q_tilde` are the
+    solutions' rows, `vt_q` = q @ A and `v_qt` = q_tilde @ B their products
+    V^T q and V q_tilde, and every sum over the unknowns weights entry c by
+    `weights[c]`, the class size (1 on all n), so it is the sum over the
+    lifted n entries.  `w` = <q, V q_tilde>, so F = 1 - w / n; `live` marks
+    the nontrivial radii.  (A, B) are the operands of `_layout` in the
+    caller's order: V and V^T, or diag(sizes) Vbar and diag(sizes) Vbar^T
+    on the quotient, and `label` lifts a quotient row to n entries (None on
+    all n)."""
+
+    s2: np.ndarray
+    q: np.ndarray
+    q_tilde: np.ndarray
+    vt_q: np.ndarray
+    v_qt: np.ndarray
+    w: np.ndarray
+    live: np.ndarray
+    weights: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    label: np.ndarray | None
+
+
+def curve_products(profile: VarianceProfile, solutions) -> CurveProducts:
+    """`CurveProducts` of the solutions (each at its own radius) of the
+    profile: their rows stacked, on one entry per pair class (each class's
+    first index) or on all n, and two matrix products for all of them."""
+    classes = profile.pair_classes
+    if classes is None:
+        V = profile.normalized
+        A, B, weights, label, pick = V, V.T, np.ones(profile.n), None, slice(None)
+    else:
+        label, weights, Vbar = classes
+        A, B = weights[:, None] * Vbar, weights[:, None] * Vbar.T
+        pick = np.unique(label, return_index=True)[1]
+    shape = (len(solutions), len(weights))
+    q = np.array([sol.q[pick] for sol in solutions]).reshape(shape)
+    qt = np.array([sol.q_tilde[pick] for sol in solutions]).reshape(shape)
+    v_qt = qt @ B
+    return CurveProducts(
+        s2=np.array([sol.s for sol in solutions]) ** 2, q=q, q_tilde=qt,
+        vt_q=q @ A, v_qt=v_qt, w=(q * v_qt) @ weights,
+        live=q.any(axis=1) | qt.any(axis=1), weights=weights, A=A, B=B, label=label)
+
+
 @functools.lru_cache(maxsize=8)
 def _probe(size):
-    """The seeded random right-hand side z of `derivative_s2`'s condition
-    estimate for a system of `size` unknowns: drawn once per size, and
-    read-only, since every call shares it."""
-    z = np.random.default_rng(0).uniform(-1.0, 1.0, size)
+    """The fixed right-hand side z of `derivative_rows`'s condition
+    estimate for systems of `size` unknowns: `_splitmix64` of 1, ..., size
+    mapped to [-1, 1), made once per size, and read-only, since every call
+    shares it."""
+    z = np.ldexp((_splitmix64(size) >> np.uint64(11)).astype(float), -52) - 1.0
     z.setflags(write=False)
     return z
 
 
-def derivative_s2(profile: VarianceProfile, sol: MESolution):
-    """Exact derivative (d q / d s^2, d qt / d s^2) at a nontrivial solution.
+def derivative_rows(products: CurveProducts, rows):
+    """Exact derivatives (d q / d s^2, d qt / d s^2) at the radii `rows`
+    (indices of nontrivial radii, s > 0) of `products`, on its unknowns:
+    two arrays with one row per index.
 
     The linearized master equations (I - J) x = b are singular along the
     gauge direction (q, -qt) and consistent, so the trace row
-    r x = sum(dq) - sum(dqt) = 0 picks the one solution.  It solves the
-    square bordered matrix M = [[I - J, r^T], [r, 0]], whose multiplier,
-    the last unknown, is zero up to rounding.
+    r x = sum(dq) - sum(dqt) = 0, weighted by the class sizes on the
+    quotient, picks the one solution.  Each radius's square bordered matrix
+    M = [[I - J, r^T], [r, 0]] (`_linearization` of the operands), whose
+    multiplier, the last unknown, is zero up to rounding, is solved by LU;
+    the systems are stacked into one `np.linalg.solve` per STACK bytes.
+
+    Each solve takes a second, fixed right-hand side z (`_probe`), for the
+    condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf of its system:
+    above 1e13, or when a system is exactly singular or a solution is not
+    finite, RankDeficientError is raised, since then the gauge is not the
+    only null direction and x is not determined.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    k = len(products.weights)
+    size = 2 * k + 1
+    z = _probe(size)
+    out = np.empty((len(rows), 2 * k))
+    per = max(1, STACK // (8 * size * size))
+    for a in range(0, len(rows), per):
+        r = rows[a:a + per]
+        s2, q, qt = products.s2[r, None], products.q[r], products.q_tilde[r]
+        p = 1.0 / (s2 + products.v_qt[r] * products.vt_q[r])
+        M = _linearization(products.A, products.B, s2 * p ** 2, q ** 2, qt ** 2,
+                           trace=products.weights)
+        rhs = np.empty((len(r), size, 2))
+        rhs[:, :k, 0], rhs[:, k:2 * k, 0], rhs[:, 2 * k, 0] = -p * q, -p * qt, 0.0
+        rhs[:, :, 1] = z
+        try:
+            x = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError:
+            raise RankDeficientError("derivative system is singular") from None
+        cond = (np.abs(M).sum(axis=-1).max(axis=-1) * np.abs(x[..., 1]).max(axis=-1)
+                / np.abs(z).max())
+        bad = ~(np.isfinite(x[..., 0]).all(axis=-1) & (cond <= 1e13))
+        if bad.any():
+            i = np.argmax(bad)
+            raise RankDeficientError(
+                f"derivative system condition estimate {cond[i]:.3e} > 1e13 "
+                f"at s = {math.sqrt(s2[i, 0]):.6g}")
+        out[a:a + per] = x[:, :2 * k, 0]
+    return out[:, :k], out[:, k:]
+
+
+def derivative_s2(profile: VarianceProfile, sol: MESolution):
+    """Exact derivative (d q / d s^2, d qt / d s^2) at a nontrivial solution:
+    the one-radius call of `derivative_rows`.
 
     When V has p pair classes with 2p <= n (`VarianceProfile.pair_classes`:
     block profiles, the constant profile with p = 1), the equations and
-    their derivative take one value per class: it takes each class's mean
-    of q and qt, solves the (2p + 1) bordered system of the quotient
-    operands of `_layout`, whose trace row weights each class by its size,
-    by one LU, and lifts the result by the class label.  Otherwise one LU
-    factors the assembled (2n + 1) system.  The exact density of a
-    rank-one profile needs neither: it has a closed form (see
-    `vps.measures`), and `solve_route` names the route.
-
-    The same solve takes a second, seeded random right-hand side z, for the
-    condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf of the system
-    it solves: above 1e13, or when the system is exactly singular or the
-    solution is not finite, RankDeficientError is raised, since then the
-    gauge is not the only null direction and x is not determined.
+    their derivative take one value per class: it solves the (2p + 1)
+    bordered system of the quotient, whose trace row weights each class by
+    its size, and lifts the result by the class label.  Otherwise it solves
+    the (2n + 1) system on V.  The exact density of a rank-one profile
+    needs neither: it has a closed form (see `vps.measures`), and
+    `solve_route` names the route.  Raises RankDeficientError as
+    `derivative_rows` does.
     """
     if sol.is_trivial or sol.s <= 0:
         raise ValueError("derivative requires a nontrivial solution at s > 0")
-    q, qt, s = sol.q, sol.q_tilde, sol.s
-    classes = profile.pair_classes
-    if classes is not None:
-        label, weights, Vbar = classes
-        q, qt = (np.bincount(label, x, len(weights)) / weights for x in (q, qt))
-        A, B = weights[:, None] * Vbar, weights[:, None] * Vbar.T
-    else:
-        V = profile.normalized
-        A, B, weights = V, V.T, np.ones(profile.n)
-    n = len(q)
-    phi = B.T @ qt
-    phit = A.T @ q
-    p = 1.0 / (s * s + phi * phit)
-    s2 = s * s
-    d, cq, cqt = s2 * p ** 2, q ** 2, qt ** 2
-    b = -np.concatenate([p * q, p * qt, [0.0]])
-    z = _probe(2 * n + 1)
-    rhs = np.column_stack([b, z])
-    M = _linearization(A, B, d, cq, cqt, trace=weights)
-    try:
-        x, y = np.linalg.solve(M, rhs).T
-    except np.linalg.LinAlgError:
-        raise RankDeficientError("derivative system is singular") from None
-    cond = np.abs(M).sum(axis=1).max() * np.abs(y).max() / np.abs(z).max()
-    if not (np.isfinite(x).all() and cond <= 1e13):
-        raise RankDeficientError(
-            f"derivative system condition estimate {cond:.3e} > 1e13")
-    if classes is not None:
-        return x[label], x[n + label]
-    return x[:n], x[n:2 * n]
+    products = curve_products(profile, (sol,))
+    dq, dqt = derivative_rows(products, [0])
+    label = products.label
+    if label is not None:
+        return dq[0, label], dqt[0, label]
+    return dq[0], dqt[0]
 
 
 def solve_curve(profile: VarianceProfile, s_grid=None,

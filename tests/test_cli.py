@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +117,42 @@ class TestConvergenceFailure:
         err = capsys.readouterr().err
         assert err == "vps: rank deficient: derivative system is singular\n"
         assert "Traceback" not in err
+
+
+    def test_one_singular_radius_exits_4(self, tmp_path, capsys):
+        # two equal ones blocks and a third with twice their radius: at
+        # s = 0.45, below the two blocks' edge sqrt(1/3), three gauges are
+        # active and one trace row leaves the system determined only
+        # through t_min; at the two radii above it, one
+        V = np.zeros((12, 12))
+        V[:4, :4] = V[4:8, 4:8] = 1.0
+        V[8:, 8:] = 2.0
+        profile, config = tmp_path / "three_blocks.csv", tmp_path / "tiny_t.cfg"
+        write_profile_csv(validate_profile(V), profile)
+        config.write_text("t_min = 1e-13\n")
+        assert main(["density", "--profile", str(profile), "--config", str(config),
+                     "--mode", "exact", "--grid", "0.45:0.8:3",
+                     "--out", str(tmp_path / "d.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("vps: rank deficient: derivative system condition estimate ")
+        assert err.endswith(" > 1e13 at s = 0.45\n")
+
+    def test_exact_density_leaves_numpy_random_unloaded(self, tmp_path):
+        # numpy loads numpy.random on first use, at about 5 MB; the exact
+        # density's condition probe is hashed, not drawn
+        profile, out = tmp_path / "block.csv", tmp_path / "d.csv"
+        write_profile_csv(build_block_atom(3, 20), profile)
+        script = ("import sys\n"
+                  "from vps.cli import main\n"
+                  f"code = main(['density', '--profile', {str(profile)!r}, '--mode', 'exact',"
+                  f" '--out', {str(out)!r}])\n"
+                  "print(code, 'numpy.random' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(vps.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        assert run.stdout.split() == ["0", "False"]
 
 
 class TestSpectralRadiusOnce:

@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import vps.mesolver
 from vps.core import (
     InsufficientGridError,
     NoConvergenceError,
     OutsideSupportError,
+    RankDeficientError,
     SolverConfig,
     default_s_grid,
     validate_profile,
 )
 from vps.measures import (
+    _exact_density,
     atom_at_zero,
+    atom_from_cdf,
     build_measure,
     cdf,
     density,
@@ -20,9 +24,10 @@ from vps.measures import (
     density_lower_bound,
     grid_density,
 )
-from vps.mesolver import anneal_to_limit, solve_curve
-from vps.profiles import build_block_atom, spectral_radius
+from vps.mesolver import derivative_s2, solve_curve, solve_route
+from vps.profiles import build_block_atom, build_separable, spectral_radius
 from vps.reference import block_atom_F, block_atom_edge
+from vps.separable import _density_from_products
 
 
 @pytest.fixture(scope="module")
@@ -206,22 +211,20 @@ class TestFailedPoints:
 class TestDensityLowerBound:
     def test_circular_closed_form(self):
         p = validate_profile(np.ones((16, 16)))
-        sol = anneal_to_limit(p, 0.6)
         # q = qt = 0.8, 1/Psi = 1: ratio = 0.64 / 0.4096
-        assert density_lower_bound(p, sol) == pytest.approx(1.5625, abs=1e-6)
+        assert density_lower_bound(solve_curve(p, [0.6]))[0] == pytest.approx(1.5625, abs=1e-6)
 
     def test_positive_on_random_profiles(self):
         rng = np.random.default_rng(21)
         for _ in range(3):
             p = validate_profile(rng.uniform(0.4, 1.6, size=(8, 8)))
-            sol = anneal_to_limit(p, 0.5)
-            assert density_lower_bound(p, sol) > 0.0
+            assert density_lower_bound(solve_curve(p, [0.5]))[0] > 0.0
 
-    def test_trivial_rejected(self):
+    def test_trivial_is_nan(self):
         p = validate_profile(np.ones((8, 8)))
-        sol = anneal_to_limit(p, 2.0)
-        with pytest.raises(ValueError):
-            density_lower_bound(p, sol)
+        lb = density_lower_bound(solve_curve(p, [0.5, 2.0]))
+        assert lb[0] > 0.0
+        assert math.isnan(lb[1])
 
 
 class TestBuildMeasure:
@@ -251,3 +254,113 @@ class TestBuildMeasure:
         p = validate_profile(np.ones((12, 12)))
         m = build_measure(p, s_grid=np.linspace(0.02, 1.06, 40))
         assert m.f[m.s_grid >= 1.0].max() == 0.0
+
+
+def _one_radius_measures(curve):
+    """F, the lower bound ratio and the unclipped exact density of each
+    solution of the curve, one radius at a time: the per-solution formulas
+    on all n entries, with `derivative_s2` for the derivative."""
+    profile = curve.profile
+    V, n = profile.normalized, profile.n
+    factors = profile.rank_one_factors
+    F, lb, f = [], [], []
+    for sol in curve.solutions:
+        q, qt = sol.q, sol.q_tilde
+        F.append(1.0 - float(q @ (V @ qt)) / n)
+        if sol.is_trivial:
+            lb.append(math.nan)
+            f.append(0.0)
+            continue
+        inv_psi = sol.s ** 2 + (V @ qt) * (V.T @ q)
+        lb.append(float(np.sum(inv_psi * q * qt)) / float(np.sum(q ** 2 * qt ** 2 / inv_psi)))
+        if factors is not None:
+            a, b = factors
+            w = float(a @ q) * float(b @ qt)
+            f.append(float(_density_from_products(a * b, np.ones(n), sol.s ** 2, w)) / n)
+        else:
+            dq, dqt = derivative_s2(profile, sol)
+            f.append(-(float(dq @ (V @ qt)) + float(q @ (V @ dqt))) / (math.pi * n))
+    return np.array(F), np.array(lb), np.array(f)
+
+
+def _random_full():
+    return validate_profile(np.random.default_rng(41).uniform(0.5, 2.0, size=(12, 12)))
+
+
+def _random_rank_one():
+    return build_separable(*np.random.default_rng(42).uniform(0.5, 2.0, size=(2, 12)))[0]
+
+
+@pytest.fixture()
+def solve_calls(monkeypatch):
+    """Record the shape of the matrix argument of every `np.linalg.solve`
+    call."""
+    calls = []
+    original = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(np.shape(a))
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+class TestWholeCurve:
+    """The measures of a curve, evaluated for all radii at once from
+    `MECurve.products`, against the one-radius formulas."""
+
+    @pytest.mark.parametrize("make, route", [
+        (lambda: build_block_atom(3, 20), "quotient (2 classes)"),
+        (_random_full, "full"),
+        (_random_rank_one, "separable (rank 1)"),
+    ], ids=["quotient", "full", "rank-one"])
+    def test_matches_one_radius_formulas(self, make, route):
+        p = make()
+        assert solve_route(p) == route
+        edge = math.sqrt(spectral_radius(p))
+        curve = solve_curve(p, edge * np.linspace(0.1, 1.1, 21))
+        F, lb, f = _one_radius_measures(curve)
+        assert np.isnan(lb).sum() == 3   # at and past the edge
+        np.testing.assert_allclose(cdf(curve), np.clip(F, 0.0, 1.0), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(density_lower_bound(curve), lb, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(_exact_density(curve), f, rtol=1e-12, atol=0.0)
+        near = solve_curve(p, edge * np.array([0.05, 0.1]))
+        want = atom_from_cdf(near.s_grid, _one_radius_measures(near)[0])
+        assert atom_at_zero(near) == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    def test_one_stacked_solve_per_chunk(self, monkeypatch, solve_calls):
+        p = _random_full()
+        assert solve_route(p) == "full"
+        curve = solve_curve(p, math.sqrt(spectral_radius(p)) * np.linspace(0.05, 0.95, 10))
+        want = _one_radius_measures(curve)[2]
+        del solve_calls[:]
+        np.testing.assert_allclose(grid_density(curve, "exact"), want, rtol=1e-12, atol=0.0)
+        assert solve_calls == [(10, 25, 25)]
+        # three systems of 25 x 25 doubles per chunk: chunks of 3, 3, 3 and 1
+        monkeypatch.setattr(vps.mesolver, "STACK", 3 * 8 * 25 * 25)
+        del solve_calls[:]
+        np.testing.assert_allclose(grid_density(curve, "exact"), want, rtol=1e-12, atol=0.0)
+        assert solve_calls == [(3, 25, 25)] * 3 + [(1, 25, 25)]
+
+    def test_one_singular_radius_raises(self):
+        # two equal ones blocks and a third with twice their radius, each
+        # a component of its own: below the two blocks' edge, sqrt(1/3),
+        # three gauges are active and the one trace row leaves the system
+        # determined only through t_min; above it, one
+        p = _three_blocks()
+        config = SolverConfig(t_min=1e-13)
+        curve = solve_curve(p, [0.3, 0.65, 0.7, 0.75, 0.8], config)
+        with pytest.raises(RankDeficientError):
+            derivative_s2(p, curve.solutions[0])
+        for sol in curve.solutions[1:]:
+            derivative_s2(p, sol)
+        with pytest.raises(RankDeficientError, match="at s = 0.3$"):
+            grid_density(curve, "exact")
+
+
+def _three_blocks():
+    V = np.zeros((12, 12))
+    V[:4, :4] = V[4:8, 4:8] = 1.0
+    V[8:, 8:] = 2.0
+    return validate_profile(V)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -110,11 +111,10 @@ class TestRankOneExactDensity:
         curve, _ = self.curve(12, 32)
         full = validate_profile(curve.profile.variances)
         assert full_n(full) == "full"
-        inside = [sol for sol in curve.solutions if not sol.is_trivial]
-        assert len(inside) == 190
-        for sol in inside:
-            want = _exact_density(full, sol)
-            assert abs(_exact_density(curve.profile, sol) - want) <= 1e-10 * want
+        inside = curve.products.live
+        assert inside.sum() == 190
+        want = _exact_density(dataclasses.replace(curve, profile=full))[inside]
+        assert np.all(np.abs(_exact_density(curve)[inside] - want) <= 1e-10 * want)
 
     def test_point_density_takes_the_curve_route(self):
         # `density` solves its radius as `solve_curve` does, at t = 0, not
