@@ -84,7 +84,7 @@ def _parse_grid(spec: str | None, edge: float | None = None):
         start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError as exc:
         raise DataError(f"bad grid spec {spec!r}; expected start:stop:count") from exc
-    if not (0 < start < stop and count >= 2):
+    if not (0 < start < stop < math.inf and count >= 2):
         raise DataError(f"bad grid range in {spec!r}")
     return np.linspace(start, stop, count)
 
@@ -151,10 +151,11 @@ def _cmd_solve(args) -> int:
     curve = _solve(args)
     with open(args.out, "w") as fh:
         fh.write("s,t_final,sum_q,sum_qtilde,inner,residual,iterations\n")
-        for sol, inner in zip(curve.solutions, curve.products.w / curve.profile.n):
-            fh.write(",".join(repr(float(v)) for v in (
-                sol.s, sol.t, sol.q.sum(), sol.q_tilde.sum(),
-                inner, sol.residual, sol.iterations)) + "\n")
+        rows = curve.rows   # t_final is 0.0: the curve is the t -> 0 limit
+        for row in zip(curve.s_grid, [0.0] * len(curve.s_grid), rows.q.sum(axis=1),
+                       rows.q_tilde.sum(axis=1), curve.products.w / curve.profile.n,
+                       rows.residual, rows.iterations):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
     _warn_failures(curve)
     return 0
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,8 +226,9 @@ class SolverConfig:
 
     Each radius is solved once, at t = t_min, to the sup-norm fixed point
     tolerance fixed_point_tol (relative to the solution's largest entry
-    once it exceeds 1) within max_iters iterations.  No setting decides the
-    trivial regime: radii at or past the support radius are exact zeros.
+    once it exceeds 1) within max_iters iterations; each must be finite
+    and positive.  No setting decides the trivial regime: radii at or past
+    the support radius are exact zeros.
     """
 
     fixed_point_tol: float = 1e-12
@@ -233,12 +236,12 @@ class SolverConfig:
     t_min: float = 1e-10
 
     def __post_init__(self):
-        if self.fixed_point_tol <= 0:
-            raise ValueError("fixed_point_tol must be positive")
-        if self.max_iters < 1:
+        if not (math.isfinite(self.fixed_point_tol) and self.fixed_point_tol > 0):
+            raise ValueError("fixed_point_tol must be finite and positive")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
             raise ValueError("max_iters must be a positive integer")
-        if self.t_min <= 0:
-            raise ValueError("t_min must be positive")
+        if not (math.isfinite(self.t_min) and self.t_min > 0):
+            raise ValueError("t_min must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,18 @@ Builds the radially symmetric deterministic equivalent measure: its CDF
 F(s) = 1 - (1/n) <q(s), V q_tilde(s)>, its density (exact derivative or
 finite differences), the atom at zero, the density lower bound and the
 density at zero.  Every measure of a curve reads its one set of products
-(`MECurve.products`: the solutions' rows and V q_tilde, V^T q at every
-radius, on one entry per pair class where the profile has them), so each
-is evaluated for the whole curve at once.  The exact density of a rank-one
-profile is the closed-form derivative of its scalar equation; any other
-profile's solves the linearized equations at every nontrivial radius in
-stacked LU solves (`derivative_rows`, whose one-radius call is
-`derivative_s2`).
+(`MECurve.products`: the curve's rows of q and q_tilde and V q_tilde,
+V^T q at every radius, on one entry per pair class where the profile has
+them), so each is evaluated for the whole curve at once.  The exact
+density of a rank-one profile is the closed-form derivative of its scalar
+equation; any other profile's solves the linearized equations at every
+nontrivial radius in stacked LU solves (`derivative_rows`, whose one-radius
+call is `derivative_s2`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,11 +28,11 @@ from .core import (
 )
 from .mesolver import (  # noqa: F401  perfbench's tracer wraps measures.derivative_s2
     MECurve,
+    _solve_inside,
     derivative_rows,
     derivative_s2,
     solve_at_zero,
     solve_curve,
-    solve_inside,
 )
 from .separable import _density_from_products
 
@@ -106,8 +105,9 @@ def _exact_density(curve: MECurve) -> np.ndarray:
 def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     """Radial density f(|z|) at a single modulus inside the support.
 
-    mode "exact" solves at |z| by the route of the curve (`solve_inside`:
-    the curve's rho already places |z| inside the support) and
+    mode "exact" solves a one-radius curve at |z| by the route of the curve
+    (`_solve_inside`: the curve's rho already places |z| inside the
+    support), raises its NoConvergenceError if that failed, and
     differentiates the master equations there, as `grid_density` does;
     mode "fd" takes density_from_cdf at the interior point of the curve's
     grid nearest |z| among those below the support edge, where the density
@@ -119,9 +119,9 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     if not 0.0 < s < edge:
         raise OutsideSupportError(f"|z| = {s} outside (0, {edge})")
     if mode == "exact":
-        sol = solve_inside(curve.profile, s, curve.config)
-        point = replace(curve, s_grid=np.array([s]), solutions=(sol,),
-                        failed_indices=(), failure_messages=())
+        rows = _solve_inside(curve.profile, [s], curve.config)
+        point = MECurve(curve.profile, np.array([s]), rows, curve.rho, curve.config)
+        point.raise_failures()
         return max(0.0, float(_exact_density(point)[0]))
     if mode == "fd":
         grid = curve.s_grid

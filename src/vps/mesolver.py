@@ -71,17 +71,18 @@ that fails it is solved by the kernel (`_solve`) as any other profile's.
 
 `solve_curve` runs that route, or else the kernel at t_min, over the radii
 of a grid below sqrt(rho), by default `default_s_grid` up to the support
-radius.  `anneal_to_limit` is its one-radius call, `solve_inside` the same
-at a radius the caller has placed inside the support, and
-`solve_regularized` is a one-row call of the kernel at the caller's t.
+radius, and keeps the route's `_Rows` record once, as `MECurve.rows`,
+padded past the edge with zero rows; the curve's `MESolution` views and
+failed radii are read from it.  `anneal_to_limit` is its one-radius call,
+and `solve_regularized` is a one-row call of the kernel at the caller's t.
 
-The measures read a curve once, through `MECurve.products`: the rows of
-its solutions and the products V q_tilde and V^T q at every radius, on one
-entry per pair class where the profile has them (with the class sizes
-weighting the sums) and on all n otherwise, as two matrix products for the
-whole curve.  The exact density takes the same one choice per profile.  A
-rank-one profile's density is the derivative of its scalar equation, in
-closed form (`vps.measures`).  Otherwise `derivative_rows` solves the
+The measures read a curve once, through `MECurve.products`: its rows and
+the products V q_tilde and V^T q at every radius, on one entry per pair
+class where the profile has them (with the class sizes weighting the sums)
+and on all n otherwise, as two matrix products for the whole curve.  The
+exact density takes the same one choice per profile.  A rank-one profile's
+density is the derivative of its scalar equation, in closed form
+(`vps.measures`).  Otherwise `derivative_rows` solves the
 linearized equations, bordered by the trace row, at every radius of the
 curve: on the pair-class quotient (2p + 1) systems, and otherwise the
 (2n + 1) systems on V, stacked into one LU solve per STACK bytes.
@@ -126,6 +127,8 @@ from .separable import _roots
 # hand-offs: 10,311 iterations against 10,600.
 AITKEN = 32
 NEWTON = 2048
+# Newton steps of one hand-off before `_newton_refine` gives up.
+NEWTON_STEPS = 40
 # A row whose Aitken gain r / (1 - r) passes STALL_GAIN (block ratio
 # r > 0.99) is handed to Newton at its next iteration, and again each time
 # its gain doubles.  The gain's sensitivity to r is 1 / (1 - r)^2, so past
@@ -167,21 +170,37 @@ STACK = 2 ** 20
 
 @dataclass(frozen=True)
 class MECurve:
-    """Master equation solutions along an increasing radial grid."""
+    """Master equation solutions along an increasing radial grid, stored
+    once: `rows`, the `_Rows` record with one row per radius of `s_grid`."""
 
     profile: VarianceProfile
     s_grid: np.ndarray
-    solutions: tuple
+    rows: _Rows
     rho: float
     config: SolverConfig
-    failed_indices: tuple = ()
-    failure_messages: tuple = ()  # the kernel's message per failed index
+
+    @functools.cached_property
+    def solutions(self) -> tuple:
+        """One `MESolution` per radius, at t = 0, viewing the rows."""
+        rows = self.rows
+        return tuple(MESolution(float(s), 0.0, q, qt, int(it), float(res)) for s, q, qt, it, res
+                     in zip(self.s_grid, rows.q, rows.q_tilde, rows.iterations, rows.residual))
+
+    @property
+    def failed_indices(self) -> tuple:
+        """The indices of the radii whose solve failed."""
+        return tuple(i for i, error in enumerate(self.rows.errors) if error)
+
+    @property
+    def failure_messages(self) -> tuple:
+        """The kernel's message for each of `failed_indices`."""
+        return tuple(error for error in self.rows.errors if error)
 
     @functools.cached_property
     def products(self) -> "CurveProducts":
-        """`curve_products` of the curve's solutions, computed on first use
-        and cached on the curve; the measures of `vps.measures` read them."""
-        return curve_products(self.profile, self.solutions)
+        """`curve_products` of the curve's rows, computed on first use and
+        cached on the curve; the measures of `vps.measures` read them."""
+        return curve_products(self.profile, self.s_grid, self.rows.q, self.rows.q_tilde)
 
     def raise_failures(self) -> None:
         """Raise NoConvergenceError naming the failed radii, if any, and
@@ -330,7 +349,7 @@ def _linearization(A, B, d, cq, cqt, trace=None):
 
 
 @np.errstate(all="ignore")   # a step may overflow or underflow; the checks reject it
-def _newton_refine(A, B, x, s2, t, tol, gauge, max_steps=40):
+def _newton_refine(A, B, x, s2, t, tol, gauge):
     """Newton iteration on x - I(x) = 0 from a fixed-point iterate x = [q | qt]
     of the equations of the operands (A, B) of `_layout`.
 
@@ -351,7 +370,7 @@ def _newton_refine(A, B, x, s2, t, tol, gauge, max_steps=40):
     """
     n = len(x) // 2
     best, misses = math.inf, 0
-    for _ in range(max_steps):
+    for _ in range(NEWTON_STEPS):
         q, qt = x[:n], x[n:]
         a = qt @ B + t
         b = q @ A + t
@@ -599,8 +618,8 @@ def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
 def _solve_inside(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
     """The t -> 0 limit at every radius of s, each below sqrt(rho): by
     `_solve_rank_one` on a profile with `rank_one_factors`, and otherwise
-    by `_solve` at t_min.  The route of `solve_curve` and of
-    `solve_inside`, which `solve_route` names."""
+    by `_solve` at t_min.  The route of `solve_curve` and of the exact
+    `vps.measures.density`, which `solve_route` names."""
     if profile.rank_one_factors is None:
         return _solve(profile, s, config.t_min, config)
     return _solve_rank_one(profile, s, config)
@@ -619,31 +638,16 @@ def solve_route(profile: VarianceProfile) -> str:
     return "full" if classes is None else f"quotient ({len(classes[1])} classes)"
 
 
-def _one(rows: _Rows, s: float, t: float) -> MESolution:
-    """The solution of a one-radius `_Rows`, or its NoConvergenceError."""
-    if rows.errors[0]:
-        raise NoConvergenceError(rows.errors[0])
-    return MESolution(s=s, t=t, q=rows.q[0], q_tilde=rows.q_tilde[0],
-                      iterations=int(rows.iterations[0]),
-                      residual=float(rows.residual[0]))
-
-
 def solve_regularized(profile: VarianceProfile, s: float, t: float,
                       config: SolverConfig | None = None) -> MESolution:
     """Unique positive solution of the regularized system at (s, t), t > 0."""
     if t <= 0:
         raise ValueError("t must be positive; use anneal_to_limit for the t -> 0 limit")
-    config = config or SolverConfig()
-    return _one(_solve(profile, [s], t, config), s, t)
-
-
-def solve_inside(profile: VarianceProfile, s: float,
-                 config: SolverConfig | None = None) -> MESolution:
-    """t -> 0 limit q(s) at a radius 0 < s < sqrt(rho) that the caller
-    has placed inside the support, by the route of `solve_curve`, with no
-    spectral radius computed.  Raises NoConvergenceError if the solve
-    fails."""
-    return _one(_solve_inside(profile, [s], config or SolverConfig()), s, 0.0)
+    rows = _solve(profile, [s], t, config or SolverConfig())
+    if rows.errors[0]:
+        raise NoConvergenceError(rows.errors[0])
+    return MESolution(s=s, t=t, q=rows.q[0], q_tilde=rows.q_tilde[0],
+                      iterations=int(rows.iterations[0]), residual=float(rows.residual[0]))
 
 
 def anneal_to_limit(profile: VarianceProfile, s: float,
@@ -729,10 +733,11 @@ class CurveProducts:
     label: np.ndarray | None
 
 
-def curve_products(profile: VarianceProfile, solutions) -> CurveProducts:
-    """`CurveProducts` of the solutions (each at its own radius) of the
-    profile: their rows stacked, on one entry per pair class (each class's
-    first index) or on all n, and two matrix products for all of them."""
+def curve_products(profile: VarianceProfile, s, q, q_tilde) -> CurveProducts:
+    """`CurveProducts` of the solutions (q, q_tilde), (m, n) arrays with
+    one row per radius of s, of the profile: their rows on one entry per
+    pair class (each class's first index) or on all n, and two matrix
+    products for all of them."""
     classes = profile.pair_classes
     if classes is None:
         V = profile.normalized
@@ -741,12 +746,10 @@ def curve_products(profile: VarianceProfile, solutions) -> CurveProducts:
         label, weights, Vbar = classes
         A, B = weights[:, None] * Vbar, weights[:, None] * Vbar.T
         pick = np.unique(label, return_index=True)[1]
-    shape = (len(solutions), len(weights))
-    q = np.array([sol.q[pick] for sol in solutions]).reshape(shape)
-    qt = np.array([sol.q_tilde[pick] for sol in solutions]).reshape(shape)
+    q, qt = q[:, pick], q_tilde[:, pick]
     v_qt = qt @ B
     return CurveProducts(
-        s2=np.array([sol.s for sol in solutions]) ** 2, q=q, q_tilde=qt,
+        s2=np.asarray(s, dtype=float) ** 2, q=q, q_tilde=qt,
         vt_q=q @ A, v_qt=v_qt, w=(q * v_qt) @ weights,
         live=q.any(axis=1) | qt.any(axis=1), weights=weights, A=A, B=B, label=label)
 
@@ -828,7 +831,7 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     """
     if sol.is_trivial or sol.s <= 0:
         raise ValueError("derivative requires a nontrivial solution at s > 0")
-    products = curve_products(profile, (sol,))
+    products = curve_products(profile, [sol.s], sol.q[None], sol.q_tilde[None])
     dq, dqt = derivative_rows(products, [0])
     label = products.label
     if label is not None:
@@ -841,16 +844,16 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     """Solve the t -> 0 limit at every radius of an increasing grid, by
     default `default_s_grid` up to the support radius sqrt(rho).
 
-    Every radius s >= sqrt(rho) gets exact zeros with iterations = 0 and
-    residual = 0.0 (see the module docstring).  The radii below are solved
-    together by `_solve_inside`: on a rank-one profile at t = 0 by
-    `_solve_rank_one`, which hands any radius that fails its check to the
-    kernel, and otherwise by the batched kernel at t = t_min, each from
-    ones.  A radius
-    whose solve fails is recorded in `failed_indices`, with the kernel's
-    message at the same position of `failure_messages`, and keeps its place
-    as a zero placeholder with residual = inf and the iterations it ran.
-    The curve carries rho, so callers need not compute it again.
+    Every radius s >= sqrt(rho) gets a row of exact zeros with
+    iterations = 0, residual = 0.0 and no error (see the module docstring).
+    The radii below are solved together by `_solve_inside`: on a rank-one
+    profile at t = 0 by `_solve_rank_one`, which hands any radius that fails
+    its check to the kernel, and otherwise by the batched kernel at
+    t = t_min, each from ones.  A failed radius keeps its place as a zero
+    row with residual = inf, the iterations it ran and the kernel's
+    message.  The record's arrays are read-only: the curve caches its
+    `products` from them.  The curve carries rho, so callers need not
+    compute it again.
     """
     from .profiles import spectral_radius
 
@@ -861,21 +864,13 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or len(s_grid) == 0:
         raise ValueError("s_grid must be a nonempty vector")
-    if np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
-        raise ValueError("s_grid must be strictly increasing and positive")
+    if not np.isfinite(s_grid).all() or np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
+        raise ValueError("s_grid must be finite, strictly increasing and positive")
     inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
     rows = _solve_inside(profile, s_grid[:inside], config)
-    sols = []
-    for i, s in enumerate(s_grid):
-        if i < inside:  # a failed row holds zeros and residual inf
-            q, qt = rows.q[i], rows.q_tilde[i]
-            iterations, residual = int(rows.iterations[i]), float(rows.residual[i])
-        else:
-            q, qt = np.zeros(profile.n), np.zeros(profile.n)
-            iterations, residual = 0, 0.0
-        sols.append(MESolution(s=float(s), t=0.0, q=q, q_tilde=qt,
-                               iterations=iterations, residual=residual))
-    failed = tuple(i for i, e in enumerate(rows.errors) if e)
-    return MECurve(profile=profile, s_grid=s_grid, solutions=tuple(sols),
-                   rho=rho, config=config, failed_indices=failed,
-                   failure_messages=tuple(rows.errors[i] for i in failed))
+    past = len(s_grid) - inside
+    padded = [np.pad(a, [(0, past)] + [(0, 0)] * (a.ndim - 1))
+              for a in (rows.q, rows.q_tilde, rows.iterations, rows.residual)]
+    for a in padded:
+        a.setflags(write=False)
+    return MECurve(profile, s_grid, _Rows(*padded, rows.errors + [None] * past), rho, config)

@@ -74,6 +74,28 @@ class TestUsageErrors:
         assert main(["solve", "--profile", circular_profile_csv, "--config", str(config),
                      "--out", str(tmp_path / "o.csv")]) == 3
 
+    @pytest.mark.parametrize("command", ["solve", "density"])
+    @pytest.mark.parametrize("line", ["fixed_point_tol = inf", "t_min = nan"])
+    def test_non_finite_config_value_is_data_error(self, command, line, tmp_path, capsys):
+        # an infinite tolerance would stop every radius after one iteration
+        profile, config = tmp_path / "block.csv", tmp_path / "bad.cfg"
+        write_profile_csv(build_block_atom(3, 20), profile)
+        config.write_text(line + "\n")
+        out = tmp_path / "o.csv"
+        assert main([command, "--profile", str(profile), "--config", str(config),
+                     "--out", str(out)]) == 3
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "density"])
+    @pytest.mark.parametrize("grid", ["0.1:inf:5", "0.1:nan:5"])
+    def test_non_finite_grid_bound_is_data_error(self, command, grid, circular_profile_csv,
+                                                 tmp_path):
+        out = tmp_path / "o.csv"
+        assert main([command, "--profile", circular_profile_csv, "--grid", grid,
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+
 
 class TestConvergenceFailure:
     @pytest.fixture()
@@ -235,12 +257,14 @@ class TestDensity:
 
     def test_cdf_step_down_fails_the_monotone_verdict(self, circular_profile_csv,
                                                        tmp_path, monkeypatch):
-        # swap two inner radii's solutions, so raw F steps down between them
+        # swap two inner radii's rows, so raw F steps down between them
         def swapped(*args):
             curve = solve_curve(*args)
-            sols = list(curve.solutions)
-            sols[5], sols[10] = sols[10], sols[5]
-            return dataclasses.replace(curve, solutions=tuple(sols))
+            order = np.arange(len(curve.s_grid))
+            order[[5, 10]] = order[[10, 5]]
+            rows = dataclasses.replace(curve.rows, q=curve.rows.q[order],
+                                       q_tilde=curve.rows.q_tilde[order])
+            return dataclasses.replace(curve, rows=rows)
 
         monkeypatch.setattr(vps.cli, "solve_curve", swapped)
         out = tmp_path / "dens.csv"

@@ -82,6 +82,12 @@ class TestSolverConfig:
         {"fixed_point_tol": 0.0},
         {"max_iters": 0},
         {"t_min": 0.0},
+        {"fixed_point_tol": math.inf},
+        {"fixed_point_tol": math.nan},
+        {"max_iters": math.inf},
+        {"max_iters": 60.5},   # a budget that `it == max_iters` never meets
+        {"t_min": math.inf},
+        {"t_min": math.nan},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

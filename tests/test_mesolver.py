@@ -14,7 +14,7 @@ from vps.core import (
     validate_profile,
     write_profile_csv,
 )
-from vps.measures import cdf
+from vps.measures import cdf, density
 from vps.mesolver import (
     PANEL,
     _aitken,
@@ -608,6 +608,9 @@ class TestSolveCurve:
             solve_curve(p, np.array([0.5, 0.4]))
         with pytest.raises(ValueError):
             solve_curve(p, np.array([]))
+        for grid in ([math.nan, 0.3], [0.3, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                solve_curve(p, grid)
 
     def test_batched_curve_matches_pointwise_anneal(self):
         # a non-symmetric profile on a grid across the edge, with a budget
@@ -735,6 +738,57 @@ def separable_pair(seed, n, low=0.5, high=2.0):
     fixed-point kernel by the caller."""
     d, dt = np.random.default_rng(seed).uniform(low, high, size=(2, n))
     return build_separable(d, dt)[0], build_separable(d, dt)[0]
+
+
+class TestCurveRecord:
+    """`MECurve.rows` is the one record of a solve; the views and the
+    failures are read from it."""
+
+    @pytest.fixture(scope="class")
+    def starved(self):
+        # block atom k=3, m=20 with a budget that 38 of 200 radii exhaust
+        config = SolverConfig(max_iters=60)
+        return solve_curve(build_block_atom(3, 20), None, config), config
+
+    def test_views_and_failures_agree_with_the_rows(self, starved):
+        curve, config = starved
+        rows = curve.rows
+        failed = tuple(i for i, error in enumerate(rows.errors) if error)
+        assert len(failed) == 38
+        assert curve.failed_indices == failed
+        assert curve.failure_messages == tuple(rows.errors[i] for i in failed)
+        for i, sol in enumerate(curve.solutions):
+            assert (sol.s, sol.t) == (curve.s_grid[i], 0.0)
+            assert np.shares_memory(sol.q, rows.q) and np.shares_memory(sol.q_tilde, rows.q_tilde)
+            assert np.array_equal(sol.q, rows.q[i])
+            assert np.array_equal(sol.q_tilde, rows.q_tilde[i])
+            assert (sol.iterations, sol.residual) == (rows.iterations[i], rows.residual[i])
+        for i in failed:
+            sol = curve.solutions[i]
+            assert sol.is_trivial and sol.residual == math.inf
+            assert sol.iterations == config.max_iters
+
+    def test_radii_past_the_edge_are_exact_zeros(self, starved):
+        curve, _ = starved
+        rows = curve.rows
+        past = np.flatnonzero(curve.s_grid >= math.sqrt(curve.rho))
+        assert len(past) and past[-1] == len(curve.s_grid) - 1
+        assert not rows.q[past].any() and not rows.q_tilde[past].any()
+        assert not rows.iterations[past].any() and not rows.residual[past].any()
+        assert all(rows.errors[i] is None for i in past)
+
+    def test_record_is_read_only(self, starved):
+        rows = starved[0].rows
+        for a in (rows.q, rows.q_tilde, rows.iterations, rows.residual):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            rows.q[0, 0] = 1.0
+
+    def test_exact_density_at_a_failed_radius_raises(self, starved):
+        curve, _ = starved
+        s = curve.s_grid[curve.failed_indices[0]]
+        with pytest.raises(NoConvergenceError, match="1 of 1 grid points did not converge"):
+            density(curve, s, "exact")
 
 
 class TestRankOneRoute:
