@@ -62,13 +62,14 @@ def _files(root) -> set:
             for top, _, names in os.walk(root) for name in names}
 
 
-def compare(a, b, labels=("parent", "change")) -> list:
-    """One line per difference between the files under the directories a
-    and b: a file under one of them only, or a file whose bytes differ,
-    with its first differing line on each side (None past a file's end)."""
+def compare(a, b) -> list:
+    """One line per difference between the files under the parent's
+    directory a and the change's directory b: a file under one of them only,
+    or a file whose bytes differ, with its first differing line on each side
+    (None past a file's end)."""
     files_a, files_b = _files(a), _files(b)
     diffs = [f"{path}: only in {label}"
-             for label, only in ((labels[0], files_a - files_b), (labels[1], files_b - files_a))
+             for label, only in (("parent", files_a - files_b), ("change", files_b - files_a))
              for path in sorted(only)]
     for path in sorted(files_a & files_b):
         with open(os.path.join(a, path), "rb") as fa, open(os.path.join(b, path), "rb") as fb:
@@ -77,7 +78,7 @@ def compare(a, b, labels=("parent", "change")) -> list:
             continue
         pairs = itertools.zip_longest(x.splitlines(keepends=True), y.splitlines(keepends=True))
         line, (old, new) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
-        diffs.append(f"{path}: line {line}: {labels[0]} {old!r}, {labels[1]} {new!r}")
+        diffs.append(f"{path}: line {line}: parent {old!r}, change {new!r}")
     return diffs
 
 

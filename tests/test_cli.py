@@ -257,14 +257,14 @@ class TestDensity:
 
     def test_cdf_step_down_fails_the_monotone_verdict(self, circular_profile_csv,
                                                        tmp_path, monkeypatch):
-        # swap two inner radii's rows, so raw F steps down between them
+        # swap two inner radii's rows and radii, so raw F steps down between them
         def swapped(*args):
             curve = solve_curve(*args)
             order = np.arange(len(curve.s_grid))
             order[[5, 10]] = order[[10, 5]]
             rows = dataclasses.replace(curve.rows, q=curve.rows.q[order],
                                        q_tilde=curve.rows.q_tilde[order])
-            return dataclasses.replace(curve, rows=rows)
+            return dataclasses.replace(curve, s_grid=curve.s_grid[order], rows=rows)
 
         monkeypatch.setattr(vps.cli, "solve_curve", swapped)
         out = tmp_path / "dens.csv"
