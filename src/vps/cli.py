@@ -8,6 +8,7 @@ solve, or a rank-deficient exact-derivative system).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -194,6 +195,8 @@ def _cmd_density(args) -> int:
     lines.append(f"verdict_cdf_monotone = "
                  f"{'pass' if bool(np.all(np.diff(F) >= 0)) else 'fail'}")
     lines.append("solve_route = " + solve_route(curve.profile))
+    inside = int(np.count_nonzero(curve.s_grid < math.sqrt(rho)))
+    lines.append(f"t0_radii = {int(curve.rows.at_zero.sum())} of {inside}")
     with open(out + ".info.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
@@ -311,7 +314,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: each
+    `parse_args` call starts from a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="vps",
         description="Deterministic equivalent spectral measures for "

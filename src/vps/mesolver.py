@@ -1,4 +1,4 @@
-"""Fixed-point solver for the regularized master equations.
+"""Fixed-point and Newton solvers for the master equations.
 
 The 2n unknowns (q, q_tilde) at radial parameter s and regularization t are
 found by the averaged iteration
@@ -69,12 +69,36 @@ tolerance decides an output: every lifted radius is checked against the
 t = 0 residual on V itself, by the kernel's stopping rule, and a radius
 that fails it is solved by the kernel (`_solve`) as any other profile's.
 
-`solve_curve` runs that route, or else the kernel at t_min, over the radii
-of a grid below sqrt(rho), by default `default_s_grid` up to the support
-radius, and keeps the route's `_Rows` record once, as `MECurve.rows`,
-padded past the edge with zero rows; the curve's `MESolution` views and
-failed radii are read from it.  `anneal_to_limit` is its one-radius call,
-and `solve_regularized` is a one-row call of the kernel at the caller's t.
+A route with at most LU_UNKNOWNS = 24 unknowns per half (the p classes of
+the quotient, or n on V itself) solves the t = 0 equations too, by Newton
+from a loose kernel iterate (`_solve_at_zero_rows`).  The kernel runs at
+t_min only to NEWTON_START = 1e-3; then every radius takes Newton steps
+on the t = 0 equations at once, their bordered systems stacked into one
+LU solve per STACK bytes, in log coordinates and rebalanced after each
+step, until the t = 0 residual meets the kernel's stopping rule.  A radius
+is accepted only if it meets that residual, stays positive, and its last
+bordered system passes the condition gate of `derivative_rows` (an
+estimate at most 1e13).  The gate refuses the boundary points that
+patterns without total support converge to at small radii: on the
+12 x 12 pattern of the tests, 24 of 40 radii, with estimates of 2e33 and
+more, where its 12 accepted radii stay below 1e9, the block atom's
+below 1e8 and dense profiles' below 100.  Every refused radius keeps the
+kernel's row at t_min, as solved without the endgame.  On the block atom
+at n = 300 all 190 inside radii are accepted in at most 5 steps, F moves
+from 1.9e-9 to 1.8e-12 off the closed form, and the curve is solved in a
+third of the time.  Past 24
+unknowns the stacked LUs cost more than the kernel (at n = 8, 24, 32, 48
+and 64, 0.45, 0.71, 1.15, 2.3 and 5 times its time on 190 radii of dense
+U(0.5, 2) profiles), and those routes keep t_min.
+
+`solve_curve` runs these routes over the radii of a grid below sqrt(rho),
+by default `default_s_grid` up to the support radius, and keeps the
+route's `_Rows` record once, as `MECurve.rows`, lifted to n entries and
+padded past the edge with zero rows in one copy; `rows.at_zero` marks the
+radii solved at t = 0, and the curve's `MESolution` views and failed
+radii are read from it.  `anneal_to_limit` is its one-radius call, and
+`solve_regularized` is a one-row call of the kernel at the caller's t,
+which never takes the endgame.
 
 The measures read a curve once, through `MECurve.products`: its rows and
 the products V q_tilde and V^T q at every radius, on one entry per pair
@@ -166,6 +190,18 @@ SPLIT = 0.5
 # block atom's quotient all go in one; a (2n + 1) system past it, 20.5 MB
 # at n = 800, is solved alone.
 STACK = 2 ** 20
+# A route with at most LU_UNKNOWNS unknowns per half (the p classes of the
+# quotient, or n on V itself) ends with Newton on the t = 0 equations,
+# stacked bordered LUs for all radii at once (`_solve_at_zero_rows`).  On
+# 190 radii of dense U(0.5, 2) profiles, its solve took 0.45, 0.71, 1.15,
+# 2.3 and 5 times the kernel's at n = 8, 24, 32, 48 and 64 (2 cores,
+# OpenBLAS).
+LU_UNKNOWNS = 24
+# The relative tolerance at which the kernel hands its t_min iterate to
+# that Newton.  No looser: at 1e-2 the starved budgets of the benchmark's
+# own checks would no longer fail, and the block atom at n = 300 already
+# converges from 1e-3 in at most 5 steps.
+NEWTON_START = 1e-3
 
 
 @dataclass(frozen=True)
@@ -326,12 +362,16 @@ def _linearization(A, B, d, cq, cqt, trace=None):
     Written into one array; with the trace weights w, the trace row
     (w, -w) and the column r^T, r = (1, ..., 1, -1, ..., -1), border it as
     a last row and a last column, giving the square matrix
-    [[I - J, r^T], [(w, -w), 0]].  Coefficient vectors with leading axes
-    (one row per radius) give a stack of such matrices.
+    [[I - J, r^T], [(w, -w), 0]].  With several rows of weights (c, n),
+    each borders it in turn, with the column r restricted to the entries
+    where that row's weights are nonzero.  Coefficient vectors with
+    leading axes (one row per radius) give a stack of such matrices.
     """
     n = d.shape[-1]
     AT, BT = A.T, B.T
-    M = np.empty(d.shape[:-1] + (2 * n + (trace is not None),) * 2)
+    T = None if trace is None else np.atleast_2d(trace)
+    size = 2 * n + (0 if T is None else len(T))
+    M = np.empty(d.shape[:-1] + (size, size))
     top, bottom = M[..., :n, :2 * n], M[..., n:2 * n, :2 * n]
     np.multiply(d[..., None], AT, out=top[..., :n])
     np.negative(top[..., :n], out=top[..., :n])
@@ -341,10 +381,11 @@ def _linearization(A, B, d, cq, cqt, trace=None):
     np.negative(bottom[..., n:], out=bottom[..., n:])
     diag = np.arange(2 * n)
     M[..., diag, diag] += 1.0
-    if trace is not None:
-        M[..., 2 * n, :n], M[..., 2 * n, n:2 * n] = trace, -trace
-        M[..., :n, 2 * n], M[..., n:2 * n, 2 * n] = 1.0, -1.0
-        M[..., 2 * n, 2 * n] = 0.0
+    if T is not None:
+        r = (T != 0).T.astype(float)
+        M[..., 2 * n:, :n], M[..., 2 * n:, n:2 * n] = T, -T
+        M[..., :n, 2 * n:], M[..., n:2 * n, 2 * n:] = r, -r
+        M[..., 2 * n:, 2 * n:] = 0.0
     return M
 
 
@@ -400,15 +441,18 @@ def _newton_refine(A, B, x, s2, t, tol, gauge):
 
 @dataclass(frozen=True)
 class _Rows:
-    """Outcome of `_solve_rows`, one row per radius: the iterate, the
-    iteration count, the residual and an error message where the radius
-    failed (its iterate is then zero)."""
+    """Outcome of a solve, one row per radius: the iterate, the iteration
+    count, the residual, an error message where the radius failed (its
+    iterate is then zero), and `at_zero`, True where the row solves the
+    t = 0 equations themselves (a rank-one lift or a radius accepted by
+    `_solve_at_zero_rows`), not those at t_min."""
 
     q: np.ndarray
     q_tilde: np.ndarray
     iterations: np.ndarray
     residual: np.ndarray
     errors: list
+    at_zero: np.ndarray
 
 
 def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
@@ -525,7 +569,7 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
             np.greater(gain, stall[:k], out=handoff[:k])
             np.multiply(gain, 2.0, out=stall[:k], where=handoff[:k])
             stalled = bool(handoff[:k].any())
-    return _Rows(out[:, :n], out[:, n:], out_iters, out_res, errors)
+    return _Rows(out[:, :n], out[:, n:], out_iters, out_res, errors, np.zeros(m, dtype=bool))
 
 
 def _aitken(x, last, prev_norm, dx, cap):
@@ -558,18 +602,47 @@ def _aitken(x, last, prev_norm, dx, cap):
     return norm, np.where(jump[:, 0], gain, 0.0)
 
 
-def _solve(profile: VarianceProfile, s, t, config: SolverConfig) -> _Rows:
-    """`_solve_rows` on the profile: on its pair-class quotient, with each
-    row lifted to the n entries by the class label, when it has
-    `pair_classes`, and otherwise on V itself.  Two indices of one class
-    have equal q and equal q_tilde at every iterate, so the quotient runs
-    the same iteration on 2p unknowns in place of 2n."""
+def _operands(profile: VarianceProfile):
+    """What `_solve_rows` iterates for the profile: (Vbar, sizes, label)
+    of its pair-class quotient when it has `pair_classes`, and otherwise
+    (V, None, None).  Two indices of one class have equal q and equal
+    q_tilde at every iterate, so the quotient runs the same iteration on
+    2p unknowns in place of 2n."""
     classes = profile.pair_classes
     if classes is None:
-        return _solve_rows(profile.normalized, s, t, config)
+        return profile.normalized, None, None
     label, sizes, Vbar = classes
-    rows = _solve_rows(Vbar, s, t, config, sizes)
-    return replace(rows, q=rows.q[:, label], q_tilde=rows.q_tilde[:, label])
+    return Vbar, sizes, label
+
+
+def _lift(rows: _Rows, label, past=0) -> _Rows:
+    """The rows with `past` zero rows appended (exact zeros, 0 iterations,
+    residual 0.0, no error, not `at_zero`), each written once into its
+    final arrays, lifted to the n entries by the class `label` on a
+    quotient (None: the rows are on n entries already)."""
+    if label is None and not past:
+        return rows
+    m = len(rows.iterations)
+
+    def grown(a):
+        out = np.zeros((m + past, a.shape[1] if label is None else len(label)))
+        if label is None:
+            out[:m] = a
+        else:
+            np.take(a, label, axis=1, out=out[:m])
+        return out
+
+    pad = [(0, past)]
+    return _Rows(grown(rows.q), grown(rows.q_tilde), np.pad(rows.iterations, pad),
+                 np.pad(rows.residual, pad), rows.errors + [None] * past,
+                 np.pad(rows.at_zero, pad))
+
+
+def _solve(profile: VarianceProfile, s, t, config: SolverConfig) -> _Rows:
+    """`_solve_rows` at t on the profile's `_operands`, each row lifted to
+    the n entries."""
+    V, sizes, label = _operands(profile)
+    return _lift(_solve_rows(V, s, t, config, sizes), label)
 
 
 def _residual_at_zero(V, q, qt, s2):
@@ -605,24 +678,184 @@ def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
     residual = _residual_at_zero(profile.normalized, q, qt, s2)
     scale = np.maximum(q.max(axis=1, initial=1.0), qt.max(axis=1, initial=1.0))
     errors = [None] * len(s)
-    bad = np.flatnonzero(~(residual <= config.fixed_point_tol * scale))
+    at_zero = residual <= config.fixed_point_tol * scale
+    bad = np.flatnonzero(~at_zero)
     if len(bad):
         rows = _solve(profile, s[bad], config.t_min, config)
         q[bad], qt[bad] = rows.q, rows.q_tilde
         steps[bad], residual[bad] = rows.iterations, rows.residual
         for i, error in zip(bad, rows.errors):
             errors[i] = error
-    return _Rows(q, qt, steps, residual, errors)
+    return _Rows(q, qt, steps, residual, errors, at_zero)
 
 
-def _solve_inside(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
-    """The t -> 0 limit at every radius of s, each below sqrt(rho): by
-    `_solve_rank_one` on a profile with `rank_one_factors`, and otherwise
-    by `_solve` at t_min.  The route of `solve_curve` and of the exact
-    `vps.measures.density`, which `solve_route` names."""
-    if profile.rank_one_factors is None:
-        return _solve(profile, s, config.t_min, config)
-    return _solve_rank_one(profile, s, config)
+@np.errstate(all="ignore")   # a step may overflow or underflow; the checks reject it
+def _newton_at_zero(A, B, x, s2, tol, gauge):
+    """Newton on the t = 0 equations from the [q | qt] rows x, with s2 the
+    squared radii, for the operands (A, B) of `_layout`, all rows at once.
+    Returns the rows, the steps each took, its t = 0 residual and whether
+    it was accepted.
+
+    Each step solves a bordered system of `_linearization` per row, stacked
+    into one `np.linalg.solve` per STACK bytes; a stack that is singular is
+    solved again one system at a time, and only its singular systems are
+    refused.  It has one border per component of the gauge, each an exact
+    symmetry of the equations: the row (w, -w) of the component's trace
+    weights and, as the column, the component's gauge direction (q, -qt)
+    over its largest entry.  The multipliers then move the step only along
+    the gauges, which `_rebalance` undoes.  One border for all components,
+    as in `derivative_rows`, leaves the system singular at a direct sum's
+    solution, and its column (1, -1) shifts every entry by its multiplier,
+    which throws entries of 1e-10 (a component past its own edge, a pattern
+    without total support) out of the positive cone: on the 12 x 12 pattern
+    without total support of the tests, 0 of 40 radii were accepted with
+    it and 12 with these borders.  The step is taken in log coordinates,
+    x <- x exp(dx / x), followed by `_rebalance`, as in `_newton_refine`,
+    whose stall rule (two steps in a row without a 10% gain on the best
+    residual) and step budget NEWTON_STEPS it shares.
+
+    A row is accepted once its residual, the sup norm of I(x) - x at
+    t = 0, meets tol * max(1, max x) after at least one step, and the last
+    system it solved passes the condition gate of `derivative_rows`:
+    ||M||_inf ||M^-1 z||_inf / ||z||_inf at most 1e13, with the `_probe` z
+    as a second right-hand side.  A row that leaves the finite positive
+    cone is refused.
+    """
+    k, n = len(x), x.shape[1] // 2
+    _, starts, counts, weights = gauge
+    component = np.repeat(np.arange(len(starts)), counts)
+    trace = np.zeros((len(starts), n))
+    trace[component, np.arange(n)] = 1.0 if weights is None else weights
+    border = (np.arange(2 * n), 2 * n + np.tile(component, 2))   # its column entries
+    size = 2 * n + len(starts)
+    z = _probe(size)
+    per = max(1, STACK // (8 * size * size))
+    steps = np.zeros(k, dtype=np.int64)
+    residual, cond, best = np.full(k, math.inf), np.full(k, math.inf), np.full(k, math.inf)
+    misses = np.zeros(k, dtype=np.int64)
+    accepted = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    for step in range(NEWTON_STEPS + 1):
+        xs = x[live]
+        q, qt = xs[:, :n], xs[:, n:]
+        a, b = qt @ B, q @ A
+        p = 1.0 / (s2[live, None] + a * b)
+        F = np.concatenate([p * b - q, p * a - qt], axis=1)
+        res = residual[live] = np.abs(F).max(axis=1)
+        met = (res <= tol * np.maximum(xs.max(axis=1), 1.0)) & (steps[live] > 0)
+        accepted[live] = met & (cond[live] <= 1e13)
+        gain = res <= 0.9 * best[live]
+        best[live[gain]] = res[gain]
+        misses[live] = np.where(gain, 0, misses[live] + 1)
+        go = ~met & (misses[live] < 2)
+        if step == NEWTON_STEPS or not go.any():
+            break
+        live, xs, F = live[go], xs[go], F[go]
+        p2 = p[go] ** 2
+        coefficients = (s2[live, None] * p2, p2 * b[go] ** 2, p2 * a[go] ** 2)
+        peak = np.maximum.reduceat(np.maximum(xs[:, :n], xs[:, n:]), starts, axis=1)
+        column = xs / np.tile(peak[:, component], 2)
+        column[:, n:] *= -1.0
+        rhs = np.zeros((len(live), size, 2))
+        rhs[:, :2 * n, 0], rhs[:, :, 1] = F, z
+        for c in range(0, len(live), per):
+            chunk = slice(c, c + per)
+            M = _linearization(A, B, *(v[chunk] for v in coefficients), trace=trace)
+            M[(slice(None),) + border] = column[chunk]
+            rhs[chunk] = _stacked_solve(M, rhs[chunk])
+            cond[live[chunk]] = (np.abs(M).sum(axis=-1).max(axis=-1)
+                                 * np.abs(rhs[chunk, :, 1]).max(axis=-1) / np.abs(z).max())
+        xs *= np.exp(rhs[:, :2 * n, 0] / xs)
+        fine = np.isfinite(xs).all(axis=1) & xs.all(axis=1) & np.isfinite(cond[live])
+        live, xs = live[fine], xs[fine]
+        if len(live):
+            _rebalance(xs, gauge)
+            x[live] = xs
+            steps[live] += 1
+    return x, steps, residual, accepted
+
+
+def _stacked_solve(M, rhs):
+    """np.linalg.solve of the stack of systems M with right-hand sides rhs;
+    where the stack is singular, each system alone, with NaN solutions for
+    those that are singular."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, math.nan)
+        for i in range(len(M)):
+            try:
+                out[i] = np.linalg.solve(M[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
+    """The t = 0 solution at every radius of s, by Newton from a loose
+    kernel iterate, for the operands (V, sizes) of `_operands`; rows on
+    those unknowns.
+
+    `_solve_rows` runs at t_min only to NEWTON_START (or fixed_point_tol,
+    if looser); a radius that fails there fails as it would at the full
+    tolerance, with the kernel's message.  Then all the other radii take
+    Newton steps on the t = 0 equations at once (`_newton_at_zero`).  A
+    radius that meets the t = 0 residual, fixed_point_tol * max(1, max x),
+    stays finite and positive, and whose last bordered system passes the
+    condition gate of `derivative_rows` is accepted: it is `at_zero`, its
+    iterations are those of the loose phase plus its Newton steps, and its
+    residual is that of the t = 0 equations.  Where any radius is refused,
+    the kernel solves every radius again from ones at the full tolerance,
+    and each refused radius takes its row: the row, count and error it
+    gets without the endgame, bit for bit, since a product of one row
+    rounds apart from a product of several, and a radius solved alone
+    would take one-row products where it shared them before.
+    """
+    s = np.asarray(s, dtype=float)
+    loose = replace(config, fixed_point_tol=max(NEWTON_START, config.fixed_point_tol))
+    rows = _solve_rows(V, s, config.t_min, loose, sizes)
+    gauge, (A, _), (B, _) = _layout(V, sizes)
+    order = gauge[0]
+    n = len(order)
+    live = np.flatnonzero([error is None for error in rows.errors])
+    layout = np.ix_(live, np.concatenate([order, order + n]))   # the rows in layout order
+    x = np.concatenate([rows.q, rows.q_tilde], axis=1)
+    x[layout], steps, residual, accepted = _newton_at_zero(
+        A, B, x[layout], s[live] ** 2, config.fixed_point_tol, gauge)
+    take, again = live[accepted], live[~accepted]
+    rows.iterations[take] += steps[accepted]
+    rows.residual[take] = residual[accepted]
+    rows.at_zero[take] = True
+    if len(again):
+        kernel = _solve_rows(V, s, config.t_min, config, sizes)
+        x[again] = np.concatenate([kernel.q[again], kernel.q_tilde[again]], axis=1)
+        rows.iterations[again] = kernel.iterations[again]
+        rows.residual[again] = kernel.residual[again]
+        for i in again:
+            rows.errors[i] = kernel.errors[i]
+    return replace(rows, q=x[:, :n], q_tilde=x[:, n:])
+
+
+def _solve_inside(profile: VarianceProfile, s, config: SolverConfig, past=0) -> _Rows:
+    """The t -> 0 limit at every radius of s, each below sqrt(rho), lifted
+    to n entries with `past` zero rows appended (`_lift`).  The route of
+    `solve_curve` and of the exact `vps.measures.density`, which
+    `solve_route` names:
+    - a profile with `rank_one_factors`: `_solve_rank_one`, at t = 0;
+    - `_operands` with at most LU_UNKNOWNS unknowns per half (the p pair
+      classes, or n): `_solve_at_zero_rows`, at t = 0 where the Newton
+      endgame is accepted, and the kernel's row at t_min where the
+      condition gate or the t = 0 residual refuses it;
+    - otherwise: the kernel at t_min.
+    """
+    if profile.rank_one_factors is not None:
+        return _lift(_solve_rank_one(profile, s, config), None, past)
+    V, sizes, label = _operands(profile)
+    if V.shape[0] <= LU_UNKNOWNS:
+        rows = _solve_at_zero_rows(V, s, config, sizes)
+    else:
+        rows = _solve_rows(V, s, config.t_min, config, sizes)
+    return _lift(rows, label, past)
 
 
 def solve_route(profile: VarianceProfile) -> str:
@@ -631,7 +864,9 @@ def solve_route(profile: VarianceProfile) -> str:
     that fail its check take the kernel's route, and the density in closed
     form), "quotient (p classes)" (the kernel and `derivative_rows` on the
     pair-class quotient) or "full" (both on V, the derivative by dense
-    LUs).  It reads the same cached properties as the solves."""
+    LUs).  Either of the last two ends with the t = 0 Newton when it has
+    at most LU_UNKNOWNS unknowns per half, and keeps t_min otherwise.  It
+    reads the same cached properties as the solves."""
     if profile.rank_one_factors is not None:
         return "separable (rank 1)"
     classes = profile.pair_classes
@@ -848,12 +1083,16 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     iterations = 0, residual = 0.0 and no error (see the module docstring).
     The radii below are solved together by `_solve_inside`: on a rank-one
     profile at t = 0 by `_solve_rank_one`, which hands any radius that fails
-    its check to the kernel, and otherwise by the batched kernel at
-    t = t_min, each from ones.  A failed radius keeps its place as a zero
-    row with residual = inf, the iterations it ran and the kernel's
-    message.  The record's arrays are read-only: the curve caches its
-    `products` from them.  The curve carries rho, so callers need not
-    compute it again.
+    its check to the kernel; on at most LU_UNKNOWNS unknowns per half at
+    t = 0 by the kernel to NEWTON_START and the Newton endgame, with the
+    kernel's row at t_min wherever the endgame is refused; and otherwise by
+    the batched kernel at t = t_min, each from ones.  `rows.at_zero` marks
+    the radii solved at t = 0; their iterations include the Newton steps,
+    and their residual is that of the t = 0 equations.  A failed radius
+    keeps its place as a zero row with residual = inf, the iterations it
+    ran and the kernel's message.  The record's arrays are read-only: the
+    curve caches its `products` from them.  The curve carries rho, so
+    callers need not compute it again.
     """
     from .profiles import spectral_radius
 
@@ -867,10 +1106,7 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     if not np.isfinite(s_grid).all() or np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be finite, strictly increasing and positive")
     inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
-    rows = _solve_inside(profile, s_grid[:inside], config)
-    past = len(s_grid) - inside
-    padded = [np.pad(a, [(0, past)] + [(0, 0)] * (a.ndim - 1))
-              for a in (rows.q, rows.q_tilde, rows.iterations, rows.residual)]
-    for a in padded:
+    rows = _solve_inside(profile, s_grid[:inside], config, len(s_grid) - inside)
+    for a in (rows.q, rows.q_tilde, rows.iterations, rows.residual, rows.at_zero):
         a.setflags(write=False)
-    return MECurve(profile, s_grid, _Rows(*padded, rows.errors + [None] * past), rho, config)
+    return MECurve(profile, s_grid, rows, rho, config)

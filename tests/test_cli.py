@@ -10,7 +10,7 @@ import pytest
 import vps.cli
 import vps.core
 from vps.cli import main, read_density_csv
-from vps.core import validate_profile, write_profile_csv
+from vps.core import read_profile_csv, validate_profile, write_profile_csv
 from vps.mesolver import solve_curve
 from vps.montecarlo import read_eigenvalue_csv
 from vps.profiles import build_block_atom, build_sampled, build_separable
@@ -56,6 +56,35 @@ class TestUsageErrors:
         out = str(tmp_path / "o.csv")
         assert main(["solve", "--profile", str(tmp_path / "nope.csv"),
                      "--out", out]) == 3
+
+    def test_consecutive_calls_parse_independently(self, circular_profile_csv, monkeypatch):
+        # the parser is built once per process; no option of one call
+        # leaks into the next
+        seen = []
+
+        def record(args):
+            seen.append(vars(args))
+            return 0
+
+        monkeypatch.setattr(vps.cli, "_COMMANDS", dict.fromkeys(vps.cli._COMMANDS, record))
+        profile = ["--profile", circular_profile_csv]
+        calls = [["check", *profile, "--blocks", "3", "--phi", "0.5"],
+                 ["density", *profile, "--mode", "exact", "--out", "a.csv"],
+                 ["check", *profile],
+                 ["density", *profile, "--grid", "0.1:0.5:5", "--out", "b.csv"],
+                 ["simulate", *profile, "--seed", "4", "--out", "c.csv"],
+                 ["simulate", *profile, "--out", "d.csv"]]
+        for argv in calls:
+            assert main(argv) == 0
+        assert vps.cli._build_parser() is vps.cli._build_parser()
+        check, density, check_default, density_default, simulate, simulate_default = seen
+        assert (check["blocks"], check["phi"]) == (3, 0.5)
+        assert (check_default["blocks"], check_default["phi"]) == (None, 1e-9)
+        assert check_default["out"] is None and "mode" not in check_default
+        assert (density["mode"], density["grid"], density["out"]) == ("exact", None, "a.csv")
+        assert (density_default["mode"], density_default["grid"]) == ("fd", "0.1:0.5:5")
+        assert (simulate["seed"], simulate_default["seed"]) == (4, 0)
+        assert "blocks" not in density and "seed" not in check_default
 
     def test_bad_grid_is_data_error(self, circular_profile_csv, tmp_path):
         out = str(tmp_path / "o.csv")
@@ -306,6 +335,33 @@ class TestDensity:
             lines = open(str(out) + ".info.txt").read().splitlines()
             assert [line for line in lines if line.startswith("solve_route")] == [
                 f"solve_route = {route}"]
+
+    def test_sidecar_counts_the_radii_solved_at_t_zero(self, circular_profile_csv,
+                                                       block_profile_csv, tmp_path):
+        # the rank-one lift and the quotient's endgame solve every radius
+        # inside the support at t = 0; the pattern without total support
+        # keeps t_min at some.  The line follows `solve_route`
+        sparse = np.zeros((12, 12))
+        for i, j, v in [(0, 4, 1.9), (1, 0, 1.8), (1, 2, 0.6), (1, 4, 1.3), (2, 4, 0.7),
+                        (2, 6, 0.9), (3, 0, 1.7), (3, 4, 1.1), (3, 8, 0.8), (4, 1, 1.4),
+                        (4, 3, 0.7), (4, 5, 0.5), (5, 2, 1.6), (5, 4, 1.3), (5, 7, 0.6),
+                        (6, 1, 0.8), (6, 5, 2.0), (7, 2, 1.2), (8, 3, 1.4), (9, 11, 1.3),
+                        (10, 10, 1.0), (10, 11, 0.8), (11, 0, 1.3), (11, 10, 0.5)]:
+            sparse[i, j] = v
+        path = tmp_path / "sparse.csv"
+        write_profile_csv(validate_profile(sparse), path)
+        out = str(tmp_path / "dens.csv")
+        for profile, grid in ((circular_profile_csv, "0.05:1.2:12"),
+                              (block_profile_csv, "0.05:0.6:12"),
+                              (str(path), "0.05:1.5:30")):
+            assert main(["density", "--profile", profile, "--grid", grid, "--out", out]) == 0
+            lines = open(out + ".info.txt").read().splitlines()
+            route = [i for i, line in enumerate(lines) if line.startswith("solve_route")]
+            curve = solve_curve(read_profile_csv(profile), vps.cli._parse_grid(grid))
+            inside = int((curve.s_grid < math.sqrt(curve.rho)).sum())
+            accepted = int(curve.rows.at_zero.sum())
+            assert lines[route[0] + 1] == f"t0_radii = {accepted} of {inside}"
+            assert 0 < accepted and (accepted == inside) == (profile != str(path))
 
     def test_sidecar_names_the_dense_route(self, tmp_path):
         # a positive random profile has neither rank one nor pair classes:

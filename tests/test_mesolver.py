@@ -14,7 +14,7 @@ from vps.core import (
     validate_profile,
     write_profile_csv,
 )
-from vps.measures import cdf, density
+from vps.measures import cdf, density, grid_density
 from vps.mesolver import (
     PANEL,
     _aitken,
@@ -23,6 +23,7 @@ from vps.mesolver import (
     _layout,
     _linearization,
     _product,
+    _residual_at_zero,
     _solve_rank_one,
     _solve_rows,
     anneal_to_limit,
@@ -35,6 +36,7 @@ from vps.mesolver import (
     solve_route,
 )
 from vps.profiles import build_block_atom, build_sampled, build_separable, spectral_radius
+from vps.reference import block_atom_density, block_atom_edge, block_atom_F
 
 
 def constant_profile(n, variance=1.0):
@@ -47,6 +49,27 @@ def profile_from_entries(n, entries):
     for i, j, v in entries:
         a[i, j] = v
     return validate_profile(a)
+
+
+def zero_rows_16():
+    """A 16 x 16 sparse pattern with six zero rows and three components."""
+    return profile_from_entries(16, [
+        (0, 0, 0.88), (0, 5, 0.85), (0, 6, 1.851), (0, 11, 1.635), (2, 14, 1.535),
+        (4, 4, 0.569), (4, 6, 1.811), (4, 14, 1.613), (5, 2, 0.844), (5, 5, 1.828),
+        (5, 7, 0.944), (7, 7, 1.043), (8, 2, 1.541), (8, 14, 1.951), (10, 7, 1.412),
+        (12, 5, 0.572), (12, 15, 0.634), (13, 3, 0.517), (13, 4, 1.066),
+        (13, 13, 0.519), (14, 3, 1.882)])
+
+
+def zero_column_12():
+    """A 15%-sparse 12 x 12 pattern with column 9 zero, without total
+    support: at its solutions q spans 1e-9 to 1e3."""
+    return profile_from_entries(12, [
+        (0, 4, 1.902), (1, 0, 1.839), (1, 2, 0.567), (1, 4, 1.306), (2, 4, 0.696),
+        (2, 6, 0.909), (3, 0, 1.713), (3, 4, 1.062), (3, 8, 0.801), (4, 1, 1.368),
+        (4, 3, 0.698), (4, 5, 0.503), (5, 2, 1.629), (5, 4, 1.31), (5, 7, 0.603),
+        (6, 1, 0.837), (6, 5, 1.971), (7, 2, 1.217), (8, 3, 1.36), (9, 11, 1.347),
+        (10, 10, 1.01), (10, 11, 0.823), (11, 0, 1.302), (11, 10, 0.545)])
 
 
 def scalar_regularized_root(s, t):
@@ -168,10 +191,11 @@ class TestAnnealToLimit:
             anneal_to_limit(constant_profile(4), 0.0)
 
     def test_failure_quotes_the_kernel_message(self):
+        # the loose phase before the t = 0 Newton needs more than 10 iterations
         with pytest.raises(NoConvergenceError) as exc:
-            anneal_to_limit(build_block_atom(3, 10), 0.3, SolverConfig(max_iters=20))
+            anneal_to_limit(build_block_atom(3, 10), 0.3, SolverConfig(max_iters=10))
         assert "1 of 1 grid points did not converge, at s = 0.3" in str(exc.value)
-        assert "no fixed point after 20 iterations" in str(exc.value)
+        assert "no fixed point after 10 iterations" in str(exc.value)
         assert "residual" in str(exc.value)
 
     def test_newton_first_step_may_raise_the_residual(self):
@@ -181,13 +205,7 @@ class TestAnnealToLimit:
         # hand-off at 2048 iterations (from 0.011 to 0.21), at s = 0.08 and
         # 0.124 a later step of a stall hand-off (6.8 to 7, 0.98 to 1.8).
         # Stopping at the first such step, s = 0.08 fails
-        entries = [(0, 0, 0.88), (0, 5, 0.85), (0, 6, 1.851), (0, 11, 1.635),
-                   (2, 14, 1.535), (4, 4, 0.569), (4, 6, 1.811), (4, 14, 1.613),
-                   (5, 2, 0.844), (5, 5, 1.828), (5, 7, 0.944), (7, 7, 1.043),
-                   (8, 2, 1.541), (8, 14, 1.951), (10, 7, 1.412), (12, 5, 0.572),
-                   (12, 15, 0.634), (13, 3, 0.517), (13, 4, 1.066),
-                   (13, 13, 0.519), (14, 3, 1.882)]
-        p = profile_from_entries(16, entries)
+        p = zero_rows_16()
         for s, iterations in ((0.08, 833), (0.104, 2048), (0.124, 545)):
             sol = anneal_to_limit(p, s)
             assert not sol.is_trivial and sol.iterations == iterations
@@ -196,14 +214,7 @@ class TestAnnealToLimit:
         # 15%-sparse, column 9 zero, no total support: at the solution q
         # spans 1e-9 to 1e3.  The fixed point does not settle there, and an
         # additive Newton step from its iterate leaves the positive cone
-        entries = [(0, 4, 1.902), (1, 0, 1.839), (1, 2, 0.567), (1, 4, 1.306),
-                   (2, 4, 0.696), (2, 6, 0.909), (3, 0, 1.713), (3, 4, 1.062),
-                   (3, 8, 0.801), (4, 1, 1.368), (4, 3, 0.698), (4, 5, 0.503),
-                   (5, 2, 1.629), (5, 4, 1.31), (5, 7, 0.603), (6, 1, 0.837),
-                   (6, 5, 1.971), (7, 2, 1.217), (8, 3, 1.36), (9, 11, 1.347),
-                   (10, 10, 1.01), (10, 11, 0.823), (11, 0, 1.302),
-                   (11, 10, 0.545)]
-        p = profile_from_entries(12, entries)
+        p = zero_column_12()
         V = p.normalized
         F = []
         for s in (0.25, 0.2727, 0.3):
@@ -537,15 +548,18 @@ class TestRowClasses:
     @pytest.mark.parametrize("make", [_permuted_block_atom, interleaved_blocks],
                              ids=["permuted-block-atom", "interleaved-blocks"])
     def test_curve_matches_the_panel_products(self, make, kernel_only, full_n):
+        # the kernel at t_min on both: the quotient of the permuted block
+        # atom ends at t = 0, and all its n = 300 indices at t_min
         p, panels = make(), make()
         assert kernel_only(p).startswith("quotient")
         assert full_n(panels) == "full"
         grid = math.sqrt(spectral_radius(p)) * np.array([0.1, 0.5, 0.9])
-        curve, ref = solve_curve(p, grid), solve_curve(panels, grid)
-        assert curve.failed_indices == ref.failed_indices == ()
-        for sol, want in zip(curve.solutions, ref.solutions):
-            assert abs(sol.iterations - want.iterations) <= 1
-            for x, y in ((sol.q, want.q), (sol.q_tilde, want.q_tilde)):
+        config = SolverConfig()
+        rows, ref = (vps.mesolver._solve(x, grid, config.t_min, config) for x in (p, panels))
+        assert rows.errors == ref.errors == [None] * 3
+        for i in range(3):
+            assert abs(rows.iterations[i] - ref.iterations[i]) <= 1
+            for x, y in ((rows.q[i], ref.q[i]), (rows.q_tilde[i], ref.q_tilde[i])):
                 assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
 
     def test_stalled_aitken_gain_does_not_set_the_count(self, full_n):
@@ -614,11 +628,12 @@ class TestSolveCurve:
 
     def test_batched_curve_matches_pointwise_anneal(self):
         # a non-symmetric profile on a grid across the edge, with a budget
-        # that only the radius just below the edge exhausts
+        # that only the radius just below the edge exhausts, in the loose
+        # phase before the t = 0 Newton
         rng = np.random.default_rng(11)
         p = validate_profile(rng.uniform(0.2, 2.0, size=(12, 12)))
         grid = math.sqrt(spectral_radius(p)) * np.array([0.3, 0.6, 0.9, 0.99, 1.01, 1.2])
-        config = SolverConfig(max_iters=200)
+        config = SolverConfig(max_iters=32)
         curve = solve_curve(p, grid, config)
         assert curve.failed_indices == (3,)
         failed = curve.solutions[3]
@@ -638,13 +653,13 @@ class TestSolveCurve:
 
     def test_grid_of_many_radii_is_one_block(self):
         # 140 radii iterate in lock step as one block; the budget starves
-        # only the radii next to the edge, and every other radius takes
-        # the iterations it takes alone
+        # only the radii next to the edge (131 to 139, in the loose phase),
+        # and every other radius takes the iterations it takes alone
         rng = np.random.default_rng(11)
         p = validate_profile(rng.uniform(0.2, 2.0, size=(12, 12)))
         count = 140
         grid = math.sqrt(spectral_radius(p)) * np.linspace(0.05, 0.995, count)
-        config = SolverConfig(max_iters=200)
+        config = SolverConfig(max_iters=32)
         curve = solve_curve(p, grid, config)
         failed = curve.failed_indices
         assert failed and failed == tuple(range(failed[0], count))
@@ -746,7 +761,8 @@ class TestCurveRecord:
 
     @pytest.fixture(scope="class")
     def starved(self):
-        # block atom k=3, m=20 with a budget that 38 of 200 radii exhaust
+        # block atom k=3, m=20 with a budget that 4 of 200 radii exhaust in
+        # the loose phase before the t = 0 Newton
         config = SolverConfig(max_iters=60)
         return solve_curve(build_block_atom(3, 20), None, config), config
 
@@ -754,7 +770,7 @@ class TestCurveRecord:
         curve, config = starved
         rows = curve.rows
         failed = tuple(i for i, error in enumerate(rows.errors) if error)
-        assert len(failed) == 38
+        assert len(failed) == 4
         assert curve.failed_indices == failed
         assert curve.failure_messages == tuple(rows.errors[i] for i in failed)
         for i, sol in enumerate(curve.solutions):
@@ -789,6 +805,105 @@ class TestCurveRecord:
         s = curve.s_grid[curve.failed_indices[0]]
         with pytest.raises(NoConvergenceError, match="1 of 1 grid points did not converge"):
             density(curve, s, "exact")
+
+
+class TestEndgame:
+    """A route with at most LU_UNKNOWNS unknowns per half ends with Newton
+    on the t = 0 equations; a radius it refuses keeps the kernel's row at
+    t_min, as solved without the endgame."""
+
+    @staticmethod
+    def assert_kernel_rows(profile, grid, rows, where=None):
+        """The rows at the mask `where` (all, by default) are those of the
+        kernel at t_min on the whole grid, bit for bit."""
+        config = SolverConfig()
+        want = vps.mesolver._solve(profile, grid, config.t_min, config)
+        if where is None:
+            where = np.ones(len(grid), dtype=bool)
+        for got, ref in ((rows.q, want.q), (rows.q_tilde, want.q_tilde),
+                         (rows.iterations, want.iterations), (rows.residual, want.residual)):
+            np.testing.assert_array_equal(got[where], ref[where])
+        assert ([rows.errors[i] for i in np.flatnonzero(where)]
+                == [want.errors[i] for i in np.flatnonzero(where)])
+
+    def test_block_atom_at_t_zero(self):
+        k, m = 3, 100
+        perm = np.random.default_rng(1).permutation(k * m)
+        p = validate_profile(build_block_atom(k, m).variances[np.ix_(perm, perm)])
+        assert solve_route(p) == "quotient (2 classes)"
+        curve = solve_curve(p)
+        inside = curve.s_grid < math.sqrt(curve.rho)
+        assert curve.failed_indices == ()
+        assert np.array_equal(curve.rows.at_zero, inside)
+        F = np.array([block_atom_F(k, s) for s in curve.s_grid])
+        assert np.abs(cdf(curve) - F).max() <= 1e-11
+        far = curve.s_grid >= 0.05 * block_atom_edge(k)
+        f = np.array([block_atom_density(k, s) for s in curve.s_grid[far]])
+        assert np.abs(grid_density(curve, "exact")[far] - f).max() <= 1e-9
+
+    def test_refused_radii_keep_the_kernel_rows(self):
+        # the 16 x 16 pattern is refused at these radii, and the 12 x 12
+        # one converges at 0.05 and 0.1 sqrt(rho) to boundary points whose
+        # bordered systems fail the condition gate
+        p = zero_rows_16()
+        grid = np.array([0.08, 0.104, 0.124])
+        rows = solve_curve(p, grid).rows
+        assert not rows.at_zero.any()
+        assert list(rows.iterations) == [833, 2048, 545]
+        self.assert_kernel_rows(p, grid, rows)
+        p = zero_column_12()
+        grid = math.sqrt(spectral_radius(p)) * np.array([0.05, 0.1])
+        rows = solve_curve(p, grid).rows
+        assert not rows.at_zero.any()
+        self.assert_kernel_rows(p, grid, rows)
+
+    def test_mixed_curve_is_monotone(self):
+        p = zero_column_12()
+        grid = math.sqrt(spectral_radius(p)) * np.linspace(0.02, 0.98, 40)
+        curve = solve_curve(p, grid)
+        rows, config = curve.rows, curve.config
+        assert curve.failed_indices == ()
+        assert 0 < rows.at_zero.sum() < 40
+        assert np.all(np.diff(cdf(curve)) >= 0)
+        refused = ~rows.at_zero
+        self.assert_kernel_rows(p, grid, rows, refused)
+        # an accepted radius meets the t = 0 residual, and its record says so
+        q, qt = rows.q[rows.at_zero], rows.q_tilde[rows.at_zero]
+        bound = config.fixed_point_tol * np.maximum(1.0, np.maximum(q, qt).max(axis=1))
+        s2 = grid[rows.at_zero, None] ** 2
+        assert (_residual_at_zero(p.normalized, q, qt, s2) <= bound).all()
+        assert (rows.residual[rows.at_zero] <= bound).all()
+
+    def test_solve_regularized_keeps_its_t(self, monkeypatch):
+        def endgame(*args):
+            raise AssertionError("the t = 0 Newton ran")
+
+        monkeypatch.setattr(vps.mesolver, "_newton_at_zero", endgame)
+        p = validate_profile(np.random.default_rng(2).uniform(0.5, 2.0, size=(8, 8)))
+        config = SolverConfig()
+        sol = solve_regularized(p, 0.3, 1e-6, config)
+        want = _solve_rows(p.normalized, [0.3], 1e-6, config)
+        assert sol.t == 1e-6 and sol.iterations == want.iterations[0]
+        np.testing.assert_array_equal(sol.q, want.q[0])
+
+    def test_a_singular_system_refuses_only_its_radius(self, monkeypatch):
+        p = validate_profile(np.random.default_rng(3).uniform(0.5, 2.0, size=(10, 10)))
+        grid = math.sqrt(spectral_radius(p)) * np.array([0.2, 0.4, 0.6, 0.8])
+        linearization = vps.mesolver._linearization
+        stacks = []
+
+        def singular_once(*args, trace=None):
+            M = linearization(*args, trace=trace)
+            if trace is not None and not stacks:
+                M[2] = 0.0   # the first Newton step's system of radius 2
+            stacks.append(len(M))
+            return M
+
+        monkeypatch.setattr(vps.mesolver, "_linearization", singular_once)
+        rows = solve_curve(p, grid).rows
+        assert stacks[0] == 4
+        assert list(rows.at_zero) == [True, True, False, True]
+        self.assert_kernel_rows(p, grid, rows, np.arange(4) == 2)
 
 
 class TestRankOneRoute:
@@ -854,6 +969,8 @@ class TestRankOneRoute:
 
         seen = []
         kernel = vps.mesolver._solve
+        config = SolverConfig()
+        want = kernel(ref, grid[1:2], config.t_min, config)
 
         def recorded(profile, s, t, config):
             seen.extend(s)
@@ -863,13 +980,13 @@ class TestRankOneRoute:
         monkeypatch.setattr(vps.mesolver, "_solve", recorded)
         curve = solve_curve(p, grid)
         assert seen == [grid[1]]
-        want = solve_curve(ref, grid[1:2]).solutions[0]
         got = curve.solutions[1]
         assert curve.failed_indices == ()
-        assert got.iterations == want.iterations
-        assert got.residual == want.residual
-        np.testing.assert_array_equal(got.q, want.q)
-        np.testing.assert_array_equal(got.q_tilde, want.q_tilde)
+        assert list(curve.rows.at_zero) == [True, False, True]
+        assert got.iterations == want.iterations[0]
+        assert got.residual == want.residual[0]
+        np.testing.assert_array_equal(got.q, want.q[0])
+        np.testing.assert_array_equal(got.q_tilde, want.q_tilde[0])
         assert np.abs(cdf(curve) - cdf(solve_curve(ref, grid))).max() <= 1e-8
 
     def test_no_root_gives_exact_zeros(self):
