@@ -69,27 +69,28 @@ tolerance decides an output: every lifted radius is checked against the
 t = 0 residual on V itself, by the kernel's stopping rule, and a radius
 that fails it is solved by the kernel (`_solve`) as any other profile's.
 
+One routine, `_newton`, takes every Newton step, for many rows at once:
+the kernel's hand-offs at t_min and the t = 0 endgame below.  Its systems
+are stacked into one LU solve per STACK bytes (`_stacked_solve`), bordered
+at t = 0 once per component by its trace row and gauge direction, and not
+at t > 0, where the gauge is no symmetry.
+
 A route with at most LU_UNKNOWNS = 24 unknowns per half (the p classes of
-the quotient, or n on V itself) solves the t = 0 equations too, by Newton
-from a loose kernel iterate (`_solve_at_zero_rows`).  The kernel runs at
-t_min only to NEWTON_START = 1e-3; then every radius takes Newton steps
-on the t = 0 equations at once, their bordered systems stacked into one
-LU solve per STACK bytes, in log coordinates and rebalanced after each
-step, until the t = 0 residual meets the kernel's stopping rule.  A radius
-is accepted only if it meets that residual, stays positive, and its last
-bordered system passes the condition gate of `derivative_rows` (an
-estimate at most 1e13).  The gate refuses the boundary points that
-patterns without total support converge to at small radii: on the
-12 x 12 pattern of the tests, 24 of 40 radii, with estimates of 2e33 and
-more, where its 12 accepted radii stay below 1e9, the block atom's
-below 1e8 and dense profiles' below 100.  Every refused radius keeps the
-kernel's row at t_min, as solved without the endgame.  On the block atom
-at n = 300 all 190 inside radii are accepted in at most 5 steps, F moves
-from 1.9e-9 to 1.8e-12 off the closed form, and the curve is solved in a
-third of the time.  Past 24
-unknowns the stacked LUs cost more than the kernel (at n = 8, 24, 32, 48
-and 64, 0.45, 0.71, 1.15, 2.3 and 5 times its time on 190 radii of dense
-U(0.5, 2) profiles), and those routes keep t_min.
+the quotient, or n on V itself) solves the t = 0 equations too
+(`_solve_at_zero_rows`): the kernel runs at t_min only to NEWTON_START =
+1e-3, and Newton takes it from there.  A radius is accepted only if it
+meets the kernel's stopping rule at t = 0, stays positive, and its last
+system passes the condition gate of `derivative_rows` (an estimate at most
+1e13); a refused radius keeps the kernel's row at t_min.  The gate refuses
+the boundary points that patterns without total support converge to at
+small radii: on the 12 x 12 pattern of the tests, 24 of 40 radii, with
+estimates of 2e33 and more, where its 12 accepted radii stay below 1e9,
+the block atom's below 1e8 and dense profiles' below 100.  On the block
+atom at n = 300 all 190 inside radii are accepted in at most 5 steps, F
+moves from 1.9e-9 to 1.8e-12 off the closed form, and the curve is solved
+in a third of the time.  Past 24 unknowns the stacked LUs cost more than
+the kernel (0.45, 0.71, 1.15, 2.3 and 5 times its time at n = 8, 24, 32,
+48 and 64 on 190 radii of dense U(0.5, 2) profiles): those keep t_min.
 
 `solve_curve` runs these routes over the radii of a grid below sqrt(rho),
 by default `default_s_grid` up to the support radius, and keeps the
@@ -106,12 +107,11 @@ class where the profile has them (with the class sizes weighting the sums)
 and on all n otherwise, as two matrix products for the whole curve.  The
 exact density takes the same one choice per profile.  A rank-one profile's
 density is the derivative of its scalar equation, in closed form
-(`vps.measures`).  Otherwise `derivative_rows` solves the
-linearized equations, bordered by the trace row, at every radius of the
-curve: on the pair-class quotient (2p + 1) systems, and otherwise the
-(2n + 1) systems on V, stacked into one LU solve per STACK bytes.
-`derivative_s2` is its one-radius call.  `solve_route` names the route of
-the curve and the density alike.
+(`vps.measures`).  Otherwise `derivative_rows` solves the linearized
+equations at every radius, bordered as the t = 0 Newton's are, by
+`_stacked_solve`: (2p + c) systems on the pair-class quotient, otherwise
+(2n + c) on V, with c components.  `derivative_s2` is its one-radius
+call.  `solve_route` names the route of the curve and the density alike.
 
 `solve_at_zero` needs no regularization.  At s = t = 0 the equations are the
 Sinkhorn-Knopp equations, with a positive solution iff the pattern of V has
@@ -143,15 +143,17 @@ from .separable import _roots
 # Block Aitken extrapolation every AITKEN iterations, and a Newton hand-off
 # every NEWTON iterations of a radius that has not converged.  The periodic
 # hand-off pays on sparse patterns: on 148 random sparse profiles (n 6-16,
-# 10-35% nonzero, 20-point grids, max_iters 60,000) the curves took 3.66M
-# iterations with 29 failed radii with it, and 8.12M with 93 without; the
-# 16 x 16 profile of the Newton tests takes 2,048 iterations at s = 0.104
-# with it, 176,065 without.  On band model B at n = 40 (30 radii,
-# t_min = 1e-8, fixed_point_tol = 1e-9) it saves little since the stall
-# hand-offs: 10,311 iterations against 10,600.
+# 10-35% nonzero, 20-point grids, max_iters 60,000;
+# `scripts/sparse_survey.py`) the curves take 3.21M iterations with 28
+# failed radii with it, and 7.58M with 92 without; the 16 x 16 profile of
+# the Newton tests takes 2,048 iterations at s = 0.104 with it, 176,065
+# without.  On band model B at n = 40 (30 radii, t_min = 1e-8,
+# fixed_point_tol = 1e-9) it saves little since the stall hand-offs:
+# 10,311 iterations against 10,600.
 AITKEN = 32
 NEWTON = 2048
-# Newton steps of one hand-off before `_newton_refine` gives up.
+# Newton steps of one call of `_newton`, a hand-off or the t = 0 endgame,
+# before it gives up.
 NEWTON_STEPS = 40
 # A row whose Aitken gain r / (1 - r) passes STALL_GAIN (block ratio
 # r > 0.99) is handed to Newton at its next iteration, and again each time
@@ -359,13 +361,10 @@ def _linearization(A, B, d, cq, cqt, trace=None):
     row i scaled by the coefficient vector: for (V, V^T) the blocks are
     V^T or V.
 
-    Written into one array; with the trace weights w, the trace row
-    (w, -w) and the column r^T, r = (1, ..., 1, -1, ..., -1), border it as
-    a last row and a last column, giving the square matrix
-    [[I - J, r^T], [(w, -w), 0]].  With several rows of weights (c, n),
-    each borders it in turn, with the column r restricted to the entries
-    where that row's weights are nonzero.  Coefficient vectors with
-    leading axes (one row per radius) give a stack of such matrices.
+    Written into one array; with c rows of trace weights T (c, n), the
+    rows (T, -T) border it below, and c zero columns on the right, which
+    `_stacked_solve` fills with the gauge directions.  Coefficient vectors
+    with leading axes (one row per radius) give a stack of such matrices.
     """
     n = d.shape[-1]
     AT, BT = A.T, B.T
@@ -382,61 +381,9 @@ def _linearization(A, B, d, cq, cqt, trace=None):
     diag = np.arange(2 * n)
     M[..., diag, diag] += 1.0
     if T is not None:
-        r = (T != 0).T.astype(float)
         M[..., 2 * n:, :n], M[..., 2 * n:, n:2 * n] = T, -T
-        M[..., :n, 2 * n:], M[..., n:2 * n, 2 * n:] = r, -r
-        M[..., 2 * n:, 2 * n:] = 0.0
+        M[..., :, 2 * n:] = 0.0
     return M
-
-
-@np.errstate(all="ignore")   # a step may overflow or underflow; the checks reject it
-def _newton_refine(A, B, x, s2, t, tol, gauge):
-    """Newton iteration on x - I(x) = 0 from a fixed-point iterate x = [q | qt]
-    of the equations of the operands (A, B) of `_layout`.
-
-    Used when plain iteration slows down near the critical radius; the
-    Jacobian of I has the structure of the derivative linear system.
-    Returns (x, residual) with residual measured as the fixed-point step
-    size, or None when Newton stalls or a step overflows.  A first step
-    from outside the quadratic basin may raise the residual, so Newton
-    stalls only after two steps in a row without a 10% gain on the best.
-
-    The Newton step dx is taken in log coordinates, x <- x exp(dx / x).
-    To first order that is x + dx, so convergence stays quadratic, and the
-    iterate stays positive however far the step reaches, short of overflow
-    or underflow, where Newton gives up.  Where the solution spans many
-    orders of magnitude (q from 1e-9 to 1e3 on sparse patterns without
-    total support) the additive step x + dx often leaves the positive cone,
-    and Newton would have to give up.
-    """
-    n = len(x) // 2
-    best, misses = math.inf, 0
-    for _ in range(NEWTON_STEPS):
-        q, qt = x[:n], x[n:]
-        a = qt @ B + t
-        b = q @ A + t
-        p = 1.0 / (s2 + a * b)
-        F = np.concatenate([p * b - q, p * a - qt])
-        residual = np.abs(F).max()
-        if residual <= tol * max(1.0, x.max()):
-            return x, residual
-        if residual <= 0.9 * best:
-            best, misses = residual, 0
-        else:
-            misses += 1
-            if misses == 2:
-                return None
-        p2 = p * p
-        M = _linearization(A, B, s2 * p2, p2 * b * b, p2 * a * a)
-        try:
-            step = np.linalg.solve(M, F) / x
-        except np.linalg.LinAlgError:
-            return None
-        x = x * np.exp(step)
-        if not (np.isfinite(x).all() and x.all()):
-            return None
-        _rebalance(x[None, :], gauge)
-    return None
 
 
 @dataclass(frozen=True)
@@ -534,13 +481,13 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
             stalled = True
         if stalled:
             # persistent slow convergence, or an Aitken gain past the
-            # row's stall limit: hand the iterate to Newton
-            for g in np.flatnonzero(handoff[:k] & ~done):
-                refined = _newton_refine(product[0], product_T[0], x[g], s2[g, 0],
-                                         t, tol, gauge)
-                if refined is not None:
-                    x[g], res[g] = refined
-                    done[g] = True
+            # row's stall limit: hand copies of the iterates to Newton, and
+            # keep those that meet the residual
+            g = np.flatnonzero(handoff[:k] & ~done)
+            xs, _, residual, met, _ = _newton(product[0], product_T[0], x[g], s2[g, 0], t,
+                                              tol, gauge)
+            g = g[met]
+            x[g], res[g], done[g] = xs[met], residual[met], True
             stalled = False
         failed = it == max_iters
         if failed or done.any():
@@ -690,105 +637,124 @@ def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
 
 
 @np.errstate(all="ignore")   # a step may overflow or underflow; the checks reject it
-def _newton_at_zero(A, B, x, s2, tol, gauge):
-    """Newton on the t = 0 equations from the [q | qt] rows x, with s2 the
+def _newton(A, B, x, s2, t, tol, gauge):
+    """Newton on the equations at t from the [q | qt] rows x, with s2 the
     squared radii, for the operands (A, B) of `_layout`, all rows at once.
-    Returns the rows, the steps each took, its t = 0 residual and whether
-    it was accepted.
+    Returns the rows, the steps each took, its residual at t, whether it
+    met that residual and the condition estimate of its last system.  The
+    kernel hands it stalled rows at its t; `_solve_at_zero_rows` takes its
+    t = 0 endgame with it.
 
-    Each step solves a bordered system of `_linearization` per row, stacked
-    into one `np.linalg.solve` per STACK bytes; a stack that is singular is
-    solved again one system at a time, and only its singular systems are
-    refused.  It has one border per component of the gauge, each an exact
-    symmetry of the equations: the row (w, -w) of the component's trace
-    weights and, as the column, the component's gauge direction (q, -qt)
-    over its largest entry.  The multipliers then move the step only along
-    the gauges, which `_rebalance` undoes.  One border for all components,
-    as in `derivative_rows`, leaves the system singular at a direct sum's
-    solution, and its column (1, -1) shifts every entry by its multiplier,
-    which throws entries of 1e-10 (a component past its own edge, a pattern
-    without total support) out of the positive cone: on the 12 x 12 pattern
-    without total support of the tests, 0 of 40 radii were accepted with
-    it and 12 with these borders.  The step is taken in log coordinates,
-    x <- x exp(dx / x), followed by `_rebalance`, as in `_newton_refine`,
-    whose stall rule (two steps in a row without a 10% gain on the best
-    residual) and step budget NEWTON_STEPS it shares.
+    Each step solves the linearized equations of every row by
+    `_stacked_solve`.  At t = 0 each component's gauge is an exact
+    symmetry, so the system is bordered once per component; the
+    multipliers then move the step only along the gauges, which
+    `_rebalance` undoes.  At t > 0 the gauge is no symmetry and the system
+    is solved unbordered: bordered there, the kernel's hand-offs left the
+    sparse survey (`scripts/sparse_survey.py`) at 31 failed radii and
+    3.28M iterations, against 28 and 3.21M unbordered.  The step is taken
+    in log coordinates, x <- x exp(dx / x): to first order that is
+    x + dx, so convergence stays quadratic, and the iterate stays positive
+    however far the step reaches, where an additive step leaves the
+    positive cone on patterns whose solution spans many decades.  Then
+    `_rebalance`.
 
-    A row is accepted once its residual, the sup norm of I(x) - x at
-    t = 0, meets tol * max(1, max x) after at least one step, and the last
-    system it solved passes the condition gate of `derivative_rows`:
-    ||M||_inf ||M^-1 z||_inf / ||z||_inf at most 1e13, with the `_probe` z
-    as a second right-hand side.  A row that leaves the finite positive
-    cone is refused.
+    A row stops once its residual, the sup norm of I(x) - x at t, meets
+    tol * max(1, max x) after at least one step; after two steps in a row
+    without a 10% gain on its best residual (a first step from outside
+    the quadratic basin may raise it); after NEWTON_STEPS steps; or when
+    it leaves the finite positive cone or its system is singular.
     """
     k, n = len(x), x.shape[1] // 2
     _, starts, counts, weights = gauge
     component = np.repeat(np.arange(len(starts)), counts)
-    trace = np.zeros((len(starts), n))
-    trace[component, np.arange(n)] = 1.0 if weights is None else weights
-    border = (np.arange(2 * n), 2 * n + np.tile(component, 2))   # its column entries
-    size = 2 * n + len(starts)
-    z = _probe(size)
-    per = max(1, STACK // (8 * size * size))
-    steps = np.zeros(k, dtype=np.int64)
+    steps, misses = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
     residual, cond, best = np.full(k, math.inf), np.full(k, math.inf), np.full(k, math.inf)
-    misses = np.zeros(k, dtype=np.int64)
-    accepted = np.zeros(k, dtype=bool)
+    met = np.zeros(k, dtype=bool)
     live = np.arange(k)
     for step in range(NEWTON_STEPS + 1):
         xs = x[live]
         q, qt = xs[:, :n], xs[:, n:]
-        a, b = qt @ B, q @ A
+        a, b = qt @ B + t, q @ A + t
         p = 1.0 / (s2[live, None] + a * b)
         F = np.concatenate([p * b - q, p * a - qt], axis=1)
         res = residual[live] = np.abs(F).max(axis=1)
-        met = (res <= tol * np.maximum(xs.max(axis=1), 1.0)) & (steps[live] > 0)
-        accepted[live] = met & (cond[live] <= 1e13)
+        done = met[live] = (res <= tol * np.maximum(xs.max(axis=1), 1.0)) & (steps[live] > 0)
         gain = res <= 0.9 * best[live]
         best[live[gain]] = res[gain]
         misses[live] = np.where(gain, 0, misses[live] + 1)
-        go = ~met & (misses[live] < 2)
+        go = ~done & (misses[live] < 2)
         if step == NEWTON_STEPS or not go.any():
             break
         live, xs, F = live[go], xs[go], F[go]
         p2 = p[go] ** 2
         coefficients = (s2[live, None] * p2, p2 * b[go] ** 2, p2 * a[go] ** 2)
-        peak = np.maximum.reduceat(np.maximum(xs[:, :n], xs[:, n:]), starts, axis=1)
-        column = xs / np.tile(peak[:, component], 2)
-        column[:, n:] *= -1.0
-        rhs = np.zeros((len(live), size, 2))
-        rhs[:, :2 * n, 0], rhs[:, :, 1] = F, z
-        for c in range(0, len(live), per):
-            chunk = slice(c, c + per)
-            M = _linearization(A, B, *(v[chunk] for v in coefficients), trace=trace)
-            M[(slice(None),) + border] = column[chunk]
-            rhs[chunk] = _stacked_solve(M, rhs[chunk])
-            cond[live[chunk]] = (np.abs(M).sum(axis=-1).max(axis=-1)
-                                 * np.abs(rhs[chunk, :, 1]).max(axis=-1) / np.abs(z).max())
-        xs *= np.exp(rhs[:, :2 * n, 0] / xs)
+        border = (xs, component, weights) if t == 0 else None
+        dx, cond[live] = _stacked_solve(A, B, coefficients, F, border)
+        xs *= np.exp(dx / xs)
         fine = np.isfinite(xs).all(axis=1) & xs.all(axis=1) & np.isfinite(cond[live])
         live, xs = live[fine], xs[fine]
         if len(live):
             _rebalance(xs, gauge)
             x[live] = xs
             steps[live] += 1
-    return x, steps, residual, accepted
+    return x, steps, residual, met, cond
 
 
-def _stacked_solve(M, rhs):
-    """np.linalg.solve of the stack of systems M with right-hand sides rhs;
-    where the stack is singular, each system alone, with NaN solutions for
-    those that are singular."""
-    try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, math.nan)
-        for i in range(len(M)):
-            try:
-                out[i] = np.linalg.solve(M[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+def _stacked_solve(A, B, coefficients, F, border=None):
+    """Solve (I - J) dx = F for every row of F, with I - J the
+    `_linearization` of the operands (A, B) at that row's coefficient
+    vectors (d, cq, cqt), the systems stacked into one `np.linalg.solve`
+    per STACK bytes; a singular stack is solved again one system at a time,
+    and a singular system's solution is NaN.  Returns dx and each system's
+    condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf, with the
+    `_probe` z as a second right-hand side.
+
+    With `border` = (x, component, weights), the [q | qt] rows x, the
+    component of each unknown and the trace weights (None: ones), each
+    system is bordered once per component: the row (w, -w) of the
+    component's trace weights and, as the column, its gauge direction
+    (q, -qt) over its largest entry, or (1, -1) where all its entries are
+    zero and it has no gauge.  The multipliers are dropped from dx.  A
+    column (1, -1) everywhere would shift every entry by its multiplier,
+    and in a Newton step throw entries of 1e-10 out of the positive cone:
+    on the 12 x 12 pattern without total support of the tests, the t = 0
+    Newton was accepted at 0 of 40 radii with it and at 12 with these.
+    """
+    k, n = len(F), F.shape[1] // 2
+    trace = None
+    if border is not None:
+        x, component, weights = border
+        trace = np.zeros((component.max() + 1, n))
+        trace[component, np.arange(n)] = 1.0 if weights is None else weights
+        peak = np.zeros((len(trace), k))
+        np.maximum.at(peak, component, np.maximum(x[:, :n], x[:, n:]).T)
+        scale = np.tile(peak.T[:, component], 2)
+        column = np.divide(x, scale, out=np.ones_like(x), where=scale > 0)
+        column[:, n:] *= -1.0
+        entries = (slice(None), np.arange(2 * n), 2 * n + np.tile(component, 2))
+    size = 2 * n + (0 if trace is None else len(trace))
+    z = _probe(size)
+    per = max(1, STACK // (8 * size * size))
+    rhs = np.zeros((k, size, 2))
+    rhs[:, :2 * n, 0], rhs[:, :, 1] = F, z
+    cond = np.empty(k)
+    for c in range(0, k, per):
+        chunk = slice(c, c + per)
+        M = _linearization(A, B, *(v[chunk] for v in coefficients), trace=trace)
+        if trace is not None:
+            M[entries] = column[chunk]
+        try:
+            rhs[chunk] = np.linalg.solve(M, rhs[chunk])
+        except np.linalg.LinAlgError:
+            for i, system in zip(range(c, c + len(M)), M):
+                try:
+                    rhs[i] = np.linalg.solve(system, rhs[i])
+                except np.linalg.LinAlgError:
+                    rhs[i] = math.nan
+        cond[chunk] = (np.abs(M).sum(axis=-1).max(axis=-1)
+                       * np.abs(rhs[chunk, :, 1]).max(axis=-1) / np.abs(z).max())
+    return rhs[:, :2 * n, 0], cond
 
 
 def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
@@ -799,7 +765,7 @@ def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
     `_solve_rows` runs at t_min only to NEWTON_START (or fixed_point_tol,
     if looser); a radius that fails there fails as it would at the full
     tolerance, with the kernel's message.  Then all the other radii take
-    Newton steps on the t = 0 equations at once (`_newton_at_zero`).  A
+    Newton steps on the t = 0 equations at once (`_newton`).  A
     radius that meets the t = 0 residual, fixed_point_tol * max(1, max x),
     stays finite and positive, and whose last bordered system passes the
     condition gate of `derivative_rows` is accepted: it is `at_zero`, its
@@ -820,8 +786,9 @@ def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
     live = np.flatnonzero([error is None for error in rows.errors])
     layout = np.ix_(live, np.concatenate([order, order + n]))   # the rows in layout order
     x = np.concatenate([rows.q, rows.q_tilde], axis=1)
-    x[layout], steps, residual, accepted = _newton_at_zero(
-        A, B, x[layout], s[live] ** 2, config.fixed_point_tol, gauge)
+    x[layout], steps, residual, met, cond = _newton(
+        A, B, x[layout], s[live] ** 2, 0.0, config.fixed_point_tol, gauge)
+    accepted = met & (cond <= 1e13)
     take, again = live[accepted], live[~accepted]
     rows.iterations[take] += steps[accepted]
     rows.residual[take] = residual[accepted]
@@ -1006,48 +973,37 @@ def derivative_rows(products: CurveProducts, rows):
     two arrays with one row per index.
 
     The linearized master equations (I - J) x = b are singular along the
-    gauge direction (q, -qt) and consistent, so the trace row
-    r x = sum(dq) - sum(dqt) = 0, weighted by the class sizes on the
-    quotient, picks the one solution.  Each radius's square bordered matrix
-    M = [[I - J, r^T], [r, 0]] (`_linearization` of the operands), whose
-    multiplier, the last unknown, is zero up to rounding, is solved by LU;
-    the systems are stacked into one `np.linalg.solve` per STACK bytes.
+    gauge direction (q, -qt) of each component of the pattern of V + V^T,
+    and consistent, so one trace row per component,
+    sum(dq) - sum(dqt) = 0 over the component, weighted by the class sizes
+    on the quotient, picks the one solution.  `_stacked_solve` borders
+    each radius's system so, with the gauge directions as the columns,
+    whose multipliers are zero up to rounding, and solves the systems by
+    stacked LUs.
 
-    Each solve takes a second, fixed right-hand side z (`_probe`), for the
-    condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf of its system:
-    above 1e13, or when a system is exactly singular or a solution is not
-    finite, RankDeficientError is raised, since then the gauge is not the
-    only null direction and x is not determined.
+    Above a condition estimate of 1e13, or when a system is singular or a
+    solution is not finite, RankDeficientError is raised, naming the
+    radius, since then the gauges are not the only null directions and x
+    is not determined.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    k = len(products.weights)
-    size = 2 * k + 1
-    z = _probe(size)
-    out = np.empty((len(rows), 2 * k))
-    per = max(1, STACK // (8 * size * size))
-    for a in range(0, len(rows), per):
-        r = rows[a:a + per]
-        s2, q, qt = products.s2[r, None], products.q[r], products.q_tilde[r]
-        p = 1.0 / (s2 + products.v_qt[r] * products.vt_q[r])
-        M = _linearization(products.A, products.B, s2 * p ** 2, q ** 2, qt ** 2,
-                           trace=products.weights)
-        rhs = np.empty((len(r), size, 2))
-        rhs[:, :k, 0], rhs[:, k:2 * k, 0], rhs[:, 2 * k, 0] = -p * q, -p * qt, 0.0
-        rhs[:, :, 1] = z
-        try:
-            x = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            raise RankDeficientError("derivative system is singular") from None
-        cond = (np.abs(M).sum(axis=-1).max(axis=-1) * np.abs(x[..., 1]).max(axis=-1)
-                / np.abs(z).max())
-        bad = ~(np.isfinite(x[..., 0]).all(axis=-1) & (cond <= 1e13))
-        if bad.any():
-            i = np.argmax(bad)
-            raise RankDeficientError(
-                f"derivative system condition estimate {cond[i]:.3e} > 1e13 "
-                f"at s = {math.sqrt(s2[i, 0]):.6g}")
-        out[a:a + per] = x[:, :2 * k, 0]
-    return out[:, :k], out[:, k:]
+    A, k = products.A, len(products.weights)
+    s2, q, qt = products.s2[rows, None], products.q[rows], products.q_tilde[rows]
+    p = 1.0 / (s2 + products.v_qt[rows] * products.vt_q[rows])
+    x = np.concatenate([q, qt], axis=1)
+    border = (x, _scc((A != 0) | (A.T != 0)), products.weights)
+    dx, cond = _stacked_solve(A, products.B, (s2 * p ** 2, q ** 2, qt ** 2),
+                              -np.tile(p, 2) * x, border)
+    finite = np.isfinite(dx).all(axis=1)
+    bad = ~(finite & (cond <= 1e13))
+    if bad.any():
+        i = np.argmax(bad)
+        where = f"at s = {math.sqrt(s2[i, 0]):.6g}"
+        if not finite[i]:
+            raise RankDeficientError(f"derivative system is singular {where}")
+        raise RankDeficientError(f"derivative system condition estimate {cond[i]:.3e} > 1e13 "
+                                 + where)
+    return dx[:, :k], dx[:, k:]
 
 
 def derivative_s2(profile: VarianceProfile, sol: MESolution):

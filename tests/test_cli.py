@@ -9,6 +9,8 @@ import pytest
 
 import vps.cli
 import vps.core
+import vps.mesolver
+from test_mesolver import two_copies, zero_column_12
 from vps.cli import main, read_density_csv
 from vps.core import read_profile_csv, validate_profile, write_profile_csv
 from vps.mesolver import solve_curve
@@ -155,38 +157,50 @@ class TestConvergenceFailure:
         assert any(math.isfinite(r) for r in residuals)
 
 
-    def test_rank_deficient_derivative_exits_4(self, tmp_path, capsys):
-        # two disconnected ones blocks: the one trace row of the exact
-        # derivative fixes only the sum of their two gauge directions, and
-        # the 5 x 5 system of their two pair classes is exactly singular
-        V = np.zeros((12, 12))
-        V[:6, :6] = V[6:, 6:] = 1.0
-        profile = tmp_path / "two_blocks.csv"
-        write_profile_csv(validate_profile(V), profile)
+    def test_rank_deficient_derivative_exits_4(self, tmp_path, capsys, monkeypatch):
+        # every system but the first of a stack made exactly singular after
+        # its assembly: the second radius's, in the t = 0 Newton (which then
+        # refuses it) and in the derivative
+        linearization = vps.mesolver._linearization
+
+        def singular(*args, trace=None):
+            M = linearization(*args, trace=trace)
+            M[1:] = 0.0
+            return M
+
+        profile = tmp_path / "random.csv"
+        write_profile_csv(validate_profile(np.random.default_rng(3).uniform(0.5, 2.0, (10, 10))),
+                          profile)
+        monkeypatch.setattr(vps.mesolver, "_linearization", singular)
         assert main(["density", "--profile", str(profile), "--mode", "exact",
-                     "--grid", "0.5:0.6:2", "--out", str(tmp_path / "d.csv")]) == 4
+                     "--grid", "0.2:0.4:2", "--out", str(tmp_path / "d.csv")]) == 4
         err = capsys.readouterr().err
-        assert err == "vps: rank deficient: derivative system is singular\n"
+        assert err == "vps: rank deficient: derivative system is singular at s = 0.4\n"
         assert "Traceback" not in err
 
-
     def test_one_singular_radius_exits_4(self, tmp_path, capsys):
-        # two equal ones blocks and a third with twice their radius: at
-        # s = 0.45, below the two blocks' edge sqrt(1/3), three gauges are
-        # active and one trace row leaves the system determined only
-        # through t_min; at the two radii above it, one
-        V = np.zeros((12, 12))
-        V[:4, :4] = V[4:8, 4:8] = 1.0
-        V[8:, 8:] = 2.0
-        profile, config = tmp_path / "three_blocks.csv", tmp_path / "tiny_t.cfg"
-        write_profile_csv(validate_profile(V), profile)
-        config.write_text("t_min = 1e-13\n")
-        assert main(["density", "--profile", str(profile), "--config", str(config),
-                     "--mode", "exact", "--grid", "0.45:0.8:3",
-                     "--out", str(tmp_path / "d.csv")]) == 4
+        # the 12 x 12 pattern without total support converges at s = 0.3,
+        # below 0.7 sqrt(rho), to a boundary point whose system reads a
+        # condition estimate near 1e17; at the two radii above it the t = 0
+        # Newton is accepted and the systems are regular
+        profile = tmp_path / "zero_column.csv"
+        write_profile_csv(zero_column_12(), profile)
+        assert main(["density", "--profile", str(profile), "--mode", "exact",
+                     "--grid", "0.3:0.4:3", "--out", str(tmp_path / "d.csv")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("vps: rank deficient: derivative system condition estimate ")
-        assert err.endswith(" > 1e13 at s = 0.45\n")
+        assert err.endswith(" > 1e13 at s = 0.3\n")
+        assert "Traceback" not in err
+
+    def test_direct_sum_exact_density_exits_0(self, tmp_path):
+        # two copies of one random block: each carries its own gauge, and
+        # its own trace row fixes it
+        profile = tmp_path / "two_blocks.csv"
+        write_profile_csv(two_copies(np.random.default_rng(0).random((6, 6))), profile)
+        out = tmp_path / "d.csv"
+        assert main(["density", "--profile", str(profile), "--mode", "exact",
+                     "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_exact_density_leaves_numpy_random_unloaded(self, tmp_path):
         # numpy loads numpy.random on first use, at about 5 MB; the exact

@@ -29,6 +29,8 @@ from vps.profiles import build_block_atom, build_separable, spectral_radius
 from vps.reference import block_atom_F, block_atom_edge
 from vps.separable import _density_from_products
 
+from test_mesolver import zero_column_12
+
 
 @pytest.fixture(scope="module")
 def circular_curve():
@@ -344,23 +346,14 @@ class TestWholeCurve:
         assert solve_calls == [(3, 25, 25)] * 3 + [(1, 25, 25)]
 
     def test_one_singular_radius_raises(self):
-        # two equal ones blocks and a third with twice their radius, each
-        # a component of its own: below the two blocks' edge, sqrt(1/3),
-        # three gauges are active and the one trace row leaves the system
-        # determined only through t_min; above it, one
-        p = _three_blocks()
-        config = SolverConfig(t_min=1e-13)
-        curve = solve_curve(p, [0.3, 0.65, 0.7, 0.75, 0.8], config)
+        # the 12 x 12 pattern without total support: at s = 0.3, below
+        # 0.7 sqrt(rho), its solution is a boundary point whose system reads
+        # a condition estimate near 1e17; above, the systems are regular
+        p = zero_column_12()
+        curve = solve_curve(p, [0.3, 0.35, 0.4, 0.45])
         with pytest.raises(RankDeficientError):
             derivative_s2(p, curve.solutions[0])
         for sol in curve.solutions[1:]:
             derivative_s2(p, sol)
         with pytest.raises(RankDeficientError, match="at s = 0.3$"):
             grid_density(curve, "exact")
-
-
-def _three_blocks():
-    V = np.zeros((12, 12))
-    V[:4, :4] = V[4:8, 4:8] = 1.0
-    V[8:, 8:] = 2.0
-    return validate_profile(V)

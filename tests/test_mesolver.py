@@ -72,6 +72,40 @@ def zero_column_12():
         (10, 10, 1.01), (10, 11, 0.823), (11, 0, 1.302), (11, 10, 0.545)])
 
 
+def zero_column_12_in_pairs():
+    """`zero_column_12` with each index split into two, interleaved at
+    random: 12 pair classes of size 2, whose quotient solves the same
+    equations as the 12 x 12 profile."""
+    label = np.random.default_rng(1).permutation(np.repeat(np.arange(12), 2))
+    return validate_profile(zero_column_12().variances[np.ix_(label, label)])
+
+
+def two_copies(block):
+    """The direct sum diag(block, block)."""
+    m = len(block)
+    a = np.zeros((2 * m, 2 * m))
+    a[:m, :m] = a[m:, m:] = block
+    return validate_profile(a)
+
+
+def decomposable_20():
+    """A symmetric permutation of diag(B1, B2), B1 8 x 8 and B2 12 x 12 with
+    different edges, the permutation, the two blocks' index ranges, each
+    block alone with its variances scaled by n_b / n (normalized B_b / n),
+    and a grid below, between and past the two blocks' edges."""
+    rng = np.random.default_rng(17)
+    a = np.zeros((20, 20))
+    a[:8, :8] = rng.uniform(0.5, 2.0, size=(8, 8))
+    a[8:, 8:] = rng.uniform(1.5, 6.0, size=(12, 12))
+    perm = rng.permutation(20)
+    blocks = [slice(0, 8), slice(8, 20)]
+    parts = [validate_profile(a[b, b] * (b.stop - b.start) / 20) for b in blocks]
+    lo, hi = sorted(math.sqrt(spectral_radius(part)) for part in parts)
+    grid = np.concatenate([lo * np.linspace(0.05, 0.95, 5),
+                           np.linspace(1.02 * lo, 0.98 * hi, 4), [1.1 * hi]])
+    return validate_profile(a[np.ix_(perm, perm)]), perm, blocks, parts, grid
+
+
 def scalar_regularized_root(s, t):
     """Bisection oracle for r = (r+t) / (s^2 + (r+t)^2), the constant
     profile reduction of the regularized system."""
@@ -395,9 +429,42 @@ class TestDerivative:
         A = _linearization(V, V.T, d, cq, cqt, trace=np.ones(n))
         assert np.array_equal(A[:2 * n, :2 * n], np.eye(2 * n) - J)
         assert np.array_equal(A[2 * n, :2 * n], r)
-        assert np.array_equal(A[:2 * n, 2 * n], r)
-        assert A[2 * n, 2 * n] == 0.0
+        assert not A[:, 2 * n].any()   # the column is `_stacked_solve`'s
         assert np.array_equal(_linearization(V, V.T, d, cq, cqt), A[:2 * n, :2 * n])
+
+    def test_stacked_solve_borders_each_component(self, monkeypatch):
+        # components {0, 2, 3} and {1, 4}: each gets the row of its trace
+        # weights and its gauge direction (q, -qt) over its peak as the
+        # column, and the multipliers are dropped from the solution
+        rng = np.random.default_rng(8)
+        n, component = 5, np.array([0, 1, 0, 0, 1])
+        V = rng.uniform(0.5, 1.5, size=(n, n)) * (component[:, None] == component)
+        weights = np.array([2.0, 1.0, 3.0, 1.0, 2.0])
+        x = rng.uniform(0.1, 2.0, size=(2, 2 * n))
+        coefficients = rng.uniform(0.1, 1.0, size=(3, 2, n))
+        F = rng.uniform(-1.0, 1.0, size=(2, 2 * n))
+        made = []
+
+        def recorded(*args, trace=None):
+            made.append(_linearization(*args, trace=trace))
+            return made[-1]
+
+        monkeypatch.setattr(vps.mesolver, "_linearization", recorded)
+        dx, cond = vps.mesolver._stacked_solve(V, V.T, coefficients, F, (x, component, weights))
+        (M,) = made
+        assert M.shape == (2, 2 * n + 2, 2 * n + 2)
+        for j in range(2):
+            members = np.tile(component == j, 2)
+            peak = x[:, members].max(axis=1, keepdims=True)
+            gauge = np.where(members, x * np.repeat([1.0, -1.0], n), 0.0) / peak
+            np.testing.assert_array_equal(M[:, :2 * n, 2 * n + j], gauge)
+            trace = np.where(component == j, weights, 0.0)
+            np.testing.assert_array_equal(M[:, 2 * n + j, :2 * n],
+                                          np.tile(np.concatenate([trace, -trace]), (2, 1)))
+        assert not M[:, 2 * n:, 2 * n:].any()
+        full = np.linalg.solve(M, np.concatenate([F, np.zeros((2, 2))], axis=1)[..., None])
+        np.testing.assert_allclose(dx, full[:, :2 * n, 0], rtol=1e-12)
+        assert dx.shape == (2, 2 * n) and (cond < 1e6).all()
 
     def test_quotient_linearization_lifts(self):
         # on a pair-class quotient, (I - J) P = P (I - Jbar) for the lifting
@@ -427,7 +494,11 @@ class TestDerivative:
         (validate_profile(np.random.default_rng(13).uniform(0.0, 1.0, size=(12, 3))
                           @ np.random.default_rng(14).uniform(0.0, 1.0, size=(3, 12))), 0.4,
          "dense"),
-    ], ids=["random10", "block-atom-k3-m10", "separable-rank1", "random-rank3-n12"])
+        # index 2 has a zero row and column: a component with q = qt = 0
+        (validate_profile(np.outer([1.0, 2.0, 0.0, 1.5, 0.7], [0.5, 1.0, 0.0, 2.0, 1.2])), 0.3,
+         "dense"),
+    ], ids=["random10", "block-atom-k3-m10", "separable-rank1", "random-rank3-n12",
+            "separable-zero-index"])
     def test_matches_least_squares_reference(self, profile, s, route):
         # reference: the (2n+1) x 2n least-squares form of the same system,
         # the linearization with only the trace row, solved by SVD.  Without
@@ -446,21 +517,56 @@ class TestDerivative:
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
     @pytest.mark.parametrize("route", ["classes", "dense"])
-    def test_rank_deficient_raises(self, route, full_n):
-        # two identical, disconnected blocks: each has its own gauge
-        # direction, and the one trace row fixes only their sum.  V has two
-        # pair classes, so the quotient route solves it unless the cached
-        # classes are set to None beforehand
-        V = np.zeros((12, 12))
-        V[:6, :6] = V[6:, 6:] = 1.0
-        p = validate_profile(V)
-        if route == "classes":
-            assert solve_route(p) == "quotient (2 classes)"
-        else:
-            assert full_n(p) == "full"
-        sol = anneal_to_limit(p, 0.5)
-        with pytest.raises(RankDeficientError):
+    def test_rank_deficient_raises(self, route):
+        # at 0.3 sqrt(rho) the 12 x 12 pattern without total support
+        # converges to a boundary point: the t = 0 Newton refuses it, and
+        # the system at the kernel's row reads a condition estimate near
+        # 1e18.  Split into pair classes, the quotient route solves it
+        p = zero_column_12() if route == "dense" else zero_column_12_in_pairs()
+        assert solve_route(p) == ("full" if route == "dense" else "quotient (12 classes)")
+        s = 0.3 * math.sqrt(spectral_radius(p))
+        sol = anneal_to_limit(p, s)
+        with pytest.raises(RankDeficientError,
+                           match=rf"condition estimate \S+ > 1e13 at s = {s:.6g}$"):
             derivative_s2(p, sol)
+
+    def test_singular_system_raises(self, monkeypatch):
+        # a system made exactly singular after its assembly is named by its
+        # radius
+        p = validate_profile(np.random.default_rng(3).uniform(0.5, 2.0, size=(10, 10)))
+        curve = solve_curve(p, [0.2, 0.4])
+        linearization = vps.mesolver._linearization
+
+        def singular(*args, trace=None):
+            M = linearization(*args, trace=trace)
+            M[1] = 0.0
+            return M
+
+        monkeypatch.setattr(vps.mesolver, "_linearization", singular)
+        with pytest.raises(RankDeficientError, match="^derivative system is singular at s = 0.4$"):
+            grid_density(curve, "exact")
+
+    def test_direct_sum_density_is_the_blocks_sum(self):
+        # each component carries its own gauge direction, and its own trace
+        # row fixes it: below both edges, between them and past them
+        p, _, blocks, parts, grid = decomposable_20()
+        curve = solve_curve(p, grid)
+        f_blocks = sum((b.stop - b.start) / 20 * grid_density(solve_curve(part, grid), "exact")
+                       for b, part in zip(blocks, parts))
+        f = grid_density(curve, "exact")
+        assert np.abs(f - f_blocks).max() <= 1e-10 * np.abs(f_blocks).max()
+
+    @pytest.mark.parametrize("block, route", [
+        (np.random.default_rng(0).random((6, 6)), "full"),
+        (np.ones((6, 6)), "quotient (2 classes)"),
+        (np.ones((6, 6)), "full"),
+    ], ids=["random-full", "ones-quotient", "ones-full"])
+    def test_identical_blocks_have_identical_derivatives(self, block, route, full_n):
+        p = two_copies(block)
+        assert (full_n(p) if route == "full" else solve_route(p)) == route
+        dq, dqt = derivative_s2(p, anneal_to_limit(p, 0.3))
+        assert np.abs(dq[:6] - dq[6:]).max() <= 1e-12
+        assert np.abs(dqt[:6] - dqt[6:]).max() <= 1e-12
 
 
 class TestRowClasses:
@@ -694,18 +800,7 @@ class TestSolveCurve:
     def test_decomposable_profile(self):
         # a symmetric permutation of diag(B1, B2): the pattern of V + V^T
         # has two components, each with its own gauge and its own edge
-        rng = np.random.default_rng(17)
-        a = np.zeros((20, 20))
-        a[:8, :8] = rng.uniform(0.5, 2.0, size=(8, 8))
-        a[8:, 8:] = rng.uniform(1.5, 6.0, size=(12, 12))
-        perm = rng.permutation(20)
-        p = validate_profile(a[np.ix_(perm, perm)])
-        blocks = [slice(0, 8), slice(8, 20)]
-        # each block alone, variances scaled by n_b / n: normalized B_b / n
-        parts = [validate_profile(a[b, b] * (b.stop - b.start) / 20) for b in blocks]
-        lo, hi = sorted(math.sqrt(spectral_radius(part)) for part in parts)
-        grid = np.concatenate([lo * np.linspace(0.05, 0.95, 5),
-                               np.linspace(1.02 * lo, 0.98 * hi, 4), [1.1 * hi]])
+        p, perm, blocks, parts, grid = decomposable_20()
         curve = solve_curve(p, grid)
         assert curve.failed_indices == ()
         for b in blocks:
@@ -732,16 +827,16 @@ class TestSolveCurve:
         p = build_sampled(band_b, 40)
         config = SolverConfig(fixed_point_tol=1e-9, t_min=1e-8)
         grid = default_s_grid(math.sqrt(spectral_radius(p)), 30)
-        calls = []
-        refine = vps.mesolver._newton_refine
+        handed = []   # (t, rows) of each call of the one Newton
+        newton = vps.mesolver._newton
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return refine(*args, **kwargs)
+        def counted(A, B, x, s2, t, tol, gauge):
+            handed.append((t, len(x)))
+            return newton(A, B, x, s2, t, tol, gauge)
 
-        monkeypatch.setattr(vps.mesolver, "_newton_refine", counted)
+        monkeypatch.setattr(vps.mesolver, "_newton", counted)
         curve = solve_curve(p, grid, config)
-        assert calls
+        assert sum(rows for t, rows in handed if t > 0) > 0
         assert curve.failed_indices == ()
         for sol in curve.solutions:
             assert abs(sol.q.sum() - sol.q_tilde.sum()) / p.n <= 1e-10
@@ -875,10 +970,13 @@ class TestEndgame:
         assert (rows.residual[rows.at_zero] <= bound).all()
 
     def test_solve_regularized_keeps_its_t(self, monkeypatch):
-        def endgame(*args):
-            raise AssertionError("the t = 0 Newton ran")
+        newton = vps.mesolver._newton
 
-        monkeypatch.setattr(vps.mesolver, "_newton_at_zero", endgame)
+        def hand_off_only(A, B, x, s2, t, tol, gauge):
+            assert t > 0, "the t = 0 Newton ran"
+            return newton(A, B, x, s2, t, tol, gauge)
+
+        monkeypatch.setattr(vps.mesolver, "_newton", hand_off_only)
         p = validate_profile(np.random.default_rng(2).uniform(0.5, 2.0, size=(8, 8)))
         config = SolverConfig()
         sol = solve_regularized(p, 0.3, 1e-6, config)

@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from vps.core import RankDeficientError, validate_profile
 from vps.measures import cdf
 from vps.mesolver import derivative_s2, solve_curve, solve_route
-from vps.profiles import _scc, spectral_radius
+from vps.profiles import spectral_radius
 
 PROPERTY = settings(max_examples=12, deadline=2000, derandomize=True)
 
@@ -176,27 +176,4 @@ def test_row_classes_give_the_dense_curve_and_derivative(case, full_n):
         except RankDeficientError:
             continue
         got = np.concatenate(derivative_s2(p, sol))
-        gap = _split_gauge_removed(a, sol, got - want)
-        assert np.abs(gap).max() <= 1e-10 * np.abs(want).max()
-
-
-def _split_gauge_removed(a, sol, x):
-    """x = [dq | dqt], less its projection on each component's gauge
-    direction (q_K, -qt_K) when two or more components K of the pattern of
-    a + a^T carry a nonzero q, and x itself otherwise.  One trace row fixes
-    only the sum of these directions, so with two such components the
-    derivative is determined along them only through t_min, with a
-    condition near 1 / t_min, and two routes differ there by rounding
-    times that condition.  With one, the trace row fixes its direction
-    exactly and the whole vector is compared."""
-    label = _scc((a != 0) | (a.T != 0))
-    gauges = [np.concatenate([np.where(label == k, sol.q, 0.0),
-                              np.where(label == k, -sol.q_tilde, 0.0)])
-              for k in range(label.max() + 1)]
-    gauges = [g for g in gauges if g[:len(a)].any()]
-    if len(gauges) < 2:
-        return x
-    x = x.copy()
-    for g in gauges:
-        x -= (x @ g) / (g @ g) * g
-    return x
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
