@@ -197,6 +197,7 @@ def _cmd_density(args) -> int:
     lines.append("solve_route = " + solve_route(curve.profile))
     inside = int(np.count_nonzero(curve.s_grid < math.sqrt(rho)))
     lines.append(f"t0_radii = {int(curve.rows.at_zero.sum())} of {inside}")
+    lines.append(f"krylov_iters = {int(curve.rows.krylov.sum())}")
     with open(out + ".info.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

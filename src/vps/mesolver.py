@@ -40,7 +40,7 @@ a direct sum becomes block diagonal; the trace balance then sums and
 scales ranges.  The products read only V's nonzero envelope: V's columns
 are cut into panels of PANEL columns, each with the row range that holds
 all of its nonzeros, and a product is one matrix product per panel over
-that range, for V and for its contiguous transpose alike.  On a band or a
+that range, for V and for its transpose alike.  On a band or a
 block-diagonal profile that reads a quarter to a third of V; a profile
 whose envelope covers most of V keeps one panel, the whole matrix.
 
@@ -71,33 +71,50 @@ that fails it is solved by the kernel (`_solve`) as any other profile's.
 
 One routine, `_newton`, takes every Newton step, for many rows at once:
 the kernel's hand-offs at t_min and the t = 0 endgame below.  Its systems
-are stacked into one LU solve per STACK bytes (`_stacked_solve`), bordered
-at t = 0 once per component by its trace row and gauge direction, and not
-at t > 0, where the gauge is no symmetry.
+are bordered at t = 0 once per component by its trace row and gauge
+direction, and not at t > 0, where the gauge is no symmetry.  On a route
+with at most LU_UNKNOWNS = 24 unknowns per half (the p classes of the
+quotient, or n on V itself) they are stacked into one LU solve per STACK
+bytes (`_stacked_solve`).  Past it they are solved by GMRES without
+being formed (`_krylov_solve`; Jacobian-free Newton-Krylov, Knoll &
+Keyes, J. Comput. Phys. 193, 2004): one GMRES iteration applies the
+operator by two `_product` calls on the envelope panels, as one kernel
+iteration does, and the rows take their steps in chunks whose Krylov
+bases hold at most max(n^2, BASIS) doubles.
 
-A route with at most LU_UNKNOWNS = 24 unknowns per half (the p classes of
-the quotient, or n on V itself) solves the t = 0 equations too
+Every route but the rank-one one solves the t = 0 equations
 (`_solve_at_zero_rows`): the kernel runs at t_min only to NEWTON_START =
 1e-3, and Newton takes it from there.  A radius is accepted only if it
 meets the kernel's stopping rule at t = 0, stays positive, and its last
-system passes the condition gate of `derivative_rows` (an estimate at most
-1e13); a refused radius keeps the kernel's row at t_min.  The gate refuses
-the boundary points that patterns without total support converge to at
-small radii: on the 12 x 12 pattern of the tests, 24 of 40 radii, with
-estimates of 2e33 and more, where its 12 accepted radii stay below 1e9,
-the block atom's below 1e8 and dense profiles' below 100.  On the block
-atom at n = 300 all 190 inside radii are accepted in at most 5 steps, F
-moves from 1.9e-9 to 1.8e-12 off the closed form, and the curve is solved
-in a third of the time.  Past 24 unknowns the stacked LUs cost more than
-the kernel (0.45, 0.71, 1.15, 2.3 and 5 times its time at n = 8, 24, 32,
-48 and 64 on 190 radii of dense U(0.5, 2) profiles): those keep t_min.
+system passes the condition gate (an estimate at most 1e13: that of
+`derivative_rows` for the LUs, ||M||_inf / sigma_min of the Hessenberg
+factor for GMRES); a refused radius keeps the kernel's row at t_min.  The
+gate refuses the boundary points that patterns without total support
+converge to at small radii: on the 12 x 12 pattern of the tests, 24 of 40
+radii, with estimates of 2e33 and more, where its 12 accepted radii stay
+below 1e9, the block atom's below 1e8 and dense profiles' below 100; with
+a positive 16 x 16 block beside it, past LU_UNKNOWNS, GMRES refuses the
+same radii, its estimates 6e13 and more.  On the block atom at n = 300
+all 190 inside radii are accepted in at most 5 steps, F moves from 1.9e-9
+to 1.8e-12 off the closed form, and the curve is solved in a third of the
+time.  On band model B at n = 800 (28 radii, t_min = 1e-8,
+fixed_point_tol = 1e-9) the loose kernel's longest radius takes 99
+iterations against 1,057 to the full tolerance, every radius is accepted
+in 2 or 3 steps and at most 43 GMRES iterations, F moves from 1.8e-8 to
+2e-10 off a reference made at t_min = 1e-10, and the curve is solved in
+half the time.  On 200-point grids of smaller profiles the endgame costs
+more than the t_min kernel alone would: 1.25 and 1.34 times its time on
+dense U(0.5, 2) profiles at n = 30 and 64, 1.08 times on band model A at
+n = 400.  No route keeps t_min for speed: a direct sum and its blocks
+would then be solved at different t.
 
 `solve_curve` runs these routes over the radii of a grid below sqrt(rho),
 by default `default_s_grid` up to the support radius, and keeps the
 route's `_Rows` record once, as `MECurve.rows`, lifted to n entries and
 padded past the edge with zero rows in one copy; `rows.at_zero` marks the
-radii solved at t = 0, and the curve's `MESolution` views and failed
-radii are read from it.  `anneal_to_limit` is its one-radius call, and
+radii solved at t = 0, `rows.krylov` counts each radius's GMRES
+iterations, and the curve's `MESolution` views and failed radii are read
+from it.  `anneal_to_limit` is its one-radius call, and
 `solve_regularized` is a one-row call of the kernel at the caller's t,
 which never takes the endgame.
 
@@ -110,7 +127,8 @@ density is the derivative of its scalar equation, in closed form
 (`vps.measures`).  Otherwise `derivative_rows` solves the linearized
 equations at every radius, bordered as the t = 0 Newton's are, by
 `_stacked_solve`: (2p + c) systems on the pair-class quotient, otherwise
-(2n + c) on V, with c components.  `derivative_s2` is its one-radius
+(2n + c) on V, with c components, each labeled once, by the solve
+(`_Rows.component`).  `derivative_s2` is its one-radius
 call.  `solve_route` names the route of the curve and the density alike.
 
 `solve_at_zero` needs no regularization.  At s = t = 0 the equations are the
@@ -192,18 +210,30 @@ SPLIT = 0.5
 # block atom's quotient all go in one; a (2n + 1) system past it, 20.5 MB
 # at n = 800, is solved alone.
 STACK = 2 ** 20
-# A route with at most LU_UNKNOWNS unknowns per half (the p classes of the
-# quotient, or n on V itself) ends with Newton on the t = 0 equations,
-# stacked bordered LUs for all radii at once (`_solve_at_zero_rows`).  On
-# 190 radii of dense U(0.5, 2) profiles, its solve took 0.45, 0.71, 1.15,
-# 2.3 and 5 times the kernel's at n = 8, 24, 32, 48 and 64 (2 cores,
-# OpenBLAS).
+# Newton on the t = 0 equations (`_solve_at_zero_rows`) ends every route
+# but the rank-one one.  Each Newton step, the kernel's hand-offs
+# included, is solved by stacked LUs for all its rows at once on a route
+# with at most LU_UNKNOWNS unknowns per half (the p classes of the
+# quotient, or n on V itself), and by GMRES (`_krylov_solve`) past it.  On
+# 190 radii of dense U(0.5, 2) profiles the LU endgame took 0.45, 0.71,
+# 1.15, 2.3 and 5 times the t_min kernel's time at n = 8, 24, 32, 48 and
+# 64, and the GMRES endgame 1.25 and 1.34 times at n = 30 and 64 (2
+# cores, OpenBLAS).
 LU_UNKNOWNS = 24
 # The relative tolerance at which the kernel hands its t_min iterate to
 # that Newton.  No looser: at 1e-2 the starved budgets of the benchmark's
 # own checks would no longer fail, and the block atom at n = 300 already
 # converges from 1e-3 in at most 5 steps.
 NEWTON_START = 1e-3
+# GMRES (`_krylov_solve`) keeps at most KRYLOV basis vectors per system,
+# unrestarted, and stops at the relative residual FORCING[0] at a Newton
+# call's first step and FORCING[1] after it (on band model B at n = 800,
+# at most 25 iterations a step).  Its rows are solved in chunks whose
+# bases hold at most max(n^2, BASIS) doubles, the size of V or 4 MiB: 7
+# rows at n = 800, where a basis for all 28 radii would take 22 MB.
+KRYLOV = 50
+FORCING = (1e-4, 1e-8)
+BASIS = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -238,7 +268,8 @@ class MECurve:
     def products(self) -> "CurveProducts":
         """`curve_products` of the curve's rows, computed on first use and
         cached on the curve; the measures of `vps.measures` read them."""
-        return curve_products(self.profile, self.s_grid, self.rows.q, self.rows.q_tilde)
+        rows = self.rows
+        return curve_products(self.profile, self.s_grid, rows.q, rows.q_tilde, rows.component)
 
     def raise_failures(self) -> None:
         """Raise NoConvergenceError naming the failed radii, if any, and
@@ -322,8 +353,11 @@ def _layout(V, sizes=None):
     the operands (A, panels) and (B, panels) of `_product`, in the gauge's
     component order, with q @ A = V^T q and qt @ B = V qt.
 
-    For V itself A is V and B its contiguous transpose, each with its
-    `_envelope` panels.  On the pair-class quotient Vbar of a profile, with
+    For V itself A is V and B its transpose, a view, each with its
+    `_envelope` panels: a contiguous copy of V^T would take the n^2
+    doubles that `_newton` gives its GMRES bases, and the kernel runs as
+    fast on the view (99 lock-step iterations of 28 radii of band model B
+    at n = 800: 72 ms either way).  On the pair-class quotient Vbar of a profile, with
     the class `sizes`, A = diag(sizes) Vbar and B = diag(sizes) Vbar^T: the
     lifted (V^T q)_i sums sizes[d] Vbar[d, c] q_d over the classes d, with
     c the class of i, and likewise (V qt)_i.
@@ -333,7 +367,7 @@ def _layout(V, sizes=None):
     if (order != np.arange(len(order))).any():
         V = V[np.ix_(order, order)]
     if sizes is None:
-        A, B = V, np.ascontiguousarray(V.T)  # a faster operand than the transposed view
+        A, B = V, V.T
     else:
         weights = gauge[3][:, None]
         A, B = weights * V, weights * V.T
@@ -390,9 +424,16 @@ def _linearization(A, B, d, cq, cqt, trace=None):
 class _Rows:
     """Outcome of a solve, one row per radius: the iterate, the iteration
     count, the residual, an error message where the radius failed (its
-    iterate is then zero), and `at_zero`, True where the row solves the
-    t = 0 equations themselves (a rank-one lift or a radius accepted by
-    `_solve_at_zero_rows`), not those at t_min."""
+    iterate is then zero), `at_zero`, True where the row solves the t = 0
+    equations themselves (a rank-one lift or a radius accepted by
+    `_solve_at_zero_rows`), not those at t_min, and `krylov`, the GMRES
+    iterations of the radius's Newton steps (`_krylov_solve`; 0 where its
+    steps were solved by LU, or none were taken).
+
+    `component` is the route's, not a radius's: the `_gauge` label of each
+    unknown the kernel iterated (one per pair class on a quotient, in
+    class order, even once the rows are lifted to n entries), or None
+    where no kernel ran."""
 
     q: np.ndarray
     q_tilde: np.ndarray
@@ -400,9 +441,11 @@ class _Rows:
     residual: np.ndarray
     errors: list
     at_zero: np.ndarray
+    krylov: np.ndarray
+    component: np.ndarray | None
 
 
-def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
+def _solve_rows(V, s, t, config: SolverConfig, sizes=None, layout=None) -> _Rows:
     """Solve the equations at regularization t for every radius of `s`,
     each from ones.
 
@@ -417,16 +460,17 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
     rows still running are compacted into the leading slice; the loop ends
     once none is left.  The work arrays hold about 9 m n doubles.
 
-    V is laid out once by `_layout`: the rows iterate on the unknowns in
-    the component order of `_gauge`, so a component's trace balance sums
-    one contiguous range, and each finished row is written back in the
-    caller's order.  Each product reads only its operand's `_envelope`
-    panels.  With class `sizes`, V is a pair-class quotient Vbar, and the
-    rows hold one entry per class (see `_solve`).
+    V is laid out by `_layout`, or `layout` is its layout already: the
+    rows iterate on the unknowns in the component order of `_gauge`, so a
+    component's trace balance sums one contiguous range, and each finished
+    row is written back in the caller's order.  Each product reads only
+    its operand's `_envelope` panels.  With class `sizes`, V is a
+    pair-class quotient Vbar, and the rows hold one entry per class (see
+    `_solve`).
     """
     s = np.asarray(s, dtype=float)
     m, n = len(s), V.shape[0]
-    gauge, product, product_T = _layout(V, sizes)
+    gauge, product, product_T = layout or _layout(V, sizes)
     order = gauge[0]
     back = np.concatenate([order, order + n])   # row entry -> caller's entry
     tol = config.fixed_point_tol
@@ -435,6 +479,7 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
     out = np.zeros((m, 2 * n))
     out_iters = np.zeros(m, dtype=np.int64)
     out_res = np.full(m, math.inf)
+    out_krylov = np.zeros(m, dtype=np.int64)
     errors = [None] * m
 
     # per row: iterate [q | qt] from ones, its value at the last Aitken
@@ -445,6 +490,7 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
     prev_norm = np.full(m, math.nan)   # Aitken: last block's step norm, NaN if none
     stall = np.full(m, STALL_GAIN)     # Aitken gain past which a row goes to Newton
     handoff = np.empty(m, dtype=bool)
+    krylov = np.zeros(m, dtype=np.int64)   # GMRES iterations of the row's hand-offs
     radius = np.arange(m)              # row -> radius of s, kept by compaction
     s2 = (s * s)[:, None]
     k = m
@@ -484,8 +530,9 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
             # row's stall limit: hand copies of the iterates to Newton, and
             # keep those that meet the residual
             g = np.flatnonzero(handoff[:k] & ~done)
-            xs, _, residual, met, _ = _newton(product[0], product_T[0], x[g], s2[g, 0], t,
-                                              tol, gauge)
+            xs, _, residual, met, _, work = _newton(product, product_T, x[g], s2[g, 0], t,
+                                                    tol, gauge)
+            krylov[g] += work
             g = g[met]
             x[g], res[g], done[g] = xs[met], residual[met], True
             stalled = False
@@ -493,7 +540,7 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
         if failed or done.any():
             for g in np.flatnonzero(done | failed):
                 r = radius[g]
-                out_iters[r] = it
+                out_iters[r], out_krylov[r] = it, krylov[g]
                 if not done[g]:
                     errors[r] = (f"no fixed point after {max_iters} iterations "
                                  f"at s={s[r]}, t={t} (residual {res[g]:.3e})")
@@ -509,14 +556,17 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None) -> _Rows:
             keep = np.flatnonzero(~done)
             k = len(keep)
             X[:k], lastX[:k], prev_norm[:k] = X[keep], lastX[keep], prev_norm[keep]
-            stall[:k] = stall[keep]
+            stall[:k], krylov[:k] = stall[keep], krylov[keep]
             radius, s2 = radius[keep], s2[keep]
         if it % AITKEN == 0:
             prev_norm[:k], gain = _aitken(X[:k], lastX[:k], prev_norm[:k], Y[:k], P[:k])
             np.greater(gain, stall[:k], out=handoff[:k])
             np.multiply(gain, 2.0, out=stall[:k], where=handoff[:k])
             stalled = bool(handoff[:k].any())
-    return _Rows(out[:, :n], out[:, n:], out_iters, out_res, errors, np.zeros(m, dtype=bool))
+    component = np.empty(n, dtype=np.int64)
+    component[order] = np.repeat(np.arange(len(gauge[2])), gauge[2])   # the `_scc` labels
+    return _Rows(out[:, :n], out[:, n:], out_iters, out_res, errors, np.zeros(m, dtype=bool),
+                 out_krylov, component)
 
 
 def _aitken(x, last, prev_norm, dx, cap):
@@ -564,9 +614,9 @@ def _operands(profile: VarianceProfile):
 
 def _lift(rows: _Rows, label, past=0) -> _Rows:
     """The rows with `past` zero rows appended (exact zeros, 0 iterations,
-    residual 0.0, no error, not `at_zero`), each written once into its
-    final arrays, lifted to the n entries by the class `label` on a
-    quotient (None: the rows are on n entries already)."""
+    residual 0.0, no error, not `at_zero`, 0 `krylov`), each written once
+    into its final arrays, lifted to the n entries by the class `label` on
+    a quotient (None: the rows are on n entries already)."""
     if label is None and not past:
         return rows
     m = len(rows.iterations)
@@ -582,7 +632,7 @@ def _lift(rows: _Rows, label, past=0) -> _Rows:
     pad = [(0, past)]
     return _Rows(grown(rows.q), grown(rows.q_tilde), np.pad(rows.iterations, pad),
                  np.pad(rows.residual, pad), rows.errors + [None] * past,
-                 np.pad(rows.at_zero, pad))
+                 np.pad(rows.at_zero, pad), np.pad(rows.krylov, pad), rows.component)
 
 
 def _solve(profile: VarianceProfile, s, t, config: SolverConfig) -> _Rows:
@@ -625,35 +675,42 @@ def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
     residual = _residual_at_zero(profile.normalized, q, qt, s2)
     scale = np.maximum(q.max(axis=1, initial=1.0), qt.max(axis=1, initial=1.0))
     errors = [None] * len(s)
+    krylov = np.zeros(len(s), dtype=np.int64)
     at_zero = residual <= config.fixed_point_tol * scale
     bad = np.flatnonzero(~at_zero)
     if len(bad):
         rows = _solve(profile, s[bad], config.t_min, config)
         q[bad], qt[bad] = rows.q, rows.q_tilde
-        steps[bad], residual[bad] = rows.iterations, rows.residual
+        steps[bad], residual[bad], krylov[bad] = rows.iterations, rows.residual, rows.krylov
         for i, error in zip(bad, rows.errors):
             errors[i] = error
-    return _Rows(q, qt, steps, residual, errors, at_zero)
+    return _Rows(q, qt, steps, residual, errors, at_zero, krylov, None)
 
 
 @np.errstate(all="ignore")   # a step may overflow or underflow; the checks reject it
-def _newton(A, B, x, s2, t, tol, gauge):
+def _newton(product, product_T, x, s2, t, tol, gauge):
     """Newton on the equations at t from the [q | qt] rows x, with s2 the
-    squared radii, for the operands (A, B) of `_layout`, all rows at once.
-    Returns the rows, the steps each took, its residual at t, whether it
-    met that residual and the condition estimate of its last system.  The
-    kernel hands it stalled rows at its t; `_solve_at_zero_rows` takes its
-    t = 0 endgame with it.
+    squared radii, for the operands (A, panels) and (B, panels) of
+    `_layout`, all rows at once.  Returns the rows, the steps each took,
+    its residual at t, whether it met that residual, the condition
+    estimate of its last system and the GMRES iterations of its steps.
+    The kernel hands it stalled rows at its t; `_solve_at_zero_rows`
+    takes its t = 0 endgame with it.
 
-    Each step solves the linearized equations of every row by
-    `_stacked_solve`.  At t = 0 each component's gauge is an exact
-    symmetry, so the system is bordered once per component; the
-    multipliers then move the step only along the gauges, which
-    `_rebalance` undoes.  At t > 0 the gauge is no symmetry and the system
-    is solved unbordered: bordered there, the kernel's hand-offs left the
-    sparse survey (`scripts/sparse_survey.py`) at 31 failed radii and
-    3.28M iterations, against 28 and 3.21M unbordered.  The step is taken
-    in log coordinates, x <- x exp(dx / x): to first order that is
+    Each step solves the linearized equations of every row at once by
+    stacked LUs (`_stacked_solve`) with at most LU_UNKNOWNS unknowns per
+    half.  Past it each step is solved by GMRES (`_krylov_solve`), to the
+    relative residual FORCING[0] at the first step and FORCING[1] after
+    it, and the rows take their steps in chunks whose Krylov bases hold
+    at most max(n^2, BASIS) doubles, so that every work array of a chunk
+    is small beside V: 7 rows at n = 800.  At t = 0 each component's
+    gauge is an exact symmetry, so the system is bordered once per
+    component; the multipliers then move the step only along the gauges,
+    which `_rebalance` undoes.  At t > 0 the gauge is no symmetry and the
+    system is solved unbordered: bordered there, the kernel's hand-offs
+    left the sparse survey (`scripts/sparse_survey.py`) at 31 failed radii
+    and 3.28M iterations, against 28 and 3.21M unbordered.  The step is
+    taken in log coordinates, x <- x exp(dx / x): to first order that is
     x + dx, so convergence stays quadratic, and the iterate stays positive
     however far the step reaches, where an additive step leaves the
     positive cone on patterns whose solution spans many decades.  Then
@@ -671,34 +728,65 @@ def _newton(A, B, x, s2, t, tol, gauge):
     steps, misses = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
     residual, cond, best = np.full(k, math.inf), np.full(k, math.inf), np.full(k, math.inf)
     met = np.zeros(k, dtype=bool)
-    live = np.arange(k)
-    for step in range(NEWTON_STEPS + 1):
-        xs = x[live]
-        q, qt = xs[:, :n], xs[:, n:]
-        a, b = qt @ B + t, q @ A + t
-        p = 1.0 / (s2[live, None] + a * b)
-        F = np.concatenate([p * b - q, p * a - qt], axis=1)
-        res = residual[live] = np.abs(F).max(axis=1)
-        done = met[live] = (res <= tol * np.maximum(xs.max(axis=1), 1.0)) & (steps[live] > 0)
-        gain = res <= 0.9 * best[live]
-        best[live[gain]] = res[gain]
-        misses[live] = np.where(gain, 0, misses[live] + 1)
-        go = ~done & (misses[live] < 2)
-        if step == NEWTON_STEPS or not go.any():
-            break
-        live, xs, F = live[go], xs[go], F[go]
-        p2 = p[go] ** 2
-        coefficients = (s2[live, None] * p2, p2 * b[go] ** 2, p2 * a[go] ** 2)
-        border = (xs, component, weights) if t == 0 else None
-        dx, cond[live] = _stacked_solve(A, B, coefficients, F, border)
-        xs *= np.exp(dx / xs)
-        fine = np.isfinite(xs).all(axis=1) & xs.all(axis=1) & np.isfinite(cond[live])
-        live, xs = live[fine], xs[fine]
-        if len(live):
-            _rebalance(xs, gauge)
-            x[live] = xs
-            steps[live] += 1
-    return x, steps, residual, met, cond
+    krylov = np.zeros(k, dtype=np.int64)
+    per = max(k, 1)
+    if n > LU_UNKNOWNS:
+        size = 2 * n + (len(starts) if t == 0 else 0)
+        per = max(1, max(n * n, BASIS) // ((KRYLOV + 1) * size))
+    for first in range(0, k, per):
+        live = np.arange(first, min(first + per, k))
+        for step in range(NEWTON_STEPS + 1):
+            xs = x[live]
+            q, qt = xs[:, :n], xs[:, n:]
+            a, b = np.empty_like(q), np.empty_like(q)
+            _product(qt, *product_T, a)
+            _product(q, *product, b)
+            a += t
+            b += t
+            p = 1.0 / (s2[live, None] + a * b)
+            F = np.concatenate([p * b - q, p * a - qt], axis=1)
+            res = residual[live] = np.abs(F).max(axis=1)
+            done = met[live] = ((res <= tol * np.maximum(xs.max(axis=1), 1.0))
+                                & (steps[live] > 0))
+            gain = res <= 0.9 * best[live]
+            best[live[gain]] = res[gain]
+            misses[live] = np.where(gain, 0, misses[live] + 1)
+            go = ~done & (misses[live] < 2)
+            if step == NEWTON_STEPS or not go.any():
+                break
+            live, xs, F = live[go], xs[go], F[go]
+            p2 = p[go] ** 2
+            coefficients = (s2[live, None] * p2, p2 * b[go] ** 2, p2 * a[go] ** 2)
+            border = (xs, component, weights) if t == 0 else None
+            if n <= LU_UNKNOWNS:
+                dx, cond[live] = _stacked_solve(product[0], product_T[0], coefficients, F,
+                                                border)
+            else:
+                dx, cond[live], work = _krylov_solve(product, product_T, coefficients, F,
+                                                     border, FORCING[step > 0])
+                krylov[live] += work
+            xs *= np.exp(dx / xs)
+            fine = np.isfinite(xs).all(axis=1) & xs.all(axis=1) & np.isfinite(cond[live])
+            live, xs = live[fine], xs[fine]
+            if len(live):
+                _rebalance(xs, gauge)
+                x[live] = xs
+                steps[live] += 1
+    return x, steps, residual, met, cond, krylov
+
+
+def _border(border, n):
+    """The trace rows (c, n) and the gauge columns, one (k, 2n) row per
+    system, of the border (x, component, weights) of `_stacked_solve`."""
+    x, component, weights = border
+    trace = np.zeros((component.max() + 1, n))
+    trace[component, np.arange(n)] = 1.0 if weights is None else weights
+    peak = np.zeros((len(trace), len(x)))
+    np.maximum.at(peak, component, np.maximum(x[:, :n], x[:, n:]).T)
+    scale = np.tile(peak.T[:, component], 2)
+    column = np.divide(x, scale, out=np.ones_like(x), where=scale > 0)
+    column[:, n:] *= -1.0
+    return trace, column
 
 
 def _stacked_solve(A, B, coefficients, F, border=None):
@@ -724,15 +812,8 @@ def _stacked_solve(A, B, coefficients, F, border=None):
     k, n = len(F), F.shape[1] // 2
     trace = None
     if border is not None:
-        x, component, weights = border
-        trace = np.zeros((component.max() + 1, n))
-        trace[component, np.arange(n)] = 1.0 if weights is None else weights
-        peak = np.zeros((len(trace), k))
-        np.maximum.at(peak, component, np.maximum(x[:, :n], x[:, n:]).T)
-        scale = np.tile(peak.T[:, component], 2)
-        column = np.divide(x, scale, out=np.ones_like(x), where=scale > 0)
-        column[:, n:] *= -1.0
-        entries = (slice(None), np.arange(2 * n), 2 * n + np.tile(component, 2))
+        trace, column = _border(border, n)
+        entries = (slice(None), np.arange(2 * n), 2 * n + np.tile(border[1], 2))
     size = 2 * n + (0 if trace is None else len(trace))
     z = _probe(size)
     per = max(1, STACK // (8 * size * size))
@@ -757,10 +838,135 @@ def _stacked_solve(A, B, coefficients, F, border=None):
     return rhs[:, :2 * n, 0], cond
 
 
+def _krylov_solve(product, product_T, coefficients, F, border, forcing):
+    """The systems of `_stacked_solve`, bordered as there, solved by
+    `_gmres` without forming them, each to the relative residual
+    `forcing`.  Returns dx, each system's condition estimate
+    ||M||_inf / sigma_min(R), with R the triangular factor of its
+    Hessenberg matrix, and its GMRES iterations.
+
+    The operator of a system applied to [u | v | lambda] is two `_product`
+    calls on the `_layout` operands, u @ A and v @ B:
+        u - d (u @ A) + cq (v @ B) + column * lambda,
+        v + cqt (u @ A) - d (v @ B) + column * lambda,
+    each multiplier scaling its component's gauge column, and, bordered,
+    the trace rows applied to u - v.  Its ||M||_inf is exact, from the
+    column sums and diagonals of the nonnegative operands.  sigma_min(R)
+    is that of the Arnoldi restriction of M, at least sigma_min(M), so the
+    estimate is at most the true condition number.
+    """
+    (A, panels), (B, panels_T) = product, product_T
+    d, cq, cqt = coefficients
+    k, n = len(F), F.shape[1] // 2
+    column = None
+    trace = np.zeros((0, n))
+    if border is not None:
+        trace, column = _border(border, n)
+        component = np.tile(border[1], 2)
+    sums, sums_T = A.sum(axis=0), B.sum(axis=0)   # the operands are nonnegative
+    diag, diag_T = np.diagonal(A), np.diagonal(B)
+    norm = np.concatenate([np.abs(1.0 - d * diag) + d * (sums - diag) + cq * sums_T,
+                           cqt * sums + np.abs(1.0 - d * diag_T) + d * (sums_T - diag_T)],
+                          axis=1)
+    if column is not None:
+        norm += np.abs(column)
+    norm = np.maximum(norm.max(axis=1), 2.0 * trace.sum(axis=1).max(initial=0.0))
+    Au, Bv = np.empty_like(d), np.empty_like(d)
+
+    def apply(z, out):
+        u, v = z[:, :n], z[:, n:2 * n]
+        _product(u, A, panels, Au)
+        _product(v, B, panels_T, Bv)
+        out[:, :n] = u - d * Au + cq * Bv
+        out[:, n:2 * n] = v + cqt * Au - d * Bv
+        if column is not None:
+            out[:, :2 * n] += column * z[:, 2 * n:][:, component]
+            out[:, 2 * n:] = (u - v) @ trace.T
+
+    rhs = np.zeros((k, 2 * n + len(trace)))
+    rhs[:, :2 * n] = F
+    dx, sigma, iterations = _gmres(apply, rhs, forcing)
+    return dx[:, :2 * n], norm / sigma, iterations
+
+
+def _gmres(apply, b, forcing):
+    """Unrestarted GMRES from zero for every row of b at once, the rows in
+    lock step: `apply(z, out)` writes the operator of each row applied to
+    that row of z into out.  Saad & Schultz, SIAM J. Sci. Stat. Comput. 7
+    (1986).
+
+    Each iteration orthogonalizes the new vector against the basis by two
+    passes of classical Gram-Schmidt, and keeps each row's Givens
+    rotations as one accumulated orthogonal matrix, so a row's residual
+    norm is known at every iteration.  A row stops counting once that
+    norm is at most `forcing` times the norm of its b, and the loop ends
+    when every row has, or after min(KRYLOV, size) iterations.  Returns
+    the solutions, the smallest singular value of each row's triangular
+    factor R (0 where R is singular) and each row's iterations.
+    """
+    k, size = b.shape
+    most = min(KRYLOV, size)
+    basis = np.empty((k, most + 1, size))   # only the vectors it reaches are written
+    R = np.zeros((k, most, most))
+    rotations = np.zeros((k, most + 1, most + 1))   # Q^T of the rotations so far
+    rotations[:, np.arange(most + 1), np.arange(most + 1)] = 1.0
+    beta = np.sqrt(np.einsum("ij,ij->i", b, b))
+    np.divide(b, np.where(beta > 0.0, beta, 1.0)[:, None], out=basis[:, 0])
+    iterations = np.zeros(k, dtype=np.int64)
+    running = beta > 0
+    for j in range(most):
+        w = basis[:, j + 1]
+        apply(basis[:, j], w)
+        if not running.all():
+            w[~running] = 0.0   # a row that stopped adds nothing more to R or the basis
+        done = basis[:, :j + 1]
+        h = np.empty((k, j + 2))
+        c = np.matmul(done, w[:, :, None])
+        w -= np.matmul(c.transpose(0, 2, 1), done)[:, 0]
+        h[:, :j + 1] = c[:, :, 0]
+        np.matmul(done, w[:, :, None], out=c)
+        w -= np.matmul(c.transpose(0, 2, 1), done)[:, 0]
+        h[:, :j + 1] += c[:, :, 0]
+        h[:, j + 1] = norm = np.sqrt(np.einsum("ij,ij->i", w, w))
+        w /= np.where(norm > 0.0, norm, 1.0)[:, None]
+        r = np.matmul(rotations[:, :j + 2, :j + 2], h[:, :, None])[:, :, 0]
+        rho = np.hypot(r[:, j], r[:, j + 1])
+        turn = r[:, j:j + 2] / np.where(rho > 0.0, rho, 1.0)[:, None]
+        cos, sin = turn[:, :1], turn[:, 1:]
+        R[:, :j, j], R[:, j, j] = r[:, :j], rho
+        pair = rotations[:, j:j + 2, :j + 2]
+        top = pair[:, 0].copy()
+        pair[:, 0] *= cos
+        pair[:, 0] += sin * pair[:, 1]
+        pair[:, 1] *= cos
+        pair[:, 1] -= sin * top
+        iterations[running] = j + 1
+        running &= np.abs(rotations[:, j + 1, 0]) > forcing
+        if not running.any():
+            break
+    # each row's least-squares problem, R y = beta Q^T e1 over its own
+    # iterations, with c I past them (c = ||R||_F, so y is zero there and
+    # the smallest singular value is R's own), all rows in one batched
+    # solve; a row whose R is singular or not finite gets NaN
+    m = max(iterations.max(), 1)
+    used = np.arange(m) < iterations[:, None]
+    Rm = R[:, :m, :m].copy()
+    g = np.where(used, beta[:, None] * rotations[:, :m, 0], 0.0)
+    diag = np.arange(m)
+    c = np.sqrt(np.einsum("kij,kij->k", Rm, Rm))
+    Rm[:, diag, diag] += np.where(used, 0.0, np.where(c > 0.0, c, 1.0)[:, None])
+    bad = ~(np.isfinite(Rm).all(axis=(1, 2)) & Rm[:, diag, diag].all(axis=1))
+    Rm[bad], g[bad] = np.eye(m), math.nan
+    sigma = np.where(bad, 0.0, np.linalg.svd(Rm, compute_uv=False)[:, -1])
+    y = np.linalg.solve(Rm, g[:, :, None])
+    x = np.matmul(y.transpose(0, 2, 1), basis[:, :m])[:, 0]
+    return x, sigma, iterations
+
+
 def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
     """The t = 0 solution at every radius of s, by Newton from a loose
     kernel iterate, for the operands (V, sizes) of `_operands`; rows on
-    those unknowns.
+    those unknowns.  V is laid out once, for the kernel and Newton alike.
 
     `_solve_rows` runs at t_min only to NEWTON_START (or fixed_point_tol,
     if looser); a radius that fails there fails as it would at the full
@@ -768,35 +974,40 @@ def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
     Newton steps on the t = 0 equations at once (`_newton`).  A
     radius that meets the t = 0 residual, fixed_point_tol * max(1, max x),
     stays finite and positive, and whose last bordered system passes the
-    condition gate of `derivative_rows` is accepted: it is `at_zero`, its
-    iterations are those of the loose phase plus its Newton steps, and its
-    residual is that of the t = 0 equations.  Where any radius is refused,
-    the kernel solves every radius again from ones at the full tolerance,
-    and each refused radius takes its row: the row, count and error it
-    gets without the endgame, bit for bit, since a product of one row
-    rounds apart from a product of several, and a radius solved alone
-    would take one-row products where it shared them before.
+    condition gate, an estimate at most 1e13 (`_stacked_solve`'s, as in
+    `derivative_rows`, or `_krylov_solve`'s), is accepted: it is
+    `at_zero`, its iterations are those of the loose phase plus its
+    Newton steps, its `krylov` count those of both, and its residual is
+    that of the t = 0 equations.  Where any radius is refused, the kernel
+    solves every radius again from ones at the full tolerance, and each
+    refused radius takes its row: the row, counts and error it gets
+    without the endgame, bit for bit, since a product of one row rounds
+    apart from a product of several, and a radius solved alone would take
+    one-row products where it shared them before.
     """
     s = np.asarray(s, dtype=float)
+    layout = _layout(V, sizes)
+    gauge, product, product_T = layout
     loose = replace(config, fixed_point_tol=max(NEWTON_START, config.fixed_point_tol))
-    rows = _solve_rows(V, s, config.t_min, loose, sizes)
-    gauge, (A, _), (B, _) = _layout(V, sizes)
+    rows = _solve_rows(V, s, config.t_min, loose, sizes, layout)
     order = gauge[0]
     n = len(order)
     live = np.flatnonzero([error is None for error in rows.errors])
-    layout = np.ix_(live, np.concatenate([order, order + n]))   # the rows in layout order
+    where = np.ix_(live, np.concatenate([order, order + n]))   # the rows in layout order
     x = np.concatenate([rows.q, rows.q_tilde], axis=1)
-    x[layout], steps, residual, met, cond = _newton(
-        A, B, x[layout], s[live] ** 2, 0.0, config.fixed_point_tol, gauge)
+    x[where], steps, residual, met, cond, krylov = _newton(
+        product, product_T, x[where], s[live] ** 2, 0.0, config.fixed_point_tol, gauge)
     accepted = met & (cond <= 1e13)
     take, again = live[accepted], live[~accepted]
     rows.iterations[take] += steps[accepted]
+    rows.krylov[take] += krylov[accepted]
     rows.residual[take] = residual[accepted]
     rows.at_zero[take] = True
     if len(again):
-        kernel = _solve_rows(V, s, config.t_min, config, sizes)
+        kernel = _solve_rows(V, s, config.t_min, config, sizes, layout)
         x[again] = np.concatenate([kernel.q[again], kernel.q_tilde[again]], axis=1)
         rows.iterations[again] = kernel.iterations[again]
+        rows.krylov[again] = kernel.krylov[again]
         rows.residual[again] = kernel.residual[again]
         for i in again:
             rows.errors[i] = kernel.errors[i]
@@ -809,20 +1020,15 @@ def _solve_inside(profile: VarianceProfile, s, config: SolverConfig, past=0) -> 
     `solve_curve` and of the exact `vps.measures.density`, which
     `solve_route` names:
     - a profile with `rank_one_factors`: `_solve_rank_one`, at t = 0;
-    - `_operands` with at most LU_UNKNOWNS unknowns per half (the p pair
-      classes, or n): `_solve_at_zero_rows`, at t = 0 where the Newton
-      endgame is accepted, and the kernel's row at t_min where the
-      condition gate or the t = 0 residual refuses it;
-    - otherwise: the kernel at t_min.
+    - otherwise `_solve_at_zero_rows` on its `_operands` (the p pair
+      classes, or V itself): at t = 0 where the Newton endgame is
+      accepted, and the kernel's row at t_min where the condition gate or
+      the t = 0 residual refuses it.
     """
     if profile.rank_one_factors is not None:
         return _lift(_solve_rank_one(profile, s, config), None, past)
     V, sizes, label = _operands(profile)
-    if V.shape[0] <= LU_UNKNOWNS:
-        rows = _solve_at_zero_rows(V, s, config, sizes)
-    else:
-        rows = _solve_rows(V, s, config.t_min, config, sizes)
-    return _lift(rows, label, past)
+    return _lift(_solve_at_zero_rows(V, s, config, sizes), label, past)
 
 
 def solve_route(profile: VarianceProfile) -> str:
@@ -831,9 +1037,10 @@ def solve_route(profile: VarianceProfile) -> str:
     that fail its check take the kernel's route, and the density in closed
     form), "quotient (p classes)" (the kernel and `derivative_rows` on the
     pair-class quotient) or "full" (both on V, the derivative by dense
-    LUs).  Either of the last two ends with the t = 0 Newton when it has
-    at most LU_UNKNOWNS unknowns per half, and keeps t_min otherwise.  It
-    reads the same cached properties as the solves."""
+    LUs).  Either of the last two ends with the t = 0 Newton, its steps
+    solved by stacked LUs with at most LU_UNKNOWNS unknowns per half and
+    by GMRES past it.  It reads the same cached properties as the
+    solves."""
     if profile.rank_one_factors is not None:
         return "separable (rank 1)"
     classes = profile.pair_classes
@@ -855,7 +1062,8 @@ def solve_regularized(profile: VarianceProfile, s: float, t: float,
 def anneal_to_limit(profile: VarianceProfile, s: float,
                     config: SolverConfig | None = None) -> MESolution:
     """t -> 0 limit q(s): the one-radius call of `solve_curve`, so exact
-    zeros for s >= sqrt(rho) and the solution at t_min below.  Raises the
+    zeros for s >= sqrt(rho) and below the solution of the profile's
+    route, at t = 0 unless the endgame refuses the radius.  Raises the
     curve's NoConvergenceError if the solve fails."""
     if s <= 0:
         raise ValueError("s must be positive")
@@ -920,7 +1128,8 @@ class CurveProducts:
     the nontrivial radii.  (A, B) are the operands of `_layout` in the
     caller's order: V and V^T, or diag(sizes) Vbar and diag(sizes) Vbar^T
     on the quotient, and `label` lifts a quotient row to n entries (None on
-    all n)."""
+    all n).  `component` is the label of each unknown's connected
+    component of the pattern of A + A^T, as `_gauge` labels them."""
 
     s2: np.ndarray
     q: np.ndarray
@@ -933,13 +1142,16 @@ class CurveProducts:
     A: np.ndarray
     B: np.ndarray
     label: np.ndarray | None
+    component: np.ndarray
 
 
-def curve_products(profile: VarianceProfile, s, q, q_tilde) -> CurveProducts:
+def curve_products(profile: VarianceProfile, s, q, q_tilde, component=None) -> CurveProducts:
     """`CurveProducts` of the solutions (q, q_tilde), (m, n) arrays with
     one row per radius of s, of the profile: their rows on one entry per
     pair class (each class's first index) or on all n, and two matrix
-    products for all of them."""
+    products for all of them.  `component` gives the components' labels
+    on those unknowns, as the solve found them (`_Rows.component`);
+    None labels them here."""
     classes = profile.pair_classes
     if classes is None:
         V = profile.normalized
@@ -950,10 +1162,13 @@ def curve_products(profile: VarianceProfile, s, q, q_tilde) -> CurveProducts:
         pick = np.unique(label, return_index=True)[1]
     q, qt = q[:, pick], q_tilde[:, pick]
     v_qt = qt @ B
+    if component is None:
+        component = _scc((A != 0) | (A.T != 0))
     return CurveProducts(
         s2=np.asarray(s, dtype=float) ** 2, q=q, q_tilde=qt,
         vt_q=q @ A, v_qt=v_qt, w=(q * v_qt) @ weights,
-        live=q.any(axis=1) | qt.any(axis=1), weights=weights, A=A, B=B, label=label)
+        live=q.any(axis=1) | qt.any(axis=1), weights=weights, A=A, B=B, label=label,
+        component=component)
 
 
 @functools.lru_cache(maxsize=8)
@@ -991,7 +1206,7 @@ def derivative_rows(products: CurveProducts, rows):
     s2, q, qt = products.s2[rows, None], products.q[rows], products.q_tilde[rows]
     p = 1.0 / (s2 + products.v_qt[rows] * products.vt_q[rows])
     x = np.concatenate([q, qt], axis=1)
-    border = (x, _scc((A != 0) | (A.T != 0)), products.weights)
+    border = (x, products.component, products.weights)
     dx, cond = _stacked_solve(A, products.B, (s2 * p ** 2, q ** 2, qt ** 2),
                               -np.tile(p, 2) * x, border)
     finite = np.isfinite(dx).all(axis=1)
@@ -1039,12 +1254,12 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     iterations = 0, residual = 0.0 and no error (see the module docstring).
     The radii below are solved together by `_solve_inside`: on a rank-one
     profile at t = 0 by `_solve_rank_one`, which hands any radius that fails
-    its check to the kernel; on at most LU_UNKNOWNS unknowns per half at
-    t = 0 by the kernel to NEWTON_START and the Newton endgame, with the
-    kernel's row at t_min wherever the endgame is refused; and otherwise by
-    the batched kernel at t = t_min, each from ones.  `rows.at_zero` marks
+    its check to the kernel; otherwise at t = 0 by the batched kernel to
+    NEWTON_START, each from ones, and the Newton endgame, with the kernel's
+    row at t_min wherever the endgame is refused.  `rows.at_zero` marks
     the radii solved at t = 0; their iterations include the Newton steps,
-    and their residual is that of the t = 0 equations.  A failed radius
+    `rows.krylov` counts the GMRES iterations of those steps, and their
+    residual is that of the t = 0 equations.  A failed radius
     keeps its place as a zero row with residual = inf, the iterations it
     ran and the kernel's message.  The record's arrays are read-only: the
     curve caches its `products` from them.  The curve carries rho, so
@@ -1063,6 +1278,6 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
         raise ValueError("s_grid must be finite, strictly increasing and positive")
     inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
     rows = _solve_inside(profile, s_grid[:inside], config, len(s_grid) - inside)
-    for a in (rows.q, rows.q_tilde, rows.iterations, rows.residual, rows.at_zero):
+    for a in (rows.q, rows.q_tilde, rows.iterations, rows.residual, rows.at_zero, rows.krylov):
         a.setflags(write=False)
     return MECurve(profile, s_grid, rows, rho, config)

@@ -377,6 +377,23 @@ class TestDensity:
             assert lines[route[0] + 1] == f"t0_radii = {accepted} of {inside}"
             assert 0 < accepted and (accepted == inside) == (profile != str(path))
 
+    def test_sidecar_counts_the_krylov_iterations(self, block_profile_csv, tmp_path):
+        # the GMRES iterations of the t = 0 Newton, summed over the radii:
+        # none where its steps are solved by LU, as on the quotient
+        path = tmp_path / "dense.csv"
+        write_profile_csv(validate_profile(
+            np.random.default_rng(11).uniform(0.5, 2.0, size=(30, 30))), path)
+        out = str(tmp_path / "dens.csv")
+        for profile, positive in ((block_profile_csv, False), (str(path), True)):
+            assert main(["density", "--profile", profile, "--grid", "0.05:0.6:12",
+                         "--out", out]) == 0
+            lines = open(out + ".info.txt").read().splitlines()
+            at = next(i for i, line in enumerate(lines) if line.startswith("t0_radii"))
+            curve = solve_curve(read_profile_csv(profile), vps.cli._parse_grid("0.05:0.6:12"))
+            total = int(curve.rows.krylov.sum())
+            assert lines[at + 1] == f"krylov_iters = {total}"
+            assert (total > 0) == positive
+
     def test_sidecar_names_the_dense_route(self, tmp_path):
         # a positive random profile has neither rank one nor pair classes:
         # the kernel runs on V and the derivative by the dense LU

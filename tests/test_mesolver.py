@@ -786,9 +786,9 @@ class TestSolveCurve:
         seen = []
         kernel = vps.mesolver._solve_rows
 
-        def recorded(V, s, t, config, sizes=None):
+        def recorded(V, s, t, config, *rest):
             seen.extend(s)
-            return kernel(V, s, t, config, sizes)
+            return kernel(V, s, t, config, *rest)
 
         monkeypatch.setattr(vps.mesolver, "_solve_rows", recorded)
         curve = solve_curve(p, grid)
@@ -835,8 +835,19 @@ class TestSolveCurve:
             return newton(A, B, x, s2, t, tol, gauge)
 
         monkeypatch.setattr(vps.mesolver, "_newton", counted)
-        curve = solve_curve(p, grid, config)
+        # the kernel at t_min to the full tolerance, as a refused radius
+        # takes it: past LU_UNKNOWNS its hand-offs are solved by GMRES
+        inside = grid[grid < math.sqrt(spectral_radius(p))]
+        kernel = vps.mesolver._solve(p, inside, config.t_min, config)
         assert sum(rows for t, rows in handed if t > 0) > 0
+        assert not any(kernel.errors) and kernel.krylov.sum() > 0
+        balance = kernel.q.sum(axis=1) - kernel.q_tilde.sum(axis=1)
+        assert (np.abs(balance) / p.n <= 1e-10).all()
+        # the curve takes the t = 0 endgame from the loose kernel instead
+        handed.clear()
+        curve = solve_curve(p, grid, config)
+        assert [t for t, _ in handed] == [0.0]
+        assert curve.rows.at_zero.sum() == len(inside) and curve.rows.krylov.sum() > 0
         assert curve.failed_indices == ()
         for sol in curve.solutions:
             assert abs(sol.q.sum() - sol.q_tilde.sum()) / p.n <= 1e-10
@@ -886,11 +897,12 @@ class TestCurveRecord:
         assert len(past) and past[-1] == len(curve.s_grid) - 1
         assert not rows.q[past].any() and not rows.q_tilde[past].any()
         assert not rows.iterations[past].any() and not rows.residual[past].any()
+        assert not rows.krylov.any()   # the quotient's Newton steps are solved by LU
         assert all(rows.errors[i] is None for i in past)
 
     def test_record_is_read_only(self, starved):
         rows = starved[0].rows
-        for a in (rows.q, rows.q_tilde, rows.iterations, rows.residual):
+        for a in (rows.q, rows.q_tilde, rows.iterations, rows.residual, rows.krylov):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             rows.q[0, 0] = 1.0
@@ -1002,6 +1014,154 @@ class TestEndgame:
         assert stacks[0] == 4
         assert list(rows.at_zero) == [True, True, False, True]
         self.assert_kernel_rows(p, grid, rows, np.arange(4) == 2)
+
+
+def zero_column_12_and_block():
+    """The direct sum of `zero_column_12` and a positive 16 x 16 block:
+    n = 28 past LU_UNKNOWNS, two components, and the 12 x 12 pattern's
+    boundary points at small radii."""
+    a = np.zeros((28, 28))
+    a[:12, :12] = zero_column_12().variances
+    a[12:, 12:] = np.random.default_rng(7).uniform(0.5, 2.0, size=(16, 16))
+    return validate_profile(a)
+
+
+class TestKrylovRoute:
+    """Past LU_UNKNOWNS unknowns per half the t = 0 Newton solves its steps
+    by GMRES; it agrees with the stacked LUs, and its condition gate
+    refuses what theirs would."""
+
+    @staticmethod
+    def endgames(monkeypatch):
+        """Record (met, cond) of every t = 0 call of `_newton`."""
+        calls = []
+        newton = vps.mesolver._newton
+
+        def recorded(A, B, x, s2, t, tol, gauge):
+            out = newton(A, B, x, s2, t, tol, gauge)
+            if t == 0:
+                calls.append((out[3].copy(), out[4].copy()))
+            return out
+
+        monkeypatch.setattr(vps.mesolver, "_newton", recorded)
+        return calls
+
+    @pytest.mark.parametrize("bordered", [False, True])
+    def test_solves_the_stacked_systems(self, bordered):
+        # the matrix-free operator is the `_linearization`, bordered once
+        # per component at t = 0; its condition estimate is at most
+        # ||M||_inf / sigma_min(M)
+        rng = np.random.default_rng(9)
+        n, component = 30, np.repeat([0, 1], [12, 18])
+        V = rng.uniform(0.5, 1.5, size=(n, n)) * (component[:, None] == component) / n
+        x = rng.uniform(0.1, 2.0, size=(3, 2 * n))
+        coefficients = rng.uniform(0.1, 1.0, size=(3, 3, n))
+        F = rng.uniform(-1.0, 1.0, size=(3, 2 * n))
+        border = (x, component, None) if bordered else None
+        made = []
+        linearization = vps.mesolver._linearization
+
+        def recorded(*args, trace=None):
+            made.append(linearization(*args, trace=trace))
+            return made[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vps.mesolver, "_linearization", recorded)
+            want, _ = vps.mesolver._stacked_solve(V, V.T, coefficients, F, border)
+        got, cond, iterations = vps.mesolver._krylov_solve(
+            (V, _envelope(V)), (V.T, _envelope(V.T)), coefficients, F, border, 1e-12)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert (0 < iterations).all() and (iterations < 2 * n).all()
+        (M,) = made
+        exact = np.abs(M).sum(axis=-1).max(axis=-1) / np.linalg.svd(M, compute_uv=False)[:, -1]
+        assert (cond <= exact * (1 + 1e-10)).all() and (cond >= 1.0).all()
+
+    def test_matches_the_lu_route(self, monkeypatch):
+        p = validate_profile(np.random.default_rng(11).uniform(0.5, 2.0, size=(30, 30)))
+        assert solve_route(p) == "full"
+        grid = default_s_grid(math.sqrt(spectral_radius(p)), 30)
+        inside = grid < math.sqrt(spectral_radius(p))
+        krylov = solve_curve(p, grid).rows
+        monkeypatch.setattr(vps.mesolver, "LU_UNKNOWNS", 32)
+        lu = solve_curve(p, grid).rows
+        np.testing.assert_array_equal(krylov.at_zero, lu.at_zero)
+        assert krylov.at_zero[inside].all()
+        assert (krylov.krylov[inside] > 0).all() and not lu.krylov.any()
+        assert not krylov.krylov[~inside].any()
+        for got, want in ((krylov.q, lu.q), (krylov.q_tilde, lu.q_tilde)):
+            scale = np.abs(want[inside]).max(axis=1)
+            assert (np.abs(got - want)[inside].max(axis=1) <= 1e-10 * scale).all()
+
+    def test_gate_refuses_where_the_lu_gate_would(self, monkeypatch):
+        p = zero_column_12_and_block()
+        assert solve_route(p) == "full" and len(_gauge(p.normalized)[1]) == 2
+        grid = math.sqrt(spectral_radius(p)) * np.linspace(0.02, 0.98, 40)
+        calls = self.endgames(monkeypatch)
+        curve = solve_curve(p, grid)
+        rows, config = curve.rows, curve.config
+        assert curve.failed_indices == ()
+        refused = ~rows.at_zero
+        assert 0 < refused.sum() < 40
+        TestEndgame.assert_kernel_rows(p, grid, rows, refused)
+        q, qt = rows.q[rows.at_zero], rows.q_tilde[rows.at_zero]
+        bound = config.fixed_point_tol * np.maximum(1.0, np.maximum(q, qt).max(axis=1))
+        s2 = grid[rows.at_zero, None] ** 2
+        assert (_residual_at_zero(p.normalized, q, qt, s2) <= bound).all()
+        assert rows.krylov[rows.at_zero].all()
+        # the stacked LUs meet the t = 0 residual at the refused radii, and
+        # their gate refuses them; GMRES's estimate passes 1e13 there too
+        monkeypatch.setattr(vps.mesolver, "LU_UNKNOWNS", 32)
+        lu = solve_curve(p, grid).rows
+        (_, krylov_cond), (lu_met, lu_cond) = calls
+        np.testing.assert_array_equal(lu.at_zero, rows.at_zero)
+        assert lu_met[refused].all() and (lu_cond[refused] > 1e13).all()
+        assert (krylov_cond[refused] > 1e13).all()
+        assert (krylov_cond[rows.at_zero] <= 1e13).all()
+
+    def test_band_model_b_at_t_zero(self):
+        # every radius is solved at t = 0, where the kernel at t = 1e-10 and
+        # 2e-10 extrapolates to (Richardson in t: its bias is linear)
+        p = build_sampled(band_model_b, 200)
+        edge = math.sqrt(spectral_radius(p))
+        grid = default_s_grid(edge, 30)
+        inside = grid < edge
+        curve = solve_curve(p, grid, SolverConfig(fixed_point_tol=1e-9, t_min=1e-8))
+        assert np.array_equal(curve.rows.at_zero, inside)
+        V = p.normalized
+
+        def F(t):
+            rows = _solve_rows(V, grid[inside], t, SolverConfig(fixed_point_tol=1e-12))
+            assert not any(rows.errors)
+            return 1.0 - (rows.q * (rows.q_tilde @ V.T)).sum(axis=1) / p.n
+
+        assert np.abs(cdf(curve)[inside] - (2 * F(1e-10) - F(2e-10))).max() <= 1e-9
+
+    def test_lays_v_out_once(self, monkeypatch):
+        # the loose kernel, Newton and the kernel's second run for the
+        # refused radius share one layout, and the derivative reads the
+        # components the solve labeled
+        layouts, labels = [], []
+        layout, scc = vps.mesolver._layout, vps.mesolver._scc
+
+        def counted(V, sizes=None):
+            layouts.append(V.shape)
+            return layout(V, sizes)
+
+        def labeled(pattern):
+            labels.append(pattern.shape)
+            return scc(pattern)
+
+        monkeypatch.setattr(vps.mesolver, "_layout", counted)
+        monkeypatch.setattr(vps.mesolver, "_scc", labeled)
+        p = zero_column_12_and_block()
+        grid = math.sqrt(spectral_radius(p)) * np.array([0.05, 0.5, 0.9])
+        curve = solve_curve(p, grid)
+        assert list(curve.rows.at_zero) == [False, True, True]
+        assert layouts == [(28, 28)] and labels == [(28, 28)]
+        vps.mesolver.derivative_rows(curve.products, [1, 2])
+        assert labels == [(28, 28)]
+        np.testing.assert_array_equal(curve.products.component,
+                                      np.repeat([0, 1], [12, 16]))
 
 
 class TestRankOneRoute:
