@@ -12,8 +12,10 @@ reads at most 1e-3 is skipped (a nilpotent pattern, where the power
 iteration does not settle).  Each of the first `--profiles` profiles kept is
 solved by `solve_curve` on the 20-point `default_s_grid` up to its support
 radius, with `max_iters` = 60,000 and the other settings at their defaults.
-It prints the total iterations of all radii, the failed radii and the
-iterations of the longest radius.
+It prints the total iterations of all radii, the failed radii, the refused
+radii (inside radii that kept the kernel's t_min row: not solved at t = 0,
+and not failed), the iterations of the longest radius and the survey's wall
+time, which is not part of the record.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 
@@ -56,13 +59,15 @@ def draws(rng):
 def measure(profiles) -> dict:
     """The survey on the first `profiles` kept draws, with the `vps` this
     interpreter imports: the profiles solved, the draws skipped, the total
-    iterations, the failed radii and the longest radius's iterations."""
+    iterations, the failed and refused radii and the longest radius's
+    iterations."""
     from vps.core import NoConvergenceError, SolverConfig, default_s_grid, validate_profile
     from vps.mesolver import solve_curve
     from vps.profiles import spectral_radius
 
     config = SolverConfig(max_iters=60_000)
-    record = {"profiles": 0, "skipped": 0, "iterations": 0, "failed": 0, "longest": 0}
+    record = {"profiles": 0, "skipped": 0, "iterations": 0, "failed": 0, "refused": 0,
+              "longest": 0}
     for a in draws(np.random.default_rng(12345)):
         if record["profiles"] == profiles:
             break
@@ -74,10 +79,14 @@ def measure(profiles) -> dict:
         if rho <= 1e-3:
             record["skipped"] += 1
             continue
-        rows = solve_curve(profile, default_s_grid(math.sqrt(rho), 20), config).rows
+        curve = solve_curve(profile, default_s_grid(math.sqrt(rho), 20), config)
+        rows = curve.rows
+        failed = np.array([error is not None for error in rows.errors])
+        inside = curve.s_grid < math.sqrt(curve.rho)
         record["profiles"] += 1
         record["iterations"] += int(rows.iterations.sum())
-        record["failed"] += sum(error is not None for error in rows.errors)
+        record["failed"] += int(failed.sum())
+        record["refused"] += int((inside & ~failed & ~rows.at_zero).sum())
         record["longest"] = max(record["longest"], int(rows.iterations.max()))
     return record
 
@@ -99,6 +108,7 @@ def main(argv=None) -> int:
     p.add_argument("checkout", help="checkout whose src/ provides vps")
     p.add_argument("--profiles", type=int, default=148, help="profiles to solve (default 148)")
     args = p.parse_args(argv)
+    start = time.perf_counter()
     try:
         record = survey(args.checkout, args.profiles)
     except RuntimeError as exc:
@@ -106,7 +116,9 @@ def main(argv=None) -> int:
         return 2
     print(f"{record['profiles']} profiles ({record['skipped']} draws skipped): "
           f"{record['iterations']:,} iterations, {record['failed']} failed radii, "
-          f"longest radius {record['longest']:,} iterations")
+          f"{record['refused']} refused radii, "
+          f"longest radius {record['longest']:,} iterations, "
+          f"{time.perf_counter() - start:.1f} s")
     return 0
 
 

@@ -152,8 +152,8 @@ def _cmd_solve(args) -> int:
     curve = _solve(args)
     with open(args.out, "w") as fh:
         fh.write("s,t_final,sum_q,sum_qtilde,inner,residual,iterations\n")
-        rows = curve.rows   # t_final is 0.0: the curve is the t -> 0 limit
-        for row in zip(curve.s_grid, [0.0] * len(curve.s_grid), rows.q.sum(axis=1),
+        rows = curve.rows
+        for row in zip(curve.s_grid, curve.t, rows.q.sum(axis=1),
                        rows.q_tilde.sum(axis=1), curve.products.w / curve.profile.n,
                        rows.residual, rows.iterations):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

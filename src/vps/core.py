@@ -224,17 +224,18 @@ class SolverConfig:
     """Tolerance, iteration budget and regularization of the fixed-point
     solver.
 
-    Each radius is solved once, at t = t_min, to the sup-norm fixed point
-    tolerance fixed_point_tol (relative to the solution's largest entry
-    once it exceeds 1) within max_iters iterations; each must be finite
-    and positive.  Every route but the rank-one one runs the kernel at
-    t_min only to `mesolver.NEWTON_START` = 1e-3 within max_iters, and
-    then solves the t = 0 equations by Newton to the same
-    fixed_point_tol, behind a condition gate: by stacked LUs with at most
-    `mesolver.LU_UNKNOWNS` = 24 unknowns per half, and by GMRES past it.
-    A radius that Newton does not solve keeps the kernel's solution at
-    t_min, to fixed_point_tol.  No setting decides the trivial regime:
-    radii at or past the support radius are exact zeros.
+    Each radius is solved at t = 0 to the sup-norm fixed point tolerance
+    fixed_point_tol (relative to the solution's largest entry once it
+    exceeds 1); each value must be finite and positive.  A rank-one
+    profile is solved in closed form, and a lift that fails its check
+    takes the other routes' path: the kernel at t_min from ones only to
+    `mesolver.NEWTON_START` = 1e-3 within max_iters iterations, then
+    Newton on the t = 0 equations behind a condition gate, by stacked LUs
+    with at most `mesolver.LU_UNKNOWNS` = 24 unknowns per half and by
+    GMRES past it.  The radii that Newton refuses are solved by the kernel
+    at t_min to fixed_point_tol within max_iters; `MECurve.t` names each
+    radius's t.  No setting decides the trivial regime: radii at or past
+    the support radius are exact zeros.
     """
 
     fixed_point_tol: float = 1e-12

@@ -66,21 +66,21 @@ t = 0 solution itself, with no t_min.  Where s^2 >= sum(pi), the only
 nonzero eigenvalue of V, there is no root and zero is the exact solution;
 that covers the slack of the computed rho and nilpotent patterns.  No rank
 tolerance decides an output: every lifted radius is checked against the
-t = 0 residual on V itself, by the kernel's stopping rule, and a radius
-that fails it is solved by the kernel (`_solve`) as any other profile's.
+t = 0 residual on V itself, by the kernel's stopping rule, and the radii
+that fail it take any other profile's route, `_solve_at_zero_rows`.
 
 One routine, `_newton`, takes every Newton step, for many rows at once:
 the kernel's hand-offs at t_min and the t = 0 endgame below.  Its systems
 are bordered at t = 0 once per component by its trace row and gauge
 direction, and not at t > 0, where the gauge is no symmetry.  On a route
 with at most LU_UNKNOWNS = 24 unknowns per half (the p classes of the
-quotient, or n on V itself) they are stacked into one LU solve per STACK
-bytes (`_stacked_solve`).  Past it they are solved by GMRES without
-being formed (`_krylov_solve`; Jacobian-free Newton-Krylov, Knoll &
-Keyes, J. Comput. Phys. 193, 2004): one GMRES iteration applies the
-operator by two `_product` calls on the envelope panels, as one kernel
-iteration does, and the rows take their steps in chunks whose Krylov
-bases hold at most max(n^2, BASIS) doubles.
+quotient, or n on V itself) they are solved by stacked LUs
+(`_stacked_solve`).  Past it they are solved by GMRES without being
+formed (`_krylov_solve`; Jacobian-free Newton-Krylov, Knoll & Keyes,
+J. Comput. Phys. 193, 2004): one GMRES iteration applies the operator by
+two `_product` calls on the envelope panels, as one kernel iteration
+does.  Either way the systems go in chunks whose stacked LU systems or
+Krylov bases hold at most max(n^2, BASIS) doubles.
 
 Every route but the rank-one one solves the t = 0 equations
 (`_solve_at_zero_rows`): the kernel runs at t_min only to NEWTON_START =
@@ -88,16 +88,17 @@ Every route but the rank-one one solves the t = 0 equations
 meets the kernel's stopping rule at t = 0, stays positive, and its last
 system passes the condition gate (an estimate at most 1e13: that of
 `derivative_rows` for the LUs, ||M||_inf / sigma_min of the Hessenberg
-factor for GMRES); a refused radius keeps the kernel's row at t_min.  The
-gate refuses the boundary points that patterns without total support
-converge to at small radii: on the 12 x 12 pattern of the tests, 24 of 40
-radii, with estimates of 2e33 and more, where its 12 accepted radii stay
-below 1e9, the block atom's below 1e8 and dense profiles' below 100; with
-a positive 16 x 16 block beside it, past LU_UNKNOWNS, GMRES refuses the
-same radii, its estimates 6e13 and more.  On the block atom at n = 300
-all 190 inside radii are accepted in at most 5 steps, F moves from 1.9e-9
-to 1.8e-12 off the closed form, and the curve is solved in a third of the
-time.  On band model B at n = 800 (28 radii, t_min = 1e-8,
+factor for GMRES).  The refused radii alone are solved again by the
+kernel at t_min to the full tolerance: the one path of a curve's radius
+to t_min.  The gate refuses the boundary points that patterns without
+total support converge to at small radii: on the 12 x 12 pattern of the
+tests, 24 of 40 radii, with estimates of 2e33 and more, where its 12
+accepted radii stay below 1e9, the block atom's below 1e8 and dense
+profiles' below 100; with a positive 16 x 16 block beside it, past
+LU_UNKNOWNS, GMRES refuses the same radii, its estimates 6e13 and more.
+On the block atom at n = 300 all 190 inside radii are accepted in at
+most 5 steps, F moves from 1.9e-9 to 1.8e-12 off the closed form, and
+the curve is solved in a third of the time.  On band model B at n = 800 (28 radii, t_min = 1e-8,
 fixed_point_tol = 1e-9) the loose kernel's longest radius takes 99
 iterations against 1,057 to the full tolerance, every radius is accepted
 in 2 or 3 steps and at most 43 GMRES iterations, F moves from 1.8e-8 to
@@ -113,10 +114,10 @@ by default `default_s_grid` up to the support radius, and keeps the
 route's `_Rows` record once, as `MECurve.rows`, lifted to n entries and
 padded past the edge with zero rows in one copy; `rows.at_zero` marks the
 radii solved at t = 0, `rows.krylov` counts each radius's GMRES
-iterations, and the curve's `MESolution` views and failed radii are read
-from it.  `anneal_to_limit` is its one-radius call, and
-`solve_regularized` is a one-row call of the kernel at the caller's t,
-which never takes the endgame.
+iterations, and the curve's t per radius (`MECurve.t`), `MESolution`
+views and failed radii are read from it.  `anneal_to_limit` is its
+one-radius call, and `solve_regularized` is a one-row call of the kernel
+at the caller's t, which never takes the endgame.
 
 The measures read a curve once, through `MECurve.products`: its rows and
 the products V q_tilde and V^T q at every radius, on one entry per pair
@@ -202,14 +203,6 @@ PANEL = 64
 # products give the same rounding as ever.  The block atom profile (k = 3,
 # n = 300) would read 55% of V.
 SPLIT = 0.5
-# Bytes of bordered systems that `derivative_rows` stacks into one LU
-# solve.  On dense profiles at n = 12, 64 and 200 (default grids; 2 cores,
-# OpenBLAS, best of 5) budgets from 256 KiB to 16 MiB took 3.6-4.3, 48-60
-# and 498-612 ms, against 19, 66 and 526 ms one radius at a time: past the
-# per-call overhead a larger stack gains nothing.  The 5 x 5 systems of the
-# block atom's quotient all go in one; a (2n + 1) system past it, 20.5 MB
-# at n = 800, is solved alone.
-STACK = 2 ** 20
 # Newton on the t = 0 equations (`_solve_at_zero_rows`) ends every route
 # but the rank-one one.  Each Newton step, the kernel's hand-offs
 # included, is solved by stacked LUs for all its rows at once on a route
@@ -228,9 +221,12 @@ NEWTON_START = 1e-3
 # GMRES (`_krylov_solve`) keeps at most KRYLOV basis vectors per system,
 # unrestarted, and stops at the relative residual FORCING[0] at a Newton
 # call's first step and FORCING[1] after it (on band model B at n = 800,
-# at most 25 iterations a step).  Its rows are solved in chunks whose
-# bases hold at most max(n^2, BASIS) doubles, the size of V or 4 MiB: 7
-# rows at n = 800, where a basis for all 28 radii would take 22 MB.
+# at most 25 iterations a step).  Every stacked work array of a chunk of
+# rows, a Krylov basis or the systems of one stacked LU solve, holds at
+# most max(n^2, BASIS) doubles, the size of V or 4 MiB: 7 rows at n = 800,
+# where a basis for all 28 radii would take 22 MB.  On dense profiles at
+# n = 12, 64 and 200, LU stacks from 256 KiB to 16 MiB took 3.6-4.3, 48-60
+# and 498-612 ms, against 19, 66 and 526 ms one radius at a time.
 KRYLOV = 50
 FORCING = (1e-4, 1e-8)
 BASIS = 2 ** 19
@@ -248,11 +244,21 @@ class MECurve:
     config: SolverConfig
 
     @functools.cached_property
+    def t(self) -> np.ndarray:
+        """Each radius's t, read from the record: 0.0 where `rows.at_zero`
+        holds or s >= sqrt(rho), and t_min elsewhere (read-only)."""
+        zero = self.rows.at_zero | (self.s_grid >= math.sqrt(self.rho))
+        t = np.where(zero, 0.0, self.config.t_min)
+        t.setflags(write=False)
+        return t
+
+    @functools.cached_property
     def solutions(self) -> tuple:
-        """One `MESolution` per radius, at t = 0, viewing the rows."""
+        """One `MESolution` per radius, at its `t`, viewing the rows."""
         rows = self.rows
-        return tuple(MESolution(float(s), 0.0, q, qt, int(it), float(res)) for s, q, qt, it, res
-                     in zip(self.s_grid, rows.q, rows.q_tilde, rows.iterations, rows.residual))
+        return tuple(MESolution(float(s), float(t), q, qt, int(it), float(res))
+                     for s, t, q, qt, it, res in zip(self.s_grid, self.t, rows.q, rows.q_tilde,
+                                                     rows.iterations, rows.residual))
 
     @property
     def failed_indices(self) -> tuple:
@@ -659,9 +665,9 @@ def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
 
     Each lift is checked by the kernel's stopping rule, the residual of
     `_residual_at_zero` at most fixed_point_tol times max(1, the largest
-    entry), and that residual is reported.  A radius that fails the check,
-    or whose lift is not finite, is solved by `_solve` at t_min, with the
-    kernel's iterations, residual and error.
+    entry), and that residual is reported.  The radii that fail the check,
+    or whose lift is not finite, take the route of any other profile,
+    `_solve_at_zero_rows` on its `_operands`, with its record.
     """
     a, b = profile.rank_one_factors
     s = np.asarray(s, dtype=float)
@@ -679,8 +685,9 @@ def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
     at_zero = residual <= config.fixed_point_tol * scale
     bad = np.flatnonzero(~at_zero)
     if len(bad):
-        rows = _solve(profile, s[bad], config.t_min, config)
-        q[bad], qt[bad] = rows.q, rows.q_tilde
+        V, sizes, label = _operands(profile)
+        rows = _lift(_solve_at_zero_rows(V, s[bad], config, sizes), label)
+        q[bad], qt[bad], at_zero[bad] = rows.q, rows.q_tilde, rows.at_zero
         steps[bad], residual[bad], krylov[bad] = rows.iterations, rows.residual, rows.krylov
         for i, error in zip(bad, rows.errors):
             errors[i] = error
@@ -793,8 +800,8 @@ def _stacked_solve(A, B, coefficients, F, border=None):
     """Solve (I - J) dx = F for every row of F, with I - J the
     `_linearization` of the operands (A, B) at that row's coefficient
     vectors (d, cq, cqt), the systems stacked into one `np.linalg.solve`
-    per STACK bytes; a singular stack is solved again one system at a time,
-    and a singular system's solution is NaN.  Returns dx and each system's
+    per max(n^2, BASIS) doubles; a singular stack is solved again one
+    system at a time, and a singular system's solution is NaN.  Returns dx and each system's
     condition estimate ||M||_inf ||M^-1 z||_inf / ||z||_inf, with the
     `_probe` z as a second right-hand side.
 
@@ -816,7 +823,7 @@ def _stacked_solve(A, B, coefficients, F, border=None):
         entries = (slice(None), np.arange(2 * n), 2 * n + np.tile(border[1], 2))
     size = 2 * n + (0 if trace is None else len(trace))
     z = _probe(size)
-    per = max(1, STACK // (8 * size * size))
+    per = max(1, max(n * n, BASIS) // (size * size))
     rhs = np.zeros((k, size, 2))
     rhs[:, :2 * n, 0], rhs[:, :, 1] = F, z
     cond = np.empty(k)
@@ -978,12 +985,10 @@ def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
     `derivative_rows`, or `_krylov_solve`'s), is accepted: it is
     `at_zero`, its iterations are those of the loose phase plus its
     Newton steps, its `krylov` count those of both, and its residual is
-    that of the t = 0 equations.  Where any radius is refused, the kernel
-    solves every radius again from ones at the full tolerance, and each
-    refused radius takes its row: the row, counts and error it gets
-    without the endgame, bit for bit, since a product of one row rounds
-    apart from a product of several, and a radius solved alone would take
-    one-row products where it shared them before.
+    that of the t = 0 equations.  The refused radii alone are solved
+    again from ones at t_min to the full tolerance, and each takes that
+    row, its counts and its error.  This is the one place where a radius
+    of a curve goes to t_min.
     """
     s = np.asarray(s, dtype=float)
     layout = _layout(V, sizes)
@@ -1004,13 +1009,13 @@ def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
     rows.residual[take] = residual[accepted]
     rows.at_zero[take] = True
     if len(again):
-        kernel = _solve_rows(V, s, config.t_min, config, sizes, layout)
-        x[again] = np.concatenate([kernel.q[again], kernel.q_tilde[again]], axis=1)
-        rows.iterations[again] = kernel.iterations[again]
-        rows.krylov[again] = kernel.krylov[again]
-        rows.residual[again] = kernel.residual[again]
-        for i in again:
-            rows.errors[i] = kernel.errors[i]
+        kernel = _solve_rows(V, s[again], config.t_min, config, sizes, layout)
+        x[again] = np.concatenate([kernel.q, kernel.q_tilde], axis=1)
+        rows.iterations[again] = kernel.iterations
+        rows.krylov[again] = kernel.krylov
+        rows.residual[again] = kernel.residual
+        for i, error in zip(again, kernel.errors):
+            rows.errors[i] = error
     return replace(rows, q=x[:, :n], q_tilde=x[:, n:])
 
 
@@ -1022,8 +1027,7 @@ def _solve_inside(profile: VarianceProfile, s, config: SolverConfig, past=0) -> 
     - a profile with `rank_one_factors`: `_solve_rank_one`, at t = 0;
     - otherwise `_solve_at_zero_rows` on its `_operands` (the p pair
       classes, or V itself): at t = 0 where the Newton endgame is
-      accepted, and the kernel's row at t_min where the condition gate or
-      the t = 0 residual refuses it.
+      accepted, and at t_min where it is refused.
     """
     if profile.rank_one_factors is not None:
         return _lift(_solve_rank_one(profile, s, config), None, past)
@@ -1034,7 +1038,7 @@ def _solve_inside(profile: VarianceProfile, s, config: SolverConfig, past=0) -> 
 def solve_route(profile: VarianceProfile) -> str:
     """The route of the profile's curve and exact density, in the order of
     `_solve_inside`: "separable (rank 1)" (`_solve_rank_one`, whose radii
-    that fail its check take the kernel's route, and the density in closed
+    that fail its check take the endgame, and the density in closed
     form), "quotient (p classes)" (the kernel and `derivative_rows` on the
     pair-class quotient) or "full" (both on V, the derivative by dense
     LUs).  Either of the last two ends with the t = 0 Newton, its steps
@@ -1252,18 +1256,17 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
 
     Every radius s >= sqrt(rho) gets a row of exact zeros with
     iterations = 0, residual = 0.0 and no error (see the module docstring).
-    The radii below are solved together by `_solve_inside`: on a rank-one
-    profile at t = 0 by `_solve_rank_one`, which hands any radius that fails
-    its check to the kernel; otherwise at t = 0 by the batched kernel to
-    NEWTON_START, each from ones, and the Newton endgame, with the kernel's
-    row at t_min wherever the endgame is refused.  `rows.at_zero` marks
-    the radii solved at t = 0; their iterations include the Newton steps,
-    `rows.krylov` counts the GMRES iterations of those steps, and their
-    residual is that of the t = 0 equations.  A failed radius
-    keeps its place as a zero row with residual = inf, the iterations it
-    ran and the kernel's message.  The record's arrays are read-only: the
-    curve caches its `products` from them.  The curve carries rho, so
-    callers need not compute it again.
+    The radii below are solved together by `_solve_inside`: at t = 0 by
+    `_solve_rank_one`, or by the loose kernel and the Newton endgame of
+    `_solve_at_zero_rows`, which also takes the rejected rank-one lifts
+    and alone solves the radii it refuses, at t_min.  `rows.at_zero`
+    marks the radii solved at t = 0, and `MECurve.t` reads each radius's t
+    from it; their iterations include the Newton steps, `rows.krylov`
+    counts the GMRES iterations of those steps, and their residual is that
+    of the t = 0 equations.  A failed radius keeps its place as a zero row with
+    residual = inf, the iterations it ran and the kernel's message.  The
+    record's arrays are read-only: the curve caches its `products` from
+    them.  The curve carries rho, so callers need not compute it again.
     """
     from .profiles import spectral_radius
 

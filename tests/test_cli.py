@@ -281,6 +281,20 @@ class TestSolve:
         assert row[2] == pytest.approx(32 * math.sqrt(0.96), abs=1e-6)
         assert row[4] == pytest.approx(0.96, abs=1e-8)
 
+    def test_t_final_is_each_radius_t(self, tmp_path):
+        # the 12 x 12 pattern without total support: the endgame refuses
+        # the six smallest radii, which end at t_min, and accepts three;
+        # three lie past the edge sqrt(rho) = 0.472
+        path, out = tmp_path / "p.csv", tmp_path / "curve.csv"
+        write_profile_csv(zero_column_12(), path)
+        assert main(["solve", "--profile", str(path), "--grid", "0.02:0.6:12",
+                     "--out", str(out)]) == 0
+        t_final = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        assert list(t_final) == [1e-10] * 6 + [0.0] * 6
+        curve = solve_curve(read_profile_csv(path), np.linspace(0.02, 0.6, 12))
+        assert list(curve.rows.at_zero) == [False] * 6 + [True] * 3 + [False] * 3
+        assert [sol.t for sol in curve.solutions] == list(t_final)
+
 
 class TestDensity:
     def test_circular_density_csv(self, circular_profile_csv, tmp_path):

@@ -340,7 +340,7 @@ class TestWholeCurve:
         np.testing.assert_allclose(grid_density(curve, "exact"), want, rtol=1e-12, atol=0.0)
         assert solve_calls == [(10, 25, 25)]
         # three systems of 25 x 25 doubles per chunk: chunks of 3, 3, 3 and 1
-        monkeypatch.setattr(vps.mesolver, "STACK", 3 * 8 * 25 * 25)
+        monkeypatch.setattr(vps.mesolver, "BASIS", 3 * 25 * 25)
         del solve_calls[:]
         np.testing.assert_allclose(grid_density(curve, "exact"), want, rtol=1e-12, atol=0.0)
         assert solve_calls == [(3, 25, 25)] * 3 + [(1, 25, 25)]

@@ -879,8 +879,12 @@ class TestCurveRecord:
         assert len(failed) == 4
         assert curve.failed_indices == failed
         assert curve.failure_messages == tuple(rows.errors[i] for i in failed)
+        # every radius that converged is solved at t = 0; the failed ones
+        # stopped at t_min
+        assert not curve.t.flags.writeable
         for i, sol in enumerate(curve.solutions):
-            assert (sol.s, sol.t) == (curve.s_grid[i], 0.0)
+            assert (sol.s, sol.t) == (curve.s_grid[i], config.t_min if i in failed else 0.0)
+            assert sol.t == curve.t[i]
             assert np.shares_memory(sol.q, rows.q) and np.shares_memory(sol.q_tilde, rows.q_tilde)
             assert np.array_equal(sol.q, rows.q[i])
             assert np.array_equal(sol.q_tilde, rows.q_tilde[i])
@@ -922,16 +926,15 @@ class TestEndgame:
     @staticmethod
     def assert_kernel_rows(profile, grid, rows, where=None):
         """The rows at the mask `where` (all, by default) are those of the
-        kernel at t_min on the whole grid, bit for bit."""
+        kernel at t_min on those radii alone, bit for bit."""
         config = SolverConfig()
-        want = vps.mesolver._solve(profile, grid, config.t_min, config)
         if where is None:
             where = np.ones(len(grid), dtype=bool)
+        want = vps.mesolver._solve(profile, grid[where], config.t_min, config)
         for got, ref in ((rows.q, want.q), (rows.q_tilde, want.q_tilde),
                          (rows.iterations, want.iterations), (rows.residual, want.residual)):
-            np.testing.assert_array_equal(got[where], ref[where])
-        assert ([rows.errors[i] for i in np.flatnonzero(where)]
-                == [want.errors[i] for i in np.flatnonzero(where)])
+            np.testing.assert_array_equal(got[where], ref)
+        assert [rows.errors[i] for i in np.flatnonzero(where)] == want.errors
 
     def test_block_atom_at_t_zero(self):
         k, m = 3, 100
@@ -980,6 +983,24 @@ class TestEndgame:
         s2 = grid[rows.at_zero, None] ** 2
         assert (_residual_at_zero(p.normalized, q, qt, s2) <= bound).all()
         assert (rows.residual[rows.at_zero] <= bound).all()
+
+    def test_only_the_refused_radii_are_solved_again(self, monkeypatch):
+        kernel = vps.mesolver._solve_rows
+        calls = []
+
+        def recorded(V, s, t, config, sizes=None, layout=None):
+            calls.append((list(s), config.fixed_point_tol))
+            return kernel(V, s, t, config, sizes, layout)
+
+        monkeypatch.setattr(vps.mesolver, "_solve_rows", recorded)
+        p = zero_column_12()
+        grid = math.sqrt(spectral_radius(p)) * np.linspace(0.02, 0.98, 40)
+        curve = solve_curve(p, grid)
+        refused = ~curve.rows.at_zero
+        assert 0 < refused.sum() < 40
+        full = [s for s, tol in calls if tol == curve.config.fixed_point_tol]
+        assert full == [list(grid[refused])]
+        assert (curve.t == np.where(refused, curve.config.t_min, 0.0)).all()
 
     def test_solve_regularized_keeps_its_t(self, monkeypatch):
         newton = vps.mesolver._newton
@@ -1226,25 +1247,28 @@ class TestRankOneRoute:
             return w, steps
 
         seen = []
-        kernel = vps.mesolver._solve
+        endgame = vps.mesolver._solve_at_zero_rows
         config = SolverConfig()
-        want = kernel(ref, grid[1:2], config.t_min, config)
+        want = vps.mesolver._solve_inside(ref, grid[1:2], config)
 
-        def recorded(profile, s, t, config):
+        def recorded(V, s, config, sizes=None):
             seen.extend(s)
-            return kernel(profile, s, t, config)
+            return endgame(V, s, config, sizes)
 
         monkeypatch.setattr(vps.mesolver, "_roots", corrupted)
-        monkeypatch.setattr(vps.mesolver, "_solve", recorded)
+        monkeypatch.setattr(vps.mesolver, "_solve_at_zero_rows", recorded)
         curve = solve_curve(p, grid)
         assert seen == [grid[1]]
-        got = curve.solutions[1]
+        rows = curve.rows
         assert curve.failed_indices == ()
-        assert list(curve.rows.at_zero) == [True, False, True]
-        assert got.iterations == want.iterations[0]
-        assert got.residual == want.residual[0]
-        np.testing.assert_array_equal(got.q, want.q[0])
-        np.testing.assert_array_equal(got.q_tilde, want.q_tilde[0])
+        # the rejected radius takes the endgame, which solves it at t = 0
+        assert list(rows.at_zero) == [True, True, True] and want.at_zero[0]
+        for got, ref_rows in ((rows.q, want.q), (rows.q_tilde, want.q_tilde),
+                              (rows.iterations, want.iterations),
+                              (rows.residual, want.residual), (rows.krylov, want.krylov)):
+            np.testing.assert_array_equal(got[1], ref_rows[0])
+        assert rows.errors[1] is want.errors[0] is None
+        assert curve.solutions[1].t == 0.0
         assert np.abs(cdf(curve) - cdf(solve_curve(ref, grid))).max() <= 1e-8
 
     def test_no_root_gives_exact_zeros(self):
