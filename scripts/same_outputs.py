@@ -3,7 +3,7 @@
 Usage, from anywhere:
 
     python3 scripts/same_outputs.py PARENT CHANGE --seed 3 \
-        [--workload circ-n64 --workload band-B-n800 ...]
+        [--workload circ-n64 --workload mc-n2000 ...]
 
 For each workload, each checkout runs in a fresh interpreter of its own:
 it imports `vps` from the checkout's `src/` and `workloads` from its
@@ -11,9 +11,10 @@ it imports `vps` from the checkout's `src/` and `workloads` from its
 `run` once, in a temporary work directory of its own.  Every file the two
 runs leave there, inputs and outputs alike, is then compared byte for
 byte; each file that differs is named with its first differing line, and
-so is a file that only one run wrote.  By default the three solver
-workloads run.  Exit code 0 when every file is identical, 1 on any
-difference, 2 when a run fails.  Nothing in either checkout is written.
+so is a file that only one run wrote.  By default every workload runs,
+`mc-n2000`'s eigensolves included (about 12 s a seed).  Exit code 0 when
+every file is identical, 1 on any difference, 2 when a run fails.
+Nothing in either checkout is written.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import subprocess
 import sys
 import tempfile
 
-SOLVER_WORKLOADS = ("circ-n64", "block-atom-n300", "band-B-n800")
+WORKLOADS = ("circ-n64", "block-atom-n300", "band-B-n800", "mc-n2000")
 
 # The program of one run: argv is the checkout, the workload, the seed and
 # the work directory.  It prints the workload's operations and failures.
@@ -45,15 +46,16 @@ print(f"{outcome.attempted} operations, {outcome.failed} failed")
 
 
 def run_workload(checkout, name, seed, workdir) -> str:
-    """Run one workload of the checkout in workdir; its summary line.
-    Raises RuntimeError, with the run's stderr, when it fails."""
+    """Run one workload of the checkout in workdir; its summary line, the
+    last of its output after the reports `vps compare` prints.  Raises
+    RuntimeError, with the run's stderr, when it fails."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-c", RUN, os.path.abspath(checkout), name,
                            str(seed), workdir],
                           cwd=workdir, env=env, capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"{name} in {checkout} exited {done.returncode}:\n{done.stderr}")
-    return done.stdout.strip()
+    return done.stdout.strip().splitlines()[-1]
 
 
 def _files(root) -> set:
@@ -89,11 +91,11 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, required=True, help="the workloads' seed")
     p.add_argument("--workload", action="append",
                    help="workload to run, repeatable (default: "
-                        + ", ".join(SOLVER_WORKLOADS) + ")")
+                        + ", ".join(WORKLOADS) + ")")
     args = p.parse_args(argv)
     differ = False
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        for name in args.workload or SOLVER_WORKLOADS:
+        for name in args.workload or WORKLOADS:
             dirs = {}
             for side in ("parent", "change"):
                 dirs[side] = os.path.join(tmp, name, side)

@@ -282,8 +282,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    profile = read_profile_csv(args.profile)
-    Y = sample_matrix(profile, EntryLaw(kind=args.law, seed=args.seed))
+    """Sample Y from the profile and write its spectrum; no reference to
+    the profile outlives the draw, so the eigensolve holds Y alone."""
+    Y = sample_matrix(read_profile_csv(args.profile), EntryLaw(kind=args.law, seed=args.seed))
     write_eigenvalue_csv(spectrum(Y), args.out)
     return 0
 

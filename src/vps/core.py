@@ -49,15 +49,15 @@ class InsufficientGridError(ValueError):
 
 @dataclass(frozen=True)
 class VarianceProfile:
-    """A validated n-by-n grid of entry variances sigma_ij^2.
+    """A validated, read-only n-by-n grid of entry variances sigma_ij^2.
 
-    ``normalized`` is the matrix V with V_ij = sigma_ij^2 / n, which is what
-    every self-consistent equation in this package consumes.
+    The matrix V = variances / n that the equations consume is
+    ``normalized``, formed on first read, so a profile that only samples
+    holds one n x n array.
     """
 
     n: int
     variances: np.ndarray
-    normalized: np.ndarray
 
     @property
     def std_devs(self) -> np.ndarray:
@@ -66,6 +66,14 @@ class VarianceProfile:
 
     def is_symmetric(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.variances - self.variances.T) <= tol))
+
+    @functools.cached_property
+    def normalized(self) -> np.ndarray:
+        """V with V_ij = sigma_ij^2 / n: read-only, formed on first use and
+        cached on the profile."""
+        V = self.variances / self.n
+        V.setflags(write=False)
+        return V
 
     @functools.cached_property
     def pair_classes(self):
@@ -189,7 +197,8 @@ def _agree(V, rep):
 
 
 def validate_profile(raw_grid) -> VarianceProfile:
-    """Check a raw rectangular grid of variances and build a profile.
+    """Check a raw rectangular grid of variances and build a profile on a
+    read-only copy of it.
 
     Raises NonSquareError, NegativeEntryError, NonFiniteError or
     AllZeroError on invalid input.  The grid is copied, so the caller's
@@ -203,7 +212,8 @@ def validate_profile(raw_grid) -> VarianceProfile:
 
 def _own_profile(arr: np.ndarray) -> VarianceProfile:
     """validate_profile on a float array the caller owns and hands over: it
-    is checked and marked read-only in place, without a copy."""
+    is checked and marked read-only in place, without a copy, and becomes
+    the profile's only array until V is read."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise NonSquareError(f"expected a square grid, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -212,11 +222,8 @@ def _own_profile(arr: np.ndarray) -> VarianceProfile:
         raise NegativeEntryError("profile contains negative variances")
     if not np.any(arr > 0):
         raise AllZeroError("profile is identically zero")
-    n = arr.shape[0]
     arr.setflags(write=False)
-    normalized = arr / n
-    normalized.setflags(write=False)
-    return VarianceProfile(n=n, variances=arr, normalized=normalized)
+    return VarianceProfile(n=arr.shape[0], variances=arr)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ eigenvalue CSV files can be ingested in place of local sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RadialMeasure, VarianceProfile
+from .core import CHUNK, RadialMeasure, VarianceProfile
 from .profiles import cyclic_classes
 
 _LAW_KINDS = ("real-gaussian", "complex-gaussian", "rademacher", "complex-bernoulli")
@@ -53,34 +54,38 @@ class SpectrumSample:
 def _draw_entries(law: EntryLaw, n: int) -> np.ndarray:
     """n x n i.i.d. entries from the law, reproducible for a given seed.
 
-    Uses the counter-based Philox generator keyed by the seed; entries are
-    drawn in one row-major vectorized pass, which fixes the counter-to-entry
-    assignment independent of any iteration order.
+    Uses the counter-based Philox generator keyed by the seed.  The entries
+    are drawn CHUNK rows at a time in row-major order, the real parts of a
+    complex law before its imaginary parts: the same stream, entry for
+    entry, as one pass over the whole array, with no n x n temporary.
     """
     rng = np.random.Generator(np.random.Philox(law.seed))
-    shape = (n, n)
-    if law.kind == "real-gaussian":
-        return rng.standard_normal(shape)
-    if law.kind == "rademacher":
-        return 2.0 * rng.integers(0, 2, size=shape).astype(float) - 1.0
-    # complex laws: the real part is drawn first, then the imaginary part,
-    # each written into one complex array, which is then scaled by 1/sqrt(2)
-    z = np.empty(shape, dtype=complex)
-    for part in (z.real, z.imag):
-        if law.kind == "complex-gaussian":
-            part[...] = rng.standard_normal(shape)
-        else:  # complex-bernoulli: independent +-1 parts
-            np.multiply(rng.integers(0, 2, size=shape), 2.0, out=part)
-            part -= 1.0
-    z /= np.sqrt(2.0)
+    complex_law = law.kind.startswith("complex")
+    z = np.empty((n, n), dtype=complex if complex_law else float)
+    for part in (z.real, z.imag) if complex_law else (z,):
+        for lo in range(0, n, CHUNK):
+            block = part[lo:lo + CHUNK]
+            if law.kind.endswith("gaussian"):
+                block[...] = rng.standard_normal(block.shape)
+            else:  # rademacher, or complex-bernoulli's independent +-1 parts
+                np.multiply(rng.integers(0, 2, size=block.shape), 2.0, out=block)
+                block -= 1.0
+    if complex_law:
+        z /= np.sqrt(2.0)
     return z
 
 
 def sample_matrix(profile: VarianceProfile, law: EntryLaw) -> np.ndarray:
-    """One draw of Y = sigma (.) X / sqrt(n); deterministic given the seed."""
+    """One draw of Y = sigma (.) X / sqrt(n); deterministic given the seed.
+
+    sigma is applied CHUNK rows at a time, so Y is the only n x n array
+    made, and V is not formed.
+    """
     Y = _draw_entries(law, profile.n)
-    Y *= profile.std_devs
-    Y /= np.sqrt(profile.n)
+    for lo in range(0, profile.n, CHUNK):
+        block = Y[lo:lo + CHUNK]
+        block *= np.sqrt(profile.variances[lo:lo + CHUNK])
+        block /= np.sqrt(profile.n)
     return Y
 
 
@@ -230,17 +235,26 @@ def write_eigenvalue_csv(sample: SpectrumSample, path) -> None:
 
 
 def read_eigenvalue_csv(path) -> SpectrumSample:
+    """Read an eigenvalue CSV: the header `re,im`, then one `re,im` row per
+    eigenvalue; blank lines are skipped.  Raises ValueError, naming the
+    line, on a row without exactly two fields or with a value that is not
+    a finite number, and on a file with no eigenvalues."""
     with open(path) as fh:
         header = fh.readline().strip().lower().replace(" ", "")
         if header != "re,im":
             raise ValueError(f"expected header 're,im', got {header!r}")
         vals = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            re_s, im_s = line.split(",")
-            vals.append(complex(float(re_s), float(im_s)))
+            try:
+                re_v, im_v = (float(x) for x in line.split(","))
+            except ValueError as exc:   # a bad number, or not two fields
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            if not (math.isfinite(re_v) and math.isfinite(im_v)):
+                raise ValueError(f"{path}, line {lineno}: non-finite eigenvalue {line!r}")
+            vals.append(complex(re_v, im_v))
     if not vals:
         raise ValueError(f"no eigenvalues in {path}")
     return SpectrumSample(eigenvalues=np.array(vals), source="ingested")

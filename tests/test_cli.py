@@ -594,6 +594,15 @@ class TestSimulateCompare:
         assert main(["compare", "--eigenvalues", str(ev), "--density", str(dens)]) == 3
         assert "at least two grid points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["nan,0", "inf,0", "0.5,0.25,1"])
+    def test_compare_bad_eigenvalue_row_is_data_error(self, tmp_path, capsys, row):
+        ev, dens = tmp_path / "ev.csv", tmp_path / "dens.csv"
+        ev.write_text(f"re,im\n0.5,0.25\n{row}\n")
+        assert main(["oracle", "--family", "circular:1", "--grid", "0.1:1.05:20",
+                     "--out", str(dens)]) == 0
+        assert main(["compare", "--eigenvalues", str(ev), "--density", str(dens)]) == 3
+        assert "line 3" in capsys.readouterr().err
+
     def test_simulate_deterministic(self, tmp_path):
         ppath = tmp_path / "p.csv"
         write_profile_csv(validate_profile(np.ones((12, 12))), ppath)

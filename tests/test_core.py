@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,14 @@ class TestValidateProfile:
         p = validate_profile(np.ones((4, 4)))
         with pytest.raises(ValueError):
             p.variances[0, 0] = 2.0
+
+    def test_normalized_is_formed_on_first_read_and_cached(self):
+        p = validate_profile(np.random.default_rng(3).uniform(0.0, 3.0, (7, 7)))
+        assert "normalized" not in vars(p)
+        V = p.normalized
+        assert p.normalized is V
+        assert not V.flags.writeable
+        assert V.tobytes() == (p.variances / 7).tobytes()
 
     def test_caller_array_stays_writable(self):
         grid = np.ones((4, 4))
@@ -161,6 +170,19 @@ class TestProfileCsv:
         with pytest.raises(ProfileError) as exc:
             read_profile_csv(path)
         assert not isinstance(exc.value, NonSquareError)
+
+    def test_peak_memory(self, tmp_path):
+        # the grid alone, plus the parser's row buffers: V is not formed
+        path, small = tmp_path / "p.csv", tmp_path / "small.csv"
+        write_profile_csv(validate_profile(np.random.default_rng(2).uniform(0.0, 3.0, (300, 300))),
+                          path)
+        write_profile_csv(validate_profile(np.ones((2, 2))), small)
+        read_profile_csv(small)
+        tracemalloc.start()
+        p = read_profile_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 1.35 * p.variances.nbytes
 
     def test_rejects_nan(self, tmp_path):
         path = tmp_path / "nan.csv"

@@ -75,23 +75,23 @@ class TestSampleMatrix:
 
     @pytest.mark.parametrize("kind", ["complex-gaussian", "complex-bernoulli"])
     def test_complex_draw_matches_two_array_expression(self, kind):
-        # the draw that builds the real and imaginary parts as two arrays,
-        # real part first, summed and divided by sqrt(2)
-        n = 40
-        rng = np.random.Generator(np.random.Philox(5))
-        if kind == "complex-gaussian":
-            re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        else:
-            re = 2.0 * rng.integers(0, 2, size=(n, n)) - 1.0
-            im = 2.0 * rng.integers(0, 2, size=(n, n)) - 1.0
-        ref = (re + 1j * im) / np.sqrt(2.0)
-        z = _draw_entries(EntryLaw(kind=kind, seed=5), n)
+        z = _draw_entries(EntryLaw(kind=kind, seed=5), 40)
         assert z.dtype == np.complex128
-        assert z.tobytes() == ref.tobytes()
+        assert z.tobytes() == one_shot_draw(kind, 5, 40).tobytes()
 
-    @pytest.mark.parametrize("kind", ["complex-gaussian", "complex-bernoulli"])
+    @pytest.mark.parametrize("n", [129, 130])
+    @pytest.mark.parametrize("kind", ALL_LAWS)
+    def test_row_blocks_keep_the_one_shot_stream(self, kind, n):
+        # three CHUNK-row blocks, the last one partial
+        p = validate_profile(np.random.default_rng(n).uniform(0.0, 3.0, (n, n)))
+        law = EntryLaw(kind=kind, seed=8)
+        ref = one_shot_draw(kind, 8, n)
+        assert _draw_entries(law, n).tobytes() == ref.tobytes()
+        assert sample_matrix(p, law).tobytes() == (p.std_devs * ref / np.sqrt(n)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["complex-gaussian", "complex-bernoulli", "rademacher"])
     def test_complex_draw_peak_memory(self, kind):
-        # the complex array plus one real part in flight; a first small draw
+        # the output plus one CHUNK-row block in flight; a first small draw
         # keeps one-time allocations out of the measurement
         law = EntryLaw(kind=kind, seed=5)
         _draw_entries(law, 2)
@@ -99,7 +99,37 @@ class TestSampleMatrix:
         z = _draw_entries(law, 300)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak <= 1.6 * z.nbytes
+        assert peak <= 1.35 * z.nbytes
+
+    @pytest.mark.parametrize("kind", ALL_LAWS)
+    def test_sample_matrix_peak_memory(self, kind):
+        # sigma is applied by row blocks, and V is never formed
+        p = validate_profile(np.random.default_rng(2).uniform(0.0, 3.0, (300, 300)))
+        law = EntryLaw(kind=kind, seed=5)
+        sample_matrix(validate_profile(np.ones((2, 2))), law)
+        tracemalloc.start()
+        Y = sample_matrix(p, law)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 1.35 * Y.nbytes
+        assert "normalized" not in vars(p)
+
+
+def one_shot_draw(kind, seed, n):
+    """The law's n x n draw in one pass over whole arrays: for a complex
+    law the real and imaginary parts as two arrays, real part first,
+    summed and divided by sqrt(2)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if kind == "real-gaussian":
+        return rng.standard_normal((n, n))
+    if kind == "rademacher":
+        return 2.0 * rng.integers(0, 2, size=(n, n)).astype(float) - 1.0
+    if kind == "complex-gaussian":
+        re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    else:
+        re = 2.0 * rng.integers(0, 2, size=(n, n)) - 1.0
+        im = 2.0 * rng.integers(0, 2, size=(n, n)) - 1.0
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def cyclic_matrix(sizes, seed, dtype=float):
@@ -355,4 +385,11 @@ class TestEigenvalueCsv:
         path = tmp_path / "empty.csv"
         path.write_text("re,im\n")
         with pytest.raises(ValueError):
+            read_eigenvalue_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,0", "inf,0", "0.5,-inf", "0.5,0.25,1", "0.5", "x,0"])
+    def test_rejects_a_bad_row_by_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"re,im\n0.5,0.25\n\n{row}\n")
+        with pytest.raises(ValueError, match="line 4"):
             read_eigenvalue_csv(path)

@@ -1,11 +1,12 @@
 """The file comparison of `scripts/same_outputs.py`, on two temporary
-directories."""
+directories, and its default list of workloads."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
-PATH = Path(__file__).resolve().parent.parent / "scripts" / "same_outputs.py"
-spec = importlib.util.spec_from_file_location("same_outputs", PATH)
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "scripts" / "same_outputs.py")
 same_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(same_outputs)
 
@@ -44,3 +45,12 @@ def test_names_a_file_on_one_side_only(tmp_path):
     b = _tree(tmp_path / "b", {"band.csv": FILES["band.csv"], "extra.txt": b""})
     assert same_outputs.compare(a, b) == ["sub/band.cfg: only in parent",
                                           "extra.txt: only in change"]
+
+
+def test_default_is_every_benchmark_workload(monkeypatch):
+    bench = importlib.util.spec_from_file_location("bench_workloads",
+                                                   ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(bench)
+    monkeypatch.setitem(sys.modules, bench.name, workloads)   # for its dataclasses
+    bench.loader.exec_module(workloads)
+    assert same_outputs.WORKLOADS == tuple(workloads.WORKLOADS)
