@@ -10,8 +10,16 @@ seed `--seed` + i, the parent first on even i and the change first on odd
 i.  Each run's end-to-end metrics are printed as it finishes, then one row
 per metric: each side's median and quartiles, and in how many pairs the
 change was better, in the direction `BENCHMARK.json` gives (ties count for
-neither side).  The two checkouts must have paths of the same length:
-`peak_rss_mb` moves with the length of the paths a run holds.
+neither side), and its verdict: `gain` when the change wins at least 9 of
+10 pairs and its median is better than the parent's by more than the
+parent's interquartile range, `unresolved` otherwise.
+
+Each run compiles the program from source, with PYTHONDONTWRITEBYTECODE=1,
+as the checked runs do: cached bytecode moves `setup_s` and `peak_rss_mb`.
+So a checkout that holds a `__pycache__` under `src/` or `perfbench/` (a
+pytest run leaves one) is refused, with exit code 2, and so is a pair of
+checkouts whose paths differ in length: `peak_rss_mb` moves with the
+length of the paths a run holds.
 """
 
 from __future__ import annotations
@@ -41,6 +49,16 @@ def check_paths(parent, change) -> None:
                          f"{a} and {b}; peak_rss_mb would not compare")
 
 
+def check_caches(checkout) -> None:
+    """Raise ValueError naming the first `__pycache__` directory under the
+    checkout's `src/` or `perfbench/`."""
+    for top in ("src", "perfbench"):
+        for path, dirs, _ in os.walk(os.path.join(os.path.abspath(checkout), top)):
+            if "__pycache__" in dirs:
+                raise ValueError(f"{os.path.join(path, '__pycache__')} holds cached "
+                                 "bytecode; remove it, the checked runs compile from source")
+
+
 def parse_result(stdout: str) -> dict:
     """The metric values of a run's last line of output, plus `failed`."""
     result = json.loads(stdout.strip().splitlines()[-1])
@@ -50,10 +68,13 @@ def parse_result(stdout: str) -> dict:
 
 
 def run_once(checkout, workload, seed, seconds) -> dict:
+    checkout = os.path.abspath(checkout)
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=True)
     return parse_result(done.stdout)
 
 
@@ -81,11 +102,23 @@ def summarize(pairs, better) -> list:
     return rows
 
 
-def format_rows(rows) -> str:
-    lines = [f"{'metric':<12} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}  wins"]
-    for name, om, oq1, oq3, nm, nq1, nq3, wins, count in rows:
+def verdict(row, better) -> str:
+    """`gain` when the change of a `summarize` row wins at least 9/10 of
+    the pairs and its median beats the parent's by more than the parent's
+    interquartile range, `unresolved` otherwise."""
+    name, om, oq1, oq3, nm, _, _, wins, count = row
+    sign = 1.0 if better[name] == "lower" else -1.0
+    return "gain" if 10 * wins >= 9 * count and sign * (om - nm) > oq3 - oq1 else "unresolved"
+
+
+def format_rows(rows, better) -> str:
+    lines = [f"{'metric':<12} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}"
+             "  wins  verdict"]
+    for row in rows:
+        name, om, oq1, oq3, nm, nq1, nq3, wins, count = row
         lines.append(f"{name:<12} {om:>12.6g} [{oq1:.6g}, {oq3:.6g}]".ljust(47)
-                     + f" {nm:>12.6g} [{nq1:.6g}, {nq3:.6g}]".ljust(35) + f" {wins}/{count}")
+                     + f" {nm:>12.6g} [{nq1:.6g}, {nq3:.6g}]".ljust(35)
+                     + f" {wins}/{count}".ljust(6) + f"  {verdict(row, better)}")
     return "\n".join(lines)
 
 
@@ -100,6 +133,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     try:
         check_paths(args.parent, args.change)
+        check_caches(args.parent)
+        check_caches(args.change)
     except ValueError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 2
@@ -113,7 +148,7 @@ def main(argv=None) -> int:
             runs[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
             print(json.dumps({"pair": i, "side": side, "seed": seed, **runs[side]}), flush=True)
         pairs.append((runs["parent"], runs["change"]))
-    print(format_rows(summarize(pairs, better)))
+    print(format_rows(summarize(pairs, better), better))
     return 0
 
 

@@ -23,6 +23,7 @@ from .core import (
     default_s_grid,
     read_config,
     read_profile_csv,
+    write_columns_csv,
 )
 from .measures import (
     atom_at_zero,
@@ -119,10 +120,7 @@ def _parse_vector(spec: str, n: int | None) -> np.ndarray:
 
 
 def _write_density_csv(path, s, F, f_exact, f_fd, lb) -> None:
-    with open(path, "w") as fh:
-        fh.write("s,F,f_exact,f_fd,lower_bound_ratio\n")
-        for row in zip(s, F, f_exact, f_fd, lb):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_columns_csv(path, "s,F,f_exact,f_fd,lower_bound_ratio", (s, F, f_exact, f_fd, lb))
 
 
 def read_density_csv(path):
@@ -150,13 +148,10 @@ def _solve(args):
 
 def _cmd_solve(args) -> int:
     curve = _solve(args)
-    with open(args.out, "w") as fh:
-        fh.write("s,t_final,sum_q,sum_qtilde,inner,residual,iterations\n")
-        rows = curve.rows
-        for row in zip(curve.s_grid, curve.t, rows.q.sum(axis=1),
-                       rows.q_tilde.sum(axis=1), curve.products.w / curve.profile.n,
-                       rows.residual, rows.iterations):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    rows = curve.rows
+    write_columns_csv(args.out, "s,t_final,sum_q,sum_qtilde,inner,residual,iterations",
+                      (curve.s_grid, curve.t, rows.q.sum(axis=1), rows.q_tilde.sum(axis=1),
+                       curve.products.w / curve.profile.n, rows.residual, rows.iterations))
     _warn_failures(curve)
     return 0
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -300,6 +301,16 @@ def write_profile_csv(profile: VarianceProfile, path) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def write_columns_csv(path, header: str, columns) -> None:
+    """Write the header line, then one row per entry of the equal-length
+    columns, each value as `repr(float(v))`, its shortest round-trip
+    decimal form."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in np.column_stack(columns).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
 def read_profile_csv(path) -> VarianceProfile:
     """Read a profile CSV: one row of comma-separated decimals per line.
 
@@ -322,12 +333,21 @@ def read_profile_csv(path) -> VarianceProfile:
             raise ProfileError(f"empty profile file: {path}")
 
     with open(path) as fh:
+        lines = rows(fh)
+        first = next(lines)
+        # a square profile has as many rows as its first row has columns:
+        # max_rows lets np.loadtxt allocate the grid once, where growing it
+        # by reallocation can leave about its size of freed heap resident
+        n = first.count(",") + 1
         try:
-            grid = np.loadtxt(rows(fh), delimiter=",", comments=None, ndmin=2)
+            grid = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                              comments=None, ndmin=2, max_rows=n)
         except ProfileError:
             raise
         except ValueError as exc:
             raise ProfileError(f"unparseable profile: {exc}") from exc
+        if next(lines, None) is not None:
+            raise NonSquareError(f"profile has more than {n} rows of {n} values")
     return _own_profile(grid)
 
 

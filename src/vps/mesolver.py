@@ -1252,7 +1252,8 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
 def solve_curve(profile: VarianceProfile, s_grid=None,
                 config: SolverConfig | None = None) -> MECurve:
     """Solve the t -> 0 limit at every radius of an increasing grid, by
-    default `default_s_grid` up to the support radius sqrt(rho).
+    default `default_s_grid` up to the support radius sqrt(rho); at rho = 0
+    there is none, and a grid must be given.
 
     Every radius s >= sqrt(rho) gets a row of exact zeros with
     iterations = 0, residual = 0.0 and no error (see the module docstring).
@@ -1273,6 +1274,9 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     config = config or SolverConfig()
     rho = spectral_radius(profile)
     if s_grid is None:
+        if rho == 0.0:
+            raise ValueError("rho = 0: the measure is a unit atom at zero, "
+                             "so no default grid exists; a grid must be given")
         s_grid = default_s_grid(math.sqrt(rho))
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or len(s_grid) == 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CHUNK, RadialMeasure, VarianceProfile
+from .core import CHUNK, RadialMeasure, VarianceProfile, write_columns_csv
 from .profiles import cyclic_classes
 
 _LAW_KINDS = ("real-gaussian", "complex-gaussian", "rademacher", "complex-bernoulli")
@@ -147,11 +147,21 @@ def _cyclic_eigvals(A: np.ndarray, classes: np.ndarray) -> np.ndarray | None:
     cycle = [members[(k + i) % h] for i in range(h + 1)]
     # h factors can leave the float range (a weighted n-cycle multiplies n
     # entries of size about 1/sqrt(n)), so each partial product is scaled to
-    # a largest entry of 1 and the log of the scale is kept apart
-    P, log_scale = None, 0.0
-    for rows, cols in zip(cycle[:-1], cycle[1:]):
+    # a largest entry of 1 and the log of the scale is kept apart.  The first
+    # factor is read CHUNK rows at a time, so it is never copied whole
+    first = [np.ix_(cycle[0][lo:lo + CHUNK], cycle[1]) for lo in range(0, cycle[0].size, CHUNK)]
+    size = max(np.abs(A[rows_cols]).max() for rows_cols in first)
+    if size == 0.0:
+        return None
+    P, log_scale = None, np.log(size)
+    for rows, cols in zip(cycle[1:-1], cycle[2:]):
         block = A[np.ix_(rows, cols)]
-        P = block if P is None else P @ block
+        if P is None:
+            P = np.empty((cycle[0].size, cols.size), dtype=A.dtype)
+            for i, rows_cols in enumerate(first):
+                P[i * CHUNK:(i + 1) * CHUNK] = (A[rows_cols] / size) @ block
+        else:
+            P = P @ block
         size = np.abs(P).max()
         if size == 0.0:
             return None
@@ -228,10 +238,8 @@ def kolmogorov_distance(measure: RadialMeasure, sample: SpectrumSample) -> float
 
 
 def write_eigenvalue_csv(sample: SpectrumSample, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("re,im\n")
-        for lam in sample.eigenvalues:
-            fh.write(f"{repr(float(np.real(lam)))},{repr(float(np.imag(lam)))}\n")
+    ev = sample.eigenvalues
+    write_columns_csv(path, "re,im", (np.real(ev), np.imag(ev)))
 
 
 def read_eigenvalue_csv(path) -> SpectrumSample:

@@ -111,24 +111,44 @@ def spectral_radius(profile, tol: float = 1e-10, max_iters: int = 100_000) -> fl
 
     Deterministic: starts from the all-ones vector.  A positive diagonal
     shift makes the iteration converge for periodic support patterns
-    (e.g. the block atom profile) without changing the Perron root.
+    (e.g. the block atom profile) without changing the Perron root.  When
+    the pattern of V has no cycle but self-loops, V is triangular up to a
+    symmetric permutation and its largest diagonal entry is returned
+    exactly, without iterating: 0.0 for a nilpotent pattern.
     """
     V = profile.normalized if isinstance(profile, VarianceProfile) else np.asarray(profile, dtype=float)
+    adj = V != 0
+    np.fill_diagonal(adj, False)
+    if _acyclic(adj):
+        return float(V.diagonal().max())
     n = V.shape[0]
     shift = float(np.max(V.sum(axis=1)))
-    if shift == 0.0:
-        return 0.0
     x = np.ones(n)
     y = V @ x + shift * x
     lam_prev = None
     for _ in range(max_iters):
-        x = y / np.linalg.norm(y)
+        x = y / math.sqrt(y @ y)  # np.linalg.norm's arithmetic for a real y
         y = V @ x + shift * x  # the Rayleigh product and the next step's y
         lam = float(x @ y)
         if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
             return lam - shift
         lam_prev = lam
     raise NoConvergenceError("power iteration did not converge")
+
+
+def _acyclic(adj: np.ndarray) -> bool:
+    """True iff the digraph of `adj`, which has no self-loop, has no cycle:
+    peeling off, round by round, the nodes with no edge to another remaining
+    node or none from one (the trim of `_scc`) leaves no node."""
+    if adj.any(axis=1).all() and adj.any(axis=0).all():
+        return False  # no node to peel
+    out_deg, in_deg = adj.sum(axis=1), adj.sum(axis=0)
+    live = np.ones(adj.shape[0], dtype=bool)
+    while (peel := np.flatnonzero(live & ((out_deg == 0) | (in_deg == 0)))).size:
+        live[peel] = False
+        out_deg -= adj[:, peel].sum(axis=1)
+        in_deg -= adj[peel].sum(axis=0)
+    return not live.any()
 
 
 def is_irreducible(profile: VarianceProfile) -> bool:
@@ -181,7 +201,10 @@ def _scc(adj: np.ndarray) -> np.ndarray:
     node, or none from one (self-loops aside), is peeled off as a component
     of its own; when none is left, the live nodes that reach and are reached
     from the first live node form its component.  Without the trim a
-    triangular pattern would take one reach pair per node."""
+    triangular pattern would take one reach pair per node.  A pattern with
+    no zero entry is one component, and is labelled without a search."""
+    if adj.all():
+        return np.zeros(adj.shape[0], dtype=int)
     out_deg = adj.sum(axis=1) - adj.diagonal()
     in_deg = adj.sum(axis=0) - adj.diagonal()
     live = np.ones(adj.shape[0], dtype=bool)
@@ -208,16 +231,20 @@ def _total_support(pattern):
 
     A pattern has total support when every nonzero lies on a perfect
     matching.  Returns (match, block): row i is matched to column match[i]
-    (Hopcroft-Karp), and block[i] labels the strongly connected component of
-    row i in the digraph i -> k when pattern[i, match[k]] != 0.  Total
-    support holds iff no edge joins two components, so the pattern is a
-    direct sum of fully indecomposable blocks, one per label, block b on
-    rows block == b and columns match[block == b].
+    (Hopcroft-Karp, started from the nonzero diagonal entries), and block[i]
+    labels the strongly connected component of row i in the digraph i -> k
+    when pattern[i, match[k]] != 0.  Total support holds iff no edge joins
+    two components, so the pattern is a direct sum of fully indecomposable
+    blocks, one per label, block b on rows block == b and columns
+    match[block == b].  These row and column sets are the same for every
+    perfect matching, and `_scc` labels them in an order set by the rows
+    alone, so `block` does not depend on the matching found.
     """
     adj = np.asarray(pattern) != 0
     n = adj.shape[0]
-    row_match = np.full(n, -1)
-    col_match = np.full(n, -1)
+    # start from the diagonal matching: a zero-free diagonal is perfect
+    row_match = np.where(adj.diagonal(), np.arange(n), -1)
+    col_match = row_match.copy()
     while True:
         # one phase: layer the rows by alternating path length from the
         # free rows, then augment along paths that climb the layers

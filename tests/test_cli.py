@@ -296,7 +296,38 @@ class TestSolve:
         assert [sol.t for sol in curve.solutions] == list(t_final)
 
 
+    def test_rows_are_the_repr_of_each_float(self, tmp_path):
+        # the format of the row-by-row writer: repr(float(v)), iterations too
+        path, out = tmp_path / "p.csv", tmp_path / "curve.csv"
+        write_profile_csv(zero_column_12(), path)
+        assert main(["solve", "--profile", str(path), "--grid", "0.02:0.6:12",
+                     "--out", str(out)]) == 0
+        curve = solve_curve(read_profile_csv(path), np.linspace(0.02, 0.6, 12))
+        rows = curve.rows
+        expected = [",".join(repr(float(v)) for v in row) for row in zip(
+            curve.s_grid, curve.t, rows.q.sum(axis=1), rows.q_tilde.sum(axis=1),
+            curve.products.w / curve.profile.n, rows.residual, rows.iterations)]
+        lines = out.read_text().splitlines()
+        assert lines[1:] == expected and any(it > 0 for it in rows.iterations)
+
+
 class TestDensity:
+    def test_density_csv_rows_are_the_repr_of_each_float(self, tmp_path):
+        s = np.array([0.25, 0.5, 1.0])
+        cols = (s, np.array([0.0, -0.0, 1.0]), np.full(3, np.nan), np.array([2.0, 1e-300, 0.0]),
+                np.array([np.inf, 3.0, -0.0]))
+        vps.cli._write_density_csv(tmp_path / "d.csv", *cols)
+        assert (tmp_path / "d.csv").read_text() == "s,F,f_exact,f_fd,lower_bound_ratio\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*cols))
+
+    def test_nilpotent_profile_without_a_grid_is_data_error(self, tmp_path, capsys):
+        grid = np.zeros((10, 10))
+        grid[0, 1:] = 1.0
+        path = tmp_path / "star.csv"
+        write_profile_csv(validate_profile(grid), path)
+        assert main(["density", "--profile", str(path), "--out", str(tmp_path / "d.csv")]) == 3
+        assert "unit atom at zero" in capsys.readouterr().err
+
     def test_circular_density_csv(self, circular_profile_csv, tmp_path):
         out = tmp_path / "dens.csv"
         assert main(["density", "--profile", circular_profile_csv,
@@ -477,14 +508,24 @@ class TestCheck:
 
     def test_triangular_pattern_has_a_block_per_node(self, tmp_path, capsys):
         # the pattern of ones on and above the diagonal, with distinct
-        # diagonal values: np.triu(ones) itself is one Jordan block, on which
-        # the power iteration of `spectral_radius` does not converge
+        # diagonal values
         path = tmp_path / "upper.csv"
         upper = np.triu(np.random.default_rng(23).uniform(0.5, 2.0, size=(7, 7)))
         write_profile_csv(validate_profile(upper), path)
         assert main(["check", "--profile", str(path)]) == 0
         text = capsys.readouterr().out
         assert "irreducible = false\nfrobenius_blocks = 7\n" in text
+
+    def test_jordan_block_pattern_has_its_exact_rho(self, tmp_path, capsys):
+        # np.triu(ones) is one Jordan block at rho = 1/7: the pattern has no
+        # cycle, so rho is read off the diagonal, where the power iteration
+        # did not converge
+        path = tmp_path / "upper.csv"
+        write_profile_csv(validate_profile(np.triu(np.ones((7, 7)))), path)
+        assert main(["check", "--profile", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "rho = 0.14285714285714285\n" in text
+        assert "frobenius_blocks = 7\n" in text
 
     def test_envelope_frac_of_a_dense_profile(self, tmp_path, capsys):
         path = tmp_path / "ones.csv"

@@ -16,6 +16,7 @@ from vps.core import (
     read_config,
     read_profile_csv,
     validate_profile,
+    write_columns_csv,
     write_profile_csv,
 )
 
@@ -113,6 +114,18 @@ class TestMESolution:
         assert not sol2.is_trivial
 
 
+class TestColumnsCsv:
+    def test_each_value_is_the_repr_of_its_float(self, tmp_path):
+        # the format of the row-by-row writers it replaced: repr(float(v))
+        s = np.array([0.1, 1e-300, 2.5e300, 3.0, 5e-324])
+        F = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf])
+        counts = np.array([0, 7, 2**52 + 1, 123456789, -3], dtype=np.int64)
+        path = tmp_path / "rows.csv"
+        write_columns_csv(path, "s,F,count", (s, F, counts))
+        assert path.read_text() == "s,F,count\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in zip(s, F, counts))
+
+
 class TestProfileCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -131,6 +144,15 @@ class TestProfileCsv:
     def test_rejects_ragged(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1.0,2.0\n1.0\n")
+        with pytest.raises(NonSquareError):
+            read_profile_csv(path)
+
+    @pytest.mark.parametrize("text", ["1.0,2.0\n3.0,4.0\n5.0,6.0\n", "1.0\n\n2.0\n",
+                                      "1.0,2.0\n"], ids=["3 x 2", "2 x 1", "1 x 2"])
+    def test_rejects_a_row_count_other_than_the_column_count(self, tmp_path, text):
+        # the grid is read as n rows of the first row's n values
+        path = tmp_path / "oblong.csv"
+        path.write_text(text)
         with pytest.raises(NonSquareError):
             read_profile_csv(path)
 

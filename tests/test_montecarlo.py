@@ -265,6 +265,19 @@ class TestCyclicSpectrum:
         np.testing.assert_allclose(np.sort(np.abs(np.linalg.eigvals(y))),
                                    np.sort(np.abs(ev)), rtol=1e-5)
 
+    @pytest.mark.parametrize("law", ["complex-bernoulli", "rademacher"])
+    def test_block_draw_peak_memory(self, law):
+        # the first class block is read in row blocks, and only the second
+        # is copied whole: copying both peaked at 0.56 of Y's bytes here
+        spectrum(sample_matrix(build_block_atom(3, 2), EntryLaw(kind=law, seed=7)))
+        y = sample_matrix(build_block_atom(3, 334), EntryLaw(kind=law, seed=7))
+        tracemalloc.start()
+        ev = spectrum(y).eigenvalues
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.count_nonzero(ev == 0.0) == 334
+        assert peak <= 0.5 * y.nbytes
+
     def test_long_period_of_wide_classes_solved_densely(self):
         # the product of 30 Gaussian 5 x 5 blocks spreads its eigenvalues
         # far past 1/eps, so the roots of the smallest would be noise
@@ -374,6 +387,13 @@ class TestEigenvalueCsv:
         back = read_eigenvalue_csv(path)
         assert back.source == "ingested"
         assert np.array_equal(back.eigenvalues, ev)
+
+    def test_rows_are_the_repr_of_each_part(self, tmp_path):
+        ev = np.array([1.5 - 0.0j, complex(-0.0, 2.0), complex(np.nan, 1e-300), 3.0 + 0.0j])
+        path = tmp_path / "ev.csv"
+        write_eigenvalue_csv(SpectrumSample(eigenvalues=ev, source="sampled"), path)
+        assert path.read_text() == "re,im\n" + "".join(
+            f"{repr(float(np.real(lam)))},{repr(float(np.imag(lam)))}\n" for lam in ev)
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

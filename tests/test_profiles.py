@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -6,6 +7,7 @@ import pytest
 from test_mesolver import _two_block_profile
 
 from vps.core import NoConvergenceError, validate_profile
+from vps.mesolver import solve_curve
 from vps.profiles import (
     BadPartitionError,
     LengthMismatchError,
@@ -98,6 +100,32 @@ class TestSpectralRadius:
         else:
             p = build_sampled(lambda x, y: (x + 2 * y) ** 2 if abs(x - y) <= 0.1 else 0.0, 200)
         assert spectral_radius(p) == _two_matvec_spectral_radius(p.normalized)
+
+    def test_nilpotent_pattern_is_exactly_zero(self):
+        # a star of edges out of node 0: no cycle, so rho = 0, where the
+        # power iteration crept to 9e-6 in 0.8 s
+        V = np.zeros((10, 10))
+        V[0, 1:] = 1.0
+        start = time.perf_counter()
+        assert spectral_radius(V) == 0.0
+        assert time.perf_counter() - start < 0.2
+
+    def test_triangular_pattern_is_its_largest_diagonal_entry(self):
+        # np.triu(ones) is one Jordan block, on which the power iteration
+        # raised NoConvergenceError
+        assert spectral_radius(validate_profile(np.triu(np.ones((7, 7))))) == 1 / 7
+        rng = np.random.default_rng(24)
+        upper = np.triu(rng.uniform(0.5, 2.0, size=(9, 9)))
+        perm = rng.permutation(9)
+        V = upper[np.ix_(perm, perm)]
+        assert spectral_radius(V) == V.diagonal().max()
+
+    def test_cycle_keeps_the_power_iteration(self):
+        # one 2-cycle below a triangular part: the iteration runs on all of V
+        V = np.triu(np.ones((6, 6)))
+        V[5, 4] = 1.0
+        assert spectral_radius(V) == _two_matvec_spectral_radius(V)
+        assert spectral_radius(V) == pytest.approx(2.0, rel=1e-6)
 
 
 def _two_matvec_spectral_radius(V, tol=1e-10, max_iters=100_000):
@@ -212,6 +240,124 @@ class TestScc:
 
     def test_triangular_has_no_total_support(self):
         assert _total_support(np.tril(np.ones((2000, 2000)))) is None
+
+    def test_positive_pattern_is_one_component(self):
+        for n in (1, 2, 7, 300):
+            label = _scc(np.ones((n, n), dtype=bool))
+            assert label.dtype == np.int_       # the dtype of every other labelling
+            np.testing.assert_array_equal(label, np.zeros(n))
+
+
+def brute_total_support(t) -> bool:
+    """Reference: a perfect matching exists and every nonzero of t lies on
+    one, read off all n! permutations."""
+    n = len(t)
+    perms = np.array(list(itertools.permutations(range(n))))
+    on = t[np.arange(n), perms].all(axis=1)
+    covered = np.zeros_like(t)
+    covered[np.broadcast_to(np.arange(n), perms[on].shape), perms[on]] = True
+    return bool(on.any()) and bool((covered == t).all())
+
+
+def zero_matching(t):
+    """A permutation p with t[i, p[i]] == 0 for every row i, by augmenting
+    paths on the zeros of t, or None when there is none."""
+    n = len(t)
+    row_of = [-1] * n
+
+    def augment(i, seen):
+        for j in np.flatnonzero(~t[i]):
+            if not seen[j]:
+                seen[j] = True
+                if row_of[j] < 0 or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    if not all(augment(i, [False] * n) for i in range(n)):
+        return None
+    p = np.empty(n, dtype=int)
+    p[row_of] = np.arange(n)
+    return p
+
+
+def small_pattern(kind, rng):
+    """A square 0/1 pattern of n <= 16 of one of the kinds below."""
+    n = int(rng.integers(2, 17))
+    t = rng.uniform(size=(n, n)) < rng.choice([0.15, 0.3, 0.45])
+    if kind == "zero rows":
+        t[rng.permutation(n)[:int(rng.integers(1, 3))]] = False
+    elif kind == "partial diagonal":
+        t[np.diag_indices(n)] |= rng.uniform(size=n) < 0.6
+    elif kind == "zero-free diagonal":
+        t |= np.eye(n, dtype=bool)
+    elif kind == "permuted direct sum":
+        sizes = rng.multinomial(n, np.ones(3) / 3)
+        block = np.repeat(np.arange(3), sizes)
+        t = (block[:, None] == block) & (rng.uniform(size=(n, n)) < 0.5)
+        t |= np.eye(n, dtype=bool)
+        t = t[np.ix_(rng.permutation(n), rng.permutation(n))]
+    return t
+
+
+class TestTotalSupport:
+    def test_matches_permutation_search(self):
+        rng = np.random.default_rng(25)
+        verdicts = set()
+        for trial in range(400):
+            n = int(rng.integers(1, 8))
+            t = rng.uniform(size=(n, n)) < rng.choice([0.2, 0.4, 0.6, 0.8])
+            if trial % 2:
+                t[np.diag_indices(n)] |= rng.uniform(size=n) < 0.7
+            expected = brute_total_support(t)
+            assert (_total_support(t) is not None) == expected, t.astype(int)
+            verdicts.add((bool(t.diagonal().all()), expected))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("kind", ["sparse", "zero rows", "partial diagonal",
+                                      "zero-free diagonal", "permuted direct sum"])
+    def test_blocks_do_not_depend_on_the_matching(self, kind):
+        # permuting the columns (or the rows) so the diagonal holds no
+        # nonzero makes the search start from an empty matching and end at
+        # another perfect matching: the blocks stay, with their labels
+        rng = np.random.default_rng(26)
+        checked = supported = 0
+        while checked < 60:
+            t = small_pattern(kind, rng)
+            p = zero_matching(t)
+            if p is None:
+                continue
+            checked += 1
+            ours = _total_support(t)
+            by_cols = _total_support(t[:, p])
+            sigma = np.argsort(p)           # t[sigma[i], i] == 0
+            by_rows = _total_support(t[sigma])
+            assert (ours is None) == (by_cols is None) == (by_rows is None)
+            if ours is None:
+                continue
+            supported += 1
+            (match, block), (match_c, block_c), (match_r, block_r) = ours, by_cols, by_rows
+            np.testing.assert_array_equal(block_c, block)
+            col_block = np.empty_like(block)
+            col_block[match] = block
+            col_block_c = np.empty_like(block)
+            col_block_c[match_c] = block_c
+            np.testing.assert_array_equal(col_block_c, col_block[p])
+            np.testing.assert_array_equal(block_r[:, None] == block_r,
+                                          block[sigma][:, None] == block[sigma])
+            col_block_r = np.empty_like(block)
+            col_block_r[match_r] = block_r
+            np.testing.assert_array_equal(col_block_r[:, None] == col_block_r,
+                                          col_block[:, None] == col_block)
+        assert supported >= (0 if kind == "zero rows" else 5)
+
+    def test_positive_pattern_needs_no_search(self):
+        # the diagonal is a perfect matching at once
+        start = time.perf_counter()
+        match, block = _total_support(np.ones((2000, 2000)))
+        assert time.perf_counter() - start < 0.5
+        np.testing.assert_array_equal(match, np.arange(2000))
+        assert not block.any()
 
 
 class TestFullyIndecomposable:
@@ -345,6 +491,16 @@ class TestSinkhorn:
         p = validate_profile(np.ones((6, 6)))
         res = sinkhorn_scale(p)
         assert np.allclose(res.d1 * res.d2 * (1.0 / 6.0), res.scaled[0, 0])
+
+
+def test_nilpotent_profile_needs_a_grid():
+    grid = np.zeros((10, 10))
+    grid[0, 1:] = 1.0
+    p = validate_profile(grid)
+    with pytest.raises(ValueError, match="unit atom at zero.*a grid must be given"):
+        solve_curve(p)
+    curve = solve_curve(p, [0.1, 0.2])
+    assert curve.rho == 0.0 and not curve.rows.q.any()
 
 
 class TestCircularLawTest:
