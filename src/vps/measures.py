@@ -175,7 +175,10 @@ def atom_from_cdf(s, F) -> float:
 
 def atom_at_zero(curve: MECurve) -> float:
     """Point mass at zero: limit of F(s) as s -> 0, extrapolated linearly
-    in s^2 from the two smallest grid points."""
+    in s^2 from the two smallest grid points.  At rho = 0 every radius is
+    past the support edge and the measure is a unit atom: 1.0 on any grid."""
+    if curve.rho == 0.0:
+        return 1.0
     grid = curve.s_grid
     if len(grid) > 1 and grid[1] > 0.25 * math.sqrt(curve.rho):
         raise InsufficientGridError(

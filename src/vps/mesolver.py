@@ -53,7 +53,10 @@ multiplies by diag(n_c) Vbar, the q_tilde half by diag(n_c) Vbar^T, and the
 trace sums weight each class by n_c.  The stopping rule, the Aitken steps,
 the Newton hand-offs and the 1/t bound act on the 2p unknowns as they
 would on the lifted 2n, and each finished row is lifted by the class
-label.
+label.  The spectral radius (`vps.profiles.spectral_radius`, power
+iteration on Vbar diag(n_c)) and the s = 0 check of `solve_at_zero`
+(Hall's condition one class at a time, `vps.profiles._class_hall`) read
+the same quotient.
 
 A rank-one profile V = a b^T (`VarianceProfile.rank_one_factors`, the
 source paper's separable case) is not iterated at all.  With
@@ -156,7 +159,7 @@ from .core import (
     _splitmix64,
     default_s_grid,
 )
-from .profiles import _scc, _total_support
+from .profiles import _class_hall, _scc, _total_support
 from .separable import _roots
 
 # Block Aitken extrapolation every AITKEN iterations, and a Newton hand-off
@@ -740,6 +743,7 @@ def _newton(product, product_T, x, s2, t, tol, gauge):
     if n > LU_UNKNOWNS:
         size = 2 * n + (len(starts) if t == 0 else 0)
         per = max(1, max(n * n, BASIS) // ((KRYLOV + 1) * size))
+        sums = _operand_sums(product[0], product_T[0])
     for first in range(0, k, per):
         live = np.arange(first, min(first + per, k))
         for step in range(NEWTON_STEPS + 1):
@@ -770,7 +774,7 @@ def _newton(product, product_T, x, s2, t, tol, gauge):
                                                 border)
             else:
                 dx, cond[live], work = _krylov_solve(product, product_T, coefficients, F,
-                                                     border, FORCING[step > 0])
+                                                     border, FORCING[step > 0], sums)
                 krylov[live] += work
             xs *= np.exp(dx / xs)
             fine = np.isfinite(xs).all(axis=1) & xs.all(axis=1) & np.isfinite(cond[live])
@@ -845,7 +849,14 @@ def _stacked_solve(A, B, coefficients, F, border=None):
     return rhs[:, :2 * n, 0], cond
 
 
-def _krylov_solve(product, product_T, coefficients, F, border, forcing):
+def _operand_sums(A, B):
+    """The column sums and the diagonals of the nonnegative operands
+    (A, B), from which `_krylov_solve` reads ||M||_inf: (sums of A, sums of
+    B, diagonal of A, diagonal of B)."""
+    return A.sum(axis=0), B.sum(axis=0), np.diagonal(A), np.diagonal(B)
+
+
+def _krylov_solve(product, product_T, coefficients, F, border, forcing, sums):
     """The systems of `_stacked_solve`, bordered as there, solved by
     `_gmres` without forming them, each to the relative residual
     `forcing`.  Returns dx, each system's condition estimate
@@ -858,9 +869,10 @@ def _krylov_solve(product, product_T, coefficients, F, border, forcing):
         v + cqt (u @ A) - d (v @ B) + column * lambda,
     each multiplier scaling its component's gauge column, and, bordered,
     the trace rows applied to u - v.  Its ||M||_inf is exact, from the
-    column sums and diagonals of the nonnegative operands.  sigma_min(R)
-    is that of the Arnoldi restriction of M, at least sigma_min(M), so the
-    estimate is at most the true condition number.
+    column sums and diagonals of the nonnegative operands, `sums` of
+    `_operand_sums`, which `_newton` forms once for all its steps.
+    sigma_min(R) is that of the Arnoldi restriction of M, at least
+    sigma_min(M), so the estimate is at most the true condition number.
     """
     (A, panels), (B, panels_T) = product, product_T
     d, cq, cqt = coefficients
@@ -870,8 +882,7 @@ def _krylov_solve(product, product_T, coefficients, F, border, forcing):
     if border is not None:
         trace, column = _border(border, n)
         component = np.tile(border[1], 2)
-    sums, sums_T = A.sum(axis=0), B.sum(axis=0)   # the operands are nonnegative
-    diag, diag_T = np.diagonal(A), np.diagonal(B)
+    sums, sums_T, diag, diag_T = sums
     norm = np.concatenate([np.abs(1.0 - d * diag) + d * (sums - diag) + cq * sums_T,
                            cqt * sums + np.abs(1.0 - d * diag_T) + d * (sums_T - diag_T)],
                           axis=1)
@@ -1092,10 +1103,20 @@ def solve_at_zero(profile: VarianceProfile,
     update makes the column sums of diag(q) V diag(qt) 1 up to rounding, so
     `residual` is the largest row sum error, and it must reach
     config.fixed_point_tol within config.max_iters `iterations`.
+
+    A profile with `pair_classes` is first checked on its quotient by
+    `_class_hall`: where a class's rows or columns fail Hall's condition
+    the pattern has no perfect matching, and it is refused without
+    `_total_support`'s search on all of V (the block atom: 2m rows share m
+    columns).  A profile that passes, or has no pair classes, is checked
+    on V.
     """
     config = config or SolverConfig()
     V = profile.normalized
-    structure = _total_support(V)
+    classes = profile.pair_classes
+    structure = None
+    if classes is None or _class_hall(*classes[1:]):
+        structure = _total_support(V)
     if structure is None:
         raise NoConvergenceError("no positive solution at s = 0: the profile's "
                                  "pattern has no total support")

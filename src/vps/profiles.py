@@ -1,10 +1,11 @@
 """Profile constructors and structural analysis.
 
 Covers the named profile families (sampled, separable, block atom), the
-spectral radius of the normalized profile, irreducibility and the period
-with its cyclic classes, total support and full indecomposability checks (a
-matching, then `_scc`, one pass that labels every strongly connected
-component), Sinkhorn scaling and the circular-law test.
+spectral radius of the normalized profile (on the pair-class quotient
+where it has one), irreducibility and the period with its cyclic
+classes, total support and full indecomposability checks (a matching,
+then `_scc`, one pass that labels every strongly connected component),
+Sinkhorn scaling and the circular-law test.
 """
 
 from __future__ import annotations
@@ -115,21 +116,34 @@ def spectral_radius(profile, tol: float = 1e-10, max_iters: int = 100_000) -> fl
     the pattern of V has no cycle but self-loops, V is triangular up to a
     symmetric permutation and its largest diagonal entry is returned
     exactly, without iterating: 0.0 for a nilpotent pattern.
+
+    A profile with `pair_classes` (label, sizes, Vbar) is read on its
+    p x p quotient W = Vbar diag(sizes): with E the n x p class indicator,
+    V = E Vbar E^T, so V E = E W, and V's nonzero eigenvalues are W's.  The
+    iteration runs on W, its norm and Rayleigh quotient weighted by the
+    class sizes, so its iterates are those on V, lifted by E, up to
+    rounding; a pattern of W with no cycle but self-loops makes W
+    triangular, and max diag W is exact.  An array, or a profile without
+    pair classes, is read on all of V.
     """
-    V = profile.normalized if isinstance(profile, VarianceProfile) else np.asarray(profile, dtype=float)
-    adj = V != 0
+    if isinstance(profile, VarianceProfile) and profile.pair_classes is not None:
+        _, sizes, Vbar = profile.pair_classes
+        W = Vbar * sizes
+    else:
+        W = profile.normalized if isinstance(profile, VarianceProfile) else np.asarray(profile, dtype=float)
+        sizes = np.ones(len(W))   # weights of 1.0, exact: the plain dot products
+    adj = W != 0
     np.fill_diagonal(adj, False)
     if _acyclic(adj):
-        return float(V.diagonal().max())
-    n = V.shape[0]
-    shift = float(np.max(V.sum(axis=1)))
-    x = np.ones(n)
-    y = V @ x + shift * x
+        return float(W.diagonal().max())
+    shift = float(np.max(W.sum(axis=1)))
+    x = np.ones(len(W))
+    y = W @ x + shift * x
     lam_prev = None
     for _ in range(max_iters):
-        x = y / math.sqrt(y @ y)  # np.linalg.norm's arithmetic for a real y
-        y = V @ x + shift * x  # the Rayleigh product and the next step's y
-        lam = float(x @ y)
+        x = y / math.sqrt((sizes * y) @ y)  # np.linalg.norm's arithmetic for the lifted y
+        y = W @ x + shift * x  # the Rayleigh product and the next step's y
+        lam = float((sizes * x) @ y)
         if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
             return lam - shift
         lam_prev = lam
@@ -288,10 +302,24 @@ def _total_support(pattern):
                     path.append(r2)
                     todo.append(None)
     # a matched pattern has total support iff every edge of the digraph
-    # lies inside a strongly connected component
+    # lies inside a strongly connected component: at once when there is one
     adj = adj[:, row_match]
     block = _scc(adj)
-    return None if np.any(adj & (block[:, None] != block)) else (row_match, block)
+    if block.any() and np.any(adj & (block[:, None] != block)):
+        return None
+    return row_match, block
+
+
+def _class_hall(sizes, Vbar) -> bool:
+    """Hall's condition on each pair class of a profile with
+    `pair_classes` (label, sizes, Vbar): the sizes[c] equal rows of class c
+    have their nonzeros in the (Vbar[c] > 0) @ sizes columns of the classes
+    they reach, and a perfect matching needs at least sizes[c] of them; so
+    for the columns.  False proves that the pattern has no perfect
+    matching; True proves nothing, as Hall's condition on unions of classes
+    is not checked."""
+    support = Vbar > 0
+    return bool((support @ sizes >= sizes).all() and (sizes @ support >= sizes).all())
 
 
 def is_fully_indecomposable(pattern) -> bool:

@@ -328,6 +328,22 @@ class TestDensity:
         assert main(["density", "--profile", str(path), "--out", str(tmp_path / "d.csv")]) == 3
         assert "unit atom at zero" in capsys.readouterr().err
 
+    def test_nilpotent_profile_on_a_grid_is_a_unit_atom(self, tmp_path):
+        # rho = 0: every radius is past the edge, F = 1 on the grid, and
+        # the atom at zero is the whole measure
+        grid = np.zeros((10, 10))
+        grid[0, 1:] = 1.0
+        path = tmp_path / "star.csv"
+        write_profile_csv(validate_profile(grid), path)
+        out = tmp_path / "d.csv"
+        assert main(["density", "--profile", str(path), "--grid", "0.1:0.5:5",
+                     "--out", str(out)]) == 0
+        _, F, _, _, _ = read_density_csv(out)
+        np.testing.assert_array_equal(F, 1.0)
+        info = open(str(out) + ".info.txt").read()
+        assert "rho = 0.0\n" in info
+        assert "atom_at_zero = 1.0\n" in info
+
     def test_circular_density_csv(self, circular_profile_csv, tmp_path):
         out = tmp_path / "dens.csv"
         assert main(["density", "--profile", circular_profile_csv,

@@ -307,6 +307,40 @@ class TestSolveAtZero:
             solve_at_zero(build_block_atom(3, 3),
                           SolverConfig(max_iters=20_000))
 
+    @staticmethod
+    def _spied(monkeypatch):
+        calls = []
+        total_support = vps.mesolver._total_support
+
+        def spy(pattern):
+            calls.append(pattern.shape)
+            return total_support(pattern)
+
+        monkeypatch.setattr(vps.mesolver, "_total_support", spy)
+        return calls
+
+    def test_block_atom_fails_hall_on_its_quotient(self, monkeypatch):
+        # 2m rows of the block atom share its first m columns: refused on
+        # the 2 x 2 quotient, with no search on V
+        calls = self._spied(monkeypatch)
+        perm = np.random.default_rng(17).permutation(300)
+        p = validate_profile(build_block_atom(3, 100).variances[np.ix_(perm, perm)])
+        with pytest.raises(NoConvergenceError, match="pattern has no total support"):
+            solve_at_zero(p)
+        assert calls == []
+
+    def test_hall_on_the_classes_is_not_total_support(self, monkeypatch):
+        # [[1, 1], [0, 1]] on classes of 50: every class passes Hall's
+        # count and the pattern has a perfect matching, but the entries of
+        # the upper right block lie on none
+        calls = self._spied(monkeypatch)
+        labels = np.repeat([0, 1], 50)[np.random.default_rng(18).permutation(100)]
+        p = validate_profile(np.array([[1.0, 1.0], [0.0, 1.0]])[np.ix_(labels, labels)])
+        assert len(p.pair_classes[1]) == 2
+        with pytest.raises(NoConvergenceError, match="pattern has no total support"):
+            solve_at_zero(p)
+        assert calls == [(100, 100)]
+
 
 def _two_block_parts():
     """Two positive diagonal blocks of different scales, and the row and
@@ -1090,7 +1124,8 @@ class TestKrylovRoute:
             patch.setattr(vps.mesolver, "_linearization", recorded)
             want, _ = vps.mesolver._stacked_solve(V, V.T, coefficients, F, border)
         got, cond, iterations = vps.mesolver._krylov_solve(
-            (V, _envelope(V)), (V.T, _envelope(V.T)), coefficients, F, border, 1e-12)
+            (V, _envelope(V)), (V.T, _envelope(V.T)), coefficients, F, border, 1e-12,
+            vps.mesolver._operand_sums(V, V.T))
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         assert (0 < iterations).all() and (iterations < 2 * n).all()
         (M,) = made
@@ -1156,6 +1191,25 @@ class TestKrylovRoute:
             return 1.0 - (rows.q * (rows.q_tilde @ V.T)).sum(axis=1) / p.n
 
         assert np.abs(cdf(curve)[inside] - (2 * F(1e-10) - F(2e-10))).max() <= 1e-9
+
+    def test_sums_the_operands_once_per_newton_call(self, monkeypatch):
+        # ||M||_inf reads the operands' column sums and diagonals, formed
+        # once per `_newton` call however many GMRES steps it takes
+        calls = {"newton": 0, "sums": 0, "krylov": 0}
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(vps.mesolver, original.__name__, call)
+
+        counted("newton", vps.mesolver._newton)
+        counted("sums", vps.mesolver._operand_sums)
+        counted("krylov", vps.mesolver._krylov_solve)
+        p = validate_profile(np.random.default_rng(11).uniform(0.5, 2.0, size=(30, 30)))
+        solve_curve(p, default_s_grid(math.sqrt(spectral_radius(p)), 10))
+        assert calls["sums"] == calls["newton"] >= 1
+        assert calls["krylov"] > calls["newton"]
 
     def test_lays_v_out_once(self, monkeypatch):
         # the loose kernel, Newton and the kernel's second run for the

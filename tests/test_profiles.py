@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,7 +100,12 @@ class TestSpectralRadius:
             p = validate_profile(build_block_atom(3, 100).variances[np.ix_(perm, perm)])
         else:
             p = build_sampled(lambda x, y: (x + 2 * y) ** 2 if abs(x - y) <= 0.1 else 0.0, 200)
-        assert spectral_radius(p) == _two_matvec_spectral_radius(p.normalized)
+        V = p.normalized
+        assert spectral_radius(V) == _two_matvec_spectral_radius(V)
+        # the block atom has pair classes and is read on its quotient
+        # (TestQuotientSpectralRadius); the others on all of V
+        if p.pair_classes is None:
+            assert spectral_radius(p) == spectral_radius(V)
 
     def test_nilpotent_pattern_is_exactly_zero(self):
         # a star of edges out of node 0: no cycle, so rho = 0, where the
@@ -126,6 +132,66 @@ class TestSpectralRadius:
         V[5, 4] = 1.0
         assert spectral_radius(V) == _two_matvec_spectral_radius(V)
         assert spectral_radius(V) == pytest.approx(2.0, rel=1e-6)
+
+
+def _block_profile(Vbar, sizes, seed):
+    """The profile with sizes[c] indices in class c and the value Vbar[c, d]
+    on every entry of a class-c row in a class-d column, the indices in a
+    seeded order."""
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    label = label[np.random.default_rng(seed).permutation(len(label))]
+    return validate_profile(np.asarray(Vbar, dtype=float)[np.ix_(label, label)])
+
+
+def _quotient_cases():
+    rng = np.random.default_rng(27)
+    Vbar = rng.uniform(0.5, 2.0, size=(5, 5)) * (rng.uniform(size=(5, 5)) < 0.6)
+    np.fill_diagonal(Vbar, 1.0)   # a self-loop in every class: aperiodic
+    return {
+        "periodic": ([[0.0, 1.0], [1.0, 0.0]], [100, 200]),   # the block atom, k = 3
+        "aperiodic": (Vbar, rng.integers(5, 40, size=5)),
+        "acyclic": ([[0.0, 1.0], [0.0, 1.0]], [20, 30]),      # class 1 loops
+        "constant": ([[1.0]], [48]),
+    }
+
+
+class TestQuotientSpectralRadius:
+    """A profile with pair classes is read on W = Vbar diag(sizes)."""
+
+    @pytest.mark.parametrize("case", ["periodic", "aperiodic", "acyclic", "constant"])
+    def test_matches_the_iteration_on_v(self, case):
+        Vbar, sizes = _quotient_cases()[case]
+        p = _block_profile(Vbar, sizes, 28)
+        _, got_sizes, got_Vbar = p.pair_classes
+        assert len(got_sizes) == len(sizes)
+        rho, full = spectral_radius(p), spectral_radius(p.normalized)
+        assert abs(rho - full) <= 1e-14 * full
+        if case in ("acyclic", "constant"):
+            # W is triangular up to a permutation: its largest diagonal
+            # entry, exactly
+            assert rho == (got_Vbar * got_sizes).diagonal().max()
+        if case == "periodic":
+            assert rho == pytest.approx(math.sqrt(2) / 3, rel=1e-12)
+
+    def test_equal_diagonal_blocks_are_exact(self):
+        # W = [[0.75, *], [0, 0.75]] is one Jordan block: the iteration on
+        # V stops 2.7e-5 off, the quotient reads the diagonal exactly
+        p = _block_profile([[1.0, 2.0], [0.0, 3.0]], [30, 10], 29)
+        _, sizes, Vbar = p.pair_classes
+        assert spectral_radius(p) == (Vbar * sizes).diagonal().max()
+        assert spectral_radius(p) == pytest.approx(0.75, rel=1e-15)
+
+    def test_no_n_by_n_temporary(self):
+        perm = np.random.default_rng(30).permutation(600)
+        p = validate_profile(build_block_atom(3, 200).variances[np.ix_(perm, perm)])
+        p.pair_classes   # formed, with V, before the trace
+        tracemalloc.start()
+        try:
+            spectral_radius(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * 600 // 8   # an n x n boolean pattern alone is n^2 bytes
 
 
 def _two_matvec_spectral_radius(V, tol=1e-10, max_iters=100_000):
@@ -350,6 +416,34 @@ class TestTotalSupport:
             np.testing.assert_array_equal(col_block_r[:, None] == col_block_r,
                                           col_block[:, None] == col_block)
         assert supported >= (0 if kind == "zero rows" else 5)
+
+    def test_pins_the_match_and_the_blocks(self):
+        # one component returns before the test of edges between
+        # components, which cannot fire; (match, block) stay those of the
+        # full test
+        t = _two_block_profile().variances > 0
+        match, block = _total_support(t)
+        assert match.tolist() == [16, 13, 2, 3, 19, 18, 6, 12, 17, 15,
+                                  14, 11, 7, 1, 10, 9, 0, 8, 5, 4]
+        assert block.tolist() == [0, 0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0]
+        i = np.arange(7)
+        t = np.zeros((7, 7), dtype=bool)
+        t[i, (i + 1) % 7] = t[i, (i + 3) % 7] = True   # a zero diagonal: the search runs
+        match, block = _total_support(t)
+        assert match.tolist() == [3, 4, 5, 6, 0, 1, 2]
+        assert block.tolist() == [0] * 7
+        rng = np.random.default_rng(31)
+        for kind in ("sparse", "partial diagonal", "zero-free diagonal", "permuted direct sum"):
+            for _ in range(40):
+                t = small_pattern(kind, rng)
+                structure = _total_support(t)
+                if structure is None:
+                    continue
+                match, block = structure
+                assert t[np.arange(len(t)), match].all()
+                np.testing.assert_array_equal(np.sort(match), np.arange(len(t)))
+                np.testing.assert_array_equal(block, _scc(t[:, match]))
+                assert not (t[:, match] & (block[:, None] != block)).any()
 
     def test_positive_pattern_needs_no_search(self):
         # the diagonal is a perfect matching at once
