@@ -40,7 +40,6 @@ from .profiles import (
 )
 from .mesolver import (
     MECurve,
-    anneal_to_limit,
     derivative_s2,
     psi,
     solve_at_zero,

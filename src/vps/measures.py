@@ -5,8 +5,9 @@ F(s) = 1 - (1/n) <q(s), V q_tilde(s)>, its density (exact derivative or
 finite differences), the atom at zero, the density lower bound and the
 density at zero.  Every measure of a curve reads its one set of products
 (`MECurve.products`: the curve's rows of q and q_tilde and V q_tilde,
-V^T q at every radius, on one entry per pair class where the profile has
-them), so each is evaluated for the whole curve at once.  The exact
+V^T q at every radius, on one entry per class of the curve's route: its
+pair classes, or the n indices of V itself), so each is evaluated for the
+whole curve at once.  The exact
 density of a rank-one profile is the closed-form derivative of its scalar
 equation; any other profile's solves the linearized equations at every
 nontrivial radius in stacked LU solves (`derivative_rows`, whose one-radius
@@ -97,7 +98,7 @@ def _exact_density(curve: MECurve) -> np.ndarray:
                                          products.w[live]) / n
         return f
     dq, dqt = derivative_rows(products, live)
-    inner = (dq * products.v_qt[live] + products.vt_q[live] * dqt) @ products.weights
+    inner = (dq * products.v_qt[live] + products.vt_q[live] * dqt) @ products.route.sizes
     f[live] = -inner / (math.pi * n)
     return f
 
@@ -106,9 +107,10 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     """Radial density f(|z|) at a single modulus inside the support.
 
     mode "exact" solves a one-radius curve at |z| by the route of the curve
-    (`_solve_inside`: the curve's rho already places |z| inside the
-    support), raises its NoConvergenceError if that failed, and
-    differentiates the master equations there, as `grid_density` does;
+    (`_solve_inside` on `curve.route`, whose components are labeled
+    already; the curve's rho places |z| inside the support), raises its
+    NoConvergenceError if that failed, and differentiates the master
+    equations there, as `grid_density` does;
     mode "fd" takes density_from_cdf at the interior point of the curve's
     grid nearest |z| among those below the support edge, where the density
     is not zeroed.  It needs at least three radii, and its resolution is
@@ -119,8 +121,8 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     if not 0.0 < s < edge:
         raise OutsideSupportError(f"|z| = {s} outside (0, {edge})")
     if mode == "exact":
-        rows = _solve_inside(curve.profile, [s], curve.config)
-        point = MECurve(curve.profile, np.array([s]), rows, curve.rho, curve.config)
+        rows = _solve_inside(curve.profile, curve.route, [s], curve.config)
+        point = MECurve(curve.profile, np.array([s]), rows, curve.rho, curve.config, curve.route)
         point.raise_failures()
         return max(0.0, float(_exact_density(point)[0]))
     if mode == "fd":
@@ -195,11 +197,11 @@ def density_lower_bound(curve: MECurve) -> np.ndarray:
     inv_psi = p.v_qt * p.vt_q
     inv_psi += p.s2[:, None]
     qqt = p.q * p.q_tilde
-    num = (inv_psi * qqt) @ p.weights
+    num = (inv_psi * qqt) @ p.route.sizes
     qqt *= qqt
     qqt /= inv_psi
     with np.errstate(invalid="ignore"):   # 0 / 0 at the trivial radii
-        ratio = num / (qqt @ p.weights)
+        ratio = num / (qqt @ p.route.sizes)
     return np.where(p.live, ratio, math.nan)
 
 

@@ -44,19 +44,24 @@ that range, for V and for its transpose alike.  On a band or a
 block-diagonal profile that reads a quarter to a third of V; a profile
 whose envelope covers most of V keeps one panel, the whole matrix.
 
-A block profile is solved on its quotient.  Two indices with the same row
-of V and the same column of V (the same row of [V | V^T]) have equal q and
-equal q_tilde at every iterate, so the p pair classes of V
-(`VarianceProfile.pair_classes`, used when 2p <= n) carry the whole
-iteration: with class sizes n_c and block values Vbar (p x p), the q half
-multiplies by diag(n_c) Vbar, the q_tilde half by diag(n_c) Vbar^T, and the
-trace sums weight each class by n_c.  The stopping rule, the Aitken steps,
-the Newton hand-offs and the 1/t bound act on the 2p unknowns as they
-would on the lifted 2n, and each finished row is lifted by the class
-label.  The spectral radius (`vps.profiles.spectral_radius`, power
-iteration on Vbar diag(n_c)) and the s = 0 check of `solve_at_zero`
-(Hall's condition one class at a time, `vps.profiles._class_hall`) read
-the same quotient.
+Every profile is solved on a quotient, its `_Route`, made once per curve.
+Two indices with the same row of V and the same column of V (the same row
+of [V | V^T]) have equal q and equal q_tilde at every iterate, so the p
+pair classes of V (`VarianceProfile.pair_classes`, found where 2p <= n)
+carry the whole iteration: with class sizes n_c and block values Vbar
+(p x p), the q half multiplies by diag(n_c) Vbar, the q_tilde half by
+diag(n_c) Vbar^T, and the trace sums weight each class by n_c.  The
+stopping rule, the Aitken steps, the Newton hand-offs and the 1/t bound
+act on the 2p unknowns as they would on the lifted 2n, and each finished
+row is lifted by the class label.  A profile without pair classes is the
+identity quotient: V itself, with n classes of size 1.  Unit sizes keep V
+and its transpose view as the operands, with no trace weights
+(`_operands`), so that route copies nothing.  The route record also holds
+the connected components, labeled once, which the kernel's gauge and the
+derivative's border read.  The spectral radius
+(`vps.profiles.spectral_radius`, power iteration on Vbar diag(n_c)) and
+the s = 0 check of `solve_at_zero` (Hall's condition one class at a
+time, `vps.profiles._class_hall`) read the same quotient.
 
 A rank-one profile V = a b^T (`VarianceProfile.rank_one_factors`, the
 source paper's separable case) is not iterated at all.  With
@@ -118,22 +123,20 @@ route's `_Rows` record once, as `MECurve.rows`, lifted to n entries and
 padded past the edge with zero rows in one copy; `rows.at_zero` marks the
 radii solved at t = 0, `rows.krylov` counts each radius's GMRES
 iterations, and the curve's t per radius (`MECurve.t`), `MESolution`
-views and failed radii are read from it.  `anneal_to_limit` is its
-one-radius call, and `solve_regularized` is a one-row call of the kernel
-at the caller's t, which never takes the endgame.
+views and failed radii are read from it.  `solve_curve` on one radius is
+the t -> 0 limit there, and `solve_regularized` is a one-row call of the
+kernel at the caller's t, which never takes the endgame.
 
 The measures read a curve once, through `MECurve.products`: its rows and
-the products V q_tilde and V^T q at every radius, on one entry per pair
-class where the profile has them (with the class sizes weighting the sums)
-and on all n otherwise, as two matrix products for the whole curve.  The
-exact density takes the same one choice per profile.  A rank-one profile's
-density is the derivative of its scalar equation, in closed form
-(`vps.measures`).  Otherwise `derivative_rows` solves the linearized
-equations at every radius, bordered as the t = 0 Newton's are, by
-`_stacked_solve`: (2p + c) systems on the pair-class quotient, otherwise
-(2n + c) on V, with c components, each labeled once, by the solve
-(`_Rows.component`).  `derivative_s2` is its one-radius
-call.  `solve_route` names the route of the curve and the density alike.
+the products V q_tilde and V^T q at every radius, on one entry per class
+of the curve's route (with the class sizes weighting the sums), as two
+matrix products for the whole curve.  A rank-one profile's density is the
+derivative of its scalar equation, in closed form (`vps.measures`).
+Otherwise `derivative_rows` solves the linearized equations at every
+radius, bordered as the t = 0 Newton's are, by `_stacked_solve`: (2p + c)
+systems on the p classes of the route (p = n on V itself), with its c
+components.  `derivative_s2` is its one-radius call.  `solve_route` names
+the route of the curve and the density alike.
 
 `solve_at_zero` needs no regularization.  At s = t = 0 the equations are the
 Sinkhorn-Knopp equations, with a positive solution iff the pattern of V has
@@ -238,13 +241,17 @@ BASIS = 2 ** 19
 @dataclass(frozen=True)
 class MECurve:
     """Master equation solutions along an increasing radial grid, stored
-    once: `rows`, the `_Rows` record with one row per radius of `s_grid`."""
+    once: `rows`, the `_Rows` record with one row per radius of `s_grid`,
+    and `route`, the profile's `_Route`, made once for the curve: the
+    solve, its `products` and the exact density's one-radius solves read
+    it."""
 
     profile: VarianceProfile
     s_grid: np.ndarray
     rows: _Rows
     rho: float
     config: SolverConfig
+    route: _Route
 
     @functools.cached_property
     def t(self) -> np.ndarray:
@@ -278,7 +285,7 @@ class MECurve:
         """`curve_products` of the curve's rows, computed on first use and
         cached on the curve; the measures of `vps.measures` read them."""
         rows = self.rows
-        return curve_products(self.profile, self.s_grid, rows.q, rows.q_tilde, rows.component)
+        return curve_products(self.route, self.s_grid, rows.q, rows.q_tilde)
 
     def raise_failures(self) -> None:
         """Raise NoConvergenceError naming the failed radii, if any, and
@@ -304,25 +311,75 @@ def psi(profile: VarianceProfile, q, q_tilde, s: float, t: float) -> np.ndarray:
     return 1.0 / denom
 
 
-def _gauge(V, weights=None):
-    """The connected components of the pattern of V + V^T, for `_rebalance`:
-    the nodes in the stable order of their `_scc` labels, where each
-    component starts in that order, its size, and the `weights` of the
-    nodes (the class sizes of a pair-class quotient, or None) in that
-    order."""
-    label = _scc((V != 0) | (V.T != 0))
-    order = np.argsort(label, kind="stable")
-    sizes = np.bincount(label)
-    return (order, np.cumsum(sizes) - sizes, sizes,
-            None if weights is None else weights[order])
+@dataclass(frozen=True)
+class _Route:
+    """The unknowns of a profile's solves, made once per curve by `_route`:
+    a quotient V with p classes, the class `sizes`, the class `label` of
+    each of the n indices, `pick`, the first index of each class, and
+    `name`, the route as `solve_route` names it.  A profile's pair-class
+    quotient (Vbar, sizes, label) is one; V itself is the identity
+    quotient, with n classes of size 1, label arange(n) and `pick` the
+    slice of all n, so that picking the classes' entries is a view."""
+
+    V: np.ndarray
+    sizes: np.ndarray
+    label: np.ndarray
+    pick: slice | np.ndarray
+    name: str
+
+    @functools.cached_property
+    def component(self) -> np.ndarray:
+        """The `_scc` label of each class's connected component of the
+        pattern of V + V^T, found on first use and cached: the kernel's
+        gauge and the derivative's border read the same labels."""
+        return _scc((self.V != 0) | (self.V.T != 0))
+
+
+def _identity(V) -> _Route:
+    """V as its own quotient, with n classes of size 1."""
+    n = len(V)
+    return _Route(V, np.ones(n), np.arange(n), slice(None), "full")
+
+
+def _route(profile: VarianceProfile) -> _Route:
+    """The `_Route` of a profile: its pair-class quotient where it has
+    `pair_classes`, and otherwise `_identity` of V.  Two indices of one
+    class have equal q and equal q_tilde at every iterate, so the quotient
+    runs the same iteration on 2p unknowns in place of 2n.  The one place
+    that chooses between the two; a rank-one profile has a route too, for
+    the radii that fail its check and for its products."""
+    classes = profile.pair_classes
+    if classes is None:
+        return _identity(profile.normalized)
+    label, sizes, Vbar = classes
+    return _Route(Vbar, sizes, label, np.unique(label, return_index=True)[1],
+                  f"quotient ({len(sizes)} classes)")
+
+
+def _operands(V, sizes):
+    """The operands (A, B) of `_product` on a quotient V with class
+    `sizes`, q @ A = V^T q and qt @ B = V qt on the lifted n entries, and
+    the trace weights: diag(sizes) V, diag(sizes) V^T and sizes, since the
+    lifted (V^T q)_i sums sizes[d] V[d, c] q_d over the classes d, with c
+    the class of i, and likewise (V qt)_i.  Unit sizes, V itself, keep V
+    and its transpose view and no weights (None), so `_rebalance` and
+    `_border` sum unweighted: a contiguous copy of V^T would take the n^2
+    doubles that `_newton` gives its GMRES bases, and the kernel runs as
+    fast on the view (99 lock-step iterations of 28 radii of band model B
+    at n = 800: 72 ms either way)."""
+    if (sizes == 1).all():
+        return V, V.T, None
+    weights = sizes[:, None]
+    return weights * V, weights * V.T, sizes
 
 
 def _rebalance(x, gauge):
     """Gauge rescaling (q, qt) -> (c q, qt / c) with c = sqrt(sum(qt) / sum(q))
-    taken over each component of `_gauge`, in place on every [q | qt] row
-    of x, whose unknowns are in the gauge's order: each component is one
-    contiguous range.  On a pair-class quotient the sums weight each class
-    by its size, so they are the sums of the lifted n entries.
+    taken over each component of the `_layout` gauge, in place on every
+    [q | qt] row of x, whose unknowns are in the gauge's order: each
+    component is one contiguous range.  On a pair-class quotient the sums
+    weight each class by its size, so they are the sums of the lifted n
+    entries.
 
     The equations of a component involve only its own entries, so each
     component's rescaling is an exact symmetry of the t = 0 equations, and
@@ -357,37 +414,31 @@ def _envelope(V):
     return tuple(zip(lo.tolist(), hi.tolist(), a.tolist(), b.tolist()))
 
 
-def _layout(V, sizes=None):
-    """What `_solve_rows` sets up once per call: the gauge of `_gauge` and
-    the operands (A, panels) and (B, panels) of `_product`, in the gauge's
-    component order, with q @ A = V^T q and qt @ B = V qt.
-
-    For V itself A is V and B its transpose, a view, each with its
-    `_envelope` panels: a contiguous copy of V^T would take the n^2
-    doubles that `_newton` gives its GMRES bases, and the kernel runs as
-    fast on the view (99 lock-step iterations of 28 radii of band model B
-    at n = 800: 72 ms either way).  On the pair-class quotient Vbar of a profile, with
-    the class `sizes`, A = diag(sizes) Vbar and B = diag(sizes) Vbar^T: the
-    lifted (V^T q)_i sums sizes[d] Vbar[d, c] q_d over the classes d, with
-    c the class of i, and likewise (V qt)_i.
-    """
-    gauge = _gauge(V, sizes)
-    order = gauge[0]
+def _layout(route: _Route):
+    """What `_solve_rows` sets up once per call on a route: the gauge
+    (order, starts, counts, weights) of `_rebalance` and the `_operands`
+    (A, panels) and (B, panels) of `_product`, each with its `_envelope`
+    panels.  `order` lists the classes in the stable order of their
+    `route.component` labels, `starts` and `counts` give where each
+    component starts in that order and its size, and `weights` are the
+    trace weights in that order.  Where `order` is not the identity, V is
+    permuted symmetrically into it, so each component is one range."""
+    component = route.component
+    order = np.argsort(component, kind="stable")
+    counts = np.bincount(component)
+    V, sizes = route.V, route.sizes
     if (order != np.arange(len(order))).any():
-        V = V[np.ix_(order, order)]
-    if sizes is None:
-        A, B = V, V.T
-    else:
-        weights = gauge[3][:, None]
-        A, B = weights * V, weights * V.T
-    return gauge, (A, _envelope(A)), (B, _envelope(B))
+        V, sizes = V[np.ix_(order, order)], sizes[order]
+    A, B, weights = _operands(V, sizes)
+    return ((order, np.cumsum(counts) - counts, counts, weights),
+            (A, _envelope(A)), (B, _envelope(B)))
 
 
 def envelope_fraction(V) -> float:
     """Share of V that one fixed-point iteration of `_solve_rows` reads
     on V itself: the area of the `_envelope` panels of V and of V^T, in
     the kernel's component order, over 2 n^2."""
-    _, (_, panels), (_, panels_T) = _layout(V)
+    _, (_, panels), (_, panels_T) = _layout(_identity(V))
     area = sum((hi - lo) * (b - a) for lo, hi, a, b in panels + panels_T)
     return area / (2 * V.shape[0] ** 2)
 
@@ -437,12 +488,8 @@ class _Rows:
     equations themselves (a rank-one lift or a radius accepted by
     `_solve_at_zero_rows`), not those at t_min, and `krylov`, the GMRES
     iterations of the radius's Newton steps (`_krylov_solve`; 0 where its
-    steps were solved by LU, or none were taken).
-
-    `component` is the route's, not a radius's: the `_gauge` label of each
-    unknown the kernel iterated (one per pair class on a quotient, in
-    class order, even once the rows are lifted to n entries), or None
-    where no kernel ran."""
+    steps were solved by LU, or none were taken).  The rows hold one entry
+    per class of the route's quotient until `_lift` lifts them to n."""
 
     q: np.ndarray
     q_tilde: np.ndarray
@@ -451,10 +498,9 @@ class _Rows:
     errors: list
     at_zero: np.ndarray
     krylov: np.ndarray
-    component: np.ndarray | None
 
 
-def _solve_rows(V, s, t, config: SolverConfig, sizes=None, layout=None) -> _Rows:
+def _solve_rows(layout, s, t, config: SolverConfig) -> _Rows:
     """Solve the equations at regularization t for every radius of `s`,
     each from ones.
 
@@ -469,18 +515,16 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None, layout=None) -> _Rows
     rows still running are compacted into the leading slice; the loop ends
     once none is left.  The work arrays hold about 9 m n doubles.
 
-    V is laid out by `_layout`, or `layout` is its layout already: the
-    rows iterate on the unknowns in the component order of `_gauge`, so a
-    component's trace balance sums one contiguous range, and each finished
-    row is written back in the caller's order.  Each product reads only
-    its operand's `_envelope` panels.  With class `sizes`, V is a
-    pair-class quotient Vbar, and the rows hold one entry per class (see
-    `_solve`).
+    `layout` is the `_layout` of a route: the rows iterate on its classes
+    in the gauge's component order, so a component's trace balance sums
+    one contiguous range, and each finished row is written back in the
+    classes' order.  Each product reads only its operand's `_envelope`
+    panels.
     """
     s = np.asarray(s, dtype=float)
-    m, n = len(s), V.shape[0]
-    gauge, product, product_T = layout or _layout(V, sizes)
+    gauge, product, product_T = layout
     order = gauge[0]
+    m, n = len(s), len(order)
     back = np.concatenate([order, order + n])   # row entry -> caller's entry
     tol = config.fixed_point_tol
     max_iters = config.max_iters
@@ -572,10 +616,8 @@ def _solve_rows(V, s, t, config: SolverConfig, sizes=None, layout=None) -> _Rows
             np.greater(gain, stall[:k], out=handoff[:k])
             np.multiply(gain, 2.0, out=stall[:k], where=handoff[:k])
             stalled = bool(handoff[:k].any())
-    component = np.empty(n, dtype=np.int64)
-    component[order] = np.repeat(np.arange(len(gauge[2])), gauge[2])   # the `_scc` labels
     return _Rows(out[:, :n], out[:, n:], out_iters, out_res, errors, np.zeros(m, dtype=bool),
-                 out_krylov, component)
+                 out_krylov)
 
 
 def _aitken(x, last, prev_norm, dx, cap):
@@ -608,47 +650,32 @@ def _aitken(x, last, prev_norm, dx, cap):
     return norm, np.where(jump[:, 0], gain, 0.0)
 
 
-def _operands(profile: VarianceProfile):
-    """What `_solve_rows` iterates for the profile: (Vbar, sizes, label)
-    of its pair-class quotient when it has `pair_classes`, and otherwise
-    (V, None, None).  Two indices of one class have equal q and equal
-    q_tilde at every iterate, so the quotient runs the same iteration on
-    2p unknowns in place of 2n."""
-    classes = profile.pair_classes
-    if classes is None:
-        return profile.normalized, None, None
-    label, sizes, Vbar = classes
-    return Vbar, sizes, label
-
-
 def _lift(rows: _Rows, label, past=0) -> _Rows:
     """The rows with `past` zero rows appended (exact zeros, 0 iterations,
     residual 0.0, no error, not `at_zero`, 0 `krylov`), each written once
-    into its final arrays, lifted to the n entries by the class `label` on
-    a quotient (None: the rows are on n entries already)."""
-    if label is None and not past:
+    into its final arrays, lifted from one entry per class to the n
+    entries by the route's class `label`.  Rows on n entries already, with
+    nothing to append, are returned as they are."""
+    m, n = len(rows.iterations), len(label)
+    if rows.q.shape[1] == n and not past:
         return rows
-    m = len(rows.iterations)
 
     def grown(a):
-        out = np.zeros((m + past, a.shape[1] if label is None else len(label)))
-        if label is None:
-            out[:m] = a
-        else:
-            np.take(a, label, axis=1, out=out[:m])
+        out = np.zeros((m + past, n))
+        np.take(a, label, axis=1, out=out[:m], mode="clip")   # in range: "clip" needs no buffer
         return out
 
     pad = [(0, past)]
     return _Rows(grown(rows.q), grown(rows.q_tilde), np.pad(rows.iterations, pad),
                  np.pad(rows.residual, pad), rows.errors + [None] * past,
-                 np.pad(rows.at_zero, pad), np.pad(rows.krylov, pad), rows.component)
+                 np.pad(rows.at_zero, pad), np.pad(rows.krylov, pad))
 
 
 def _solve(profile: VarianceProfile, s, t, config: SolverConfig) -> _Rows:
-    """`_solve_rows` at t on the profile's `_operands`, each row lifted to
-    the n entries."""
-    V, sizes, label = _operands(profile)
-    return _lift(_solve_rows(V, s, t, config, sizes), label)
+    """`_solve_rows` at t on the profile's `_route`, each row lifted to the
+    n entries."""
+    route = _route(profile)
+    return _lift(_solve_rows(_layout(route), s, t, config), route.label)
 
 
 def _residual_at_zero(V, q, qt, s2):
@@ -660,7 +687,8 @@ def _residual_at_zero(V, q, qt, s2):
     return np.maximum(np.abs(psi * phit - q).max(axis=1), np.abs(psi * phi - qt).max(axis=1))
 
 
-def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
+def _solve_rank_one(profile: VarianceProfile, route: _Route, s,
+                    config: SolverConfig) -> _Rows:
     """The t = 0 solution at every radius of s of a profile with
     `rank_one_factors` (a, b), lifted from the root w of its scalar
     equation (see the module docstring); a radius's iterations are its
@@ -670,7 +698,7 @@ def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
     `_residual_at_zero` at most fixed_point_tol times max(1, the largest
     entry), and that residual is reported.  The radii that fail the check,
     or whose lift is not finite, take the route of any other profile,
-    `_solve_at_zero_rows` on its `_operands`, with its record.
+    `_solve_at_zero_rows` on its `route`, with its record.
     """
     a, b = profile.rank_one_factors
     s = np.asarray(s, dtype=float)
@@ -688,13 +716,12 @@ def _solve_rank_one(profile: VarianceProfile, s, config: SolverConfig) -> _Rows:
     at_zero = residual <= config.fixed_point_tol * scale
     bad = np.flatnonzero(~at_zero)
     if len(bad):
-        V, sizes, label = _operands(profile)
-        rows = _lift(_solve_at_zero_rows(V, s[bad], config, sizes), label)
+        rows = _lift(_solve_at_zero_rows(route, s[bad], config), route.label)
         q[bad], qt[bad], at_zero[bad] = rows.q, rows.q_tilde, rows.at_zero
         steps[bad], residual[bad], krylov[bad] = rows.iterations, rows.residual, rows.krylov
         for i, error in zip(bad, rows.errors):
             errors[i] = error
-    return _Rows(q, qt, steps, residual, errors, at_zero, krylov, None)
+    return _Rows(q, qt, steps, residual, errors, at_zero, krylov)
 
 
 @np.errstate(all="ignore")   # a step may overflow or underflow; the checks reject it
@@ -981,10 +1008,10 @@ def _gmres(apply, b, forcing):
     return x, sigma, iterations
 
 
-def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
+def _solve_at_zero_rows(route: _Route, s, config: SolverConfig) -> _Rows:
     """The t = 0 solution at every radius of s, by Newton from a loose
-    kernel iterate, for the operands (V, sizes) of `_operands`; rows on
-    those unknowns.  V is laid out once, for the kernel and Newton alike.
+    kernel iterate, on the classes of `route`; rows on those unknowns.
+    The route is laid out once, for the kernel and Newton alike.
 
     `_solve_rows` runs at t_min only to NEWTON_START (or fixed_point_tol,
     if looser); a radius that fails there fails as it would at the full
@@ -1002,10 +1029,10 @@ def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
     of a curve goes to t_min.
     """
     s = np.asarray(s, dtype=float)
-    layout = _layout(V, sizes)
+    layout = _layout(route)
     gauge, product, product_T = layout
     loose = replace(config, fixed_point_tol=max(NEWTON_START, config.fixed_point_tol))
-    rows = _solve_rows(V, s, config.t_min, loose, sizes, layout)
+    rows = _solve_rows(layout, s, config.t_min, loose)
     order = gauge[0]
     n = len(order)
     live = np.flatnonzero([error is None for error in rows.errors])
@@ -1020,7 +1047,7 @@ def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
     rows.residual[take] = residual[accepted]
     rows.at_zero[take] = True
     if len(again):
-        kernel = _solve_rows(V, s[again], config.t_min, config, sizes, layout)
+        kernel = _solve_rows(layout, s[again], config.t_min, config)
         x[again] = np.concatenate([kernel.q, kernel.q_tilde], axis=1)
         rows.iterations[again] = kernel.iterations
         rows.krylov[again] = kernel.krylov
@@ -1030,61 +1057,49 @@ def _solve_at_zero_rows(V, s, config: SolverConfig, sizes=None) -> _Rows:
     return replace(rows, q=x[:, :n], q_tilde=x[:, n:])
 
 
-def _solve_inside(profile: VarianceProfile, s, config: SolverConfig, past=0) -> _Rows:
+def _solve_inside(profile: VarianceProfile, route: _Route, s, config: SolverConfig,
+                  past=0) -> _Rows:
     """The t -> 0 limit at every radius of s, each below sqrt(rho), lifted
     to n entries with `past` zero rows appended (`_lift`).  The route of
     `solve_curve` and of the exact `vps.measures.density`, which
     `solve_route` names:
     - a profile with `rank_one_factors`: `_solve_rank_one`, at t = 0;
-    - otherwise `_solve_at_zero_rows` on its `_operands` (the p pair
-      classes, or V itself): at t = 0 where the Newton endgame is
-      accepted, and at t_min where it is refused.
+    - otherwise `_solve_at_zero_rows` on the classes of the profile's
+      `route` (its p pair classes, or the n of V itself): at t = 0 where
+      the Newton endgame is accepted, and at t_min where it is refused.
     """
-    if profile.rank_one_factors is not None:
-        return _lift(_solve_rank_one(profile, s, config), None, past)
-    V, sizes, label = _operands(profile)
-    return _lift(_solve_at_zero_rows(V, s, config, sizes), label, past)
+    if profile.rank_one_factors is not None:   # its rows are on the n entries
+        rows, label = _solve_rank_one(profile, route, s, config), np.arange(profile.n)
+    else:
+        rows, label = _solve_at_zero_rows(route, s, config), route.label
+    return _lift(rows, label, past)
 
 
 def solve_route(profile: VarianceProfile) -> str:
     """The route of the profile's curve and exact density, in the order of
     `_solve_inside`: "separable (rank 1)" (`_solve_rank_one`, whose radii
     that fail its check take the endgame, and the density in closed
-    form), "quotient (p classes)" (the kernel and `derivative_rows` on the
-    pair-class quotient) or "full" (both on V, the derivative by dense
-    LUs).  Either of the last two ends with the t = 0 Newton, its steps
-    solved by stacked LUs with at most LU_UNKNOWNS unknowns per half and
-    by GMRES past it.  It reads the same cached properties as the
-    solves."""
+    form), or else the `name` of its `_route`, "quotient (p classes)" (the
+    kernel and `derivative_rows` on the pair-class quotient) or "full"
+    (both on V, the quotient with n classes of size 1).  Either of the
+    last two ends with the t = 0 Newton, its steps solved by stacked LUs
+    with at most LU_UNKNOWNS unknowns per half and by GMRES past it.  It
+    reads the same cached properties as the solves."""
     if profile.rank_one_factors is not None:
         return "separable (rank 1)"
-    classes = profile.pair_classes
-    return "full" if classes is None else f"quotient ({len(classes[1])} classes)"
+    return _route(profile).name
 
 
 def solve_regularized(profile: VarianceProfile, s: float, t: float,
                       config: SolverConfig | None = None) -> MESolution:
     """Unique positive solution of the regularized system at (s, t), t > 0."""
     if t <= 0:
-        raise ValueError("t must be positive; use anneal_to_limit for the t -> 0 limit")
+        raise ValueError("t must be positive; use solve_curve for the t -> 0 limit")
     rows = _solve(profile, [s], t, config or SolverConfig())
     if rows.errors[0]:
         raise NoConvergenceError(rows.errors[0])
     return MESolution(s=s, t=t, q=rows.q[0], q_tilde=rows.q_tilde[0],
                       iterations=int(rows.iterations[0]), residual=float(rows.residual[0]))
-
-
-def anneal_to_limit(profile: VarianceProfile, s: float,
-                    config: SolverConfig | None = None) -> MESolution:
-    """t -> 0 limit q(s): the one-radius call of `solve_curve`, so exact
-    zeros for s >= sqrt(rho) and below the solution of the profile's
-    route, at t = 0 unless the endgame refuses the radius.  Raises the
-    curve's NoConvergenceError if the solve fails."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    curve = solve_curve(profile, [s], config)
-    curve.raise_failures()
-    return curve.solutions[0]
 
 
 def solve_at_zero(profile: VarianceProfile,
@@ -1104,19 +1119,17 @@ def solve_at_zero(profile: VarianceProfile,
     `residual` is the largest row sum error, and it must reach
     config.fixed_point_tol within config.max_iters `iterations`.
 
-    A profile with `pair_classes` is first checked on its quotient by
+    The pattern is first checked on the profile's `_route` by
     `_class_hall`: where a class's rows or columns fail Hall's condition
     the pattern has no perfect matching, and it is refused without
     `_total_support`'s search on all of V (the block atom: 2m rows share m
-    columns).  A profile that passes, or has no pair classes, is checked
-    on V.
+    columns; on V itself, a zero row or column).  A profile that passes is
+    checked on V.
     """
     config = config or SolverConfig()
     V = profile.normalized
-    classes = profile.pair_classes
-    structure = None
-    if classes is None or _class_hall(*classes[1:]):
-        structure = _total_support(V)
+    route = _route(profile)
+    structure = _total_support(V) if _class_hall(route.sizes, route.V) else None
     if structure is None:
         raise NoConvergenceError("no positive solution at s = 0: the profile's "
                                  "pattern has no total support")
@@ -1143,18 +1156,15 @@ def solve_at_zero(profile: VarianceProfile,
 class CurveProducts:
     """A curve's solutions as the measures read them (`curve_products`).
 
-    Each array has one row per radius, on the unknowns of the profile's
-    route: one entry per pair class, where the profile has
-    `pair_classes`, and all n entries otherwise.  `q`, `q_tilde` are the
-    solutions' rows, `vt_q` = q @ A and `v_qt` = q_tilde @ B their products
-    V^T q and V q_tilde, and every sum over the unknowns weights entry c by
-    `weights[c]`, the class size (1 on all n), so it is the sum over the
-    lifted n entries.  `w` = <q, V q_tilde>, so F = 1 - w / n; `live` marks
-    the nontrivial radii.  (A, B) are the operands of `_layout` in the
-    caller's order: V and V^T, or diag(sizes) Vbar and diag(sizes) Vbar^T
-    on the quotient, and `label` lifts a quotient row to n entries (None on
-    all n).  `component` is the label of each unknown's connected
-    component of the pattern of A + A^T, as `_gauge` labels them."""
+    Each array has one row per radius, on the classes of the curve's
+    `route`: one entry per pair class, or all n entries of the identity
+    quotient.  `q`, `q_tilde` are the solutions' rows, `vt_q` = q @ A and
+    `v_qt` = q_tilde @ B their products V^T q and V q_tilde, and every sum
+    over the classes weights class c by `route.sizes[c]` (1 on all n), so
+    it is the sum over the lifted n entries.  `w` = <q, V q_tilde>, so
+    F = 1 - w / n; `live` marks the nontrivial radii.  (A, B) are the
+    route's `_operands` in the classes' order: V and V^T, or diag(sizes)
+    Vbar and diag(sizes) Vbar^T on a pair-class quotient."""
 
     s2: np.ndarray
     q: np.ndarray
@@ -1163,37 +1173,23 @@ class CurveProducts:
     v_qt: np.ndarray
     w: np.ndarray
     live: np.ndarray
-    weights: np.ndarray
     A: np.ndarray
     B: np.ndarray
-    label: np.ndarray | None
-    component: np.ndarray
+    route: _Route
 
 
-def curve_products(profile: VarianceProfile, s, q, q_tilde, component=None) -> CurveProducts:
+def curve_products(route: _Route, s, q, q_tilde) -> CurveProducts:
     """`CurveProducts` of the solutions (q, q_tilde), (m, n) arrays with
-    one row per radius of s, of the profile: their rows on one entry per
-    pair class (each class's first index) or on all n, and two matrix
-    products for all of them.  `component` gives the components' labels
-    on those unknowns, as the solve found them (`_Rows.component`);
-    None labels them here."""
-    classes = profile.pair_classes
-    if classes is None:
-        V = profile.normalized
-        A, B, weights, label, pick = V, V.T, np.ones(profile.n), None, slice(None)
-    else:
-        label, weights, Vbar = classes
-        A, B = weights[:, None] * Vbar, weights[:, None] * Vbar.T
-        pick = np.unique(label, return_index=True)[1]
-    q, qt = q[:, pick], q_tilde[:, pick]
+    one row per radius of s, on a profile's `route`: their rows on the
+    first index of each class (a view on the identity quotient), and two
+    matrix products for all of them."""
+    A, B, _ = _operands(route.V, route.sizes)
+    q, qt = q[:, route.pick], q_tilde[:, route.pick]
     v_qt = qt @ B
-    if component is None:
-        component = _scc((A != 0) | (A.T != 0))
     return CurveProducts(
         s2=np.asarray(s, dtype=float) ** 2, q=q, q_tilde=qt,
-        vt_q=q @ A, v_qt=v_qt, w=(q * v_qt) @ weights,
-        live=q.any(axis=1) | qt.any(axis=1), weights=weights, A=A, B=B, label=label,
-        component=component)
+        vt_q=q @ A, v_qt=v_qt, w=(q * v_qt) @ route.sizes,
+        live=q.any(axis=1) | qt.any(axis=1), A=A, B=B, route=route)
 
 
 @functools.lru_cache(maxsize=8)
@@ -1227,11 +1223,12 @@ def derivative_rows(products: CurveProducts, rows):
     is not determined.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    A, k = products.A, len(products.weights)
+    A, route = products.A, products.route
+    k = len(route.sizes)
     s2, q, qt = products.s2[rows, None], products.q[rows], products.q_tilde[rows]
     p = 1.0 / (s2 + products.v_qt[rows] * products.vt_q[rows])
     x = np.concatenate([q, qt], axis=1)
-    border = (x, products.component, products.weights)
+    border = (x, route.component, route.sizes)
     dx, cond = _stacked_solve(A, products.B, (s2 * p ** 2, q ** 2, qt ** 2),
                               -np.tile(p, 2) * x, border)
     finite = np.isfinite(dx).all(axis=1)
@@ -1250,24 +1247,21 @@ def derivative_s2(profile: VarianceProfile, sol: MESolution):
     """Exact derivative (d q / d s^2, d qt / d s^2) at a nontrivial solution:
     the one-radius call of `derivative_rows`.
 
-    When V has p pair classes with 2p <= n (`VarianceProfile.pair_classes`:
-    block profiles, the constant profile with p = 1), the equations and
-    their derivative take one value per class: it solves the (2p + 1)
-    bordered system of the quotient, whose trace row weights each class by
-    its size, and lifts the result by the class label.  Otherwise it solves
-    the (2n + 1) system on V.  The exact density of a rank-one profile
-    needs neither: it has a closed form (see `vps.measures`), and
-    `solve_route` names the route.  Raises RankDeficientError as
-    `derivative_rows` does.
+    The equations and their derivative take one value per class of the
+    profile's `_route`: it solves the (2p + c) bordered system of its p
+    classes and c components, whose trace rows weight each class by its
+    size, and lifts the result by the class label.  On a profile without
+    `pair_classes` the classes are the n indices of V, each of size 1.  The
+    exact density of a rank-one profile needs no such system: it has a
+    closed form (see `vps.measures`), and `solve_route` names the route.
+    Raises RankDeficientError as `derivative_rows` does.
     """
     if sol.is_trivial or sol.s <= 0:
         raise ValueError("derivative requires a nontrivial solution at s > 0")
-    products = curve_products(profile, [sol.s], sol.q[None], sol.q_tilde[None])
-    dq, dqt = derivative_rows(products, [0])
-    label = products.label
-    if label is not None:
-        return dq[0, label], dqt[0, label]
-    return dq[0], dqt[0]
+    route = _route(profile)
+    dq, dqt = derivative_rows(curve_products(route, [sol.s], sol.q[None], sol.q_tilde[None]),
+                              [0])
+    return dq[0, route.label], dqt[0, route.label]
 
 
 def solve_curve(profile: VarianceProfile, s_grid=None,
@@ -1305,7 +1299,8 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     if not np.isfinite(s_grid).all() or np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be finite, strictly increasing and positive")
     inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
-    rows = _solve_inside(profile, s_grid[:inside], config, len(s_grid) - inside)
+    route = _route(profile)
+    rows = _solve_inside(profile, route, s_grid[:inside], config, len(s_grid) - inside)
     for a in (rows.q, rows.q_tilde, rows.iterations, rows.residual, rows.at_zero, rows.krylov):
         a.setflags(write=False)
-    return MECurve(profile, s_grid, rows, rho, config)
+    return MECurve(profile, s_grid, rows, rho, config, route)

@@ -317,9 +317,13 @@ def _class_hall(sizes, Vbar) -> bool:
     they reach, and a perfect matching needs at least sizes[c] of them; so
     for the columns.  False proves that the pattern has no perfect
     matching; True proves nothing, as Hall's condition on unions of classes
-    is not checked."""
+    is not checked.  On V itself (n classes of size 1) it refuses a zero
+    row or column.  The sums are einsums, which cast the boolean pattern a
+    buffer at a time: a matrix product would cast all of it to the sizes'
+    dtype, n^2 doubles on V itself."""
     support = Vbar > 0
-    return bool((support @ sizes >= sizes).all() and (sizes @ support >= sizes).all())
+    return bool((np.einsum("cd,d->c", support, sizes) >= sizes).all()
+                and (np.einsum("cd,c->d", support, sizes) >= sizes).all())
 
 
 def is_fully_indecomposable(pattern) -> bool:

@@ -13,7 +13,7 @@ import pytest
 
 import vps
 from vps.measures import cdf, density, density_at_zero
-from vps.mesolver import anneal_to_limit, derivative_s2, solve_curve
+from vps.mesolver import derivative_s2, solve_curve
 from vps.montecarlo import (
     BackendUnavailableError,
     EntryLaw,
@@ -41,6 +41,14 @@ from vps.separable import (
 
 # solves produced across the criteria, audited by criterion 8
 _AUDIT = []
+
+
+def limit_at(profile, s):
+    """The t -> 0 solution at the one radius s: `solve_curve` on [s],
+    raising its NoConvergenceError if the radius failed."""
+    curve = solve_curve(profile, [s])
+    curve.raise_failures()
+    return curve.solutions[0]
 
 
 def _record(profile, curve):
@@ -217,11 +225,11 @@ def test_criterion_07_derivative_correctness():
     for _ in range(10):
         profile = vps.validate_profile(rng.uniform(0.5, 1.5, size=(8, 8)))
         s = float(rng.uniform(0.3, 0.7))
-        sol = anneal_to_limit(profile, s)
+        sol = limit_at(profile, s)
         dq, dqt = derivative_s2(profile, sol)
         h = 1e-4
-        hi = anneal_to_limit(profile, math.sqrt(s * s + h))
-        lo = anneal_to_limit(profile, math.sqrt(s * s - h))
+        hi = limit_at(profile, math.sqrt(s * s + h))
+        lo = limit_at(profile, math.sqrt(s * s - h))
         fd = np.concatenate([(hi.q - lo.q) / (2 * h),
                              (hi.q_tilde - lo.q_tilde) / (2 * h)])
         ex = np.concatenate([dq, dqt])
@@ -243,7 +251,7 @@ def test_criterion_08_trace_and_symmetry():
     profile = vps.validate_profile((a + a.T) / 2)
     worst_sym = 0.0
     for s in (0.3, 0.6, 0.9):
-        sol = anneal_to_limit(profile, s)
+        sol = limit_at(profile, s)
         worst_sym = max(worst_sym, float(np.abs(sol.q - sol.q_tilde).max()))
     ok = worst_trace <= 1e-10 and worst_sym <= 1e-10
     _report(8, ok, f"invariants over {len(_AUDIT)} audited solves: "

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,14 +20,14 @@ from vps.mesolver import (
     PANEL,
     _aitken,
     _envelope,
-    _gauge,
+    _identity,
     _layout,
     _linearization,
     _product,
     _residual_at_zero,
+    _route,
     _solve_rank_one,
     _solve_rows,
-    anneal_to_limit,
     derivative_s2,
     envelope_fraction,
     psi,
@@ -37,6 +38,14 @@ from vps.mesolver import (
 )
 from vps.profiles import build_block_atom, build_sampled, build_separable, spectral_radius
 from vps.reference import block_atom_density, block_atom_edge, block_atom_F
+
+
+def limit_at(profile, s, config=None):
+    """The t -> 0 solution at the one radius s: `solve_curve` on [s],
+    raising its NoConvergenceError if the radius failed."""
+    curve = solve_curve(profile, [s], config)
+    curve.raise_failures()
+    return curve.solutions[0]
 
 
 def constant_profile(n, variance=1.0):
@@ -184,13 +193,13 @@ class TestSolveRegularized:
 class TestAnnealToLimit:
     def test_scalar_limit(self):
         p = constant_profile(16)
-        sol = anneal_to_limit(p, 0.6)
+        sol = limit_at(p, 0.6)
         assert np.allclose(sol.q, 0.8, atol=1e-8)
         assert sol.t == 0.0
 
     def test_trivial_regime_exact_zeros(self):
         p = constant_profile(16)
-        sol = anneal_to_limit(p, 1.5)
+        sol = limit_at(p, 1.5)
         assert sol.is_trivial
         assert np.all(sol.q == 0.0)
 
@@ -199,18 +208,18 @@ class TestAnnealToLimit:
         # order t_min / (s^2 - rho); the radius is past sqrt(rho), so it is
         # never iterated and its zeros are exact
         p = constant_profile(16)
-        sol = anneal_to_limit(p, 1.0029)
+        sol = limit_at(p, 1.0029)
         assert sol.is_trivial and sol.iterations == 0
 
     def test_just_subcritical_nontrivial(self):
         p = constant_profile(16)
-        sol = anneal_to_limit(p, 0.95)
+        sol = limit_at(p, 0.95)
         assert not sol.is_trivial
         assert np.allclose(sol.q, math.sqrt(1 - 0.95 ** 2), atol=1e-7)
 
     def test_block_atom_two_values(self):
         p = build_block_atom(3, 1)
-        sol = anneal_to_limit(p, 0.3)
+        sol = limit_at(p, 0.3)
         # first block carries one value, blocks 2..k another
         q1, q2 = sol.q[0], sol.q[1]
         assert abs(sol.q[2] - q2) < 1e-10
@@ -222,12 +231,12 @@ class TestAnnealToLimit:
 
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValueError):
-            anneal_to_limit(constant_profile(4), 0.0)
+            limit_at(constant_profile(4), 0.0)
 
     def test_failure_quotes_the_kernel_message(self):
         # the loose phase before the t = 0 Newton needs more than 10 iterations
         with pytest.raises(NoConvergenceError) as exc:
-            anneal_to_limit(build_block_atom(3, 10), 0.3, SolverConfig(max_iters=10))
+            limit_at(build_block_atom(3, 10), 0.3, SolverConfig(max_iters=10))
         assert "1 of 1 grid points did not converge, at s = 0.3" in str(exc.value)
         assert "no fixed point after 10 iterations" in str(exc.value)
         assert "residual" in str(exc.value)
@@ -241,7 +250,7 @@ class TestAnnealToLimit:
         # Stopping at the first such step, s = 0.08 fails
         p = zero_rows_16()
         for s, iterations in ((0.08, 833), (0.104, 2048), (0.124, 545)):
-            sol = anneal_to_limit(p, s)
+            sol = limit_at(p, s)
             assert not sol.is_trivial and sol.iterations == iterations
 
     def test_sparse_profile_without_total_support(self):
@@ -252,7 +261,7 @@ class TestAnnealToLimit:
         V = p.normalized
         F = []
         for s in (0.25, 0.2727, 0.3):
-            sol = anneal_to_limit(p, s)  # raises if the radius fails
+            sol = limit_at(p, s)  # raises if the radius fails
             F.append(1 - sol.q @ V @ sol.q_tilde / p.n)
         assert F[0] < F[1] < F[2]
 
@@ -260,7 +269,7 @@ class TestAnnealToLimit:
         rng = np.random.default_rng(5)
         a = rng.uniform(0.5, 1.5, size=(8, 8))
         p = validate_profile((a + a.T) / 2)
-        sol = anneal_to_limit(p, 0.5)
+        sol = limit_at(p, 0.5)
         assert np.abs(sol.q - sol.q_tilde).max() <= 1e-10
 
     def test_permutation_equivariance(self):
@@ -269,8 +278,8 @@ class TestAnnealToLimit:
         p = validate_profile(a)
         perm = rng.permutation(8)
         pp = validate_profile(a[np.ix_(perm, perm)])
-        sol = anneal_to_limit(p, 0.6)
-        sol_p = anneal_to_limit(pp, 0.6)
+        sol = limit_at(p, 0.6)
+        sol_p = limit_at(pp, 0.6)
         assert np.allclose(sol.q[perm], sol_p.q, atol=1e-9)
         assert np.allclose(sol.q_tilde[perm], sol_p.q_tilde, atol=1e-9)
 
@@ -329,6 +338,24 @@ class TestSolveAtZero:
             solve_at_zero(p)
         assert calls == []
 
+    def test_zero_row_fails_hall_on_v_itself(self, monkeypatch):
+        # without pair classes V is its own quotient, n classes of size 1:
+        # a zero row fails Hall's count there, with no search on V, and the
+        # count casts no n x n array to float (the boolean pattern is n^2
+        # bytes, its float cast 8 n^2)
+        calls = self._spied(monkeypatch)
+        n = 600
+        a = np.random.default_rng(19).uniform(0.5, 2.0, size=(n, n))
+        a[5] = 0.0
+        p = validate_profile(a)
+        assert p.pair_classes is None and p.rank_one_factors is None
+        tracemalloc.start()
+        with pytest.raises(NoConvergenceError, match="pattern has no total support"):
+            solve_at_zero(p)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert calls == [] and peak <= 2 * n * n
+
     def test_hall_on_the_classes_is_not_total_support(self, monkeypatch):
         # [[1, 1], [0, 1]] on classes of 50: every class passes Hall's
         # count and the pattern has a perfect matching, but the entries of
@@ -373,7 +400,7 @@ def _permuted_block_atom():
 
 
 def _kernel_at_zero(V, config):
-    rows = _solve_rows(V, [0.0], config.t_min, config)
+    rows = _solve_rows(_layout(_identity(V)), [0.0], config.t_min, config)
     assert rows.errors == [None]
     return rows.q[0], rows.q_tilde[0]
 
@@ -422,14 +449,14 @@ class TestSolveAtZeroMatchesAnneal:
 class TestDerivative:
     def test_scalar_closed_form(self):
         p = constant_profile(16)
-        sol = anneal_to_limit(p, 0.6)
+        sol = limit_at(p, 0.6)
         dq, dqt = derivative_s2(p, sol)
         assert np.allclose(dq, -0.625, atol=1e-8)    # -1/(2 sqrt(1-s^2))
         assert np.allclose(dqt, -0.625, atol=1e-8)
 
     def test_small_s_limit(self):
         p = constant_profile(16)
-        sol = anneal_to_limit(p, 0.05)
+        sol = limit_at(p, 0.05)
         dq, _ = derivative_s2(p, sol)
         assert np.allclose(dq, -0.5, atol=1e-3)
 
@@ -438,17 +465,17 @@ class TestDerivative:
         for _ in range(3):
             p = validate_profile(rng.uniform(0.5, 1.5, size=(8, 8)))
             s = 0.5
-            sol = anneal_to_limit(p, s)
+            sol = limit_at(p, s)
             dq, dqt = derivative_s2(p, sol)
             h = 1e-4
-            hi = anneal_to_limit(p, math.sqrt(s * s + h))
-            lo = anneal_to_limit(p, math.sqrt(s * s - h))
+            hi = limit_at(p, math.sqrt(s * s + h))
+            lo = limit_at(p, math.sqrt(s * s - h))
             fd_q = (hi.q - lo.q) / (2 * h)
             assert np.abs(dq - fd_q).max() <= 1e-5
 
     def test_rejects_trivial(self):
         p = constant_profile(8)
-        sol = anneal_to_limit(p, 2.0)
+        sol = limit_at(p, 2.0)
         with pytest.raises(ValueError):
             derivative_s2(p, sol)
 
@@ -538,7 +565,7 @@ class TestDerivative:
         # the linearization with only the trace row, solved by SVD.  Without
         # pair classes `derivative_s2` runs the dense LU, low rank or not
         assert (profile.pair_classes is None) == (route == "dense")
-        sol = anneal_to_limit(profile, s)
+        sol = limit_at(profile, s)
         V, n = profile.normalized, profile.n
         q, qt = sol.q, sol.q_tilde
         p = 1.0 / (s * s + (V @ qt) * (V.T @ q))
@@ -559,7 +586,7 @@ class TestDerivative:
         p = zero_column_12() if route == "dense" else zero_column_12_in_pairs()
         assert solve_route(p) == ("full" if route == "dense" else "quotient (12 classes)")
         s = 0.3 * math.sqrt(spectral_radius(p))
-        sol = anneal_to_limit(p, s)
+        sol = limit_at(p, s)
         with pytest.raises(RankDeficientError,
                            match=rf"condition estimate \S+ > 1e13 at s = {s:.6g}$"):
             derivative_s2(p, sol)
@@ -598,7 +625,7 @@ class TestDerivative:
     def test_identical_blocks_have_identical_derivatives(self, block, route, full_n):
         p = two_copies(block)
         assert (full_n(p) if route == "full" else solve_route(p)) == route
-        dq, dqt = derivative_s2(p, anneal_to_limit(p, 0.3))
+        dq, dqt = derivative_s2(p, limit_at(p, 0.3))
         assert np.abs(dq[:6] - dq[6:]).max() <= 1e-12
         assert np.abs(dqt[:6] - dqt[6:]).max() <= 1e-12
 
@@ -780,10 +807,10 @@ class TestSolveCurve:
         assert failed.is_trivial and failed.residual == math.inf
         assert failed.iterations == config.max_iters
         with pytest.raises(NoConvergenceError):
-            anneal_to_limit(p, grid[3], config)
+            limit_at(p, grid[3], config)
         for i in (0, 1, 2, 4, 5):
             sol = curve.solutions[i]
-            ref = anneal_to_limit(p, grid[i], config)
+            ref = limit_at(p, grid[i], config)
             assert np.abs(sol.q - ref.q).max() <= 1e-10
             assert np.abs(sol.q_tilde - ref.q_tilde).max() <= 1e-10
         # past the edge: exact zeros, never iterated
@@ -808,7 +835,7 @@ class TestSolveCurve:
                 assert sol.iterations == config.max_iters
                 assert sol.residual == math.inf
                 continue
-            ref = anneal_to_limit(p, grid[i], config)
+            ref = limit_at(p, grid[i], config)
             assert sol.iterations == ref.iterations
             assert np.abs(sol.q - ref.q).max() <= 1e-10
             assert np.abs(sol.q_tilde - ref.q_tilde).max() <= 1e-10
@@ -820,13 +847,13 @@ class TestSolveCurve:
         seen = []
         kernel = vps.mesolver._solve_rows
 
-        def recorded(V, s, t, config, *rest):
+        def recorded(layout, s, t, config):
             seen.extend(s)
-            return kernel(V, s, t, config, *rest)
+            return kernel(layout, s, t, config)
 
         monkeypatch.setattr(vps.mesolver, "_solve_rows", recorded)
         curve = solve_curve(p, grid)
-        anneal_to_limit(p, 1.2 * edge)
+        limit_at(p, 1.2 * edge)
         assert seen == list(grid[:3])
         assert all(s < math.sqrt(curve.rho) for s in seen)
         assert [sol.is_trivial for sol in curve.solutions] == [False] * 3 + [True] * 3
@@ -849,7 +876,7 @@ class TestSolveCurve:
         # from ones at t_min every radius converges; a schedule in t stalled
         # at an intermediate t on this profile
         p = build_sampled(lambda x, y: (1 + x) * (2 - y) if abs(x - y) <= 0.086 else 0.0, 45)
-        assert not anneal_to_limit(p, 0.3779516650220765).is_trivial
+        assert not limit_at(p, 0.3779516650220765).is_trivial
         curve = solve_curve(p)
         assert curve.failed_indices == ()
         assert np.all(np.diff(cdf(curve)) >= 0)
@@ -1022,9 +1049,9 @@ class TestEndgame:
         kernel = vps.mesolver._solve_rows
         calls = []
 
-        def recorded(V, s, t, config, sizes=None, layout=None):
+        def recorded(layout, s, t, config):
             calls.append((list(s), config.fixed_point_tol))
-            return kernel(V, s, t, config, sizes, layout)
+            return kernel(layout, s, t, config)
 
         monkeypatch.setattr(vps.mesolver, "_solve_rows", recorded)
         p = zero_column_12()
@@ -1047,7 +1074,7 @@ class TestEndgame:
         p = validate_profile(np.random.default_rng(2).uniform(0.5, 2.0, size=(8, 8)))
         config = SolverConfig()
         sol = solve_regularized(p, 0.3, 1e-6, config)
-        want = _solve_rows(p.normalized, [0.3], 1e-6, config)
+        want = _solve_rows(_layout(_identity(p.normalized)), [0.3], 1e-6, config)
         assert sol.t == 1e-6 and sol.iterations == want.iterations[0]
         np.testing.assert_array_equal(sol.q, want.q[0])
 
@@ -1150,7 +1177,7 @@ class TestKrylovRoute:
 
     def test_gate_refuses_where_the_lu_gate_would(self, monkeypatch):
         p = zero_column_12_and_block()
-        assert solve_route(p) == "full" and len(_gauge(p.normalized)[1]) == 2
+        assert solve_route(p) == "full" and _route(p).component.max() == 1
         grid = math.sqrt(spectral_radius(p)) * np.linspace(0.02, 0.98, 40)
         calls = self.endgames(monkeypatch)
         curve = solve_curve(p, grid)
@@ -1186,7 +1213,8 @@ class TestKrylovRoute:
         V = p.normalized
 
         def F(t):
-            rows = _solve_rows(V, grid[inside], t, SolverConfig(fixed_point_tol=1e-12))
+            rows = _solve_rows(_layout(_identity(V)), grid[inside], t,
+                               SolverConfig(fixed_point_tol=1e-12))
             assert not any(rows.errors)
             return 1.0 - (rows.q * (rows.q_tilde @ V.T)).sum(axis=1) / p.n
 
@@ -1214,13 +1242,13 @@ class TestKrylovRoute:
     def test_lays_v_out_once(self, monkeypatch):
         # the loose kernel, Newton and the kernel's second run for the
         # refused radius share one layout, and the derivative reads the
-        # components the solve labeled
+        # components labeled once, on the curve's route
         layouts, labels = [], []
         layout, scc = vps.mesolver._layout, vps.mesolver._scc
 
-        def counted(V, sizes=None):
-            layouts.append(V.shape)
-            return layout(V, sizes)
+        def counted(route):
+            layouts.append(route.V.shape)
+            return layout(route)
 
         def labeled(pattern):
             labels.append(pattern.shape)
@@ -1234,9 +1262,17 @@ class TestKrylovRoute:
         assert list(curve.rows.at_zero) == [False, True, True]
         assert layouts == [(28, 28)] and labels == [(28, 28)]
         vps.mesolver.derivative_rows(curve.products, [1, 2])
-        assert labels == [(28, 28)]
-        np.testing.assert_array_equal(curve.products.component,
-                                      np.repeat([0, 1], [12, 16]))
+        assert labels == [(28, 28)] and curve.products.route is curve.route
+        np.testing.assert_array_equal(curve.route.component, np.repeat([0, 1], [12, 16]))
+        # each exact density at one modulus solves one radius by the curve's
+        # route: it lays that route out again, but labels no component
+        p = validate_profile(np.random.default_rng(11).uniform(0.5, 2.0, size=(30, 30)))
+        edge = math.sqrt(spectral_radius(p))
+        curve = solve_curve(p, default_s_grid(edge, 10))
+        assert solve_route(p) == "full" and labels == [(28, 28), (30, 30)]
+        for z in (0.2, 0.5, 0.8):
+            assert density(curve, z * edge, "exact") > 0.0
+        assert layouts == [(28, 28)] + [(30, 30)] * 4 and labels == [(28, 28), (30, 30)]
 
 
 class TestRankOneRoute:
@@ -1303,11 +1339,11 @@ class TestRankOneRoute:
         seen = []
         endgame = vps.mesolver._solve_at_zero_rows
         config = SolverConfig()
-        want = vps.mesolver._solve_inside(ref, grid[1:2], config)
+        want = vps.mesolver._solve_inside(ref, _route(ref), grid[1:2], config)
 
-        def recorded(V, s, config, sizes=None):
+        def recorded(route, s, config):
             seen.extend(s)
-            return endgame(V, s, config, sizes)
+            return endgame(route, s, config)
 
         monkeypatch.setattr(vps.mesolver, "_roots", corrupted)
         monkeypatch.setattr(vps.mesolver, "_solve_at_zero_rows", recorded)
@@ -1331,12 +1367,14 @@ class TestRankOneRoute:
         # the exact zeros of the t = 0 equations
         V = np.zeros((5, 5))
         V[0, 1:] = 1.0
-        rows = _solve_rank_one(validate_profile(V), [1e-3, 0.1], SolverConfig())
+        p = validate_profile(V)
+        rows = _solve_rank_one(p, _route(p), [1e-3, 0.1], SolverConfig())
         assert (rows.q == 0.0).all() and (rows.q_tilde == 0.0).all()
         assert (rows.iterations == 0).all() and (rows.residual == 0.0).all()
         assert rows.errors == [None, None]
         # the constant profile at its edge s^2 = sum(pi) = 1
-        rows = _solve_rank_one(constant_profile(8), [0.6, 1.0], SolverConfig())
+        p = constant_profile(8)
+        rows = _solve_rank_one(p, _route(p), [0.6, 1.0], SolverConfig())
         assert np.abs(rows.q[0] - 0.8).max() <= 1e-15 and rows.iterations[0] > 0
         assert (rows.q[1] == 0.0).all() and (rows.q_tilde[1] == 0.0).all()
         assert rows.iterations[1] == 0 and rows.residual[1] == 0.0
@@ -1454,7 +1492,7 @@ class TestComponentOrder:
 
     def test_layout_makes_v_block_diagonal(self, direct_sum):
         p, perm, blocks, _ = direct_sum
-        (order, starts, sizes, _), (V, panels), (VT, _) = _layout(p.normalized)
+        (order, starts, sizes, _), (V, panels), (VT, _) = _layout(_identity(p.normalized))
         assert (order != np.arange(p.n)).any()
         assert sorted(sizes) == list(self.SIZES)
         assert list(starts) == [0, sizes[0], sizes[0] + sizes[1]]
