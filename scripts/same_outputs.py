@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python3 scripts/same_outputs.py PARENT CHANGE --seed 3 \
+    python3 scripts/same_outputs.py PARENT CHANGE --seed 3 [--rtol 1e-10] \
         [--workload circ-n64 --workload mc-n2000 ...]
 
 For each workload, each checkout runs in a fresh interpreter of its own:
@@ -11,7 +11,11 @@ it imports `vps` from the checkout's `src/` and `workloads` from its
 `run` once, in a temporary work directory of its own.  Every file the two
 runs leave there, inputs and outputs alike, is then compared byte for
 byte; each file that differs is named with its first differing line, and
-so is a file that only one run wrote.  By default every workload runs,
+so is a file that only one run wrote.  With `--rtol R`, a file that
+differs is compared line by line, each line split into numbers and the
+text between them: it counts as equal when its text is identical and
+every number is within R of the parent's, relatively, and the largest
+relative deviation is printed with its line either way.  By default every workload runs,
 `mc-n2000`'s eigensolves included (about 12 s a seed).  Exit code 0 when
 every file is identical, 1 on any difference, 2 when a run fails.
 Nothing in either checkout is written.
@@ -21,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -64,19 +70,62 @@ def _files(root) -> set:
             for top, _, names in os.walk(root) for name in names}
 
 
-def compare(a, b) -> list:
+# A number in a line of text, as Python writes floats and ints.
+NUMBER = re.compile(rb"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
+
+
+def deviation(x: bytes, y: bytes):
+    """(d, line): the largest relative deviation |u - v| / max(|u|, |v|) of
+    the numbers u of x and v of y, pair by pair, and the first line where
+    it occurs; None when the two differ in anything but their numbers (in
+    their text between the numbers, or in the count of lines or numbers).
+    Equal numbers, NaN and infinities included, deviate by 0; NaN against
+    a number, or an infinity against anything else, by infinity."""
+    lines_x, lines_y = x.splitlines(), y.splitlines()
+    if len(lines_x) != len(lines_y):
+        return None
+    worst = (0.0, None)
+    for line, (lx, ly) in enumerate(zip(lines_x, lines_y), 1):
+        if NUMBER.split(lx) != NUMBER.split(ly):
+            return None
+        for u, v in zip(map(float, NUMBER.findall(lx)), map(float, NUMBER.findall(ly))):
+            if u == v or (u != u and v != v):
+                continue
+            d = abs(u - v) / max(abs(u), abs(v))
+            if d != d:   # NaN against a number, or an infinity against another value
+                return math.inf, line
+            if d > worst[0]:
+                worst = (d, line)
+    return worst
+
+
+def differing(a, b):
+    """(path, parent's bytes, change's bytes) of each file under both a and
+    b whose bytes differ, in path order."""
+    for path in sorted(_files(a) & _files(b)):
+        with open(os.path.join(a, path), "rb") as fa, open(os.path.join(b, path), "rb") as fb:
+            x, y = fa.read(), fb.read()
+        if x != y:
+            yield path, x, y
+
+
+def compare(a, b, rtol=None) -> list:
     """One line per difference between the files under the parent's
     directory a and the change's directory b: a file under one of them only,
     or a file whose bytes differ, with its first differing line on each side
-    (None past a file's end)."""
+    (None past a file's end).  With rtol, a file whose `deviation` is at
+    most rtol is no difference, and one whose numbers deviate by more is
+    named with its largest deviation."""
     files_a, files_b = _files(a), _files(b)
     diffs = [f"{path}: only in {label}"
              for label, only in (("parent", files_a - files_b), ("change", files_b - files_a))
              for path in sorted(only)]
-    for path in sorted(files_a & files_b):
-        with open(os.path.join(a, path), "rb") as fa, open(os.path.join(b, path), "rb") as fb:
-            x, y = fa.read(), fb.read()
-        if x == y:
+    for path, x, y in differing(a, b):
+        close = None if rtol is None else deviation(x, y)
+        if close is not None:
+            if close[0] > rtol:
+                diffs.append(f"{path}: largest relative deviation {close[0]:.3g} "
+                             f"at line {close[1]}, over {rtol:g}")
             continue
         pairs = itertools.zip_longest(x.splitlines(keepends=True), y.splitlines(keepends=True))
         line, (old, new) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
@@ -92,6 +141,9 @@ def main(argv=None) -> int:
     p.add_argument("--workload", action="append",
                    help="workload to run, repeatable (default: "
                         + ", ".join(WORKLOADS) + ")")
+    p.add_argument("--rtol", type=float,
+                   help="count a file as equal when only its numbers differ, each "
+                        "within this relative deviation (default: byte for byte)")
     args = p.parse_args(argv)
     differ = False
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
@@ -106,11 +158,18 @@ def main(argv=None) -> int:
                     print(f"same_outputs: {exc}", file=sys.stderr)
                     return 2
                 print(f"{name}, seed {args.seed}, {side}: {summary}", flush=True)
-            diffs = compare(dirs["parent"], dirs["change"])
+            diffs = compare(dirs["parent"], dirs["change"], args.rtol)
             count = len(_files(dirs["parent"]) | _files(dirs["change"]))
-            print(f"{name}, seed {args.seed}: {count - len(diffs)} of {count} files identical")
+            same = "identical" if args.rtol is None else f"equal within {args.rtol:g}"
+            print(f"{name}, seed {args.seed}: {count - len(diffs)} of {count} files {same}")
             for diff in diffs:
                 print(f"  {diff}")
+            if args.rtol is not None:
+                for path, x, y in differing(dirs["parent"], dirs["change"]):
+                    close = deviation(x, y)
+                    if close is not None and close[0] <= args.rtol:
+                        print(f"  {path}: largest relative deviation {close[0]:.3g} "
+                              f"at line {close[1]}")
             differ = differ or bool(diffs)
     return 1 if differ else 0
 

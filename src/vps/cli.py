@@ -124,13 +124,30 @@ def _write_density_csv(path, s, F, f_exact, f_fd, lb) -> None:
 
 
 def read_density_csv(path):
-    """Re-ingest a density CSV: returns (s, F, f_exact, f_fd, lb) arrays."""
+    """Re-ingest a density CSV: returns (s, F, f_exact, f_fd, lb) arrays.
+    Raises DataError, naming the file and the line, on a row without
+    exactly five fields, with a field that is not a number, or with an s
+    or F that is not finite; f_exact, f_fd and the lower bound may be NaN,
+    as `vps oracle` writes them where it has none."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "s,F,f_exact,f_fd,lower_bound_ratio":
             raise DataError(f"unexpected density CSV header in {path}")
-        rows = [[float(tok) for tok in line.strip().split(",")]
-                for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            try:
+                if len(fields) != 5:
+                    raise ValueError(f"{len(fields)} fields, expected 5")
+                row = [float(tok) for tok in fields]
+            except ValueError as exc:
+                raise DataError(f"{path}, line {lineno}: {exc}") from None
+            if not (math.isfinite(row[0]) and math.isfinite(row[1])):
+                raise DataError(f"{path}, line {lineno}: non-finite s or F {line!r}")
+            rows.append(row)
     if not rows:
         raise DataError(f"empty density CSV: {path}")
     cols = np.array(rows).T

@@ -88,7 +88,14 @@ formed (`_krylov_solve`; Jacobian-free Newton-Krylov, Knoll & Keyes,
 J. Comput. Phys. 193, 2004): one GMRES iteration applies the operator by
 two `_product` calls on the envelope panels, as one kernel iteration
 does.  Either way the systems go in chunks whose stacked LU systems or
-Krylov bases hold at most max(n^2, BASIS) doubles.
+Krylov bases hold at most max(n^2, BASIS) doubles.  GMRES solves the
+first step of a call to the relative residual FORCING[0], and each later
+step only as far as its Newton step needs (Eisenstat & Walker, SIAM J.
+Sci. Comput. 17, 1996): to 0.3 tol max(1, max x) / ||F||_2, clipped to
+[FORCING[1], 0.3], except a system whose last condition estimate passed
+GUARD = 1e8, which keeps FORCING[1], so that the gate below sees the
+Krylov space of the fixed pair.  A row that meets its forcing costs no
+more operator products or basis reads in its chunk.
 
 Every route but the rank-one one solves the t = 0 equations
 (`_solve_at_zero_rows`): the kernel runs at t_min only to NEWTON_START =
@@ -109,12 +116,12 @@ most 5 steps, F moves from 1.9e-9 to 1.8e-12 off the closed form, and
 the curve is solved in a third of the time.  On band model B at n = 800 (28 radii, t_min = 1e-8,
 fixed_point_tol = 1e-9) the loose kernel's longest radius takes 99
 iterations against 1,057 to the full tolerance, every radius is accepted
-in 2 or 3 steps and at most 43 GMRES iterations, F moves from 1.8e-8 to
-2e-10 off a reference made at t_min = 1e-10, and the curve is solved in
-half the time.  On 200-point grids of smaller profiles the endgame costs
-more than the t_min kernel alone would: 1.25 and 1.34 times its time on
-dense U(0.5, 2) profiles at n = 30 and 64, 1.08 times on band model A at
-n = 400.  No route keeps t_min for speed: a direct sum and its blocks
+in 2 or 3 steps and at most 40 GMRES iterations (865 in all), F moves
+from 1.8e-8 to 2e-10 off a reference made at t_min = 1e-10, and the curve
+is solved in half the time.  On 200-point grids of smaller profiles the
+endgame costs more than the t_min kernel alone would: 1.25 and 1.34 times
+its time on dense U(0.5, 2) profiles at n = 30 and 64, 1.08 times on band
+model A at n = 400.  No route keeps t_min for speed: a direct sum and its blocks
 would then be solved at different t.
 
 `solve_curve` runs these routes over the radii of a grid below sqrt(rho),
@@ -226,15 +233,27 @@ LU_UNKNOWNS = 24
 NEWTON_START = 1e-3
 # GMRES (`_krylov_solve`) keeps at most KRYLOV basis vectors per system,
 # unrestarted, and stops at the relative residual FORCING[0] at a Newton
-# call's first step and FORCING[1] after it (on band model B at n = 800,
-# at most 25 iterations a step).  Every stacked work array of a chunk of
-# rows, a Krylov basis or the systems of one stacked LU solve, holds at
-# most max(n^2, BASIS) doubles, the size of V or 4 MiB: 7 rows at n = 800,
+# call's first step.  After it each system stops at its own forcing,
+# 0.3 tol max(1, max x) / ||F||_2 clipped to [FORCING[1], 0.3], where the
+# Newton residual tol max(1, max x) needs no more, unless its last
+# condition estimate passed GUARD: a shorter GMRES can only lower the
+# estimate ||M||_inf / sigma_min(R), and the 1e13 gate of
+# `_solve_at_zero_rows` must see the Krylov space it sees with FORCING[1].
+# On the test profiles accepted radii estimate at most 1.3e4 and refused
+# ones at least 5.9e13.  On band model B at n = 800 (28 radii,
+# t_min = 1e-8, fixed_point_tol = 1e-9) the curve's GMRES iterations fall
+# from 1,071 with FORCING[1] after the first step to 865, its Newton steps
+# and accepted radii stay the same and F moves by at most 2.5e-12: half
+# its radii took a third step whose GMRES spent 15-17 iterations to bring
+# a residual of about 1e-9 under 1e-9.  Every stacked work array of a
+# chunk of rows, a Krylov basis or the systems of one stacked LU solve,
+# holds at most max(n^2, BASIS) doubles, the size of V or 4 MiB: 7 rows at n = 800,
 # where a basis for all 28 radii would take 22 MB.  On dense profiles at
 # n = 12, 64 and 200, LU stacks from 256 KiB to 16 MiB took 3.6-4.3, 48-60
 # and 498-612 ms, against 19, 66 and 526 ms one radius at a time.
 KRYLOV = 50
 FORCING = (1e-4, 1e-8)
+GUARD = 1e8
 BASIS = 2 ** 19
 
 
@@ -737,10 +756,16 @@ def _newton(product, product_T, x, s2, t, tol, gauge):
     Each step solves the linearized equations of every row at once by
     stacked LUs (`_stacked_solve`) with at most LU_UNKNOWNS unknowns per
     half.  Past it each step is solved by GMRES (`_krylov_solve`), to the
-    relative residual FORCING[0] at the first step and FORCING[1] after
-    it, and the rows take their steps in chunks whose Krylov bases hold
-    at most max(n^2, BASIS) doubles, so that every work array of a chunk
-    is small beside V: 7 rows at n = 800.  At t = 0 each component's
+    relative residual FORCING[0] at the first step.  After it each row's
+    forcing is 0.3 tol max(1, max x) / ||F||_2, clipped to
+    [FORCING[1], 0.3]: the linear residual its Newton step needs to meet
+    the nonlinear one, and no smaller (inexact Newton; Eisenstat &
+    Walker, SIAM J. Sci. Comput. 17, 1996).  A row whose last condition
+    estimate passed GUARD keeps FORCING[1], so the estimate the gate reads
+    is made on the Krylov space of the fixed pair.  The rows take their
+    steps in chunks whose Krylov bases hold at most max(n^2, BASIS)
+    doubles, so that every work array of a chunk is small beside V: 7
+    rows at n = 800.  At t = 0 each component's
     gauge is an exact symmetry, so the system is bordered once per
     component; the multipliers then move the step only along the gauges,
     which `_rebalance` undoes.  At t > 0 the gauge is no symmetry and the
@@ -800,8 +825,14 @@ def _newton(product, product_T, x, s2, t, tol, gauge):
                 dx, cond[live] = _stacked_solve(product[0], product_T[0], coefficients, F,
                                                 border)
             else:
+                forcing = FORCING[0]
+                if step > 0:
+                    target = 0.3 * tol * np.maximum(xs.max(axis=1), 1.0)
+                    forcing = np.clip(target / np.sqrt(np.einsum("ij,ij->i", F, F)),
+                                      FORCING[1], 0.3)
+                    forcing[cond[live] > GUARD] = FORCING[1]
                 dx, cond[live], work = _krylov_solve(product, product_T, coefficients, F,
-                                                     border, FORCING[step > 0], sums)
+                                                     border, forcing, sums)
                 krylov[live] += work
             xs *= np.exp(dx / xs)
             fine = np.isfinite(xs).all(axis=1) & xs.all(axis=1) & np.isfinite(cond[live])
@@ -886,12 +917,14 @@ def _operand_sums(A, B):
 def _krylov_solve(product, product_T, coefficients, F, border, forcing, sums):
     """The systems of `_stacked_solve`, bordered as there, solved by
     `_gmres` without forming them, each to the relative residual
-    `forcing`.  Returns dx, each system's condition estimate
+    `forcing`, a scalar or one per system (`_newton` gives each row of a
+    later step its own).  Returns dx, each system's condition estimate
     ||M||_inf / sigma_min(R), with R the triangular factor of its
     Hessenberg matrix, and its GMRES iterations.
 
     The operator of a system applied to [u | v | lambda] is two `_product`
-    calls on the `_layout` operands, u @ A and v @ B:
+    calls on the `_layout` operands, u @ A and v @ B, made for the rows
+    of the systems that `_gmres` still runs:
         u - d (u @ A) + cq (v @ B) + column * lambda,
         v + cqt (u @ A) - d (v @ B) + column * lambda,
     each multiplier scaling its component's gauge column, and, bordered,
@@ -918,14 +951,16 @@ def _krylov_solve(product, product_T, coefficients, F, border, forcing, sums):
     norm = np.maximum(norm.max(axis=1), 2.0 * trace.sum(axis=1).max(initial=0.0))
     Au, Bv = np.empty_like(d), np.empty_like(d)
 
-    def apply(z, out):
+    def apply(z, out, rows):
         u, v = z[:, :n], z[:, n:2 * n]
-        _product(u, A, panels, Au)
-        _product(v, B, panels_T, Bv)
-        out[:, :n] = u - d * Au + cq * Bv
-        out[:, n:2 * n] = v + cqt * Au - d * Bv
+        au, bv = Au[:len(rows)], Bv[:len(rows)]
+        _product(u, A, panels, au)
+        _product(v, B, panels_T, bv)
+        dr = d[rows]
+        out[:, :n] = u - dr * au + cq[rows] * bv
+        out[:, n:2 * n] = v + cqt[rows] * au - dr * bv
         if column is not None:
-            out[:, :2 * n] += column * z[:, 2 * n:][:, component]
+            out[:, :2 * n] += column[rows] * z[:, 2 * n:][:, component]
             out[:, 2 * n:] = (u - v) @ trace.T
 
     rhs = np.zeros((k, 2 * n + len(trace)))
@@ -936,36 +971,41 @@ def _krylov_solve(product, product_T, coefficients, F, border, forcing, sums):
 
 def _gmres(apply, b, forcing):
     """Unrestarted GMRES from zero for every row of b at once, the rows in
-    lock step: `apply(z, out)` writes the operator of each row applied to
-    that row of z into out.  Saad & Schultz, SIAM J. Sci. Stat. Comput. 7
-    (1986).
+    lock step: `apply(z, out, rows)` writes the operator of system rows[i]
+    applied to z[i] into out[i].  Saad & Schultz, SIAM J. Sci. Stat.
+    Comput. 7 (1986).
 
     Each iteration orthogonalizes the new vector against the basis by two
     passes of classical Gram-Schmidt, and keeps each row's Givens
     rotations as one accumulated orthogonal matrix, so a row's residual
-    norm is known at every iteration.  A row stops counting once that
-    norm is at most `forcing` times the norm of its b, and the loop ends
-    when every row has, or after min(KRYLOV, size) iterations.  Returns
-    the solutions, the smallest singular value of each row's triangular
-    factor R (0 where R is singular) and each row's iterations.
+    norm is known at every iteration.  A row stops once that norm is at
+    most its `forcing` (a scalar or one per row) times the norm of its b,
+    and the loop ends when every row has, or after min(KRYLOV, size)
+    iterations.  The running rows are kept first: a row that stops is
+    swapped behind them, so an iteration applies the operator to, and
+    reads the bases of, the running rows alone.  Returns the solutions,
+    the smallest singular value of each row's triangular factor R (0
+    where R is singular) and each row's iterations.
     """
     k, size = b.shape
     most = min(KRYLOV, size)
+    beta = np.sqrt(np.einsum("ij,ij->i", b, b))
+    order = np.argsort(~(beta > 0), kind="stable")   # row i holds b's row order[i]
+    beta, forcing = beta[order], np.broadcast_to(forcing, (k,))[order]
     basis = np.empty((k, most + 1, size))   # only the vectors it reaches are written
     R = np.zeros((k, most, most))
     rotations = np.zeros((k, most + 1, most + 1))   # Q^T of the rotations so far
     rotations[:, np.arange(most + 1), np.arange(most + 1)] = 1.0
-    beta = np.sqrt(np.einsum("ij,ij->i", b, b))
-    np.divide(b, np.where(beta > 0.0, beta, 1.0)[:, None], out=basis[:, 0])
+    np.divide(b[order], np.where(beta > 0.0, beta, 1.0)[:, None], out=basis[:, 0])
     iterations = np.zeros(k, dtype=np.int64)
-    running = beta > 0
+    r = int((beta > 0).sum())   # rows [:r] run
     for j in range(most):
-        w = basis[:, j + 1]
-        apply(basis[:, j], w)
-        if not running.all():
-            w[~running] = 0.0   # a row that stopped adds nothing more to R or the basis
-        done = basis[:, :j + 1]
-        h = np.empty((k, j + 2))
+        if not r:
+            break
+        w = basis[:r, j + 1]
+        apply(basis[:r, j], w, order[:r])
+        done = basis[:r, :j + 1]
+        h = np.empty((r, j + 2))
         c = np.matmul(done, w[:, :, None])
         w -= np.matmul(c.transpose(0, 2, 1), done)[:, 0]
         h[:, :j + 1] = c[:, :, 0]
@@ -974,21 +1014,32 @@ def _gmres(apply, b, forcing):
         h[:, :j + 1] += c[:, :, 0]
         h[:, j + 1] = norm = np.sqrt(np.einsum("ij,ij->i", w, w))
         w /= np.where(norm > 0.0, norm, 1.0)[:, None]
-        r = np.matmul(rotations[:, :j + 2, :j + 2], h[:, :, None])[:, :, 0]
-        rho = np.hypot(r[:, j], r[:, j + 1])
-        turn = r[:, j:j + 2] / np.where(rho > 0.0, rho, 1.0)[:, None]
+        t = np.matmul(rotations[:r, :j + 2, :j + 2], h[:, :, None])[:, :, 0]
+        rho = np.hypot(t[:, j], t[:, j + 1])
+        turn = t[:, j:j + 2] / np.where(rho > 0.0, rho, 1.0)[:, None]
         cos, sin = turn[:, :1], turn[:, 1:]
-        R[:, :j, j], R[:, j, j] = r[:, :j], rho
-        pair = rotations[:, j:j + 2, :j + 2]
+        R[:r, :j, j], R[:r, j, j] = t[:, :j], rho
+        pair = rotations[:r, j:j + 2, :j + 2]
         top = pair[:, 0].copy()
         pair[:, 0] *= cos
         pair[:, 0] += sin * pair[:, 1]
         pair[:, 1] *= cos
         pair[:, 1] -= sin * top
-        iterations[running] = j + 1
-        running &= np.abs(rotations[:, j + 1, 0]) > forcing
-        if not running.any():
-            break
+        iterations[:r] = j + 1
+        running = np.abs(rotations[:r, j + 1, 0]) > forcing[:r]
+        stay = int(running.sum())
+        if stay < r:
+            # the running rows past the first `stay` trade places with the
+            # rows that stopped among them, the bases one vector at a time
+            # (whole basis rows as one temporary raised band model B's
+            # peak RSS by 0.5 MB)
+            into = np.flatnonzero(~running[:stay])
+            out = stay + np.flatnonzero(running[stay:])
+            to, fro = np.concatenate([into, out]), np.concatenate([out, into])
+            for a in (*basis[:, :j + 2].transpose(1, 0, 2), R, rotations, beta, forcing,
+                      iterations, order):
+                a[to] = a[fro]
+            r = stay
     # each row's least-squares problem, R y = beta Q^T e1 over its own
     # iterations, with c I past them (c = ||R||_F, so y is zero there and
     # the smallest singular value is R's own), all rows in one batched
@@ -1005,7 +1056,8 @@ def _gmres(apply, b, forcing):
     sigma = np.where(bad, 0.0, np.linalg.svd(Rm, compute_uv=False)[:, -1])
     y = np.linalg.solve(Rm, g[:, :, None])
     x = np.matmul(y.transpose(0, 2, 1), basis[:, :m])[:, 0]
-    return x, sigma, iterations
+    back = np.argsort(order)
+    return x[back], sigma[back], iterations[back]
 
 
 def _solve_at_zero_rows(route: _Route, s, config: SolverConfig) -> _Rows:

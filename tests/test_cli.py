@@ -660,6 +660,25 @@ class TestSimulateCompare:
         assert main(["compare", "--eigenvalues", str(ev), "--density", str(dens)]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,nan,nan,nan,nan", "non-finite s or F"),
+        ("inf,0.3,nan,nan,nan", "non-finite s or F"),
+        ("0.5,0.3,nan,nan", "4 fields, expected 5"),
+        ("0.5,0.3,nan,nan,nan,1", "6 fields, expected 5"),
+        ("0.5,x,nan,nan,nan", "could not convert")])
+    def test_compare_bad_density_row_is_data_error(self, tmp_path, capsys, row, message):
+        ev, dens = tmp_path / "ev.csv", tmp_path / "dens.csv"
+        ev.write_text("re,im\n0.5,0.25\n0.1,-0.2\n")
+        assert main(["oracle", "--family", "circular:1", "--grid", "0.1:1.05:20",
+                     "--out", str(dens)]) == 0
+        lines = dens.read_text().splitlines()
+        assert "nan" in lines[-1]   # the oracle's NaN lower bounds are read
+        lines.insert(3, row)
+        dens.write_text("\n".join(lines) + "\n")
+        assert main(["compare", "--eigenvalues", str(ev), "--density", str(dens)]) == 3
+        err = capsys.readouterr().err
+        assert f"{dens}, line 4: " in err and message in err
+
     def test_simulate_deterministic(self, tmp_path):
         ppath = tmp_path / "p.csv"
         write_profile_csv(validate_profile(np.ones((12, 12))), ppath)

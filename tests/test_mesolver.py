@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vps.core
 import vps.mesolver
 from vps.core import (
     RANK_ONE_ULPS,
@@ -1275,6 +1276,80 @@ class TestKrylovRoute:
         assert layouts == [(28, 28)] + [(30, 30)] * 4 and labels == [(28, 28), (30, 30)]
 
 
+    def test_forcing_follows_the_newton_residual(self, monkeypatch):
+        # after the first step each GMRES row solves only as far as its
+        # Newton step needs; GUARD = 0 puts back the fixed FORCING pair
+        p = build_sampled(band_model_b, 200)
+        grid = default_s_grid(math.sqrt(spectral_radius(p)), 30)
+        config = SolverConfig(fixed_point_tol=1e-9, t_min=1e-8)
+        curve = solve_curve(p, grid, config)
+        monkeypatch.setattr(vps.mesolver, "GUARD", 0.0)
+        fixed = solve_curve(p, grid, config)
+        assert curve.rows.krylov.sum() < fixed.rows.krylov.sum()
+        assert curve.rows.at_zero[:-2].all()
+        np.testing.assert_array_equal(curve.rows.at_zero, fixed.rows.at_zero)
+        np.testing.assert_array_equal(curve.rows.iterations, fixed.rows.iterations)
+        assert np.abs(cdf(curve) - cdf(fixed)).max() <= 1e-11
+
+    def test_an_ill_conditioned_system_keeps_the_tight_forcing(self, monkeypatch):
+        # a system whose last estimate passed GUARD is solved to FORCING[1]
+        # at its next step, so the condition gate sees the Krylov space it
+        # would see with the fixed pair; the others solve more loosely
+        p = validate_profile(np.random.default_rng(11).uniform(0.5, 2.0, size=(30, 30)))
+        grid = default_s_grid(math.sqrt(spectral_radius(p)), 10)
+        krylov_solve = vps.mesolver._krylov_solve
+
+        def forcings(inflate):
+            seen = []
+
+            def spy(*args):
+                seen.append(np.array(args[5], dtype=float, copy=True))
+                dx, cond, work = krylov_solve(*args)
+                return dx, np.maximum(cond, 10.0 * vps.mesolver.GUARD) if inflate else cond, work
+
+            monkeypatch.setattr(vps.mesolver, "_krylov_solve", spy)
+            assert solve_curve(p, grid).rows.at_zero[:-1].all()
+            first = [f for f in seen if f.ndim == 0]
+            assert first and all(f == vps.mesolver.FORCING[0] for f in first)
+            return np.concatenate([f for f in seen if f.ndim == 1])
+
+        loose, tight = forcings(False), forcings(True)
+        assert len(loose) == len(tight) > 0
+        assert (loose > vps.mesolver.FORCING[1]).any()
+        assert (tight == vps.mesolver.FORCING[1]).all()
+
+    def test_stopped_rows_cost_no_products(self):
+        # rows that meet their forcing are swapped behind the running ones:
+        # `apply` sees the running rows alone, one product per iteration,
+        # and each row's solution is the one it gets solved alone
+        rng = np.random.default_rng(5)
+        k, size = 6, 40
+        M = np.eye(size) + rng.uniform(-0.3, 0.3, size=(k, size, size)) / math.sqrt(size)
+        b = rng.uniform(-1.0, 1.0, size=(k, size))
+        b[3] = 0.0
+        forcing = np.array([1e-2, 1e-10, 1e-4, 1e-6, 1e-8, 1e-3])
+        seen = []
+
+        def apply(z, out, rows):
+            seen.append(np.array(rows))
+            out[:] = np.matmul(M[rows], z[:, :, None])[:, :, 0]
+
+        x, sigma, iterations = vps.mesolver._gmres(apply, b, forcing)
+        assert iterations[3] == 0 and not x[3].any()
+        assert len(set(iterations)) == k
+        assert sum(len(rows) for rows in seen) == iterations.sum()
+        for j, rows in enumerate(seen):
+            np.testing.assert_array_equal(np.sort(rows), np.flatnonzero(iterations > j))
+        for i in np.flatnonzero(b.any(axis=1)):
+            alone = vps.mesolver._gmres(lambda z, out, rows: apply(z, out, rows + i),
+                                        b[i:i + 1], forcing[i])
+            assert alone[2][0] == iterations[i]
+            assert np.abs(alone[0][0] - x[i]).max() <= 1e-12 * np.abs(x[i]).max()
+            assert alone[1][0] == pytest.approx(sigma[i], rel=1e-10)
+            r = b[i] - M[i] @ x[i]
+            assert np.linalg.norm(r) <= forcing[i] * np.linalg.norm(b[i]) * (1 + 1e-8)
+
+
 class TestRankOneRoute:
     @staticmethod
     def circular_benchmark_profile(tmp_path):
@@ -1307,6 +1382,30 @@ class TestRankOneRoute:
         block = build_block_atom(3, 100)
         assert block.rank_one_factors is None
         assert solve_route(block) == "quotient (2 classes)"
+
+    def test_reads_the_pair_class_quotient(self, monkeypatch):
+        # the factors are read off the p x p quotient and lifted by the
+        # label, bit for bit those of the n x n scan, even where V's
+        # largest entry is tied across classes
+        scanned = []
+        rank_one = vps.core._rank_one
+
+        def recorded(V):
+            scanned.append(V.shape)
+            return rank_one(V)
+
+        monkeypatch.setattr(vps.core, "_rank_one", recorded)
+        ties = np.outer(np.tile([2.0, 1.0, 2.0, 1.0], 3), np.tile([1.0, 3.0, 3.0, 1.0], 3))
+        for p in (constant_profile(8), validate_profile(ties)):
+            a, b = p.rank_one_factors
+            want_a, want_b = rank_one(p.normalized)
+            assert a.tobytes() == want_a.tobytes() and b.tobytes() == want_b.tobytes()
+            assert not (a.flags.writeable or b.flags.writeable)
+            assert a.base is None and b.base is None
+        assert scanned == [(1, 1), (4, 4)]
+        assert build_block_atom(3, 300).rank_one_factors is None
+        assert zero_column_12_in_pairs().rank_one_factors is None
+        assert scanned[2:] == [(2, 2), (12, 12)]
 
     def test_zero_rows_and_columns(self, kernel_only):
         a = np.array([1.0, 0.0, 2.0, 0.5, 0.0, 3.0, 0.0])
