@@ -15,9 +15,10 @@ so is a file that only one run wrote.  With `--rtol R`, a file that
 differs is compared line by line, each line split into numbers and the
 text between them: it counts as equal when its text is identical and
 every number is within R of the parent's, relatively, and the largest
-relative deviation is printed with its line either way.  By default every workload runs,
-`mc-n2000`'s eigensolves included (about 12 s a seed).  Exit code 0 when
-every file is identical, 1 on any difference, 2 when a run fails.
+relative deviation is printed with its line either way.  By default
+every workload runs, `mc-n2000`'s eigensolves included (about 12 s a
+seed).  Exit code 0 when every file is identical (or, with `--rtol`,
+equal), 1 on any difference, 2 when a run fails.
 Nothing in either checkout is written.
 """
 
@@ -99,38 +100,36 @@ def deviation(x: bytes, y: bytes):
     return worst
 
 
-def differing(a, b):
-    """(path, parent's bytes, change's bytes) of each file under both a and
-    b whose bytes differ, in path order."""
-    for path in sorted(_files(a) & _files(b)):
+def report(a, b, rtol=None):
+    """(differs, line) for each file under the parent's directory a or the
+    change's directory b that is not byte-identical on both sides, in path
+    order: a file under one of them only, or a file whose bytes differ,
+    with its first differing line on each side (None past a file's end).
+    With rtol, a file whose `deviation` is measured is named with its
+    largest deviation instead, and differs only when that is over rtol."""
+    files_a, files_b = _files(a), _files(b)
+    for label, only in (("parent", files_a - files_b), ("change", files_b - files_a)):
+        for path in sorted(only):
+            yield True, f"{path}: only in {label}"
+    for path in sorted(files_a & files_b):
         with open(os.path.join(a, path), "rb") as fa, open(os.path.join(b, path), "rb") as fb:
             x, y = fa.read(), fb.read()
-        if x != y:
-            yield path, x, y
-
-
-def compare(a, b, rtol=None) -> list:
-    """One line per difference between the files under the parent's
-    directory a and the change's directory b: a file under one of them only,
-    or a file whose bytes differ, with its first differing line on each side
-    (None past a file's end).  With rtol, a file whose `deviation` is at
-    most rtol is no difference, and one whose numbers deviate by more is
-    named with its largest deviation."""
-    files_a, files_b = _files(a), _files(b)
-    diffs = [f"{path}: only in {label}"
-             for label, only in (("parent", files_a - files_b), ("change", files_b - files_a))
-             for path in sorted(only)]
-    for path, x, y in differing(a, b):
+        if x == y:
+            continue
         close = None if rtol is None else deviation(x, y)
         if close is not None:
-            if close[0] > rtol:
-                diffs.append(f"{path}: largest relative deviation {close[0]:.3g} "
-                             f"at line {close[1]}, over {rtol:g}")
+            over = close[0] > rtol
+            yield over, (f"{path}: largest relative deviation {close[0]:.3g} "
+                         f"at line {close[1]}" + (f", over {rtol:g}" if over else ""))
             continue
         pairs = itertools.zip_longest(x.splitlines(keepends=True), y.splitlines(keepends=True))
         line, (old, new) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
-        diffs.append(f"{path}: line {line}: parent {old!r}, change {new!r}")
-    return diffs
+        yield True, f"{path}: line {line}: parent {old!r}, change {new!r}"
+
+
+def compare(a, b, rtol=None) -> list:
+    """The lines of `report` that name a difference."""
+    return [line for differs, line in report(a, b, rtol) if differs]
 
 
 def main(argv=None) -> int:
@@ -158,18 +157,13 @@ def main(argv=None) -> int:
                     print(f"same_outputs: {exc}", file=sys.stderr)
                     return 2
                 print(f"{name}, seed {args.seed}, {side}: {summary}", flush=True)
-            diffs = compare(dirs["parent"], dirs["change"], args.rtol)
+            lines = list(report(dirs["parent"], dirs["change"], args.rtol))
+            diffs = sum(differs for differs, _ in lines)
             count = len(_files(dirs["parent"]) | _files(dirs["change"]))
             same = "identical" if args.rtol is None else f"equal within {args.rtol:g}"
-            print(f"{name}, seed {args.seed}: {count - len(diffs)} of {count} files {same}")
-            for diff in diffs:
-                print(f"  {diff}")
-            if args.rtol is not None:
-                for path, x, y in differing(dirs["parent"], dirs["change"]):
-                    close = deviation(x, y)
-                    if close is not None and close[0] <= args.rtol:
-                        print(f"  {path}: largest relative deviation {close[0]:.3g} "
-                              f"at line {close[1]}")
+            print(f"{name}, seed {args.seed}: {count - diffs} of {count} files {same}")
+            for _, line in lines:
+                print(f"  {line}")
             differ = differ or bool(diffs)
     return 1 if differ else 0
 

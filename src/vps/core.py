@@ -106,24 +106,8 @@ class VarianceProfile:
         on the profile; `solve_curve` solves such a profile by its scalar
         equation, and checks each solution on V itself, and the exact
         density is that equation's derivative in closed form.
-
-        Where V has `pair_classes`, the check reads the p x p quotient Vbar
-        and the factors are lifted by the class label: Vbar holds exactly
-        V's values, and its first largest entry lies in the row and the
-        column that are each the first of their class, so the factors are
-        those of V bit for bit.
         """
-        classes = self.pair_classes
-        if classes is None:
-            return _rank_one(self.normalized)
-        label, _, Vbar = classes
-        factors = _rank_one(Vbar)
-        if factors is None:
-            return None
-        a, b = (f[label] for f in factors)
-        a.setflags(write=False)
-        b.setflags(write=False)
-        return a, b
+        return _rank_one(self.normalized)
 
 
 # Rows and columns per exact comparison and hash of

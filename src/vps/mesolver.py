@@ -255,6 +255,8 @@ KRYLOV = 50
 FORCING = (1e-4, 1e-8)
 GUARD = 1e8
 BASIS = 2 ** 19
+# `_gmres` swaps stopped rows' bases in blocks of at most SWAP doubles.
+SWAP = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -825,8 +827,9 @@ def _newton(product, product_T, x, s2, t, tol, gauge):
                 dx, cond[live] = _stacked_solve(product[0], product_T[0], coefficients, F,
                                                 border)
             else:
-                forcing = FORCING[0]
-                if step > 0:
+                if step == 0:
+                    forcing = np.full(len(live), FORCING[0])
+                else:
                     target = 0.3 * tol * np.maximum(xs.max(axis=1), 1.0)
                     forcing = np.clip(target / np.sqrt(np.einsum("ij,ij->i", F, F)),
                                       FORCING[1], 0.3)
@@ -916,9 +919,9 @@ def _operand_sums(A, B):
 
 def _krylov_solve(product, product_T, coefficients, F, border, forcing, sums):
     """The systems of `_stacked_solve`, bordered as there, solved by
-    `_gmres` without forming them, each to the relative residual
-    `forcing`, a scalar or one per system (`_newton` gives each row of a
-    later step its own).  Returns dx, each system's condition estimate
+    `_gmres` without forming them, each to its own relative residual
+    `forcing[i]` (`_newton` passes one per system; a scalar holds for
+    all).  Returns dx, each system's condition estimate
     ||M||_inf / sigma_min(R), with R the triangular factor of its
     Hessenberg matrix, and its GMRES iterations.
 
@@ -979,11 +982,13 @@ def _gmres(apply, b, forcing):
     passes of classical Gram-Schmidt, and keeps each row's Givens
     rotations as one accumulated orthogonal matrix, so a row's residual
     norm is known at every iteration.  A row stops once that norm is at
-    most its `forcing` (a scalar or one per row) times the norm of its b,
-    and the loop ends when every row has, or after min(KRYLOV, size)
-    iterations.  The running rows are kept first: a row that stops is
-    swapped behind them, so an iteration applies the operator to, and
-    reads the bases of, the running rows alone.  Returns the solutions,
+    most its own `forcing[i]` (a scalar holds for all rows) times the
+    norm of its b, and the loop ends when every row has, or after
+    min(KRYLOV, size) iterations.  The running rows are kept first: a
+    row that stops is swapped behind them, so an iteration applies the
+    operator to, and reads the bases of, the running rows alone.  Each
+    row writes basis vectors 0 to its iterations only, and the others
+    are zeroed before the solution is formed.  Returns the solutions,
     the smallest singular value of each row's triangular factor R (0
     where R is singular) and each row's iterations.
     """
@@ -992,7 +997,7 @@ def _gmres(apply, b, forcing):
     beta = np.sqrt(np.einsum("ij,ij->i", b, b))
     order = np.argsort(~(beta > 0), kind="stable")   # row i holds b's row order[i]
     beta, forcing = beta[order], np.broadcast_to(forcing, (k,))[order]
-    basis = np.empty((k, most + 1, size))   # only the vectors it reaches are written
+    basis = np.empty((k, most + 1, size))
     R = np.zeros((k, most, most))
     rotations = np.zeros((k, most + 1, most + 1))   # Q^T of the rotations so far
     rotations[:, np.arange(most + 1), np.arange(most + 1)] = 1.0
@@ -1030,14 +1035,18 @@ def _gmres(apply, b, forcing):
         stay = int(running.sum())
         if stay < r:
             # the running rows past the first `stay` trade places with the
-            # rows that stopped among them, the bases one vector at a time
-            # (whole basis rows as one temporary raised band model B's
-            # peak RSS by 0.5 MB)
+            # rows that stopped among them, the bases in blocks of vectors
+            # whose temporaries hold at most SWAP doubles (whole basis rows
+            # as one temporary raised band model B's peak RSS by 0.5 MB,
+            # and one vector at a time cost a dense n = 30 curve 2 ms)
             into = np.flatnonzero(~running[:stay])
             out = stay + np.flatnonzero(running[stay:])
             to, fro = np.concatenate([into, out]), np.concatenate([out, into])
-            for a in (*basis[:, :j + 2].transpose(1, 0, 2), R, rotations, beta, forcing,
-                      iterations, order):
+            per = max(SWAP // (max(len(to), 1) * size), 1)
+            for lo in range(0, j + 2, per):
+                hi = min(lo + per, j + 2)
+                basis[to, lo:hi] = basis[fro, lo:hi]
+            for a in (R, rotations, beta, forcing, iterations, order):
                 a[to] = a[fro]
             r = stay
     # each row's least-squares problem, R y = beta Q^T e1 over its own
@@ -1055,6 +1064,9 @@ def _gmres(apply, b, forcing):
     Rm[bad], g[bad] = np.eye(m), math.nan
     sigma = np.where(bad, 0.0, np.linalg.svd(Rm, compute_uv=False)[:, -1])
     y = np.linalg.solve(Rm, g[:, :, None])
+    # y is zero past a row's iterations, but the vectors there were never
+    # written, and zero times a NaN left in that memory is NaN
+    basis[:, :m][diag > iterations[:, None]] = 0.0
     x = np.matmul(y.transpose(0, 2, 1), basis[:, :m])[:, 0]
     back = np.argsort(order)
     return x[back], sigma[back], iterations[back]

@@ -63,6 +63,8 @@ def test_rtol_counts_a_file_whose_numbers_agree_as_equal(tmp_path):
     a = _tree(tmp_path / "a", FILES)
     b = _tree(tmp_path / "b", {**FILES, "band.csv": b"s,F\n0.1,0.2000000000001\n0.3,0.4\n"})
     assert same_outputs.compare(a, b, rtol=1e-10) == []
+    assert list(same_outputs.report(a, b, rtol=1e-10)) == [
+        (False, "band.csv: largest relative deviation 5e-13 at line 2")]
     assert same_outputs.compare(a, b) == [
         "band.csv: line 2: parent b'0.1,0.2\\n', change b'0.1,0.2000000000001\\n'"]
     assert same_outputs.compare(a, b, rtol=1e-14) == [
