@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from vps.core import default_s_grid
-from vps.measures import density, density_at_zero
+from vps.measures import density_at_zero, grid_density
 from vps.mesolver import solve_curve
 from vps.profiles import build_separable
-from vps.separable import separable_density, separable_density_zero, sombrero_density
+from vps.separable import separable_curve, separable_density_zero, sombrero_density
 
 
 def main(outdir: str = "demo_output") -> None:
@@ -33,16 +33,13 @@ def main(outdir: str = "demo_output") -> None:
     grid = default_s_grid(math.sqrt(sep.rho), 60)
     curve = solve_curve(profile, grid)
 
+    f_solver = grid_density(curve, "exact")
+    _, f_separable = separable_curve(sep, grid)
     with open(out / "sombrero_density.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["s", "f_solver", "f_separable", "f_closed_form"])
-        edge = math.sqrt(sep.rho)
-        for s in grid:
-            inside = s < edge
-            w.writerow([s,
-                        density(curve, float(s), "exact") if inside else 0.0,
-                        separable_density(sep, float(s)) if inside else 0.0,
-                        sombrero_density(1.0, 4.0, 0.5, float(s))])
+        for s, f, g in zip(grid, f_solver, f_separable):
+            w.writerow([s, f, g, sombrero_density(1.0, 4.0, 0.5, float(s))])
 
     f0_solver, _ = density_at_zero(profile)
     print(f"f(0) solver     = {f0_solver:.10f}")

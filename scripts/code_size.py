@@ -2,10 +2,14 @@
 
 Usage, from anywhere:
 
-    python3 scripts/code_size.py [DIRECTORY]
+    python3 scripts/code_size.py [DIRECTORY [CHANGED]]
 
 For each `*.py` file of DIRECTORY (by default `src/vps` of this checkout),
-in name order, it prints the file's code lines and then their total.  A
+in name order, it prints the file's code lines and then their total.
+Given a second directory CHANGED, say the same package in another
+checkout, it prints for each module of either directory its lines in
+DIRECTORY (the parent), in CHANGED and the difference, and the totals; a
+module missing from one side counts 0 lines there.  A
 code line is a line that holds a token of the program other than a
 comment or a docstring: blank lines, comment lines and the lines of
 module, class and function docstrings do not count, and a line that holds
@@ -69,12 +73,23 @@ def sizes(directory) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("directory", nargs="?", default=PACKAGE)
+    parser.add_argument("changed", nargs="?")
     args = parser.parse_args(argv)
     counts = sizes(args.directory)
-    width = max(map(len, counts), default=5)
-    for name, count in counts.items():
-        print(f"{name:<{width}}  {count:>6,}")
-    print(f"{'total':<{width}}  {sum(counts.values()):>6,}")
+    if args.changed is None:
+        width = max(map(len, counts), default=5)
+        for name, count in counts.items():
+            print(f"{name:<{width}}  {count:>6,}")
+        print(f"{'total':<{width}}  {sum(counts.values()):>6,}")
+        return 0
+    changed = sizes(args.changed)
+    names = sorted(counts.keys() | changed.keys())
+    width = max(map(len, names), default=5)
+    print(f"{'':<{width}}  {'parent':>6}  {'change':>6}  {'diff':>6}")
+    for name in names + ["total"]:
+        a, b = ((sum(c.values()) if name == "total" else c.get(name, 0))
+                for c in (counts, changed))
+        print(f"{name:<{width}}  {a:>6,}  {b:>6,}  {b - a:>+6,}")
     return 0
 
 

@@ -41,10 +41,8 @@ from .profiles import (
 from .mesolver import (
     MECurve,
     derivative_s2,
-    psi,
     solve_at_zero,
     solve_curve,
-    solve_regularized,
 )
 from .measures import (
     atom_at_zero,
@@ -56,15 +54,11 @@ from .measures import (
     grid_density,
 )
 from .separable import (
-    NoRootError,
     QuadratureUnstableError,
-    SeparableSolution,
-    sampled_separable_density,
-    sampled_separable_u,
     sampled_rho,
-    separable_density,
+    sampled_separable_curve,
+    separable_curve,
     separable_density_zero,
-    solve_u,
     sombrero_density,
 )
 from .reference import (

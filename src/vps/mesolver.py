@@ -131,8 +131,9 @@ padded past the edge with zero rows in one copy; `rows.at_zero` marks the
 radii solved at t = 0, `rows.krylov` counts each radius's GMRES
 iterations, and the curve's t per radius (`MECurve.t`), `MESolution`
 views and failed radii are read from it.  `solve_curve` on one radius is
-the t -> 0 limit there, and `solve_regularized` is a one-row call of the
-kernel at the caller's t, which never takes the endgame.
+the t -> 0 limit there.  No public call solves at a caller's t > 0: that
+is the kernel itself, `_solve_rows` on `_layout(_route(profile))`, one
+row per radius, which never takes the endgame.
 
 The measures read a curve once, through `MECurve.products`: its rows and
 the products V q_tilde and V^T q at every radius, on one entry per class
@@ -319,17 +320,6 @@ class MECurve:
             raise NoConvergenceError(
                 f"{len(failed)} of {len(self.s_grid)} grid points did not "
                 f"converge, at s = {radii}; first: {self.failure_messages[0]}")
-
-
-def psi(profile: VarianceProfile, q, q_tilde, s: float, t: float) -> np.ndarray:
-    """Entrywise weights Psi_i = 1 / (s^2 + ((V qt)_i + t)((V^T q)_i + t))."""
-    V = profile.normalized
-    phi = V @ q_tilde + t
-    phit = V.T @ q + t
-    denom = s * s + phi * phit
-    if np.any(denom == 0.0):
-        raise ZeroDivisionError("degenerate Psi denominator (s = t = 0 with zero vectors)")
-    return 1.0 / denom
 
 
 @dataclass(frozen=True)
@@ -692,13 +682,6 @@ def _lift(rows: _Rows, label, past=0) -> _Rows:
                  np.pad(rows.at_zero, pad), np.pad(rows.krylov, pad))
 
 
-def _solve(profile: VarianceProfile, s, t, config: SolverConfig) -> _Rows:
-    """`_solve_rows` at t on the profile's `_route`, each row lifted to the
-    n entries."""
-    route = _route(profile)
-    return _lift(_solve_rows(_layout(route), s, t, config), route.label)
-
-
 def _residual_at_zero(V, q, qt, s2):
     """The sup norm of I(x) - x at t = 0 for every [q | qt] row, with s2 the
     column of squared radii: one product with V and one with V^T for all
@@ -920,8 +903,7 @@ def _operand_sums(A, B):
 def _krylov_solve(product, product_T, coefficients, F, border, forcing, sums):
     """The systems of `_stacked_solve`, bordered as there, solved by
     `_gmres` without forming them, each to its own relative residual
-    `forcing[i]` (`_newton` passes one per system; a scalar holds for
-    all).  Returns dx, each system's condition estimate
+    `forcing[i]`.  Returns dx, each system's condition estimate
     ||M||_inf / sigma_min(R), with R the triangular factor of its
     Hessenberg matrix, and its GMRES iterations.
 
@@ -982,21 +964,21 @@ def _gmres(apply, b, forcing):
     passes of classical Gram-Schmidt, and keeps each row's Givens
     rotations as one accumulated orthogonal matrix, so a row's residual
     norm is known at every iteration.  A row stops once that norm is at
-    most its own `forcing[i]` (a scalar holds for all rows) times the
-    norm of its b, and the loop ends when every row has, or after
-    min(KRYLOV, size) iterations.  The running rows are kept first: a
-    row that stops is swapped behind them, so an iteration applies the
-    operator to, and reads the bases of, the running rows alone.  Each
-    row writes basis vectors 0 to its iterations only, and the others
-    are zeroed before the solution is formed.  Returns the solutions,
-    the smallest singular value of each row's triangular factor R (0
-    where R is singular) and each row's iterations.
+    most its own `forcing[i]` times the norm of its b, and the loop ends
+    when every row has, or after min(KRYLOV, size) iterations.  The
+    running rows are kept first: a row that stops is swapped behind them,
+    so an iteration applies the operator to, and reads the bases of, the
+    running rows alone.  Each row writes basis vectors 0 to its
+    iterations only, and the others are zeroed before the solution is
+    formed.  Returns the solutions, the smallest singular value of each
+    row's triangular factor R (0 where R is singular) and each row's
+    iterations.
     """
     k, size = b.shape
     most = min(KRYLOV, size)
     beta = np.sqrt(np.einsum("ij,ij->i", b, b))
     order = np.argsort(~(beta > 0), kind="stable")   # row i holds b's row order[i]
-    beta, forcing = beta[order], np.broadcast_to(forcing, (k,))[order]
+    beta, forcing = beta[order], forcing[order]
     basis = np.empty((k, most + 1, size))
     R = np.zeros((k, most, most))
     rotations = np.zeros((k, most + 1, most + 1))   # Q^T of the rotations so far
@@ -1152,18 +1134,6 @@ def solve_route(profile: VarianceProfile) -> str:
     if profile.rank_one_factors is not None:
         return "separable (rank 1)"
     return _route(profile).name
-
-
-def solve_regularized(profile: VarianceProfile, s: float, t: float,
-                      config: SolverConfig | None = None) -> MESolution:
-    """Unique positive solution of the regularized system at (s, t), t > 0."""
-    if t <= 0:
-        raise ValueError("t must be positive; use solve_curve for the t -> 0 limit")
-    rows = _solve(profile, [s], t, config or SolverConfig())
-    if rows.errors[0]:
-        raise NoConvergenceError(rows.errors[0])
-    return MESolution(s=s, t=t, q=rows.q[0], q_tilde=rows.q_tilde[0],
-                      iterations=int(rows.iterations[0]), residual=float(rows.residual[0]))
 
 
 def solve_at_zero(profile: VarianceProfile,

@@ -57,7 +57,6 @@ class SinkhornResult:
     d2: np.ndarray
     scaled: np.ndarray
     iterations: int
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +151,10 @@ def spectral_radius(profile, tol: float = 1e-10, max_iters: int = 100_000) -> fl
 
 def _acyclic(adj: np.ndarray) -> bool:
     """True iff the digraph of `adj`, which has no self-loop, has no cycle:
-    peeling off, round by round, the nodes with no edge to another remaining
-    node or none from one (the trim of `_scc`) leaves no node."""
+    every node is a strongly connected component of its own (`_scc`)."""
     if adj.any(axis=1).all() and adj.any(axis=0).all():
-        return False  # no node to peel
-    out_deg, in_deg = adj.sum(axis=1), adj.sum(axis=0)
-    live = np.ones(adj.shape[0], dtype=bool)
-    while (peel := np.flatnonzero(live & ((out_deg == 0) | (in_deg == 0)))).size:
-        live[peel] = False
-        out_deg -= adj[:, peel].sum(axis=1)
-        in_deg -= adj[peel].sum(axis=0)
-    return not live.any()
+        return False  # every node has an edge in and one out: a cycle
+    return bool(_scc(adj).max() == len(adj) - 1)
 
 
 def is_irreducible(profile: VarianceProfile) -> bool:
@@ -374,7 +366,7 @@ def sinkhorn_scale(profile: VarianceProfile, tol: float = 1e-10,
     d1 = sol.q * gamma
     d2 = sol.q_tilde / gamma
     return SinkhornResult(d1=d1, d2=d2, scaled=d1[:, None] * V * d2[None, :],
-                          iterations=sol.iterations, converged=True)
+                          iterations=sol.iterations)
 
 
 def circular_law_test(profile: VarianceProfile, tol: float = 1e-6,

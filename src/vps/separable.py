@@ -10,21 +10,19 @@ with F(s) = 1 - u(s).  Sampled variants replace the sum by an integral over
 distribution covers the two-level case in closed form.
 
 One vectorized root-finder, `_roots`, solves the equation at every radius
-of a grid at once.  The per-radius entry points (`solve_u`,
-`separable_density` and the sampled variants) call it on one radius;
-`separable_curve` calls it once for a whole grid, and so does
-`vps.mesolver.solve_curve` for a profile whose V is rank one (see
-`VarianceProfile.rank_one_factors`), which it then lifts to (q, q_tilde).
+of a grid at once.  `separable_curve` and `sampled_separable_curve` call
+it once for a whole grid, on the products and weights of the discrete and
+of the sampled profile, and so does `vps.mesolver.solve_curve` for a
+profile whose V is rank one (see `VarianceProfile.rank_one_factors`),
+which it then lifts to (q, q_tilde).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutsideSupportError
 from .profiles import SeparableProfile
 
 # A radius's Newton iteration stops once its increment is no longer
@@ -32,19 +30,8 @@ from .profiles import SeparableProfile
 STOP_ULPS = 4
 
 
-class NoRootError(RuntimeError):
-    """The scalar equation has no root in [0, 1]; the input is corrupt."""
-
-
 class QuadratureUnstableError(RuntimeError):
     """The quadrature integrand varies too sharply between adjacent nodes."""
-
-
-@dataclass(frozen=True)
-class SeparableSolution:
-    s: float
-    u: float
-    converged: bool
 
 
 def _roots(prods: np.ndarray, weights: np.ndarray, s2):
@@ -78,32 +65,9 @@ def _roots(prods: np.ndarray, weights: np.ndarray, s2):
     return u, steps
 
 
-def _solve_u_from_products(prods: np.ndarray, weights: np.ndarray,
-                           s: float) -> SeparableSolution:
-    """Root of sum_i w_i * p_i / (s^2 + p_i u) = 1 on u in [0, 1], by
-    `_roots` at the one radius s > 0.
-
-    prods holds the pointwise products d_i * dt_i, weights the averaging
-    weights (1/n for the discrete case, quadrature weights otherwise).
-    """
-    u = float(_roots(prods, weights, np.array([s * s]))[0][0])
-    if u > 1.0:
-        raise NoRootError(f"no root in [0, 1] at s = {s}")
-    return SeparableSolution(s=s, u=u, converged=True)
-
-
 def _discrete(sep: SeparableProfile):
     """The products d_i dt_i and the weights 1/n of a discrete profile."""
     return sep.d * sep.d_tilde, np.full(sep.n, 1.0 / sep.n)
-
-
-def solve_u(sep: SeparableProfile, s: float) -> SeparableSolution:
-    """u(s) for a discrete separable profile; u(0) = 1, u = 0 for s >= sqrt(rho)."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if s == 0.0:
-        return SeparableSolution(s=0.0, u=1.0, converged=True)
-    return _solve_u_from_products(*_discrete(sep), s)
 
 
 def _density_from_products(prods, weights, s2, u):
@@ -116,25 +80,23 @@ def _density_from_products(prods, weights, s2, u):
     return num / (math.pi * den)
 
 
-def separable_density(sep: SeparableProfile, z_modulus: float) -> float:
-    """Radial density at |z| inside the support (0, sqrt(rho))."""
-    s = float(z_modulus)
-    if not 0.0 < s < math.sqrt(sep.rho):
-        raise OutsideSupportError(f"|z| = {s} outside (0, {math.sqrt(sep.rho)})")
-    prods, weights = _discrete(sep)
-    u = _solve_u_from_products(prods, weights, s).u
-    return float(_density_from_products(prods, weights, s * s, u))
+def _curve(prods, weights, s_grid):
+    """F = 1 - u and the radial density f at every radius of a finite,
+    positive grid, from one `_roots` solve of u for the whole grid; f = 0
+    from the support edge sqrt(sum_i w_i p_i) on."""
+    s = np.asarray(s_grid, dtype=float)
+    if not (np.isfinite(s).all() and (s > 0).all()):
+        raise ValueError("s_grid must be finite and positive")
+    s2 = s * s
+    u = _roots(prods, weights, s2)[0]
+    inside = s < math.sqrt(np.sum(weights * prods))
+    return 1.0 - u, np.where(inside, _density_from_products(prods, weights, s2, u), 0.0)
 
 
 def separable_curve(sep: SeparableProfile, s_grid):
-    """F = 1 - u and the radial density f at every radius of a positive
-    grid, from one `_roots` solve of u for the whole grid; f = 0 from the
-    support edge sqrt(rho) on."""
-    s = np.asarray(s_grid, dtype=float)
-    prods, weights = _discrete(sep)
-    u = _roots(prods, weights, s * s)[0]
-    inside = s < math.sqrt(sep.rho)
-    return 1.0 - u, np.where(inside, _density_from_products(prods, weights, s * s, u), 0.0)
+    """(F, f) of a discrete separable profile at every radius of a finite,
+    positive grid (`_curve`)."""
+    return _curve(*_discrete(sep), s_grid)
 
 
 def separable_density_zero(sep: SeparableProfile) -> float:
@@ -170,27 +132,11 @@ def sampled_rho(d_func, dtilde_func, quad_points: int = 2000) -> float:
     return float(np.sum(weights * prods))
 
 
-def sampled_separable_u(d_func, dtilde_func, s: float,
-                        quad_points: int = 2000) -> SeparableSolution:
-    """u_inf(s) solving integral d dt / (s^2 + d dt u) dx = 1."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if s == 0.0:
-        return SeparableSolution(s=0.0, u=1.0, converged=True)
-    prods, weights = _quad_nodes(d_func, dtilde_func, quad_points)
-    return _solve_u_from_products(prods, weights, s)
-
-
-def sampled_separable_density(d_func, dtilde_func, z_modulus: float,
-                              quad_points: int = 2000) -> float:
-    """Limit radial density for a sampled separable profile."""
-    s = float(z_modulus)
-    prods, weights = _quad_nodes(d_func, dtilde_func, quad_points)
-    rho = float(np.sum(weights * prods))
-    if not 0.0 < s < math.sqrt(rho):
-        raise OutsideSupportError(f"|z| = {s} outside (0, {math.sqrt(rho)})")
-    u = _solve_u_from_products(prods, weights, s).u
-    return float(_density_from_products(prods, weights, s * s, u))
+def sampled_separable_curve(d_func, dtilde_func, s_grid, quad_points: int = 2000):
+    """(F, f) of the limit of a sampled separable profile at every radius
+    of a finite, positive grid (`_curve`), the integral over [0, 1] by
+    trapezoid quadrature on quad_points nodes."""
+    return _curve(*_quad_nodes(d_func, dtilde_func, quad_points), s_grid)
 
 
 def sombrero_density(a: float, b: float, alpha: float, z_modulus: float) -> float:

@@ -38,3 +38,20 @@ def test_sizes_every_module_of_the_package():
     counts = code_size.sizes(ROOT / "src" / "vps")
     assert {"__init__.py", "mesolver.py", "measures.py"} <= set(counts)
     assert all(count > 0 for count in counts.values())
+
+
+def test_compares_two_directories(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (parent / "a.py").write_text(SOURCE)
+    (parent / "gone.py").write_text("x = 1\ny = 2\n")
+    (change / "a.py").write_text(SOURCE + "z = 3\n")
+    (change / "new.py").write_text("x = 1\n")
+    assert code_size.main([str(parent), str(change)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["parent", "change", "diff"],
+                    ["a.py", "6", "7", "+1"],
+                    ["gone.py", "2", "0", "-2"],
+                    ["new.py", "0", "1", "+1"],
+                    ["total", "8", "8", "+0"]]

@@ -22,6 +22,7 @@ from vps.mesolver import (
     _envelope,
     _identity,
     _layout,
+    _lift,
     _linearization,
     _product,
     _residual_at_zero,
@@ -30,10 +31,8 @@ from vps.mesolver import (
     _solve_rows,
     derivative_s2,
     envelope_fraction,
-    psi,
     solve_at_zero,
     solve_curve,
-    solve_regularized,
     solve_route,
 )
 from vps.profiles import build_block_atom, build_sampled, build_separable, spectral_radius
@@ -46,6 +45,21 @@ def limit_at(profile, s, config=None):
     curve = solve_curve(profile, [s], config)
     curve.raise_failures()
     return curve.solutions[0]
+
+
+def kernel_rows(profile, s, t, config=None):
+    """The kernel `_solve_rows` at t on the profile's `_route`, each row
+    lifted to the n entries."""
+    route = _route(profile)
+    return _lift(_solve_rows(_layout(route), s, t, config or SolverConfig()), route.label)
+
+
+def regularized(profile, s, t):
+    """(q, q_tilde) of the kernel's one row at (s, t), t > 0, which must
+    converge."""
+    rows = kernel_rows(profile, [s], t)
+    assert rows.errors == [None]
+    return rows.q[0], rows.q_tilde[0]
 
 
 def constant_profile(n, variance=1.0):
@@ -130,64 +144,32 @@ def scalar_regularized_root(s, t):
     return 0.5 * (lo + hi)
 
 
-class TestPsi:
-    def test_constant_ones(self):
-        p = constant_profile(8)
-        out = psi(p, np.ones(8), np.ones(8), s=1.0, t=0.0)
-        assert np.allclose(out, 0.5)
-
-    def test_zero_vectors_large_s(self):
-        p = constant_profile(8)
-        out = psi(p, np.zeros(8), np.zeros(8), s=2.0, t=0.0)
-        assert np.allclose(out, 0.25)
-
-    def test_separable_at_zero(self):
-        p, _ = build_separable([1.0, 2.0], [3.0, 1.0])
-        q = np.ones(2)
-        # (V qt)_i (V^T q)_i entrywise with V = outer(d, dt)/n
-        V = p.normalized
-        expected = 1.0 / ((V @ q) * (V.T @ q))
-        assert np.allclose(psi(p, q, q, s=0.0, t=0.0), expected)
-
-    def test_degenerate_raises(self):
-        p = constant_profile(4)
-        with pytest.raises(ZeroDivisionError):
-            psi(p, np.zeros(4), np.zeros(4), s=0.0, t=0.0)
-
-
 class TestSolveRegularized:
     def test_matches_scalar_oracle(self):
-        p = constant_profile(16)
-        sol = solve_regularized(p, s=1.0, t=0.1)
-        assert np.allclose(sol.q, scalar_regularized_root(1.0, 0.1), atol=1e-10)
-        assert np.allclose(sol.q, sol.q_tilde)
+        q, qt = regularized(constant_profile(16), s=1.0, t=0.1)
+        assert np.allclose(q, scalar_regularized_root(1.0, 0.1), atol=1e-10)
+        assert np.allclose(q, qt)
 
     def test_small_t_approaches_limit(self):
-        p = constant_profile(16)
-        sol = solve_regularized(p, s=0.6, t=1e-8)
-        assert np.allclose(sol.q, 0.8, atol=1e-6)
+        q, _ = regularized(constant_profile(16), s=0.6, t=1e-8)
+        assert np.allclose(q, 0.8, atol=1e-6)
 
     def test_large_s_first_order(self):
-        p = constant_profile(8)
         t = 1e-3
-        sol = solve_regularized(p, s=30.0, t=t)
-        assert np.allclose(sol.q, t / 900.0, rtol=1e-2)
-
-    def test_rejects_nonpositive_t(self):
-        with pytest.raises(ValueError):
-            solve_regularized(constant_profile(4), s=0.5, t=0.0)
+        q, _ = regularized(constant_profile(8), s=30.0, t=t)
+        assert np.allclose(q, t / 900.0, rtol=1e-2)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(0)
         p = validate_profile(rng.uniform(0.5, 1.5, size=(10, 10)))
-        sol = solve_regularized(p, s=0.7, t=1e-6)
-        assert abs(sol.q.sum() - sol.q_tilde.sum()) <= 10 * 1e-9
+        q, qt = regularized(p, s=0.7, t=1e-6)
+        assert abs(q.sum() - qt.sum()) <= 10 * 1e-9
 
     def test_one_over_t_bound(self):
         p = constant_profile(8)
         for t in (1.0, 1e-2, 1e-4):
-            sol = solve_regularized(p, s=0.3, t=t)
-            assert sol.q.max() <= 1.0 / t * (1 + 1e-9)
+            q, _ = regularized(p, s=0.3, t=t)
+            assert q.max() <= 1.0 / t * (1 + 1e-9)
 
 
 class TestAnnealToLimit:
@@ -722,7 +704,7 @@ class TestRowClasses:
         assert full_n(panels) == "full"
         grid = math.sqrt(spectral_radius(p)) * np.array([0.1, 0.5, 0.9])
         config = SolverConfig()
-        rows, ref = (vps.mesolver._solve(x, grid, config.t_min, config) for x in (p, panels))
+        rows, ref = (kernel_rows(x, grid, config.t_min, config) for x in (p, panels))
         assert rows.errors == ref.errors == [None] * 3
         for i in range(3):
             assert abs(rows.iterations[i] - ref.iterations[i]) <= 1
@@ -899,7 +881,7 @@ class TestSolveCurve:
         # the kernel at t_min to the full tolerance, as a refused radius
         # takes it: past LU_UNKNOWNS its hand-offs are solved by GMRES
         inside = grid[grid < math.sqrt(spectral_radius(p))]
-        kernel = vps.mesolver._solve(p, inside, config.t_min, config)
+        kernel = kernel_rows(p, inside, config.t_min, config)
         assert sum(rows for t, rows in handed if t > 0) > 0
         assert not any(kernel.errors) and kernel.krylov.sum() > 0
         balance = kernel.q.sum(axis=1) - kernel.q_tilde.sum(axis=1)
@@ -991,7 +973,7 @@ class TestEndgame:
         config = SolverConfig()
         if where is None:
             where = np.ones(len(grid), dtype=bool)
-        want = vps.mesolver._solve(profile, grid[where], config.t_min, config)
+        want = kernel_rows(profile, grid[where], config.t_min, config)
         for got, ref in ((rows.q, want.q), (rows.q_tilde, want.q_tilde),
                          (rows.iterations, want.iterations), (rows.residual, want.residual)):
             np.testing.assert_array_equal(got[where], ref)
@@ -1071,12 +1053,10 @@ class TestEndgame:
             return newton(A, B, x, s2, t, tol, gauge)
 
         monkeypatch.setattr(vps.mesolver, "_newton", hand_off_only)
+        # the kernel at a caller's t > 0 hands off to Newton at that t only
         p = validate_profile(np.random.default_rng(2).uniform(0.5, 2.0, size=(8, 8)))
-        config = SolverConfig()
-        sol = solve_regularized(p, 0.3, 1e-6, config)
-        want = _solve_rows(_layout(_identity(p.normalized)), [0.3], 1e-6, config)
-        assert sol.t == 1e-6 and sol.iterations == want.iterations[0]
-        np.testing.assert_array_equal(sol.q, want.q[0])
+        rows = kernel_rows(p, [0.3], 1e-6)
+        assert rows.errors == [None] and not rows.at_zero[0]
 
     def test_a_singular_system_refuses_only_its_radius(self, monkeypatch):
         p = validate_profile(np.random.default_rng(3).uniform(0.5, 2.0, size=(10, 10)))
@@ -1151,7 +1131,7 @@ class TestKrylovRoute:
             patch.setattr(vps.mesolver, "_linearization", recorded)
             want, _ = vps.mesolver._stacked_solve(V, V.T, coefficients, F, border)
         got, cond, iterations = vps.mesolver._krylov_solve(
-            (V, _envelope(V)), (V.T, _envelope(V.T)), coefficients, F, border, 1e-12,
+            (V, _envelope(V)), (V.T, _envelope(V.T)), coefficients, F, border, np.full(3, 1e-12),
             vps.mesolver._operand_sums(V, V.T))
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         assert (0 < iterations).all() and (iterations < 2 * n).all()
@@ -1353,7 +1333,7 @@ class TestKrylovRoute:
             np.testing.assert_array_equal(np.sort(rows), np.flatnonzero(iterations > j))
         for i in np.flatnonzero(b.any(axis=1)):
             alone = vps.mesolver._gmres(lambda z, out, rows: apply(z, out, rows + i),
-                                        b[i:i + 1], forcing[i])
+                                        b[i:i + 1], forcing[i:i + 1])
             assert alone[2][0] == iterations[i]
             assert np.abs(alone[0][0] - x[i]).max() <= 1e-12 * np.abs(x[i]).max()
             assert alone[1][0] == pytest.approx(sigma[i], rel=1e-10)

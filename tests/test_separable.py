@@ -4,19 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from vps.core import OutsideSupportError, validate_profile
+from vps.core import validate_profile
 from vps.measures import _exact_density, cdf, density, grid_density
 from vps.mesolver import solve_curve, solve_route
 from vps.profiles import build_separable
 from vps.separable import (
     QuadratureUnstableError,
     sampled_rho,
-    sampled_separable_density,
-    sampled_separable_u,
+    sampled_separable_curve,
     separable_curve,
-    separable_density,
     separable_density_zero,
-    solve_u,
     sombrero_density,
 )
 
@@ -25,43 +22,48 @@ def sep_of(d, dt):
     return build_separable(np.asarray(d, float), np.asarray(dt, float))[1]
 
 
+def u_of(sep, grid):
+    """The root u = 1 - F at every radius of the grid."""
+    return 1.0 - separable_curve(sep, grid)[0]
+
+
 class TestSolveU:
     def test_constant_closed_form(self):
         sep = sep_of(np.ones(10), np.ones(10))
-        assert solve_u(sep, 0.6).u == pytest.approx(0.64, abs=1e-12)
-
-    def test_u_at_zero_is_one(self):
-        sep = sep_of([1.0, 2.0, 0.5], [1.5, 1.0, 2.0])
-        assert solve_u(sep, 0.0).u == 1.0
+        assert u_of(sep, [0.6])[0] == pytest.approx(0.64, abs=1e-12)
 
     def test_trivial_regime(self):
         sep = sep_of([1.0, 4.0], [1.0, 1.0])
         assert sep.rho == pytest.approx(2.5)
-        assert solve_u(sep, math.sqrt(2.5)).u == 0.0
-        assert solve_u(sep, 2.0).u == 0.0
+        F, f = separable_curve(sep, [math.sqrt(2.5), 2.0])
+        assert (F == 1.0).all() and (f == 0.0).all()
 
     def test_monotone_decreasing(self):
         sep = sep_of([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
         ss = np.linspace(0.05, math.sqrt(sep.rho) - 0.01, 25)
-        us = [solve_u(sep, float(s)).u for s in ss]
-        assert np.all(np.diff(us) < 0)
+        assert np.all(np.diff(u_of(sep, ss)) < 0)
 
     def test_rejects_negative_s(self):
-        with pytest.raises(ValueError):
-            solve_u(sep_of([1.0], [1.0]), -0.1)
+        # and every other radius that is not finite and positive, in a grid
+        # of otherwise good radii, as the sampled call does
+        for s in (-0.1, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                separable_curve(sep_of([1.0], [1.0]), [0.5, s])
+            with pytest.raises(ValueError):
+                sampled_separable_curve(lambda x: 1.0, lambda x: 1.0, [0.5, s])
 
 
 class TestSeparableDensity:
     def test_constant_circular(self):
         sep = sep_of(np.ones(8), np.ones(8))
-        for z in (0.2, 0.7, 0.95):
-            assert separable_density(sep, z) == pytest.approx(1 / math.pi,
-                                                              abs=1e-10)
+        for f in separable_curve(sep, [0.2, 0.7, 0.95])[1]:
+            assert f == pytest.approx(1 / math.pi, abs=1e-10)
 
     def test_outside_support(self):
+        # F = 1 and f = 0 from the edge sqrt(rho) = 1 on
         sep = sep_of(np.ones(8), np.ones(8))
-        with pytest.raises(OutsideSupportError):
-            separable_density(sep, 1.2)
+        F, f = separable_curve(sep, [0.5, 1.0, 1.2])
+        assert (F[1:] == 1.0).all() and (f[1:] == 0.0).all() and f[0] > 0
 
     def test_matches_full_solver(self):
         rng = np.random.default_rng(17)
@@ -71,9 +73,9 @@ class TestSeparableDensity:
             profile, sep = build_separable(d, dt)
             grid = np.linspace(0.1, 1.05 * math.sqrt(sep.rho), 12)
             curve = solve_curve(profile, grid)
-            for z in (0.3, 0.6):
-                assert density(curve, z, "exact") == pytest.approx(
-                    separable_density(sep, z), abs=1e-6)
+            _, want = separable_curve(sep, [0.3, 0.6])
+            for z, f in zip((0.3, 0.6), want):
+                assert density(curve, z, "exact") == pytest.approx(f, abs=1e-6)
 
     def test_density_at_zero_formula(self):
         assert separable_density_zero(sep_of(np.ones(4), np.ones(4))) == \
@@ -134,7 +136,7 @@ class TestCollapse:
         grid = np.linspace(0.1, 1.05 * math.sqrt(sep.rho), 15)
         curve = solve_curve(profile, grid)
         F = cdf(curve)
-        u = np.array([solve_u(sep, float(s)).u for s in grid])
+        u = u_of(sep, grid)
         assert np.abs(F - (1 - u)).max() <= 1e-8
 
     def test_single_sided_equivalence(self):
@@ -145,41 +147,47 @@ class TestCollapse:
         sep_two = sep_of(d, dt)
         sep_one = sep_of(g, g)
         grid = np.linspace(0.05, 1.05 * math.sqrt(sep_two.rho), 20)
-        u2 = np.array([solve_u(sep_two, float(s)).u for s in grid])
-        u1 = np.array([solve_u(sep_one, float(s)).u for s in grid])
+        u2 = u_of(sep_two, grid)
+        u1 = u_of(sep_one, grid)
         assert np.abs(u2 - u1).max() <= 1e-8
 
 
 class TestSampledSeparable:
     def test_constant_matches_discrete(self):
-        sol = sampled_separable_u(lambda x: 1.0, lambda x: 1.0, 0.6)
-        assert sol.u == pytest.approx(0.64, abs=1e-10)
+        F, _ = sampled_separable_curve(lambda x: 1.0, lambda x: 1.0, [0.6])
+        assert 1.0 - F[0] == pytest.approx(0.64, abs=1e-10)
 
     def test_rho_linear(self):
         rho = sampled_rho(lambda x: x, lambda x: x, quad_points=20000)
         assert rho == pytest.approx(1 / 3, abs=1e-7)
 
+    def test_zero_past_the_edge(self):
+        # the edge is sqrt(sampled_rho) = 0.577... for d = dt = x
+        F, f = sampled_separable_curve(lambda x: x, lambda x: x, [0.5, 0.6])
+        assert f[0] > 0 and F[0] < 1.0
+        assert F[1] == 1.0 and f[1] == 0.0
+
     def test_quadrature_convergence(self):
-        u1 = sampled_separable_u(lambda x: x + 0.2, lambda x: 1.0, 0.4,
-                                 quad_points=4000).u
-        u2 = sampled_separable_u(lambda x: x + 0.2, lambda x: 1.0, 0.4,
-                                 quad_points=8000).u
-        assert abs(u1 - u2) <= 1e-8
+        F1, _ = sampled_separable_curve(lambda x: x + 0.2, lambda x: 1.0, [0.4],
+                                        quad_points=4000)
+        F2, _ = sampled_separable_curve(lambda x: x + 0.2, lambda x: 1.0, [0.4],
+                                        quad_points=8000)
+        assert abs(F1[0] - F2[0]) <= 1e-8
 
     def test_linear_profile_blowup_rate(self):
         z = 1e-3
-        f = sampled_separable_density(lambda x: x, lambda x: x, z,
-                                      quad_points=20000)
-        assert f * z == pytest.approx(0.25, rel=0.05)
+        _, f = sampled_separable_curve(lambda x: x, lambda x: x, [z],
+                                       quad_points=20000)
+        assert f[0] * z == pytest.approx(0.25, rel=0.05)
 
     def test_unstable_quadrature_rejected(self):
         step = lambda x: 0.0 if x < 0.5 else 10.0
         with pytest.raises(QuadratureUnstableError):
-            sampled_separable_u(step, step, 0.3, quad_points=50)
+            sampled_separable_curve(step, step, [0.3], quad_points=50)
 
     def test_rejects_negative_function(self):
         with pytest.raises(ValueError):
-            sampled_separable_u(lambda x: x - 0.5, lambda x: 1.0, 0.3)
+            sampled_separable_curve(lambda x: x - 0.5, lambda x: 1.0, [0.3])
 
 
 class TestSombrero:
@@ -199,9 +207,8 @@ class TestSombrero:
         n = 100
         sep = sep_of(np.concatenate([np.ones(50), 4 * np.ones(50)]),
                      np.ones(n))
-        for z in (0.3, 0.8, 1.2):
-            assert separable_density(sep, z) == pytest.approx(
-                sombrero_density(1.0, 4.0, 0.5, z), abs=1e-10)
+        for z, f in zip((0.3, 0.8, 1.2), separable_curve(sep, [0.3, 0.8, 1.2])[1]):
+            assert f == pytest.approx(sombrero_density(1.0, 4.0, 0.5, z), abs=1e-10)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
