@@ -7,8 +7,11 @@ Usage, from anywhere:
 
 Pair i runs `perfbench/run.py --trace 0` once in each checkout, both at
 seed `--seed` + i, the parent first on even i and the change first on odd
-i.  Each run's end-to-end metrics are printed as it finishes, then one row
-per metric: each side's median and quartiles, and in how many pairs the
+i.  Each run's end-to-end metrics are printed as it finishes, then the
+environment variables that move the metrics, as the runs see them
+(`MALLOC_MMAP_THRESHOLD_`, the heap layout, and the BLAS thread counts
+`OPENBLAS_NUM_THREADS` and `OMP_NUM_THREADS`; "unset" where absent),
+then one row per metric: each side's median and quartiles, and in how many pairs the
 change was better, in the direction `BENCHMARK.json` gives (ties count for
 neither side), and its verdict: `gain` when the change wins at least 9 of
 10 pairs and its median is better than the parent's by more than the
@@ -57,6 +60,18 @@ def check_caches(checkout) -> None:
             if "__pycache__" in dirs:
                 raise ValueError(f"{os.path.join(path, '__pycache__')} holds cached "
                                  "bytecode; remove it, the checked runs compile from source")
+
+
+# Environment variables that move the metrics: glibc's heap layout and the
+# BLAS thread counts.
+ENVIRONMENT = ("MALLOC_MMAP_THRESHOLD_", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def environment(env=None) -> str:
+    """One line naming each of ENVIRONMENT as the runs see it."""
+    env = os.environ if env is None else env
+    return "environment: " + " ".join(f"{name}={env.get(name, 'unset')}"
+                                      for name in ENVIRONMENT)
 
 
 def parse_result(stdout: str) -> dict:
@@ -148,6 +163,7 @@ def main(argv=None) -> int:
             runs[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
             print(json.dumps({"pair": i, "side": side, "seed": seed, **runs[side]}), flush=True)
         pairs.append((runs["parent"], runs["change"]))
+    print(environment())
     print(format_rows(summarize(pairs, better), better))
     return 0
 

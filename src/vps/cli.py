@@ -20,6 +20,7 @@ from .core import (
     ProfileError,
     RadialMeasure,
     RankDeficientError,
+    UnresolvedAtomError,
     default_s_grid,
     read_config,
     read_profile_csv,
@@ -191,12 +192,16 @@ def _cmd_density(args) -> int:
     out = args.out
     _write_density_csv(out, curve.s_grid, F, f_exact, f_fd, lb)
 
-    atom = atom_at_zero(curve)
+    try:
+        atom = repr(atom_at_zero(curve))
+    except UnresolvedAtomError as exc:   # as a failed point: named, and the rest written
+        sys.stderr.write(f"vps: warning: {exc}\n")
+        atom = f"unavailable ({exc})"
     lines = [f"rho = {rho!r}",
              f"support_radius = {math.sqrt(rho)!r}",
-             f"atom_at_zero = {atom!r}"]
+             f"atom_at_zero = {atom}"]
     try:
-        f0, f0_cross = density_at_zero(curve.profile, curve.config)
+        f0, f0_cross = density_at_zero(curve.profile, curve.config, curve.route)
         lines.append(f"density_at_zero = {f0!r}")
         lines.append(f"density_at_zero_cross_check = {f0_cross!r}")
         lines.append(f"f0_pi_rho = {f0 * math.pi * rho!r}")

@@ -48,6 +48,11 @@ class InsufficientGridError(ValueError):
     """The radial grid does not reach close enough to zero."""
 
 
+class UnresolvedAtomError(InsufficientGridError):
+    """The grid's smallest radii do not fix the atom at zero: its
+    extrapolations from two pairs of them disagree."""
+
+
 @dataclass(frozen=True)
 class VarianceProfile:
     """A validated, read-only n-by-n grid of entry variances sigma_ij^2.
@@ -140,13 +145,19 @@ def _rank_one(V):
 def _pair_classes(V):
     """`VarianceProfile.pair_classes` of V.
 
-    Indices are grouped on `_pair_keys`, a hash of each row and column
-    alone, so the indices of one class always share it, and distinct ones
-    almost never do; past n / 2 groups there is nothing to compare.  Then
-    every row and every column is compared exactly with its group's first,
-    and a mismatch gives None.  The classes are numbered in the order of
-    their first index.
+    The distinct (row sum, column sum) pairs of V are counted first: equal
+    rows and equal columns have bit-equal sums, so the classes split no
+    pair, and past n / 2 pairs there are past n / 2 classes, and None is
+    returned without hashing (band model B at n = 800: 0.5 ms, where the
+    hash alone takes 2.9 ms).  Otherwise indices are grouped on `_pair_keys`, a hash of
+    each row and column alone, so the indices of one class always share
+    it, and distinct ones almost never do; past n / 2 groups there is
+    nothing to compare.  Then every row and every column is compared
+    exactly with its group's first, and a mismatch gives None.  The
+    classes are numbered in the order of their first index.
     """
+    if 2 * len(set(zip(V.sum(axis=1).tolist(), V.sum(axis=0).tolist()))) > len(V):
+        return None
     _, first, label, sizes = np.unique(_pair_keys(V), return_index=True,
                                        return_inverse=True, return_counts=True)
     order = np.argsort(first)

@@ -25,10 +25,12 @@ from .core import (
     OutsideSupportError,
     RadialMeasure,
     SolverConfig,
+    UnresolvedAtomError,
     VarianceProfile,
 )
 from .mesolver import (  # noqa: F401  perfbench's tracer wraps measures.derivative_s2
     MECurve,
+    _route,
     _solve_inside,
     derivative_rows,
     derivative_s2,
@@ -36,6 +38,16 @@ from .mesolver import (  # noqa: F401  perfbench's tracer wraps measures.derivat
     solve_curve,
 )
 from .separable import _density_from_products
+
+# `atom_at_zero` refuses a grid on which the extrapolation of F to s = 0
+# from radii (1, 2) is estimated to be off by more than ATOM_GAP, the
+# estimate read from its gap to the extrapolation from radii (2, 3).  On
+# the 200-point default grids the three profiles whose two-radius atom is
+# wrong (`zero_rows_16()`, `zero_column_12()` of the tests, band model B
+# at n = 200) have gaps of 2.2e-3 or more, estimates of 2.8e-4 or more; the
+# block atom at m = 100 a gap of 3.2e-8 and a dense U(0.5, 2) profile at
+# n = 64 one of 8.5e-11.
+ATOM_GAP = 1e-4
 
 
 def _raw_cdf(curve: MECurve) -> np.ndarray:
@@ -149,19 +161,29 @@ def grid_density(curve: MECurve, mode: str = "fd") -> np.ndarray:
     raise ValueError(f"unknown density mode: {mode!r}")
 
 
-def density_at_zero(profile: VarianceProfile,
-                    config: SolverConfig | None = None):
+def density_at_zero(profile: VarianceProfile, config: SolverConfig | None = None,
+                    route=None):
     """Density at z = 0: (f0, cross_check).
 
     f0 = (1/(pi n)) sum_i q_i(0) qt_i(0); the cross check evaluates the
-    equivalent form (1/(pi n)) sum_i 1 / ((V^T q)_i (V qt)_i).
+    equivalent form (1/(pi n)) sum_i 1 / ((V^T q)_i (V qt)_i), on the
+    classes of the profile's `_route` (`route`, a curve's, or made here),
+    each weighted by its size, by `_Route.apply`.
     """
-    sol = solve_at_zero(profile, config)
-    V = profile.normalized
+    if route is None:
+        route = _route(profile)
+    sol = solve_at_zero(profile, config, route)
     n = profile.n
     f0 = float(np.sum(sol.q * sol.q_tilde)) / (math.pi * n)
-    cross = float(np.sum(1.0 / ((V.T @ sol.q) * (V @ sol.q_tilde)))) / (math.pi * n)
+    vt_q, v_qt = route.apply(sol.q[None, route.pick], sol.q_tilde[None, route.pick])
+    cross = float(np.sum(route.sizes / (vt_q * v_qt))) / (math.pi * n)
     return f0, cross
+
+
+def _extrapolate(s, F) -> float:
+    """F extrapolated linearly in s^2 to s = 0 from two radii, unclamped."""
+    s1sq, s2sq = s[0] ** 2, s[1] ** 2
+    return float(F[0] - s1sq * (F[1] - F[0]) / (s2sq - s1sq))
 
 
 def atom_from_cdf(s, F) -> float:
@@ -170,22 +192,38 @@ def atom_from_cdf(s, F) -> float:
     if len(s) < 2:
         raise InsufficientGridError(
             f"the atom needs at least two grid points, got {len(s)}")
-    s1sq, s2sq = s[0] ** 2, s[1] ** 2
-    F0 = F[0] - s1sq * (F[1] - F[0]) / (s2sq - s1sq)
-    return float(min(max(F0, 0.0), 1.0))
+    return min(max(_extrapolate(s, F), 0.0), 1.0)
 
 
 def atom_at_zero(curve: MECurve) -> float:
     """Point mass at zero: limit of F(s) as s -> 0, extrapolated linearly
-    in s^2 from the two smallest grid points.  At rho = 0 every radius is
-    past the support edge and the measure is a unit atom: 1.0 on any grid."""
+    in s^2 from the two smallest grid points, which must lie below
+    0.25 sqrt(rho).  Where a third radius lies there too, F is also
+    extrapolated from the second and third.  Were F = a + b s^2 + c s^4,
+    the two would be off a by c s1^2 s2^2 and c s2^2 s3^2, so the first is
+    off by their gap times s1^2 / (s3^2 - s1^2) (1/8 on a uniform grid
+    from its step); where that estimate passes ATOM_GAP,
+    UnresolvedAtomError, an InsufficientGridError naming both values, is
+    raised: the two smallest radii do not fix F's limit.  At rho = 0 every
+    radius is past the support edge and the measure is a unit atom: 1.0 on
+    any grid."""
     if curve.rho == 0.0:
         return 1.0
     grid = curve.s_grid
-    if len(grid) > 1 and grid[1] > 0.25 * math.sqrt(curve.rho):
+    near = 0.25 * math.sqrt(curve.rho)
+    if len(grid) > 1 and grid[1] > near:
         raise InsufficientGridError(
             "need at least two grid points close to zero for the atom")
-    return atom_from_cdf(grid[:2], _raw_cdf(curve)[:2])
+    F = _raw_cdf(curve)
+    if len(grid) > 2 and grid[2] < near:
+        first, second = _extrapolate(grid[:2], F[:2]), _extrapolate(grid[1:3], F[1:3])
+        error = abs(first - second) * grid[0] ** 2 / (grid[2] ** 2 - grid[0] ** 2)
+        if error > ATOM_GAP:
+            raise UnresolvedAtomError(
+                f"the atom at zero is not resolved: F extrapolates to {first!r} from the "
+                f"first two radii and to {second!r} from the second and third, so the "
+                f"first is off by about {error:.2e} (more than {ATOM_GAP:g})")
+    return atom_from_cdf(grid[:2], F[:2])
 
 
 def density_lower_bound(curve: MECurve) -> np.ndarray:

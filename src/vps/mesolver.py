@@ -37,12 +37,14 @@ Each call of the kernel lays V out once for all its iterations.  Where the
 components are not already contiguous, V is permuted symmetrically into
 their stable label order, so each component's unknowns form one range and
 a direct sum becomes block diagonal; the trace balance then sums and
-scales ranges.  The products read only V's nonzero envelope: V's columns
-are cut into panels of PANEL columns, each with the row range that holds
-all of its nonzeros, and a product is one matrix product per panel over
-that range, for V and for its transpose alike.  On a band or a
-block-diagonal profile that reads a quarter to a third of V; a profile
-whose envelope covers most of V keeps one panel, the whole matrix.
+scales ranges.  The products read only V's nonzero envelope: every
+product with V, V^T or a quotient's operand in this module is
+`vps.profiles._product`, one matrix product per `_envelope` panel of
+PANEL columns over the rows that hold the panel's nonzeros, for V and
+for its transpose alike.  On a band or a block-diagonal profile that
+reads a quarter to a third of V; a profile whose envelope covers most of
+V keeps one panel, the whole matrix.  The only other products with V are
+the dense systems that `_linearization` forms on small routes.
 
 Every profile is solved on a quotient, its `_Route`, made once per curve.
 Two indices with the same row of V and the same column of V (the same row
@@ -58,10 +60,14 @@ identity quotient: V itself, with n classes of size 1.  Unit sizes keep V
 and its transpose view as the operands, with no trace weights
 (`_operands`), so that route copies nothing.  The route record also holds
 the connected components, labeled once, which the kernel's gauge and the
-derivative's border read.  The spectral radius
-(`vps.profiles.spectral_radius`, power iteration on Vbar diag(n_c)) and
-the s = 0 check of `solve_at_zero` (Hall's condition one class at a
-time, `vps.profiles._class_hall`) read the same quotient.
+derivative's border read, and its two operands with their `_envelope`
+panels, each found once per route: the kernel's `_layout`, the curve's
+products, the rank-one check, the Sinkhorn iteration and the spectral
+radius all read them.  The spectral radius
+(`vps.profiles.spectral_radius`, power iteration on Vbar diag(n_c), as
+x @ B with B its transpose) and the s = 0 check of `solve_at_zero`
+(Hall's condition one class at a time, `vps.profiles._class_hall`) read
+the same quotient.
 
 A rank-one profile V = a b^T (`VarianceProfile.rank_one_factors`, the
 source paper's separable case) is not iterated at all.  With
@@ -74,8 +80,9 @@ t = 0 solution itself, with no t_min.  Where s^2 >= sum(pi), the only
 nonzero eigenvalue of V, there is no root and zero is the exact solution;
 that covers the slack of the computed rho and nilpotent patterns.  No rank
 tolerance decides an output: every lifted radius is checked against the
-t = 0 residual on V itself, by the kernel's stopping rule, and the radii
-that fail it take any other profile's route, `_solve_at_zero_rows`.
+t = 0 residual on the classes of the profile's route, by the kernel's
+stopping rule, and the radii that fail it take any other profile's
+route, `_solve_at_zero_rows`.
 
 One routine, `_newton`, takes every Newton step, for many rows at once:
 the kernel's hand-offs at t_min and the t = 0 endgame below.  Its systems
@@ -149,8 +156,9 @@ the route of the curve and the density alike.
 `solve_at_zero` needs no regularization.  At s = t = 0 the equations are the
 Sinkhorn-Knopp equations, with a positive solution iff the pattern of V has
 total support; it checks that on the pattern, with a perfect matching and
-the Frobenius blocks, and then runs the Sinkhorn iteration.
-`profiles.sinkhorn_scale` is its solution in another gauge.
+the Frobenius blocks, and then runs the Sinkhorn iteration on the classes
+of the profile's route.  `profiles.sinkhorn_scale` is its solution in
+another gauge.
 """
 
 from __future__ import annotations
@@ -170,7 +178,14 @@ from .core import (
     _splitmix64,
     default_s_grid,
 )
-from .profiles import _class_hall, _scc, _total_support
+from .profiles import (
+    _class_hall,
+    _envelope,
+    _operands,
+    _product,
+    _scc,
+    _total_support,
+)
 from .separable import _roots
 
 # Block Aitken extrapolation every AITKEN iterations, and a Newton hand-off
@@ -205,18 +220,6 @@ STALL_GAIN = 100.0
 # fixed_point_tol = 1e-9) 9,428 against 6,465, and the block atom at
 # n = 300 1,820 against 962.
 AVERAGING = 0.5
-# Columns per panel of `_envelope`.  On band model B at n = 800 (30 radii,
-# 9,428 iterations; 2 cores, OpenBLAS, best of 5) panels of 32, 48, 64, 96,
-# 128 and 192 columns read 23, 24, 26, 29, 33 and 39% of V, and the kernel
-# took 0.62, 0.68, 0.56, 0.63, 0.64 and 0.73 s, against 1.08 s for the
-# whole matrix: narrower panels pay more calls per iteration, wider ones
-# read more zeros.
-PANEL = 64
-# `_envelope` keeps the single whole panel unless the panels read at most
-# this share of V: above it splitting saves little, and the whole-matrix
-# products give the same rounding as ever.  The block atom profile (k = 3,
-# n = 300) would read 55% of V.
-SPLIT = 0.5
 # Newton on the t = 0 equations (`_solve_at_zero_rows`) ends every route
 # but the rank-one one.  Each Newton step, the kernel's hand-offs
 # included, is solved by stacked LUs for all its rows at once on a route
@@ -345,6 +348,36 @@ class _Route:
         gauge and the derivative's border read the same labels."""
         return _scc((self.V != 0) | (self.V.T != 0))
 
+    @functools.cached_property
+    def operands(self):
+        """The `_operands` (A, B, weights) of the quotient, formed on first
+        use and cached."""
+        return _operands(self.V, self.sizes)
+
+    @functools.cached_property
+    def product(self):
+        """(A, its `_envelope` panels), the `_product` operand of q @ A =
+        V^T q, found on first use and cached: every product of the route
+        with A reads these panels."""
+        A = self.operands[0]
+        return A, _envelope(A)
+
+    @functools.cached_property
+    def product_T(self):
+        """(B, its `_envelope` panels), the `_product` operand of
+        qt @ B = V qt, found on first use and cached; the spectral radius
+        reads it too, since B = W^T."""
+        B = self.operands[1]
+        return B, _envelope(B)
+
+    def apply(self, q, qt):
+        """(q @ A, qt @ B), the products V^T q and V qt of the rows q and
+        qt on the classes, by `_product` on the route's operands."""
+        vt_q, v_qt = np.empty_like(q), np.empty_like(qt)
+        _product(q, *self.product, vt_q)
+        _product(qt, *self.product_T, v_qt)
+        return vt_q, v_qt
+
 
 def _identity(V) -> _Route:
     """V as its own quotient, with n classes of size 1."""
@@ -365,23 +398,6 @@ def _route(profile: VarianceProfile) -> _Route:
     label, sizes, Vbar = classes
     return _Route(Vbar, sizes, label, np.unique(label, return_index=True)[1],
                   f"quotient ({len(sizes)} classes)")
-
-
-def _operands(V, sizes):
-    """The operands (A, B) of `_product` on a quotient V with class
-    `sizes`, q @ A = V^T q and qt @ B = V qt on the lifted n entries, and
-    the trace weights: diag(sizes) V, diag(sizes) V^T and sizes, since the
-    lifted (V^T q)_i sums sizes[d] V[d, c] q_d over the classes d, with c
-    the class of i, and likewise (V qt)_i.  Unit sizes, V itself, keep V
-    and its transpose view and no weights (None), so `_rebalance` and
-    `_border` sum unweighted: a contiguous copy of V^T would take the n^2
-    doubles that `_newton` gives its GMRES bases, and the kernel runs as
-    fast on the view (99 lock-step iterations of 28 radii of band model B
-    at n = 800: 72 ms either way)."""
-    if (sizes == 1).all():
-        return V, V.T, None
-    weights = sizes[:, None]
-    return weights * V, weights * V.T, sizes
 
 
 def _rebalance(x, gauge):
@@ -406,25 +422,6 @@ def _rebalance(x, gauge):
     x3[:, 1] /= c
 
 
-def _envelope(V):
-    """Panels (lo, hi, a, b) of V: columns a:b, PANEL at a time, and the
-    rows lo:hi that hold all of their nonzeros (lo = hi = 0 where the
-    panel has none), so x @ V[:, a:b] = x[:, lo:hi] @ V[lo:hi, a:b].  The
-    single panel (0, n, 0, n) when the panels would read more than SPLIT
-    of V."""
-    n = V.shape[0]
-    a = np.arange(0, n, PANEL)
-    b = np.minimum(a + PANEL, n)
-    hit = np.logical_or.reduceat(V != 0, a, axis=1)   # row i has a nonzero in panel j
-    lo = np.argmax(hit, axis=0)
-    hi = n - np.argmax(hit[::-1], axis=0)
-    empty = ~hit.any(axis=0)
-    lo[empty] = hi[empty] = 0
-    if ((hi - lo) * (b - a)).sum() > SPLIT * n * n:
-        return ((0, n, 0, n),)
-    return tuple(zip(lo.tolist(), hi.tolist(), a.tolist(), b.tolist()))
-
-
 def _layout(route: _Route):
     """What `_solve_rows` sets up once per call on a route: the gauge
     (order, starts, counts, weights) of `_rebalance` and the `_operands`
@@ -432,17 +429,19 @@ def _layout(route: _Route):
     panels.  `order` lists the classes in the stable order of their
     `route.component` labels, `starts` and `counts` give where each
     component starts in that order and its size, and `weights` are the
-    trace weights in that order.  Where `order` is not the identity, V is
-    permuted symmetrically into it, so each component is one range."""
+    trace weights in that order.  Where `order` is the identity the
+    operands are the route's own, `route.product` and `route.product_T`,
+    with their panels found once per route; otherwise V is permuted
+    symmetrically into it, so each component is one range, and the
+    permuted operands' panels are found here."""
     component = route.component
     order = np.argsort(component, kind="stable")
     counts = np.bincount(component)
-    V, sizes = route.V, route.sizes
-    if (order != np.arange(len(order))).any():
-        V, sizes = V[np.ix_(order, order)], sizes[order]
-    A, B, weights = _operands(V, sizes)
-    return ((order, np.cumsum(counts) - counts, counts, weights),
-            (A, _envelope(A)), (B, _envelope(B)))
+    gauge = order, np.cumsum(counts) - counts, counts
+    if (order == np.arange(len(order))).all():
+        return (*gauge, route.operands[2]), route.product, route.product_T
+    A, B, weights = _operands(route.V[np.ix_(order, order)], route.sizes[order])
+    return (*gauge, weights), (A, _envelope(A)), (B, _envelope(B))
 
 
 def envelope_fraction(V) -> float:
@@ -452,12 +451,6 @@ def envelope_fraction(V) -> float:
     _, (_, panels), (_, panels_T) = _layout(_identity(V))
     area = sum((hi - lo) * (b - a) for lo, hi, a, b in panels + panels_T)
     return area / (2 * V.shape[0] ** 2)
-
-
-def _product(x, M, panels, out):
-    """out = x @ M, one matrix product per `_envelope` panel of M."""
-    for lo, hi, a, b in panels:
-        np.matmul(x[:, lo:hi], M[lo:hi, a:b], out=out[:, a:b])
 
 
 def _linearization(A, B, d, cq, cqt, trace=None):
@@ -682,11 +675,11 @@ def _lift(rows: _Rows, label, past=0) -> _Rows:
                  np.pad(rows.at_zero, pad), np.pad(rows.krylov, pad))
 
 
-def _residual_at_zero(V, q, qt, s2):
-    """The sup norm of I(x) - x at t = 0 for every [q | qt] row, with s2 the
-    column of squared radii: one product with V and one with V^T for all
-    the rows."""
-    phit, phi = q @ V, qt @ V.T
+def _residual_at_zero(route: _Route, q, qt, s2):
+    """The sup norm of I(x) - x at t = 0 for every [q | qt] row on the
+    classes of `route`, with s2 the column of squared radii: one `_product`
+    with each of the route's operands for all the rows."""
+    phit, phi = route.apply(q, qt)
     psi = 1.0 / (s2 + phi * phit)
     return np.maximum(np.abs(psi * phit - q).max(axis=1), np.abs(psi * phi - qt).max(axis=1))
 
@@ -699,8 +692,10 @@ def _solve_rank_one(profile: VarianceProfile, route: _Route, s,
     Newton steps.
 
     Each lift is checked by the kernel's stopping rule, the residual of
-    `_residual_at_zero` at most fixed_point_tol times max(1, the largest
-    entry), and that residual is reported.  The radii that fail the check,
+    `_residual_at_zero` on the classes of `route` (whose entries a lift
+    repeats exactly: equal rows and columns of V give equal a_i and b_i)
+    at most fixed_point_tol times max(1, the largest entry), and that
+    residual is reported.  The radii that fail the check,
     or whose lift is not finite, take the route of any other profile,
     `_solve_at_zero_rows` on its `route`, with its record.
     """
@@ -713,7 +708,7 @@ def _solve_rank_one(profile: VarianceProfile, route: _Route, s,
     ratio = (a / D).sum(axis=1) / (b / D).sum(axis=1)   # alpha / beta
     q = b * (np.sqrt(w * ratio)[:, None] / D)
     qt = a * (np.sqrt(w / ratio)[:, None] / D)
-    residual = _residual_at_zero(profile.normalized, q, qt, s2)
+    residual = _residual_at_zero(route, q[:, route.pick], qt[:, route.pick], s2)
     scale = np.maximum(q.max(axis=1, initial=1.0), qt.max(axis=1, initial=1.0))
     errors = [None] * len(s)
     krylov = np.zeros(len(s), dtype=np.int64)
@@ -1136,8 +1131,8 @@ def solve_route(profile: VarianceProfile) -> str:
     return _route(profile).name
 
 
-def solve_at_zero(profile: VarianceProfile,
-                  config: SolverConfig | None = None) -> MESolution:
+def solve_at_zero(profile: VarianceProfile, config: SolverConfig | None = None,
+                  route: _Route | None = None) -> MESolution:
     """Boundary solution q(0) = lim_{t->0} r(0, t).
 
     At s = t = 0 the equations read q_i (V qt)_i = 1 and qt_i (V^T q)_i = 1,
@@ -1153,32 +1148,39 @@ def solve_at_zero(profile: VarianceProfile,
     `residual` is the largest row sum error, and it must reach
     config.fixed_point_tol within config.max_iters `iterations`.
 
-    The pattern is first checked on the profile's `_route` by
-    `_class_hall`: where a class's rows or columns fail Hall's condition
-    the pattern has no perfect matching, and it is refused without
-    `_total_support`'s search on all of V (the block atom: 2m rows share m
-    columns; on V itself, a zero row or column).  A profile that passes is
-    checked on V.
+    The pattern is first checked on the profile's `_route` (`route`, a
+    curve's, or made here) by `_class_hall`: where a class's rows or
+    columns fail Hall's condition the pattern has no perfect matching, and
+    it is refused without `_total_support`'s search on all of V (the block
+    atom: 2m rows share m columns; on V itself, a zero row or column).  A
+    profile that passes is checked on V.  The iteration runs on the
+    route's classes, whose entries are equal at every iterate, by
+    `_product` on its operands, and is lifted by the class label.
     """
     config = config or SolverConfig()
-    V = profile.normalized
-    route = _route(profile)
-    structure = _total_support(V) if _class_hall(route.sizes, route.V) else None
+    if route is None:
+        route = _route(profile)
+    structure = (_total_support(profile.normalized) if _class_hall(route.sizes, route.V)
+                 else None)
     if structure is None:
         raise NoConvergenceError("no positive solution at s = 0: the profile's "
                                  "pattern has no total support")
     match, block = structure
-    Vqt = V.sum(axis=1)
+    (A, panels), (B, panels_T) = route.product, route.product_T
+    Vqt = B.sum(axis=0)[None]   # the row sums of V on the classes
+    VTq = np.empty_like(Vqt)
     for iterations in range(1, config.max_iters + 1):
         q = 1.0 / Vqt
-        qt = 1.0 / (V.T @ q)
-        Vqt = V @ qt
+        _product(q, A, panels, VTq)
+        qt = 1.0 / VTq
+        _product(qt, B, panels_T, Vqt)
         residual = float(np.abs(q * Vqt - 1.0).max())
         if residual <= config.fixed_point_tol:
             break
     else:
         raise NoConvergenceError(f"Sinkhorn scaling did not converge after "
                                  f"{config.max_iters} iterations (residual {residual:.3e})")
+    q, qt = q[0, route.label], qt[0, route.label]
     col_block = np.empty_like(block)
     col_block[match] = block
     c = np.sqrt(np.bincount(col_block, weights=qt) / np.bincount(block, weights=q))
@@ -1215,14 +1217,14 @@ class CurveProducts:
 def curve_products(route: _Route, s, q, q_tilde) -> CurveProducts:
     """`CurveProducts` of the solutions (q, q_tilde), (m, n) arrays with
     one row per radius of s, on a profile's `route`: their rows on the
-    first index of each class (a view on the identity quotient), and two
-    matrix products for all of them."""
-    A, B, _ = _operands(route.V, route.sizes)
+    first index of each class (a view on the identity quotient), and one
+    `_product` on each of the route's operands for all of them."""
     q, qt = q[:, route.pick], q_tilde[:, route.pick]
-    v_qt = qt @ B
+    vt_q, v_qt = route.apply(q, qt)
+    A, B, _ = route.operands
     return CurveProducts(
         s2=np.asarray(s, dtype=float) ** 2, q=q, q_tilde=qt,
-        vt_q=q @ A, v_qt=v_qt, w=(q * v_qt) @ route.sizes,
+        vt_q=vt_q, v_qt=v_qt, w=(q * v_qt) @ route.sizes,
         live=q.any(axis=1) | qt.any(axis=1), A=A, B=B, route=route)
 
 
@@ -1321,7 +1323,8 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     from .profiles import spectral_radius
 
     config = config or SolverConfig()
-    rho = spectral_radius(profile)
+    route = _route(profile)
+    rho = spectral_radius(profile, operand=route.product_T)
     if s_grid is None:
         if rho == 0.0:
             raise ValueError("rho = 0: the measure is a unit atom at zero, "
@@ -1333,7 +1336,6 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     if not np.isfinite(s_grid).all() or np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be finite, strictly increasing and positive")
     inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
-    route = _route(profile)
     rows = _solve_inside(profile, route, s_grid[:inside], config, len(s_grid) - inside)
     for a in (rows.q, rows.q_tilde, rows.iterations, rows.residual, rows.at_zero, rows.krylov):
         a.setflags(write=False)

@@ -116,3 +116,27 @@ def test_runs_compile_from_source(tmp_path, monkeypatch):
     assert bench_pairs.run_once(tmp_path.name, "circ-n64", 1, 1.0)["wall_s"] == 0.5
     assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1" and seen["cwd"] == str(tmp_path)
     assert seen["cmd"][1] == str(tmp_path / "perfbench" / "run.py")   # a relative checkout too
+
+
+def test_names_the_environment_that_moves_the_metrics():
+    line = bench_pairs.environment({"MALLOC_MMAP_THRESHOLD_": "131072", "OMP_NUM_THREADS": "1"})
+    assert line == ("environment: MALLOC_MMAP_THRESHOLD_=131072 OPENBLAS_NUM_THREADS=unset "
+                    "OMP_NUM_THREADS=1")
+
+
+def test_prints_the_environment_before_the_summary(tmp_path, monkeypatch, capsys):
+    for side in ("base", "head"):
+        (tmp_path / side).mkdir()
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, workload, seed, seconds:
+                        bench_pairs.parse_result(_line(0.5, 40.0, 7.0)))
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "131072")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    argv = [str(tmp_path / "base"), str(tmp_path / "head"), "--workload", "circ-n64",
+            "--pairs", "2", "--seconds", "1", "--seed", "1"]
+    assert bench_pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("environment: MALLOC_MMAP_THRESHOLD_=131072 "
+                     "OPENBLAS_NUM_THREADS=unset OMP_NUM_THREADS=unset")
+    assert at == 4 and lines[at + 1].startswith("metric")

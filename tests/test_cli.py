@@ -10,6 +10,7 @@ import pytest
 import vps.cli
 import vps.core
 import vps.mesolver
+import vps.profiles
 from test_mesolver import two_copies, zero_column_12
 from vps.cli import main, read_density_csv
 from vps.core import read_profile_csv, validate_profile, write_profile_csv
@@ -454,6 +455,23 @@ class TestDensity:
             total = int(curve.rows.krylov.sum())
             assert lines[at + 1] == f"krylov_iters = {total}"
             assert (total > 0) == positive
+
+    def test_unresolved_atom_is_named_not_written(self, tmp_path, capsys):
+        # the first three radii of the default grid of `zero_column_12()`,
+        # whose extrapolations of the atom differ by 2.2e-3: the sidecar
+        # and stderr say why, as for a failed point, and the rest is written
+        from test_mesolver import zero_column_12
+        p = zero_column_12()
+        path = tmp_path / "zero_column.csv"
+        write_profile_csv(p, path)
+        s = vps.core.default_s_grid(math.sqrt(vps.profiles.spectral_radius(p)))
+        out = tmp_path / "dens.csv"
+        assert main(["density", "--profile", str(path), "--grid",
+                     f"{float(s[0])!r}:{float(s[2])!r}:3", "--out", str(out)]) == 0
+        assert "vps: warning: the atom at zero is not resolved" in capsys.readouterr().err
+        info = open(str(out) + ".info.txt").read()
+        assert "atom_at_zero = unavailable (the atom at zero is not resolved" in info
+        assert "verdict_cdf_monotone = pass" in info and len(read_density_csv(out)[0]) == 3
 
     def test_sidecar_names_the_dense_route(self, tmp_path):
         # a positive random profile has neither rank one nor pair classes:

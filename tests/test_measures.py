@@ -14,6 +14,7 @@ from vps.core import (
     validate_profile,
 )
 from vps.measures import (
+    ATOM_GAP,
     _exact_density,
     atom_at_zero,
     atom_from_cdf,
@@ -25,11 +26,11 @@ from vps.measures import (
     grid_density,
 )
 from vps.mesolver import derivative_s2, solve_curve, solve_route
-from vps.profiles import build_block_atom, build_separable, spectral_radius
+from vps.profiles import build_block_atom, build_sampled, build_separable, spectral_radius
 from vps.reference import block_atom_F, block_atom_edge
 from vps.separable import _density_from_products
 
-from test_mesolver import zero_column_12
+from test_mesolver import band_model_b, zero_column_12, zero_rows_16
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +193,52 @@ class TestAtomAtZero:
             curve = solve_curve(p, np.array(grid))
             with pytest.raises(InsufficientGridError):
                 atom_at_zero(curve)
+
+    @staticmethod
+    def first_three(p):
+        """The curve on the first three radii of the profile's 200-point
+        default grid."""
+        return solve_curve(p, default_s_grid(math.sqrt(spectral_radius(p)))[:3])
+
+    @pytest.mark.parametrize("make", [zero_rows_16, zero_column_12,
+                                      lambda: build_sampled(band_model_b, 200)],
+                             ids=["zero-rows-16", "zero-column-12", "band-B-200"])
+    def test_guard_refuses_an_unresolved_atom(self, make):
+        # F is not linear in s^2 at the smallest radii: the extrapolations
+        # from radii (1, 2) and (2, 3) differ by 2.2e-3 or more, and the
+        # first is estimated off by an eighth of that
+        curve = self.first_three(make())
+        F = cdf(curve)
+        first, second = (atom_from_cdf(curve.s_grid[i:], F[i:]) for i in (0, 1))
+        assert abs(first - second) / 8 > 2.5 * ATOM_GAP
+        with pytest.raises(InsufficientGridError, match="not resolved") as info:
+            atom_at_zero(curve)
+        assert repr(first) in str(info.value) and repr(second) in str(info.value)
+        # the two radii alone keep the two-radius extrapolation
+        two = solve_curve(curve.profile, curve.s_grid[:2])
+        assert atom_at_zero(two) == atom_from_cdf(two.s_grid, cdf(two))
+
+    def test_guard_reads_the_error_not_the_gap(self):
+        # radii 0.02, 0.073 and 0.127 on the block atom: the extrapolations
+        # differ by 5e-4, but the first is 1.3e-5 off 1/3, as estimated
+        curve = solve_curve(build_block_atom(3, 8), np.linspace(0.02, 0.5, 10))
+        F = cdf(curve)
+        gap = atom_from_cdf(curve.s_grid, F) - atom_from_cdf(curve.s_grid[1:], F[1:])
+        assert gap > 4 * ATOM_GAP
+        assert atom_at_zero(curve) == pytest.approx(1 / 3, abs=2e-5)
+
+    @pytest.mark.parametrize("make, atom", [
+        (lambda: build_block_atom(3, 100), 1 / 3),
+        (lambda: validate_profile(np.random.default_rng(11).uniform(0.5, 2.0, (64, 64))), 0.0),
+    ], ids=["block-atom-100", "dense-64"])
+    def test_guard_passes_a_resolved_atom(self, make, atom):
+        # gaps of 3.2e-8 and 8.5e-11
+        curve = self.first_three(make())
+        F = cdf(curve)
+        assert abs(atom_from_cdf(curve.s_grid, F) - atom_from_cdf(curve.s_grid[1:], F[1:])) < 1e-7
+        assert ATOM_GAP == 1e-4
+        assert atom_at_zero(curve) == atom_from_cdf(curve.s_grid[:2], cdf(curve)[:2])
+        assert atom_at_zero(curve) == pytest.approx(atom, abs=1e-6)
 
 
 class TestFailedPoints:

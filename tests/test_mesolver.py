@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vps.core
 import vps.mesolver
+import vps.profiles
 from vps.core import (
     RANK_ONE_ULPS,
     NoConvergenceError,
@@ -15,9 +17,8 @@ from vps.core import (
     validate_profile,
     write_profile_csv,
 )
-from vps.measures import cdf, density, grid_density
+from vps.measures import cdf, density, density_at_zero, grid_density
 from vps.mesolver import (
-    PANEL,
     _aitken,
     _envelope,
     _identity,
@@ -35,7 +36,7 @@ from vps.mesolver import (
     solve_curve,
     solve_route,
 )
-from vps.profiles import build_block_atom, build_sampled, build_separable, spectral_radius
+from vps.profiles import PANEL, build_block_atom, build_sampled, build_separable, spectral_radius
 from vps.reference import block_atom_density, block_atom_edge, block_atom_F
 
 
@@ -669,6 +670,49 @@ class TestRowClasses:
         seven = [0, 1, 2, 3, 0, 1, 2]
         assert validate_profile(Vbar[seven][:, seven]).pair_classes is None
 
+    @staticmethod
+    def fixtures():
+        """The matrices of the pair-class tests above and below."""
+        Vbar = np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.5], [0.7, 0.7, 3.0]])
+        shared = np.repeat([0, 1, 2], [20, 20, 25])[np.random.default_rng(2).permutation(65)]
+        four = np.diag([1.0, 2.0, 3.0, 4.0])
+        zero = build_block_atom(3, 4).variances.copy()
+        zero[[2, 7]] = zero[:, [2, 7]] = 0.0
+        chunk = np.tile([1.0, 2.0], (200, 100)) + np.eye(200)[[150]].T @ [[1.0, -1.0] * 100]
+        return [np.eye(10)[np.random.default_rng(41).permutation(10)],
+                np.array([np.roll([3.0, 1.0, 0.0, 2.0, 0.0, 0.5, 0.0, 0.0], i) for i in range(8)]),
+                chunk, chunk.T,
+                np.array([[2.0, 1.0], [1.0, 2.0]])[[0, 1] * 8][:, [0, 1] * 8],
+                np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0]])[[0, 1, 2] * 5]
+                [:, [0, 1, 2] * 5],
+                Vbar[shared][:, shared], four[[0, 1, 2, 3] * 2][:, [0, 1, 2, 3] * 2],
+                four[[0, 1, 2, 3, 0, 1, 2]][:, [0, 1, 2, 3, 0, 1, 2]], zero,
+                _permuted_block_atom().variances, TestRowClasses.interleaved_blocks().variances]
+
+    def test_sums_keep_every_class(self):
+        # the classes of equal rows of [V | V^T], numbered by first index,
+        # or None past n / 2 of them, whether the sums or the keys decide
+        for a in self.fixtures():
+            V = validate_profile(a).normalized
+            _, first, label = np.unique(np.hstack([V, V.T]), axis=0, return_index=True,
+                                        return_inverse=True)
+            got = vps.core._pair_classes(V)
+            if 2 * len(first) > len(V):
+                assert got is None
+                continue
+            label = np.argsort(np.argsort(first))[label.ravel()]
+            assert np.array_equal(got[0], label)
+            assert np.array_equal(got[1], np.bincount(label))
+
+    def test_sums_refuse_band_b_without_hashing(self, monkeypatch):
+        def hashed(V):
+            raise AssertionError("hashed")
+
+        monkeypatch.setattr(vps.core, "_pair_keys", hashed)
+        assert build_sampled(band_model_b, 800).pair_classes is None
+        with pytest.raises(AssertionError, match="hashed"):
+            _permuted_block_atom().pair_classes
+
     def test_zero_row_is_its_own_class(self):
         # a zero row and column in two different blocks
         a = build_block_atom(3, 4).variances.copy()
@@ -1024,7 +1068,7 @@ class TestEndgame:
         q, qt = rows.q[rows.at_zero], rows.q_tilde[rows.at_zero]
         bound = config.fixed_point_tol * np.maximum(1.0, np.maximum(q, qt).max(axis=1))
         s2 = grid[rows.at_zero, None] ** 2
-        assert (_residual_at_zero(p.normalized, q, qt, s2) <= bound).all()
+        assert (_residual_at_zero(_identity(p.normalized), q, qt, s2) <= bound).all()
         assert (rows.residual[rows.at_zero] <= bound).all()
 
     def test_only_the_refused_radii_are_solved_again(self, monkeypatch):
@@ -1169,7 +1213,7 @@ class TestKrylovRoute:
         q, qt = rows.q[rows.at_zero], rows.q_tilde[rows.at_zero]
         bound = config.fixed_point_tol * np.maximum(1.0, np.maximum(q, qt).max(axis=1))
         s2 = grid[rows.at_zero, None] ** 2
-        assert (_residual_at_zero(p.normalized, q, qt, s2) <= bound).all()
+        assert (_residual_at_zero(_identity(p.normalized), q, qt, s2) <= bound).all()
         assert rows.krylov[rows.at_zero].all()
         # the stacked LUs meet the t = 0 residual at the refused radii, and
         # their gate refuses them; GMRES's estimate passes 1e13 there too
@@ -1515,7 +1559,7 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("split", [0.5, 1.0], ids=["default", "always"])
     def test_panels_cover_every_nonzero(self, split, monkeypatch):
-        monkeypatch.setattr(vps.mesolver, "SPLIT", split)
+        monkeypatch.setattr(vps.profiles, "SPLIT", split)
         rng = np.random.default_rng(37)
         split_seen = 0
         for n in (1, 5, 63, 64, 65, 129, 200, 300):
@@ -1558,6 +1602,59 @@ class TestEnvelope:
             assert sol.iterations == ref.iterations
             for x, y in ((sol.q, ref.q), (sol.q_tilde, ref.q_tilde)):
                 assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+
+class TestEveryProductThroughThePanels:
+    """The products with V outside the kernel, on band model B's envelope
+    panels, against their dense forms."""
+
+    @pytest.fixture(scope="class")
+    def band(self):
+        p = build_sampled(band_model_b, 400)
+        assert solve_route(p) == "full" and len(_route(p).product[1]) > 1
+        return p
+
+    def test_curve_products_match_the_dense_products(self, band):
+        config = SolverConfig(fixed_point_tol=1e-9, t_min=1e-8)
+        curve = solve_curve(band, default_s_grid(math.sqrt(spectral_radius(band)), 8), config)
+        V, rows, got = band.normalized, curve.rows, curve.products
+        for x, want in ((got.vt_q, rows.q @ V), (got.v_qt, rows.q_tilde @ V.T)):
+            assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
+        w = np.einsum("ij,ij->i", rows.q, rows.q_tilde @ V.T)
+        assert np.abs(got.w - w).max() <= 1e-13 * np.abs(w).max()
+
+    def test_solve_at_zero_matches_the_dense_sinkhorn(self, band, monkeypatch):
+        sol = solve_at_zero(band)
+        f0, cross = density_at_zero(band)
+        V = band.normalized
+        want = float(np.sum(1.0 / ((V.T @ sol.q) * (V @ sol.q_tilde)))) / (math.pi * band.n)
+        assert abs(cross - want) <= 1e-13 * want and abs(f0 - cross) <= 1e-8 * f0
+        # one whole panel per operand: the products V^T q and V qt themselves
+        monkeypatch.setattr(vps.mesolver, "_envelope", lambda M: ((0, len(M), 0, len(M)),))
+        dense = solve_at_zero(band)
+        assert dense.iterations == sol.iterations
+        for x, y in ((sol.q, dense.q), (sol.q_tilde, dense.q_tilde)):
+            assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
+
+    def test_panels_are_found_once_per_operand_of_the_route(self, monkeypatch):
+        # the spectral radius, the kernel's layout, the endgame, the curve's
+        # products and the density at zero all read the route's two
+        # operands, each with the panels found once
+        seen = []
+
+        def counted(M):
+            seen.append(M)
+            return _envelope(M)
+
+        monkeypatch.setattr(vps.mesolver, "_envelope", counted)
+        monkeypatch.setattr(vps.profiles, "_envelope", counted)
+        p = build_sampled(band_model_b, 200)
+        curve = solve_curve(p, config=SolverConfig(fixed_point_tol=1e-9, t_min=1e-8))
+        curve.products
+        density_at_zero(p, route=curve.route)
+        assert len(seen) == 2
+        assert seen[0] is curve.route.operands[1] and seen[1] is curve.route.operands[0]
+        assert len(curve.route.product[1]) > 1 and len(curve.route.product_T[1]) > 1
 
 
 class TestComponentOrder:

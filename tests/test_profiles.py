@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_mesolver import _two_block_profile
+from test_mesolver import _two_block_profile, band_model_b
 
 from vps.core import NoConvergenceError, validate_profile
 from vps.mesolver import solve_curve
@@ -15,6 +15,7 @@ from vps.profiles import (
     NegativeFunctionValueError,
     NonPositiveEntryError,
     _acyclic,
+    _envelope,
     _scc,
     _total_support,
     build_block_atom,
@@ -145,6 +146,16 @@ class TestSpectralRadius:
         V[5, 4] = 1.0
         assert spectral_radius(V) == _two_matvec_spectral_radius(V)
         assert spectral_radius(V) == pytest.approx(2.0, rel=1e-6)
+
+    def test_band_reads_its_envelope_panels(self):
+        # W x is x W^T: on band model B at n = 800 that is 13 panel
+        # products, each reading the rows of a panel's nonzeros
+        V = build_sampled(band_model_b, 800).normalized
+        panels = _envelope(V.T)
+        assert len(panels) == 13 and all(hi - lo < 800 for lo, hi, _, _ in panels)
+        rho, want = spectral_radius(V), _two_matvec_spectral_radius(V)
+        assert abs(rho - want) <= 1e-13 * want
+        assert spectral_radius(V, operand=(V.T, panels)) == rho
 
 
 def _block_profile(Vbar, sizes, seed):
