@@ -35,7 +35,7 @@ from .measures import (
     density_lower_bound,
     grid_density,
 )
-from .mesolver import envelope_fraction, solve_curve, solve_route
+from .mesolver import _route, envelope_fraction, solve_curve, solve_route
 from .montecarlo import (
     EntryLaw,
     kolmogorov_distance,
@@ -242,20 +242,22 @@ def _cmd_check(args) -> int:
     config = read_config(args.config) if args.config else None
     K = profile.n if args.blocks is None else args.blocks
     phi = args.phi
-    rho = spectral_radius(profile)
+    route = _route(profile)   # one route, so each operand's panels are found once
+    rho = spectral_radius(profile, operand=route.product_T)
     pattern = profile.variances > 0
     classes = cyclic_classes(pattern)
     pair_classes = profile.pair_classes
     structure = ("irreducible = false\n" if classes is None else
                  f"irreducible = true\nperiod = {classes.max() + 1}\n")
     structure += (f"frobenius_blocks = {_scc(pattern).max() + 1}\n"
-                  f"envelope_frac = {envelope_fraction(profile.normalized):.4g}\n"
+                  f"envelope_frac = {envelope_fraction(profile.normalized, route):.4g}\n"
                   f"pair_classes = {'none' if pair_classes is None else len(pair_classes[1])}\n"
                   f"rank_one = {str(profile.rank_one_factors is not None).lower()}\n")
     bfid = is_block_fully_indecomposable(profile, K, phi)
     if bfid:
         try:
-            circular, diag = circular_law_test(profile, config=config, rho=rho)
+            circular, diag = circular_law_test(profile, config=config, rho=rho,
+                                              route=route)
             extra = (f"max_deviation = {diag['max_deviation']!r}\n"
                      f"density_at_zero = {diag['density_at_zero']!r}\n"
                      f"f0_pi_rho = {diag['f0_pi_rho']!r}\n")

@@ -331,21 +331,12 @@ def read_profile_csv(path) -> VarianceProfile:
     and digit separators such as 1_0 included), and validate_profile's
     errors otherwise.
     """
-    def rows(fh):
-        # streamed to np.loadtxt, so no list of the file's lines is held
-        commas = None
-        for line in filter(None, (raw.strip() for raw in fh)):
-            if commas is None:
-                commas = line.count(",")
-            if line.count(",") != commas:
-                raise NonSquareError("profile rows have inconsistent lengths")
-            yield line
-        if commas is None:
-            raise ProfileError(f"empty profile file: {path}")
-
     with open(path) as fh:
-        lines = rows(fh)
-        first = next(lines)
+        # stripped non-blank lines, streamed: no list of the file's lines is held
+        lines = filter(None, map(str.strip, fh))
+        first = next(lines, None)
+        if first is None:
+            raise ProfileError(f"empty profile file: {path}")
         # a square profile has as many rows as its first row has columns:
         # max_rows lets np.loadtxt allocate the grid once, where growing it
         # by reallocation can leave about its size of freed heap resident
@@ -353,9 +344,11 @@ def read_profile_csv(path) -> VarianceProfile:
         try:
             grid = np.loadtxt(itertools.chain([first], lines), delimiter=",",
                               comments=None, ndmin=2, max_rows=n)
-        except ProfileError:
-            raise
         except ValueError as exc:
+            # numpy's "the number of columns changed from a to b at row k",
+            # k counting the non-blank rows from 1
+            if "number of columns changed" in str(exc):
+                raise NonSquareError(f"profile rows have inconsistent lengths: {exc}") from exc
             raise ProfileError(f"unparseable profile: {exc}") from exc
         if next(lines, None) is not None:
             raise NonSquareError(f"profile has more than {n} rows of {n} values")

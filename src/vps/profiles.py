@@ -39,6 +39,25 @@ PANEL = 64
 # products give the same rounding as ever.  The block atom profile (k = 3,
 # n = 300) would read 55% of V.
 SPLIT = 0.5
+# The most multiply-adds of a BLAS call that OpenBLAS runs on one thread,
+# keyed by the number of dimensions of the right operand: a matrix product
+# (GEMM) up to m n k = 2^18, a matrix-vector product (GEMV) up to
+# m n = 9,216.  Past such a bound it hands work to its other threads, which
+# spin after the call until they time out, or stall it while they wake: a
+# 2-core machine then spends about twice the wall time in CPU.  OpenBLAS
+# 0.3.31 (numpy 2.4's) holds a little more on one thread, a GEMM below
+# m n k = 2^19 and a GEMV below m n = 460,800 (measured on 2 cores), so
+# the lower bounds here hold there too.
+ONE_THREAD = {2: 1 << 18, 1: 9216}
+# `_one_thread` makes one call where the bound allows fewer than FLOOR rows
+# per block.  On dense U(0.5, 2) curves (200 radii, best of 28, one call
+# against blocks, in one process) blocks of 4 rows at n = 256 took 9% more
+# wall time and blocks of 2 at n = 300 took 37% more; from 6 rows on they
+# took 0-2% more at n = 64-120, 1-8% at n = 200 (two runs), 6% at n = 128
+# and 13% at n = 150, where the blocks of V^T are too large for OpenBLAS's
+# small-matrix kernel and each packs V^T anew.  Every block halves the CPU
+# time of the threaded call.
+FLOOR = 6
 
 
 class LengthMismatchError(ValueError):
@@ -150,13 +169,37 @@ def _envelope(M):
     return tuple(zip(lo.tolist(), hi.tolist(), a.tolist(), b.tolist()))
 
 
+def _one_thread(x, M, out=None):
+    """out = x @ M for a matrix x and a matrix or vector M, as one BLAS
+    call per block of `per` rows of x, the last taking the rest, where
+    `per` rows of M's size make at most ONE_THREAD multiply-adds: a call
+    that OpenBLAS runs on one thread.  The one place that knows the rule.
+    Where `per` is below FLOOR, x @ M is one call, as threaded as OpenBLAS
+    makes it: blocks that small cost more than the threads.
+
+    A row's result is the single call's to the bit, except in a last block
+    small enough for another kernel (one row: a matrix-vector product;
+    under 1,200 entries of out: OpenBLAS's small-matrix kernel for M = V^T),
+    where it may differ by a few ulps."""
+    if out is None:
+        out = np.empty(x.shape[:1] + M.shape[1:])
+    per = ONE_THREAD[M.ndim] // M.size
+    if len(x) <= per or per < FLOOR:
+        np.matmul(x, M, out=out)
+        return out
+    for lo in range(0, len(x), per):
+        np.matmul(x[lo:lo + per], M, out=out[lo:lo + per])
+    return out
+
+
 def _product(x, M, panels, out):
     """out = x @ M for the rows of x, one matrix product per `_envelope`
-    panel of M.  The whole panel (0, n, 0, n) is the one call x @ M, made
-    without slicing: the same call, to the bit, at less cost per call."""
+    panel of M.  The whole panel (0, n, 0, n) is `_one_thread`'s x @ M,
+    made without slicing M, in blocks of rows that OpenBLAS runs on one
+    thread: on a 64 x 64 profile, blocks of at most 64 rows."""
     n = len(M)
     if len(panels) == 1 and panels[0] == (0, n, 0, n):
-        np.matmul(x, M, out=out)
+        _one_thread(x, M, out)
         return
     for lo, hi, a, b in panels:
         np.matmul(x[:, lo:hi], M[lo:hi, a:b], out=out[:, a:b])
@@ -460,7 +503,7 @@ def sinkhorn_scale(profile: VarianceProfile, tol: float = 1e-10,
 
 def circular_law_test(profile: VarianceProfile, tol: float = 1e-6,
                       config: SolverConfig | None = None,
-                      rho: float | None = None):
+                      rho: float | None = None, route=None):
     """Does the profile yield the circular law?
 
     True iff the boundary solution satisfies q_i(0) * qt_i(0) = 1 for all i
@@ -468,15 +511,19 @@ def circular_law_test(profile: VarianceProfile, tol: float = 1e-6,
     boundary solution is the Sinkhorn scaling of V (see `solve_at_zero`),
     so NoConvergenceError is raised when the pattern of V has no total
     support.  `rho` is the profile's spectral radius, computed when not
-    given.  Returns (flag, diagnostics).
+    given.  `route` is the profile's `vps.mesolver._route`, made here when
+    not given, whose operands and panels both solves read.  Returns (flag,
+    diagnostics).
     """
-    from .mesolver import solve_at_zero
+    from .mesolver import _route, solve_at_zero
 
-    sol = solve_at_zero(profile, config)
+    if route is None:
+        route = _route(profile)
+    sol = solve_at_zero(profile, config, route)
     prod = sol.q * sol.q_tilde
     deviation = float(np.abs(prod - 1.0).max())
     if rho is None:
-        rho = spectral_radius(profile)
+        rho = spectral_radius(profile, operand=route.product_T)
     f0 = float(np.sum(prod)) / (math.pi * profile.n)
     diagnostics = {
         "max_deviation": deviation,

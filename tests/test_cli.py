@@ -11,7 +11,7 @@ import vps.cli
 import vps.core
 import vps.mesolver
 import vps.profiles
-from test_mesolver import two_copies, zero_column_12
+from test_mesolver import band_model_b, two_copies, zero_column_12
 from vps.cli import main, read_density_csv
 from vps.core import read_profile_csv, validate_profile, write_profile_csv
 from vps.mesolver import solve_curve
@@ -577,6 +577,26 @@ class TestCheck:
         at = next(i for i, row in enumerate(lines) if row.startswith("envelope_frac = "))
         assert 0.0 < float(lines[at].split(" = ")[1]) < 0.5
         assert lines[at + 1] == "pair_classes = none"
+
+    def test_one_route_for_the_whole_check(self, tmp_path, capsys, monkeypatch):
+        # band model B at n = 200: the spectral radius, the envelope share
+        # and the boundary solve read one route's two operands, so each
+        # operand's panels are found once
+        path = tmp_path / "band_b.csv"
+        write_profile_csv(build_sampled(band_model_b, 200), path)
+        found = []
+        envelope = vps.profiles._envelope
+
+        def counted(M):
+            found.append(M.shape)
+            return envelope(M)
+
+        monkeypatch.setattr(vps.profiles, "_envelope", counted)
+        monkeypatch.setattr(vps.mesolver, "_envelope", counted)
+        assert main(["check", "--profile", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert "circular = false\nmax_deviation = " in text   # the boundary solve ran
+        assert len(found) <= 2
 
     def test_rank_one_next_to_pair_classes(self, circular_profile_csv, separable_profile_csv,
                                            block_profile_csv, capsys):

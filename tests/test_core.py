@@ -147,6 +147,13 @@ class TestProfileCsv:
         with pytest.raises(NonSquareError):
             read_profile_csv(path)
 
+    def test_ragged_names_the_row(self, tmp_path):
+        # numpy's row number, counting the non-blank rows
+        path = tmp_path / "ragged.csv"
+        path.write_text("1,2,3\n\n4,5,6\n  \n7,8\n")
+        with pytest.raises(NonSquareError, match="from 3 to 2 at row 3"):
+            read_profile_csv(path)
+
     @pytest.mark.parametrize("text", ["1.0,2.0\n3.0,4.0\n5.0,6.0\n", "1.0\n\n2.0\n",
                                       "1.0,2.0\n"], ids=["3 x 2", "2 x 1", "1 x 2"])
     def test_rejects_a_row_count_other_than_the_column_count(self, tmp_path, text):

@@ -10,12 +10,16 @@ from test_mesolver import _two_block_profile, band_model_b
 from vps.core import NoConvergenceError, validate_profile
 from vps.mesolver import solve_curve
 from vps.profiles import (
+    FLOOR,
+    ONE_THREAD,
     BadPartitionError,
     LengthMismatchError,
     NegativeFunctionValueError,
     NonPositiveEntryError,
     _acyclic,
     _envelope,
+    _one_thread,
+    _product,
     _scc,
     _total_support,
     build_block_atom,
@@ -646,3 +650,70 @@ class TestCircularLawTest:
         flag, diag = circular_law_test(p)
         assert not flag
         assert diag["f0_pi_rho"] > 1.0 + 1e-4
+
+
+class TestOneThread:
+    """`_one_thread`, the whole-panel branch of `_product`: blocks of rows
+    that OpenBLAS runs on one thread, against the single call x @ M."""
+
+    N = 64
+    B = ONE_THREAD[2] // (N * N)   # rows per block at n = 64: 64
+
+    @staticmethod
+    def ulps(a, b):
+        """Largest difference of a from b in units of b's last place."""
+        return float((np.abs(a - b) / np.spacing(np.abs(b))).max())
+
+    @staticmethod
+    def matmuls(monkeypatch, f, *args):
+        """f(*args), and the rows and right-operand size of each np.matmul."""
+        made, matmul = [], np.matmul
+
+        def recording(a, b, **kwargs):
+            made.append((a.shape[0], b.size))
+            return matmul(a, b, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "matmul", recording)
+            result = f(*args)
+        return result, made
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["V", "VT"])
+    def test_whole_panel_product_matches_one_call(self, transposed, monkeypatch):
+        n, B = self.N, self.B
+        assert B == 64
+        rng = np.random.default_rng(8)
+        V = rng.uniform(0.5, 2.0, (n, n))
+        M = V.T if transposed else V
+        for rows in (1, B - 1, B, B + 1, 3 * B + 5):
+            x = rng.uniform(0.0, 1.0, (rows, n))
+            out = np.full((rows, n), np.nan)
+            _, made = self.matmuls(monkeypatch, _product, x, M, ((0, n, 0, n),), out)
+            assert len(made) == -(-rows // B)
+            assert max(r * size for r, size in made) <= ONE_THREAD[2]
+            # one call where the rows fit one block; past it, a last block
+            # of 1 or 5 rows takes another kernel (a matrix-vector product,
+            # or OpenBLAS's small-matrix kernel for V^T) and sums in another
+            # order: measured, up to 4 ulps (65 rows of V, 197 of V^T)
+            if rows <= B:
+                assert np.array_equal(out, x @ M)
+            else:
+                assert self.ulps(out, x @ M) <= 8
+
+    def test_vector_blocks(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x, v = rng.uniform(size=(300, 64)), rng.uniform(size=64)
+        per = ONE_THREAD[1] // 64
+        y, made = self.matmuls(monkeypatch, _one_thread, x, v)
+        assert [r for r, _ in made] == [per, per, 300 - 2 * per]
+        assert np.array_equal(y, x @ v)   # each row's sum is the single call's
+
+    def test_floor_keeps_one_call(self, monkeypatch):
+        # at n = 256 a block could hold only 4 rows: one call, unsplit
+        n = 256
+        assert ONE_THREAD[2] // (n * n) < FLOOR
+        rng = np.random.default_rng(10)
+        x, M = rng.uniform(size=(64, n)), rng.uniform(size=(n, n))
+        y, made = self.matmuls(monkeypatch, _one_thread, x, M)
+        assert [r for r, _ in made] == [64]
+        assert np.array_equal(y, x @ M)
