@@ -35,7 +35,7 @@ from .measures import (
     density_lower_bound,
     grid_density,
 )
-from .mesolver import _route, envelope_fraction, solve_curve, solve_route
+from .mesolver import _identity, _route, envelope_fraction, solve_curve, solve_route
 from .montecarlo import (
     EntryLaw,
     kolmogorov_distance,
@@ -247,10 +247,12 @@ def _cmd_check(args) -> int:
     pattern = profile.variances > 0
     classes = cyclic_classes(pattern)
     pair_classes = profile.pair_classes
+    # the envelope share is V's own, so a quotient route does not lend its panels
+    full = route if pair_classes is None else _identity(profile.normalized)
     structure = ("irreducible = false\n" if classes is None else
                  f"irreducible = true\nperiod = {classes.max() + 1}\n")
     structure += (f"frobenius_blocks = {_scc(pattern).max() + 1}\n"
-                  f"envelope_frac = {envelope_fraction(profile.normalized, route):.4g}\n"
+                  f"envelope_frac = {envelope_fraction(full):.4g}\n"
                   f"pair_classes = {'none' if pair_classes is None else len(pair_classes[1])}\n"
                   f"rank_one = {str(profile.rank_one_factors is not None).lower()}\n")
     bfid = is_block_fully_indecomposable(profile, K, phi)

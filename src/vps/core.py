@@ -346,7 +346,9 @@ def read_profile_csv(path) -> VarianceProfile:
                               comments=None, ndmin=2, max_rows=n)
         except ValueError as exc:
             # numpy's "the number of columns changed from a to b at row k",
-            # k counting the non-blank rows from 1
+            # k counting the non-blank rows from 1; the match is on numpy's
+            # English text, which TestProfileCsv::test_ragged_names_the_row
+            # pins, so a rewording fails that test
             if "number of columns changed" in str(exc):
                 raise NonSquareError(f"profile rows have inconsistent lengths: {exc}") from exc
             raise ProfileError(f"unparseable profile: {exc}") from exc

@@ -444,17 +444,14 @@ def _layout(route: _Route):
     return (*gauge, weights), (A, _envelope(A)), (B, _envelope(B))
 
 
-def envelope_fraction(V, route: _Route | None = None) -> float:
-    """Share of V that one fixed-point iteration of `_solve_rows` reads
-    on V itself: the area of the `_envelope` panels of V and of V^T, in
-    the kernel's component order, over 2 n^2.  `route`, a profile's
-    `_route`, lends its operands' panels where it is V's own identity
-    quotient; otherwise they are found on `_identity(V)`."""
-    if route is None or route.V is not V:
-        route = _identity(V)
+def envelope_fraction(route: _Route) -> float:
+    """Share of the route's V that one fixed-point iteration of
+    `_solve_rows` reads on V itself: the area of the `_envelope` panels of
+    its operands, in the kernel's component order, over 2 p^2 for p
+    classes.  On `_identity(V)`, the share of V and of V^T."""
     _, (_, panels), (_, panels_T) = _layout(route)
     area = sum((hi - lo) * (b - a) for lo, hi, a, b in panels + panels_T)
-    return area / (2 * V.shape[0] ** 2)
+    return area / (2 * len(route.V) ** 2)
 
 
 def _linearization(A, B, d, cq, cqt, trace=None):

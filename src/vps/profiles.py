@@ -39,25 +39,23 @@ PANEL = 64
 # products give the same rounding as ever.  The block atom profile (k = 3,
 # n = 300) would read 55% of V.
 SPLIT = 0.5
-# The most multiply-adds of a BLAS call that OpenBLAS runs on one thread,
-# keyed by the number of dimensions of the right operand: a matrix product
-# (GEMM) up to m n k = 2^18, a matrix-vector product (GEMV) up to
-# m n = 9,216.  Past such a bound it hands work to its other threads, which
-# spin after the call until they time out, or stall it while they wake: a
-# 2-core machine then spends about twice the wall time in CPU.  OpenBLAS
-# 0.3.31 (numpy 2.4's) holds a little more on one thread, a GEMM below
-# m n k = 2^19 and a GEMV below m n = 460,800 (measured on 2 cores), so
-# the lower bounds here hold there too.
-ONE_THREAD = {2: 1 << 18, 1: 9216}
-# `_one_thread` makes one call where the bound allows fewer than FLOOR rows
-# per block.  On dense U(0.5, 2) curves (200 radii, best of 28, one call
-# against blocks, in one process) blocks of 4 rows at n = 256 took 9% more
-# wall time and blocks of 2 at n = 300 took 37% more; from 6 rows on they
-# took 0-2% more at n = 64-120, 1-8% at n = 200 (two runs), 6% at n = 128
-# and 13% at n = 150, where the blocks of V^T are too large for OpenBLAS's
-# small-matrix kernel and each packs V^T anew.  Every block halves the CPU
-# time of the threaded call.
-FLOOR = 6
+# A matrix product x @ M of m n k multiply-adds below ONE_THREAD runs on
+# one OpenBLAS thread.  From there OpenBLAS hands x @ V^T (and x @ V past
+# its small-matrix kernel) to its other threads, which spin after the
+# call until they time out, or stall it while they wake: a 2-core
+# machine then spends up to twice the wall time in CPU.  OpenBLAS 0.3.31
+# (numpy 2.4's), 2 cores, each shape in a fresh process, CPU over wall:
+# (127 x 64) @ (64 x 64)^T 0.99, 21 us a call; 128 rows 1.38, 49 us; 129
+# rows 1.97; likewise 31 against 32 and 33 rows at n = 128, 13 against
+# 14 at n = 200, 7 against 8 at n = 256.
+ONE_THREAD = 1 << 19
+# `_one_thread` makes one call where a block would hold fewer than FLOOR
+# rows, that is from n = 104 on.  On dense U(0.5, 2) curves of 200 radii
+# (one process, one call against blocks, best of 5 to 15) the threaded
+# call stalls up to n = 103, 249 against 43 ms at n = 100 and 135
+# against 39 ms at n = 64, and from n = 104 it runs on both cores, where
+# the blocks took 0-8% more wall time (n = 104-200) at half the CPU time.
+FLOOR = 49
 
 
 class LengthMismatchError(ValueError):
@@ -169,34 +167,30 @@ def _envelope(M):
     return tuple(zip(lo.tolist(), hi.tolist(), a.tolist(), b.tolist()))
 
 
-def _one_thread(x, M, out=None):
-    """out = x @ M for a matrix x and a matrix or vector M, as one BLAS
-    call per block of `per` rows of x, the last taking the rest, where
-    `per` rows of M's size make at most ONE_THREAD multiply-adds: a call
-    that OpenBLAS runs on one thread.  The one place that knows the rule.
-    Where `per` is below FLOOR, x @ M is one call, as threaded as OpenBLAS
-    makes it: blocks that small cost more than the threads.
-
-    A row's result is the single call's to the bit, except in a last block
-    small enough for another kernel (one row: a matrix-vector product;
-    under 1,200 entries of out: OpenBLAS's small-matrix kernel for M = V^T),
-    where it may differ by a few ulps."""
-    if out is None:
-        out = np.empty(x.shape[:1] + M.shape[1:])
-    per = ONE_THREAD[M.ndim] // M.size
-    if len(x) <= per or per < FLOOR:
+def _one_thread(x, M, out):
+    """out = x @ M in as few BLAS calls on blocks of rows of x as keep
+    each below ONE_THREAD multiply-adds, calls that OpenBLAS runs on one
+    thread, the blocks equal to a row.  The one place that knows the rule.
+    Where a block would hold fewer than FLOOR rows, x @ M is one call, as
+    threaded as OpenBLAS makes it.  Where every block takes the single
+    call's kernel, as at n = 64, the rows are the single call's to the
+    bit; where the single call would take another, a few ulps apart."""
+    per = (ONE_THREAD - 1) // M.size
+    rows = len(x)
+    if rows <= per or per < FLOOR:
         np.matmul(x, M, out=out)
-        return out
-    for lo in range(0, len(x), per):
-        np.matmul(x[lo:lo + per], M, out=out[lo:lo + per])
-    return out
+        return
+    blocks = -(-rows // per)
+    for i in range(blocks):
+        lo, hi = i * rows // blocks, (i + 1) * rows // blocks
+        np.matmul(x[lo:hi], M, out=out[lo:hi])
 
 
 def _product(x, M, panels, out):
     """out = x @ M for the rows of x, one matrix product per `_envelope`
     panel of M.  The whole panel (0, n, 0, n) is `_one_thread`'s x @ M,
     made without slicing M, in blocks of rows that OpenBLAS runs on one
-    thread: on a 64 x 64 profile, blocks of at most 64 rows."""
+    thread: on a 64 x 64 profile, blocks of at most 127 rows."""
     n = len(M)
     if len(panels) == 1 and panels[0] == (0, n, 0, n):
         _one_thread(x, M, out)

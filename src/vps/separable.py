@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .profiles import SeparableProfile, _one_thread
+from .profiles import SeparableProfile
 
 # A radius's Newton iteration stops once its increment is no longer
 # positive beyond this many ulps of u.
@@ -47,13 +47,9 @@ def _roots(prods: np.ndarray, weights: np.ndarray, s2):
     beyond STOP_ULPS ulps of u.  A relative-step test would not do: near
     the edge u -> 0 and rounding in g sets the step there.
 
-    The sums over i are matrix-vector products of the running radii's rows,
-    made by `vps.profiles._one_thread` in blocks of rows that OpenBLAS runs
-    on one thread: at most m n = 9,216 multiply-adds, 144 rows at n = 64.
-    On the circular n = 64 profile u and the steps are the single call's
-    to the bit.  (OpenBLAS 0.3.31 threads a GEMV only from m n = 460,800,
-    so there the 190 radii at n = 64 never woke a thread; the blocks keep
-    to the rule where a build threads sooner.)
+    The sums over i are single matrix-vector products: OpenBLAS 0.3.31
+    runs one on one thread below m n = 460,800 multiply-adds (measured on
+    2 cores), so a grid of 200 radii stays on one thread up to n = 2,303.
     """
     s2 = np.asarray(s2, dtype=float)
     wp = weights * prods
@@ -63,9 +59,9 @@ def _roots(prods: np.ndarray, weights: np.ndarray, s2):
     live = np.flatnonzero(s2 < wp.sum())
     while len(live):
         inv = 1.0 / (s2[live, None] + prods * u[live, None])
-        g = _one_thread(inv, wp) - 1.0
+        g = inv @ wp - 1.0
         inv *= inv
-        step = g / _one_thread(inv, wpp)   # -g / g'
+        step = g / (inv @ wpp)   # -g / g'
         steps[live] += 1
         grow = step > STOP_ULPS * np.finfo(float).eps * u[live]
         live = live[grow]

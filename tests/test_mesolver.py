@@ -1586,12 +1586,12 @@ class TestEnvelope:
     @pytest.mark.parametrize("n", [8, 300])
     def test_dense_profile_keeps_one_panel(self, n):
         assert _envelope(np.ones((n, n))) == ((0, n, 0, n),)
-        assert envelope_fraction(np.ones((n, n))) == 1.0
+        assert envelope_fraction(_identity(np.ones((n, n)))) == 1.0
 
     def test_band_model_b_matches_the_full_panel(self, monkeypatch):
         p = build_sampled(band_model_b, 300)
         assert p.n > PANEL and len(_envelope(p.normalized)) > 1
-        assert envelope_fraction(p.normalized) < 0.5
+        assert envelope_fraction(_identity(p.normalized)) < 0.5
         config = SolverConfig(fixed_point_tol=1e-9, t_min=1e-8)
         grid = default_s_grid(math.sqrt(spectral_radius(p)), 12)
         curve = solve_curve(p, grid, config)

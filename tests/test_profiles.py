@@ -656,9 +656,6 @@ class TestOneThread:
     """`_one_thread`, the whole-panel branch of `_product`: blocks of rows
     that OpenBLAS runs on one thread, against the single call x @ M."""
 
-    N = 64
-    B = ONE_THREAD[2] // (N * N)   # rows per block at n = 64: 64
-
     @staticmethod
     def ulps(a, b):
         """Largest difference of a from b in units of b's last place."""
@@ -678,10 +675,14 @@ class TestOneThread:
             result = f(*args)
         return result, made
 
+    # at n = 64 every block takes the single call's kernel, so the rows are
+    # the single call's to the bit; at n = 100 the single call of more than
+    # B rows takes another kernel and sums in another order: measured up to
+    # 9 ulps over 6 seeds
+    @pytest.mark.parametrize("n, ulps", [(64, 0), (100, 16)])
     @pytest.mark.parametrize("transposed", [False, True], ids=["V", "VT"])
-    def test_whole_panel_product_matches_one_call(self, transposed, monkeypatch):
-        n, B = self.N, self.B
-        assert B == 64
+    def test_whole_panel_product_matches_one_call(self, n, ulps, transposed, monkeypatch):
+        B = (ONE_THREAD - 1) // (n * n)   # rows per block: 127 at n = 64, 52 at n = 100
         rng = np.random.default_rng(8)
         V = rng.uniform(0.5, 2.0, (n, n))
         M = V.T if transposed else V
@@ -689,31 +690,19 @@ class TestOneThread:
             x = rng.uniform(0.0, 1.0, (rows, n))
             out = np.full((rows, n), np.nan)
             _, made = self.matmuls(monkeypatch, _product, x, M, ((0, n, 0, n),), out)
+            sizes = [r for r, _ in made]
             assert len(made) == -(-rows // B)
-            assert max(r * size for r, size in made) <= ONE_THREAD[2]
-            # one call where the rows fit one block; past it, a last block
-            # of 1 or 5 rows takes another kernel (a matrix-vector product,
-            # or OpenBLAS's small-matrix kernel for V^T) and sums in another
-            # order: measured, up to 4 ulps (65 rows of V, 197 of V^T)
-            if rows <= B:
-                assert np.array_equal(out, x @ M)
-            else:
-                assert self.ulps(out, x @ M) <= 8
-
-    def test_vector_blocks(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        x, v = rng.uniform(size=(300, 64)), rng.uniform(size=64)
-        per = ONE_THREAD[1] // 64
-        y, made = self.matmuls(monkeypatch, _one_thread, x, v)
-        assert [r for r, _ in made] == [per, per, 300 - 2 * per]
-        assert np.array_equal(y, x @ v)   # each row's sum is the single call's
+            assert max(sizes) - min(sizes) <= 1 and sum(sizes) == rows
+            assert max(r * size for r, size in made) < ONE_THREAD
+            assert self.ulps(out, x @ M) <= ulps
 
     def test_floor_keeps_one_call(self, monkeypatch):
-        # at n = 256 a block could hold only 4 rows: one call, unsplit
-        n = 256
-        assert ONE_THREAD[2] // (n * n) < FLOOR
+        # from n = 104 a block would hold fewer than FLOOR rows: one call
+        n = 104
+        assert (ONE_THREAD - 1) // (n * n) < FLOOR <= (ONE_THREAD - 1) // (103 * 103)
         rng = np.random.default_rng(10)
-        x, M = rng.uniform(size=(64, n)), rng.uniform(size=(n, n))
-        y, made = self.matmuls(monkeypatch, _one_thread, x, M)
-        assert [r for r, _ in made] == [64]
+        x, M = rng.uniform(size=(200, n)), rng.uniform(size=(n, n))
+        y = np.empty((200, n))
+        _, made = self.matmuls(monkeypatch, _one_thread, x, M, y)
+        assert [r for r, _ in made] == [200]
         assert np.array_equal(y, x @ M)

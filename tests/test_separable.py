@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-import vps.profiles
-from vps.core import default_s_grid, validate_profile
+from vps.core import validate_profile
 from vps.measures import _exact_density, cdf, density, grid_density
 from vps.mesolver import solve_curve, solve_route
 from vps.profiles import build_separable
 from vps.separable import (
     QuadratureUnstableError,
-    _roots,
     sampled_rho,
     sampled_separable_curve,
     separable_curve,
@@ -225,20 +223,3 @@ class TestNormalization:
         f = np.array([sombrero_density(1.0, 4.0, 0.5, z) for z in grid])
         mass = 2 * math.pi * np.trapezoid(f * grid, grid)
         assert mass == pytest.approx(1.0, abs=1e-3)
-
-
-class TestRootsInBlocks:
-    def test_circular_n64_same_roots_and_steps_as_one_call(self, monkeypatch):
-        # the circ-n64 profile: sigma2_ij = d_j / d_i, rank one, rho = 1;
-        # its 190 inside radii run in GEMV blocks of 144 rows
-        d = np.random.default_rng(1).uniform(0.5, 2.0, 64)
-        a, b = validate_profile(d[None, :] / d[:, None]).rank_one_factors
-        s = default_s_grid(1.0)
-        s = s[s < 1.0]
-        assert len(s) > vps.profiles.ONE_THREAD[1] // 64
-        u, steps = _roots(a * b, np.ones(64), s * s)
-        monkeypatch.setattr(vps.profiles, "ONE_THREAD", {1: 2 ** 40, 2: 2 ** 40})
-        u_one, steps_one = _roots(a * b, np.ones(64), s * s)
-        assert np.array_equal(u, u_one)
-        assert np.array_equal(steps, steps_one)
-        assert steps.sum() > 0
