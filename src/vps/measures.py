@@ -133,7 +133,7 @@ def density(curve: MECurve, z_modulus: float, mode: str = "exact") -> float:
     if not 0.0 < s < edge:
         raise OutsideSupportError(f"|z| = {s} outside (0, {edge})")
     if mode == "exact":
-        rows = _solve_inside(curve.profile, curve.route, [s], curve.config)
+        rows = _solve_inside(curve.profile, curve.route, [s], curve.config, curve.rho)
         point = MECurve(curve.profile, np.array([s]), rows, curve.rho, curve.config, curve.route)
         point.raise_failures()
         return max(0.0, float(_exact_density(point)[0]))

@@ -10,7 +10,10 @@ with Psi_i = 1 / (s^2 + ((V r_tilde)_i + t)((V^T r)_i + t)) and w = AVERAGING.
 For t > 0 the system has exactly one positive solution (Cook, Hachem,
 Najim & Renfrew, part I), so the t -> 0 limit is approximated by solving
 once at t = t_min, from ones; no schedule in t and no other radius's
-solution is a better start.
+solution is a better start.  Only the solution of a coarser profile is:
+on a route of at least COARSE_MIN classes the loose kernel below starts
+from the lifted solution of V averaged over groups of COARSE classes
+(`_coarse_start`).
 
 Radii at or past the support radius sqrt(rho) are not iterated.  At t = 0
 a nonnegative solution has q_i <= (V^T q)_i / s^2, so s^2 q <= V^T q, and
@@ -106,7 +109,9 @@ more operator products or basis reads in its chunk.
 
 Every route but the rank-one one solves the t = 0 equations
 (`_solve_at_zero_rows`): the kernel runs at t_min only to NEWTON_START =
-1e-3, and Newton takes it from there.  A radius is accepted only if it
+1e-3, from the coarse start where the route has one, and Newton takes it
+from there.  A radius's `iterations` count that kernel's iterations and
+its Newton steps, not the coarse solve's.  A radius is accepted only if it
 meets the kernel's stopping rule at t = 0, stays positive, and its last
 system passes the condition gate (an estimate at most 1e13: that of
 `derivative_rows` for the LUs, ||M||_inf / sigma_min of the Hessenberg
@@ -122,8 +127,9 @@ On the block atom at n = 300 all 190 inside radii are accepted in at
 most 5 steps, F moves from 1.9e-9 to 1.8e-12 off the closed form, and
 the curve is solved in a third of the time.  On band model B at n = 800 (28 radii, t_min = 1e-8,
 fixed_point_tol = 1e-9) the loose kernel's longest radius takes 99
-iterations against 1,057 to the full tolerance, every radius is accepted
-in 2 or 3 steps and at most 40 GMRES iterations (865 in all), F moves
+iterations from ones, and 9 from the coarse start, against 1,057 to the
+full tolerance, every radius is accepted
+in 2 or 3 steps and at most 40 GMRES iterations (863 in all), F moves
 from 1.8e-8 to 2e-10 off a reference made at t_min = 1e-10, and the curve
 is solved in half the time.  On 200-point grids of smaller profiles the
 endgame costs more than the t_min kernel alone would: 1.25 and 1.34 times
@@ -261,6 +267,17 @@ GUARD = 1e8
 BASIS = 2 ** 19
 # `_gmres` swaps stopped rows' bases in blocks of at most SWAP doubles.
 SWAP = 2 ** 13
+# On a route of at least COARSE_MIN classes the loose kernel of
+# `_solve_at_zero_rows` starts from the solution of the coarse profile
+# (`_coarse_start`), V averaged over groups of COARSE classes.  On band
+# model B at n = 800 (28 radii, t_min = 1e-8, fixed_point_tol = 1e-9) the
+# radii below 0.3 sqrt(rho) took 98-99 loose iterations from ones, since
+# the error's smooth part spreads one bandwidth per iteration; from the
+# coarse start the loose phase takes 199 iterations in all against 1,859,
+# at most 9 a radius, and 23 ms (14 of them the coarse solve) against 80.
+# A randomly permuted band gains nothing and pays the coarse solve.
+COARSE = 8
+COARSE_MIN = 128
 
 
 @dataclass(frozen=True)
@@ -493,8 +510,10 @@ class _Rows:
     equations themselves (a rank-one lift or a radius accepted by
     `_solve_at_zero_rows`), not those at t_min, and `krylov`, the GMRES
     iterations of the radius's Newton steps (`_krylov_solve`; 0 where its
-    steps were solved by LU, or none were taken).  The rows hold one entry
-    per class of the route's quotient until `_lift` lifts them to n."""
+    steps were solved by LU, or none were taken).  `iterations` count the
+    kernel's iterations on the route and the Newton steps, never those of
+    a coarse start's solve.  The rows hold one entry per class of the
+    route's quotient until `_lift` lifts them to n."""
 
     q: np.ndarray
     q_tilde: np.ndarray
@@ -505,9 +524,10 @@ class _Rows:
     krylov: np.ndarray
 
 
-def _solve_rows(layout, s, t, config: SolverConfig) -> _Rows:
+def _solve_rows(layout, s, t, config: SolverConfig, start=None) -> _Rows:
     """Solve the equations at regularization t for every radius of `s`,
-    each from ones.
+    each from its row of `start`, [q | qt] rows in the layout's order,
+    which the kernel takes over as its iterate, or from ones without it.
 
     All the radii are one block of rows, in the caller's order.  They
     start together and iterate in lock step, so one iteration count serves
@@ -518,7 +538,8 @@ def _solve_rows(layout, s, t, config: SolverConfig) -> _Rows:
     fail.  A row that meets the relative stopping rule leaves the block,
     after a check that its solution respects max(q, qt) <= 1/t, and the
     rows still running are compacted into the leading slice; the loop ends
-    once none is left.  The work arrays hold about 9 m n doubles.
+    once none is left.  The work arrays hold about 9 m n doubles.  A row's
+    `iterations` are this call's, whatever solve made its start.
 
     `layout` is the `_layout` of a route: the rows iterate on its classes
     in the gauge's component order, so a component's trace balance sums
@@ -540,9 +561,10 @@ def _solve_rows(layout, s, t, config: SolverConfig) -> _Rows:
     out_krylov = np.zeros(m, dtype=np.int64)
     errors = [None] * m
 
-    # per row: iterate [q | qt] from ones, its value at the last Aitken
-    # step, and work arrays
-    X, lastX = np.ones((m, 2 * n)), np.ones((m, 2 * n))
+    # per row: iterate [q | qt] from its start, its value at the last
+    # Aitken step, and work arrays
+    X = np.ones((m, 2 * n)) if start is None else start
+    lastX = X.copy()
     Y, P = np.empty((m, 2 * n)), np.empty((m, 2 * n))
     Psi = np.empty((m, n))
     prev_norm = np.full(m, math.nan)   # Aitken: last block's step norm, NaN if none
@@ -686,7 +708,7 @@ def _residual_at_zero(route: _Route, q, qt, s2):
 
 
 def _solve_rank_one(profile: VarianceProfile, route: _Route, s,
-                    config: SolverConfig) -> _Rows:
+                    config: SolverConfig, rho) -> _Rows:
     """The t = 0 solution at every radius of s of a profile with
     `rank_one_factors` (a, b), lifted from the root w of its scalar
     equation (see the module docstring); a radius's iterations are its
@@ -698,7 +720,7 @@ def _solve_rank_one(profile: VarianceProfile, route: _Route, s,
     at most fixed_point_tol times max(1, the largest entry), and that
     residual is reported.  The radii that fail the check,
     or whose lift is not finite, take the route of any other profile,
-    `_solve_at_zero_rows` on its `route`, with its record.
+    `_solve_at_zero_rows` on its `route` and `rho`, with its record.
     """
     a, b = profile.rank_one_factors
     s = np.asarray(s, dtype=float)
@@ -716,7 +738,7 @@ def _solve_rank_one(profile: VarianceProfile, route: _Route, s,
     at_zero = residual <= config.fixed_point_tol * scale
     bad = np.flatnonzero(~at_zero)
     if len(bad):
-        rows = _lift(_solve_at_zero_rows(route, s[bad], config), route.label)
+        rows = _lift(_solve_at_zero_rows(route, s[bad], config, rho), route.label)
         q[bad], qt[bad], at_zero[bad] = rows.q, rows.q_tilde, rows.at_zero
         steps[bad], residual[bad], krylov[bad] = rows.iterations, rows.residual, rows.krylov
         for i, error in zip(bad, rows.errors):
@@ -1050,7 +1072,47 @@ def _gmres(apply, b, forcing):
     return x[back], sigma[back], iterations[back]
 
 
-def _solve_at_zero_rows(route: _Route, s, config: SolverConfig) -> _Rows:
+def _coarse_start(layout, s, t, config: SolverConfig, rho):
+    """The start of `_solve_rows` at t for every radius of s on the route
+    laid out as `layout`: [q | qt] rows in the layout's order, lifted from
+    the kernel's solve of its coarse profile at t and `config`, or rows of
+    ones where that solve failed.
+
+    The coarse profile averages the route's V over groups of COARSE
+    consecutive classes of the layout's order, none across a component,
+    with the class sizes as weights: Vbar_gh = sum n_k n_l V_kl /
+    (N_g N_h) over the classes k of group g and l of group h, N_g the
+    group sizes.  Averaging lowers a band's spectral radius, so Vbar is
+    scaled until Vbar diag(N) has the route's `rho` (`spectral_radius` on
+    its B operand): unscaled, radii past the coarse edge start near zero, where
+    the loose tolerance, absolute below 1, lets them collapse onto the
+    trivial solution of the t = 0 equations.  The groups follow the
+    layout's component order, so the coarse gauge needs no permutation."""
+    from .profiles import spectral_radius
+
+    (order, starts, counts, weights), (A, _), _ = layout
+    n = len(order)
+    per = -(-counts // COARSE)   # groups of each component
+    first = np.cumsum(per) - per
+    group = np.repeat(first, counts) + (np.arange(n) - np.repeat(starts, counts)) // COARSE
+    bounds = np.flatnonzero(np.diff(group, prepend=-1))
+    sums = np.add.reduceat(A, bounds, axis=0)   # of n_k V_kl over the classes k of each group
+    if weights is not None:
+        sums *= weights
+    N = np.add.reduceat(np.ones(n) if weights is None else weights, bounds)
+    Vbar = np.add.reduceat(sums, bounds, axis=1) / np.outer(N, N)
+    B = _operands(Vbar, N)[1]
+    panels_T = _envelope(B)
+    Vbar *= rho / spectral_radius(Vbar, operand=(B, panels_T))
+    A, B, trace = _operands(Vbar, N)
+    coarse = _solve_rows(((np.arange(len(N)), first, per, trace), (A, _envelope(A)),
+                          (B, panels_T)), s, t, config)
+    x = np.concatenate([coarse.q, coarse.q_tilde], axis=1)
+    x[[error is not None for error in coarse.errors]] = 1.0
+    return np.take(x, np.concatenate([group, group + len(N)]), axis=1)
+
+
+def _solve_at_zero_rows(route: _Route, s, config: SolverConfig, rho) -> _Rows:
     """The t = 0 solution at every radius of s, by Newton from a loose
     kernel iterate, on the classes of `route`; rows on those unknowns.
     The route is laid out once, for the kernel and Newton alike.
@@ -1065,7 +1127,10 @@ def _solve_at_zero_rows(route: _Route, s, config: SolverConfig) -> _Rows:
     `derivative_rows`, or `_krylov_solve`'s), is accepted: it is
     `at_zero`, its iterations are those of the loose phase plus its
     Newton steps, its `krylov` count those of both, and its residual is
-    that of the t = 0 equations.  The refused radii alone are solved
+    that of the t = 0 equations.  On a route of at least COARSE_MIN
+    classes the loose phase starts from `_coarse_start`, scaled to the
+    curve's `rho`; its coarse solve counts in neither `iterations` nor
+    `krylov`.  The refused radii alone are solved
     again from ones at t_min to the full tolerance, and each takes that
     row, its counts and its error.  This is the one place where a radius
     of a curve goes to t_min.
@@ -1074,7 +1139,9 @@ def _solve_at_zero_rows(route: _Route, s, config: SolverConfig) -> _Rows:
     layout = _layout(route)
     gauge, product, product_T = layout
     loose = replace(config, fixed_point_tol=max(NEWTON_START, config.fixed_point_tol))
-    rows = _solve_rows(layout, s, config.t_min, loose)
+    coarse = len(route.sizes) >= COARSE_MIN   # the start lives only as long as the call
+    rows = _solve_rows(layout, s, config.t_min, loose,
+                       _coarse_start(layout, s, config.t_min, loose, rho) if coarse else None)
     order = gauge[0]
     n = len(order)
     live = np.flatnonzero([error is None for error in rows.errors])
@@ -1099,7 +1166,7 @@ def _solve_at_zero_rows(route: _Route, s, config: SolverConfig) -> _Rows:
     return replace(rows, q=x[:, :n], q_tilde=x[:, n:])
 
 
-def _solve_inside(profile: VarianceProfile, route: _Route, s, config: SolverConfig,
+def _solve_inside(profile: VarianceProfile, route: _Route, s, config: SolverConfig, rho,
                   past=0) -> _Rows:
     """The t -> 0 limit at every radius of s, each below sqrt(rho), lifted
     to n entries with `past` zero rows appended (`_lift`).  The route of
@@ -1111,9 +1178,9 @@ def _solve_inside(profile: VarianceProfile, route: _Route, s, config: SolverConf
       the Newton endgame is accepted, and at t_min where it is refused.
     """
     if profile.rank_one_factors is not None:   # its rows are on the n entries
-        rows, label = _solve_rank_one(profile, route, s, config), np.arange(profile.n)
+        rows, label = _solve_rank_one(profile, route, s, config, rho), np.arange(profile.n)
     else:
-        rows, label = _solve_at_zero_rows(route, s, config), route.label
+        rows, label = _solve_at_zero_rows(route, s, config, rho), route.label
     return _lift(rows, label, past)
 
 
@@ -1337,7 +1404,7 @@ def solve_curve(profile: VarianceProfile, s_grid=None,
     if not np.isfinite(s_grid).all() or np.any(np.diff(s_grid) <= 0) or s_grid[0] <= 0:
         raise ValueError("s_grid must be finite, strictly increasing and positive")
     inside = int(np.searchsorted(s_grid, math.sqrt(rho)))  # radii s < sqrt(rho)
-    rows = _solve_inside(profile, route, s_grid[:inside], config, len(s_grid) - inside)
+    rows = _solve_inside(profile, route, s_grid[:inside], config, rho, len(s_grid) - inside)
     for a in (rows.q, rows.q_tilde, rows.iterations, rows.residual, rows.at_zero, rows.krylov):
         a.setflags(write=False)
     return MECurve(profile, s_grid, rows, rho, config, route)

@@ -870,19 +870,23 @@ class TestSolveCurve:
         p = build_block_atom(3, 4)
         edge = math.sqrt(spectral_radius(p))
         grid = edge * np.array([0.2, 0.7, 0.999, 1.0, 1.001, 1.5])
-        seen = []
         kernel = vps.mesolver._solve_rows
 
-        def recorded(layout, s, t, config):
+        def recorded(layout, s, t, config, start=None):
             seen.extend(s)
-            return kernel(layout, s, t, config)
+            return kernel(layout, s, t, config, start)
 
         monkeypatch.setattr(vps.mesolver, "_solve_rows", recorded)
-        curve = solve_curve(p, grid)
-        limit_at(p, 1.2 * edge)
-        assert seen == list(grid[:3])
-        assert all(s < math.sqrt(curve.rho) for s in seen)
-        assert [sol.is_trivial for sol in curve.solutions] == [False] * 3 + [True] * 3
+        # with COARSE_MIN = 1 the 2-class route's loose phase makes two
+        # kernel calls, on the coarse profile and on the route itself
+        for calls, coarse_min in ((1, vps.mesolver.COARSE_MIN), (2, 1)):
+            monkeypatch.setattr(vps.mesolver, "COARSE_MIN", coarse_min)
+            seen = []
+            curve = solve_curve(p, grid)
+            limit_at(p, 1.2 * edge)
+            assert seen == list(grid[:3]) * calls
+            assert all(s < math.sqrt(curve.rho) for s in seen)
+            assert [sol.is_trivial for sol in curve.solutions] == [False] * 3 + [True] * 3
 
     def test_decomposable_profile(self):
         # a symmetric permutation of diag(B1, B2): the pattern of V + V^T
@@ -1073,21 +1077,27 @@ class TestEndgame:
 
     def test_only_the_refused_radii_are_solved_again(self, monkeypatch):
         kernel = vps.mesolver._solve_rows
-        calls = []
 
-        def recorded(layout, s, t, config):
+        def recorded(layout, s, t, config, start=None):
             calls.append((list(s), config.fixed_point_tol))
-            return kernel(layout, s, t, config)
+            return kernel(layout, s, t, config, start)
 
         monkeypatch.setattr(vps.mesolver, "_solve_rows", recorded)
         p = zero_column_12()
         grid = math.sqrt(spectral_radius(p)) * np.linspace(0.02, 0.98, 40)
-        curve = solve_curve(p, grid)
-        refused = ~curve.rows.at_zero
-        assert 0 < refused.sum() < 40
-        full = [s for s, tol in calls if tol == curve.config.fixed_point_tol]
-        assert full == [list(grid[refused])]
-        assert (curve.t == np.where(refused, curve.config.t_min, 0.0)).all()
+        # with COARSE_MIN = 1 the 12 classes' loose phase starts from the
+        # solve of their coarse profile, a second loose kernel call
+        for loose_calls, coarse_min in ((1, vps.mesolver.COARSE_MIN), (2, 1)):
+            monkeypatch.setattr(vps.mesolver, "COARSE_MIN", coarse_min)
+            calls = []
+            curve = solve_curve(p, grid)
+            refused = ~curve.rows.at_zero
+            assert 0 < refused.sum() < 40
+            full = [s for s, tol in calls if tol == curve.config.fixed_point_tol]
+            assert full == [list(grid[refused])]
+            loose = [s for s, tol in calls if tol != curve.config.fixed_point_tol]
+            assert loose == [list(grid)] * loose_calls
+            assert (curve.t == np.where(refused, curve.config.t_min, 0.0)).all()
 
     def test_solve_regularized_keeps_its_t(self, monkeypatch):
         newton = vps.mesolver._newton
@@ -1473,11 +1483,12 @@ class TestRankOneRoute:
         seen = []
         endgame = vps.mesolver._solve_at_zero_rows
         config = SolverConfig()
-        want = vps.mesolver._solve_inside(ref, _route(ref), grid[1:2], config)
+        want = vps.mesolver._solve_inside(ref, _route(ref), grid[1:2], config,
+                                          spectral_radius(ref))
 
-        def recorded(route, s, config):
+        def recorded(route, s, config, rho):
             seen.extend(s)
-            return endgame(route, s, config)
+            return endgame(route, s, config, rho)
 
         monkeypatch.setattr(vps.mesolver, "_roots", corrupted)
         monkeypatch.setattr(vps.mesolver, "_solve_at_zero_rows", recorded)
@@ -1502,13 +1513,13 @@ class TestRankOneRoute:
         V = np.zeros((5, 5))
         V[0, 1:] = 1.0
         p = validate_profile(V)
-        rows = _solve_rank_one(p, _route(p), [1e-3, 0.1], SolverConfig())
+        rows = _solve_rank_one(p, _route(p), [1e-3, 0.1], SolverConfig(), spectral_radius(p))
         assert (rows.q == 0.0).all() and (rows.q_tilde == 0.0).all()
         assert (rows.iterations == 0).all() and (rows.residual == 0.0).all()
         assert rows.errors == [None, None]
         # the constant profile at its edge s^2 = sum(pi) = 1
         p = constant_profile(8)
-        rows = _solve_rank_one(p, _route(p), [0.6, 1.0], SolverConfig())
+        rows = _solve_rank_one(p, _route(p), [0.6, 1.0], SolverConfig(), 1.0)
         assert np.abs(rows.q[0] - 0.8).max() <= 1e-15 and rows.iterations[0] > 0
         assert (rows.q[1] == 0.0).all() and (rows.q_tilde[1] == 0.0).all()
         assert rows.iterations[1] == 0 and rows.residual[1] == 0.0
@@ -1639,7 +1650,8 @@ class TestEveryProductThroughThePanels:
     def test_panels_are_found_once_per_operand_of_the_route(self, monkeypatch):
         # the spectral radius, the kernel's layout, the endgame, the curve's
         # products and the density at zero all read the route's two
-        # operands, each with the panels found once
+        # operands, each with the panels found once; the coarse start finds
+        # those of its own two operands, on the 200 / COARSE groups
         seen = []
 
         def counted(M):
@@ -1652,8 +1664,10 @@ class TestEveryProductThroughThePanels:
         curve = solve_curve(p, config=SolverConfig(fixed_point_tol=1e-9, t_min=1e-8))
         curve.products
         density_at_zero(p, route=curve.route)
-        assert len(seen) == 2
+        groups = 200 // vps.mesolver.COARSE
+        assert len(seen) == 4
         assert seen[0] is curve.route.operands[1] and seen[1] is curve.route.operands[0]
+        assert [M.shape for M in seen[2:]] == [(groups, groups)] * 2
         assert len(curve.route.product[1]) > 1 and len(curve.route.product_T[1]) > 1
 
 
@@ -1723,6 +1737,89 @@ class TestComponentOrder:
         F_blocks = sum((b.stop - b.start) / p.n * cdf(solve_curve(part, grid))
                        for b, part in zip(blocks, parts))
         assert np.abs(cdf(curve) - F_blocks).max() <= 1e-10
+
+
+class TestCoarseStart:
+    CONFIG = SolverConfig(fixed_point_tol=1e-9, t_min=1e-8)
+
+    def test_a_permuted_band_keeps_its_curve(self):
+        # groups of a randomly permuted band average unrelated indices, so
+        # the coarse profile's spectral radius falls well below rho; the
+        # radii past that coarse edge would start near zero and collapse
+        # onto the trivial solution, F off by 0.06, unless the coarse
+        # profile is scaled.  The default tolerance leaves the two starts'
+        # curves within rounding of each other
+        p = build_sampled(band_model_b, 200)
+        perm = np.random.default_rng(3).permutation(p.n)
+        permuted = validate_profile(p.variances[np.ix_(perm, perm)])
+        assert len(_route(permuted).sizes) >= vps.mesolver.COARSE_MIN
+        grid = default_s_grid(math.sqrt(spectral_radius(p)), 30)
+        curve, ref = solve_curve(permuted, grid), solve_curve(p, grid)
+        assert curve.failed_indices == ref.failed_indices == ()
+        assert np.abs(cdf(curve) - cdf(ref)).max() <= 1e-12
+
+    def test_the_loose_phase_takes_under_half_the_iterations(self, monkeypatch):
+        p = build_sampled(band_model_b, 400)
+        grid = default_s_grid(math.sqrt(spectral_radius(p)), 30)
+        kernel = vps.mesolver._solve_rows
+
+        def recorded(layout, s, t, config, start=None):
+            rows = kernel(layout, s, t, config, start)
+            if len(layout[0][0]) == p.n:   # the route's own kernel, not the coarse one
+                loose.append(rows.iterations.sum())
+            return rows
+
+        monkeypatch.setattr(vps.mesolver, "_solve_rows", recorded)
+        loose = []
+        coarse = solve_curve(p, grid, self.CONFIG)
+        monkeypatch.setattr(vps.mesolver, "COARSE_MIN", p.n + 1)
+        ones = solve_curve(p, grid, self.CONFIG)
+        assert len(loose) == 2 and loose[0] < loose[1] / 2
+        inside = grid < math.sqrt(coarse.rho)
+        np.testing.assert_array_equal(coarse.rows.at_zero, inside)
+        np.testing.assert_array_equal(ones.rows.at_zero, inside)
+        assert np.abs(cdf(coarse) - cdf(ones)).max() <= 1e-10
+
+    def test_groups_stay_in_a_component_and_weigh_class_sizes(self, monkeypatch):
+        # 20 pair classes of 2 to 4 indices in two components of 9 and 11
+        # classes: the coarse operand is diag(N) Vbar over groups of
+        # COARSE classes of one component, consecutive in the layout's
+        # order, the size-weighted group means, scaled to the curve's rho
+        rng = np.random.default_rng(41)
+        sizes = rng.integers(2, 5, 20)
+        label = rng.permutation(np.repeat(np.arange(20), sizes))
+        Vbar = rng.uniform(0.5, 2.0, (20, 20))
+        Vbar[:9, 9:] = Vbar[9:, :9] = 0.0
+        p = validate_profile(Vbar[np.ix_(label, label)])
+        route = _route(p)
+        assert len(route.sizes) == 20 and (route.sizes > 1).all()
+        kernel = vps.mesolver._solve_rows
+        layouts = []
+
+        def recorded(layout, s, t, config, start=None):
+            layouts.append(layout)
+            return kernel(layout, s, t, config, start)
+
+        monkeypatch.setattr(vps.mesolver, "_solve_rows", recorded)
+        monkeypatch.setattr(vps.mesolver, "COARSE_MIN", 1)
+        grid = math.sqrt(spectral_radius(p)) * np.array([0.2, 0.5, 0.8])
+        curve = solve_curve(p, grid)
+        order, _, counts, _ = _layout(route)[0]
+        assert sorted(counts) == [9, 11]
+        n_k, V = route.sizes[order], route.V[np.ix_(order, order)]
+        group = np.concatenate([2 * c + np.arange(count) // vps.mesolver.COARSE
+                                for c, count in enumerate(counts)])   # 2 groups each
+        E = (group[:, None] == np.unique(group)).astype(float) * n_k[:, None]
+        N = E.sum(axis=0)
+        Vbar = (E.T @ V @ E) / np.outer(N, N)
+        want = N[:, None] * Vbar * curve.rho / np.abs(np.linalg.eigvals(Vbar * N)).max()
+        (_, first, per, trace), (A, _), _ = layouts[0]
+        np.testing.assert_allclose(A, want, rtol=1e-9)
+        np.testing.assert_array_equal(trace, N)
+        monkeypatch.setattr(vps.mesolver, "COARSE_MIN", 21)
+        ones = solve_curve(p, grid)
+        assert curve.rows.at_zero.all() and ones.rows.at_zero.all()
+        assert np.abs(cdf(curve) - cdf(ones)).max() <= 1e-12
 
 
 def _aitken_row_reference(x, last, prev_norm):
