@@ -1813,7 +1813,7 @@ class TestCoarseStart:
         N = E.sum(axis=0)
         Vbar = (E.T @ V @ E) / np.outer(N, N)
         want = N[:, None] * Vbar * curve.rho / np.abs(np.linalg.eigvals(Vbar * N)).max()
-        (_, first, per, trace), (A, _), _ = layouts[0]
+        (*_, trace), (A, _), _ = layouts[0]
         np.testing.assert_allclose(A, want, rtol=1e-9)
         np.testing.assert_array_equal(trace, N)
         monkeypatch.setattr(vps.mesolver, "COARSE_MIN", 21)
