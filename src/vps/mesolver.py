@@ -104,7 +104,9 @@ step only as far as its Newton step needs (Eisenstat & Walker, SIAM J.
 Sci. Comput. 17, 1996): to 0.3 tol max(1, max x) / ||F||_2, clipped to
 [FORCING[1], 0.3], except a system whose last condition estimate passed
 GUARD = 1e8, which keeps FORCING[1], so that the gate below sees the
-Krylov space of the fixed pair.  A row that meets its forcing costs no
+Krylov space of the fixed pair, and one whose last step missed a 10%
+gain, which takes FORCING[1] so that a loose solve's multipliers cannot
+stall it (`_newton`).  A row that meets its forcing costs no
 more operator products or basis reads in its chunk.
 
 Every route but the rank-one one solves the t = 0 equations
@@ -275,9 +277,18 @@ SWAP = 2 ** 13
 # the error's smooth part spreads one bandwidth per iteration; from the
 # coarse start the loose phase takes 199 iterations in all against 1,859,
 # at most 9 a radius, and 23 ms (14 of them the coarse solve) against 80.
-# A randomly permuted band gains nothing and pays the coarse solve.
+# The gain needs a profile that is smooth in the layout's index order.
+# Curves on the 200-point default grid, coarse start against ones (best
+# of 5, median of 3 rounds, 2 cores), at t_min = 1e-8 and fixed_point_tol
+# = 1e-9, then at the default config: band B 1.01 and 1.10 times the time
+# from ones at n = 64, 0.95 and 1.23 (noisy) at 80, 0.94 and 0.90 at 96,
+# 0.91 and 0.94 at 128, 0.85 and 0.89 at 160; dense U(0.5, 2) 1.00 and
+# 0.95 at 64, 0.72 (noisy) and 0.99 at 80, 1.00 and 0.94 at 96, 0.95 and
+# 0.93 at 128.  A randomly permuted band, with no such order, gains
+# nothing and pays the coarse solve: 1.02-1.16 times at every n from 64
+# to 192.
 COARSE = 8
-COARSE_MIN = 128
+COARSE_MIN = 96
 
 
 @dataclass(frozen=True)
@@ -765,7 +776,14 @@ def _newton(product, product_T, x, s2, t, tol, gauge):
     the nonlinear one, and no smaller (inexact Newton; Eisenstat &
     Walker, SIAM J. Sci. Comput. 17, 1996).  A row whose last condition
     estimate passed GUARD keeps FORCING[1], so the estimate the gate reads
-    is made on the Krylov space of the fixed pair.  The rows take their
+    is made on the Krylov space of the fixed pair.  So does a row whose
+    last step missed the 10% gain below: bordered, a loose solve can leave
+    part of F in the gauge multipliers, which the step drops, and the next
+    loose solves leave it there.  On band model B at n = 400 and 800 (the
+    default grid, t_min = 1e-8, fixed_point_tol = 1e-9), radius 0 from the
+    coarse start stalled so at a residual of 1.76e-7, just above its
+    bound, with multipliers of 1.7e-7, and went to t_min; one step at
+    FORCING[1] takes them to 1e-14 and the residual to 3e-14.  The rows take their
     steps in chunks whose Krylov bases hold at most max(n^2, BASIS)
     doubles, so that every work array of a chunk is small beside V: 7
     rows at n = 800.  At t = 0 each component's
@@ -834,7 +852,7 @@ def _newton(product, product_T, x, s2, t, tol, gauge):
                     target = 0.3 * tol * np.maximum(xs.max(axis=1), 1.0)
                     forcing = np.clip(target / np.sqrt(np.einsum("ij,ij->i", F, F)),
                                       FORCING[1], 0.3)
-                    forcing[cond[live] > GUARD] = FORCING[1]
+                    forcing[(cond[live] > GUARD) | (misses[live] > 0)] = FORCING[1]
                 dx, cond[live], work = _krylov_solve(product, product_T, coefficients, F,
                                                      border, forcing, sums)
                 krylov[live] += work
@@ -1082,12 +1100,16 @@ def _coarse_start(layout, s, t, config: SolverConfig, rho):
     consecutive classes of the layout's order, none across a component,
     with the class sizes as weights: Vbar_gh = sum n_k n_l V_kl /
     (N_g N_h) over the classes k of group g and l of group h, N_g the
-    group sizes.  Averaging lowers a band's spectral radius, so Vbar is
-    scaled until Vbar diag(N) has the route's `rho` (`spectral_radius` on
-    its B operand): unscaled, radii past the coarse edge start near zero, where
-    the loose tolerance, absolute below 1, lets them collapse onto the
-    trivial solution of the t = 0 equations.  The groups follow the
-    layout's component order, so the coarse gauge needs no permutation."""
+    group sizes.  Averaging lowers a band's spectral radius, so each
+    component's block of Vbar is scaled until its block of Vbar diag(N)
+    has that component's spectral radius: `rho` where the route has one
+    component (a second power iteration on band model B at n = 800 would
+    cost 13 ms), and otherwise `spectral_radius` on the component's block
+    of the route's A operand.  Unscaled, the radii past a component's
+    coarse edge start that component near zero, where the loose
+    tolerance, absolute below 1, lets it collapse onto the trivial
+    solution of the t = 0 equations.  The groups follow the layout's
+    component order, so the coarse gauge needs no permutation."""
     from .profiles import spectral_radius
 
     (order, starts, counts, weights), (A, _), _ = layout
@@ -1101,12 +1123,18 @@ def _coarse_start(layout, s, t, config: SolverConfig, rho):
         sums *= weights
     N = np.add.reduceat(np.ones(n) if weights is None else weights, bounds)
     Vbar = np.add.reduceat(sums, bounds, axis=1) / np.outer(N, N)
-    B = _operands(Vbar, N)[1]
-    panels_T = _envelope(B)
-    Vbar *= rho / spectral_radius(Vbar, operand=(B, panels_T))
+    Abar, Bbar, _ = _operands(Vbar, N)
+    panels, panels_T = _envelope(Abar), _envelope(Bbar)   # still those once scaled
+    if len(counts) == 1:
+        Vbar *= rho / spectral_radius(Vbar, operand=(Bbar, panels_T))
+    else:
+        fine = [spectral_radius(A[a:a + c, a:a + c]) for a, c in zip(starts, counts)]
+        coarse = [spectral_radius(Abar[g:g + c, g:g + c]) for g, c in zip(first, per)]
+        scale = np.divide(fine, coarse, out=np.ones(len(per)), where=np.greater(coarse, 0.0))
+        Vbar *= np.repeat(scale, per)[:, None]   # Vbar is block diagonal: rows scale blocks
     A, B, trace = _operands(Vbar, N)
-    coarse = _solve_rows(((np.arange(len(N)), first, per, trace), (A, _envelope(A)),
-                          (B, panels_T)), s, t, config)
+    coarse = _solve_rows(((np.arange(len(N)), first, per, trace), (A, panels), (B, panels_T)),
+                         s, t, config)
     x = np.concatenate([coarse.q, coarse.q_tilde], axis=1)
     x[[error is not None for error in coarse.errors]] = 1.0
     return np.take(x, np.concatenate([group, group + len(N)]), axis=1)
@@ -1128,9 +1156,9 @@ def _solve_at_zero_rows(route: _Route, s, config: SolverConfig, rho) -> _Rows:
     `at_zero`, its iterations are those of the loose phase plus its
     Newton steps, its `krylov` count those of both, and its residual is
     that of the t = 0 equations.  On a route of at least COARSE_MIN
-    classes the loose phase starts from `_coarse_start`, scaled to the
-    curve's `rho`; its coarse solve counts in neither `iterations` nor
-    `krylov`.  The refused radii alone are solved
+    classes the loose phase starts from `_coarse_start`, each component
+    scaled to its own spectral radius (`rho` where there is one); its
+    coarse solve counts in neither `iterations` nor `krylov`.  The refused radii alone are solved
     again from ones at t_min to the full tolerance, and each takes that
     row, its counts and its error.  This is the one place where a radius
     of a curve goes to t_min.

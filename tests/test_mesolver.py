@@ -1758,6 +1758,39 @@ class TestCoarseStart:
         assert curve.failed_indices == ref.failed_indices == ()
         assert np.abs(cdf(curve) - cdf(ref)).max() <= 1e-12
 
+    def test_each_component_is_scaled_to_its_own_radius(self, monkeypatch):
+        # a dense block with the larger rho beside a randomly permuted band:
+        # the band's coarse edge lies well inside its own, so the radii
+        # between would start the band near zero and collapse onto q = 0
+        # (F off by 0.017) were its block scaled to the curve's rho
+        band = build_sampled(band_model_b, 200).variances
+        perm = np.random.default_rng(3).permutation(200)
+        a = np.zeros((264, 264))
+        a[:64, :64] = np.random.default_rng(5).uniform(2.5, 10.0, (64, 64))
+        a[64:, 64:] = band[np.ix_(perm, perm)]
+        p = validate_profile(a)
+        assert len(_route(p).sizes) >= vps.mesolver.COARSE_MIN
+        V = p.normalized[64:, 64:]
+        E = np.repeat(np.eye(200 // vps.mesolver.COARSE), vps.mesolver.COARSE, axis=0)
+        coarse_edge = math.sqrt(np.abs(np.linalg.eigvals(E.T @ V @ E / vps.mesolver.COARSE)).max())
+        edge = math.sqrt(spectral_radius(V))
+        assert spectral_radius(p) > edge ** 2
+        grid = edge * np.linspace(0.05, 0.95, 19)
+        assert (grid > coarse_edge).sum() >= 5
+        curve = solve_curve(p, grid)
+        monkeypatch.setattr(vps.mesolver, "COARSE_MIN", p.n + 1)
+        ones = solve_curve(p, grid)
+        assert curve.rows.at_zero.all() and ones.rows.at_zero.all()
+        assert np.abs(cdf(curve) - cdf(ones)).max() <= 1e-12
+
+    def test_every_radius_of_the_default_grid_is_accepted_at_zero(self):
+        # from the coarse start radius 0 of the 200 stalled its endgame at
+        # a residual of 1.76e-7, just above its bound, and went to t_min,
+        # until a row that misses a 10% gain took the tight forcing
+        p = build_sampled(band_model_b, 400)
+        curve = solve_curve(p, config=self.CONFIG)
+        np.testing.assert_array_equal(curve.rows.at_zero, curve.s_grid < math.sqrt(curve.rho))
+
     def test_the_loose_phase_takes_under_half_the_iterations(self, monkeypatch):
         p = build_sampled(band_model_b, 400)
         grid = default_s_grid(math.sqrt(spectral_radius(p)), 30)
@@ -1784,7 +1817,8 @@ class TestCoarseStart:
         # 20 pair classes of 2 to 4 indices in two components of 9 and 11
         # classes: the coarse operand is diag(N) Vbar over groups of
         # COARSE classes of one component, consecutive in the layout's
-        # order, the size-weighted group means, scaled to the curve's rho
+        # order, the size-weighted group means, each component's block
+        # scaled to that component's rho
         rng = np.random.default_rng(41)
         sizes = rng.integers(2, 5, 20)
         label = rng.permutation(np.repeat(np.arange(20), sizes))
@@ -1812,7 +1846,12 @@ class TestCoarseStart:
         E = (group[:, None] == np.unique(group)).astype(float) * n_k[:, None]
         N = E.sum(axis=0)
         Vbar = (E.T @ V @ E) / np.outer(N, N)
-        want = N[:, None] * Vbar * curve.rho / np.abs(np.linalg.eigvals(Vbar * N)).max()
+        fine, coarse = np.repeat(np.arange(2), counts), np.repeat(np.arange(2), 2)
+        for c in range(2):   # each component's block to that component's rho
+            rho = np.abs(np.linalg.eigvals((V * n_k)[np.ix_(fine == c, fine == c)])).max()
+            block = np.ix_(coarse == c, coarse == c)
+            Vbar[block] *= rho / np.abs(np.linalg.eigvals((Vbar * N)[block])).max()
+        want = N[:, None] * Vbar
         (*_, trace), (A, _), _ = layouts[0]
         np.testing.assert_allclose(A, want, rtol=1e-9)
         np.testing.assert_array_equal(trace, N)
